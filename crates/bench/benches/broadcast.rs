@@ -37,7 +37,6 @@ fn record(windows: usize) -> Vec<u8> {
     let config = PipelineConfig {
         window_us: WINDOW_US,
         batch_size: 8_192,
-        shard_count: 8,
         reorder_horizon_us: 0,
         ..Default::default()
     };

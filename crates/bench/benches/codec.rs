@@ -195,7 +195,6 @@ fn bench_codec(c: &mut Criterion) {
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 8_192,
-        shard_count: 4,
         reorder_horizon_us: 0,
         ..Default::default()
     };

@@ -1,34 +1,27 @@
-//! E-S3 — sharded streaming-ingest throughput.
+//! E-S3 — streaming-ingest throughput.
 //!
-//! Two claims, both asserted inside the bench body:
+//! Two layers, each over pre-generated events so the scenario generator's
+//! cost stays out of the rows:
 //!
-//! 1. The original scaling claim: turning a million-event scenario stream
-//!    into windowed hypersparse matrices is faster through the sharded
-//!    accumulator (hash-partition by source row, per-shard coalesce, blocked
-//!    row-disjoint merge) than through the serial single-COO path.
-//! 2. The hot-path claim behind the parallel routing + scratch-recycling
-//!    rework: the current pipeline (batched window scan, `route_batch`
-//!    fan-out, warm rotation scratch, recycled CSR storage) beats a faithful
-//!    replica of the pre-rework per-event loop (VecDeque pop + per-event
-//!    window division + one-event routing + cold fresh-allocation merges)
-//!    by at least 1.25x on the same ten-window workload.
+//! 1. Window accumulation: a million-event stream turned into one matrix,
+//!    through the serial `window_matrix` reference (COO push + coalesce) and
+//!    through the pipeline's `WindowAccumulator` (counting-sort merge).
+//! 2. The full pipeline: pull → scan → route → window rotation over ten
+//!    windows, with and without the consumer recycling each matrix.
 //!
 //! Event count defaults to 1e6; set `TW_INGEST_BENCH_EVENTS` to shrink it
-//! (CI's bench smoke step runs with a tiny count, where the speedup
-//! assertion is skipped because sub-millisecond rounds are all noise).
-//! Medians land in `BENCH_ingest.json` via the criterion shim.
+//! (CI's bench smoke step runs with a tiny count). Medians land in
+//! `BENCH_ingest.json` via the criterion shim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rayon::prelude::*;
-use std::collections::VecDeque;
 use std::hint::black_box;
-use std::time::Instant;
+use std::sync::Arc;
 use tw_bench::{banner, quick_criterion};
 use tw_core::ingest::{
-    collect_events, window_matrix, Pipeline, PipelineConfig, Scenario, ShardedAccumulator,
+    collect_events, window_matrix, EventSource, Pipeline, PipelineConfig, Scenario,
+    WindowAccumulator,
 };
 use tw_core::matrix::stream::PacketEvent;
-use tw_core::matrix::CsrMatrix;
 
 fn event_count() -> usize {
     std::env::var("TW_INGEST_BENCH_EVENTS")
@@ -37,157 +30,52 @@ fn event_count() -> usize {
         .unwrap_or(1_000_000)
 }
 
-/// The pre-rework sharded accumulator, replicated verbatim from the
-/// committed code this rework replaced and FROZEN here: Fibonacci-hash
-/// routing one event at a time, and a rotation that swaps in fresh shard
-/// vectors, sorts every shard unconditionally, unpacks into 24-byte COO
-/// triples and builds the CSR matrix from fresh allocations. Keeping the
-/// replica self-contained (instead of driving the live accumulator in a
-/// compatibility mode) pins the baseline: later improvements to the live
-/// merge path cannot retroactively speed the baseline up and understate the
-/// rework's win.
-struct LegacyAccumulator {
-    node_count: usize,
-    shards: Vec<Vec<(u64, u64)>>,
-    events: u64,
-    packets: u64,
+/// A pre-generated event list replayed in order, so pipeline rows time the
+/// pipeline and not the scenario generator.
+struct Replay {
+    node_count: u32,
+    events: Arc<[PacketEvent]>,
+    cursor: usize,
 }
 
-impl LegacyAccumulator {
-    fn new(node_count: usize, shard_count: usize) -> Self {
-        LegacyAccumulator {
-            node_count,
-            shards: vec![Vec::new(); shard_count],
-            events: 0,
-            packets: 0,
-        }
+impl EventSource for Replay {
+    fn node_count(&self) -> u32 {
+        self.node_count
     }
 
-    #[inline]
-    fn shard_of(&self, row: usize) -> usize {
-        let hashed = (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((hashed >> 32) as usize) % self.shards.len()
-    }
-
-    #[inline]
-    fn ingest(&mut self, event: &PacketEvent) {
-        let row = event.source as usize;
-        let shard = self.shard_of(row);
-        let key = (u64::from(event.source) << 32) | u64::from(event.destination);
-        self.shards[shard].push((key, u64::from(event.packets)));
-        self.events += 1;
-        self.packets += u64::from(event.packets);
-    }
-
-    fn merge(&mut self) -> CsrMatrix<u64> {
-        let fresh = vec![Vec::new(); self.shards.len()];
-        let shards = std::mem::replace(&mut self.shards, fresh);
-        self.events = 0;
-        self.packets = 0;
-        let blocks: Vec<Vec<(usize, usize, u64)>> =
-            shards.into_par_iter().map(legacy_coalesce_packed).collect();
-        CsrMatrix::from_row_disjoint_blocks(self.node_count, self.node_count, blocks)
+    fn pull(&mut self, max: usize, out: &mut Vec<PacketEvent>) -> usize {
+        let end = (self.cursor + max).min(self.events.len());
+        out.extend_from_slice(&self.events[self.cursor..end]);
+        let pulled = end - self.cursor;
+        self.cursor = end;
+        pulled
     }
 }
 
-/// The pre-rework per-shard coalesce: sort the packed entries, sum duplicate
-/// coordinates, unpack into freshly allocated sorted COO triples.
-fn legacy_coalesce_packed(mut entries: Vec<(u64, u64)>) -> Vec<(usize, usize, u64)> {
-    entries.sort_unstable_by_key(|&(key, _)| key);
-    let mut out: Vec<(usize, usize, u64)> = Vec::with_capacity(entries.len());
-    let mut push = |key: u64, packets: u64| {
-        if packets != 0 {
-            out.push(((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize, packets));
-        }
-    };
-    let mut iter = entries.into_iter();
-    let Some((mut run_key, mut run_packets)) = iter.next() else {
-        return out;
-    };
-    for (key, packets) in iter {
-        if key == run_key {
-            run_packets += packets;
-        } else {
-            push(run_key, run_packets);
-            run_key = key;
-            run_packets = packets;
-        }
-    }
-    push(run_key, run_packets);
-    out
-}
-
-/// The pre-rework ingest hot loop around [`LegacyAccumulator`], replicated
-/// faithfully from the committed pipeline this rework replaced: one VecDeque
-/// pop per event, one `timestamp / window_us` division per event,
-/// one-event-at-a-time routing, and the cold fresh-allocation rotation
-/// above. Report assembly and stats bookkeeping are omitted, which only
-/// makes the replica FASTER than the real predecessor — the speedup
-/// assertion is conservative.
-fn legacy_ten_windows(scenario: Scenario, nodes: u32, window_us: u64) -> u64 {
-    let mut source = scenario.source(nodes, 3);
-    let mut pending: VecDeque<PacketEvent> = VecDeque::new();
-    let mut batch: Vec<PacketEvent> = Vec::new();
-    let mut acc = LegacyAccumulator::new(nodes as usize, 8);
-    let mut current = 0u64;
-    let mut emitted = 0usize;
-    let mut total_events = 0u64;
-    'outer: while emitted < 10 {
-        while let Some(event) = pending.front() {
-            let window = event.timestamp_us / window_us;
-            if window == current {
-                let event = pending.pop_front().expect("front just observed");
-                acc.ingest(&event);
-                total_events += 1;
-            } else {
-                black_box(acc.merge().nnz());
-                current += 1;
-                emitted += 1;
-                if emitted >= 10 {
-                    break 'outer;
-                }
-            }
-        }
-        batch.clear();
-        if source.pull(8_192, &mut batch) == 0 {
-            break;
-        }
-        pending.extend(batch.iter().copied());
-    }
-    total_events
-}
-
-/// The current hot path as a consumer actually drives it: batched scan +
-/// parallel routing inside the pipeline, and every emitted matrix handed
-/// back through `recycle_window` so rotation storage cycles instead of
-/// being reallocated.
-fn routed_ten_windows(scenario: Scenario, nodes: u32, window_us: u64) -> u64 {
+/// Ten windows through the pipeline; with `recycle`, every emitted matrix is
+/// handed back through `recycle_window` as a steady consumer would.
+fn ten_windows(events: &Arc<[PacketEvent]>, nodes: u32, window_us: u64, recycle: bool) -> u64 {
     let config = PipelineConfig {
         window_us,
-        batch_size: 8_192,
-        shard_count: 8,
-        reorder_horizon_us: 0,
-        ..Default::default()
+        ..PipelineConfig::default()
     };
-    let mut pipeline = Pipeline::new(scenario.source(nodes, 3), config);
+    let source = Replay {
+        node_count: nodes,
+        events: Arc::clone(events),
+        cursor: 0,
+    };
+    let mut pipeline = Pipeline::new(Box::new(source), config);
     let mut total_events = 0u64;
-    let mut emitted = 0usize;
-    while emitted < 10 {
+    for _ in 0..10 {
         let Some(report) = pipeline.next_window() else {
             break;
         };
         total_events += report.stats.events;
-        pipeline.recycle_window(report.matrix);
-        emitted += 1;
+        if recycle {
+            pipeline.recycle_window(report.matrix);
+        }
     }
     total_events
-}
-
-/// The minimum over rounds: scheduler and cache noise only ever ADD time, so
-/// the fastest observed round is the least-contaminated estimate of the true
-/// cost — the estimator of choice for an A/B ratio on a shared machine.
-fn fastest(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 fn bench_ingest(c: &mut Criterion) {
@@ -198,7 +86,7 @@ fn bench_ingest(c: &mut Criterion) {
     };
     banner(
         "E-S3",
-        "Sharded ingest throughput (serial COO vs sharded accumulator, full pipeline)",
+        "Streaming ingest throughput (serial COO reference vs window accumulator, full pipeline)",
     );
     println!(
         "{} events over {nodes} nodes; serial reference nnz {}",
@@ -211,19 +99,13 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("serial_window_matrix", |b| {
         b.iter(|| black_box(window_matrix(nodes as usize, &events).nnz()))
     });
-    for &shards in &[2usize, 4, 8, 16] {
-        group.bench_with_input(
-            BenchmarkId::new("sharded_merge", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let mut acc = ShardedAccumulator::new(nodes as usize, shards);
-                    acc.ingest_batch(&events);
-                    black_box(acc.merge().nnz())
-                })
-            },
-        );
-    }
+    group.bench_function("accumulator_merge", |b| {
+        b.iter(|| {
+            let mut acc = WindowAccumulator::new(nodes as usize);
+            acc.ingest(&events);
+            black_box(acc.merge().nnz())
+        })
+    });
     group.finish();
 
     // Full pipeline: pull → route → window rotation, 10 simulated windows.
@@ -233,96 +115,33 @@ fn bench_ingest(c: &mut Criterion) {
     let window_us = (window_events as u64) * 10;
     let mut group = c.benchmark_group("ingest_pipeline");
     for scenario in [Scenario::Background, Scenario::Ddos] {
+        // Two windows' slack past the ten timed ones, so the tenth closes
+        // on the next window's first event like every other.
+        let stream: Arc<[PacketEvent]> = {
+            let mut source = scenario.source(nodes, 3);
+            collect_events(source.as_mut(), window_events * 12).into()
+        };
         group.bench_with_input(
             BenchmarkId::new("ten_windows", scenario),
-            &scenario,
-            |b, scenario| {
-                b.iter(|| {
-                    let config = PipelineConfig {
-                        window_us,
-                        batch_size: 8_192,
-                        shard_count: 8,
-                        reorder_horizon_us: 0,
-                        ..Default::default()
-                    };
-                    let mut pipeline = Pipeline::new(scenario.source(nodes, 3), config);
-                    let reports = pipeline.run(10);
-                    black_box(reports.iter().map(|r| r.stats.events).sum::<u64>())
-                })
-            },
+            &stream,
+            |b, stream| b.iter(|| black_box(ten_windows(stream, nodes, window_us, false))),
         );
         group.bench_with_input(
             BenchmarkId::new("ten_windows_recycled", scenario),
-            &scenario,
-            |b, scenario| b.iter(|| black_box(routed_ten_windows(*scenario, nodes, window_us))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ten_windows_legacy", scenario),
-            &scenario,
-            |b, scenario| b.iter(|| black_box(legacy_ten_windows(*scenario, nodes, window_us))),
+            &stream,
+            |b, stream| b.iter(|| black_box(ten_windows(stream, nodes, window_us, true))),
         );
     }
     group.finish();
 
-    // --- The hot-path speedup bound, measured by hand with interleaved
-    // rounds so slow drift (thermal, scheduler) hits both sides equally.
-    const ROUNDS: usize = 9;
-    const REQUIRED_SPEEDUP: f64 = 1.25;
-    for scenario in [Scenario::Background, Scenario::Ddos] {
-        let mut legacy_s = Vec::with_capacity(ROUNDS);
-        let mut routed_s = Vec::with_capacity(ROUNDS);
-        // One untimed warm-up pair: first touch of the scenario tables and
-        // the allocator is not what we are bounding.
-        black_box(legacy_ten_windows(scenario, nodes, window_us));
-        black_box(routed_ten_windows(scenario, nodes, window_us));
-        let mut legacy_events = 0u64;
-        let mut routed_events = 0u64;
-        for _ in 0..ROUNDS {
-            let started = Instant::now();
-            legacy_events = black_box(legacy_ten_windows(scenario, nodes, window_us));
-            legacy_s.push(started.elapsed().as_secs_f64());
-
-            let started = Instant::now();
-            routed_events = black_box(routed_ten_windows(scenario, nodes, window_us));
-            routed_s.push(started.elapsed().as_secs_f64());
-        }
-        assert_eq!(
-            legacy_events, routed_events,
-            "the replica and the pipeline must ingest the same stream"
-        );
-        let legacy = fastest(&legacy_s);
-        let routed = fastest(&routed_s);
-        let speedup = legacy / routed;
-        println!(
-            "{scenario:?}: {legacy_events} events x {ROUNDS} interleaved rounds: \
-             fastest legacy {:.1} ms, fastest routed+recycled {:.1} ms, speedup {speedup:.2}x",
-            legacy * 1e3,
-            routed * 1e3
-        );
-        criterion::record_measurement(
-            &format!("ingest_speedup/{scenario:?}/speedup_permille"),
-            (speedup * 1000.0).round() as u128,
-        );
-        if event_count() >= 100_000 {
-            assert!(
-                speedup >= REQUIRED_SPEEDUP,
-                "routed+recycled pipeline is only {speedup:.2}x the pre-rework loop on \
-                 {scenario:?}; the ingest rework promises >= {REQUIRED_SPEEDUP}x"
-            );
-            println!("hot-path bound holds: {speedup:.2}x >= {REQUIRED_SPEEDUP}x");
-        } else {
-            println!("event count below 100k: speedup assertion skipped (noise-dominated)");
-        }
-    }
-
     // Events/sec summary for the experiment record.
-    let mut acc = ShardedAccumulator::new(nodes as usize, 8);
+    let mut acc = WindowAccumulator::new(nodes as usize);
     let started = std::time::Instant::now();
-    acc.ingest_batch(&events);
+    acc.ingest(&events);
     let matrix = acc.merge();
     let elapsed = started.elapsed().as_secs_f64();
     println!(
-        "sharded(8): {} events -> nnz {} in {:.1} ms = {:.2} M events/s",
+        "accumulator: {} events -> nnz {} in {:.1} ms = {:.2} M events/s",
         events.len(),
         matrix.nnz(),
         elapsed * 1e3,

@@ -35,7 +35,6 @@ fn run_pipeline(nodes: u32, window_events: usize, registry: Option<&MetricsRegis
     let config = PipelineConfig {
         window_us: (window_events as u64) * 10,
         batch_size: 8_192,
-        shard_count: 8,
         reorder_horizon_us: 0,
         ..Default::default()
     };

@@ -51,7 +51,6 @@ fn run(events: &'static [PacketEvent], horizon_us: u64) -> (u64, u64, u64) {
     let config = PipelineConfig {
         window_us: WINDOW_US,
         batch_size: 8_192,
-        shard_count: 8,
         reorder_horizon_us: horizon_us,
         ..Default::default()
     };

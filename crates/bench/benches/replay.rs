@@ -40,7 +40,6 @@ fn pipeline(windows: usize) -> Pipeline {
     let config = PipelineConfig {
         window_us: WINDOW_US,
         batch_size: 8_192,
-        shard_count: 8,
         reorder_horizon_us: 0,
         ..Default::default()
     };

@@ -48,8 +48,6 @@ pub enum Command {
         windows: usize,
         nodes: u32,
         seed: u64,
-        shards: usize,
-        route_threads: usize,
         batch: usize,
         window_us: u64,
         horizon_us: u64,
@@ -80,8 +78,6 @@ pub enum Command {
         windows: Option<usize>,
         nodes: u32,
         seed: u64,
-        shards: usize,
-        route_threads: usize,
         window_us: u64,
         horizon_us: u64,
         skew_us: u64,
@@ -130,17 +126,14 @@ Commands:
   play <bundle.zip> [--seed N]                auto-play a module bundle and print the transcript
   export-library <directory>                  write the built-in module bundles as .zip files
   obfuscate <module.json>                     re-emit the module with its answer obfuscated
-  ingest --scenario <name> [--windows N] [--nodes N] [--seed N] [--shards N] [--route-threads N] [--batch N] [--window-us N] [--skew-us N] [--horizon-us N] [--record file.zip] [--keyframe-every N] [--json] [--metrics-json file.json] [--stats-every N]
-                                              stream a scenario through the sharded ingest
+  ingest --scenario <name> [--windows N] [--nodes N] [--seed N] [--batch N] [--window-us N] [--skew-us N] [--horizon-us N] [--record file.zip] [--keyframe-every N] [--json] [--metrics-json file.json] [--stats-every N]
+                                              stream a scenario through the ingest
                                               pipeline and print per-window stats
                                               (scenarios: background, ddos, scan,
                                               flash-crowd, p2p, mixed); --skew-us drifts
                                               the per-source clocks (out-of-order stream)
                                               and --horizon-us sets the watermark
                                               reordering horizon that absorbs it;
-                                              --route-threads caps the routing
-                                              workers per batch (0 = one per
-                                              hardware thread);
                                               --record also captures the window stream
                                               as a replayable ZIP (--keyframe-every N
                                               stores every N-th window in full and the
@@ -157,8 +150,8 @@ Commands:
                                               streamed incrementally from disk (--speed N
                                               paces playback at N x real time; default is as
                                               fast as possible)
-  classroom --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N] [--shards N]
-            [--route-threads N] [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N] [--late N]
+  classroom --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N]
+            [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N] [--late N]
             [--metrics-json file.json] [--stats-every N]
                                               fan one window stream (live scenario, or a
                                               recording with --replay) out to N student
@@ -168,7 +161,7 @@ Commands:
                                               --metrics-json / --stats-every export the
                                               pipeline+broadcast metrics
   serve --listen <addr> --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N]
-        [--shards N] [--route-threads N] [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N]
+        [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N]
         [--keyframe-every N] [--metrics-json file.json] [--stats-every N]
                                               serve one window stream (live scenario, or a
                                               recording with --replay) to remote connect
@@ -287,8 +280,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut windows = 4usize;
             let mut nodes = 1024u32;
             let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
             let mut batch = 8192usize;
             let mut window_us = 100_000u64;
             let mut horizon_us = 0u64;
@@ -319,8 +310,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--windows" => windows = value(&mut iter, "--windows")?,
                     "--nodes" => nodes = value(&mut iter, "--nodes")?,
                     "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
                     "--batch" => batch = value(&mut iter, "--batch")?,
                     "--window-us" => window_us = value(&mut iter, "--window-us")?,
                     "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
@@ -360,8 +349,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 windows,
                 nodes,
                 seed,
-                shards,
-                route_threads,
                 batch,
                 window_us,
                 horizon_us,
@@ -404,8 +391,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut windows = None;
             let mut nodes = 256u32;
             let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
             let mut window_us = 100_000u64;
             let mut horizon_us = 0u64;
             let mut skew_us = 0u64;
@@ -431,7 +416,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                                 .clone(),
                         )
                     }
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
                     "--scenario" => {
                         scenario = Some(
                             iter.next()
@@ -450,7 +434,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--windows" => windows = Some(value(&mut iter, "--windows")?),
                     "--nodes" => nodes = value(&mut iter, "--nodes")?,
                     "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
                     "--window-us" => window_us = value(&mut iter, "--window-us")?,
                     "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
                     "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
@@ -503,8 +486,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 windows,
                 nodes,
                 seed,
-                shards,
-                route_threads,
                 window_us,
                 horizon_us,
                 skew_us,
@@ -551,8 +532,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut windows = None;
             let mut nodes = 256u32;
             let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
             let mut window_us = 100_000u64;
             let mut horizon_us = 0u64;
             let mut skew_us = 0u64;
@@ -589,7 +568,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--windows" => windows = Some(value(&mut iter, "--windows")?),
                     "--nodes" => nodes = value(&mut iter, "--nodes")?,
                     "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
                     "--window-us" => window_us = value(&mut iter, "--window-us")?,
                     "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
                     "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
@@ -600,7 +578,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         }
                     }
                     "--late" => late = Some(value(&mut iter, "--late")?),
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
                     "--metrics-json" => {
                         metrics_json = Some(
                             iter.next()
@@ -644,8 +621,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 windows,
                 nodes,
                 seed,
-                shards,
-                route_threads,
                 window_us,
                 horizon_us,
                 skew_us,
@@ -769,8 +744,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             windows,
             nodes,
             seed,
-            shards,
-            route_threads,
             batch,
             window_us,
             horizon_us,
@@ -785,8 +758,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             windows: *windows,
             nodes: *nodes,
             seed: *seed,
-            shards: *shards,
-            route_threads: *route_threads,
             batch: *batch,
             window_us: *window_us,
             horizon_us: *horizon_us,
@@ -811,8 +782,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             windows,
             nodes,
             seed,
-            shards,
-            route_threads,
             window_us,
             horizon_us,
             skew_us,
@@ -827,8 +796,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             windows: *windows,
             nodes: *nodes,
             seed: *seed,
-            shards: *shards,
-            route_threads: *route_threads,
             window_us: *window_us,
             horizon_us: *horizon_us,
             skew_us: *skew_us,
@@ -903,10 +870,6 @@ pub struct IngestArgs {
     pub nodes: u32,
     /// Scenario seed.
     pub seed: u64,
-    /// Shard count (0 = auto).
-    pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
-    pub route_threads: usize,
     /// Batch size (the backpressure bound).
     pub batch: usize,
     /// Tumbling-window duration in simulated microseconds.
@@ -939,8 +902,6 @@ impl IngestArgs {
             windows: 4,
             nodes: 1024,
             seed: 7,
-            shards: 0,
-            route_threads: 0,
             batch: 8192,
             window_us: 100_000,
             horizon_us: 0,
@@ -991,7 +952,7 @@ fn write_metrics_json(
     std::fs::write(path, text).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
-/// Stream a named scenario through the sharded ingest pipeline and render
+/// Stream a named scenario through the ingest pipeline and render
 /// per-window statistics; with `record`, also capture the window stream as
 /// a replayable ZIP at that path. A non-zero `skew_us` drifts the source
 /// clocks (an out-of-order stream) and `horizon_us` sets the watermark
@@ -1027,9 +988,7 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     let config = PipelineConfig {
         window_us: args.window_us,
         batch_size: args.batch,
-        shard_count: args.shards,
         reorder_horizon_us: args.horizon_us,
-        route_threads: args.route_threads,
         ..PipelineConfig::default()
     };
     let (source, max_disorder_us) = scenario.skewed_source(args.nodes, args.seed, args.skew_us);
@@ -1044,11 +1003,10 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     if !args.json {
         let _ = writeln!(
             out,
-            "scenario {scenario} ({}): {} nodes, {} us windows, {} shard(s), batch {}, seed {}",
+            "scenario {scenario} ({}): {} nodes, {} us windows, batch {}, seed {}",
             scenario.describe(),
             args.nodes,
             args.window_us,
-            pipeline.shard_count(),
             args.batch,
             args.seed,
         );
@@ -1228,8 +1186,6 @@ fn open_class_stream(
     replay: Option<&str>,
     nodes: u32,
     seed: u64,
-    shards: usize,
-    route_threads: usize,
     window_us: u64,
     horizon_us: u64,
     skew_us: u64,
@@ -1277,9 +1233,7 @@ fn open_class_stream(
             let config = PipelineConfig {
                 window_us,
                 batch_size: 8_192,
-                shard_count: shards,
                 reorder_horizon_us: horizon_us,
-                route_threads,
                 ..PipelineConfig::default()
             };
             let (source, max_disorder_us) = scenario.skewed_source(nodes, seed, skew_us);
@@ -1357,10 +1311,6 @@ pub struct ClassroomArgs {
     pub nodes: u32,
     /// Scenario seed for live scenarios.
     pub seed: u64,
-    /// Shard count for live scenarios (0 = auto).
-    pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
-    pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,
     /// Watermark reordering horizon for live scenarios (0 = strict).
@@ -1398,8 +1348,6 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
         args.replay.as_deref(),
         args.nodes,
         args.seed,
-        args.shards,
-        args.route_threads,
         args.window_us,
         args.horizon_us,
         args.skew_us,
@@ -1593,10 +1541,6 @@ pub struct ServeArgs {
     pub nodes: u32,
     /// Scenario seed for live scenarios.
     pub seed: u64,
-    /// Shard count for live scenarios (0 = auto).
-    pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
-    pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,
     /// Watermark reordering horizon for live scenarios (0 = strict).
@@ -1627,8 +1571,6 @@ impl ServeArgs {
             windows: None,
             nodes: 256,
             seed: 7,
-            shards: 0,
-            route_threads: 0,
             window_us: 100_000,
             horizon_us: 0,
             skew_us: 0,
@@ -1666,8 +1608,6 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
         args.replay.as_deref(),
         args.nodes,
         args.seed,
-        args.shards,
-        args.route_threads,
         args.window_us,
         args.horizon_us,
         args.skew_us,
@@ -2036,8 +1976,6 @@ mod tests {
                 "256",
                 "--seed",
                 "3",
-                "--shards",
-                "4",
                 "--batch",
                 "512",
                 "--window-us",
@@ -2049,7 +1987,6 @@ mod tests {
                 windows: 2,
                 nodes: 256,
                 seed: 3,
-                shards: 4,
                 batch: 512,
                 window_us: 50_000,
                 horizon_us: 0,
@@ -2059,10 +1996,9 @@ mod tests {
                 json: false,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
-        // Defaults: 4 windows over 1024 nodes with auto shards.
+        // Defaults: 4 windows over 1024 nodes.
         assert_eq!(
             parse_args(&args(&["ingest", "--scenario", "scan"])).unwrap(),
             Command::Ingest {
@@ -2070,7 +2006,6 @@ mod tests {
                 windows: 4,
                 nodes: 1024,
                 seed: 7,
-                shards: 0,
                 batch: 8192,
                 window_us: 100_000,
                 horizon_us: 0,
@@ -2080,7 +2015,6 @@ mod tests {
                 json: false,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
         assert_eq!(
@@ -2099,7 +2033,6 @@ mod tests {
                 windows: 4,
                 nodes: 1024,
                 seed: 7,
-                shards: 0,
                 batch: 8192,
                 window_us: 100_000,
                 horizon_us: 0,
@@ -2109,7 +2042,6 @@ mod tests {
                 json: false,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
         assert_eq!(
@@ -2128,7 +2060,6 @@ mod tests {
                 windows: 4,
                 nodes: 1024,
                 seed: 7,
-                shards: 0,
                 batch: 8192,
                 window_us: 100_000,
                 horizon_us: 20_000,
@@ -2138,7 +2069,6 @@ mod tests {
                 json: false,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
         assert_eq!(
@@ -2231,7 +2161,6 @@ mod tests {
                 windows: None,
                 nodes: 256,
                 seed: 7,
-                shards: 0,
                 window_us: 100_000,
                 horizon_us: 0,
                 skew_us: 0,
@@ -2239,7 +2168,6 @@ mod tests {
                 late: None,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
         assert_eq!(
@@ -2255,8 +2183,6 @@ mod tests {
                 "2",
                 "--seed",
                 "9",
-                "--shards",
-                "2",
                 "--nodes",
                 "128",
                 "--window-us",
@@ -2270,7 +2196,6 @@ mod tests {
                 windows: Some(4),
                 nodes: 128,
                 seed: 9,
-                shards: 2,
                 window_us: 50_000,
                 horizon_us: 0,
                 skew_us: 0,
@@ -2278,7 +2203,6 @@ mod tests {
                 late: Some(2),
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             }
         );
     }
@@ -2302,7 +2226,6 @@ mod tests {
                 windows: 4,
                 nodes: 1024,
                 seed: 7,
-                shards: 0,
                 batch: 8192,
                 window_us: 100_000,
                 horizon_us: 0,
@@ -2312,7 +2235,6 @@ mod tests {
                 json: true,
                 metrics_json: Some("m.json".into()),
                 stats_every: 2,
-                route_threads: 0,
             }
         );
         assert_eq!(
@@ -2393,7 +2315,6 @@ mod tests {
         let out = run_ingest(&IngestArgs {
             windows: 3,
             nodes: 256,
-            shards: 2,
             window_us: 50_000,
             json: true,
             ..IngestArgs::new("ddos")
@@ -2434,7 +2355,6 @@ mod tests {
         let out = run_ingest(&IngestArgs {
             windows: 4,
             nodes: 256,
-            shards: 2,
             window_us: 50_000,
             metrics_json: Some(path.clone()),
             stats_every: 2,
@@ -2487,7 +2407,6 @@ mod tests {
             windows: Some(3),
             nodes: 128,
             seed: 7,
-            shards: 2,
             window_us: 50_000,
             horizon_us: 0,
             skew_us: 0,
@@ -2495,7 +2414,6 @@ mod tests {
             late: Some(0),
             metrics_json: Some(path.clone()),
             stats_every: 1,
-            route_threads: 0,
         })
         .unwrap();
         assert!(out.contains("metrics: "), "{out}");
@@ -2718,7 +2636,6 @@ mod tests {
             windows: 4,
             nodes: 256,
             seed: 7,
-            shards: 2,
             batch: 2048,
             window_us: 50_000,
             horizon_us: 0,
@@ -2728,7 +2645,6 @@ mod tests {
             json: false,
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(out.contains("scenario ddos"));
@@ -2769,7 +2685,6 @@ mod tests {
         let out = run_ingest(&IngestArgs {
             windows: 3,
             nodes: 256,
-            shards: 2,
             window_us: 50_000,
             horizon_us: 20_000,
             skew_us: 5_000,
@@ -2813,7 +2728,6 @@ mod tests {
             windows: 8,
             nodes: 256,
             seed: 7,
-            shards: 2,
             batch: 2048,
             window_us: 50_000,
             horizon_us: 0,
@@ -2823,7 +2737,6 @@ mod tests {
             json: false,
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(ingest_out.contains("recorded 8 window(s)"), "{ingest_out}");
@@ -2886,7 +2799,6 @@ mod tests {
         let ingest_out = run_ingest(&IngestArgs {
             windows: 7,
             nodes: 256,
-            shards: 2,
             batch: 2048,
             window_us: 50_000,
             record: Some(zip.clone()),
@@ -2931,7 +2843,6 @@ mod tests {
             windows: Some(3),
             nodes: 128,
             seed: 7,
-            shards: 2,
             window_us: 50_000,
             horizon_us: 0,
             skew_us: 0,
@@ -2939,7 +2850,6 @@ mod tests {
             late: Some(1),
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -2964,7 +2874,6 @@ mod tests {
             windows: 4,
             nodes: 128,
             seed: 3,
-            shards: 2,
             batch: 2048,
             window_us: 50_000,
             record: Some(zip.clone()),
@@ -2978,7 +2887,6 @@ mod tests {
             windows: None,
             nodes: 256,
             seed: 7,
-            shards: 0,
             window_us: 100_000,
             horizon_us: 0,
             skew_us: 0,
@@ -2986,7 +2894,6 @@ mod tests {
             late: Some(0),
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(out.contains("scan (replayed from"), "{out}");
@@ -3002,7 +2909,6 @@ mod tests {
                 windows: Some(1),
                 nodes,
                 seed: 1,
-                shards: 0,
                 window_us: 1_000,
                 horizon_us: 0,
                 skew_us: 0,
@@ -3010,7 +2916,6 @@ mod tests {
                 late: None,
                 metrics_json: None,
                 stats_every: 0,
-                route_threads: 0,
             })
         };
         assert!(bad(Some("wat"), None, 128)
@@ -3033,7 +2938,6 @@ mod tests {
             windows: Some(2),
             nodes: 128,
             seed: 7,
-            shards: 2,
             window_us: 50_000,
             horizon_us: 20_000,
             skew_us: 5_000,
@@ -3041,7 +2945,6 @@ mod tests {
             late: Some(0),
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -3059,7 +2962,6 @@ mod tests {
             windows: Some(1),
             nodes: 128,
             seed: 7,
-            shards: 1,
             window_us: 50_000,
             horizon_us: 100,
             skew_us: 20_000,
@@ -3067,7 +2969,6 @@ mod tests {
             late: Some(0),
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -3083,7 +2984,6 @@ mod tests {
             windows: Some(1),
             nodes: 128,
             seed: 1,
-            shards: 0,
             window_us: 1_000,
             horizon_us: 0,
             skew_us: 5_000,
@@ -3091,7 +2991,6 @@ mod tests {
             late: None,
             metrics_json: None,
             stats_every: 0,
-            route_threads: 0,
         })
         .unwrap_err();
         assert!(err.0.contains("live ingestion"), "{err}");
@@ -3107,7 +3006,6 @@ mod tests {
             students: 2,
             windows: Some(3),
             nodes: 128,
-            shards: 2,
             window_us: 50_000,
             ..ServeArgs::new("127.0.0.1:0")
         };
@@ -3189,7 +3087,6 @@ mod tests {
             students: 1,
             windows: Some(3),
             nodes: 128,
-            shards: 2,
             window_us: 50_000,
             metrics_json: Some(path.clone()),
             stats_every: 1,

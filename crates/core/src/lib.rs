@@ -40,7 +40,7 @@ pub mod metrics {
     pub use tw_metrics::*;
 }
 
-/// The sharded streaming ingest pipeline (scenarios → windowed matrices).
+/// The streaming ingest pipeline (scenarios → windowed matrices).
 pub mod ingest {
     pub use tw_ingest::*;
 }
@@ -98,8 +98,8 @@ pub mod prelude {
     };
     pub use tw_ingest::{
         ArchiveRecorder, EventSource, FileReplaySource, IngestStats, Paced, Pipeline,
-        PipelineConfig, RecordingMeta, ReplaySource, Scenario, SeekReplaySource,
-        ShardedAccumulator, WindowReport, WindowStream,
+        PipelineConfig, RecordingMeta, ReplaySource, Scenario, SeekReplaySource, WindowAccumulator,
+        WindowReport, WindowStream,
     };
     pub use tw_matrix::{CellColor, ColorMatrix, LabelSet, MatrixProfile, TrafficMatrix};
     pub use tw_metrics::{MetricsRegistry, MetricsSnapshot};

@@ -805,7 +805,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: windows_us,
             batch_size: 4_096,
-            shard_count: 2,
             reorder_horizon_us: 0,
             ..Default::default()
         };

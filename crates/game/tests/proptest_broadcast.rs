@@ -1,5 +1,5 @@
 //! Property tests for the classroom broadcast hub's equivalence guarantee:
-//! for ANY scenario, shard count and subscriber count, driving the stream
+//! for ANY scenario and subscriber count, driving the stream
 //! once through a [`Broadcaster`] delivers every subscriber — including one
 //! joining at an arbitrary offset mid-broadcast — a window suffix that is
 //! cell-for-cell identical to a serial `Pipeline::run` of the same seeded
@@ -9,11 +9,10 @@ use proptest::prelude::*;
 use tw_game::{BroadcastConfig, Broadcaster, StartOffset, Subscription};
 use tw_ingest::{Pipeline, PipelineConfig, Scenario, WindowReport};
 
-fn pipeline(scenario: Scenario, nodes: u32, seed: u64, shards: usize) -> Pipeline {
+fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 2_048,
-        shard_count: shards,
         reorder_horizon_us: 0,
         ..Default::default()
     };
@@ -60,19 +59,18 @@ proptest! {
 
     /// N >= 8 on-time subscribers plus one late joiner at a random offset
     /// all observe the serial stream (the late joiner: its suffix), for
-    /// arbitrary scenario/shard/subscriber counts.
+    /// arbitrary scenario and subscriber counts.
     #[test]
     fn every_subscriber_observes_the_serial_stream(
         scenario in arb_scenario(),
         nodes in 40u32..140,
         seed in any::<u64>(),
-        shards in 1usize..5,
         windows in 2usize..6,
         subscribers in 8usize..13,
         late_join in 0usize..6,
     ) {
         // Serial reference: one pull-based run, no broadcast involved.
-        let reference = pipeline(scenario, nodes, seed, shards).run(windows);
+        let reference = pipeline(scenario, nodes, seed).run(windows);
         prop_assert_eq!(reference.len(), windows, "scenario sources are unbounded");
 
         // Broadcast run over an identically-seeded pipeline. Capacities are
@@ -87,7 +85,7 @@ proptest! {
 
         // Broadcast the first `late_at` windows, then join late mid-stream.
         let late_at = late_join.min(windows);
-        let mut stream = pipeline(scenario, nodes, seed, shards);
+        let mut stream = pipeline(scenario, nodes, seed);
         for _ in 0..late_at {
             prop_assert!(caster.step(&mut stream).unwrap().is_some());
         }
@@ -121,12 +119,12 @@ proptest! {
         windows in 3usize..6,
         ring in 1usize..3,
     ) {
-        let reference = pipeline(scenario, nodes, seed, 2).run(windows);
+        let reference = pipeline(scenario, nodes, seed).run(windows);
         let mut caster = Broadcaster::new(BroadcastConfig {
             channel_capacity: windows,
             ring_capacity: ring,
         });
-        let mut stream = pipeline(scenario, nodes, seed, 2);
+        let mut stream = pipeline(scenario, nodes, seed);
         // Broadcast everything, then join asking for the origin.
         for _ in 0..windows {
             prop_assert!(caster.step(&mut stream).unwrap().is_some());

@@ -1,6 +1,6 @@
 //! # tw-ingest
 //!
-//! The sharded streaming ingest pipeline: the layer between synthetic traffic
+//! The streaming ingest pipeline: the layer between synthetic traffic
 //! generation and the Traffic Warehouse game.
 //!
 //! The paper's introduction cites GraphBLAS pipelines that build hypersparse
@@ -9,16 +9,16 @@
 //! workflow end to end:
 //!
 //! ```text
-//!  EventSource (scenario mix)      Pipeline              ShardedAccumulator
-//!  ┌──────────────────────┐  pull  ┌────────────┐ route  ┌───────────────┐
-//!  │ background ┐         │ ─────► │ bounded    │ ─────► │ shard 0 (COO) │
-//!  │ ddos burst ├─ Mix ──►│ batch  │ batches,   │ by row │ shard 1 (COO) │
-//!  │ scan sweep ┘         │        │ tumbling   │  hash  │ …             │
-//!  └──────────────────────┘        │ windows    │        └──────┬────────┘
-//!                                  └─────┬──────┘   parallel    │ coalesce
-//!                                        ▼                      ▼
-//!                                  WindowReport ◄── CsrMatrix::from_row_
-//!                                  (matrix + IngestStats)  disjoint_blocks
+//!  EventSource (scenario mix)      Pipeline              WindowAccumulator
+//!  ┌──────────────────────┐  pull  ┌────────────┐ route  ┌────────────────┐
+//!  │ background ┐         │ ─────► │ bounded    │ ─────► │ (row, col,     │
+//!  │ ddos burst ├─ Mix ──►│ batch  │ batches,   │        │  packets) list │
+//!  │ scan sweep ┘         │        │ tumbling   │        └───────┬────────┘
+//!  └──────────────────────┘        │ windows    │                │ counting-
+//!                                  └─────┬──────┘                │ sort merge
+//!                                        ▼                       ▼
+//!                                  WindowReport ◄─────────── CsrMatrix
+//!                                  (matrix + IngestStats)
 //! ```
 //!
 //! * [`source`] — the pull-based [`EventSource`] trait and the scenario
@@ -27,8 +27,8 @@
 //!   [`Mix`] combinator);
 //! * [`scenario`] — the named workload catalog ([`Scenario`]) reusing the
 //!   `tw-patterns` attack shapes;
-//! * [`shard`] — the [`ShardedAccumulator`] with its proven (and
-//!   property-tested) serial-equivalence guarantee;
+//! * [`shard`] — the serial [`WindowAccumulator`] with its proven (and
+//!   property-tested) equivalence to the [`window_matrix`] reference;
 //! * [`window`] — tumbling [`WindowClock`], per-window [`IngestStats`] and
 //!   the emitted [`WindowReport`];
 //! * [`reorder`] — the watermark-based [`ReorderBuffer`]: a bounded
@@ -81,7 +81,7 @@ pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest, Re
 pub use reorder::{PushOutcome, ReorderBuffer};
 pub use replay::{FileReplaySource, SeekReplaySource};
 pub use scenario::Scenario;
-pub use shard::{window_matrix, MergeTotals, ShardedAccumulator};
+pub use shard::{window_matrix, WindowAccumulator};
 pub use source::{
     collect_events, DdosBurstSource, EventSource, FlashCrowdSource, HeavyTailSource, Limit, Mix,
     P2pMeshSource, PatternSource, ScanSweepSource, Skewed,
@@ -100,7 +100,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 4_096,
-            shard_count: 4,
             reorder_horizon_us: 0,
             ..Default::default()
         };

@@ -2,7 +2,7 @@
 //!
 //! A [`Pipeline`] pulls bounded batches from an [`EventSource`] (the bound is
 //! the backpressure: the source can never run more than one batch ahead of
-//! the consumer), routes each event into the [`ShardedAccumulator`] of the
+//! the consumer), routes each event into the [`WindowAccumulator`] of the
 //! window it belongs to, and emits a [`WindowReport`] every time the tumbling
 //! window rotates. With a non-zero [`PipelineConfig::reorder_horizon_us`], a
 //! watermark-based [`ReorderBuffer`] sits between the pull and the routing,
@@ -14,14 +14,13 @@
 //! two phases per pass: a *scan* that classifies the queue head against the
 //! current window with two timestamp compares per event (no division), and a
 //! *route* that hands the whole current-window batch to
-//! [`ShardedAccumulator::route_batch`] — fanned out across
-//! [`PipelineConfig::route_threads`] workers when the batch is large enough.
-//! Window rotation reuses merge scratch, coalesce buffers and (with consumer
-//! cooperation via [`Pipeline::recycle_window`]) the CSR arrays themselves,
-//! so a steady pipeline reaches zero steady-state allocation per window.
+//! [`WindowAccumulator::ingest`]. Everything runs on the caller's thread.
+//! Window rotation reuses merge scratch and (with consumer cooperation via
+//! [`Pipeline::recycle_window`]) the CSR arrays themselves, so a steady
+//! pipeline reaches zero steady-state allocation per window.
 
 use crate::reorder::ReorderBuffer;
-use crate::shard::{MergeTotals, ShardedAccumulator};
+use crate::shard::WindowAccumulator;
 use crate::source::EventSource;
 use crate::window::{IngestStats, WindowClock, WindowReport};
 use std::collections::VecDeque;
@@ -45,8 +44,6 @@ struct PipelineMetrics {
     dropped_late: Counter,
     reordered: Counter,
     scratch_reuse_hits: Counter,
-    coalesce_sort: Counter,
-    coalesce_bucket: Counter,
     reorder_depth: Gauge,
 }
 
@@ -63,8 +60,6 @@ impl PipelineMetrics {
             dropped_late: registry.counter("pipeline.dropped_late"),
             reordered: registry.counter("pipeline.reordered"),
             scratch_reuse_hits: registry.counter("pipeline.scratch_reuse_hits"),
-            coalesce_sort: registry.counter("pipeline.coalesce_sort"),
-            coalesce_bucket: registry.counter("pipeline.coalesce_bucket"),
             reorder_depth: registry.gauge("pipeline.reorder_depth"),
         }
     }
@@ -77,8 +72,6 @@ pub struct PipelineConfig {
     pub window_us: u64,
     /// Maximum events pulled from the source per batch (the backpressure bound).
     pub batch_size: usize,
-    /// Shard count for the accumulator; `0` = one shard per hardware thread.
-    pub shard_count: usize,
     /// Reordering horizon in simulated microseconds: how much timestamp
     /// disorder the pipeline absorbs before an event counts as late.
     ///
@@ -89,20 +82,11 @@ pub struct PipelineConfig {
     /// passes them; only events older than the watermark itself are dropped
     /// (and counted in [`IngestStats::dropped_late`]).
     pub reorder_horizon_us: u64,
-    /// Routing worker threads per batch; `0` = one per hardware thread.
-    /// Independent of [`PipelineConfig::shard_count`]: workers route into
-    /// thread-local per-shard buffers that are handed to the owning shards
-    /// at rotation. `1` routes serially (small batches always do).
-    pub route_threads: usize,
-    /// Keep merge scratch, routing buffers and pooled CSR arrays alive
-    /// across windows (the default). `false` releases everything after each
-    /// rotation — the fresh-allocation reference mode the recycling
-    /// equivalence proptest compares against.
+    /// Keep merge scratch and pooled CSR arrays alive across windows (the
+    /// default). `false` releases everything after each rotation — the
+    /// fresh-allocation reference mode the recycling equivalence proptest
+    /// compares against.
     pub recycle_scratch: bool,
-    /// Let each shard switch between packed-key sort and dense bucket
-    /// accumulate based on the previous window's observed duplicate density
-    /// (the default). `false` pins the sort path.
-    pub adaptive_coalesce: bool,
 }
 
 impl Default for PipelineConfig {
@@ -110,22 +94,18 @@ impl Default for PipelineConfig {
         PipelineConfig {
             window_us: 100_000,
             batch_size: 8_192,
-            shard_count: 0,
             reorder_horizon_us: 0,
-            route_threads: 0,
             recycle_scratch: true,
-            adaptive_coalesce: true,
         }
     }
 }
 
-/// Streaming driver: source → sharded accumulation → windowed matrices.
+/// Streaming driver: source → window accumulation → windowed matrices.
 pub struct Pipeline {
     source: Box<dyn EventSource>,
     clock: WindowClock,
-    accumulator: ShardedAccumulator,
+    accumulator: WindowAccumulator,
     batch_size: usize,
-    route_threads: usize,
     recycle_scratch: bool,
     /// The watermark stage; `None` runs the strict sorted-input fast path.
     reorder: Option<ReorderBuffer>,
@@ -137,9 +117,9 @@ pub struct Pipeline {
     route_buf: Vec<PacketEvent>,
     dropped_late: u64,
     reordered: u64,
-    /// Merge counters already exported to metrics (the accumulator's totals
-    /// are cumulative; rotation exports the per-window delta).
-    merge_seen: MergeTotals,
+    /// Scratch reuse hits already exported to metrics (the accumulator's
+    /// total is cumulative; rotation exports the per-window delta).
+    reuse_seen: u64,
     /// Wall-clock time attributed to the window being filled.
     window_elapsed: Duration,
     source_exhausted: bool,
@@ -152,24 +132,12 @@ impl Pipeline {
     /// Build a pipeline over `source` with the given configuration.
     pub fn new(source: Box<dyn EventSource>, config: PipelineConfig) -> Self {
         assert!(config.batch_size > 0, "batch size must be positive");
-        let node_count = source.node_count() as usize;
-        let mut accumulator = if config.shard_count == 0 {
-            ShardedAccumulator::with_auto_shards(node_count)
-        } else {
-            ShardedAccumulator::new(node_count, config.shard_count)
-        };
-        accumulator.set_adaptive_coalesce(config.adaptive_coalesce);
-        let route_threads = if config.route_threads == 0 {
-            rayon::current_num_threads().max(1)
-        } else {
-            config.route_threads
-        };
+        let accumulator = WindowAccumulator::new(source.node_count() as usize);
         Pipeline {
             source,
             clock: WindowClock::new(config.window_us),
             accumulator,
             batch_size: config.batch_size,
-            route_threads,
             recycle_scratch: config.recycle_scratch,
             reorder: (config.reorder_horizon_us > 0)
                 .then(|| ReorderBuffer::new(config.reorder_horizon_us)),
@@ -178,7 +146,7 @@ impl Pipeline {
             route_buf: Vec::new(),
             dropped_late: 0,
             reordered: 0,
-            merge_seen: MergeTotals::default(),
+            reuse_seen: 0,
             window_elapsed: Duration::ZERO,
             source_exhausted: false,
             finished: false,
@@ -189,10 +157,8 @@ impl Pipeline {
     /// Attach per-stage instrumentation. Stage timings land in
     /// `pipeline.*_ns` histograms, flow totals in `pipeline.events` /
     /// `pipeline.windows` / `pipeline.dropped_late` / `pipeline.reordered`
-    /// counters, merge recycling and strategy tallies in
-    /// `pipeline.scratch_reuse_hits` / `pipeline.coalesce_sort` /
-    /// `pipeline.coalesce_bucket`, and the reorder-buffer depth in a gauge —
-    /// all on `registry`.
+    /// counters, merge recycling in `pipeline.scratch_reuse_hits`, and the
+    /// reorder-buffer depth in a gauge — all on `registry`.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(PipelineMetrics::new(registry));
     }
@@ -206,16 +172,6 @@ impl Pipeline {
     /// The address-space size.
     pub fn node_count(&self) -> usize {
         self.accumulator.node_count()
-    }
-
-    /// The accumulator's shard count.
-    pub fn shard_count(&self) -> usize {
-        self.accumulator.shard_count()
-    }
-
-    /// Routing worker threads used for large batches.
-    pub fn route_threads(&self) -> usize {
-        self.route_threads
     }
 
     /// Tumbling-window duration in simulated microseconds.
@@ -260,7 +216,6 @@ impl Pipeline {
                     self.reorder.is_none(),
                     &mut self.accumulator,
                     &mut self.route_buf,
-                    self.route_threads,
                     &mut self.dropped_late,
                     metrics.as_ref(),
                 );
@@ -327,7 +282,6 @@ impl Pipeline {
                         true,
                         &mut self.accumulator,
                         &mut self.route_buf,
-                        self.route_threads,
                         &mut self.dropped_late,
                         metrics.as_ref(),
                     );
@@ -384,24 +338,22 @@ impl Pipeline {
         let merge_started = Instant::now();
         let events = self.accumulator.events();
         let packets = self.accumulator.packets();
-        let (matrix, totals) = {
+        let (matrix, reuse_hits) = {
             let _coalesce = StageTimer::start(metrics.as_ref().map(|m| &m.coalesce_ns));
             if last {
                 // End of stream: consume the accumulator so every retained
-                // shard, scratch and pool buffer is released, not kept warm
+                // entry, scratch and pool buffer is released, not kept warm
                 // for a window that will never come.
                 let node_count = self.accumulator.node_count();
-                let acc = std::mem::replace(
-                    &mut self.accumulator,
-                    ShardedAccumulator::new(node_count, 1),
-                );
+                let acc =
+                    std::mem::replace(&mut self.accumulator, WindowAccumulator::new(node_count));
                 acc.finish()
             } else {
                 let matrix = self.accumulator.merge();
                 if !self.recycle_scratch {
                     self.accumulator.release_scratch();
                 }
-                (matrix, self.accumulator.merge_totals())
+                (matrix, self.accumulator.scratch_reuse_hits())
             }
         };
         let elapsed = self.window_elapsed + merge_started.elapsed();
@@ -419,14 +371,9 @@ impl Pipeline {
             m.events.add(stats.events);
             m.dropped_late.add(stats.dropped_late);
             m.reordered.add(stats.reordered);
-            m.scratch_reuse_hits
-                .add(totals.scratch_reuse_hits - self.merge_seen.scratch_reuse_hits);
-            m.coalesce_sort
-                .add(totals.sort_merges - self.merge_seen.sort_merges);
-            m.coalesce_bucket
-                .add(totals.bucket_merges - self.merge_seen.bucket_merges);
+            m.scratch_reuse_hits.add(reuse_hits - self.reuse_seen);
         }
-        self.merge_seen = if last { MergeTotals::default() } else { totals };
+        self.reuse_seen = if last { 0 } else { reuse_hits };
         self.window_elapsed = Duration::ZERO;
         WindowReport { matrix, stats }
     }
@@ -439,10 +386,9 @@ impl Pipeline {
 /// timestamp compares per event — the bounds are precomputed, so no division
 /// runs on the hot path. The scan stops at the first event belonging to a
 /// later window. Phase 2 (route): the whole in-window run in one
-/// `route_batch` call, fanned out across workers when large enough — routed
-/// straight from the input slice, with `route_buf` staging a compacted copy
-/// only when late drops interleave (strict mode on unsorted input, the rare
-/// case).
+/// [`WindowAccumulator::ingest`] call — routed straight from the input
+/// slice, with `route_buf` staging a compacted copy only when late drops
+/// interleave (strict mode on unsorted input, the rare case).
 ///
 /// Returns `(consumed, close_window)`: how many events were consumed
 /// (routed or dropped late) and whether an event for a later window was hit.
@@ -452,9 +398,8 @@ fn scan_and_route(
     window_start: u64,
     window_end: u64,
     strict: bool,
-    accumulator: &mut ShardedAccumulator,
+    accumulator: &mut WindowAccumulator,
     route_buf: &mut Vec<PacketEvent>,
-    route_threads: usize,
     dropped_late: &mut u64,
     metrics: Option<&PipelineMetrics>,
 ) -> (usize, bool) {
@@ -473,7 +418,7 @@ fn scan_and_route(
         scan.finish();
         if !events.is_empty() {
             let route = StageTimer::start(metrics.map(|m| &m.route_ns));
-            accumulator.route_batch(events, route_threads);
+            accumulator.ingest(events);
             route.finish();
         }
         return (events.len(), false);
@@ -518,7 +463,7 @@ fn scan_and_route(
     };
     if !batch.is_empty() {
         let route = StageTimer::start(metrics.map(|m| &m.route_ns));
-        accumulator.route_batch(batch, route_threads);
+        accumulator.ingest(batch);
         route.finish();
     }
     (consumed, close_window)
@@ -576,7 +521,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 1_000,
-            shard_count: 4,
             ..PipelineConfig::default()
         };
         let mut pipeline = Pipeline::new(limited_background(64, 20_000, 3), config);
@@ -617,59 +561,14 @@ mod tests {
     }
 
     #[test]
-    fn route_thread_fanout_is_invisible_in_the_reports() {
-        // Large windows (well past the fan-out grain) so multi-threaded
-        // routing actually engages, with a recycling consumer on one side:
-        // reports must be identical either way.
-        let reference_config = PipelineConfig {
-            window_us: 400_000,
-            shard_count: 4,
-            route_threads: 1,
-            ..PipelineConfig::default()
-        };
-        let mut reference =
-            Pipeline::new(limited_background(64, 40_000, 17), reference_config.clone());
-        let expected = reference.run(usize::MAX);
-        for route_threads in [2, 4, 7] {
-            let config = PipelineConfig {
-                route_threads,
-                ..reference_config.clone()
-            };
-            let mut pipeline = Pipeline::new(limited_background(64, 40_000, 17), config);
-            assert_eq!(pipeline.route_threads(), route_threads);
-            let mut produced = Vec::new();
-            while let Some(report) = pipeline.next_window() {
-                produced.push(report.stats.clone());
-                pipeline.recycle_window(report.matrix);
-            }
-            assert_eq!(produced.len(), expected.len(), "threads={route_threads}");
-            for (got, want) in produced.iter().zip(&expected) {
-                assert_eq!(stats_key(got), stats_key(&want.stats));
-            }
-            // Matrices too: rerun without recycling to keep them.
-            let config = PipelineConfig {
-                route_threads,
-                ..reference_config.clone()
-            };
-            let mut pipeline = Pipeline::new(limited_background(64, 40_000, 17), config);
-            let produced = pipeline.run(usize::MAX);
-            for (got, want) in produced.iter().zip(&expected) {
-                assert_eq!(got.matrix, want.matrix, "threads={route_threads}");
-            }
-        }
-    }
-
-    #[test]
     fn fresh_allocation_mode_matches_recycled_mode() {
         let recycled_config = PipelineConfig {
             window_us: 50_000,
             batch_size: 2_048,
-            shard_count: 3,
             ..PipelineConfig::default()
         };
         let fresh_config = PipelineConfig {
             recycle_scratch: false,
-            adaptive_coalesce: false,
             ..recycled_config.clone()
         };
         let mut recycled = Pipeline::new(limited_background(48, 15_000, 23), recycled_config);
@@ -718,7 +617,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50,
             batch_size: 16,
-            shard_count: 2,
             ..PipelineConfig::default()
         };
         let mut pipeline = Pipeline::new(source, config);
@@ -771,7 +669,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 100_000,
             batch_size: 1,
-            shard_count: 1,
             ..PipelineConfig::default()
         };
         let mut pipeline = Pipeline::new(Box::new(Regressive { emitted: 0 }), config);
@@ -833,7 +730,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 100_000,
             batch_size: 1,
-            shard_count: 1,
             ..PipelineConfig::default()
         };
         let mut pipeline = Pipeline::new(Box::new(TrailingLate { emitted: 0 }), config);
@@ -910,7 +806,6 @@ mod tests {
         let strict = PipelineConfig {
             window_us: 100,
             batch_size: 1,
-            shard_count: 1,
             ..PipelineConfig::default()
         };
         let mut pipeline = Pipeline::new(Box::new(Scripted::new(&timestamps)), strict.clone());
@@ -967,7 +862,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 1_000,
             batch_size: 2,
-            shard_count: 1,
             reorder_horizon_us: 100,
             ..PipelineConfig::default()
         };
@@ -992,7 +886,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50,
             batch_size: 8,
-            shard_count: 1,
             reorder_horizon_us: 1_000,
             ..PipelineConfig::default()
         };
@@ -1014,7 +907,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 512,
-            shard_count: 2,
             reorder_horizon_us: 25_000,
             ..PipelineConfig::default()
         };
@@ -1040,12 +932,6 @@ mod tests {
         assert_eq!(
             snapshot.counter("pipeline.scratch_reuse_hits"),
             reports.len() as u64 - 1
-        );
-        // Every non-empty shard coalesce took exactly one strategy.
-        assert!(
-            snapshot.counter("pipeline.coalesce_sort")
-                + snapshot.counter("pipeline.coalesce_bucket")
-                > 0
         );
         // Every stage that ran left timing samples behind.
         assert!(snapshot.histogram("pipeline.source_pull_ns").unwrap().count > 0);
@@ -1081,6 +967,5 @@ mod tests {
         let mut pipeline = Pipeline::new(source, PipelineConfig::default());
         assert!(pipeline.next_window().is_none());
         assert_eq!(pipeline.node_count(), 16);
-        assert!(pipeline.shard_count() >= 1);
     }
 }

@@ -201,7 +201,6 @@ mod tests {
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 4_096,
-            shard_count: 2,
             reorder_horizon_us: 0,
             ..Default::default()
         };

@@ -1,11 +1,10 @@
 //! Property tests for window-rotation memory recycling: a pipeline that
 //! recycles its rotation scratch (and gets window matrices handed back via
 //! `recycle_window`) must be bit-identical — every matrix, every stat except
-//! wall-clock `elapsed` — to a pipeline that allocates everything fresh with
-//! the adaptive coalesce heuristic disabled. The streams cover out-of-order
-//! arrivals, multi-window gaps (empty windows between bursts) and every
-//! routing fan-out, so any state leaking from one window into the next, or
-//! any strategy-dependent output difference, fails the comparison.
+//! wall-clock `elapsed` — to a pipeline that allocates everything fresh. The
+//! streams cover out-of-order arrivals and multi-window gaps (empty windows
+//! between bursts), so any state leaking from one window into the next fails
+//! the comparison.
 
 use proptest::prelude::*;
 use tw_ingest::{collect_events, EventSource, IngestStats, Pipeline, PipelineConfig, Scenario};
@@ -71,8 +70,6 @@ proptest! {
         // Stretching timestamps opens multi-window gaps, so empty windows
         // (scratch reused with nothing to coalesce) are part of the space.
         stretch in 1u64..=20,
-        shard_count in 1usize..=8,
-        route_threads in (0usize..4).prop_map(|i| [1usize, 2, 4, 7][i]),
         window_us in (0usize..3).prop_map(|i| [10_000u64, 25_000, 100_000][i]),
     ) {
         let (mut source, bound) = scenario.skewed_source(NODES, seed, skew_us);
@@ -83,15 +80,11 @@ proptest! {
         let base = PipelineConfig {
             window_us,
             batch_size: 512,
-            shard_count,
             reorder_horizon_us: bound * stretch,
-            route_threads,
             ..Default::default()
         };
         let fresh_config = PipelineConfig {
             recycle_scratch: false,
-            adaptive_coalesce: false,
-            route_threads: 1,
             ..base.clone()
         };
         let mut recycled =

@@ -1,5 +1,5 @@
 //! Property tests for watermarked out-of-order ingestion: for ANY scenario,
-//! shard count and skew, a pipeline over the skewed (out-of-order) stream
+//! batch size and skew, a pipeline over the skewed (out-of-order) stream
 //! with a sufficient reordering horizon is cell-for-cell identical to a
 //! pipeline over the sorted stream — and loses nothing. With an insufficient
 //! horizon, every event is still accounted for (`events + dropped_late`
@@ -59,14 +59,12 @@ fn skewed_stream(
 fn run_pipeline(
     events: Vec<PacketEvent>,
     window_us: u64,
-    shard_count: usize,
     batch_size: usize,
     reorder_horizon_us: u64,
 ) -> Vec<tw_ingest::WindowReport> {
     let config = PipelineConfig {
         window_us,
         batch_size,
-        shard_count,
         reorder_horizon_us,
         ..Default::default()
     };
@@ -107,7 +105,6 @@ proptest! {
         seed in 0u64..1_000,
         skew_us in 0u64..20_000,
         extra_horizon in 0u64..5_000,
-        shard_count in 1usize..=8,
         batch_size in (0usize..4).prop_map(|i| [1usize, 7, 256, 8_192][i]),
         window_us in (0usize..3).prop_map(|i| [10_000u64, 50_000, 100_000][i]),
     ) {
@@ -116,10 +113,10 @@ proptest! {
         sorted.sort_by_key(|e| e.timestamp_us);
 
         let horizon = bound + extra_horizon;
-        let out_of_order = run_pipeline(skewed.clone(), window_us, shard_count, batch_size, horizon);
+        let out_of_order = run_pipeline(skewed.clone(), window_us, batch_size, horizon);
         // The reference runs strict (horizon 0) over sorted input — the
         // pre-watermark behavior the reordering stage must reproduce.
-        let reference = run_pipeline(sorted, window_us, shard_count, batch_size, 0);
+        let reference = run_pipeline(sorted, window_us, batch_size, 0);
 
         prop_assert_eq!(out_of_order.len(), reference.len());
         for (got, want) in out_of_order.iter().zip(&reference) {
@@ -145,11 +142,10 @@ proptest! {
         seed in 0u64..1_000,
         skew_us in 0u64..50_000,
         horizon_us in 0u64..10_000,
-        shard_count in 1usize..=6,
     ) {
         let (skewed, _) = skewed_stream(scenario, seed, skew_us, 1_500);
         let total = skewed.len() as u64;
-        let reports = run_pipeline(skewed, 20_000, shard_count, 512, horizon_us);
+        let reports = run_pipeline(skewed, 20_000, 512, horizon_us);
         let ingested: u64 = reports.iter().map(|r| r.stats.events).sum();
         let dropped: u64 = reports.iter().map(|r| r.stats.dropped_late).sum();
         prop_assert_eq!(ingested + dropped, total, "no event may vanish unaccounted");
@@ -167,7 +163,6 @@ proptest! {
         seed in 0u64..1_000,
         skew_us in 5_000u64..50_000,
         horizon_divisor in 2u64..10,
-        shard_count in 1usize..=4,
     ) {
         let (skewed, bound) = skewed_stream(scenario, seed, skew_us, 1_500);
         // skew ≥ 5000 makes bound ≥ 6250 and divisor ≤ 9, so the undersized
@@ -175,7 +170,7 @@ proptest! {
         let horizon = bound / horizon_divisor;
         assert!(horizon > 0);
         let (expected_late, expected_reordered) = reference_counts(&skewed, horizon);
-        let reports = run_pipeline(skewed, 25_000, shard_count, 1_024, horizon);
+        let reports = run_pipeline(skewed, 25_000, 1_024, horizon);
         let dropped: u64 = reports.iter().map(|r| r.stats.dropped_late).sum();
         let reordered: u64 = reports.iter().map(|r| r.stats.reordered).sum();
         prop_assert_eq!(dropped, expected_late, "drops must match the watermark definition");

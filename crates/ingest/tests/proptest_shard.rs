@@ -1,16 +1,16 @@
-//! Property tests for the sharded accumulator's serial-equivalence guarantee:
-//! for ANY event stream and ANY shard count, the sharded merge equals the
-//! single-threaded `window_matrix` reference cell-for-cell.
+//! Property tests for the window accumulator's serial-equivalence guarantee:
+//! for ANY event stream, the counting-sort merge equals the `window_matrix`
+//! reference (one COO matrix, coalesced) cell-for-cell.
 
 use proptest::prelude::*;
-use tw_ingest::{window_matrix, ShardedAccumulator};
+use tw_ingest::{window_matrix, WindowAccumulator};
 use tw_matrix::ops::reduce_all;
 use tw_matrix::stream::PacketEvent;
 use tw_matrix::PlusTimes;
 
 /// Arbitrary streams over a small address space (duplicates and hot cells are
-/// likely, which is exactly what stresses coalescing across shards; packet
-/// counts include zero, which both paths must drop identically).
+/// likely, which is exactly what stresses coalescing; packet counts include
+/// zero, which both paths must drop identically).
 fn arb_events(node_count: u32) -> impl Strategy<Value = Vec<PacketEvent>> {
     prop::collection::vec(
         (0..node_count, 0..node_count, 0u32..16, 0u64..1_000_000),
@@ -35,53 +35,16 @@ proptest! {
     #[test]
     fn sharded_merge_equals_serial_window_matrix(
         events in arb_events(48),
-        shard_count in 1usize..=12,
     ) {
-        let mut acc = ShardedAccumulator::new(48, shard_count);
-        acc.ingest_batch(&events);
-        let sharded = acc.merge();
+        let mut acc = WindowAccumulator::new(48);
+        acc.ingest(&events);
+        let merged = acc.merge();
         let serial = window_matrix(48, &events);
         // Structural equality covers row_ptr/col_idx/values — cell-for-cell.
-        prop_assert_eq!(&sharded, &serial);
+        prop_assert_eq!(&merged, &serial);
         // And the packet mass balances against the raw stream.
         let total: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
-        prop_assert_eq!(reduce_all(&PlusTimes, &sharded), total);
-    }
-
-    #[test]
-    fn merge_is_stable_across_shard_counts(events in arb_events(32)) {
-        let reference = window_matrix(32, &events);
-        for shard_count in [1usize, 2, 5, 8] {
-            let mut acc = ShardedAccumulator::new(32, shard_count);
-            acc.ingest_batch(&events);
-            prop_assert_eq!(acc.merge(), reference.clone());
-        }
-    }
-
-    /// The parallel routing pass is a pure permutation of per-shard arrival
-    /// order, so for ANY (events × shards × threads) geometry the window it
-    /// produces equals the serial reference cell-for-cell. Streams are tiled
-    /// past the routing grain so the chunked multi-buffer path actually runs
-    /// (small batches fall back to serial routing by design).
-    #[test]
-    fn parallel_route_batch_equals_serial_for_any_geometry(
-        seed_events in arb_events(48),
-        shard_count in 1usize..=12,
-        threads in 0usize..=9,
-    ) {
-        let events: Vec<PacketEvent> = seed_events
-            .iter()
-            .cycle()
-            .take(if seed_events.is_empty() { 0 } else { 9_000 })
-            .copied()
-            .collect();
-        let mut acc = ShardedAccumulator::new(48, shard_count);
-        acc.route_batch(&events, threads);
-        let routed = acc.merge();
-        let serial = window_matrix(48, &events);
-        prop_assert_eq!(&routed, &serial);
-        let total: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
-        prop_assert_eq!(reduce_all(&PlusTimes, &routed), total);
+        prop_assert_eq!(reduce_all(&PlusTimes, &merged), total);
     }
 
     /// Recycled rotation scratch must never leak state between windows: a
@@ -90,13 +53,12 @@ proptest! {
     #[test]
     fn warm_scratch_windows_equal_cold_windows(
         events in arb_events(32),
-        shard_count in 1usize..=8,
         windows in 2usize..=5,
     ) {
         let reference = window_matrix(32, &events);
-        let mut warm = ShardedAccumulator::new(32, shard_count);
+        let mut warm = WindowAccumulator::new(32);
         for index in 0..windows {
-            warm.route_batch(&events, 4);
+            warm.ingest(&events);
             let matrix = warm.merge();
             prop_assert_eq!(&matrix, &reference);
             warm.recycle(matrix);
@@ -108,14 +70,13 @@ proptest! {
     fn split_ingest_equals_one_shot_ingest(
         events in arb_events(24),
         split in 0usize..400,
-        shard_count in 1usize..=6,
     ) {
         let split = split.min(events.len());
-        let mut one_shot = ShardedAccumulator::new(24, shard_count);
-        one_shot.ingest_batch(&events);
-        let mut split_acc = ShardedAccumulator::new(24, shard_count);
-        split_acc.ingest_batch(&events[..split]);
-        split_acc.ingest_batch(&events[split..]);
+        let mut one_shot = WindowAccumulator::new(24);
+        one_shot.ingest(&events);
+        let mut split_acc = WindowAccumulator::new(24);
+        split_acc.ingest(&events[..split]);
+        split_acc.ingest(&events[split..]);
         prop_assert_eq!(one_shot.merge(), split_acc.merge());
     }
 }

@@ -123,9 +123,8 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     /// row's run of entries comes from exactly one block and is already in
     /// column order, so the merged matrix is built with a counting pass plus
     /// a single placement pass — `O(nnz + rows)` instead of
-    /// `O(nnz log nnz)`. This is the serial-equivalence keystone of the
-    /// sharded ingest accumulator: the result is identical to pushing every
-    /// entry into one [`crate::coo::CooMatrix`] and calling
+    /// `O(nnz log nnz)`. The result is identical to pushing every entry
+    /// into one [`crate::coo::CooMatrix`] and calling
     /// [`crate::coo::CooMatrix::to_csr`].
     pub fn from_row_disjoint_blocks(
         rows: usize,
@@ -138,9 +137,8 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     /// [`CsrMatrix::from_row_disjoint_blocks`], but borrowing the blocks and
     /// building into caller-provided array storage.
     ///
-    /// This is the rotation-recycling constructor for the streaming ingest
-    /// pipeline: the blocks stay with the caller (so their capacity survives
-    /// the window), and `row_ptr`/`col_idx`/`values` are cleared and refilled
+    /// The blocks stay with the caller (so their capacity survives for the
+    /// next build), and `row_ptr`/`col_idx`/`values` are cleared and refilled
     /// in place — hand back the arrays of a consumed matrix (via
     /// [`CsrMatrix::into_raw_parts`]) and a steady stream of same-shaped
     /// windows allocates nothing once every buffer reaches its high-water
@@ -203,86 +201,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
                 let slot = row_ptr[row];
                 for (slot, &(_, c, v)) in (slot..).zip(&block[run_start..i]) {
                     col_idx[slot] = c;
-                    values[slot] = v;
-                }
-            }
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// [`CsrMatrix::from_row_disjoint_blocks_into`] over *packed* blocks:
-    /// each entry is `(row << 32 | col, value)` instead of a
-    /// `(row, col, value)` triple.
-    ///
-    /// The packed key is the ingest accumulator's native shard-entry format,
-    /// so its coalesce passes emit blocks without unpacking — and each block
-    /// element is 16 bytes instead of 24, which the rotation hot path reads
-    /// twice (count pass + placement pass). The contract is the triple
-    /// constructor's, restated on keys: each block sorted by key with no
-    /// duplicates, row sets pairwise disjoint across blocks, and every
-    /// `row`/`col` half must fit the matrix shape.
-    pub fn from_row_disjoint_packed_blocks_into(
-        rows: usize,
-        cols: usize,
-        blocks: &[Vec<(u64, T)>],
-        mut row_ptr: Vec<usize>,
-        mut col_idx: Vec<usize>,
-        mut values: Vec<T>,
-    ) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let mut owner = vec![usize::MAX; rows];
-            for (b, block) in blocks.iter().enumerate() {
-                debug_assert!(
-                    block.windows(2).all(|w| w[0].0 < w[1].0),
-                    "from_row_disjoint_packed_blocks requires each block sorted by key with no duplicates"
-                );
-                for &(key, _) in block {
-                    let r = (key >> 32) as usize;
-                    debug_assert!(
-                        owner[r] == usize::MAX || owner[r] == b,
-                        "from_row_disjoint_packed_blocks requires pairwise-disjoint row sets (row {r} appears in blocks {} and {b})",
-                        owner[r]
-                    );
-                    owner[r] = b;
-                }
-            }
-        }
-        let nnz: usize = blocks.iter().map(Vec::len).sum();
-        row_ptr.clear();
-        row_ptr.resize(rows + 1, 0);
-        for block in blocks {
-            for &(key, _) in block {
-                row_ptr[(key >> 32) as usize + 1] += 1;
-            }
-        }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        col_idx.clear();
-        col_idx.resize(nnz, 0);
-        values.clear();
-        values.resize(nnz, T::default());
-        // As in the triple constructor: one row's complete run lives in
-        // exactly one block, contiguous and already column-ordered, so it
-        // copies straight into its `row_ptr[r]..row_ptr[r + 1]` slot.
-        for block in blocks {
-            let mut i = 0;
-            while i < block.len() {
-                let row = block[i].0 >> 32;
-                let run_start = i;
-                while i < block.len() && block[i].0 >> 32 == row {
-                    i += 1;
-                }
-                let slot = row_ptr[row as usize];
-                for (slot, &(key, v)) in (slot..).zip(&block[run_start..i]) {
-                    col_idx[slot] = (key & 0xFFFF_FFFF) as usize;
                     values[slot] = v;
                 }
             }

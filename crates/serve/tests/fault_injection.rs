@@ -28,7 +28,6 @@ fn ddos_pipeline(nodes: u32) -> Pipeline {
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 4_096,
-        shard_count: 2,
         reorder_horizon_us: 0,
         ..Default::default()
     };

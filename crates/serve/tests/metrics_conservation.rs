@@ -18,7 +18,6 @@ fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 2_048,
-        shard_count: 2,
         reorder_horizon_us: 0,
         ..Default::default()
     };
@@ -135,14 +134,6 @@ proptest! {
             snapshot.counter("pipeline.scratch_reuse_hits"),
             windows as u64 - 1,
             "every rotation after the first must reuse the warm scratch"
-        );
-        // Each merged window picked a coalesce strategy for every non-empty
-        // shard; these scenarios are busy, so at least one pick per window.
-        let strategy_picks = snapshot.counter("pipeline.coalesce_sort")
-            + snapshot.counter("pipeline.coalesce_bucket");
-        prop_assert!(
-            strategy_picks >= windows as u64,
-            "busy windows must coalesce at least one shard each, got {strategy_picks}"
         );
 
         // Every client drained at least one wire snapshot (stats_every <=

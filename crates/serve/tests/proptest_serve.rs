@@ -1,5 +1,5 @@
 //! Property tests for the serving tier's over-the-wire equivalence
-//! guarantee: for ANY scenario, shard count and client count, serving on an
+//! guarantee: for ANY scenario and client count, serving on an
 //! ephemeral loopback port delivers every `connect` client — including one
 //! joining mid-broadcast — a window suffix that is cell-for-cell identical
 //! to a serial `Pipeline::run` of the same seeded scenario. The in-process
@@ -10,11 +10,10 @@ use proptest::prelude::*;
 use tw_ingest::{collect_stream, Pipeline, PipelineConfig, Scenario, WindowReport};
 use tw_serve::{loopback_listener, serve, ClientStream, ServeConfig};
 
-fn pipeline(scenario: Scenario, nodes: u32, seed: u64, shards: usize) -> Pipeline {
+fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 2_048,
-        shard_count: shards,
         reorder_horizon_us: 0,
         ..Default::default()
     };
@@ -61,12 +60,11 @@ proptest! {
         scenario in arb_scenario(),
         nodes in 40u32..120,
         seed in any::<u64>(),
-        shards in 1usize..5,
         windows in 2usize..5,
         clients in 2usize..6,
     ) {
         // Serial reference: one pull-based run, no sockets involved.
-        let reference = pipeline(scenario, nodes, seed, shards).run(windows);
+        let reference = pipeline(scenario, nodes, seed).run(windows);
         prop_assert_eq!(reference.len(), windows, "scenario sources are unbounded");
 
         let listener = loopback_listener().unwrap();
@@ -98,7 +96,7 @@ proptest! {
                     })
                 })
                 .collect();
-            let mut stream = pipeline(scenario, nodes, seed, shards);
+            let mut stream = pipeline(scenario, nodes, seed);
             let summary = serve(listener, &mut stream, &config, None).unwrap();
             let received: Vec<_> = readers
                 .into_iter()
@@ -130,7 +128,7 @@ proptest! {
         windows in 3usize..6,
         join_delay_ms in 5u64..40,
     ) {
-        let reference = pipeline(scenario, nodes, seed, 2).run(windows);
+        let reference = pipeline(scenario, nodes, seed).run(windows);
         let listener = loopback_listener().unwrap();
         let addr = listener.local_addr().unwrap();
         let config = ServeConfig {
@@ -161,7 +159,7 @@ proptest! {
             });
             // Pace the stream (50 ms windows at 10x = 5 ms cadence) so the
             // delayed join lands mid-broadcast at least sometimes.
-            let mut stream = tw_ingest::Paced::new(pipeline(scenario, nodes, seed, 2), 10);
+            let mut stream = tw_ingest::Paced::new(pipeline(scenario, nodes, seed), 10);
             let summary = serve(listener, &mut stream, &config, None).unwrap();
             (summary, on_time.join().unwrap(), late.join().unwrap())
         });

@@ -235,9 +235,9 @@ mod tests {
 
     #[test]
     fn current_num_threads_reports_the_hardware() {
-        // Regression pin: `ShardedAccumulator::with_auto_shards` and the
-        // ingest routing pool size off this value, so it must track the real
-        // hardware (`available_parallelism`), never a baked-in constant.
+        // Regression pin: the parallel matrix kernels size their chunks off
+        // this value, so it must track the real hardware
+        // (`available_parallelism`), never a baked-in constant.
         let expected = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
