@@ -8,12 +8,18 @@
 //! wall-clock gap on the `ddos` scenario and records the medians in
 //! `BENCH_replay.json` via the criterion shim.
 //!
+//! The `live_warehouse` group times the game layer those windows land on:
+//! `LiveWarehouse::on_window` (coarsen onto the 10×10 display, then
+//! re-pallet the scene) per window, over pre-generated `mixed` windows on
+//! 4,096 nodes at 100 ms and `ddos` windows on 1,024 nodes at 1 s.
+//!
 //! Window count defaults to 8; set `TW_REPLAY_BENCH_WINDOWS` to shrink it
 //! (CI's bench smoke step runs with a tiny count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tw_bench::{banner, quick_criterion};
+use tw_core::game::LiveWarehouse;
 use tw_core::ingest::{
     ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, ReplaySource, Scenario,
 };
@@ -141,9 +147,40 @@ fn bench_replay(c: &mut Criterion) {
     );
 }
 
+fn bench_live_warehouse(c: &mut Criterion) {
+    let windows = window_count();
+    let mut group = c.benchmark_group("live_warehouse");
+    for (name, scenario, nodes, window_us) in [
+        ("mixed", Scenario::Mixed, 4_096, 100_000),
+        ("ddos", Scenario::Ddos, NODES, WINDOW_US),
+    ] {
+        let config = PipelineConfig {
+            window_us,
+            ..Default::default()
+        };
+        let reports = Pipeline::new(scenario.source(nodes, SEED), config).run(windows);
+        // Each iteration applies the next window to a screen that already
+        // shows one, as every window after a student's first does.
+        let mut live = LiveWarehouse::new(10);
+        live.on_window(&reports[0]);
+        let mut next = 1;
+        group.bench_with_input(
+            BenchmarkId::new("on_window", name),
+            &reports,
+            |b, reports| {
+                b.iter(|| {
+                    live.on_window(&reports[next % reports.len()]);
+                    next += 1;
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_replay
+    targets = bench_replay, bench_live_warehouse
 }
 criterion_main!(benches);

@@ -105,11 +105,7 @@ impl SceneTree {
         if !self.slots.contains_key(&parent.0) {
             return Err(TreeError::UnknownNode(parent));
         }
-        let duplicate = self
-            .children(parent)?
-            .iter()
-            .any(|&c| self.node(c).map(|n| n.name == node.name).unwrap_or(false));
-        if duplicate {
+        if self.child_by_name(parent, &node.name).is_some() {
             return Err(TreeError::DuplicateName {
                 parent,
                 name: node.name,
@@ -170,9 +166,14 @@ impl SceneTree {
 
     /// A node's children in insertion order.
     pub fn children(&self, id: NodeId) -> Result<Vec<NodeId>, TreeError> {
+        self.child_ids(id).map(<[NodeId]>::to_vec)
+    }
+
+    /// A node's children in insertion order, borrowed from the tree.
+    pub fn child_ids(&self, id: NodeId) -> Result<&[NodeId], TreeError> {
         self.slots
             .get(&id.0)
-            .map(|s| s.children.clone())
+            .map(|s| s.children.as_slice())
             .ok_or(TreeError::UnknownNode(id))
     }
 

@@ -4,8 +4,8 @@
 //! produces hypersparse thousand-node windows. This module bridges the two:
 //! each [`WindowReport`] is coarsened onto the display dimension (block sums
 //! over contiguous address ranges, rescaled under the paper's 15-packet
-//! display guidance) and the warehouse scene is rebuilt — re-palleted — so a
-//! class can watch a scenario unfold window by window.
+//! display guidance) and the warehouse scene, built once, is re-palleted in
+//! place, so a class can watch a scenario unfold window by window.
 
 use crate::broadcast::Subscription;
 use crate::warehouse::WarehouseScene;
@@ -26,31 +26,39 @@ const DISPLAY_PACKET_LIMIT: u64 = 14;
 pub fn coarsen_window(matrix: &CsrMatrix<u64>, dimension: usize) -> TrafficMatrix {
     assert!(dimension >= 1, "display dimension must be positive");
     let n = matrix.rows().max(1);
+    // block_of[a] = min(a·dimension/n, dimension − 1), filled one block's
+    // address range at a time, so neither rows nor non-zeros divide.
+    let mut block_of = vec![dimension - 1; matrix.rows().max(matrix.cols())];
+    let len = block_of.len();
+    for b in 0..dimension - 1 {
+        let start = (b * n).div_ceil(dimension).min(len);
+        let end = ((b + 1) * n).div_ceil(dimension).min(len);
+        block_of[start..end].fill(b);
+    }
     // Block sums and the rescale run in u128: a block can absorb up to n²
     // u64 cells, and the rescale multiplies by DISPLAY_PACKET_LIMIT — both
     // overflow u64 for packet counts as low as u64::MAX / 14.
-    let mut grid = vec![vec![0u128; dimension]; dimension];
-    for (r, c, v) in matrix.iter() {
-        let br = (r * dimension / n).min(dimension - 1);
-        let bc = (c * dimension / n).min(dimension - 1);
-        grid[br][bc] += u128::from(v);
+    let mut grid = vec![0u128; dimension * dimension];
+    let (row_ptr, cols, values) = (matrix.row_ptr(), matrix.col_indices(), matrix.values());
+    for (span, &br) in row_ptr.windows(2).zip(&block_of) {
+        let row = &mut grid[br * dimension..][..dimension];
+        for (&c, &v) in cols[span[0]..span[1]].iter().zip(&values[span[0]..span[1]]) {
+            row[block_of[c]] += u128::from(v);
+        }
     }
-    let max = grid.iter().flatten().copied().max().unwrap_or(0);
+    let max = grid.iter().copied().max().unwrap_or(0);
+    let scale = |v: u128| -> u32 {
+        if v == 0 {
+            0
+        } else if max <= u128::from(DISPLAY_PACKET_LIMIT) {
+            v as u32
+        } else {
+            ((v * u128::from(DISPLAY_PACKET_LIMIT)) / max).max(1) as u32
+        }
+    };
     let scaled: Vec<Vec<u32>> = grid
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&v| {
-                    if v == 0 {
-                        0
-                    } else if max <= u128::from(DISPLAY_PACKET_LIMIT) {
-                        v as u32
-                    } else {
-                        ((v * u128::from(DISPLAY_PACKET_LIMIT)) / max).max(1) as u32
-                    }
-                })
-                .collect()
-        })
+        .chunks_exact(dimension)
+        .map(|row| row.iter().map(|&v| scale(v)).collect())
         .collect();
     let labels = if dimension == 10 {
         LabelSet::paper_default_10()
@@ -103,7 +111,8 @@ impl LiveWarehouse {
         self.scene.as_ref()
     }
 
-    /// Apply one window: coarsen the matrix and rebuild the scene.
+    /// Apply one window: coarsen the matrix and re-pallet the scene (built
+    /// on the first window, then updated in place).
     pub fn on_window(&mut self, report: &WindowReport) {
         let display = coarsen_window(&report.matrix, self.dimension);
         let name = format!("live window {}", report.stats.window_index);
@@ -116,7 +125,10 @@ impl LiveWarehouse {
             // tw-analyze: allow(no-panic-in-lib, "the matrix was built from these exact labels two lines up")
             .expect("labels were just taken from the matrix")
             .build();
-        self.scene = Some(WarehouseScene::build(&module));
+        match &mut self.scene {
+            Some(scene) => scene.repallet(&module),
+            None => self.scene = Some(WarehouseScene::build(&module)),
+        }
         self.windows_seen += 1;
         self.last_stats = Some(report.stats.clone());
     }
@@ -254,6 +266,53 @@ mod tests {
                 DISPLAY_PACKET_LIMIT as u32,
                 "v = {v}"
             );
+        }
+    }
+
+    #[test]
+    fn coarsening_matches_the_per_cell_block_formula() {
+        // Square, fewer nodes than display cells, ragged block edges, and
+        // more columns than rows (columns past the last row block clamp).
+        for (rows, cols, dimension) in [
+            (1, 1, 1),
+            (3, 3, 10),
+            (7, 7, 3),
+            (10, 10, 10),
+            (500, 500, 10),
+            (13, 40, 4),
+        ] {
+            let dense: Vec<Vec<u64>> = (0..rows)
+                .map(|r| {
+                    (0..cols)
+                        .map(|c| u64::from((r * 31 + c * 17) % 7 == 0) * (1 + (r % 3) as u64))
+                        .collect()
+                })
+                .collect();
+            let matrix = CsrMatrix::from_dense(&dense).unwrap();
+            let block = |a: usize| (a * dimension / rows).min(dimension - 1);
+            let mut sums = vec![vec![0u128; dimension]; dimension];
+            for (r, row) in dense.iter().enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    sums[block(r)][block(c)] += u128::from(v);
+                }
+            }
+            let max = sums.iter().flatten().copied().max().unwrap();
+            let limit = u128::from(DISPLAY_PACKET_LIMIT);
+            let display = coarsen_window(&matrix, dimension);
+            for (br, row) in sums.iter().enumerate() {
+                for (bc, &v) in row.iter().enumerate() {
+                    let expected = match v {
+                        0 => 0,
+                        v if max <= limit => v as u32,
+                        v => (v * limit / max).max(1) as u32,
+                    };
+                    assert_eq!(
+                        display.get(br, bc).unwrap(),
+                        expected,
+                        "{rows}x{cols} onto {dimension}: block ({br}, {bc})"
+                    );
+                }
+            }
         }
     }
 

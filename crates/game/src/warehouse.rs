@@ -42,39 +42,18 @@ pub struct WarehouseScene {
 }
 
 impl WarehouseScene {
-    /// Build the scene for a module.
+    /// Build the scene for a module: lay down the skeleton with empty
+    /// pallets, then fill in boxes and data with the routine
+    /// [`WarehouseScene::repallet`] uses.
     pub fn build(module: &LearningModule) -> Self {
         let n = module.dimension();
         let mut tree = SceneTree::new(&module.name);
 
         // Data node: the parsed module file, stored as node properties the way
-        // Godot stores the JSON dictionary.
+        // Godot stores the JSON dictionary (filled in by `place`).
         let data = tree
             .spawn(tree.root(), "Data", NodeKind::Data)
             .expect("fresh tree");
-        {
-            let node = tree.node_mut(data).expect("data node exists");
-            node.set("name", module.name.as_str());
-            node.set("author", module.author.as_str());
-            node.set(
-                "axis_labels",
-                Variant::Array(
-                    module
-                        .matrix
-                        .labels()
-                        .labels()
-                        .iter()
-                        .map(|l| Variant::from(l.as_str()))
-                        .collect(),
-                ),
-            );
-            node.set("traffic_matrix", grid_variant(&module.matrix.to_grid()));
-            node.set(
-                "traffic_matrix_colors",
-                grid_variant(&module.colors.to_codes()),
-            );
-            node.set("has_question", module.has_question());
-        }
 
         let camera = tree
             .spawn(tree.root(), "Camera3D", NodeKind::Camera3D)
@@ -139,7 +118,8 @@ impl WarehouseScene {
         }
 
         // Pallets: one per matrix cell, row-major, each with a mesh child whose
-        // `material_override` the controller toggles, plus one box child per packet.
+        // `material_override` the controller toggles. `place` adds one box
+        // child per packet after the mesh.
         let pallets = tree
             .spawn(controller, "Pallets", NodeKind::Node3D)
             .expect("fresh tree");
@@ -168,19 +148,10 @@ impl WarehouseScene {
                 tree.node_mut(mesh)
                     .expect("mesh exists")
                     .set("material_override", "pallet_default_material");
-                let packets = module.matrix.get(row, col).unwrap_or(0);
-                for p in 0..packets {
-                    let b = tree
-                        .spawn(pallet, &format!("Box_{p}"), NodeKind::MeshInstance3D)
-                        .expect("unique box names");
-                    let node = tree.node_mut(b).expect("box exists");
-                    node.set("packet_index", p as usize);
-                    node.add_to_group("boxes");
-                }
             }
         }
 
-        WarehouseScene {
+        let mut scene = WarehouseScene {
             tree,
             data,
             controller,
@@ -189,6 +160,86 @@ impl WarehouseScene {
             pallets,
             camera,
             module: module.clone(),
+        };
+        scene.place(module);
+        scene
+    }
+
+    /// Re-pallet the scene in place for `module`, keeping every node that
+    /// does not depend on the packet counts.
+    ///
+    /// The root is renamed, the `Data` node's properties are refreshed, and
+    /// each pallet whose packet count changed drops trailing `Box_p`
+    /// children or appends new ones, so a pallet's children stay
+    /// `Mesh, Box_0..Box_{k-1}`. Pallet node ids survive, and so does
+    /// controller state such as pallet materials and label texts; on a scene
+    /// no controller has touched, the result equals
+    /// [`WarehouseScene::build`] of the same module node for node. A module
+    /// of a different dimension gets a full build instead.
+    pub fn repallet(&mut self, module: &LearningModule) {
+        if module.dimension() != self.dimension() {
+            *self = WarehouseScene::build(module);
+            return;
+        }
+        self.place(module);
+        self.module.clone_from(module);
+    }
+
+    /// Write the module's packet counts and data onto the skeleton: the one
+    /// box-placement routine behind both `build` and `repallet`.
+    fn place(&mut self, module: &LearningModule) {
+        let tree = &mut self.tree;
+        let root = tree.root();
+        tree.node_mut(root)
+            .expect("root exists")
+            .name
+            .clone_from(&module.name);
+        {
+            let node = tree.node_mut(self.data).expect("data node exists");
+            node.set("name", module.name.as_str());
+            node.set("author", module.author.as_str());
+            node.set(
+                "axis_labels",
+                Variant::Array(
+                    module
+                        .matrix
+                        .labels()
+                        .labels()
+                        .iter()
+                        .map(|l| Variant::from(l.as_str()))
+                        .collect(),
+                ),
+            );
+            node.set("traffic_matrix", grid_variant(&module.matrix.to_grid()));
+            node.set(
+                "traffic_matrix_colors",
+                grid_variant(&module.colors.to_codes()),
+            );
+            node.set("has_question", module.has_question());
+        }
+
+        let n = module.dimension();
+        let pallets = tree.children(self.pallets).expect("pallets node exists");
+        for (cell, pallet) in pallets.into_iter().enumerate() {
+            let packets = module.matrix.get(cell / n, cell % n).unwrap_or(0) as usize;
+            // Child 0 is the pallet mesh; the rest are its boxes.
+            let boxes = tree.child_ids(pallet).expect("pallet exists").len() - 1;
+            for _ in packets..boxes {
+                let last = *tree
+                    .child_ids(pallet)
+                    .expect("pallet exists")
+                    .last()
+                    .expect("a box to remove");
+                tree.remove(last).expect("box exists");
+            }
+            for p in boxes..packets {
+                let b = tree
+                    .spawn(pallet, &format!("Box_{p}"), NodeKind::MeshInstance3D)
+                    .expect("unique box names");
+                let node = tree.node_mut(b).expect("box exists");
+                node.set("packet_index", p);
+                node.add_to_group("boxes");
+            }
         }
     }
 
@@ -384,6 +435,25 @@ mod tests {
         assert_eq!(scene.extent(), 10.0);
         assert_eq!(scene.dimension(), 10);
         assert_eq!(scene.module().name, "10x10 Template");
+    }
+
+    #[test]
+    fn repallet_keeps_pallets_and_rebuilds_on_a_new_dimension() {
+        let mut scene = WarehouseScene::build(&template_10x10());
+        let pallet = scene.pallet_at(3, 7).unwrap();
+        let empty = tw_module::ModuleBuilder::new("empty", "tests").build();
+        scene.repallet(&empty);
+        assert_eq!(scene.pallet_at(3, 7), Some(pallet));
+        assert_eq!(scene.total_boxes(), 0);
+        assert_eq!(scene.tree.node(scene.tree.root()).unwrap().name, "empty");
+        assert_eq!(scene.module().name, "empty");
+
+        let six = tw_module::template_6x6();
+        scene.repallet(&six);
+        let fresh = WarehouseScene::build(&six);
+        assert_eq!(scene.dimension(), 6);
+        assert_eq!(scene.tree.print_tree(), fresh.tree.print_tree());
+        assert_eq!(scene.total_boxes(), fresh.total_boxes());
     }
 
     #[test]

@@ -1,0 +1,157 @@
+//! Property tests for re-palleting the warehouse in place: for ANY sequence
+//! of display matrices, a scene updated with `WarehouseScene::repallet` after
+//! every step equals a fresh `WarehouseScene::build` of the same module —
+//! the same printed tree, and node for node in process order the same name,
+//! kind, groups, exports and properties (node ids and `NodeRef` values
+//! aside). The pallet controller then colors both scenes alike.
+
+use proptest::prelude::*;
+use tw_engine::{Node, SceneTree, Variant};
+use tw_game::{PalletLabelController, WarehouseScene};
+use tw_matrix::{CellColor, LabelSet, TrafficMatrix};
+use tw_module::{LearningModule, ModuleBuilder};
+
+/// How one cell moves between two steps.
+#[derive(Debug, Clone, Copy)]
+enum CellStep {
+    Unchanged,
+    ToZero,
+    Grow(u32),
+    Shrink(u32),
+    Set(u32),
+}
+
+fn arb_cell_step() -> impl Strategy<Value = CellStep> {
+    (0u8..5, 0u32..15).prop_map(|(kind, v)| match kind {
+        0 => CellStep::Unchanged,
+        1 => CellStep::ToZero,
+        2 => CellStep::Grow(v + 1),
+        3 => CellStep::Shrink(v + 1),
+        _ => CellStep::Set(v),
+    })
+}
+
+/// One step: per-cell moves, per-cell color codes, and whether the module
+/// carries a question.
+type Step = (Vec<CellStep>, Vec<u32>, bool);
+
+fn arb_lesson() -> impl Strategy<Value = (usize, Vec<Step>)> {
+    (1usize..=10).prop_flat_map(|d| {
+        let step = (
+            prop::collection::vec(arb_cell_step(), d * d),
+            prop::collection::vec(0u32..3, d * d),
+            any::<bool>(),
+        );
+        (Just(d), prop::collection::vec(step, 1..8))
+    })
+}
+
+fn apply(cells: &mut [u32], moves: &[CellStep]) {
+    for (cell, &step) in cells.iter_mut().zip(moves) {
+        *cell = match step {
+            CellStep::Unchanged => *cell,
+            CellStep::ToZero => 0,
+            CellStep::Grow(k) => (*cell + k).min(14),
+            CellStep::Shrink(k) => cell.saturating_sub(k),
+            CellStep::Set(v) => v,
+        };
+    }
+}
+
+/// The module a live window of this display would produce: the labels
+/// `coarsen_window` picks, plus a color plane and optional question.
+fn module(step: usize, d: usize, cells: &[u32], colors: &[u32], question: bool) -> LearningModule {
+    let labels = if d == 10 {
+        LabelSet::paper_default_10()
+    } else {
+        LabelSet::numeric(d)
+    };
+    let grid: Vec<Vec<u32>> = cells.chunks(d).map(<[u32]>::to_vec).collect();
+    let matrix = TrafficMatrix::from_grid(labels.clone(), &grid).unwrap();
+    let mut builder = ModuleBuilder::new(&format!("step {step}"), &format!("author {}", step % 3))
+        .labels(labels.labels().to_vec())
+        .unwrap()
+        .matrix(matrix)
+        .unwrap();
+    for (i, &code) in colors.iter().enumerate() {
+        builder = builder
+            .color(i / d, i % d, CellColor::from_code(code).unwrap())
+            .unwrap();
+    }
+    if question {
+        builder = builder.question("Which pattern is this?", ["a", "b", "c"], step % 3);
+    }
+    builder.build()
+}
+
+/// A node's properties with every `NodeRef` target blanked out.
+fn properties(node: &Node) -> Vec<(String, Variant)> {
+    node.properties()
+        .map(|(key, value)| {
+            let value = match value {
+                Variant::NodeRef(_) => Variant::NodeRef(0),
+                other => other.clone(),
+            };
+            (key.to_string(), value)
+        })
+        .collect()
+}
+
+fn assert_same_tree(repalleted: &SceneTree, fresh: &SceneTree) -> Result<(), TestCaseError> {
+    prop_assert_eq!(repalleted.print_tree(), fresh.print_tree());
+    let (ours, theirs) = (repalleted.process_order(), fresh.process_order());
+    prop_assert_eq!(ours.len(), theirs.len());
+    for (&a, &b) in ours.iter().zip(&theirs) {
+        let (a, b) = (repalleted.node(a).unwrap(), fresh.node(b).unwrap());
+        prop_assert_eq!(&a.name, &b.name);
+        prop_assert_eq!(a.kind, b.kind);
+        prop_assert_eq!(a.groups(), b.groups());
+        prop_assert_eq!(a.exported(), b.exported());
+        prop_assert_eq!(properties(a), properties(b), "properties of {}", a.name);
+    }
+    Ok(())
+}
+
+/// Ready the controller on a scene, toggle the pallet colors on, and read
+/// every pallet's material.
+fn colored_materials(scene: &mut WarehouseScene) -> Vec<Option<String>> {
+    let mut controller = PalletLabelController::ready(&mut scene.tree, scene.controller).unwrap();
+    assert!(controller.errors.is_empty(), "{:?}", controller.errors);
+    controller.change_pallet_color(&mut scene.tree).unwrap();
+    let cells = scene.dimension() * scene.dimension();
+    (0..cells)
+        .map(|i| controller.pallet_material(&scene.tree, i))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Re-palleting after every step equals a fresh build of that step's
+    /// module, for growing, emptied and unchanged cells alike.
+    #[test]
+    fn repallet_matches_a_fresh_build(lesson in arb_lesson()) {
+        let (d, steps) = lesson;
+        let mut cells = vec![0u32; d * d];
+        let mut scene: Option<WarehouseScene> = None;
+        let mut last = None;
+        for (i, (moves, colors, question)) in steps.iter().enumerate() {
+            apply(&mut cells, moves);
+            let module = module(i, d, &cells, colors, *question);
+            match &mut scene {
+                Some(scene) => scene.repallet(&module),
+                None => scene = Some(WarehouseScene::build(&module)),
+            }
+            let scene = scene.as_ref().unwrap();
+            let fresh = WarehouseScene::build(&module);
+            assert_same_tree(&scene.tree, &fresh.tree)?;
+            prop_assert_eq!(scene.module(), fresh.module());
+            prop_assert_eq!(scene.total_boxes(), cells.iter().sum::<u32>() as usize);
+            last = Some(module);
+        }
+
+        let mut scene = scene.unwrap();
+        let mut fresh = WarehouseScene::build(&last.unwrap());
+        prop_assert_eq!(colored_materials(&mut scene), colored_materials(&mut fresh));
+    }
+}

@@ -118,15 +118,6 @@ impl<T: Copy + PartialEq + std::ops::Add<Output = T> + Default> CooMatrix<T> {
         CsrMatrix::from_sorted_coo(self.rows, self.cols, self.entries)
     }
 
-    /// Coalesce and return the sorted, duplicate-free entry vector.
-    ///
-    /// Blocks of such entries with pairwise-disjoint row sets stitch into one
-    /// matrix with [`CsrMatrix::from_row_disjoint_blocks`].
-    pub fn into_sorted_entries(mut self) -> Vec<(usize, usize, T)> {
-        self.coalesce();
-        self.entries
-    }
-
     /// Merge another COO matrix of the same shape into this one.
     pub fn extend_from(&mut self, other: &CooMatrix<T>) -> Result<()> {
         if self.shape() != other.shape() {

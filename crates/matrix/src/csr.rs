@@ -114,106 +114,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         }
     }
 
-    /// Merge per-shard COO blocks whose row sets are pairwise disjoint into
-    /// one CSR matrix, without a global sort.
-    ///
-    /// Each block must be internally sorted by `(row, col)` with no duplicate
-    /// coordinates (again the [`crate::coo::CooMatrix::coalesce`]
-    /// post-condition). Because no row appears in more than one block, every
-    /// row's run of entries comes from exactly one block and is already in
-    /// column order, so the merged matrix is built with a counting pass plus
-    /// a single placement pass — `O(nnz + rows)` instead of
-    /// `O(nnz log nnz)`. The result is identical to pushing every entry
-    /// into one [`crate::coo::CooMatrix`] and calling
-    /// [`crate::coo::CooMatrix::to_csr`].
-    pub fn from_row_disjoint_blocks(
-        rows: usize,
-        cols: usize,
-        blocks: Vec<Vec<(usize, usize, T)>>,
-    ) -> Self {
-        Self::from_row_disjoint_blocks_into(rows, cols, &blocks, Vec::new(), Vec::new(), Vec::new())
-    }
-
-    /// [`CsrMatrix::from_row_disjoint_blocks`], but borrowing the blocks and
-    /// building into caller-provided array storage.
-    ///
-    /// The blocks stay with the caller (so their capacity survives for the
-    /// next build), and `row_ptr`/`col_idx`/`values` are cleared and refilled
-    /// in place — hand back the arrays of a consumed matrix (via
-    /// [`CsrMatrix::into_raw_parts`]) and a steady stream of same-shaped
-    /// windows allocates nothing once every buffer reaches its high-water
-    /// mark. The contract on the blocks is identical to
-    /// [`CsrMatrix::from_row_disjoint_blocks`]: each internally sorted by
-    /// `(row, col)` with no duplicates, row sets pairwise disjoint.
-    pub fn from_row_disjoint_blocks_into(
-        rows: usize,
-        cols: usize,
-        blocks: &[Vec<(usize, usize, T)>],
-        mut row_ptr: Vec<usize>,
-        mut col_idx: Vec<usize>,
-        mut values: Vec<T>,
-    ) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let mut owner = vec![usize::MAX; rows];
-            for (b, block) in blocks.iter().enumerate() {
-                debug_assert!(
-                    block.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-                    "from_row_disjoint_blocks requires each block sorted by (row, col) with no duplicates"
-                );
-                for &(r, _, _) in block {
-                    debug_assert!(
-                        owner[r] == usize::MAX || owner[r] == b,
-                        "from_row_disjoint_blocks requires pairwise-disjoint row sets (row {r} appears in blocks {} and {b})",
-                        owner[r]
-                    );
-                    owner[r] = b;
-                }
-            }
-        }
-        let nnz: usize = blocks.iter().map(Vec::len).sum();
-        row_ptr.clear();
-        row_ptr.resize(rows + 1, 0);
-        for block in blocks {
-            for &(r, _, _) in block {
-                row_ptr[r + 1] += 1;
-            }
-        }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        col_idx.clear();
-        col_idx.resize(nnz, 0);
-        values.clear();
-        values.resize(nnz, T::default());
-        // Row sets are disjoint across blocks and each block is sorted, so
-        // one row's complete run comes from exactly one block, contiguous and
-        // already in column order — each run copies straight into its
-        // `row_ptr[r]..row_ptr[r + 1]` slot with no per-row cursor array.
-        for block in blocks {
-            let mut i = 0;
-            while i < block.len() {
-                let row = block[i].0;
-                let run_start = i;
-                while i < block.len() && block[i].0 == row {
-                    i += 1;
-                }
-                let slot = row_ptr[row];
-                for (slot, &(_, c, v)) in (slot..).zip(&block[run_start..i]) {
-                    col_idx[slot] = c;
-                    values[slot] = v;
-                }
-            }
-        }
-        CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Build directly from pre-assembled CSR arrays.
     ///
     /// This is the zero-copy constructor for decoders (the `tw-ingest`
@@ -625,57 +525,6 @@ mod tests {
         let empty = CsrMatrix::<u32>::from_sorted_coo(3, 4, Vec::new());
         assert_eq!(empty.nnz(), 0);
         assert_eq!(empty.shape(), (3, 4));
-    }
-
-    #[test]
-    fn row_disjoint_blocks_merge_like_a_global_sort() {
-        // Rows 0 and 2 live in one block, row 1 in another; block order is
-        // deliberately not row order.
-        let block_a = vec![(1usize, 0usize, 7u32), (1, 3, 9)];
-        let block_b = vec![(0usize, 1usize, 2u32), (0, 3, 1), (2, 0, 5), (2, 2, 3)];
-        let merged = CsrMatrix::from_row_disjoint_blocks(3, 4, vec![block_a, block_b]);
-        let mut all = vec![
-            (0, 1, 2),
-            (0, 3, 1),
-            (1, 0, 7),
-            (1, 3, 9),
-            (2, 0, 5),
-            (2, 2, 3),
-        ];
-        all.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        assert_eq!(merged, CsrMatrix::from_sorted_triples(3, 4, &all));
-        let none: Vec<Vec<(usize, usize, u32)>> = Vec::new();
-        assert_eq!(CsrMatrix::from_row_disjoint_blocks(2, 2, none).nnz(), 0);
-        assert_eq!(
-            CsrMatrix::<u32>::from_row_disjoint_blocks(0, 0, vec![Vec::new()]).shape(),
-            (0, 0)
-        );
-    }
-
-    #[test]
-    fn row_disjoint_blocks_into_reuses_storage() {
-        let block_a = vec![(1usize, 0usize, 7u32), (1, 3, 9)];
-        let block_b = vec![(0usize, 1usize, 2u32), (0, 3, 1), (2, 0, 5), (2, 2, 3)];
-        let by_value =
-            CsrMatrix::from_row_disjoint_blocks(3, 4, vec![block_a.clone(), block_b.clone()]);
-        // Dirty, over-sized recycled arrays: the builder must clear and
-        // refill them, and the blocks stay with the caller.
-        let blocks = vec![block_a, block_b];
-        let recycled = CsrMatrix::from_row_disjoint_blocks_into(
-            3,
-            4,
-            &blocks,
-            vec![99usize; 32],
-            vec![77usize; 32],
-            vec![42u32; 32],
-        );
-        assert_eq!(recycled, by_value);
-        assert_eq!(blocks.len(), 2, "blocks survive for the next window");
-        // Empty input still produces a valid empty matrix.
-        let empty =
-            CsrMatrix::<u32>::from_row_disjoint_blocks_into(2, 2, &[], vec![5; 9], vec![], vec![]);
-        assert_eq!(empty.nnz(), 0);
-        assert_eq!(empty.row_ptr(), &[0, 0, 0]);
     }
 
     #[test]
