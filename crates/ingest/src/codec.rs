@@ -504,19 +504,97 @@ pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
 /// A scratch makes [`decode_window_into`] allocation-free after warm-up:
 /// decoded matrices are built straight into buffers recycled through
 /// [`DecodeScratch::recycle`], and the delta base is refreshed in place
-/// (`Vec::clone_from`) rather than reallocated. One scratch serves one
-/// stream — it remembers the last window it materialized, and a delta
-/// payload must name that window as its base.
+/// rather than reallocated. One scratch serves one stream — it remembers
+/// the last window it materialized, and a delta payload must name that
+/// window as its base.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// The last window materialized through this scratch: `(index, matrix)`.
-    base: Option<(u64, CsrMatrix<u64>)>,
+    /// The last window materialized through this scratch.
+    base: DeltaBase,
     /// Recycled `(row_ptr, col_idx, values)` triples.
     pool: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)>,
     /// Reused change-list buffer for delta application.
     changes: Vec<(usize, usize, Option<u64>)>,
     reuse_hits: u64,
     reuse_counter: Option<Counter>,
+}
+
+/// A scratch's delta base, kept in the cheapest form that can produce it.
+///
+/// A full window is kept as its payload bytes (a copy of the compact
+/// encoding, into a reused buffer) and decoded only when a delta arrives;
+/// a window produced by a delta is kept as a matrix, refreshed in place
+/// with `clone_from`. A stream of full windows therefore never pays a
+/// per-window matrix copy.
+#[derive(Debug)]
+struct DeltaBase {
+    /// Window index of the base; `None` when the scratch holds no base.
+    index: Option<u64>,
+    /// The base window's full payload, valid while `decoded` is false.
+    payload: Vec<u8>,
+    /// Whether `matrix` holds the base (otherwise `payload` does).
+    decoded: bool,
+    /// Decoded base storage, reused across windows.
+    matrix: CsrMatrix<u64>,
+}
+
+impl Default for DeltaBase {
+    fn default() -> Self {
+        DeltaBase {
+            index: None,
+            payload: Vec::new(),
+            decoded: false,
+            matrix: CsrMatrix::empty(0, 0),
+        }
+    }
+}
+
+impl DeltaBase {
+    /// Make the full window `payload` (window `index`) the base.
+    fn set_payload(&mut self, index: u64, payload: &[u8]) {
+        self.payload.clear();
+        self.payload.extend_from_slice(payload);
+        self.index = Some(index);
+        self.decoded = false;
+    }
+
+    /// Make the delta-produced `matrix` (window `index`) the base.
+    fn set_matrix(&mut self, index: u64, matrix: &CsrMatrix<u64>) {
+        self.matrix.clone_from(matrix);
+        self.index = Some(index);
+        self.decoded = true;
+    }
+
+    /// The base matrix for a delta encoded against window `expected`,
+    /// decoding the stored payload first when the base is still in byte
+    /// form.
+    fn resolve(&mut self, expected: u64) -> Result<&CsrMatrix<u64>, CodecError> {
+        match self.index {
+            Some(actual) if actual == expected => {}
+            actual => return Err(CodecError::DeltaBaseMismatch { expected, actual }),
+        }
+        if !self.decoded {
+            let storage = std::mem::replace(&mut self.matrix, CsrMatrix::empty(0, 0));
+            let (_, _, mut row_ptr, mut col_idx, mut values) = storage.into_raw_parts();
+            let mut r = Reader {
+                data: &self.payload,
+                pos: 0,
+            };
+            let version = parse_header(&mut r)?;
+            let (rows, cols, _) =
+                parse_full_body(&mut r, version, &mut row_ptr, &mut col_idx, &mut values)?;
+            self.matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
+                .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
+            self.decoded = true;
+        }
+        Ok(&self.matrix)
+    }
+
+    /// Forget the base, keeping its buffers.
+    fn clear(&mut self) {
+        self.index = None;
+        self.decoded = false;
+    }
 }
 
 /// How many recycled buffer triples a scratch keeps; more than this are
@@ -550,15 +628,13 @@ impl DecodeScratch {
 
     /// The window index of the current delta base, if any.
     pub fn base_window(&self) -> Option<u64> {
-        self.base.as_ref().map(|(index, _)| *index)
+        self.base.index
     }
 
     /// Forget the base window (e.g. before seeking a recording): the next
     /// payload must then be a full window. Recycled buffers are kept.
     pub fn reset(&mut self) {
-        if let Some((_, matrix)) = self.base.take() {
-            self.recycle(matrix);
-        }
+        self.base.clear();
     }
 
     /// Pop a recycled buffer triple (cleared), or fresh empty vectors.
@@ -594,11 +670,12 @@ pub fn decode_window_into(
     let mut r = Reader { data, pos: 0 };
     let version = parse_header(&mut r)?;
     let (mut row_ptr, mut col_idx, mut values) = scratch.take_buffers();
-    let parsed = if version == DELTA_WINDOW_VERSION {
+    let delta = version == DELTA_WINDOW_VERSION;
+    let parsed = if delta {
         let DecodeScratch { base, changes, .. } = &mut *scratch;
         parse_delta_body(
             &mut r,
-            base.as_ref(),
+            base,
             changes,
             &mut row_ptr,
             &mut col_idx,
@@ -618,13 +695,10 @@ pub fn decode_window_into(
     };
     let matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
         .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
-    match &mut scratch.base {
-        Some((index, base)) => {
-            *index = stats.window_index;
-            base.clone_from(&matrix);
-        }
-        // tw-analyze: allow(hot-path-no-alloc, "runs once per stream: the first decode seeds the delta base, later windows clone_from into it")
-        None => scratch.base = Some((stats.window_index, matrix.clone())),
+    if delta {
+        scratch.base.set_matrix(stats.window_index, &matrix);
+    } else {
+        scratch.base.set_payload(stats.window_index, data);
     }
     Ok(WindowReport { matrix, stats })
 }
@@ -633,7 +707,7 @@ pub fn decode_window_into(
 /// to `base`, filling the given CSR arrays with the patched window.
 fn parse_delta_body(
     r: &mut Reader<'_>,
-    base: Option<&(u64, CsrMatrix<u64>)>,
+    base: &mut DeltaBase,
     changes: &mut Vec<(usize, usize, Option<u64>)>,
     row_ptr: &mut Vec<usize>,
     col_idx: &mut Vec<usize>,
@@ -641,18 +715,7 @@ fn parse_delta_body(
 ) -> Result<(usize, usize, IngestStats), CodecError> {
     let stats = parse_stats(r, DELTA_WINDOW_VERSION)?;
     let expected = r.varint("base window index")?;
-    let Some((actual, base)) = base else {
-        return Err(CodecError::DeltaBaseMismatch {
-            expected,
-            actual: None,
-        });
-    };
-    if *actual != expected {
-        return Err(CodecError::DeltaBaseMismatch {
-            expected,
-            actual: Some(*actual),
-        });
-    }
+    let base = base.resolve(expected)?;
 
     let rows = r.usize_varint("rows")?;
     let cols = r.usize_varint("cols")?;
@@ -863,7 +926,7 @@ mod tests {
         super::push_varint(&mut delta, (MAX_DIMENSION as u64) + 1); // rows
         super::push_varint(&mut delta, 4); // cols
         let mut scratch = DecodeScratch::new();
-        scratch.base = Some((0, CsrMatrix::empty(2, 2)));
+        scratch.base.set_matrix(0, &CsrMatrix::empty(2, 2));
         assert_eq!(
             decode_window_into(&delta, &mut scratch).map(|_| ()),
             expected

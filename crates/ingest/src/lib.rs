@@ -31,13 +31,12 @@
 //!   property-tested) equivalence to the [`window_matrix`] reference;
 //! * [`window`] — tumbling [`WindowClock`], per-window [`IngestStats`] and
 //!   the emitted [`WindowReport`];
-//! * [`reorder`] — the watermark-based [`ReorderBuffer`]: a bounded
-//!   min-timestamp buffer that absorbs out-of-order arrivals (drifting
-//!   source clocks, modeled by the [`Skewed`] adapter) up to a configurable
-//!   horizon instead of dropping them;
 //! * [`pipeline`] — the [`Pipeline`] driver with backpressure via bounded
-//!   batch pulls, the optional reordering stage, and late-event drop
-//!   accounting;
+//!   batch pulls, late-event drop accounting, and an optional watermark
+//!   router (the private `reorder` module) that absorbs out-of-order
+//!   arrivals (drifting source clocks, modeled by the [`Skewed`] adapter)
+//!   up to a configurable horizon by routing each event straight into its
+//!   window instead of dropping it;
 //! * [`codec`] — the compact, versioned binary encoding of a
 //!   [`WindowReport`] (delta-compressed CSR + stats);
 //! * [`frame`] — the wire framing atop the codec (magic, version, kind,
@@ -58,7 +57,7 @@ pub mod codec;
 pub mod frame;
 pub mod pipeline;
 pub mod record;
-pub mod reorder;
+mod reorder;
 pub mod replay;
 pub mod scenario;
 pub mod shard;
@@ -78,7 +77,6 @@ pub use frame::{
 };
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest, ReplaySource};
-pub use reorder::{PushOutcome, ReorderBuffer};
 pub use replay::{FileReplaySource, SeekReplaySource};
 pub use scenario::Scenario;
 pub use shard::{window_matrix, WindowAccumulator};

@@ -5,21 +5,22 @@
 //! the consumer), routes each event into the [`WindowAccumulator`] of the
 //! window it belongs to, and emits a [`WindowReport`] every time the tumbling
 //! window rotates. With a non-zero [`PipelineConfig::reorder_horizon_us`], a
-//! watermark-based [`ReorderBuffer`] sits between the pull and the routing,
-//! so out-of-order streams (bounded disorder) lose nothing; events that still
-//! arrive after their window has been emitted — beyond the horizon — are
-//! counted as late drops rather than corrupting a closed matrix.
+//! watermark router classifies each pulled event once and routes it straight
+//! into its window (or holds it for a later one), so out-of-order streams
+//! (bounded disorder) lose nothing; events older than the watermark —
+//! beyond the horizon — are counted as late drops rather than corrupting a
+//! closed matrix.
 //!
-//! **The hot path.** Draining released events into the accumulator runs in
-//! two phases per pass: a *scan* that classifies the queue head against the
-//! current window with two timestamp compares per event (no division), and a
-//! *route* that hands the whole current-window batch to
-//! [`WindowAccumulator::ingest`]. Everything runs on the caller's thread.
-//! Window rotation reuses merge scratch and (with consumer cooperation via
-//! [`Pipeline::recycle_window`]) the CSR arrays themselves, so a steady
-//! pipeline reaches zero steady-state allocation per window.
+//! **The strict hot path.** With horizon 0, draining events into the
+//! accumulator runs in two phases per pass: a *scan* that classifies the
+//! queue head against the current window with two timestamp compares per
+//! event (no division), and a *route* that hands the whole current-window
+//! batch to [`WindowAccumulator::ingest`]. Everything runs on the caller's
+//! thread. Window rotation reuses merge scratch and (with consumer
+//! cooperation via [`Pipeline::recycle_window`]) the CSR arrays themselves,
+//! so a steady pipeline reaches zero steady-state allocation per window.
 
-use crate::reorder::ReorderBuffer;
+use crate::reorder::WatermarkRouter;
 use crate::shard::WindowAccumulator;
 use crate::source::EventSource;
 use crate::window::{IngestStats, WindowClock, WindowReport};
@@ -77,10 +78,11 @@ pub struct PipelineConfig {
     ///
     /// `0` (the default) is the strict pre-watermark behavior: input is
     /// assumed sorted and anything behind the current window is dropped.
-    /// With a positive horizon, events are buffered in a [`ReorderBuffer`]
-    /// and released in timestamp order once `watermark = max_ts − horizon`
-    /// passes them; only events older than the watermark itself are dropped
-    /// (and counted in [`IngestStats::dropped_late`]).
+    /// With a positive horizon, every event within the horizon of the
+    /// newest timestamp seen is routed into its own window, and a window is
+    /// emitted once `watermark = max_ts − horizon` passes an event of a
+    /// later window; only events older than the watermark itself are
+    /// dropped (and counted in [`IngestStats::dropped_late`]).
     pub reorder_horizon_us: u64,
     /// Keep merge scratch and pooled CSR arrays alive across windows (the
     /// default). `false` releases everything after each rotation — the
@@ -107,9 +109,9 @@ pub struct Pipeline {
     accumulator: WindowAccumulator,
     batch_size: usize,
     recycle_scratch: bool,
-    /// The watermark stage; `None` runs the strict sorted-input fast path.
-    reorder: Option<ReorderBuffer>,
-    /// Released (timestamp-ordered) events not yet routed.
+    /// The watermark router; `None` runs the strict sorted-input fast path.
+    reorder: Option<WatermarkRouter>,
+    /// Strict mode: pulled events for later windows, not yet routed.
     pending: VecDeque<PacketEvent>,
     /// Scratch buffer reused across pulls.
     scratch: Vec<PacketEvent>,
@@ -140,7 +142,7 @@ impl Pipeline {
             batch_size: config.batch_size,
             recycle_scratch: config.recycle_scratch,
             reorder: (config.reorder_horizon_us > 0)
-                .then(|| ReorderBuffer::new(config.reorder_horizon_us)),
+                .then(|| WatermarkRouter::new(config.reorder_horizon_us)),
             pending: VecDeque::new(),
             scratch: Vec::new(),
             route_buf: Vec::new(),
@@ -158,7 +160,8 @@ impl Pipeline {
     /// `pipeline.*_ns` histograms, flow totals in `pipeline.events` /
     /// `pipeline.windows` / `pipeline.dropped_late` / `pipeline.reordered`
     /// counters, merge recycling in `pipeline.scratch_reuse_hits`, and the
-    /// reorder-buffer depth in a gauge — all on `registry`.
+    /// events held for later windows in the `pipeline.reorder_depth` gauge
+    /// — all on `registry`.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(PipelineMetrics::new(registry));
     }
@@ -181,7 +184,7 @@ impl Pipeline {
 
     /// The reordering horizon in simulated microseconds (`0` = strict mode).
     pub fn reorder_horizon_us(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, ReorderBuffer::horizon_us)
+        self.reorder.as_ref().map_or(0, WatermarkRouter::horizon_us)
     }
 
     /// Hand a consumed window matrix back for CSR-array reuse: the next
@@ -202,26 +205,45 @@ impl Pipeline {
         let metrics = self.metrics.clone();
         let started = Instant::now();
         loop {
-            let mut close_window = false;
-            if !self.pending.is_empty() {
-                let window_us = self.clock.window_us();
-                let window_start = self.clock.current() * window_us;
-                // In steady state the deque never wraps (bulk front drains,
-                // bulk back fills), so this is a no-op borrow, not a copy.
-                let pending = self.pending.make_contiguous();
-                let (consumed, close) = scan_and_route(
-                    pending,
-                    window_start,
-                    window_start + window_us,
-                    self.reorder.is_none(),
-                    &mut self.accumulator,
-                    &mut self.route_buf,
-                    &mut self.dropped_late,
-                    metrics.as_ref(),
-                );
-                self.pending.drain(..consumed);
-                close_window = close;
-            }
+            let window_us = self.clock.window_us();
+            let window_start = self.clock.current() * window_us;
+            let window_end = window_start + window_us;
+            let close_window = match self.reorder.as_mut() {
+                Some(router) => {
+                    if router.has_due(window_end) {
+                        // A rotation opened a window whose events already
+                        // wait in the future list: move them in.
+                        let scan = StageTimer::start(metrics.as_ref().map(|m| &m.route_scan_ns));
+                        let due = router.partition_due(window_end);
+                        scan.finish();
+                        let route = StageTimer::start(metrics.as_ref().map(|m| &m.route_ns));
+                        router.drain_due(due, &mut self.accumulator);
+                        route.finish();
+                        if let Some(m) = &metrics {
+                            m.reorder_depth.set(router.future_len() as i64);
+                        }
+                    }
+                    router.window_closed(self.source_exhausted)
+                }
+                None if !self.pending.is_empty() => {
+                    // In steady state the deque never wraps (bulk front
+                    // drains, bulk back fills), so this is a no-op borrow,
+                    // not a copy.
+                    let pending = self.pending.make_contiguous();
+                    let (consumed, close) = scan_and_route(
+                        pending,
+                        window_start,
+                        window_end,
+                        &mut self.accumulator,
+                        &mut self.route_buf,
+                        &mut self.dropped_late,
+                        metrics.as_ref(),
+                    );
+                    self.pending.drain(..consumed);
+                    close
+                }
+                None => false,
+            };
             if close_window {
                 self.window_elapsed += started.elapsed();
                 return Some(self.rotate(false));
@@ -242,13 +264,13 @@ impl Pipeline {
                 //   at the head of `pending` — that event is always ingested
                 //   (making the accumulator non-empty) before exhaustion can
                 //   be observed.
-                // * Reorder mode: drops are counted at push time, which
-                //   needs a prior event to have raised the watermark above
-                //   zero. That newer event is buffered, not dropped, and the
-                //   end-of-stream flush below routes the whole buffer before
-                //   this branch runs again — so the maximum-timestamp event
-                //   has always been ingested into the final window by the
-                //   time any trailing count is folded in.
+                // * Reorder mode: a late event needs a newer accepted event.
+                //   That event was routed into the current window or the
+                //   future list, and at end of stream every future event is
+                //   promoted window by window before this branch runs — so
+                //   the maximum-timestamp event has always been ingested
+                //   into the final window by the time any trailing count is
+                //   folded in.
                 self.finished = true;
                 if self.accumulator.is_empty() {
                     debug_assert_eq!(
@@ -273,13 +295,10 @@ impl Pipeline {
                     // into `pending`. A window close discovered here is
                     // rediscovered from the spilled head on the next loop
                     // iteration, which keeps rotation on the one path above.
-                    let window_us = self.clock.window_us();
-                    let window_start = self.clock.current() * window_us;
                     let (consumed, _close) = scan_and_route(
                         &self.scratch,
                         window_start,
-                        window_start + window_us,
-                        true,
+                        window_end,
                         &mut self.accumulator,
                         &mut self.route_buf,
                         &mut self.dropped_late,
@@ -289,31 +308,19 @@ impl Pipeline {
                         .extend(self.scratch[consumed..].iter().copied());
                 }
                 None => self.pending.extend(self.scratch.drain(..)),
-                Some(reorder) => {
-                    let _release =
+                Some(router) => {
+                    // One classify/route pass straight from the pull buffer;
+                    // the window-close check runs once per batch, at the top
+                    // of the loop. The counters transfer to the window stats
+                    // at rotation.
+                    let release =
                         StageTimer::start(metrics.as_ref().map(|m| &m.reorder_release_ns));
-                    // Late events are counted inside the buffer; the
-                    // counters transfer to the window stats at rotation.
-                    // Releasing once per batch (not per event) amortizes the
-                    // ordering work over the whole pull, and the windowed
-                    // release replaces a full timestamp sort with a linear
-                    // bucket pass — window routing only needs window
-                    // boundaries in order.
-                    for event in self.scratch.drain(..) {
-                        reorder.push_quiet(event);
-                    }
-                    let window_us = self.clock.window_us();
-                    if exhausted {
-                        // End of stream: no watermark will ever pass the
-                        // held-back suffix, so release all of it.
-                        reorder.flush_windowed(window_us, &mut self.pending);
-                    } else {
-                        reorder.release_ready_windowed(window_us, &mut self.pending);
-                    }
-                    self.dropped_late += reorder.take_late();
-                    self.reordered += reorder.take_reordered();
+                    router.route(&self.scratch, window_end, &mut self.accumulator);
+                    release.finish();
+                    self.dropped_late += router.take_late();
+                    self.reordered += router.take_reordered();
                     if let Some(m) = &metrics {
-                        m.reorder_depth.set(reorder.len() as i64);
+                        m.reorder_depth.set(router.future_len() as i64);
                     }
                 }
             }
@@ -379,8 +386,8 @@ impl Pipeline {
     }
 }
 
-/// The two-phase ingest hot loop, shared by the `pending` drain and the
-/// direct-from-pull fast path.
+/// The strict-mode two-phase ingest hot loop, shared by the `pending` drain
+/// and the direct-from-pull fast path.
 ///
 /// Phase 1 (scan): classify events against the current window with two
 /// timestamp compares per event — the bounds are precomputed, so no division
@@ -388,16 +395,14 @@ impl Pipeline {
 /// later window. Phase 2 (route): the whole in-window run in one
 /// [`WindowAccumulator::ingest`] call — routed straight from the input
 /// slice, with `route_buf` staging a compacted copy only when late drops
-/// interleave (strict mode on unsorted input, the rare case).
+/// interleave (unsorted input, the rare case).
 ///
 /// Returns `(consumed, close_window)`: how many events were consumed
 /// (routed or dropped late) and whether an event for a later window was hit.
-#[allow(clippy::too_many_arguments)]
 fn scan_and_route(
     events: &[PacketEvent],
     window_start: u64,
     window_end: u64,
-    strict: bool,
     accumulator: &mut WindowAccumulator,
     route_buf: &mut Vec<PacketEvent>,
     dropped_late: &mut u64,
@@ -436,13 +441,6 @@ fn scan_and_route(
             break;
         }
         if event.timestamp_us < window_start {
-            // Strict mode only: with a reorder stage, events are released
-            // in window order, so nothing ever lands behind the window
-            // that ingested it.
-            debug_assert!(
-                strict,
-                "watermark released an event behind the current window"
-            );
             if clean {
                 // First late drop: the in-window prefix can no longer be
                 // routed as one contiguous slice, so stage it.
@@ -899,6 +897,51 @@ mod tests {
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[1].stats.events, 4);
         assert_eq!(reports[2].stats.events, 1);
+    }
+
+    #[test]
+    fn stragglers_count_toward_the_window_their_closing_batch_emits() {
+        /// Fixed arrival batches, one per pull.
+        struct Batches(Vec<Vec<u64>>);
+        impl EventSource for Batches {
+            fn node_count(&self) -> u32 {
+                8
+            }
+            fn pull(&mut self, max: usize, out: &mut Vec<PacketEvent>) -> usize {
+                if self.0.is_empty() {
+                    return 0;
+                }
+                let batch = self.0.remove(0);
+                assert!(batch.len() <= max);
+                out.extend(batch.iter().map(|&ts| PacketEvent {
+                    source: (ts / 10 % 8) as u32,
+                    destination: 1,
+                    packets: 1,
+                    timestamp_us: ts,
+                }));
+                batch.len()
+            }
+        }
+        // Horizon 50, windows of 100. The second batch carries window 0's
+        // stragglers: 90 (reordered behind 120) and 10 (late: watermark
+        // 70). Window 0 closes only one batch later, when 170 lifts the
+        // watermark to 120 — that batch also brings 130, reordered into
+        // window 1. Every count of a batch lands in the window its
+        // watermark closes.
+        let source = Batches(vec![vec![50, 120], vec![90, 10], vec![170, 130]]);
+        let config = PipelineConfig {
+            window_us: 100,
+            batch_size: 2,
+            reorder_horizon_us: 50,
+            ..PipelineConfig::default()
+        };
+        let reports = Pipeline::new(Box::new(source), config).run(usize::MAX);
+        let keys: Vec<_> = reports.iter().map(|r| stats_key(&r.stats)).collect();
+        assert_eq!(
+            keys,
+            [(0, 2, 2, 2, 1, 2), (1, 3, 3, 3, 0, 0)],
+            "(window, events, packets, nnz, dropped_late, reordered)"
+        );
     }
 
     #[test]

@@ -1,310 +1,178 @@
-//! Watermarked out-of-order reordering with a bounded horizon.
+//! Watermarked out-of-order routing with a bounded horizon.
 //!
 //! Real multi-source feeds have drifting clocks: events arrive in collector
 //! order but carry source timestamps, so a merged stream is only *almost*
-//! sorted. Before this module existed the [`Pipeline`](crate::Pipeline)
-//! silently dropped every event that reached it after its window had closed —
-//! correct for perfectly sorted streams, lossy for realistic ones.
+//! sorted. A strict pipeline drops every event that reaches it after its
+//! window has closed — correct for perfectly sorted streams, lossy for
+//! realistic ones.
 //!
-//! [`ReorderBuffer`] is the fix: a bounded min-timestamp buffer in front of
-//! window routing. It tracks
+//! [`WatermarkRouter`] is the fix. It tracks
 //!
 //! ```text
 //! watermark = max_timestamp_seen − horizon_us    (saturating at 0)
 //! ```
 //!
-//! and holds events back until the watermark passes them, releasing them in
-//! timestamp order. An event is *late* — counted, not buffered — only when it
-//! arrives already older than the watermark, i.e. when its disorder relative
-//! to the newest event seen exceeds the horizon. The key guarantee (property
-//! tested in `tests/proptest_reorder.rs`): for any stream whose disorder is
-//! bounded by the horizon, nothing is late, and the released stream is the
-//! sorted stream — so windowed ingest over it is cell-for-cell identical to
-//! ingest over pre-sorted input.
+//! and classifies each pulled event once, in arrival order:
 //!
-//! The buffer is bounded by construction: it never retains more than the
-//! events of one horizon's worth of stream past the last release (everything
-//! older has been released), so memory scales with `horizon_us × event
-//! rate`, not stream length.
+//! * **late** if it is older than the watermark on arrival (its disorder
+//!   relative to the newest event seen exceeds the horizon) — counted,
+//!   never routed;
+//! * otherwise **reordered** if it is older than the newest event seen —
+//!   counted, and routed like any other accepted event.
 //!
-//! # Costs
+//! An accepted event is copied exactly once: straight into the current
+//! window's [`WindowAccumulator`], or — when it belongs to a later window —
+//! into one `future` list whose minimum timestamp is tracked. No event is
+//! ever routed behind the current window: that window was opened only once
+//! the watermark had passed its start, and an accepted event is never
+//! older than the watermark.
 //!
-//! Accepting an event is O(1) (a comparison and a `Vec` push); the ordering
-//! work happens at release time, amortized over a whole batch. Two release
-//! flavors exist:
+//! **Emission.** The current window is complete once the watermark passes
+//! the oldest future event ([`WatermarkRouter::window_closed`]): every event
+//! of the current window still to arrive would be older than that future
+//! event, hence older than the watermark, hence late. After rotation
+//! [`WatermarkRouter::partition_due`] and [`WatermarkRouter::drain_due`]
+//! move the new current window's events out of `future` into the
+//! accumulator. At end of stream the watermark is treated as +∞. Per-window
+//! accumulation is commutative, so arrival order inside a window cannot
+//! change a matrix or a statistic — which is why no reordering buffer,
+//! sort or per-window bucket is needed. The key guarantee (property tested
+//! in `tests/proptest_reorder.rs`): for any stream whose disorder is
+//! bounded by the horizon nothing is late, and every window is
+//! cell-for-cell identical to ingest over pre-sorted input.
 //!
-//! * [`release_ready`](ReorderBuffer::release_ready) emits the released
-//!   chunk in full `(timestamp, arrival)` order — one stable sort per batch;
-//! * [`release_ready_windowed`](ReorderBuffer::release_ready_windowed)
-//!   emits it grouped by ascending *tumbling window* instead, which is the
-//!   only ordering window routing actually needs (per-window accumulation is
-//!   commutative, so intra-window order cannot change a matrix or a stat).
-//!   Grouping is a linear bucket pass where a timestamp sort of a heavily
-//!   shuffled chunk is `O(n log n)` with cold comparisons — that is what
-//!   keeps the pipeline's reorder path within a small factor of the strict
-//!   path (`BENCH_reorder.json`).
+//! `future` is bounded by the horizon: it holds only events newer than the
+//! current window's end that the watermark has not yet passed (plus the
+//! last batch), so memory scales with `horizon_us × event rate`, not
+//! stream length.
 
-use std::collections::VecDeque;
+use crate::shard::WindowAccumulator;
 use tw_matrix::stream::PacketEvent;
 
-/// What [`ReorderBuffer::push`] did with an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The event was accepted (buffered until the watermark passes it).
-    Accepted,
-    /// The event was older than the watermark and was dropped as late.
-    Late,
-}
-
-/// A bounded min-timestamp reordering buffer with watermark semantics.
-///
-/// ```
-/// use std::collections::VecDeque;
-/// use tw_ingest::reorder::{PushOutcome, ReorderBuffer};
-/// use tw_matrix::stream::PacketEvent;
-///
-/// let ev = |ts| PacketEvent { source: 0, destination: 1, packets: 1, timestamp_us: ts };
-/// let mut buf = ReorderBuffer::new(50);
-/// let mut out = VecDeque::new();
-/// buf.push(ev(100), &mut out);
-/// buf.push(ev(70), &mut out);  // within the horizon: reordered, not lost
-/// buf.push(ev(200), &mut out); // watermark jumps to 150: 70 and 100 release
-/// assert_eq!(out.iter().map(|e| e.timestamp_us).collect::<Vec<_>>(), [70, 100]);
-/// assert_eq!(buf.push(ev(10), &mut out), PushOutcome::Late); // beyond the horizon
-/// buf.flush(&mut out);
-/// assert_eq!(out.back().unwrap().timestamp_us, 200);
-/// assert_eq!(buf.late(), 1);
-/// assert_eq!(buf.reordered(), 1);
-/// ```
-pub struct ReorderBuffer {
+/// The reorder-mode router: watermark classification plus the future list.
+#[derive(Debug)]
+pub(crate) struct WatermarkRouter {
     horizon_us: u64,
-    /// Held-back events: a timestamp-sorted prefix (what the last release
-    /// retained) followed by newer arrivals in arrival order. The stable
-    /// release sort keeps equal timestamps FIFO by arrival without a
-    /// sequence tag — retained events always precede newer arrivals in the
-    /// vector, and arrival order is preserved within each region.
-    buffer: Vec<PacketEvent>,
-    /// Per-window bucket pool for the windowed release, reused across calls.
-    buckets: Vec<Vec<PacketEvent>>,
-    /// Highest timestamp pushed so far; `None` until the first push.
-    max_ts_seen: Option<u64>,
+    /// Highest timestamp accepted so far (0 before the first event, which
+    /// classifies identically: nothing is older than 0).
+    max_seen: u64,
+    /// Accepted events of windows after the current one, in no particular
+    /// order.
+    future: Vec<PacketEvent>,
+    /// Smallest timestamp in `future`; `u64::MAX` while it is empty.
+    future_min: u64,
     late: u64,
     reordered: u64,
 }
 
-impl ReorderBuffer {
-    /// A buffer that tolerates up to `horizon_us` of timestamp disorder.
-    ///
-    /// A zero horizon is permitted but degenerate: the watermark equals the
-    /// newest timestamp, so every event releases immediately and anything
-    /// out of order is late. The pipeline bypasses the buffer entirely in
-    /// that configuration.
-    pub fn new(horizon_us: u64) -> Self {
-        ReorderBuffer {
+impl WatermarkRouter {
+    /// A router that tolerates up to `horizon_us` of timestamp disorder.
+    pub(crate) fn new(horizon_us: u64) -> Self {
+        WatermarkRouter {
             horizon_us,
-            buffer: Vec::new(),
-            buckets: Vec::new(),
-            max_ts_seen: None,
+            max_seen: 0,
+            future: Vec::new(),
+            future_min: u64::MAX,
             late: 0,
             reordered: 0,
         }
     }
 
     /// The reordering horizon in simulated microseconds.
-    pub fn horizon_us(&self) -> u64 {
+    pub(crate) fn horizon_us(&self) -> u64 {
         self.horizon_us
     }
 
-    /// The current watermark (`max timestamp seen − horizon`, saturating),
-    /// or `None` before the first push.
-    ///
-    /// Every event with a timestamp at or below the watermark has either
-    /// been released already, is releasable now, or — if pushed in the
-    /// future — will be counted late.
-    pub fn watermark_us(&self) -> Option<u64> {
-        self.max_ts_seen
-            .map(|max| max.saturating_sub(self.horizon_us))
+    /// The current watermark: `max timestamp seen − horizon`, saturating.
+    pub(crate) fn watermark_us(&self) -> u64 {
+        self.max_seen.saturating_sub(self.horizon_us)
     }
 
-    /// Events currently held back.
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Whether the buffer holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Events dropped as late (older than the watermark on arrival) since
-    /// the last [`take_late`](Self::take_late).
-    pub fn late(&self) -> u64 {
-        self.late
+    /// Accepted events held for later windows.
+    pub(crate) fn future_len(&self) -> usize {
+        self.future.len()
     }
 
     /// Take and reset the late-drop counter.
-    pub fn take_late(&mut self) -> u64 {
+    pub(crate) fn take_late(&mut self) -> u64 {
         std::mem::take(&mut self.late)
     }
 
-    /// Events that arrived out of timestamp order but within the horizon —
-    /// the ones the buffer actually rescued — since the last
-    /// [`take_reordered`](Self::take_reordered).
-    pub fn reordered(&self) -> u64 {
-        self.reordered
-    }
-
     /// Take and reset the reordered counter.
-    pub fn take_reordered(&mut self) -> u64 {
+    pub(crate) fn take_reordered(&mut self) -> u64 {
         std::mem::take(&mut self.reordered)
     }
 
-    /// Accept or reject one event without releasing anything: the O(1) hot
-    /// path for batch callers, who follow a run of `push_quiet` calls with
-    /// one [`release_ready`](Self::release_ready).
-    ///
-    /// Returns [`PushOutcome::Late`] — and counts the event instead of
-    /// buffering it — when the event is already older than the watermark.
-    #[inline]
-    pub fn push_quiet(&mut self, event: PacketEvent) -> PushOutcome {
-        match self.max_ts_seen {
-            Some(max) if event.timestamp_us < max.saturating_sub(self.horizon_us) => {
-                self.late += 1;
-                return PushOutcome::Late;
-            }
-            Some(max) => {
-                if event.timestamp_us < max {
-                    self.reordered += 1;
-                } else {
-                    self.max_ts_seen = Some(event.timestamp_us);
+    /// Classify every event of `events` and route the accepted ones: into
+    /// `accumulator` when they fall before `window_end` (the current
+    /// window's exclusive end), into the future list otherwise.
+    pub(crate) fn route(
+        &mut self,
+        events: &[PacketEvent],
+        window_end: u64,
+        accumulator: &mut WindowAccumulator,
+    ) {
+        let horizon = self.horizon_us;
+        let mut max_seen = self.max_seen;
+        let mut future_min = self.future_min;
+        for event in events {
+            let ts = event.timestamp_us;
+            if ts < max_seen {
+                if ts < max_seen.saturating_sub(horizon) {
+                    self.late += 1;
+                    continue;
                 }
-            }
-            None => self.max_ts_seen = Some(event.timestamp_us),
-        }
-        self.buffer.push(event);
-        PushOutcome::Accepted
-    }
-
-    /// Push one event and immediately release everything the (possibly
-    /// advanced) watermark now covers, in timestamp order, into `out`.
-    pub fn push(&mut self, event: PacketEvent, out: &mut VecDeque<PacketEvent>) -> PushOutcome {
-        let outcome = self.push_quiet(event);
-        self.release_ready(out);
-        outcome
-    }
-
-    /// Append every buffered event at or below the current watermark to
-    /// `out`, in `(timestamp, arrival)` order.
-    ///
-    /// The released chunk is always ≥ everything released before it: earlier
-    /// releases emptied the buffer up to the then-watermark, and an accepted
-    /// push is never below the watermark at its arrival, so no retained or
-    /// newly-accepted event can undercut a past release.
-    pub fn release_ready(&mut self, out: &mut VecDeque<PacketEvent>) {
-        let Some(watermark) = self.watermark_us() else {
-            return;
-        };
-        // Sort the whole buffer, then split at the watermark: the retained
-        // suffix stays sorted, so the next release's stable sort sees one
-        // long pre-sorted run followed by the new arrivals — near-linear
-        // merge work instead of a branchy per-event partition.
-        self.buffer.sort_by_key(|e| e.timestamp_us);
-        let split = self.buffer.partition_point(|e| e.timestamp_us <= watermark);
-        out.extend(self.buffer.drain(..split));
-    }
-
-    /// Drain every remaining event, in timestamp order, regardless of the
-    /// watermark. Call once the upstream source is exhausted.
-    pub fn flush(&mut self, out: &mut VecDeque<PacketEvent>) {
-        self.buffer.sort_by_key(|e| e.timestamp_us);
-        out.extend(self.buffer.drain(..));
-    }
-
-    /// Append every buffered event at or below the watermark to `out`,
-    /// grouped by ascending tumbling window: successive events have
-    /// non-decreasing `timestamp_us / window_us`.
-    ///
-    /// This is the pipeline's release: window routing only needs window
-    /// boundaries in order, and per-window accumulation is commutative, so
-    /// the linear bucket pass replaces a full timestamp sort without
-    /// changing any window matrix or statistic. Consecutive calls stay
-    /// globally window-ordered for the same reason releases stay
-    /// timestamp-ordered: everything retained or still to arrive is newer
-    /// than the watermark that gated this release.
-    pub fn release_ready_windowed(&mut self, window_us: u64, out: &mut VecDeque<PacketEvent>) {
-        if let Some(watermark) = self.watermark_us() {
-            self.drain_windowed(window_us, watermark, out);
-        }
-    }
-
-    /// Drain every remaining event, grouped by ascending tumbling window,
-    /// regardless of the watermark. Call once the upstream source is
-    /// exhausted.
-    pub fn flush_windowed(&mut self, window_us: u64, out: &mut VecDeque<PacketEvent>) {
-        self.drain_windowed(window_us, u64::MAX, out);
-    }
-
-    /// Move every buffered event with `timestamp_us <= bound` into `out`,
-    /// grouped by ascending window of `window_us`.
-    fn drain_windowed(&mut self, window_us: u64, bound: u64, out: &mut VecDeque<PacketEvent>) {
-        assert!(window_us > 0, "window must be positive");
-        // Pass 1: the released chunk's size and timestamp range (no
-        // divisions yet — the span is derived from the extremes alone).
-        let mut min_ts = u64::MAX;
-        let mut max_ts = 0u64;
-        let mut releasable = 0usize;
-        for e in &self.buffer {
-            if e.timestamp_us <= bound {
-                min_ts = min_ts.min(e.timestamp_us);
-                max_ts = max_ts.max(e.timestamp_us);
-                releasable += 1;
-            }
-        }
-        if releasable == 0 {
-            return;
-        }
-        let min_window = min_ts / window_us;
-        let span = (max_ts / window_us - min_window) as usize + 1;
-        if span > releasable.max(64) {
-            // Degenerate geometry (tiny windows over a wide range): bucket
-            // bookkeeping would dwarf the events, and a sorted release is
-            // window-ordered by definition.
-            self.buffer.sort_by_key(|e| e.timestamp_us);
-            let split = self.buffer.partition_point(|e| e.timestamp_us <= bound);
-            out.extend(self.buffer.drain(..split));
-            return;
-        }
-        if self.buckets.len() < span {
-            self.buckets.resize_with(span, Vec::new);
-        }
-        // Pass 2: stable partition into per-window buckets / retained tail.
-        let mut write = 0;
-        for read in 0..self.buffer.len() {
-            let event = self.buffer[read];
-            if event.timestamp_us <= bound {
-                let bucket = (event.timestamp_us / window_us - min_window) as usize;
-                self.buckets[bucket].push(event);
+                self.reordered += 1;
             } else {
-                self.buffer[write] = event;
-                write += 1;
+                max_seen = ts;
+            }
+            if ts < window_end {
+                accumulator.push(event);
+            } else {
+                future_min = future_min.min(ts);
+                self.future.push(*event);
             }
         }
-        self.buffer.truncate(write);
-        for bucket in &mut self.buckets[..span] {
-            out.extend(bucket.drain(..));
-        }
+        self.max_seen = max_seen;
+        self.future_min = future_min;
     }
-}
 
-impl std::fmt::Debug for ReorderBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReorderBuffer")
-            .field("horizon_us", &self.horizon_us)
-            .field("buffered", &self.buffer.len())
-            .field("watermark_us", &self.watermark_us())
-            .field("late", &self.late)
-            .field("reordered", &self.reordered)
-            .finish()
+    /// Whether the current window is complete: the watermark has passed an
+    /// event of a later window. `end_of_stream` treats the watermark as +∞.
+    pub(crate) fn window_closed(&self, end_of_stream: bool) -> bool {
+        !self.future.is_empty() && (end_of_stream || self.future_min <= self.watermark_us())
+    }
+
+    /// Whether the future list holds events of the window ending at
+    /// `window_end` (true only right after a rotation).
+    pub(crate) fn has_due(&self, window_end: u64) -> bool {
+        !self.future.is_empty() && self.future_min < window_end
+    }
+
+    /// Partition the future list for the window ending at `window_end`:
+    /// its events move to the front, and the count of them is returned.
+    /// Hand that prefix to [`WatermarkRouter::drain_due`].
+    pub(crate) fn partition_due(&mut self, window_end: u64) -> usize {
+        let mut due = 0;
+        let mut rest_min = u64::MAX;
+        for i in 0..self.future.len() {
+            let ts = self.future[i].timestamp_us;
+            if ts < window_end {
+                self.future.swap(i, due);
+                due += 1;
+            } else {
+                rest_min = rest_min.min(ts);
+            }
+        }
+        self.future_min = rest_min;
+        due
+    }
+
+    /// Route the first `due` future events (see
+    /// [`WatermarkRouter::partition_due`]) into `accumulator`.
+    pub(crate) fn drain_due(&mut self, due: usize, accumulator: &mut WindowAccumulator) {
+        accumulator.ingest(&self.future[..due]);
+        self.future.drain(..due);
     }
 }
 
@@ -314,221 +182,194 @@ mod tests {
 
     fn ev(ts: u64) -> PacketEvent {
         PacketEvent {
-            source: 1,
-            destination: 2,
+            source: (ts % 8) as u32,
+            destination: 1,
             packets: 1,
             timestamp_us: ts,
         }
     }
 
-    fn timestamps(events: &VecDeque<PacketEvent>) -> Vec<u64> {
-        events.iter().map(|e| e.timestamp_us).collect()
+    fn events(timestamps: &[u64]) -> Vec<PacketEvent> {
+        timestamps.iter().map(|&ts| ev(ts)).collect()
+    }
+
+    /// One emitted window.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Emitted {
+        index: u64,
+        events: u64,
+        late: u64,
+        reordered: u64,
+        /// Batches routed when the window was emitted.
+        after_batches: usize,
+    }
+
+    /// Drive a router over `batches` the way the pipeline does: route each
+    /// batch into the current window, then emit every window the watermark
+    /// closes; at end of stream emit the rest. Returns the emitted windows
+    /// and the largest future list seen.
+    fn drive(
+        horizon_us: u64,
+        window_us: u64,
+        batches: &[Vec<PacketEvent>],
+    ) -> (Vec<Emitted>, usize) {
+        let mut router = WatermarkRouter::new(horizon_us);
+        let mut acc = WindowAccumulator::new(8);
+        let mut current = 0u64;
+        let mut emitted = Vec::new();
+        let mut peak = 0;
+        let mut emit = |router: &mut WatermarkRouter,
+                        acc: &mut WindowAccumulator,
+                        current: &mut u64,
+                        after_batches: usize| {
+            emitted.push(Emitted {
+                index: *current,
+                events: acc.events(),
+                late: router.take_late(),
+                reordered: router.take_reordered(),
+                after_batches,
+            });
+            acc.merge();
+            *current += 1;
+            let end = (*current + 1) * window_us;
+            if router.has_due(end) {
+                let due = router.partition_due(end);
+                router.drain_due(due, acc);
+            }
+        };
+        for (routed, batch) in batches.iter().enumerate() {
+            router.route(batch, (current + 1) * window_us, &mut acc);
+            peak = peak.max(router.future_len());
+            while router.window_closed(false) {
+                emit(&mut router, &mut acc, &mut current, routed + 1);
+            }
+        }
+        while router.window_closed(true) {
+            emit(&mut router, &mut acc, &mut current, batches.len());
+        }
+        if !acc.is_empty() {
+            emit(&mut router, &mut acc, &mut current, batches.len());
+        }
+        (emitted, peak)
+    }
+
+    fn one_per_batch(timestamps: &[u64]) -> Vec<Vec<PacketEvent>> {
+        timestamps.iter().map(|&ts| vec![ev(ts)]).collect()
+    }
+
+    fn counts(windows: &[Emitted]) -> Vec<(u64, u64)> {
+        windows.iter().map(|w| (w.index, w.events)).collect()
     }
 
     #[test]
     fn sorted_input_releases_lag_the_horizon() {
-        let mut buf = ReorderBuffer::new(100);
-        let mut out = VecDeque::new();
-        for ts in [0, 50, 100, 150, 250] {
-            assert_eq!(buf.push(ev(ts), &mut out), PushOutcome::Accepted);
-        }
-        // Watermark is 150: everything at or below it has been released.
-        assert_eq!(buf.watermark_us(), Some(150));
-        assert_eq!(timestamps(&out), [0, 50, 100, 150]);
-        assert_eq!(buf.len(), 1);
-        buf.flush(&mut out);
-        assert_eq!(timestamps(&out), [0, 50, 100, 150, 250]);
-        assert!(buf.is_empty());
-        assert_eq!(buf.late(), 0);
-        assert_eq!(buf.reordered(), 0);
+        let (windows, _) = drive(100, 100, &one_per_batch(&[0, 50, 120, 150, 250]));
+        assert_eq!(counts(&windows), [(0, 2), (1, 2), (2, 1)]);
+        // 120 opened window 1 after three batches, but window 0 is released
+        // only once the watermark passes it: at 250 (watermark 150).
+        assert_eq!(windows[0].after_batches, 5);
+        assert!(windows.iter().all(|w| w.late == 0 && w.reordered == 0));
     }
 
     #[test]
     fn disorder_within_the_horizon_is_sorted_out() {
-        let mut buf = ReorderBuffer::new(100);
-        let mut out = VecDeque::new();
-        for ts in [100, 30, 80, 130, 90, 210] {
-            assert_eq!(buf.push(ev(ts), &mut out), PushOutcome::Accepted);
-        }
-        buf.flush(&mut out);
-        assert_eq!(timestamps(&out), [30, 80, 90, 100, 130, 210]);
-        assert_eq!(buf.late(), 0);
-        assert_eq!(buf.reordered(), 3, "30, 80 and 90 arrived out of order");
+        let (windows, _) = drive(100, 100, &one_per_batch(&[100, 30, 80, 130, 90, 210]));
+        assert_eq!(counts(&windows), [(0, 3), (1, 2), (2, 1)]);
+        assert_eq!(windows.iter().map(|w| w.late).sum::<u64>(), 0);
+        assert_eq!(
+            windows[0].reordered, 3,
+            "30, 80 and 90 arrived out of order"
+        );
     }
 
     #[test]
     fn events_beyond_the_horizon_are_late_and_counted() {
-        let mut buf = ReorderBuffer::new(50);
-        let mut out = VecDeque::new();
-        assert_eq!(buf.push(ev(200), &mut out), PushOutcome::Accepted);
-        // 149 < 200 - 50: one past the horizon.
-        assert_eq!(buf.push(ev(149), &mut out), PushOutcome::Late);
-        // 150 == watermark: still in time.
-        assert_eq!(buf.push(ev(150), &mut out), PushOutcome::Accepted);
-        buf.flush(&mut out);
-        assert_eq!(timestamps(&out), [150, 200]);
-        assert_eq!(buf.take_late(), 1);
-        assert_eq!(buf.late(), 0);
-        assert_eq!(buf.take_reordered(), 1);
-        assert_eq!(buf.reordered(), 0);
+        let mut router = WatermarkRouter::new(50);
+        let mut acc = WindowAccumulator::new(8);
+        // 149 < 200 - 50: one past the horizon; 150 == watermark: in time.
+        router.route(&events(&[200, 149, 150]), 1_000, &mut acc);
+        assert_eq!(acc.events(), 2);
+        assert_eq!(router.take_late(), 1);
+        assert_eq!(router.take_late(), 0);
+        assert_eq!(router.take_reordered(), 1);
+        assert_eq!(router.take_reordered(), 0);
     }
 
     #[test]
     fn released_stream_is_always_sorted() {
-        // Any accepted event is released no earlier than everything already
-        // released: feed a nasty interleaving and watch the output order.
-        let mut buf = ReorderBuffer::new(25);
-        let mut out = VecDeque::new();
-        for ts in [10, 40, 35, 60, 55, 41, 90, 66, 100, 80, 120] {
-            buf.push(ev(ts), &mut out);
+        // A nasty interleaving: windows are released in ascending order, and
+        // each holds exactly the accepted events of its own time span.
+        let stream = [10u64, 40, 35, 60, 55, 41, 90, 66, 100, 80, 120, 7];
+        let (windows, _) = drive(25, 20, &one_per_batch(&stream));
+        for (i, w) in windows.iter().enumerate() {
+            assert_eq!(w.index, i as u64);
         }
-        buf.flush(&mut out);
-        let released = timestamps(&out);
-        assert!(released.windows(2).all(|w| w[0] <= w[1]), "{released:?}");
-        // Conservation: released + late == pushed.
-        assert_eq!(released.len() as u64 + buf.late(), 11);
+        // The watermark fold: an event is late when older than the newest
+        // timestamp seen minus the horizon.
+        let mut max_seen = 0u64;
+        let accepted: Vec<u64> = stream
+            .iter()
+            .copied()
+            .filter(|&ts| {
+                max_seen = max_seen.max(ts);
+                ts + 25 >= max_seen
+            })
+            .collect();
+        let late: u64 = windows.iter().map(|w| w.late).sum();
+        assert_eq!(late, 1, "only the trailing 7 is beyond the horizon");
+        assert_eq!(late + accepted.len() as u64, stream.len() as u64);
+        for w in &windows {
+            let expected = accepted.iter().filter(|&&ts| ts / 20 == w.index).count();
+            assert_eq!(w.events, expected as u64, "window {}", w.index);
+        }
     }
 
     #[test]
     fn batched_pushes_release_the_same_stream() {
-        // push_quiet + one release_ready per batch (the pipeline's pattern)
-        // must emit exactly what per-push releasing emits.
-        let stream = [10u64, 40, 35, 60, 55, 41, 90, 66, 100, 80, 120, 7, 130];
-        let mut eager = ReorderBuffer::new(30);
-        let mut eager_out = VecDeque::new();
-        for &ts in &stream {
-            eager.push(ev(ts), &mut eager_out);
-        }
-        eager.flush(&mut eager_out);
-
-        let mut batched = ReorderBuffer::new(30);
-        let mut batched_out = VecDeque::new();
-        for chunk in stream.chunks(4) {
-            for &ts in chunk {
-                batched.push_quiet(ev(ts));
-            }
-            batched.release_ready(&mut batched_out);
-        }
-        batched.flush(&mut batched_out);
-
-        assert_eq!(timestamps(&eager_out), timestamps(&batched_out));
-        assert_eq!(eager.late(), batched.late());
-        assert_eq!(eager.reordered(), batched.reordered());
-    }
-
-    #[test]
-    fn windowed_release_groups_by_ascending_window() {
-        // Same stream through the sorted and the windowed release: the
-        // windowed one must emit the same event multiset, window-grouped,
-        // and retain/flush identically.
-        let stream = [10u64, 40, 35, 60, 55, 41, 90, 66, 100, 80, 120, 7, 130];
-        let window_us = 25;
-
-        let mut sorted = ReorderBuffer::new(30);
-        let mut sorted_out = VecDeque::new();
-        let mut windowed = ReorderBuffer::new(30);
-        let mut windowed_out = VecDeque::new();
-        for chunk in stream.chunks(4) {
-            for &ts in chunk {
-                sorted.push_quiet(ev(ts));
-                windowed.push_quiet(ev(ts));
-            }
-            sorted.release_ready(&mut sorted_out);
-            windowed.release_ready_windowed(window_us, &mut windowed_out);
-            assert_eq!(sorted.len(), windowed.len(), "same retention");
-        }
-        sorted.flush(&mut sorted_out);
-        windowed.flush_windowed(window_us, &mut windowed_out);
-
-        assert_eq!(sorted.late(), windowed.late());
-        assert_eq!(sorted.reordered(), windowed.reordered());
-        // Same events overall...
-        let mut a = timestamps(&sorted_out);
-        let mut b = timestamps(&windowed_out);
-        assert_eq!(a.len(), b.len());
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // ...and the windowed emission never steps back a window.
-        let windows: Vec<u64> = windowed_out
-            .iter()
-            .map(|e| e.timestamp_us / window_us)
-            .collect();
-        assert!(
-            windows.windows(2).all(|w| w[0] <= w[1]),
-            "window order violated: {windows:?}"
-        );
-    }
-
-    #[test]
-    fn windowed_release_falls_back_to_sorting_for_tiny_windows() {
-        // A 1 µs window over a wide timestamp range: the bucket span would
-        // dwarf the event count, so the sorted fallback must kick in (and
-        // a sorted release is window-ordered by definition).
-        let mut buf = ReorderBuffer::new(1_000_000);
-        let mut out = VecDeque::new();
-        for ts in [1_000_000u64, 500, 999_000, 2_000_000] {
-            assert_eq!(buf.push_quiet(ev(ts)), PushOutcome::Accepted);
-        }
-        buf.release_ready_windowed(1, &mut out);
-        assert_eq!(timestamps(&out), [500, 999_000, 1_000_000]);
-        buf.flush_windowed(1, &mut out);
-        assert_eq!(
-            timestamps(&out),
-            [500, 999_000, 1_000_000, 2_000_000],
-            "fallback still releases everything in order"
-        );
-    }
-
-    #[test]
-    fn equal_timestamps_release_in_arrival_order() {
-        let mut buf = ReorderBuffer::new(10);
-        let mut out = VecDeque::new();
-        for (i, ts) in [(0u32, 5u64), (1, 5), (2, 5)] {
-            buf.push(
-                PacketEvent {
-                    source: i,
-                    destination: i + 1,
-                    packets: 1,
-                    timestamp_us: ts,
-                },
-                &mut out,
-            );
-        }
-        buf.flush(&mut out);
-        let sources: Vec<u32> = out.iter().map(|e| e.source).collect();
-        assert_eq!(sources, [0, 1, 2], "FIFO among equal timestamps");
+        // Routing in batches of four (the watermark checked per batch) must
+        // window the stream exactly as routing one event at a time.
+        let stream = events(&[10, 40, 35, 60, 55, 41, 90, 66, 100, 80, 120, 7, 130]);
+        let single: Vec<Vec<PacketEvent>> = stream.chunks(1).map(<[_]>::to_vec).collect();
+        let batched: Vec<Vec<PacketEvent>> = stream.chunks(4).map(<[_]>::to_vec).collect();
+        let (a, _) = drive(30, 25, &single);
+        let (b, _) = drive(30, 25, &batched);
+        assert_eq!(counts(&a), counts(&b));
+        let total = |w: &[Emitted], f: fn(&Emitted) -> u64| w.iter().map(f).sum::<u64>();
+        assert_eq!(total(&a, |w| w.late), total(&b, |w| w.late));
+        assert_eq!(total(&a, |w| w.reordered), total(&b, |w| w.reordered));
     }
 
     #[test]
     fn zero_horizon_is_strict() {
-        let mut buf = ReorderBuffer::new(0);
-        let mut out = VecDeque::new();
-        assert_eq!(buf.push(ev(10), &mut out), PushOutcome::Accepted);
-        assert_eq!(buf.push(ev(10), &mut out), PushOutcome::Accepted);
-        assert_eq!(buf.push(ev(9), &mut out), PushOutcome::Late);
-        assert_eq!(timestamps(&out), [10, 10], "released immediately");
-        assert!(buf.is_empty());
+        let mut router = WatermarkRouter::new(0);
+        let mut acc = WindowAccumulator::new(8);
+        router.route(&events(&[10, 10, 9]), 100, &mut acc);
+        assert_eq!(acc.events(), 2, "ties are in order");
+        assert_eq!(router.take_late(), 1, "any regression is late");
+        // The watermark is the newest timestamp: the first later-window
+        // event closes the window at once.
+        router.route(&events(&[150]), 100, &mut acc);
+        assert!(router.window_closed(false));
     }
 
     #[test]
     fn buffer_occupancy_is_bounded_by_the_horizon() {
-        // A sorted stream with one event per microsecond: per-push releasing
-        // can never retain more than horizon + 1 events.
-        let mut buf = ReorderBuffer::new(32);
-        let mut out = VecDeque::new();
-        for ts in 0..10_000u64 {
-            buf.push(ev(ts), &mut out);
-            assert!(buf.len() <= 33, "buffer grew past the horizon");
-        }
+        // A sorted stream with one event per microsecond: the future list
+        // never holds more than horizon + 1 events.
+        let stream: Vec<u64> = (0..10_000).collect();
+        let (windows, peak) = drive(32, 100, &one_per_batch(&stream));
+        assert_eq!(windows.len(), 100);
+        assert!(peak <= 33, "future list grew past the horizon: {peak}");
     }
 
     #[test]
     fn debug_and_watermark_before_first_push() {
-        let buf = ReorderBuffer::new(7);
-        assert_eq!(buf.watermark_us(), None);
-        assert_eq!(buf.horizon_us(), 7);
-        let dbg = format!("{buf:?}");
+        let mut router = WatermarkRouter::new(7);
+        assert_eq!(router.watermark_us(), 0, "nothing is late before any event");
+        assert_eq!(router.horizon_us(), 7);
+        let dbg = format!("{router:?}");
         assert!(dbg.contains("horizon_us"), "{dbg}");
+        router.route(&events(&[100]), 1_000, &mut WindowAccumulator::new(8));
+        assert_eq!(router.watermark_us(), 93);
     }
 }

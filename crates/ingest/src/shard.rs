@@ -118,12 +118,18 @@ impl WindowAccumulator {
     /// must be below [`WindowAccumulator::node_count`].
     pub fn ingest(&mut self, events: &[PacketEvent]) {
         for e in events {
-            debug_assert!(
-                (e.source as usize) < self.node_count && (e.destination as usize) < self.node_count
-            );
-            self.entries.push((e.source, e.destination, e.packets));
-            self.packets += u64::from(e.packets);
+            self.push(e);
         }
+    }
+
+    /// Add one event to the window (see [`WindowAccumulator::ingest`]).
+    #[inline]
+    pub fn push(&mut self, e: &PacketEvent) {
+        debug_assert!(
+            (e.source as usize) < self.node_count && (e.destination as usize) < self.node_count
+        );
+        self.entries.push((e.source, e.destination, e.packets));
+        self.packets += u64::from(e.packets);
     }
 
     /// Merge the window into one CSR matrix and reset the accumulator for

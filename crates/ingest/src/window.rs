@@ -60,12 +60,13 @@ pub struct IngestStats {
     /// In strict mode (reorder horizon 0) an event is late as soon as its
     /// window has been emitted. With a reordering horizon, an event is late
     /// only when it is older than the watermark (`max timestamp seen −
-    /// horizon`) on arrival — everything inside the horizon is resequenced
-    /// instead of dropped.
+    /// horizon`) on arrival — everything inside the horizon is routed into
+    /// its window instead of dropped.
     pub dropped_late: u64,
     /// Events that arrived out of timestamp order but within the reordering
-    /// horizon: the watermark stage buffered and resequenced them instead of
-    /// dropping them. Always `0` in strict mode (reorder horizon 0).
+    /// horizon: older than the newest event seen, yet routed into their own
+    /// windows instead of dropped. Counted in the window being filled when
+    /// they arrive. Always `0` in strict mode (reorder horizon 0).
     pub reordered: u64,
     /// Wall-clock time spent pulling, routing and merging this window.
     pub elapsed: Duration,

@@ -139,6 +139,62 @@ proptest! {
     }
 
     #[test]
+    fn keyframe_cadence_chains_decode_without_recycling(
+        reports in prop::collection::vec(arb_report(32), 1..12),
+        keyframe_every in 1u64..=5,
+        reset_at in prop::option::of(0usize..12),
+    ) {
+        // Encode like the recorder and the serve loop: a full window every
+        // `keyframe_every`, deltas against the previous window in between.
+        // The consumer never hands matrices back, so every base comes from
+        // the scratch itself — a full window's stored payload or a
+        // delta-produced matrix. A reset() mid-chain forgets the base: the
+        // chain's deltas then fail with a base mismatch until the next key
+        // frame re-anchors it.
+        let reports = reindex(reports);
+        let payloads: Vec<Vec<u8>> = reports
+            .iter()
+            .enumerate()
+            .map(|(i, report)| {
+                if (i as u64).is_multiple_of(keyframe_every) {
+                    encode_window(report)
+                } else {
+                    encode_window_delta(&reports[i - 1], report)
+                }
+            })
+            .collect();
+        let mut scratch = DecodeScratch::new();
+        let mut anchored = true;
+        for (i, (payload, want)) in payloads.iter().zip(&reports).enumerate() {
+            if reset_at == Some(i) {
+                scratch.reset();
+                prop_assert_eq!(scratch.base_window(), None);
+                anchored = false;
+            }
+            let keyframe = (i as u64).is_multiple_of(keyframe_every);
+            anchored |= keyframe;
+            match decode_window_into(payload, &mut scratch) {
+                Ok(got) => {
+                    prop_assert!(anchored, "window {} decoded without a base", i);
+                    prop_assert_eq!(&got.matrix, &want.matrix, "window {}", i);
+                    prop_assert_eq!(&got.stats, &want.stats);
+                    prop_assert_eq!(scratch.base_window(), Some(i as u64));
+                }
+                Err(e) => {
+                    prop_assert!(!anchored, "window {} failed: {}", i, e);
+                    prop_assert_eq!(
+                        e,
+                        tw_ingest::CodecError::DeltaBaseMismatch {
+                            expected: i as u64 - 1,
+                            actual: None,
+                        }
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mixed_frame_streams_never_panic(
         reports in prop::collection::vec(arb_report(24), 2..8),
         as_delta in prop::collection::vec(any::<bool>(), 2..8),

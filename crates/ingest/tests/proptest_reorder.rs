@@ -3,7 +3,9 @@
 //! with a sufficient reordering horizon is cell-for-cell identical to a
 //! pipeline over the sorted stream — and loses nothing. With an insufficient
 //! horizon, every event is still accounted for (`events + dropped_late`
-//! conserved) and the drop count matches the watermark definition exactly.
+//! conserved) and the drop count matches the watermark definition exactly,
+//! and whatever the batch size, the windows equal a strict pipeline over the
+//! sorted events the watermark accepted.
 
 use proptest::prelude::*;
 use tw_ingest::{collect_events, EventSource, Pipeline, PipelineConfig, Scenario};
@@ -75,12 +77,20 @@ fn run_pipeline(
 /// The watermark reference fold: how many events of `events` (in arrival
 /// order) are older than `max_ts_seen − horizon` when they arrive.
 fn reference_counts(events: &[PacketEvent], horizon_us: u64) -> (u64, u64) {
+    let (accepted, reordered) = reference_fold(events, horizon_us);
+    (events.len() as u64 - accepted.len() as u64, reordered)
+}
+
+/// The same fold, returning the accepted (not late) events in arrival order
+/// and the reordered count.
+fn reference_fold(events: &[PacketEvent], horizon_us: u64) -> (Vec<PacketEvent>, u64) {
     let mut max_seen: Option<u64> = None;
-    let (mut late, mut reordered) = (0u64, 0u64);
+    let mut accepted = Vec::with_capacity(events.len());
+    let mut reordered = 0u64;
     for e in events {
         match max_seen {
             None => max_seen = Some(e.timestamp_us),
-            Some(max) if e.timestamp_us < max.saturating_sub(horizon_us) => late += 1,
+            Some(max) if e.timestamp_us < max.saturating_sub(horizon_us) => continue,
             Some(max) => {
                 if e.timestamp_us < max {
                     reordered += 1;
@@ -89,8 +99,9 @@ fn reference_counts(events: &[PacketEvent], horizon_us: u64) -> (u64, u64) {
                 }
             }
         }
+        accepted.push(*e);
     }
-    (late, reordered)
+    (accepted, reordered)
 }
 
 proptest! {
@@ -175,5 +186,51 @@ proptest! {
         let reordered: u64 = reports.iter().map(|r| r.stats.reordered).sum();
         prop_assert_eq!(dropped, expected_late, "drops must match the watermark definition");
         prop_assert_eq!(reordered, expected_reordered);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Batch size never changes what the watermark router emits: for batch
+    /// sizes 1..=64 and 8192, with horizons that cover the disorder and
+    /// horizons that do not, every window equals (index, events, packets,
+    /// nnz and matrix) a strict pipeline over the sorted accepted events,
+    /// and the late / reordered totals equal the watermark fold.
+    #[test]
+    fn any_batch_size_windows_the_accepted_events_like_sorted_strict(
+        scenario in arb_scenario(),
+        seed in 0u64..1_000,
+        skew_us in 2_000u64..30_000,
+        batch_size in prop_oneof![1usize..=64, Just(8_192usize)],
+        horizon_scale in prop_oneof![Just(1u64), Just(2), Just(8)],
+        covering in any::<bool>(),
+        window_us in (0usize..3).prop_map(|i| [5_000u64, 20_000, 100_000][i]),
+    ) {
+        let (skewed, bound) = skewed_stream(scenario, seed, skew_us, 1_500);
+        // Covering: the disorder bound or more; undersized: a fraction.
+        let horizon = if covering { bound * horizon_scale } else { (bound / (horizon_scale + 1)).max(1) };
+        let (accepted, expected_reordered) = reference_fold(&skewed, horizon);
+        let expected_late = (skewed.len() - accepted.len()) as u64;
+        let mut sorted = accepted;
+        sorted.sort_by_key(|e| e.timestamp_us);
+
+        let got = run_pipeline(skewed, window_us, batch_size, horizon);
+        let want = run_pipeline(sorted, window_us, batch_size, 0);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            let key = |r: &tw_ingest::WindowReport| {
+                (r.stats.window_index, r.stats.events, r.stats.packets, r.stats.nnz)
+            };
+            prop_assert_eq!(key(g), key(w));
+            prop_assert_eq!(&g.matrix, &w.matrix, "window {}", w.stats.window_index);
+        }
+        let late: u64 = got.iter().map(|r| r.stats.dropped_late).sum();
+        let reordered: u64 = got.iter().map(|r| r.stats.reordered).sum();
+        prop_assert_eq!(late, expected_late);
+        prop_assert_eq!(reordered, expected_reordered);
+        if covering {
+            prop_assert_eq!(late, 0u64, "a covering horizon loses nothing");
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! ```text
 //!            main thread                 acceptor thread
 //!  ┌───────────────────────────┐   ┌──────────────────────────┐
-//!  │ next_window()             │   │ listener.accept() loop   │
+//!  │ next_window()             │   │ listener.accept() poll   │
 //!  │   → encode_window (once)  │   │   → subscribe(Origin)    │
 //!  │   → frame → Arc<[u8]>     │   │   → spawn writer thread  │
-//!  │   → hub.publish_window()  │   └──────────┬───────────────┘
+//!  │   → hub.publish_window()  │   │ (idle: 1 → 32 ms sleeps) │
+//!  │                           │   └──────────┬───────────────┘
 //!  └───────────┬───────────────┘              │ per connection
 //!              ▼                              ▼
 //!   BroadcastHub<Arc<[u8]>>  ──bounded──►  writer: manifest frame,
@@ -26,6 +27,11 @@
 //! and echoed to the peer in its close frame — but it never stalls the
 //! class. A dead connection fails its next write, the writer thread exits,
 //! and the hub retires the slot on the next delivery.
+//!
+//! The acceptor polls a non-blocking listener. While no peer arrives it
+//! sleeps 1 ms, doubling up to 32 ms, and every accept resets the wait: an
+//! idle acceptor costs almost no CPU during a lesson, a burst of joins is
+//! accepted at 1 ms pace, and shutdown never waits on a blocked `accept`.
 //!
 //! All threads live inside one [`std::thread::scope`]: when [`serve`]
 //! returns, the acceptor and every writer have been joined — no leaks, no
@@ -226,13 +232,22 @@ impl ServeSummary {
     }
 }
 
+/// The acceptor's first idle poll interval, restored after every accept.
+const ACCEPT_IDLE_MIN: Duration = Duration::from_millis(1);
+/// The longest the acceptor sleeps between idle polls: bounds both the
+/// accept latency of a peer arriving after a quiet spell and how long
+/// shutdown waits for the acceptor to notice the stop flag.
+const ACCEPT_IDLE_MAX: Duration = Duration::from_millis(32);
+
 /// Serve `stream` to every connection the listener accepts until the stream
 /// ends, `config.max_windows` is reached, or (with `stop_when_empty`) the
 /// roster empties. Returns once every connection thread has been joined.
 ///
-/// The listener is switched to non-blocking mode and polled, so shutdown
-/// needs no self-connect trick. Callers wanting an ephemeral port bind
-/// `127.0.0.1:0` themselves and read `listener.local_addr()` first.
+/// The listener is switched to non-blocking mode and polled with an idle
+/// back-off (1 ms doubling to 32 ms, reset on every accept), so shutdown
+/// needs no self-connect trick and can never hang on a blocked `accept`.
+/// Callers wanting an ephemeral port bind `127.0.0.1:0` themselves and read
+/// `listener.local_addr()` first.
 pub fn serve(
     listener: TcpListener,
     stream: &mut dyn WindowStream,
@@ -294,9 +309,11 @@ pub fn serve(
         let listener = &listener;
         let write_timeout = config.write_timeout;
         scope.spawn(move || {
+            let mut idle = ACCEPT_IDLE_MIN;
             while !stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((socket, peer)) => {
+                        idle = ACCEPT_IDLE_MIN;
                         if let Some(m) = &acceptor_metrics {
                             m.accept_ns.record(serve_started.elapsed());
                             m.connections.inc();
@@ -323,7 +340,8 @@ pub fn serve(
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
+                        std::thread::sleep(idle);
+                        idle = (idle * 2).min(ACCEPT_IDLE_MAX);
                     }
                     Err(_) => break,
                 }

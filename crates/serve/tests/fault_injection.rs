@@ -15,7 +15,8 @@
 //! * A **dead producer** ([`ChaosStream`]) still closes every peer with a
 //!   clean close frame (covered here and in the server unit tests).
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::{
     collect_stream, IngestStats, Pipeline, PipelineConfig, Scenario, StreamError, WindowReport,
@@ -38,13 +39,15 @@ fn ddos_pipeline(nodes: u32) -> Pipeline {
 /// frame is ~2.5 bytes/cell — sized so a stalled reader's stream dwarfs even
 /// maximally auto-tuned kernel socket buffers (tcp_rmem can reach tens of
 /// MB), forcing the lag-drop path rather than hiding the stall in buffers.
-struct DenseStream {
+struct DenseStream<'a> {
     n: usize,
     next: u64,
     windows: u64,
+    /// Raised once the last window has been handed to the server.
+    produced_all: &'a AtomicBool,
 }
 
-impl WindowStream for DenseStream {
+impl WindowStream for DenseStream<'_> {
     fn next_window(&mut self) -> Result<Option<WindowReport>, StreamError> {
         if self.next >= self.windows {
             return Ok(None);
@@ -68,6 +71,9 @@ impl WindowStream for DenseStream {
             },
         };
         self.next += 1;
+        if self.next == self.windows {
+            self.produced_all.store(true, Ordering::Release);
+        }
         Ok(Some(report))
     }
 
@@ -160,7 +166,9 @@ fn stalled_reader_hits_the_lag_drop_path_with_conserved_accounting() {
         write_timeout: Duration::from_secs(30),
         ..ServeConfig::default()
     };
+    let produced_all = AtomicBool::new(false);
     let (summary, seen, close) = std::thread::scope(|scope| {
+        let produced_all = &produced_all;
         let client = scope.spawn(move || {
             let mut client = ClientStream::connect(addr).unwrap();
             let first = collect_stream(&mut client, 1).unwrap();
@@ -168,10 +176,13 @@ fn stalled_reader_hits_the_lag_drop_path_with_conserved_accounting() {
             // Stall: stop reading until the server has raced through the
             // whole stream. ~90 MB of dense frames dwarf any socket
             // buffering, so the writer blocks and the channel must shed.
-            // The sleep must outlast the 30 dense encodes even on a loaded
-            // debug build, or the resumed reader keeps pace and nothing
-            // drops.
-            std::thread::sleep(Duration::from_millis(6_000));
+            // The stall waits for the producer itself rather than a fixed
+            // sleep, so a slow (debug, loaded) build cannot let the resumed
+            // reader keep pace and drop nothing.
+            let deadline = Instant::now() + Duration::from_secs(120);
+            while !produced_all.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             let rest = collect_stream(&mut client, usize::MAX).unwrap();
             (1 + rest.len(), *client.close_summary().unwrap())
         });
@@ -179,6 +190,7 @@ fn stalled_reader_hits_the_lag_drop_path_with_conserved_accounting() {
             n: 1024,
             next: 0,
             windows,
+            produced_all,
         };
         let summary = serve(listener, &mut stream, &config, Some(telemetry.clone())).unwrap();
         let (seen, close) = client.join().unwrap();

@@ -13,6 +13,9 @@
 //! the end of `criterion_main!`, writes `BENCH_<target>.json` — a flat
 //! `{"bench/name": median_ns}` object — so the repo accumulates a
 //! machine-readable perf trajectory (CI uploads these files as artifacts).
+//! Every record opens with the host facts that produced it: `host.nproc`
+//! (available CPUs) and `host.commit` (`git describe --always --dirty` of
+//! the working directory, or `"unknown"` outside a git checkout).
 //! Set `BENCH_JSON_DIR` to redirect the output directory; set it to `-` to
 //! disable writing.
 
@@ -205,25 +208,51 @@ fn run_benchmark(config: &Criterion, name: &str, mut f: impl FnMut(&mut Bencher)
     )
 }
 
-/// Serialize the recorded medians as a flat JSON object. Benchmark names are
-/// ASCII identifiers plus `/`, but escape quotes/backslashes defensively.
-fn results_json(results: &[(String, u128)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (name, median)) in results.iter().enumerate() {
-        let escaped: String = name
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                '\n' => vec!['\\', 'n'],
-                _ => vec![c],
-            })
-            .collect();
-        out.push_str(&format!("  \"{escaped}\": {median}"));
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push('}');
-    out.push('\n');
-    out
+/// A JSON string literal. Benchmark names are ASCII identifiers plus `/`,
+/// but escape quotes/backslashes defensively.
+fn json_string(text: &str) -> String {
+    let escaped: String = text
+        .chars()
+        .flat_map(|c| match c {
+            '"' | '\\' => vec!['\\', c],
+            '\n' => vec!['\\', 'n'],
+            _ => vec![c],
+        })
+        .collect();
+    format!("\"{escaped}\"")
+}
+
+/// The host facts every record starts with, as `(key, JSON value)` pairs.
+fn host_facts() -> Vec<(String, String)> {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|text| text.trim().to_string())
+        .filter(|text| !text.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    vec![
+        ("host.nproc".to_string(), nproc.to_string()),
+        ("host.commit".to_string(), json_string(&commit)),
+    ]
+}
+
+/// Serialize the host facts (pre-rendered JSON values) and the recorded
+/// medians as one flat JSON object.
+fn results_json(host: &[(String, String)], results: &[(String, u128)]) -> String {
+    let rows: Vec<String> = host
+        .iter()
+        .map(|(key, value)| format!("  {}: {value}", json_string(key)))
+        .chain(
+            results
+                .iter()
+                .map(|(name, median)| format!("  {}: {median}", json_string(name))),
+        )
+        .collect();
+    format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
 /// Record an externally measured median (in nanoseconds) under `name`, next
@@ -250,7 +279,7 @@ pub fn write_results(target: &str) {
         return;
     }
     let path = format!("{dir}/BENCH_{target}.json");
-    match std::fs::write(&path, results_json(&results)) {
+    match std::fs::write(&path, results_json(&host_facts(), &results)) {
         Ok(()) => println!("wrote {path} ({} benchmark(s))", results.len()),
         Err(error) => eprintln!("could not write {path}: {error}"),
     }
@@ -337,11 +366,18 @@ mod tests {
             "bench_function must record its median"
         );
         drop(results);
-        let json = results_json(&[
-            ("group/a".to_string(), 123u128),
-            ("quote\"name\\x".to_string(), 7u128),
-        ]);
-        assert!(json.starts_with("{\n"));
+        let host = [
+            ("host.nproc".to_string(), "2".to_string()),
+            ("host.commit".to_string(), json_string("abc123-dirty")),
+        ];
+        let json = results_json(
+            &host,
+            &[
+                ("group/a".to_string(), 123u128),
+                ("quote\"name\\x".to_string(), 7u128),
+            ],
+        );
+        assert!(json.starts_with("{\n  \"host.nproc\": 2,\n  \"host.commit\": \"abc123-dirty\",\n"));
         assert!(json.contains("\"group/a\": 123,"));
         assert!(json.contains("\"quote\\\"name\\\\x\": 7"));
         assert!(json.trim_end().ends_with('}'));
@@ -361,6 +397,9 @@ mod tests {
         let path = dir.join("BENCH_shimtest.json");
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.contains("\"w/one\": 42"));
+        // Every record carries its host facts.
+        assert!(written.contains("\"host.nproc\": "), "{written}");
+        assert!(written.contains("\"host.commit\": \""), "{written}");
         std::env::remove_var("BENCH_JSON_DIR");
         std::fs::remove_dir_all(&dir).ok();
     }
