@@ -94,12 +94,18 @@ impl<'a> ZipReader<'a> {
 
     /// Read the contents of a named entry.
     pub fn read(&self, name: &str) -> Result<&'a [u8]> {
+        Ok(self.read_with_crc(name)?.0)
+    }
+
+    /// Read the contents of a named entry together with its CRC-32, which
+    /// [`parse`](Self::parse) has already verified against those contents.
+    pub fn read_with_crc(&self, name: &str) -> Result<(&'a [u8], u32)> {
         let entry = self
             .index
             .get(name)
             .map(|&i| &self.entries[i])
             .ok_or_else(|| ArchiveError::EntryNotFound(name.to_string()))?;
-        self.entry_data(entry)
+        Ok((self.entry_data(entry)?, entry.crc))
     }
 
     /// Read the contents of a named entry as UTF-8 text.

@@ -33,6 +33,9 @@ const MAX_COMMENT: usize = 65_535;
 #[derive(Debug)]
 pub struct SeekZipReader<R: Read + Seek> {
     source: R,
+    /// The source's length, measured at parse: no entry can hold more than
+    /// the bytes past its header, whatever the directory claims.
+    source_len: u64,
     entries: Vec<ZipEntry>,
     index: BTreeMap<String, usize>,
 }
@@ -90,6 +93,7 @@ impl<R: Read + Seek> SeekZipReader<R> {
 
         Ok(SeekZipReader {
             source,
+            source_len: total,
             entries,
             index,
         })
@@ -120,14 +124,51 @@ impl<R: Read + Seek> SeekZipReader<R> {
         self.index.contains_key(name)
     }
 
+    /// An entry's size as the directory records it, capped at the bytes
+    /// the source holds past the entry's offset: room a caller can reserve
+    /// for [`read_into`](Self::read_into), which a corrupt directory cannot
+    /// inflate past the archive. `None` for an unknown name.
+    pub fn entry_len(&self, name: &str) -> Option<usize> {
+        let entry = &self.entries[*self.index.get(name)?];
+        Some(capped(
+            entry.size,
+            self.source_len.saturating_sub(u64::from(entry.offset)),
+        ))
+    }
+
     /// Read one entry's contents from the source (one seek, one bounded
     /// read), validating its local header and CRC.
     pub fn read(&mut self, name: &str) -> Result<Vec<u8>> {
+        let mut data = Vec::new();
+        self.read_into(name, &mut data)?;
+        Ok(data)
+    }
+
+    /// Append one entry's contents to `buf` (one seek, one bounded read),
+    /// validating its local header and CRC; returns the verified CRC-32.
+    ///
+    /// The buffer is pre-sized from the directory's entry size, capped at
+    /// the bytes the source holds past the entry's header, so a corrupt
+    /// directory claiming a 4 GiB entry allocates no more than the archive
+    /// before failing with [`ArchiveError::Truncated`]. On any error `buf`
+    /// is left as it was passed in.
+    pub fn read_into(&mut self, name: &str, buf: &mut Vec<u8>) -> Result<u32> {
+        let start = buf.len();
+        let result = self.append_entry(name, buf);
+        if result.is_err() {
+            buf.truncate(start);
+        }
+        result
+    }
+
+    fn append_entry(&mut self, name: &str, buf: &mut Vec<u8>) -> Result<u32> {
         let entry = self
             .index
             .get(name)
-            .map(|&i| self.entries[i].clone())
+            .map(|&i| &self.entries[i])
             .ok_or_else(|| ArchiveError::EntryNotFound(name.to_string()))?;
+        let (entry_size, crc) = (entry.size, entry.crc);
+        let size = entry_size as usize;
 
         self.source.seek(SeekFrom::Start(entry.offset as u64))?;
         let mut header = [0u8; 30];
@@ -144,25 +185,28 @@ impl<R: Read + Seek> SeekZipReader<R> {
         }
         let name_len = read_u16(&header, 26)? as u64;
         let extra_len = read_u16(&header, 28)? as u64;
-        self.source
+        let data_start = self
+            .source
             .seek(SeekFrom::Current((name_len + extra_len) as i64))?;
-        // Read incrementally via `take` rather than pre-allocating the
-        // declared size: a corrupt directory claiming a 4 GiB entry then
-        // allocates only what the source actually holds before failing.
-        let mut data = Vec::new();
-        Read::take(&mut self.source, entry.size as u64).read_to_end(&mut data)?;
-        if data.len() != entry.size as usize {
+        buf.reserve(capped(
+            entry_size,
+            self.source_len.saturating_sub(data_start),
+        ));
+        let start = buf.len();
+        Read::take(&mut self.source, size as u64).read_to_end(buf)?;
+        let data = &buf[start..];
+        if data.len() != size {
             return Err(ArchiveError::Truncated("entry data"));
         }
-        let actual = crc32(&data);
-        if actual != entry.crc {
+        let actual = crc32(data);
+        if actual != crc {
             return Err(ArchiveError::CrcMismatch {
-                name: entry.name,
-                expected: entry.crc,
+                name: name.to_string(),
+                expected: crc,
                 actual,
             });
         }
-        Ok(data)
+        Ok(crc)
     }
 
     /// Read one entry as UTF-8 text.
@@ -170,6 +214,12 @@ impl<R: Read + Seek> SeekZipReader<R> {
         let bytes = self.read(name)?;
         String::from_utf8(bytes).map_err(|_| ArchiveError::InvalidEntryName)
     }
+}
+
+/// A directory-recorded entry size, capped at the bytes `available` in the
+/// source.
+fn capped(size: u32, available: u64) -> usize {
+    usize::try_from(u64::from(size).min(available)).unwrap_or(usize::MAX)
 }
 
 /// Locate the EOCD signature scanning the tail buffer backwards.
@@ -301,6 +351,49 @@ mod tests {
         assert_eq!(
             r.read("train.json").unwrap_err(),
             ArchiveError::Truncated("entry data")
+        );
+    }
+
+    #[test]
+    fn a_four_gib_entry_claim_allocates_no_more_than_the_archive() {
+        let mut bytes = sample();
+        let eocd = bytes.len() - 22;
+        let cd_offset =
+            u32::from_le_bytes(bytes[eocd + 16..eocd + 20].try_into().unwrap()) as usize;
+        let size_field = cd_offset + 24;
+        bytes[size_field..size_field + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut r = SeekZipReader::parse(Cursor::new(&bytes)).unwrap();
+        assert!(r.entry_len("train.json").unwrap() <= bytes.len());
+        assert_eq!(r.entry_len("nope.json"), None);
+        let mut buf = b"kept".to_vec();
+        assert_eq!(
+            r.read_into("train.json", &mut buf).unwrap_err(),
+            ArchiveError::Truncated("entry data")
+        );
+        assert_eq!(buf, b"kept", "a failed read leaves the buffer as it was");
+        assert!(
+            buf.capacity() <= 4 + bytes.len(),
+            "reserved {} bytes for a {}-byte archive",
+            buf.capacity(),
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn read_into_appends_and_returns_the_verified_crc() {
+        let bytes = sample();
+        let mut r = SeekZipReader::parse(Cursor::new(&bytes)).unwrap();
+        let mut buf = b"head".to_vec();
+        assert_eq!(r.entry_len("modules/ddos.json"), Some(15));
+        let crc = r.read_into("modules/ddos.json", &mut buf).unwrap();
+        assert_eq!(buf, b"head{\"name\":\"DDoS\"}");
+        assert_eq!(crc, crc32(b"{\"name\":\"DDoS\"}"));
+        assert_eq!(
+            Some(crc),
+            r.entries()
+                .iter()
+                .find(|e| e.name == "modules/ddos.json")
+                .map(|e| e.crc)
         );
     }
 

@@ -97,6 +97,7 @@ fn steady_reports(hot: usize) -> Vec<WindowReport> {
                 reordered: 0,
                 elapsed: Duration::from_micros(50),
             },
+            frame: None,
         });
     }
     reports

@@ -1,10 +1,12 @@
 //! E-S6 — network serving tier fan-out cost.
 //!
-//! The campus serving claim: `serve` drives the stream once, encodes each
+//! The campus serving claim: `serve` drives the stream once, frames each
 //! window once, and fans the *same* frame bytes (an `Arc` clone per peer)
 //! out to every TCP connection — so the amortized per-connection cost of a
 //! large fan-out stays within a small constant of the single-connection
-//! serve, which pays the whole produce+encode cost alone. This bench serves
+//! serve, which pays the whole produce+frame cost alone. The recording is
+//! replayed through the in-memory `ReplaySource`, whose windows carry their
+//! archive entries as ready frames, so `serve` forwards them unencoded. This bench serves
 //! a pre-recorded ddos capture over loopback to 1 vs 32 vs 256 connections,
 //! each draining raw CRC-checked frames (`read_raw_frame`, no decode), and
 //! records the medians in `BENCH_serve.json` via the criterion shim.

@@ -246,8 +246,23 @@ fn parse_header(r: &mut Reader<'_>) -> Result<u8, CodecError> {
     Ok(version)
 }
 
+/// A first guess at a full window's encoded size: magic, version and stats
+/// plus ~2 varints per stored entry.
+pub(crate) fn full_size_hint(report: &WindowReport) -> usize {
+    32 + report.matrix.nnz() * 4
+}
+
 /// Encode one window into the full ([`FULL_WINDOW_VERSION`]) binary format.
 pub fn encode_window(report: &WindowReport) -> Vec<u8> {
+    encode_window_into(report, Vec::with_capacity(full_size_hint(report)))
+}
+
+/// Append one window's full ([`FULL_WINDOW_VERSION`]) encoding to `buf` and
+/// hand the buffer back: the bytes [`encode_window`] returns, written where
+/// the caller wants them (the wire layer encodes straight into a frame
+/// buffer). The buffer moves in and out by value so the encode loop works
+/// on a local `Vec`, as fast as encoding into a fresh one.
+pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec<u8> {
     let matrix = &report.matrix;
     let stats = &report.stats;
     let (rows, cols) = matrix.shape();
@@ -255,8 +270,6 @@ pub fn encode_window(report: &WindowReport) -> Vec<u8> {
         rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
         "window matrices larger than {MAX_DIMENSION} addresses are not encodable"
     );
-    // Magic + version + ~2 varints per stored entry is a good initial guess.
-    let mut buf = Vec::with_capacity(32 + matrix.nnz() * 4);
     buf.extend_from_slice(&WINDOW_MAGIC);
     buf.push(FULL_WINDOW_VERSION);
     push_stats(&mut buf, stats);
@@ -321,7 +334,11 @@ pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
         parse_full_body(&mut r, version, &mut row_ptr, &mut col_idx, &mut values)?;
     let matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
         .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
-    Ok(WindowReport { matrix, stats })
+    Ok(WindowReport {
+        matrix,
+        stats,
+        frame: None,
+    })
 }
 
 /// Parse everything after the version byte of a full window into the given
@@ -420,6 +437,17 @@ fn parse_full_body(
 /// [`decode_window_into`] refuses to apply it to anything else. Both
 /// matrices must share one shape (a stream invariant).
 pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
+    encode_window_delta_into(prev, cur, Vec::new())
+}
+
+/// Append the delta encoding of `cur` against `prev` to `buf` and hand the
+/// buffer back (by value, like [`encode_window_into`]): the bytes
+/// [`encode_window_delta`] returns, written where the caller wants them.
+pub(crate) fn encode_window_delta_into(
+    prev: &WindowReport,
+    cur: &WindowReport,
+    mut buf: Vec<u8>,
+) -> Vec<u8> {
     let (rows, cols) = cur.matrix.shape();
     assert_eq!(
         prev.matrix.shape(),
@@ -436,7 +464,7 @@ pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
         // tw-analyze: allow(no-panic-in-lib, "the shape assert a few lines up guarantees diff cannot reject these matrices")
         .expect("shapes were checked above");
 
-    let mut buf = Vec::with_capacity(64 + changes.len() * 4);
+    buf.reserve(64 + changes.len() * 4);
     buf.extend_from_slice(&WINDOW_MAGIC);
     buf.push(DELTA_WINDOW_VERSION);
     push_stats(&mut buf, &cur.stats);
@@ -497,6 +525,20 @@ pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
         i = end;
     }
     buf
+}
+
+/// The base window index a delta ([`DELTA_WINDOW_VERSION`]) payload names;
+/// `None` for full windows and for payloads whose header does not parse.
+pub(crate) fn delta_base_index(payload: &[u8]) -> Option<u64> {
+    let mut r = Reader {
+        data: payload,
+        pos: 0,
+    };
+    if parse_header(&mut r).ok()? != DELTA_WINDOW_VERSION {
+        return None;
+    }
+    parse_stats(&mut r, DELTA_WINDOW_VERSION).ok()?;
+    r.varint("base window index").ok()
 }
 
 /// Reusable decode state: the delta base window plus recycled CSR buffers.
@@ -700,7 +742,11 @@ pub fn decode_window_into(
     } else {
         scratch.base.set_payload(stats.window_index, data);
     }
-    Ok(WindowReport { matrix, stats })
+    Ok(WindowReport {
+        matrix,
+        stats,
+        frame: None,
+    })
 }
 
 /// Parse everything after the version byte of a delta window and apply it
@@ -800,9 +846,10 @@ fn parse_delta_body(
 /// proxy for what a full encoding of each delta window would have cost.
 #[derive(Debug, Clone)]
 pub struct CodecMetrics {
-    /// Windows encoded as deltas.
+    /// Windows recorded or served as deltas (a forwarded delta counts).
     pub delta_windows: Counter,
-    /// Windows encoded in full within a delta chain (key frames).
+    /// Windows recorded or served in full (key frames; a forwarded one
+    /// counts).
     pub keyframes: Counter,
     /// Bytes the delta encoding saved vs the last key frame's size.
     pub bytes_saved: Counter,
@@ -839,7 +886,11 @@ mod tests {
             reordered: 2,
             elapsed: Duration::from_micros(1234),
         };
-        WindowReport { matrix, stats }
+        WindowReport {
+            matrix,
+            stats,
+            frame: None,
+        }
     }
 
     #[test]

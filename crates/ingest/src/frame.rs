@@ -33,6 +33,14 @@
 //! full windows (keyframe cadence 0) emits a byte-identical v2 stream —
 //! older clients interoperate unless deltas are switched on.
 //!
+//! A window frame's payload is byte for byte a recording's archive entry,
+//! and a ZIP entry's stored CRC-32 is the same checksum of the same bytes
+//! that the frame trailer carries. The replay sources therefore read each
+//! entry straight into a frame buffer and seal it with the stored CRC
+//! ([`WindowReport::frame`]), and [`window_frame`] forwards that frame
+//! whenever it is exactly what encoding would write, so a replayed window
+//! goes on the wire without being encoded or checksummed again.
+//!
 //! The decoder trusts nothing: a declared length past [`MAX_FRAME_LEN`] is
 //! rejected *before* any allocation (the same discipline as the window
 //! codec's [`MAX_DIMENSION`](crate::codec::MAX_DIMENSION) guard), version 1
@@ -44,6 +52,7 @@ use crate::codec::{self, decode_window, encode_window, CodecError};
 use crate::window::WindowReport;
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use tw_archive::crc32;
 use tw_metrics::MetricsSnapshot;
 
@@ -63,7 +72,9 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 pub const MAX_SCENARIO_NAME: usize = 1 << 10;
 
 /// Frame header size: magic + version + kind + length.
-const HEADER_LEN: usize = 10;
+pub(crate) const HEADER_LEN: usize = 10;
+/// Frame trailer size: the payload's CRC-32.
+const TRAILER_LEN: usize = 4;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,26 +250,127 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Frame one window that is *already* v2-codec encoded.
-///
-/// This is the serving tier's hot path: the server encodes each window once
-/// and fans the identical frame bytes out to every connection.
-pub fn encode_window_frame(encoded_window: &[u8]) -> Vec<u8> {
-    encode_frame(FrameKind::Window, encoded_window)
-}
-
-/// Encode and frame one window (convenience for tests and single senders).
+/// Encode and frame one window (convenience for tests and single senders;
+/// the serving tier uses [`window_frame`]).
 pub fn encode_report_frame(report: &WindowReport) -> Vec<u8> {
-    encode_window_frame(&encode_window(report))
+    encode_frame(FrameKind::Window, &encode_window(report))
 }
 
-/// Frame one window that is *already* v3-delta encoded.
+/// A frame buffer for a recorded window: a placeholder header, with room
+/// for `payload_len` payload bytes and the trailer. Append the payload,
+/// then [`seal_recorded_frame`].
+pub(crate) fn recorded_frame_buffer(payload_len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_len + TRAILER_LEN);
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    buf
+}
+
+/// Finish a recorded window's frame: `buf` is a [`recorded_frame_buffer`]
+/// with the archive entry's codec payload appended, `crc` the entry's
+/// verified CRC-32 — the same checksum a frame trailer carries, so no
+/// second CRC pass runs. The kind follows the payload's version byte.
+/// `None` when the payload exceeds [`MAX_FRAME_LEN`]: such a window has no
+/// frame to forward.
+pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32) -> Option<Arc<[u8]>> {
+    let payload = buf.get(HEADER_LEN..)?;
+    if payload.len() > MAX_FRAME_LEN {
+        return None;
+    }
+    let kind = if payload.get(4) == Some(&codec::DELTA_WINDOW_VERSION) {
+        FrameKind::DeltaWindow
+    } else {
+        FrameKind::Window
+    };
+    Some(seal(buf, kind, crc))
+}
+
+/// Fill a frame buffer's placeholder header and append the CRC trailer.
+fn seal(mut buf: Vec<u8>, kind: FrameKind, crc: u32) -> Arc<[u8]> {
+    let payload_len = (buf.len() - HEADER_LEN) as u32;
+    buf[..4].copy_from_slice(&FRAME_MAGIC);
+    buf[4] = FRAME_VERSION;
+    buf[5] = kind.to_byte();
+    buf[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.into()
+}
+
+/// One window's wire frame, as [`window_frame`] built it.
+#[derive(Debug, Clone)]
+pub struct WindowFrame {
+    /// The complete frame: header, codec payload, CRC trailer.
+    pub bytes: Arc<[u8]>,
+    /// Whether the payload is a v3 delta rather than a full window.
+    pub delta: bool,
+    /// Whether `bytes` are the report's carried frame, sent without encoding.
+    pub forwarded: bool,
+}
+
+impl WindowFrame {
+    /// The codec payload's length: the frame minus header and trailer.
+    pub fn payload_len(&self) -> usize {
+        self.bytes.len() - HEADER_LEN - TRAILER_LEN
+    }
+}
+
+/// Frame one window for the wire: in full when `base` is `None` (a
+/// key-frame position), otherwise as a v3 delta against `base`.
 ///
-/// Like [`encode_window_frame`] this is fan-out-friendly: the server
-/// diffs each window against its predecessor once and every connection
-/// gets the identical frame bytes.
-pub fn encode_delta_frame(encoded_delta: &[u8]) -> Vec<u8> {
-    encode_frame(FrameKind::DeltaWindow, encoded_delta)
+/// A report that carries the frame it was recorded in
+/// ([`WindowReport::frame`]) is forwarded as is when those bytes are exactly
+/// what encoding would write: a v2 payload at a key-frame position, or a v3
+/// payload whose base is `base`'s window at a delta position. Anything else
+/// (no carried frame, a legacy v1 payload, a full entry at a delta
+/// position, a delta at a key-frame position or against another base) is
+/// encoded straight into a fresh frame buffer.
+///
+/// Panics if an encoded payload exceeds [`MAX_FRAME_LEN`], like
+/// [`encode_frame`].
+pub fn window_frame(report: &WindowReport, base: Option<&WindowReport>) -> WindowFrame {
+    if let Some(bytes) = report.frame.as_ref().filter(|f| forwardable(f, base)) {
+        return WindowFrame {
+            bytes: bytes.clone(),
+            delta: base.is_some(),
+            forwarded: true,
+        };
+    }
+    let mut buf = Vec::with_capacity(HEADER_LEN + codec::full_size_hint(report) + TRAILER_LEN);
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    let (kind, buf) = match base {
+        None => (FrameKind::Window, codec::encode_window_into(report, buf)),
+        Some(base) => (
+            FrameKind::DeltaWindow,
+            codec::encode_window_delta_into(base, report, buf),
+        ),
+    };
+    let payload = &buf[HEADER_LEN..];
+    assert!(
+        payload.len() <= MAX_FRAME_LEN,
+        "frame payload of {} bytes exceeds MAX_FRAME_LEN",
+        payload.len()
+    );
+    let crc = crc32(payload);
+    WindowFrame {
+        bytes: seal(buf, kind, crc),
+        delta: base.is_some(),
+        forwarded: false,
+    }
+}
+
+/// Whether a carried frame is byte for byte what [`window_frame`] would
+/// encode at this position (see there). Reads headers only: the carried
+/// frame's CRC was verified when it was assembled.
+fn forwardable(frame: &[u8], base: Option<&WindowReport>) -> bool {
+    let Ok((kind, payload, _)) = frame_parts(frame) else {
+        return false;
+    };
+    match base {
+        None => kind == FrameKind::Window && payload.get(4) == Some(&codec::FULL_WINDOW_VERSION),
+        Some(base) => {
+            kind == FrameKind::DeltaWindow
+                && codec::delta_base_index(payload) == Some(base.stats.window_index)
+        }
+    }
 }
 
 /// Split one complete in-memory frame into its kind and payload slice,
@@ -268,6 +380,17 @@ pub fn encode_delta_frame(encoded_delta: &[u8]) -> Vec<u8> {
 /// are fully-encoded frames, and a late join needs to know which are key
 /// frames (and patch together the rest) without re-reading a stream.
 pub fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
+    let (kind, payload, expected) = frame_parts(bytes)?;
+    let actual = crc32(payload);
+    if expected != actual {
+        return Err(FrameError::CrcMismatch { expected, actual });
+    }
+    Ok((kind, payload))
+}
+
+/// Validate one complete in-memory frame's header and length and return
+/// its kind, payload and trailer checksum, without checking the CRC.
+fn frame_parts(bytes: &[u8]) -> Result<(FrameKind, &[u8], u32), FrameError> {
     if bytes.len() < HEADER_LEN {
         return Err(FrameError::Truncated("frame header"));
     }
@@ -284,7 +407,7 @@ pub fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
             declared: declared as u64,
         });
     }
-    if bytes.len() != HEADER_LEN + declared + 4 {
+    if bytes.len() != HEADER_LEN + declared + TRAILER_LEN {
         return Err(FrameError::Truncated("frame payload"));
     }
     let payload = &bytes[HEADER_LEN..HEADER_LEN + declared];
@@ -294,11 +417,7 @@ pub fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
         bytes[HEADER_LEN + declared + 2],
         bytes[HEADER_LEN + declared + 3],
     ]);
-    let actual = crc32(payload);
-    if expected != actual {
-        return Err(FrameError::CrcMismatch { expected, actual });
-    }
-    Ok((kind, payload))
+    Ok((kind, payload, expected))
 }
 
 /// Encode a session-header frame.
@@ -628,7 +747,7 @@ mod tests {
         let mut cur = sample_report();
         cur.stats.window_index = prev.stats.window_index + 1;
         let delta_bytes = encode_window_delta(&prev, &cur);
-        let frame_bytes = encode_delta_frame(&delta_bytes);
+        let frame_bytes = encode_frame(FrameKind::DeltaWindow, &delta_bytes);
         let (frame, consumed) = decode_frame(&frame_bytes).unwrap();
         assert_eq!(consumed, frame_bytes.len());
         let Frame::DeltaWindow(payload) = frame else {
@@ -706,6 +825,99 @@ mod tests {
             split_frame(&wrong),
             Err(FrameError::CrcMismatch { .. })
         ));
+    }
+
+    /// Replay a cadence-2 recording of four ddos windows: entries 0 and 2
+    /// are full, 1 and 3 deltas against their predecessor.
+    fn replayed_with_frames() -> Vec<WindowReport> {
+        use crate::record::{ArchiveRecorder, RecordingMeta, ReplaySource};
+        let config = PipelineConfig {
+            window_us: 50_000,
+            batch_size: 4_096,
+            reorder_horizon_us: 0,
+            ..Default::default()
+        };
+        let mut recorder = ArchiveRecorder::new(RecordingMeta {
+            scenario: "ddos".to_string(),
+            seed: 9,
+            node_count: 64,
+            window_us: 50_000,
+            keyframe_every: 2,
+        });
+        for report in Pipeline::new(Scenario::Ddos.source(64, 9), config).run(4) {
+            recorder.record(&report).unwrap();
+        }
+        let bytes = recorder.finish().unwrap();
+        ReplaySource::parse(&bytes)
+            .unwrap()
+            .collect_windows()
+            .unwrap()
+    }
+
+    #[test]
+    fn window_frame_forwards_only_what_encoding_would_write() {
+        let replayed = replayed_with_frames();
+        let stripped: Vec<WindowReport> = replayed
+            .iter()
+            .map(|r| WindowReport {
+                frame: None,
+                ..r.clone()
+            })
+            .collect();
+        // (window, base, forwarded): a full entry at a key-frame position
+        // and a delta entry against its own base go out as recorded; a
+        // delta entry at a key-frame position or against another window,
+        // and a full entry at a delta position, are transcoded.
+        for (i, base, forwards) in [
+            (0, None, true),
+            (1, Some(0), true),
+            (2, None, true),
+            (3, Some(2), true),
+            (1, None, false),
+            (3, Some(1), false),
+            (2, Some(1), false),
+        ] {
+            let base = base.map(|b: usize| &replayed[b]);
+            let frame = window_frame(&replayed[i], base);
+            let encoded = window_frame(&stripped[i], base);
+            assert_eq!(frame.forwarded, forwards, "window {i}");
+            assert!(!encoded.forwarded, "nothing to forward without a frame");
+            assert_eq!(
+                frame.bytes, encoded.bytes,
+                "window {i}: same bytes either way"
+            );
+            assert_eq!(frame.delta, base.is_some());
+            assert_eq!(
+                frame.payload_len(),
+                split_frame(&frame.bytes).unwrap().1.len()
+            );
+            if forwards {
+                assert!(Arc::ptr_eq(
+                    &frame.bytes,
+                    replayed[i].frame.as_ref().unwrap()
+                ));
+            }
+        }
+        // The encoded frame is the classic two-step framing, byte for byte.
+        assert_eq!(
+            &window_frame(&stripped[0], None).bytes[..],
+            &encode_report_frame(&stripped[0])[..]
+        );
+        assert_eq!(
+            &window_frame(&stripped[1], Some(&stripped[0])).bytes[..],
+            &encode_frame(
+                FrameKind::DeltaWindow,
+                &crate::codec::encode_window_delta(&stripped[0], &stripped[1])
+            )[..]
+        );
+        // A carried frame that is not a well-formed window frame is ignored.
+        let junk = WindowReport {
+            frame: Some(Arc::from(&b"TWFR junk"[..])),
+            ..stripped[0].clone()
+        };
+        let frame = window_frame(&junk, None);
+        assert!(!frame.forwarded);
+        assert_eq!(frame.bytes, window_frame(&stripped[0], None).bytes);
     }
 
     #[test]

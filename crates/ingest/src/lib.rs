@@ -42,12 +42,15 @@
 //! * [`frame`] — the wire framing atop the codec (magic, version, kind,
 //!   length prefix, CRC32) that the `tw-serve` network tier streams over
 //!   TCP: manifest / window / close frames with typed, alloc-guarded
-//!   decoding;
+//!   decoding, and [`window_frame`], which forwards a replayed window's
+//!   recorded frame or encodes the window straight into a frame buffer;
 //! * [`record`] — [`ArchiveRecorder`] (window stream → `tw-archive` ZIP with
 //!   a JSON manifest) and [`ReplaySource`] (ZIP → the identical window
 //!   stream, no event generation);
 //! * [`replay`] — [`SeekReplaySource`] / [`FileReplaySource`]: the same
-//!   playback streamed incrementally from disk, one window entry per pull;
+//!   playback streamed incrementally from disk, one window entry per pull
+//!   (both replay sources hand each window over with its entry already
+//!   sealed as a wire frame, [`WindowReport::frame`]);
 //! * [`stream`] — the [`WindowStream`] trait unifying every producer above
 //!   (plus the rate-pacing [`Paced`] adapter), so consumers like the
 //!   `tw-game` broadcast hub drive live scenarios and replays through one
@@ -70,10 +73,10 @@ pub use codec::{
     CodecMetrics, DecodeScratch, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION,
 };
 pub use frame::{
-    decode_frame, encode_close_frame, encode_delta_frame, encode_frame, encode_manifest_frame,
-    encode_report_frame, encode_stats_frame, encode_window_frame, parse_frame_payload, read_frame,
-    read_raw_frame, split_frame, write_frame, CloseSummary, Frame, FrameError, FrameKind,
-    StreamManifest, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN,
+    decode_frame, encode_close_frame, encode_frame, encode_manifest_frame, encode_report_frame,
+    encode_stats_frame, parse_frame_payload, read_frame, read_raw_frame, split_frame, window_frame,
+    write_frame, CloseSummary, Frame, FrameError, FrameKind, StreamManifest, WindowFrame,
+    FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest, ReplaySource};

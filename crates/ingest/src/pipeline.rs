@@ -382,7 +382,11 @@ impl Pipeline {
         }
         self.reuse_seen = if last { 0 } else { reuse_hits };
         self.window_elapsed = Duration::ZERO;
-        WindowReport { matrix, stats }
+        WindowReport {
+            matrix,
+            stats,
+            frame: None,
+        }
     }
 }
 

@@ -42,6 +42,7 @@
 use crate::codec::{
     decode_window_into, encode_window, encode_window_delta, CodecError, CodecMetrics, DecodeScratch,
 };
+use crate::frame::{recorded_frame_buffer, seal_recorded_frame};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
 use tw_archive::{ArchiveError, ZipReader, ZipWriter};
@@ -341,19 +342,20 @@ impl<'a> ReplaySource<'a> {
 
     /// Decode and emit the next recorded window; `Ok(None)` once the
     /// recording is exhausted.
+    ///
+    /// The report carries the entry as a wire frame
+    /// ([`WindowReport::frame`]), sealed with the CRC that parsing verified,
+    /// so `serve` can forward it without encoding.
     pub fn next_window(&mut self) -> Result<Option<WindowReport>, RecordError> {
         let Some(entry) = self.manifest.entries.get(self.cursor) else {
             return Ok(None);
         };
-        let bytes = self.reader.read(entry)?;
-        let report = decode_window_into(bytes, &mut self.scratch)?;
-        if report.matrix.shape() != (self.manifest.node_count, self.manifest.node_count) {
-            return Err(RecordError::Manifest(format!(
-                "window {entry} has shape {:?}, manifest says {} nodes",
-                report.matrix.shape(),
-                self.manifest.node_count
-            )));
-        }
+        let (bytes, crc) = self.reader.read_with_crc(entry)?;
+        let mut report = decode_window_into(bytes, &mut self.scratch)?;
+        check_shape(&report, entry, self.manifest.node_count)?;
+        let mut frame = recorded_frame_buffer(bytes.len());
+        frame.extend_from_slice(bytes);
+        report.frame = seal_recorded_frame(frame, crc);
         self.cursor += 1;
         Ok(Some(report))
     }
@@ -385,6 +387,21 @@ impl crate::stream::WindowStream for ReplaySource<'_> {
     fn remaining_windows(&self) -> Option<usize> {
         Some(self.remaining())
     }
+}
+
+/// Reject a decoded window whose shape disagrees with the manifest.
+pub(crate) fn check_shape(
+    report: &WindowReport,
+    entry: &str,
+    node_count: usize,
+) -> Result<(), RecordError> {
+    if report.matrix.shape() != (node_count, node_count) {
+        return Err(RecordError::Manifest(format!(
+            "window {entry} has shape {:?}, manifest says {node_count} nodes",
+            report.matrix.shape()
+        )));
+    }
+    Ok(())
 }
 
 fn manifest_u64(root: &Value, key: &str) -> Result<u64, RecordError> {
@@ -699,6 +716,7 @@ mod tests {
                         reordered: 0,
                         elapsed: std::time::Duration::from_micros(50),
                     },
+                    frame: None,
                 }
             })
             .collect();

@@ -6,15 +6,18 @@
 //! manifest resident and pulls **one window entry at a time** from a seekable
 //! source (via [`SeekZipReader`]), CRC-checking and decoding each window as
 //! it is requested; peak memory is one window plus the directory, independent
-//! of recording length. [`FileReplaySource`] is the `std::fs::File`-backed
-//! alias the CLI uses.
+//! of recording length. Each entry is read straight into a wire-frame buffer
+//! that the report carries ([`WindowReport::frame`]), so `serve` can forward
+//! a recorded window without encoding it again. [`FileReplaySource`] is the
+//! `std::fs::File`-backed alias the CLI uses.
 //!
 //! Both replay sources implement [`WindowStream`](crate::WindowStream) and
-//! emit the identical window sequence, so consumers cannot tell them apart
-//! (property: see `replay_matches_the_in_memory_source`).
+//! emit the identical window sequence, frames included, so consumers cannot
+//! tell them apart (property: see `replay_matches_the_in_memory_source`).
 
 use crate::codec::{decode_window_into, DecodeScratch};
-use crate::record::{parse_manifest, RecordError, ReplayManifest, MANIFEST_ENTRY};
+use crate::frame::{recorded_frame_buffer, seal_recorded_frame, HEADER_LEN};
+use crate::record::{check_shape, parse_manifest, RecordError, ReplayManifest, MANIFEST_ENTRY};
 use crate::window::WindowReport;
 use std::io::{Read, Seek};
 use tw_archive::SeekZipReader;
@@ -62,19 +65,21 @@ impl<R: Read + Seek> SeekReplaySource<R> {
 
     /// Read, CRC-check and decode the next recorded window; `Ok(None)` once
     /// the recording is exhausted.
+    ///
+    /// The entry is read straight into a wire-frame buffer and the report
+    /// carries that frame ([`WindowReport::frame`]), sealed with the
+    /// entry's verified CRC, so `serve` can forward it without encoding.
     pub fn next_window(&mut self) -> Result<Option<WindowReport>, RecordError> {
         let Some(entry) = self.manifest.entries.get(self.cursor) else {
             return Ok(None);
         };
-        let bytes = self.reader.read(entry)?;
-        let report = decode_window_into(&bytes, &mut self.scratch)?;
-        if report.matrix.shape() != (self.manifest.node_count, self.manifest.node_count) {
-            return Err(RecordError::Manifest(format!(
-                "window {entry} has shape {:?}, manifest says {} nodes",
-                report.matrix.shape(),
-                self.manifest.node_count
-            )));
-        }
+        // Sized for the whole frame up front, so neither the read nor the
+        // trailer reallocates it.
+        let mut frame = recorded_frame_buffer(self.reader.entry_len(entry).unwrap_or(0));
+        let crc = self.reader.read_into(entry, &mut frame)?;
+        let mut report = decode_window_into(&frame[HEADER_LEN..], &mut self.scratch)?;
+        check_shape(&report, entry, self.manifest.node_count)?;
+        report.frame = seal_recorded_frame(frame, crc);
         self.cursor += 1;
         Ok(Some(report))
     }
@@ -211,6 +216,13 @@ mod tests {
         let b = collect_stream(&mut from_disk, usize::MAX).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a, b, "both sources must emit the identical stream");
+        for (a, b) in a.iter().zip(&b) {
+            assert!(a.frame.is_some(), "replayed windows carry their frame");
+            assert_eq!(
+                a.frame, b.frame,
+                "both sources must carry the identical frame"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Tumbling windows and per-window ingest statistics.
 
+use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 use tw_matrix::CsrMatrix;
 
@@ -99,12 +101,37 @@ impl IngestStats {
 }
 
 /// One finished window: its hypersparse traffic matrix plus statistics.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares `matrix` and `stats` only: a window is the same window
+/// whether or not it still carries the frame it arrived in.
+#[derive(Clone)]
 pub struct WindowReport {
     /// The coalesced window matrix (sources × destinations, packet counts).
     pub matrix: CsrMatrix<u64>,
     /// The window's ingest statistics.
     pub stats: IngestStats,
+    /// The complete TWFR wire frame (see [`frame`](crate::frame)) this
+    /// window was decoded from, when its source had one: replay sources
+    /// assemble it from the archive entry, so `serve` can forward those
+    /// bytes instead of encoding the window again. It must encode exactly
+    /// `matrix` and `stats`; an adapter that changes either clears it.
+    pub frame: Option<Arc<[u8]>>,
+}
+
+impl PartialEq for WindowReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.matrix == other.matrix && self.stats == other.stats
+    }
+}
+
+impl fmt::Debug for WindowReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WindowReport")
+            .field("matrix", &self.matrix)
+            .field("stats", &self.stats)
+            .field("frame_len", &self.frame.as_ref().map(|frame| frame.len()))
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +148,33 @@ mod tests {
         assert_eq!(clock.current(), 0);
         assert_eq!(clock.advance(), 0);
         assert_eq!(clock.current(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_the_frame_and_debug_prints_its_length() {
+        let stats = IngestStats {
+            window_index: 0,
+            events: 1,
+            packets: 1,
+            nnz: 0,
+            dropped_late: 0,
+            reordered: 0,
+            elapsed: Duration::ZERO,
+        };
+        let bare = WindowReport {
+            matrix: CsrMatrix::empty(2, 2),
+            stats,
+            frame: None,
+        };
+        let framed = WindowReport {
+            frame: Some(Arc::from(vec![0xAB; 300])),
+            ..bare.clone()
+        };
+        assert_eq!(bare, framed);
+        let debug = format!("{framed:?}");
+        assert!(debug.contains("frame_len: Some(300)"), "{debug}");
+        assert!(!debug.contains("171"), "frame bytes stay out of Debug");
+        assert!(format!("{bare:?}").contains("frame_len: None"));
     }
 
     #[test]

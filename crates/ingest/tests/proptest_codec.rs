@@ -51,6 +51,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
                         reordered,
                         elapsed: Duration::from_nanos(elapsed_ns),
                     },
+                    frame: None,
                 }
             },
         )
@@ -150,6 +151,7 @@ proptest! {
                 reordered: 0,
                 elapsed: Duration::from_micros(7),
             },
+            frame: None,
         };
         let decoded = decode_window(&encode_window(&report)).unwrap();
         prop_assert_eq!(decoded, report);

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::time::Duration;
-use tw_ingest::frame::{encode_delta_frame, encode_window_frame, read_raw_frame, FrameKind};
+use tw_ingest::frame::{read_raw_frame, window_frame, FrameKind};
 use tw_ingest::{
     decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
     DecodeScratch, IngestStats, RecordingMeta, ReplaySource, SeekReplaySource, WindowReport,
@@ -40,6 +40,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
                 reordered: 1,
                 elapsed: Duration::from_nanos(42),
             },
+            frame: None,
         }
     })
 }
@@ -209,14 +210,8 @@ proptest! {
         let mut wire = Vec::new();
         for (i, report) in reports.iter().enumerate() {
             let delta = i > 0 && as_delta.get(i).copied().unwrap_or(false);
-            if delta {
-                wire.extend_from_slice(&encode_delta_frame(&encode_window_delta(
-                    &reports[i - 1],
-                    report,
-                )));
-            } else {
-                wire.extend_from_slice(&encode_window_frame(&encode_window(report)));
-            }
+            let base = delta.then(|| &reports[i - 1]);
+            wire.extend_from_slice(&window_frame(report, base).bytes);
         }
         let mut cursor = Cursor::new(&wire);
         let mut scratch = DecodeScratch::new();
@@ -281,6 +276,7 @@ proptest! {
                     reordered: 0,
                     elapsed: Duration::from_nanos(1),
                 },
+                frame: None,
             };
             decode_window_into(&encode_window(&base), &mut scratch).unwrap();
         }

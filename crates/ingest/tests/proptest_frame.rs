@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use std::time::Duration;
 use tw_ingest::codec::{decode_window_into, encode_window, encode_window_delta, DecodeScratch};
 use tw_ingest::frame::{
-    decode_frame, encode_close_frame, encode_delta_frame, encode_manifest_frame,
-    encode_report_frame, encode_stats_frame, read_frame, CloseSummary, Frame, FrameError,
-    StreamManifest, MAX_FRAME_LEN,
+    decode_frame, encode_close_frame, encode_manifest_frame, encode_report_frame,
+    encode_stats_frame, read_frame, window_frame, CloseSummary, Frame, FrameError, StreamManifest,
+    MAX_FRAME_LEN,
 };
 use tw_ingest::{IngestStats, WindowReport};
 use tw_matrix::CsrMatrix;
@@ -36,6 +36,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
                 reordered: 0,
                 elapsed: Duration::from_nanos(1),
             },
+            frame: None,
         }
     })
 }
@@ -106,7 +107,7 @@ fn arb_frame_bytes() -> impl Strategy<Value = Vec<u8>> {
         ),
         arb_snapshot().prop_map(|s| encode_stats_frame(&s)),
         (arb_report(32), arb_report(32))
-            .prop_map(|(base, next)| encode_delta_frame(&encode_window_delta(&base, &next))),
+            .prop_map(|(base, next)| window_frame(&next, Some(&base)).bytes.to_vec()),
     ]
 }
 
@@ -140,7 +141,7 @@ proptest! {
         // them back untouched, then patch a scratch holding the base window
         // and recover `next` exactly.
         let delta = encode_window_delta(&base, &next);
-        let bytes = encode_delta_frame(&delta);
+        let bytes = window_frame(&next, Some(&base)).bytes;
         match decode_frame(&bytes) {
             Ok((Frame::DeltaWindow(payload), consumed)) => {
                 prop_assert_eq!(consumed, bytes.len());

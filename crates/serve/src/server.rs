@@ -7,10 +7,10 @@
 //!            main thread                 acceptor thread
 //!  ┌───────────────────────────┐   ┌──────────────────────────┐
 //!  │ next_window()             │   │ listener.accept() poll   │
-//!  │   → encode_window (once)  │   │   → subscribe(Origin)    │
-//!  │   → frame → Arc<[u8]>     │   │   → spawn writer thread  │
-//!  │   → hub.publish_window()  │   │ (idle: 1 → 32 ms sleeps) │
-//!  │                           │   └──────────┬───────────────┘
+//!  │   → forward the recorded  │   │   → subscribe(Origin)    │
+//!  │     frame or encode once  │   │   → spawn writer thread  │
+//!  │     (Arc<[u8]>)           │   │ (idle: 1 → 32 ms sleeps) │
+//!  │   → hub.publish_window()  │   └──────────┬───────────────┘
 //!  └───────────┬───────────────┘              │ per connection
 //!              ▼                              ▼
 //!   BroadcastHub<Arc<[u8]>>  ──bounded──►  writer: manifest frame,
@@ -18,8 +18,13 @@
 //!    accounting from tw-game)             close frame with accounting
 //! ```
 //!
-//! Each window is encoded **once**; every connection shares the same frame
-//! bytes behind an `Arc`. With [`ServeConfig::keyframe_every`] set, the
+//! Each window is framed **once**; every connection shares the same frame
+//! bytes behind an `Arc`. A window replayed from a recording carries the
+//! frame its archive entry was read into
+//! ([`WindowReport::frame`](tw_ingest::WindowReport::frame)), and
+//! [`window_frame`] forwards those bytes whenever they are exactly what
+//! encoding would write; any other window is encoded straight into its
+//! frame buffer. With [`ServeConfig::keyframe_every`] set, the
 //! windows between key frames go out as v3 delta frames and a late joiner
 //! is caught up from the newest key frame covering its join point (the
 //! hub's [`CatchupRewrite`](tw_game::broadcast::CatchupRewrite) hook). A slow connection fills its bounded channel and
@@ -47,25 +52,27 @@ use tw_game::broadcast::{
 };
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::frame::{
-    encode_close_frame, encode_delta_frame, encode_manifest_frame, encode_stats_frame,
-    encode_window_frame, split_frame, write_frame, CloseSummary, FrameError, FrameKind,
-    StreamManifest,
+    encode_close_frame, encode_manifest_frame, encode_stats_frame, split_frame, window_frame,
+    write_frame, CloseSummary, FrameError, FrameKind, StreamManifest,
 };
 use tw_ingest::{
-    decode_window_into, encode_window, encode_window_delta, CodecMetrics, DecodeScratch,
-    StreamError, WindowReport, WindowStream,
+    decode_window_into, CodecMetrics, DecodeScratch, StreamError, WindowReport, WindowStream,
 };
 use tw_metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, StageTimer};
 
 /// Pre-resolved handles for the serving tier's own metrics (`serve.*`).
 #[derive(Clone, Debug)]
 struct ServeMetrics {
-    /// `serve.encode_ns`: window codec + framing time, once per window.
+    /// `serve.encode_ns`: time to produce each window's frame, forwarded or
+    /// encoded, once per window.
     encode_ns: Histogram,
-    /// `serve.windows_encoded`: windows encoded and published.
+    /// `serve.windows_encoded`: windows published (forwarded ones included).
     windows_encoded: Counter,
-    /// `serve.encoded_bytes`: codec payload bytes, full or delta
-    /// (pre-framing).
+    /// `serve.windows_forwarded`: published windows whose recorded frame
+    /// went out as is, without encoding.
+    windows_forwarded: Counter,
+    /// `serve.encoded_bytes`: codec payload bytes published, full or delta,
+    /// forwarded or encoded (pre-framing).
     encoded_bytes: Counter,
     /// `serve.accept_ns`: how long after serve start each peer connected.
     accept_ns: Histogram,
@@ -78,6 +85,7 @@ impl ServeMetrics {
         ServeMetrics {
             encode_ns: registry.histogram("serve.encode_ns"),
             windows_encoded: registry.counter("serve.windows_encoded"),
+            windows_forwarded: registry.counter("serve.windows_forwarded"),
             encoded_bytes: registry.counter("serve.encoded_bytes"),
             accept_ns: registry.histogram("serve.accept_ns"),
             connections: registry.counter("serve.connections"),
@@ -207,8 +215,8 @@ impl From<StreamError> for ServeError {
 /// The outcome of a finished [`serve`] session.
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
-    /// Total codec payload bytes encoded (full or delta, once per window,
-    /// regardless of connection count).
+    /// Total codec payload bytes published (full or delta, forwarded or
+    /// encoded, once per window, regardless of connection count).
     pub encoded_bytes: u64,
     /// The hub's roster accounting — the same [`BroadcastSummary`] the
     /// in-process classroom reports, one entry per connection.
@@ -372,35 +380,28 @@ pub fn serve(
                         StageTimer::start(serve_metrics.as_ref().map(|m| &m.encode_ns));
                     let keyframe =
                         keyframe_every == 0 || (sent as u64).is_multiple_of(keyframe_every);
-                    let (encoded, framed) = match (&prev, keyframe) {
-                        (Some(base), false) => {
-                            let delta = encode_window_delta(base, &report);
-                            let framed = encode_delta_frame(&delta);
-                            if let Some(m) = &codec_metrics {
-                                m.delta_windows.inc();
-                                m.bytes_saved
-                                    .add(last_keyframe_len.saturating_sub(delta.len()) as u64);
-                            }
-                            (delta, framed)
-                        }
-                        _ => {
-                            let full = encode_window(&report);
-                            let framed = encode_window_frame(&full);
-                            last_keyframe_len = full.len();
-                            if let Some(m) = &codec_metrics {
-                                m.keyframes.inc();
-                            }
-                            (full, framed)
-                        }
-                    };
+                    let frame = window_frame(&report, prev.as_ref().filter(|_| !keyframe));
                     encode_timer.finish();
-                    encoded_bytes += encoded.len() as u64;
+                    let payload_len = frame.payload_len();
+                    if let Some(m) = &codec_metrics {
+                        if frame.delta {
+                            m.delta_windows.inc();
+                            m.bytes_saved
+                                .add(last_keyframe_len.saturating_sub(payload_len) as u64);
+                        } else {
+                            m.keyframes.inc();
+                        }
+                    }
+                    if !frame.delta {
+                        last_keyframe_len = payload_len;
+                    }
+                    encoded_bytes += payload_len as u64;
                     if let Some(m) = &serve_metrics {
                         m.windows_encoded.inc();
-                        m.encoded_bytes.add(encoded.len() as u64);
+                        m.windows_forwarded.add(u64::from(frame.forwarded));
+                        m.encoded_bytes.add(payload_len as u64);
                     }
-                    let frame: Arc<[u8]> = framed.into();
-                    hub.publish_window(index, frame);
+                    hub.publish_window(index, frame.bytes);
                     if keyframe_every != 0 {
                         prev = Some(report);
                     }
@@ -490,10 +491,7 @@ fn rewrite_delta_catchup(ring: &[(u64, Arc<[u8]>)], start_window: u64) -> Vec<(u
         return ring[start..].to_vec();
     };
     let mut out: Vec<(u64, Arc<[u8]>)> = Vec::with_capacity(ring.len() - start);
-    out.push((
-        ring[start].0,
-        encode_window_frame(&encode_window(&report)).into(),
-    ));
+    out.push((ring[start].0, window_frame(&report, None).bytes));
     out.extend(ring[start + 1..].iter().cloned());
     out
 }

@@ -69,6 +69,7 @@ impl WindowStream for DenseStream<'_> {
                 reordered: 0,
                 elapsed: Duration::from_micros(1),
             },
+            frame: None,
         };
         self.next += 1;
         if self.next == self.windows {

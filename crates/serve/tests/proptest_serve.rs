@@ -5,9 +5,23 @@
 //! to a serial `Pipeline::run` of the same seeded scenario. The in-process
 //! mirror of this property lives in `tw-game`'s `proptest_broadcast.rs`;
 //! here the windows additionally survive encode → frame → TCP → decode.
+//!
+//! A replayed recording adds one more: serving the recorded frames as they
+//! are puts the same bytes on every client's wire as encoding each window
+//! afresh, for every pairing of recording and serve cadence.
 
 use proptest::prelude::*;
-use tw_ingest::{collect_stream, Pipeline, PipelineConfig, Scenario, WindowReport};
+use std::io::Cursor;
+use std::time::{Duration, Instant};
+use tw_archive::{ZipReader, ZipWriter};
+use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
+use tw_ingest::frame::{read_raw_frame, FrameKind};
+use tw_ingest::{
+    collect_stream, decode_window_into, ArchiveRecorder, DecodeScratch, Pipeline, PipelineConfig,
+    RecordingMeta, Scenario, SeekReplaySource, StreamError, WindowReport, WindowStream,
+    FULL_WINDOW_VERSION,
+};
+use tw_metrics::MetricsRegistry;
 use tw_serve::{loopback_listener, serve, ClientStream, ServeConfig};
 
 fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
@@ -176,6 +190,257 @@ proptest! {
                 windows as u64,
                 "an undropped late joiner accounts every window"
             );
+        }
+    }
+}
+
+/// Frames one client read off the wire, manifest through close, raw.
+type Wire = Vec<(FrameKind, Vec<u8>)>;
+
+/// Read raw frames until the close frame.
+fn read_wire(addr: std::net::SocketAddr) -> Wire {
+    let mut socket = std::io::BufReader::new(std::net::TcpStream::connect(addr).unwrap());
+    let mut wire = Wire::new();
+    loop {
+        let (kind, payload) = read_raw_frame(&mut socket).expect("a well-formed frame stream");
+        wire.push((kind, payload));
+        if kind == FrameKind::Close {
+            return wire;
+        }
+    }
+}
+
+/// The replay `serve` drives in the bytes-through property: optionally
+/// hides every carried frame (so `serve` must transcode each window), and
+/// holds the window at position `join_at` until the late joiner has
+/// subscribed, so both runs of a pairing see the same join point.
+struct Harness<S> {
+    inner: S,
+    strip_frames: bool,
+    pulled: usize,
+    join_at: usize,
+    go: Option<std::sync::mpsc::Sender<()>>,
+    telemetry: TelemetryHub,
+}
+
+impl<S: WindowStream> WindowStream for Harness<S> {
+    fn next_window(&mut self) -> Result<Option<WindowReport>, StreamError> {
+        if self.pulled == self.join_at {
+            if let Some(go) = self.go.take() {
+                go.send(()).unwrap();
+                // Subscriber 1 is the late joiner: the on-time client joined
+                // before the roster gate let the first window out.
+                let deadline = Instant::now() + Duration::from_secs(20);
+                while !self
+                    .telemetry
+                    .drain()
+                    .iter()
+                    .any(|e| matches!(e, TelemetryEvent::PeerConnected { subscriber: 1, .. }))
+                {
+                    assert!(Instant::now() < deadline, "late joiner never subscribed");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        self.pulled += 1;
+        let mut report = self.inner.next_window()?;
+        if self.strip_frames {
+            if let Some(report) = &mut report {
+                report.frame = None;
+            }
+        }
+        Ok(report)
+    }
+
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn window_us(&self) -> u64 {
+        self.inner.window_us()
+    }
+
+    fn remaining_windows(&self) -> Option<usize> {
+        self.inner.remaining_windows()
+    }
+}
+
+/// Record `reports` at key-frame cadence `keyframe_every`; with `legacy`,
+/// rewrite the first (key-frame) entry in the version-1 window layout,
+/// which predates the `reordered` stats field.
+fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, legacy: bool) -> Vec<u8> {
+    let mut recorder = ArchiveRecorder::new(RecordingMeta {
+        scenario: "bytes-through".to_string(),
+        seed: 0,
+        node_count: nodes as usize,
+        window_us: 50_000,
+        keyframe_every,
+    });
+    for report in reports {
+        recorder.record(report).unwrap();
+    }
+    let bytes = recorder.finish().unwrap();
+    if !legacy {
+        return bytes;
+    }
+    let reader = ZipReader::parse(&bytes).unwrap();
+    let mut writer = ZipWriter::new();
+    for (i, name) in reader.entry_names().enumerate() {
+        let entry = reader.read(name).unwrap();
+        let entry = if i == 0 {
+            to_version_one(entry)
+        } else {
+            entry.to_vec()
+        };
+        writer.add_file(name, &entry).unwrap();
+    }
+    writer.finish().unwrap()
+}
+
+/// Re-lay a full (v2) window as v1: drop the `reordered` varint, the sixth
+/// of the seven stats varints after the 5-byte magic and version prefix.
+fn to_version_one(v2: &[u8]) -> Vec<u8> {
+    assert_eq!(v2[4], FULL_WINDOW_VERSION);
+    let mut varints = Vec::new();
+    let mut pos = 5;
+    for _ in 0..7 {
+        let start = pos;
+        while v2[pos] & 0x80 != 0 {
+            pos += 1;
+        }
+        pos += 1;
+        varints.push(start..pos);
+    }
+    assert_eq!(
+        &v2[varints[5].clone()],
+        &[0],
+        "strict mode reorders nothing"
+    );
+    let mut v1 = v2[..4].to_vec();
+    v1.push(1);
+    for (i, range) in varints.into_iter().enumerate() {
+        if i != 5 {
+            v1.extend_from_slice(&v2[range]);
+        }
+    }
+    v1.extend_from_slice(&v2[pos..]);
+    v1
+}
+
+/// One serve session of `recording` to an on-time client and a client
+/// joining before the window at `join_at`; returns both clients' wires and
+/// the count of windows `serve` forwarded.
+fn serve_recording(
+    recording: &[u8],
+    keyframe_every: u64,
+    join_at: usize,
+    strip_frames: bool,
+) -> (Wire, Wire, u64) {
+    let listener = loopback_listener().unwrap();
+    let addr = listener.local_addr().unwrap();
+    let registry = MetricsRegistry::new();
+    let telemetry = TelemetryHub::new();
+    let config = ServeConfig {
+        scenario: "bytes-through".to_string(),
+        channel_capacity: 64,
+        ring_capacity: RING,
+        wait_for: 1,
+        keyframe_every,
+        metrics: Some(registry),
+        ..ServeConfig::default()
+    };
+    let (go, joined) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let on_time = scope.spawn(move || read_wire(addr));
+        let late = scope.spawn(move || {
+            joined.recv().unwrap();
+            read_wire(addr)
+        });
+        let mut stream = Harness {
+            inner: SeekReplaySource::new(Cursor::new(recording)).unwrap(),
+            strip_frames,
+            pulled: 0,
+            join_at,
+            go: Some(go),
+            telemetry: telemetry.clone(),
+        };
+        let summary = serve(listener, &mut stream, &config, Some(telemetry)).unwrap();
+        let snapshot = summary.snapshot.as_ref().expect("metrics were on");
+        assert_eq!(
+            snapshot.counter("serve.windows_encoded"),
+            summary.windows(),
+            "every published window is counted"
+        );
+        (
+            on_time.join().unwrap(),
+            late.join().unwrap(),
+            snapshot.counter("serve.windows_forwarded"),
+        )
+    })
+}
+
+/// The catch-up ring size in the bytes-through property: large enough that
+/// cadence 8 is not clamped, small enough that a late join past it lands
+/// inside a delta chain.
+const RING: usize = 8;
+/// Windows per recording in the bytes-through property.
+const WINDOWS: usize = 14;
+
+proptest! {
+    // 2 recordings x 16 cadence pairings x 2 serve sessions per case.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Bytes-through ≡ transcode on the wire: for every pairing of
+    /// recording cadence and serve cadence, with and without a legacy v1
+    /// entry, every client (one on time, one joining past the ring, mid
+    /// delta chain for most cadences) reads the identical raw frame
+    /// sequence whether `serve` forwards the recorded frames or encodes
+    /// every window itself; and `serve` forwards exactly the windows whose
+    /// recorded payload is what it would encode.
+    #[test]
+    fn forwarded_frames_are_the_frames_transcoding_writes(
+        scenario in arb_scenario(),
+        nodes in 40u32..100,
+        seed in any::<u64>(),
+        join_at in (RING + 1)..WINDOWS,
+    ) {
+        let reports = pipeline(scenario, nodes, seed).run(WINDOWS);
+        let recordings = [0u64, 1, 3, 8]
+            .into_iter()
+            .flat_map(|every| [(every, false), (every, true)]);
+        for (record_every, legacy) in recordings {
+            let recording = recording(&reports, nodes, record_every, legacy);
+            for serve_every in [0u64, 1, 3, 8] {
+                let pairing = format!("record {record_every} legacy {legacy} serve {serve_every}");
+                let (on_time, late, forwarded) =
+                    serve_recording(&recording, serve_every, join_at, false);
+                let (on_time_ref, late_ref, transcoded) =
+                    serve_recording(&recording, serve_every, join_at, true);
+                prop_assert_eq!(transcoded, 0);
+                prop_assert!(on_time == on_time_ref, "on-time wire differs: {}", pairing);
+                prop_assert!(late == late_ref, "late wire differs: {}", pairing);
+                prop_assert_eq!(on_time.len(), WINDOWS + 2, "manifest, windows, close");
+
+                let key = |every: u64, i: u64| every == 0 || i.is_multiple_of(every);
+                let expected = (0..WINDOWS as u64)
+                    .filter(|&i| key(serve_every, i) == key(record_every, i))
+                    .filter(|&i| !(legacy && i == 0))
+                    .count() as u64;
+                prop_assert_eq!(forwarded, expected, "{}", pairing);
+
+                // The late joiner decodes a suffix of the lesson from its
+                // first frame on.
+                let mut scratch = DecodeScratch::new();
+                let windows: Vec<WindowReport> = late
+                    .iter()
+                    .filter(|(kind, _)| {
+                        matches!(kind, FrameKind::Window | FrameKind::DeltaWindow)
+                    })
+                    .map(|(_, payload)| decode_window_into(payload, &mut scratch).unwrap())
+                    .collect();
+                prop_assert!(!windows.is_empty());
+                assert_suffix(&reports, &windows, WINDOWS - windows.len())?;
+            }
         }
     }
 }
