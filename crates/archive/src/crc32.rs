@@ -2,9 +2,9 @@
 //!
 //! Uses the slicing-by-8 variant: eight 256-entry tables computed at compile
 //! time let the hot loop fold eight input bytes per step instead of one,
-//! which matters because `ZipReader::parse` checksums every entry eagerly —
-//! for a multi-megabyte window recording the CRC pass is the dominant cost
-//! of opening the archive.
+//! which matters because `ZipReader::read` checksums every entry it reads —
+//! replaying a multi-megabyte window recording checksums every byte of it,
+//! once per window as that window is pulled.
 
 /// The reflected polynomial used by ZIP/PNG/Ethernet.
 const POLY: u32 = 0xEDB8_8320;

@@ -12,6 +12,7 @@
 //! efficiently" for restricted environments.
 //!
 //! ```
+//! use std::io::Cursor;
 //! use tw_archive::{ZipWriter, ZipReader};
 //!
 //! let mut w = ZipWriter::new();
@@ -19,7 +20,9 @@
 //! w.add_file("lesson2.json", br#"{"name":"Lesson 2"}"#).unwrap();
 //! let bytes = w.finish().unwrap();
 //!
-//! let r = ZipReader::parse(&bytes).unwrap();
+//! // Bytes in memory are read through a `Cursor`; files through a
+//! // `BufReader<File>`.
+//! let mut r = ZipReader::parse(Cursor::new(&bytes)).unwrap();
 //! assert_eq!(r.entry_names().collect::<Vec<_>>(), vec!["lesson1.json", "lesson2.json"]);
 //! assert_eq!(r.read("lesson2.json").unwrap(), br#"{"name":"Lesson 2"}"#);
 //! ```
@@ -27,23 +30,22 @@
 pub mod crc32;
 pub mod error;
 pub mod reader;
-pub mod seek;
 pub mod writer;
 
 pub use crc32::crc32;
 pub use error::{ArchiveError, Result};
 pub use reader::{ZipEntry, ZipReader};
-pub use seek::SeekZipReader;
 pub use writer::ZipWriter;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Cursor;
 
     #[test]
     fn empty_archive_round_trips() {
         let bytes = ZipWriter::new().finish().unwrap();
-        let r = ZipReader::parse(&bytes).unwrap();
+        let r = ZipReader::parse(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.len(), 0);
         assert!(r.is_empty());
     }
@@ -59,7 +61,7 @@ mod tests {
             expected.push((name, body));
         }
         let bytes = w.finish().unwrap();
-        let r = ZipReader::parse(&bytes).unwrap();
+        let mut r = ZipReader::parse(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.len(), 64);
         for (name, body) in expected {
             assert_eq!(r.read(&name).unwrap(), body.as_slice());

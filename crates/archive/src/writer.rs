@@ -209,7 +209,7 @@ mod tests {
             w.add_file(&format!("w/{i}"), b"").unwrap();
         }
         let bytes = w.finish().unwrap();
-        let r = crate::reader::ZipReader::parse(&bytes).unwrap();
+        let r = crate::reader::ZipReader::parse(std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(r.len(), 65_535);
     }
 

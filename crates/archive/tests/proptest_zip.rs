@@ -2,7 +2,20 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::io::Cursor;
 use tw_archive::{ArchiveError, ZipReader, ZipWriter};
+
+/// Parse `bytes` and, when that succeeds, read every listed entry: CRCs and
+/// local headers are checked at read time, so "never panics" has to cover
+/// both steps.
+fn parse_and_read_all(bytes: &[u8]) {
+    if let Ok(mut r) = ZipReader::parse(Cursor::new(bytes)) {
+        let names: Vec<String> = r.entry_names().map(str::to_string).collect();
+        for name in names {
+            let _ = r.read(&name);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -16,7 +29,7 @@ proptest! {
             w.add_file(name, data).unwrap();
         }
         let bytes = w.finish().unwrap();
-        let r = ZipReader::parse(&bytes).unwrap();
+        let mut r = ZipReader::parse(Cursor::new(&bytes)).unwrap();
         prop_assert_eq!(r.len(), files.len());
         for (name, data) in &files {
             prop_assert_eq!(r.read(name).unwrap(), data.as_slice());
@@ -25,7 +38,7 @@ proptest! {
 
     #[test]
     fn parser_never_panics_on_arbitrary_bytes(data in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = ZipReader::parse(&data);
+        parse_and_read_all(&data);
     }
 
     #[test]
@@ -40,8 +53,9 @@ proptest! {
             let len = bytes.len();
             bytes[pos % len] ^= xor;
         }
-        // Must either parse (if the flip hit a harmless byte) or error; never panic.
-        let _ = ZipReader::parse(&bytes);
+        // Parse and every read must either succeed (if the flip hit a
+        // harmless byte) or error; never panic.
+        parse_and_read_all(&bytes);
     }
 
     #[test]
@@ -50,7 +64,7 @@ proptest! {
         let mut w = ZipWriter::new();
         w.add_file(&name, &data).unwrap();
         let bytes = w.finish().unwrap();
-        let r = ZipReader::parse(&bytes).unwrap();
+        let mut r = ZipReader::parse(Cursor::new(&bytes)).unwrap();
         prop_assert_eq!(r.read(&name).unwrap(), data.as_slice());
     }
 
@@ -70,7 +84,7 @@ proptest! {
         let eocd = bytes.len() - 22;
         bytes[eocd + 10..eocd + 12].copy_from_slice(&wrong.to_le_bytes());
         prop_assert_eq!(
-            ZipReader::parse(&bytes).unwrap_err(),
+            ZipReader::parse(Cursor::new(&bytes)).unwrap_err(),
             ArchiveError::EntryCountMismatch { declared: wrong as usize, walked: count }
         );
     }

@@ -15,6 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::io::Cursor;
 use tw_bench::{banner, quick_criterion};
 use tw_core::game::{BroadcastConfig, Broadcaster, StartOffset, Subscription};
 use tw_core::ingest::{
@@ -58,7 +59,7 @@ fn record(windows: usize) -> Vec<u8> {
 /// `subscribers` consumers and drain every subscription. Returns the total
 /// windows received across the class (for black_box).
 fn serve(recording: &[u8], windows: usize, subscribers: usize) -> u64 {
-    let mut replay = ReplaySource::parse(recording).expect("recording parses");
+    let mut replay = ReplaySource::new(Cursor::new(recording)).expect("recording parses");
     let mut caster = Broadcaster::new(BroadcastConfig {
         channel_capacity: windows,
         ring_capacity: windows.min(64),

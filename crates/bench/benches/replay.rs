@@ -18,10 +18,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::io::Cursor;
 use tw_bench::{banner, quick_criterion};
 use tw_core::game::LiveWarehouse;
 use tw_core::ingest::{
-    ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, ReplaySource, Scenario,
+    collect_stream, ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, ReplaySource,
+    Scenario,
 };
 
 const NODES: u32 = 1024;
@@ -75,9 +77,8 @@ fn bench_replay(c: &mut Criterion) {
     );
     let recording = record(windows);
     let recorded_events: u64 = {
-        let mut replay = ReplaySource::parse(&recording).expect("recording parses");
-        replay
-            .collect_windows()
+        let mut replay = ReplaySource::new(Cursor::new(&recording)).expect("recording parses");
+        collect_stream(&mut replay, usize::MAX)
             .expect("recording decodes")
             .iter()
             .map(|r| r.stats.events)
@@ -105,7 +106,8 @@ fn bench_replay(c: &mut Criterion) {
         &recording,
         |b, recording| {
             b.iter(|| {
-                let mut replay = ReplaySource::parse(recording).expect("recording parses");
+                let mut replay =
+                    ReplaySource::new(Cursor::new(recording)).expect("recording parses");
                 let mut events = 0u64;
                 while let Some(report) = replay.next_window().expect("recording decodes") {
                     events += report.stats.events;
@@ -126,7 +128,7 @@ fn bench_replay(c: &mut Criterion) {
     let live = live_started.elapsed();
     let replay_started = std::time::Instant::now();
     let replay_events: u64 = {
-        let mut replay = ReplaySource::parse(&recording).expect("recording parses");
+        let mut replay = ReplaySource::new(Cursor::new(&recording)).expect("recording parses");
         let mut events = 0u64;
         while let Some(report) = replay.next_window().expect("recording decodes") {
             events += report.stats.events;

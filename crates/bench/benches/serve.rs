@@ -5,8 +5,9 @@
 //! out to every TCP connection — so the amortized per-connection cost of a
 //! large fan-out stays within a small constant of the single-connection
 //! serve, which pays the whole produce+frame cost alone. The recording is
-//! replayed through the in-memory `ReplaySource`, whose windows carry their
-//! archive entries as ready frames, so `serve` forwards them unencoded. This bench serves
+//! replayed from memory through a `ReplaySource` over a `Cursor`, whose
+//! windows carry their archive entries as ready frames, so `serve` forwards
+//! them unencoded. This bench serves
 //! a pre-recorded ddos capture over loopback to 1 vs 32 vs 256 connections,
 //! each draining raw CRC-checked frames (`read_raw_frame`, no decode), and
 //! records the medians in `BENCH_serve.json` via the criterion shim.
@@ -24,7 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::io::BufReader;
+use std::io::{BufReader, Cursor};
 use std::net::TcpStream;
 use tw_bench::{banner, quick_criterion};
 use tw_core::ingest::{
@@ -71,7 +72,7 @@ fn record(windows: usize) -> Vec<u8> {
 /// never decoded — the client cost under test is the wire, not the codec).
 /// Returns the total window frames received across the campus.
 fn serve_campus(recording: &[u8], windows: usize, connections: usize) -> u64 {
-    let mut replay = ReplaySource::parse(recording).expect("recording parses");
+    let mut replay = ReplaySource::new(Cursor::new(recording)).expect("recording parses");
     let listener = loopback_listener().expect("loopback binds");
     let addr = listener.local_addr().expect("bound");
     let config = ServeConfig {

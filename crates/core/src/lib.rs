@@ -98,8 +98,8 @@ pub mod prelude {
     };
     pub use tw_ingest::{
         ArchiveRecorder, EventSource, FileReplaySource, IngestStats, Paced, Pipeline,
-        PipelineConfig, RecordingMeta, ReplaySource, Scenario, SeekReplaySource, WindowAccumulator,
-        WindowReport, WindowStream,
+        PipelineConfig, RecordingMeta, ReplaySource, Scenario, WindowAccumulator, WindowReport,
+        WindowStream,
     };
     pub use tw_matrix::{CellColor, ColorMatrix, LabelSet, MatrixProfile, TrafficMatrix};
     pub use tw_metrics::{MetricsRegistry, MetricsSnapshot};

@@ -373,7 +373,7 @@ mod tests {
             recorder.record(&report).unwrap();
         }
         let bytes = recorder.finish().unwrap();
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
+        let mut replay = ReplaySource::new(std::io::Cursor::new(&bytes)).unwrap();
         let mut live = LiveWarehouse::new(10);
         let stats = live.follow(&mut replay, usize::MAX).unwrap();
         assert_eq!(stats.len(), 2);

@@ -830,7 +830,9 @@ mod tests {
     /// Replay a cadence-2 recording of four ddos windows: entries 0 and 2
     /// are full, 1 and 3 deltas against their predecessor.
     fn replayed_with_frames() -> Vec<WindowReport> {
-        use crate::record::{ArchiveRecorder, RecordingMeta, ReplaySource};
+        use crate::record::{ArchiveRecorder, RecordingMeta};
+        use crate::replay::ReplaySource;
+        use crate::stream::collect_stream;
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 4_096,
@@ -848,10 +850,8 @@ mod tests {
             recorder.record(&report).unwrap();
         }
         let bytes = recorder.finish().unwrap();
-        ReplaySource::parse(&bytes)
-            .unwrap()
-            .collect_windows()
-            .unwrap()
+        let mut replay = ReplaySource::new(std::io::Cursor::new(&bytes)).unwrap();
+        collect_stream(&mut replay, usize::MAX).unwrap()
     }
 
     #[test]

@@ -45,12 +45,12 @@
 //!   decoding, and [`window_frame`], which forwards a replayed window's
 //!   recorded frame or encodes the window straight into a frame buffer;
 //! * [`record`] — [`ArchiveRecorder`] (window stream → `tw-archive` ZIP with
-//!   a JSON manifest) and [`ReplaySource`] (ZIP → the identical window
-//!   stream, no event generation);
-//! * [`replay`] — [`SeekReplaySource`] / [`FileReplaySource`]: the same
-//!   playback streamed incrementally from disk, one window entry per pull
-//!   (both replay sources hand each window over with its entry already
-//!   sealed as a wire frame, [`WindowReport::frame`]);
+//!   a JSON manifest);
+//! * [`replay`] — [`ReplaySource`] (ZIP → the identical window stream, no
+//!   event generation) read from any seekable source one window entry per
+//!   pull, with [`FileReplaySource`] its file-backed alias; each window is
+//!   handed over with its entry already sealed as a wire frame
+//!   ([`WindowReport::frame`]);
 //! * [`stream`] — the [`WindowStream`] trait unifying every producer above
 //!   (plus the rate-pacing [`Paced`] adapter), so consumers like the
 //!   `tw-game` broadcast hub drive live scenarios and replays through one
@@ -79,8 +79,8 @@ pub use frame::{
     FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use pipeline::{Pipeline, PipelineConfig};
-pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest, ReplaySource};
-pub use replay::{FileReplaySource, SeekReplaySource};
+pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest};
+pub use replay::{FileReplaySource, ReplaySource};
 pub use scenario::Scenario;
 pub use shard::{window_matrix, WindowAccumulator};
 pub use source::{

@@ -4,12 +4,14 @@
 //! files" (§II); this module applies the same packaging to live scenarios. An
 //! [`ArchiveRecorder`] streams every [`WindowReport`] a [`Pipeline`] emits
 //! into a `tw-archive` ZIP — one [`codec`](crate::codec)-encoded entry per
-//! window plus a human-readable `manifest.json` — and a [`ReplaySource`]
-//! reads the ZIP back and re-emits the identical window stream, so a
-//! classroom can watch the same DDoS unfold without regenerating a million
-//! events (and without the generation hardware).
+//! window plus a human-readable `manifest.json` — and a
+//! [`ReplaySource`](crate::ReplaySource) reads the ZIP back and re-emits the
+//! identical window stream, so a classroom can watch the same DDoS unfold
+//! without regenerating a million events (and without the generation
+//! hardware).
 //!
 //! ```
+//! use std::io::Cursor;
 //! use tw_ingest::{ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, ReplaySource, Scenario};
 //!
 //! // Record four windows of the DDoS scenario.
@@ -28,8 +30,8 @@
 //! }
 //! let bytes = recorder.finish().unwrap();
 //!
-//! // Replay them: the stream is identical, cell for cell.
-//! let mut replay = ReplaySource::parse(&bytes).unwrap();
+//! // Replay them from memory: the stream is identical, cell for cell.
+//! let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
 //! assert_eq!(replay.manifest().scenario, "ddos");
 //! for recorded in &reports {
 //!     let replayed = replay.next_window().unwrap().unwrap();
@@ -39,13 +41,10 @@
 //! assert!(replay.next_window().unwrap().is_none());
 //! ```
 
-use crate::codec::{
-    decode_window_into, encode_window, encode_window_delta, CodecError, CodecMetrics, DecodeScratch,
-};
-use crate::frame::{recorded_frame_buffer, seal_recorded_frame};
+use crate::codec::{encode_window, encode_window_delta, CodecError, CodecMetrics};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
-use tw_archive::{ArchiveError, ZipReader, ZipWriter};
+use tw_archive::{ArchiveError, ZipWriter};
 use tw_json::{Map, Value};
 use tw_metrics::MetricsRegistry;
 
@@ -294,101 +293,6 @@ impl ReplayManifest {
     }
 }
 
-/// Re-emits a recorded window stream from ZIP bytes.
-///
-/// Parsing validates the container (every CRC) and the manifest once;
-/// windows are then decoded lazily, one per [`ReplaySource::next_window`]
-/// call, in the order they were recorded — the same pull discipline as
-/// [`Pipeline::next_window`](crate::Pipeline::next_window), so anything that
-/// can follow a live pipeline (a
-/// [`LiveWarehouse`](../../tw_game/live/struct.LiveWarehouse.html), a
-/// `GameSession`) can follow a replay unchanged.
-#[derive(Debug)]
-pub struct ReplaySource<'a> {
-    reader: ZipReader<'a>,
-    manifest: ReplayManifest,
-    cursor: usize,
-    /// Delta base + recycled decode buffers: consecutive windows decode
-    /// into reused allocations, and delta entries patch the previous one.
-    scratch: DecodeScratch,
-}
-
-impl<'a> ReplaySource<'a> {
-    /// Parse a recording from ZIP bytes (the caller keeps the bytes alive;
-    /// window payloads are decoded zero-copy out of them).
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, RecordError> {
-        let reader = ZipReader::parse(bytes)?;
-        let manifest_text = reader
-            .read_text(MANIFEST_ENTRY)
-            .map_err(|_| RecordError::Manifest(format!("missing {MANIFEST_ENTRY}")))?;
-        let manifest = parse_manifest(manifest_text, |name| reader.read(name).is_ok())?;
-        Ok(ReplaySource {
-            reader,
-            manifest,
-            cursor: 0,
-            scratch: DecodeScratch::new(),
-        })
-    }
-
-    /// The recording's identity and per-entry table.
-    pub fn manifest(&self) -> &ReplayManifest {
-        &self.manifest
-    }
-
-    /// Windows not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.manifest.entries.len() - self.cursor
-    }
-
-    /// Decode and emit the next recorded window; `Ok(None)` once the
-    /// recording is exhausted.
-    ///
-    /// The report carries the entry as a wire frame
-    /// ([`WindowReport::frame`]), sealed with the CRC that parsing verified,
-    /// so `serve` can forward it without encoding.
-    pub fn next_window(&mut self) -> Result<Option<WindowReport>, RecordError> {
-        let Some(entry) = self.manifest.entries.get(self.cursor) else {
-            return Ok(None);
-        };
-        let (bytes, crc) = self.reader.read_with_crc(entry)?;
-        let mut report = decode_window_into(bytes, &mut self.scratch)?;
-        check_shape(&report, entry, self.manifest.node_count)?;
-        let mut frame = recorded_frame_buffer(bytes.len());
-        frame.extend_from_slice(bytes);
-        report.frame = seal_recorded_frame(frame, crc);
-        self.cursor += 1;
-        Ok(Some(report))
-    }
-
-    /// Decode every remaining window into a vector.
-    pub fn collect_windows(&mut self) -> Result<Vec<WindowReport>, RecordError> {
-        let mut out = Vec::with_capacity(self.remaining());
-        while let Some(report) = self.next_window()? {
-            out.push(report);
-        }
-        Ok(out)
-    }
-}
-
-/// In-memory recording playback as a [`WindowStream`](crate::WindowStream).
-impl crate::stream::WindowStream for ReplaySource<'_> {
-    fn next_window(&mut self) -> Result<Option<WindowReport>, crate::stream::StreamError> {
-        ReplaySource::next_window(self).map_err(Into::into)
-    }
-
-    fn node_count(&self) -> usize {
-        self.manifest.node_count
-    }
-
-    fn window_us(&self) -> u64 {
-        self.manifest.window_us
-    }
-
-    fn remaining_windows(&self) -> Option<usize> {
-        Some(self.remaining())
-    }
-}
-
 /// Reject a decoded window whose shape disagrees with the manifest.
 pub(crate) fn check_shape(
     report: &WindowReport,
@@ -411,9 +315,7 @@ fn manifest_u64(root: &Value, key: &str) -> Result<u64, RecordError> {
 }
 
 /// Parse and validate a recording manifest. `has_entry` answers whether the
-/// backing archive holds a named entry, so the same validation serves both
-/// the in-memory [`ReplaySource`] and the seekable
-/// [`SeekReplaySource`](crate::replay::SeekReplaySource).
+/// backing archive holds a named entry.
 pub(crate) fn parse_manifest(
     text: &str,
     has_entry: impl Fn(&str) -> bool,
@@ -494,7 +396,19 @@ pub(crate) fn parse_manifest(
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
+    use crate::replay::ReplaySource;
     use crate::scenario::Scenario;
+    use crate::stream::collect_stream;
+    use std::io::Cursor;
+    use tw_archive::ZipReader;
+
+    fn replay(bytes: &[u8]) -> ReplaySource<Cursor<&[u8]>> {
+        ReplaySource::new(Cursor::new(bytes)).unwrap()
+    }
+
+    fn reader(bytes: &[u8]) -> ZipReader<Cursor<&[u8]>> {
+        ZipReader::parse(Cursor::new(bytes)).unwrap()
+    }
 
     fn record_ddos(windows: usize) -> (Vec<WindowReport>, Vec<u8>) {
         record_ddos_with_cadence(windows, 0)
@@ -529,7 +443,7 @@ mod tests {
     #[test]
     fn recording_replays_cell_for_cell() {
         let (reports, bytes) = record_ddos(4);
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
+        let mut replay = replay(&bytes);
         assert_eq!(replay.manifest().scenario, "ddos");
         assert_eq!(replay.manifest().seed, 7);
         assert_eq!(replay.manifest().node_count, 128);
@@ -546,12 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn collect_windows_drains_the_recording() {
+    fn collect_stream_drains_the_recording() {
         let (reports, bytes) = record_ddos(3);
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
-        let windows = replay.collect_windows().unwrap();
+        let mut replay = replay(&bytes);
+        let windows = collect_stream(&mut replay, usize::MAX).unwrap();
         assert_eq!(windows.len(), reports.len());
-        assert!(replay.collect_windows().unwrap().is_empty());
+        assert!(collect_stream(&mut replay, usize::MAX).unwrap().is_empty());
     }
 
     #[test]
@@ -560,15 +474,15 @@ mod tests {
         // (the raw bytes differ only in the wall-clock `elapsed` stats).
         let (_, a) = record_ddos(2);
         let (_, b) = record_ddos(2);
-        let windows_a = ReplaySource::parse(&a).unwrap().collect_windows().unwrap();
-        let windows_b = ReplaySource::parse(&b).unwrap().collect_windows().unwrap();
+        let windows_a = collect_stream(&mut replay(&a), usize::MAX).unwrap();
+        let windows_b = collect_stream(&mut replay(&b), usize::MAX).unwrap();
         assert_eq!(windows_a.len(), 2);
         for (wa, wb) in windows_a.iter().zip(&windows_b) {
             assert_eq!(wa.matrix, wb.matrix);
             assert_eq!(wa.stats.events, wb.stats.events);
             assert_eq!(wa.stats.packets, wb.stats.packets);
         }
-        let reader = ZipReader::parse(&a).unwrap();
+        let reader = reader(&a);
         let names: Vec<&str> = reader.entry_names().collect();
         assert_eq!(
             names,
@@ -583,8 +497,7 @@ mod tests {
     #[test]
     fn manifest_is_human_readable_json() {
         let (reports, bytes) = record_ddos(2);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let manifest = tw_json::parse(reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
+        let manifest = tw_json::parse(&reader(&bytes).read_text(MANIFEST_ENTRY).unwrap()).unwrap();
         assert_eq!(
             manifest.get("format").and_then(Value::as_str),
             Some(MANIFEST_FORMAT)
@@ -622,35 +535,24 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_archives_without_a_manifest() {
-        let mut w = ZipWriter::new();
-        w.add_file("windows/00000000.bin", b"junk").unwrap();
-        let bytes = w.finish().unwrap();
-        assert!(matches!(
-            ReplaySource::parse(&bytes),
-            Err(RecordError::Manifest(msg)) if msg.contains(MANIFEST_ENTRY)
-        ));
-    }
-
-    #[test]
     fn replay_rejects_inconsistent_manifests() {
         let (_, bytes) = record_ddos(2);
-        let reader = ZipReader::parse(&bytes).unwrap();
+        let mut reader = reader(&bytes);
         let manifest = reader.read_text(MANIFEST_ENTRY).unwrap();
 
         // Rebuild the archive with a manifest naming a missing window entry.
         let mut w = ZipWriter::new();
-        for entry in reader.entries() {
-            if entry.name != MANIFEST_ENTRY {
-                w.add_file(&entry.name, reader.read(&entry.name).unwrap())
-                    .unwrap();
+        let names: Vec<String> = reader.entry_names().map(str::to_string).collect();
+        for name in names {
+            if name != MANIFEST_ENTRY {
+                w.add_file(&name, &reader.read(&name).unwrap()).unwrap();
             }
         }
         let tampered = manifest.replace("windows/00000001.bin", "windows/00000009.bin");
         w.add_file(MANIFEST_ENTRY, tampered.as_bytes()).unwrap();
         let bytes = w.finish().unwrap();
         assert!(matches!(
-            ReplaySource::parse(&bytes),
+            ReplaySource::new(Cursor::new(&bytes)),
             Err(RecordError::Manifest(msg)) if msg.contains("00000009")
         ));
     }
@@ -658,14 +560,13 @@ mod tests {
     #[test]
     fn replay_rejects_corrupt_window_payloads() {
         let (_, bytes) = record_ddos(1);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let manifest = reader.read_text(MANIFEST_ENTRY).unwrap().to_string();
+        let manifest = reader(&bytes).read_text(MANIFEST_ENTRY).unwrap();
         let mut w = ZipWriter::new();
         w.add_file("windows/00000000.bin", b"not an encoded window")
             .unwrap();
         w.add_file(MANIFEST_ENTRY, manifest.as_bytes()).unwrap();
         let bytes = w.finish().unwrap();
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
+        let mut replay = replay(&bytes);
         assert!(matches!(
             replay.next_window(),
             Err(RecordError::Codec(CodecError::BadMagic))
@@ -677,7 +578,7 @@ mod tests {
         let (reports, _) = record_ddos(6);
         for cadence in [1u64, 2, 3, 5, 10] {
             let (_, bytes) = record_ddos_with_cadence(6, cadence);
-            let mut replay = ReplaySource::parse(&bytes).unwrap();
+            let mut replay = replay(&bytes);
             assert_eq!(replay.manifest().keyframe_every, cadence);
             for recorded in &reports {
                 let replayed = replay.next_window().unwrap().unwrap();
@@ -742,7 +643,7 @@ mod tests {
             full.len()
         );
         // And it still replays cell-for-cell.
-        let mut replay = ReplaySource::parse(&delta).unwrap();
+        let mut replay = replay(&delta);
         for want in &steady_reports {
             let got = replay.next_window().unwrap().unwrap();
             assert_eq!(got.matrix, want.matrix);
@@ -756,8 +657,8 @@ mod tests {
         // delta version so pre-delta readers reject it cleanly.
         use crate::codec::{DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION};
         let (_, bytes) = record_ddos_with_cadence(7, 3);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let manifest = tw_json::parse(reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
+        let mut reader = reader(&bytes);
+        let manifest = tw_json::parse(&reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
         assert_eq!(
             manifest.get("version").and_then(Value::as_i64),
             Some(MANIFEST_VERSION_DELTA)
@@ -783,8 +684,9 @@ mod tests {
         // entry a full v2 window.
         use crate::codec::FULL_WINDOW_VERSION;
         let (_, bytes) = record_ddos(2);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let manifest = tw_json::parse(reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
+        let mut reader = reader(&bytes);
+        let text = reader.read_text(MANIFEST_ENTRY).unwrap();
+        let manifest = tw_json::parse(&text).unwrap();
         assert_eq!(
             manifest.get("version").and_then(Value::as_i64),
             Some(MANIFEST_VERSION)
@@ -797,9 +699,7 @@ mod tests {
         }
         // A manifest from before the delta era (no keyframe_every key at
         // all) parses with cadence 0.
-        let stripped: String = reader
-            .read_text(MANIFEST_ENTRY)
-            .unwrap()
+        let stripped: String = text
             .lines()
             .filter(|l| !l.contains("keyframe_every"))
             .collect::<Vec<_>>()
@@ -811,8 +711,7 @@ mod tests {
     #[test]
     fn future_manifest_versions_are_rejected() {
         let (_, bytes) = record_ddos(1);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let text = reader.read_text(MANIFEST_ENTRY).unwrap();
+        let text = reader(&bytes).read_text(MANIFEST_ENTRY).unwrap();
         let future = text.replace(
             &format!("\"version\": {MANIFEST_VERSION}"),
             &format!("\"version\": {}", MANIFEST_VERSION_DELTA + 1),

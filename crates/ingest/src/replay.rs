@@ -1,32 +1,35 @@
-//! Replaying a recorded window stream incrementally from disk.
+//! Replaying a recorded window stream, one window entry per pull.
 //!
-//! [`ReplaySource`](crate::ReplaySource) needs the whole recording in memory
-//! — fine for a lesson-sized ZIP, wasteful for an hour-long capture served to
-//! a classroom. [`SeekReplaySource`] keeps only the central directory and the
-//! manifest resident and pulls **one window entry at a time** from a seekable
-//! source (via [`SeekZipReader`]), CRC-checking and decoding each window as
-//! it is requested; peak memory is one window plus the directory, independent
-//! of recording length. Each entry is read straight into a wire-frame buffer
-//! that the report carries ([`WindowReport::frame`]), so `serve` can forward
-//! a recorded window without encoding it again. [`FileReplaySource`] is the
-//! `std::fs::File`-backed alias the CLI uses.
-//!
-//! Both replay sources implement [`WindowStream`](crate::WindowStream) and
-//! emit the identical window sequence, frames included, so consumers cannot
-//! tell them apart (property: see `replay_matches_the_in_memory_source`).
+//! [`ReplaySource`] reads a recording made by
+//! [`ArchiveRecorder`](crate::ArchiveRecorder) from any seekable source. It
+//! keeps only the ZIP central directory and the manifest resident and pulls
+//! **one window entry at a time** (via [`ZipReader`]), CRC-checking and
+//! decoding each window as it is requested; peak memory is one window plus
+//! the directory, independent of recording length. Each entry is read
+//! straight into a wire-frame buffer that the report carries
+//! ([`WindowReport::frame`]), so `serve` can forward a recorded window
+//! without encoding it again. [`FileReplaySource`] is the
+//! `BufReader<File>`-backed alias the CLI uses; a recording already in
+//! memory replays through a `std::io::Cursor`.
 
 use crate::codec::{decode_window_into, DecodeScratch};
 use crate::frame::{recorded_frame_buffer, seal_recorded_frame, HEADER_LEN};
 use crate::record::{check_shape, parse_manifest, RecordError, ReplayManifest, MANIFEST_ENTRY};
 use crate::window::WindowReport;
 use std::io::{Read, Seek};
-use tw_archive::SeekZipReader;
+use tw_archive::ZipReader;
 
 /// Replays a recorded window stream from a seekable source, decoding one
 /// window per pull.
+///
+/// Windows come out in the order they were recorded — the same pull
+/// discipline as [`Pipeline::next_window`](crate::Pipeline::next_window),
+/// so anything that can follow a live pipeline (a
+/// [`LiveWarehouse`](../../tw_game/live/struct.LiveWarehouse.html), a
+/// `GameSession`) can follow a replay unchanged.
 #[derive(Debug)]
-pub struct SeekReplaySource<R: Read + Seek> {
-    reader: SeekZipReader<R>,
+pub struct ReplaySource<R: Read + Seek> {
+    reader: ZipReader<R>,
     manifest: ReplayManifest,
     cursor: usize,
     /// Delta base + recycled decode buffers (see
@@ -34,18 +37,19 @@ pub struct SeekReplaySource<R: Read + Seek> {
     scratch: DecodeScratch,
 }
 
-impl<R: Read + Seek> SeekReplaySource<R> {
+impl<R: Read + Seek> ReplaySource<R> {
     /// Parse the recording's directory and manifest from a seekable source.
     ///
     /// Only the ZIP central directory and `manifest.json` are read here;
-    /// window payloads stay on disk until pulled.
+    /// window payloads stay in the source until pulled, so a corrupt window
+    /// fails at its pull, not here.
     pub fn new(source: R) -> Result<Self, RecordError> {
-        let mut reader = SeekZipReader::parse(source)?;
+        let mut reader = ZipReader::parse(source)?;
         let manifest_text = reader
             .read_text(MANIFEST_ENTRY)
             .map_err(|_| RecordError::Manifest(format!("missing {MANIFEST_ENTRY}")))?;
         let manifest = parse_manifest(&manifest_text, |name| reader.has_entry(name))?;
-        Ok(SeekReplaySource {
+        Ok(ReplaySource {
             reader,
             manifest,
             cursor: 0,
@@ -120,10 +124,10 @@ impl<R: Read + Seek> SeekReplaySource<R> {
     }
 }
 
-/// Disk-streaming playback as a [`WindowStream`](crate::WindowStream).
-impl<R: Read + Seek> crate::stream::WindowStream for SeekReplaySource<R> {
+/// Recording playback as a [`WindowStream`](crate::WindowStream).
+impl<R: Read + Seek> crate::stream::WindowStream for ReplaySource<R> {
     fn next_window(&mut self) -> Result<Option<WindowReport>, crate::stream::StreamError> {
-        SeekReplaySource::next_window(self).map_err(Into::into)
+        ReplaySource::next_window(self).map_err(Into::into)
     }
 
     fn node_count(&self) -> usize {
@@ -140,14 +144,14 @@ impl<R: Read + Seek> crate::stream::WindowStream for SeekReplaySource<R> {
 }
 
 /// A recording replayed incrementally from a file on disk.
-pub type FileReplaySource = SeekReplaySource<std::io::BufReader<std::fs::File>>;
+pub type FileReplaySource = ReplaySource<std::io::BufReader<std::fs::File>>;
 
 impl FileReplaySource {
     /// Open a recording file for incremental replay.
     pub fn open(path: &str) -> Result<Self, RecordError> {
         let file = std::fs::File::open(path)
             .map_err(|e| RecordError::Archive(tw_archive::ArchiveError::from(e)))?;
-        SeekReplaySource::new(std::io::BufReader::new(file))
+        ReplaySource::new(std::io::BufReader::new(file))
     }
 }
 
@@ -155,7 +159,7 @@ impl FileReplaySource {
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use crate::record::{ArchiveRecorder, RecordingMeta, ReplaySource};
+    use crate::record::{ArchiveRecorder, RecordingMeta};
     use crate::scenario::Scenario;
     use crate::stream::{collect_stream, WindowStream};
     use std::io::Cursor;
@@ -193,7 +197,7 @@ mod tests {
     #[test]
     fn replays_cell_for_cell_from_a_cursor() {
         let (reports, bytes) = record_ddos(4);
-        let mut replay = SeekReplaySource::new(Cursor::new(&bytes)).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(replay.manifest().scenario, "ddos");
         assert_eq!(replay.manifest().node_count, 128);
         assert_eq!(replay.remaining(), 4);
@@ -201,34 +205,19 @@ mod tests {
             let replayed = replay.next_window().unwrap().unwrap();
             assert_eq!(replayed.matrix, recorded.matrix);
             assert_eq!(replayed.stats, recorded.stats);
+            assert!(
+                replayed.frame.is_some(),
+                "replayed windows carry their frame"
+            );
         }
         assert_eq!(replay.remaining(), 0);
         assert!(replay.next_window().unwrap().is_none(), "stays exhausted");
     }
 
     #[test]
-    fn replay_matches_the_in_memory_source() {
-        let (_, bytes) = record_ddos(3);
-        let mut in_memory = ReplaySource::parse(&bytes).unwrap();
-        let mut from_disk = SeekReplaySource::new(Cursor::new(&bytes)).unwrap();
-        assert_eq!(in_memory.manifest(), from_disk.manifest());
-        let a = collect_stream(&mut in_memory, usize::MAX).unwrap();
-        let b = collect_stream(&mut from_disk, usize::MAX).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a, b, "both sources must emit the identical stream");
-        for (a, b) in a.iter().zip(&b) {
-            assert!(a.frame.is_some(), "replayed windows carry their frame");
-            assert_eq!(
-                a.frame, b.frame,
-                "both sources must carry the identical frame"
-            );
-        }
-    }
-
-    #[test]
     fn streams_through_the_trait_object() {
         let (_, bytes) = record_ddos(2);
-        let mut replay = SeekReplaySource::new(Cursor::new(&bytes)).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
         let stream: &mut dyn WindowStream = &mut replay;
         assert_eq!(stream.node_count(), 128);
         assert_eq!(stream.window_us(), 50_000);
@@ -263,32 +252,46 @@ mod tests {
 
     #[test]
     fn corrupt_windows_fail_at_pull_time_not_open_time() {
-        use tw_archive::{ZipReader, ZipWriter};
+        use tw_archive::ZipWriter;
         let (_, bytes) = record_ddos(2);
-        let reader = ZipReader::parse(&bytes).unwrap();
-        let manifest = reader.read_text(MANIFEST_ENTRY).unwrap().to_string();
+        let mut reader = ZipReader::parse(Cursor::new(&bytes)).unwrap();
+        let manifest = reader.read_text(MANIFEST_ENTRY).unwrap();
         let mut w = ZipWriter::new();
         w.add_file("windows/00000000.bin", b"garbage").unwrap();
         w.add_file(
             "windows/00000001.bin",
-            reader.read("windows/00000001.bin").unwrap(),
+            &reader.read("windows/00000001.bin").unwrap(),
         )
         .unwrap();
         w.add_file(MANIFEST_ENTRY, manifest.as_bytes()).unwrap();
         let tampered = w.finish().unwrap();
 
         // Opening succeeds: only the directory and manifest are validated.
-        let mut replay = SeekReplaySource::new(Cursor::new(&tampered)).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&tampered)).unwrap();
         assert!(matches!(
             replay.next_window(),
             Err(RecordError::Codec(crate::codec::CodecError::BadMagic))
+        ));
+
+        // A flipped byte inside window 1's stored data: the entry CRC
+        // catches it when that window is pulled, and window 0 still plays.
+        let mut flipped = bytes.clone();
+        let name = b"windows/00000001.bin";
+        let header = flipped.windows(name.len()).position(|w| w == name).unwrap() - 30;
+        flipped[header + 30 + name.len() + 40] ^= 0x01;
+        let mut replay = ReplaySource::new(Cursor::new(&flipped)).unwrap();
+        assert!(replay.next_window().unwrap().is_some());
+        assert!(matches!(
+            replay.next_window(),
+            Err(RecordError::Archive(ArchiveError::CrcMismatch { name, .. }))
+                if name == "windows/00000001.bin"
         ));
     }
 
     #[test]
     fn delta_recordings_stream_and_seek_from_disk() {
         let (reports, bytes) = record_ddos_with_cadence(7, 3);
-        let mut replay = SeekReplaySource::new(Cursor::new(&bytes)).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
         for recorded in &reports {
             let replayed = replay.next_window().unwrap().unwrap();
             assert_eq!(replayed.matrix, recorded.matrix);
@@ -325,7 +328,7 @@ mod tests {
 
         // Cadence 0: every window is its own key frame.
         let (reports, bytes) = record_ddos(3);
-        let mut replay = SeekReplaySource::new(Cursor::new(&bytes)).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(replay.seek(2).unwrap(), 2);
         let report = replay.next_window().unwrap().unwrap();
         assert_eq!(report.matrix, reports[2].matrix);
@@ -337,7 +340,7 @@ mod tests {
         w.add_file("windows/00000000.bin", b"junk").unwrap();
         let bytes = w.finish().unwrap();
         assert!(matches!(
-            SeekReplaySource::new(Cursor::new(&bytes)),
+            ReplaySource::new(Cursor::new(&bytes)),
             Err(RecordError::Manifest(msg)) if msg.contains(MANIFEST_ENTRY)
         ));
     }

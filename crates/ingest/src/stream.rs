@@ -7,10 +7,9 @@
 //! single pull-based contract they all share:
 //!
 //! * [`Pipeline`](crate::Pipeline) — live generation (never fails);
-//! * [`ReplaySource`](crate::ReplaySource) — in-memory recording playback;
-//! * [`SeekReplaySource`](crate::SeekReplaySource) /
-//!   [`FileReplaySource`](crate::FileReplaySource) — recording playback
-//!   streamed from disk one window at a time;
+//! * [`ReplaySource`](crate::ReplaySource) — recording playback, one window
+//!   entry per pull, from a file ([`FileReplaySource`](crate::FileReplaySource))
+//!   or from bytes in memory (a `std::io::Cursor`);
 //! * [`Paced`] — a rate-pacing adapter over any of the above, so a replay
 //!   unfolds at classroom speed instead of as fast as the disk allows.
 //!
@@ -194,7 +193,8 @@ pub fn collect_stream<S: WindowStream + ?Sized>(
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use crate::record::{ArchiveRecorder, RecordingMeta, ReplaySource};
+    use crate::record::{ArchiveRecorder, RecordingMeta};
+    use crate::replay::ReplaySource;
     use crate::scenario::Scenario;
 
     fn short_pipeline() -> Pipeline {
@@ -237,7 +237,7 @@ mod tests {
             recorder.record(report).unwrap();
         }
         let bytes = recorder.finish().unwrap();
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
+        let mut replay = ReplaySource::new(std::io::Cursor::new(&bytes)).unwrap();
         let stream: &mut dyn WindowStream = &mut replay;
         assert_eq!(stream.node_count(), 64);
         assert_eq!(stream.window_us(), 50_000);

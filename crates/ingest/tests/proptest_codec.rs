@@ -2,9 +2,12 @@
 //! ANY CSR window survives encode → ZIP → decode cell-for-cell.
 
 use proptest::prelude::*;
+use std::io::Cursor;
 use std::time::Duration;
 use tw_ingest::codec::{decode_window, encode_window};
-use tw_ingest::{ArchiveRecorder, IngestStats, RecordingMeta, ReplaySource, WindowReport};
+use tw_ingest::{
+    collect_stream, ArchiveRecorder, IngestStats, RecordingMeta, ReplaySource, WindowReport,
+};
 use tw_matrix::stream::PacketEvent;
 use tw_matrix::CsrMatrix;
 
@@ -109,10 +112,10 @@ proptest! {
         }
         let bytes = recorder.finish().unwrap();
 
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
         prop_assert_eq!(replay.manifest().window_count(), reports.len());
         prop_assert_eq!(replay.manifest().node_count, 48);
-        let replayed = replay.collect_windows().unwrap();
+        let replayed = collect_stream(&mut replay, usize::MAX).unwrap();
         prop_assert_eq!(replayed.len(), reports.len());
         for (replayed, recorded) in replayed.iter().zip(&reports) {
             prop_assert_eq!(&replayed.matrix, &recorded.matrix);

@@ -9,8 +9,8 @@ use std::io::Cursor;
 use std::time::Duration;
 use tw_ingest::frame::{read_raw_frame, window_frame, FrameKind};
 use tw_ingest::{
-    decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
-    DecodeScratch, IngestStats, RecordingMeta, ReplaySource, SeekReplaySource, WindowReport,
+    collect_stream, decode_window, decode_window_into, encode_window, encode_window_delta,
+    ArchiveRecorder, DecodeScratch, IngestStats, RecordingMeta, ReplaySource, WindowReport,
     FULL_WINDOW_VERSION,
 };
 use tw_matrix::CsrMatrix;
@@ -115,8 +115,8 @@ proptest! {
         let bytes = record(&reports, keyframe_every);
 
         // Straight replay: every window equals the recorded one.
-        let mut replay = ReplaySource::parse(&bytes).unwrap();
-        let replayed = replay.collect_windows().unwrap();
+        let mut replay = ReplaySource::new(Cursor::new(&bytes)).unwrap();
+        let replayed = collect_stream(&mut replay, usize::MAX).unwrap();
         prop_assert_eq!(replayed.len(), reports.len());
         for (replayed, recorded) in replayed.iter().zip(&reports) {
             prop_assert_eq!(&replayed.matrix, &recorded.matrix);
@@ -126,7 +126,7 @@ proptest! {
         // Seeking lands on a covering key frame and rolls forward, so the
         // window pulled after any in-range seek is exactly the target.
         let target = target.min(reports.len() - 1);
-        let mut seeker = SeekReplaySource::new(Cursor::new(bytes)).unwrap();
+        let mut seeker = ReplaySource::new(Cursor::new(bytes)).unwrap();
         let key = seeker.seek(target).unwrap();
         prop_assert!(key <= target);
         if keyframe_every > 0 {

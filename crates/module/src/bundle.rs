@@ -8,6 +8,7 @@
 use crate::error::{ModuleError, Result};
 use crate::schema::LearningModule;
 use crate::validate::{validate, ValidationReport};
+use std::io::Cursor;
 use tw_archive::{ZipReader, ZipWriter};
 
 /// An ordered collection of learning modules, serializable as a ZIP bundle.
@@ -90,7 +91,7 @@ impl ModuleBundle {
     /// non-JSON entries are rejected so a student cannot accidentally load a
     /// bundle with stray content.
     pub fn from_zip(name: &str, bytes: &[u8]) -> Result<Self> {
-        let reader = ZipReader::parse(bytes)?;
+        let mut reader = ZipReader::parse(Cursor::new(bytes))?;
         if reader.is_empty() {
             return Err(ModuleError::EmptyBundle);
         }
@@ -102,7 +103,7 @@ impl ModuleBundle {
                 return Err(ModuleError::NotAModuleFile(entry.clone()));
             }
             let text = reader.read_text(entry)?;
-            let module = LearningModule::from_json(text)
+            let module = LearningModule::from_json(&text)
                 .map_err(|e| ModuleError::Invalid(format!("{entry}: {e}")))?;
             modules.push(module);
         }
@@ -177,6 +178,24 @@ mod tests {
         match ModuleBundle::from_zip("x", &bytes).unwrap_err() {
             ModuleError::Invalid(msg) => assert!(msg.contains("00_bad.json"), "{msg}"),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_entries_fail_their_crc_check() {
+        let mut bytes = sample_bundle().to_zip().unwrap();
+        // Flip the case of one letter inside the second module's JSON: the
+        // text still parses, so only the entry's CRC can catch it.
+        let pos = bytes
+            .windows(14)
+            .position(|w| w == b"10x10 Template")
+            .unwrap();
+        bytes[pos + 6] ^= 0x20;
+        match ModuleBundle::from_zip("x", &bytes).unwrap_err() {
+            ModuleError::Archive(tw_archive::ArchiveError::CrcMismatch { name, .. }) => {
+                assert!(name.starts_with("01_"), "{name}")
+            }
+            other => panic!("expected a CRC mismatch, got {other:?}"),
         }
     }
 

@@ -97,7 +97,9 @@ mod tests {
     fn conversions_from_substrate_errors() {
         let j: ModuleError = tw_json::parse("{").unwrap_err().into();
         assert!(matches!(j, ModuleError::Json(_)));
-        let a: ModuleError = tw_archive::ZipReader::parse(b"junk").unwrap_err().into();
+        let a: ModuleError = tw_archive::ZipReader::parse(std::io::Cursor::new(b"junk"))
+            .unwrap_err()
+            .into();
         assert!(matches!(a, ModuleError::Archive(_)));
     }
 }

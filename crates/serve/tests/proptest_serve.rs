@@ -18,7 +18,7 @@ use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::frame::{read_raw_frame, FrameKind};
 use tw_ingest::{
     collect_stream, decode_window_into, ArchiveRecorder, DecodeScratch, Pipeline, PipelineConfig,
-    RecordingMeta, Scenario, SeekReplaySource, StreamError, WindowReport, WindowStream,
+    RecordingMeta, ReplaySource, Scenario, StreamError, WindowReport, WindowStream,
     FULL_WINDOW_VERSION,
 };
 use tw_metrics::MetricsRegistry;
@@ -283,14 +283,15 @@ fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, legacy: 
     if !legacy {
         return bytes;
     }
-    let reader = ZipReader::parse(&bytes).unwrap();
+    let mut reader = ZipReader::parse(Cursor::new(&bytes)).unwrap();
     let mut writer = ZipWriter::new();
-    for (i, name) in reader.entry_names().enumerate() {
+    let names: Vec<String> = reader.entry_names().map(str::to_string).collect();
+    for (i, name) in names.iter().enumerate() {
         let entry = reader.read(name).unwrap();
         let entry = if i == 0 {
-            to_version_one(entry)
+            to_version_one(&entry)
         } else {
-            entry.to_vec()
+            entry
         };
         writer.add_file(name, &entry).unwrap();
     }
@@ -357,7 +358,7 @@ fn serve_recording(
             read_wire(addr)
         });
         let mut stream = Harness {
-            inner: SeekReplaySource::new(Cursor::new(recording)).unwrap(),
+            inner: ReplaySource::new(Cursor::new(recording)).unwrap(),
             strip_frames,
             pulled: 0,
             join_at,

@@ -14,12 +14,19 @@
 //! `{"bench/name": median_ns}` object — so the repo accumulates a
 //! machine-readable perf trajectory (CI uploads these files as artifacts).
 //! Every record opens with the host facts that produced it: `host.nproc`
-//! (available CPUs) and `host.commit` (`git describe --always --dirty` of
-//! the working directory, or `"unknown"` outside a git checkout).
+//! (available CPUs), `host.commit` (`git describe --always --dirty` of
+//! the working directory, or `"unknown"` outside a git checkout), and one
+//! `host.env.<NAME>` string per `TW_*_BENCH_*` scale variable that is set,
+//! so a smoke-scale record cannot pass for a full-scale one.
 //! Set `BENCH_JSON_DIR` to redirect the output directory; set it to `-` to
-//! disable writing.
+//! disable writing. A group that panics (a missed bound asserted inside the
+//! bench) does not lose the record: `criterion_main!` still runs the other
+//! groups, writes the file, and then resumes the first panic, so the run
+//! fails with its data on disk.
 
+use std::any::Any;
 use std::fmt::Display;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -234,10 +241,29 @@ fn host_facts() -> Vec<(String, String)> {
         .map(|text| text.trim().to_string())
         .filter(|text| !text.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
-    vec![
+    let mut facts = vec![
         ("host.nproc".to_string(), nproc.to_string()),
         ("host.commit".to_string(), json_string(&commit)),
-    ]
+    ];
+    facts.extend(bench_env_facts(std::env::vars_os().filter_map(
+        |(key, value)| Some((key.into_string().ok()?, value.into_string().ok()?)),
+    )));
+    facts
+}
+
+/// One `host.env.<NAME>` fact per `TW_*_BENCH_*` variable among `vars`,
+/// sorted by name, its value as a JSON string.
+fn bench_env_facts(vars: impl Iterator<Item = (String, String)>) -> Vec<(String, String)> {
+    let mut facts: Vec<(String, String)> = vars
+        .filter(|(key, _)| {
+            key.strip_prefix("TW_")
+                .and_then(|rest| rest.find("_BENCH_"))
+                .is_some_and(|at| at > 0)
+        })
+        .map(|(key, value)| (format!("host.env.{key}"), json_string(&value)))
+        .collect();
+    facts.sort();
+    facts
 }
 
 /// Serialize the host facts (pre-rendered JSON values) and the recorded
@@ -285,6 +311,23 @@ pub fn write_results(target: &str) {
     }
 }
 
+/// Run every benchmark group, then write `BENCH_<target>.json` (see
+/// [`write_results`]). A panicking group does not stop the others or the
+/// write; the first panic is resumed once the record is on disk, so the
+/// process still fails. This is the body of `criterion_main!`.
+pub fn run_main(target: &str, groups: &[fn()]) {
+    let mut first_panic: Option<Box<dyn Any + Send>> = None;
+    for group in groups {
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(group)) {
+            first_panic.get_or_insert(panic);
+        }
+    }
+    write_results(target);
+    if let Some(panic) = first_panic {
+        resume_unwind(panic);
+    }
+}
+
 fn format_ns(nanos: u128) -> String {
     if nanos >= 1_000_000_000 {
         format!("{:.4} s", nanos as f64 / 1e9)
@@ -323,8 +366,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $( $group(); )+
-            $crate::write_results(env!("CARGO_CRATE_NAME"));
+            $crate::run_main(env!("CARGO_CRATE_NAME"), &[$($group),+]);
         }
     };
 }
@@ -383,8 +425,12 @@ mod tests {
         assert!(json.trim_end().ends_with('}'));
     }
 
+    /// Serializes the tests that set `BENCH_JSON_DIR`.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn write_results_honors_disable_and_directory() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // `-` disables writing entirely (used by test runs).
         std::env::set_var("BENCH_JSON_DIR", "-");
         write_results("shimtest_disabled");
@@ -402,6 +448,64 @@ mod tests {
         assert!(written.contains("\"host.commit\": \""), "{written}");
         std::env::remove_var("BENCH_JSON_DIR");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panicking_group_still_writes_the_record_then_fails() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        fn fails_a_bound() {
+            record_measurement("panicky/before_the_bound", 7);
+            panic!("bound missed");
+        }
+        fn runs_after() {
+            record_measurement("panicky/later_group", 9);
+        }
+        let dir = std::env::temp_dir().join(format!("criterion-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var("BENCH_JSON_DIR", &dir);
+        let outcome = catch_unwind(|| run_main("shimpanic", &[fails_a_bound, runs_after]));
+        std::env::remove_var("BENCH_JSON_DIR");
+        let panic = outcome.expect_err("the group's panic is resumed");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"bound missed"));
+        let written = std::fs::read_to_string(dir.join("BENCH_shimpanic.json")).unwrap();
+        assert!(
+            written.contains("\"panicky/before_the_bound\": 7"),
+            "{written}"
+        );
+        assert!(written.contains("\"panicky/later_group\": 9"), "{written}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bench_scale_variables_are_stamped_as_host_facts() {
+        let vars = [
+            ("TW_SERVE_BENCH_WINDOWS", "2"),
+            ("TW_CODEC_BENCH_EVENTS", "20000"),
+            ("TW_BENCH_EVENTS", "1"),
+            ("TW_CODEC_EVENTS", "1"),
+            ("BENCH_JSON_DIR", "-"),
+            ("PATH", "/bin"),
+        ]
+        .map(|(k, v)| (k.to_string(), v.to_string()));
+        let facts = bench_env_facts(vars.into_iter());
+        assert_eq!(
+            facts,
+            vec![
+                (
+                    "host.env.TW_CODEC_BENCH_EVENTS".to_string(),
+                    "\"20000\"".to_string()
+                ),
+                (
+                    "host.env.TW_SERVE_BENCH_WINDOWS".to_string(),
+                    "\"2\"".to_string()
+                ),
+            ]
+        );
+        let json = results_json(&facts, &[]);
+        assert!(
+            json.contains("\"host.env.TW_CODEC_BENCH_EVENTS\": \"20000\""),
+            "{json}"
+        );
     }
 
     #[test]
