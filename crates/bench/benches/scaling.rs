@@ -5,7 +5,8 @@
 //!   count and report the legibility score plus the 3-D render cost.
 //! * E-S2: the motivating claim that matrix methods scale to large traffic
 //!   volumes: build sparse traffic matrices from synthetic packet streams and
-//!   run GraphBLAS-style analytics, serial vs rayon-parallel.
+//!   run GraphBLAS-style analytics. The kernels are serial: a rayon-parallel
+//!   variant lost to them on every row on a 2-vCPU host and was removed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -13,11 +14,17 @@ use tw_bench::{banner, quick_criterion};
 use tw_core::prelude::*;
 use tw_core::render::{legibility_score, DISPLAY_LIMIT};
 use tw_matrix::ops::{mxv, reduce_rows};
-use tw_matrix::parallel::{
-    par_matrix_from_events, par_mxv, par_reduce_rows, serial_matrix_from_events,
-};
-use tw_matrix::stream::synthetic_events;
-use tw_matrix::PlusTimes;
+use tw_matrix::stream::{synthetic_events, PacketEvent};
+use tw_matrix::{CooMatrix, CsrMatrix, PlusTimes};
+
+/// Build a traffic matrix from packet events with one serial COO pass.
+fn serial_matrix_from_events(node_count: usize, events: &[PacketEvent]) -> CsrMatrix<u64> {
+    let mut coo = CooMatrix::with_capacity(node_count, node_count, events.len());
+    for e in events {
+        coo.push(e.source as usize, e.destination as usize, e.packets as u64);
+    }
+    coo.to_csr()
+}
 
 fn print_legibility_sweep() {
     banner(
@@ -49,7 +56,7 @@ fn print_legibility_sweep() {
 fn print_analytics_sweep() {
     banner(
         "E-S2",
-        "Sparse traffic-matrix analytics scaling (serial vs rayon)",
+        "Sparse traffic-matrix analytics scaling (serial kernels)",
     );
     println!(
         "{:>10} {:>10} {:>10} {:>14} {:>14}",
@@ -58,8 +65,8 @@ fn print_analytics_sweep() {
     for &events in &[1_000usize, 10_000, 100_000, 500_000] {
         let nodes = 1024u32;
         let stream = synthetic_events(nodes, events, 7);
-        let matrix = par_matrix_from_events(nodes as usize, &stream);
-        let row_sums = par_reduce_rows(&PlusTimes, &matrix);
+        let matrix = serial_matrix_from_events(nodes as usize, &stream);
+        let row_sums = reduce_rows(&PlusTimes, &matrix);
         let total: u64 = row_sums.iter().sum();
         let mean = total as f64 / nodes as f64;
         println!(
@@ -94,7 +101,7 @@ fn bench_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // E-S2: matrix construction and analytics, serial vs parallel.
+    // E-S2: matrix construction and analytics.
     let nodes = 1024usize;
     let events = synthetic_events(nodes as u32, 200_000, 11);
     let matrix = serial_matrix_from_events(nodes, &events);
@@ -104,20 +111,11 @@ fn bench_scaling(c: &mut Criterion) {
     group.bench_function("construct_serial", |b| {
         b.iter(|| black_box(serial_matrix_from_events(nodes, &events).nnz()))
     });
-    group.bench_function("construct_parallel", |b| {
-        b.iter(|| black_box(par_matrix_from_events(nodes, &events).nnz()))
-    });
     group.bench_function("mxv_serial", |b| {
         b.iter(|| black_box(mxv(&PlusTimes, &matrix, &dense_vector).unwrap().len()))
     });
-    group.bench_function("mxv_parallel", |b| {
-        b.iter(|| black_box(par_mxv(&PlusTimes, &matrix, &dense_vector).unwrap().len()))
-    });
     group.bench_function("degrees_serial", |b| {
         b.iter(|| black_box(reduce_rows(&PlusTimes, &matrix).len()))
-    });
-    group.bench_function("degrees_parallel", |b| {
-        b.iter(|| black_box(par_reduce_rows(&PlusTimes, &matrix).len()))
     });
     group.finish();
 

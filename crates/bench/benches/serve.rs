@@ -19,18 +19,24 @@
 //! dropped-frames case (a stalled reader) lives in `tw-serve`'s
 //! fault-injection tests.
 //!
+//! The `hub_fanout` rows time the hub layer alone: the same `Arc<[u8]>`
+//! frames `serve` publishes, published to 1 vs 8 vs 32 in-memory
+//! subscribers and drained, with no socket and no writer thread.
+//!
 //! Knobs: `TW_SERVE_BENCH_WINDOWS` (default 8) shrinks the recording;
-//! `TW_SERVE_BENCH_CONNECTIONS` caps the largest fan-out (CI smoke runs
-//! with tiny values).
+//! `TW_SERVE_BENCH_CONNECTIONS` caps the largest fan-out of both the serve
+//! and the hub rows (CI smoke runs with tiny values).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::io::{BufReader, Cursor};
 use std::net::TcpStream;
+use std::sync::Arc;
 use tw_bench::{banner, quick_criterion};
+use tw_core::game::{BroadcastConfig, BroadcastHub, StartOffset};
 use tw_core::ingest::{
-    read_raw_frame, ArchiveRecorder, FrameKind, Pipeline, PipelineConfig, RecordingMeta,
-    ReplaySource, Scenario,
+    read_raw_frame, window_frame, ArchiveRecorder, FrameKind, Pipeline, PipelineConfig,
+    RecordingMeta, ReplaySource, Scenario,
 };
 use tw_core::serve::{loopback_listener, serve, ServeConfig};
 
@@ -125,6 +131,39 @@ fn serve_campus(recording: &[u8], windows: usize, connections: usize) -> u64 {
     })
 }
 
+/// The frames `serve` publishes for the recording: each replayed window's
+/// archive entry, forwarded as its wire frame.
+fn served_frames(recording: &[u8]) -> Vec<Arc<[u8]>> {
+    let mut replay = ReplaySource::new(Cursor::new(recording)).expect("recording parses");
+    let mut frames = Vec::new();
+    while let Some(report) = replay.next_window().expect("replay decodes") {
+        frames.push(window_frame(&report, None).bytes);
+    }
+    frames
+}
+
+/// Publish every frame through a hub to `subscribers` subscriptions, then
+/// drain them. Returns the frames received across the class.
+fn hub_fanout(frames: &[Arc<[u8]>], subscribers: usize) -> u64 {
+    let mut hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(BroadcastConfig {
+        channel_capacity: frames.len().max(1),
+        ring_capacity: frames.len().clamp(1, 64),
+    });
+    let subs: Vec<_> = (0..subscribers)
+        .map(|_| hub.subscribe(StartOffset::Origin))
+        .collect();
+    for (index, frame) in frames.iter().enumerate() {
+        hub.publish_window(index as u64, frame.clone());
+    }
+    let summary = hub.close();
+    assert_eq!(
+        summary.totals().dropped,
+        0,
+        "a stream-sized channel never drops"
+    );
+    subs.iter().map(|s| s.drain().len() as u64).sum()
+}
+
 fn bench_serve(c: &mut Criterion) {
     let windows = env_usize("TW_SERVE_BENCH_WINDOWS", 8);
     let max_connections = env_usize("TW_SERVE_BENCH_CONNECTIONS", 256);
@@ -141,6 +180,22 @@ fn bench_serve(c: &mut Criterion) {
         "{windows} windows over {NODES} nodes, recording {} bytes, fan-outs {counts:?}",
         recording.len()
     );
+
+    let frames = served_frames(&recording);
+    let mut group = c.benchmark_group(format!("hub_fanout_{windows}_windows"));
+    for subscribers in [1usize, 8, 32]
+        .into_iter()
+        .filter(|&n| n == 1 || n <= max_connections)
+    {
+        group.bench_with_input(
+            BenchmarkId::new("subscribers", subscribers),
+            &subscribers,
+            |b, &subscribers| {
+                b.iter(|| black_box(hub_fanout(&frames, subscribers)));
+            },
+        );
+    }
+    group.finish();
 
     let mut group = c.benchmark_group(format!("serve_{windows}_windows"));
     for &connections in &counts {

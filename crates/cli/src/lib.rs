@@ -70,22 +70,8 @@ pub enum Command {
         stats: bool,
     },
     /// Serve one scenario (live or replayed) to a classroom of student
-    /// sessions over the broadcast hub.
-    Classroom {
-        scenario: Option<String>,
-        replay: Option<String>,
-        students: usize,
-        windows: Option<usize>,
-        nodes: u32,
-        seed: u64,
-        window_us: u64,
-        horizon_us: u64,
-        skew_us: u64,
-        speed: u64,
-        late: Option<usize>,
-        metrics_json: Option<String>,
-        stats_every: u64,
-    },
+    /// clients over a loopback `serve` session.
+    Classroom(ClassroomArgs),
     /// Run the workspace static-analysis pass (tw-analyze).
     Analyze {
         root: Option<String>,
@@ -153,13 +139,14 @@ Commands:
   classroom --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N]
             [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N] [--late N]
             [--metrics-json file.json] [--stats-every N]
-                                              fan one window stream (live scenario, or a
-                                              recording with --replay) out to N student
-                                              sessions over the broadcast hub and print
-                                              per-student summaries; --late students join
+                                              serve one window stream (live scenario, or a
+                                              recording with --replay) on a loopback port
+                                              to N connect students and print per-student
+                                              summaries; --late students connect
                                               mid-scenario and catch up from the ring;
-                                              --metrics-json / --stats-every export the
-                                              pipeline+broadcast metrics
+                                              --metrics-json writes the serving-stack
+                                              snapshot, --stats-every N prints the wire
+                                              stats the first student received
   serve --listen <addr> --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N]
         [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N]
         [--keyframe-every N] [--metrics-json file.json] [--stats-every N]
@@ -200,6 +187,10 @@ Commands:
   figures                                     print every figure's traffic pattern
   help                                        show this message
 ";
+
+/// The `listen` a parsed classroom carries: its session binds a free
+/// loopback port of its own.
+const LOOPBACK: &str = "127.0.0.1:0";
 
 /// Parse command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
@@ -614,21 +605,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             if windows == Some(0) {
                 return Err(CliError("--windows must be at least 1".to_string()));
             }
-            Ok(Command::Classroom {
-                scenario,
-                replay,
-                students,
-                windows,
-                nodes,
-                seed,
-                window_us,
-                horizon_us,
-                skew_us,
-                speed,
+            Ok(Command::Classroom(ClassroomArgs {
+                serve: ServeArgs {
+                    scenario,
+                    replay,
+                    students,
+                    windows,
+                    nodes,
+                    seed,
+                    window_us,
+                    horizon_us,
+                    skew_us,
+                    speed,
+                    metrics_json,
+                    stats_every,
+                    ..ServeArgs::new(LOOPBACK)
+                },
                 late,
-                metrics_json,
-                stats_every,
-            })
+            }))
         }
         "analyze" => {
             let mut root = None;
@@ -775,35 +769,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             windows,
             stats,
         } => run_connect(addr, *windows, *stats),
-        Command::Classroom {
-            scenario,
-            replay,
-            students,
-            windows,
-            nodes,
-            seed,
-            window_us,
-            horizon_us,
-            skew_us,
-            speed,
-            late,
-            metrics_json,
-            stats_every,
-        } => run_classroom(&ClassroomArgs {
-            scenario: scenario.clone(),
-            replay: replay.clone(),
-            students: *students,
-            windows: *windows,
-            nodes: *nodes,
-            seed: *seed,
-            window_us: *window_us,
-            horizon_us: *horizon_us,
-            skew_us: *skew_us,
-            speed: *speed,
-            late: *late,
-            metrics_json: metrics_json.clone(),
-            stats_every: *stats_every,
-        }),
+        Command::Classroom(args) => run_classroom(args),
         Command::Analyze {
             root,
             rule,
@@ -1165,56 +1131,60 @@ pub fn run_replay(path: &str, speed: u64) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The stream half that `classroom` and `serve` share: one window stream
-/// (live scenario or recording) plus the banner facts a serving front end
-/// prints.
+/// The facts `classroom` and `serve` share about the one stream a class
+/// watches (live scenario or recording): what the banner prints, the
+/// windows the session plans to serve, and the registry its metrics land in.
 struct ClassStream {
-    stream: Box<dyn tw_core::ingest::WindowStream>,
     scenario: String,
     description: String,
     node_count: usize,
     /// The seed the stream was generated with (a recording carries its own).
     seed: u64,
+    /// Windows to serve: the whole recording by default, eight windows of
+    /// an unbounded live scenario, never more than a recording holds.
+    planned: usize,
+    /// Spans the pipeline, the hub and the server when metrics output (file
+    /// or wire) was asked for.
+    registry: Option<tw_core::metrics::MetricsRegistry>,
 }
 
 /// Build the one stream a whole class shares — a live scenario or a recorded
-/// capture — validating the same invariants for every front end that serves
-/// it (in-process classroom or TCP serve).
-#[allow(clippy::too_many_arguments)]
+/// capture, paced when asked — validating the same invariants for `serve`
+/// and `classroom`.
 fn open_class_stream(
-    scenario: Option<&str>,
-    replay: Option<&str>,
-    nodes: u32,
-    seed: u64,
-    window_us: u64,
-    horizon_us: u64,
-    skew_us: u64,
-    metrics: Option<&tw_core::metrics::MetricsRegistry>,
-) -> Result<ClassStream, CliError> {
-    use tw_core::ingest::{FileReplaySource, Pipeline, PipelineConfig, Scenario};
+    args: &ServeArgs,
+) -> Result<(ClassStream, Box<dyn tw_core::ingest::WindowStream>), CliError> {
+    use tw_core::ingest::{
+        FileReplaySource, Paced, Pipeline, PipelineConfig, Scenario, WindowStream,
+    };
 
-    if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
+    if args.students > 10_000 {
+        return Err(CliError("--students is capped at 10000".to_string()));
+    }
+    if args.replay.is_some() && (args.horizon_us > 0 || args.skew_us > 0) {
         return Err(CliError(
             "--skew-us/--horizon-us shape live ingestion; a recording was \
              already windowed when it was captured"
                 .to_string(),
         ));
     }
-    match replay {
+    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
+        .then(tw_core::metrics::MetricsRegistry::new);
+    let (stream, scenario, description, node_count, seed) = match args.replay.as_deref() {
         Some(path) => {
             let replay =
                 FileReplaySource::open(path).map_err(|e| CliError(format!("{path}: {e}")))?;
             let manifest = replay.manifest().clone();
-            Ok(ClassStream {
-                stream: Box::new(replay),
-                scenario: manifest.scenario.clone(),
-                description: format!("replayed from {path}"),
-                node_count: manifest.node_count,
-                seed: manifest.seed,
-            })
+            (
+                Box::new(replay) as Box<dyn WindowStream>,
+                manifest.scenario,
+                format!("replayed from {path}"),
+                manifest.node_count,
+                manifest.seed,
+            )
         }
         None => {
-            let name = scenario.ok_or(CliError(
+            let name = args.scenario.as_deref().ok_or(CliError(
                 "a scenario name or a recording is required".to_string(),
             ))?;
             let scenario = Scenario::by_name(name).ok_or_else(|| {
@@ -1224,30 +1194,31 @@ fn open_class_stream(
                     known.join(", ")
                 ))
             })?;
-            if nodes < 20 {
+            if args.nodes < 20 {
                 return Err(CliError("--nodes must be at least 20".to_string()));
             }
-            if window_us == 0 {
+            if args.window_us == 0 {
                 return Err(CliError("--window-us must be at least 1".to_string()));
             }
             let config = PipelineConfig {
-                window_us,
+                window_us: args.window_us,
                 batch_size: 8_192,
-                reorder_horizon_us: horizon_us,
+                reorder_horizon_us: args.horizon_us,
                 ..PipelineConfig::default()
             };
-            let (source, max_disorder_us) = scenario.skewed_source(nodes, seed, skew_us);
+            let (source, max_disorder_us) =
+                scenario.skewed_source(args.nodes, args.seed, args.skew_us);
             let mut pipeline = Pipeline::new(source, config);
-            if let Some(registry) = metrics {
+            if let Some(registry) = &registry {
                 pipeline.instrument(registry);
             }
-            let description = if skew_us > 0 || horizon_us > 0 {
+            let description = if args.skew_us > 0 || args.horizon_us > 0 {
                 format!(
                     "{}; clock skew {} us, horizon {} us{}",
                     scenario.describe(),
-                    skew_us,
-                    horizon_us,
-                    if max_disorder_us > horizon_us {
+                    args.skew_us,
+                    args.horizon_us,
+                    if max_disorder_us > args.horizon_us {
                         " [WARNING: horizon below the disorder bound; late drops expected]"
                     } else {
                         ""
@@ -1256,271 +1227,339 @@ fn open_class_stream(
             } else {
                 scenario.describe().to_string()
             };
-            Ok(ClassStream {
-                stream: Box::new(pipeline),
-                scenario: scenario.name().to_string(),
+            (
+                Box::new(pipeline) as Box<dyn WindowStream>,
+                scenario.name().to_string(),
                 description,
-                node_count: nodes as usize,
-                seed,
-            })
+                args.nodes as usize,
+                args.seed,
+            )
         }
-    }
-}
-
-/// How many windows a class run plans to broadcast: the whole recording by
-/// default, eight windows of an unbounded live scenario, and never more than
-/// a recording actually holds.
-fn planned_windows(
-    stream: &dyn tw_core::ingest::WindowStream,
-    requested: Option<usize>,
-) -> Result<usize, CliError> {
+    };
     let planned = match stream.remaining_windows() {
-        Some(recorded) => requested.unwrap_or(recorded).min(recorded),
-        None => requested.unwrap_or(8),
+        Some(recorded) => args.windows.unwrap_or(recorded).min(recorded),
+        None => args.windows.unwrap_or(8),
     };
     if planned == 0 {
         return Err(CliError("the recording holds no windows".to_string()));
     }
-    Ok(planned)
-}
-
-/// Wrap a stream in real-time pacing when a speed multiplier is given.
-fn paced(
-    stream: Box<dyn tw_core::ingest::WindowStream>,
-    speed: u64,
-) -> Box<dyn tw_core::ingest::WindowStream> {
-    if speed > 0 {
-        Box::new(tw_core::ingest::Paced::new(stream, speed))
+    let stream = if args.speed > 0 {
+        Box::new(Paced::new(stream, args.speed))
     } else {
         stream
-    }
-}
-
-/// Arguments for [`run_classroom`] (one scenario fanned out to N students).
-#[derive(Debug, Clone)]
-pub struct ClassroomArgs {
-    /// Scenario name (required unless `replay` is given).
-    pub scenario: Option<String>,
-    /// Recording to broadcast instead of generating events live.
-    pub replay: Option<String>,
-    /// Number of student sessions.
-    pub students: usize,
-    /// Windows to broadcast (default: 8 live, the whole recording on replay).
-    pub windows: Option<usize>,
-    /// Address-space size for live scenarios.
-    pub nodes: u32,
-    /// Scenario seed for live scenarios.
-    pub seed: u64,
-    /// Tumbling-window duration for live scenarios.
-    pub window_us: u64,
-    /// Watermark reordering horizon for live scenarios (0 = strict).
-    pub horizon_us: u64,
-    /// Per-source clock skew for live scenarios (0 = sorted stream).
-    pub skew_us: u64,
-    /// Pace the broadcast at N x real time (0 = as fast as possible).
-    pub speed: u64,
-    /// Students that join mid-scenario (default: one in five).
-    pub late: Option<usize>,
-    /// Write the final pipeline+broadcast metrics snapshot here.
-    pub metrics_json: Option<String>,
-    /// Print a one-line metrics summary every N broadcast windows.
-    pub stats_every: u64,
-}
-
-/// Serve one scenario to a classroom: drive the stream once through the
-/// broadcast hub on this thread while every student session consumes its own
-/// subscription on its own thread; returns per-student summaries.
-pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
-    use tw_core::game::{
-        BroadcastConfig, Broadcaster, GameSession, StartOffset, TelemetryEvent, TelemetryHub,
     };
+    let class = ClassStream {
+        scenario,
+        description,
+        node_count,
+        seed,
+        planned,
+        registry,
+    };
+    Ok((class, stream))
+}
 
-    if args.students > 10_000 {
-        return Err(CliError("--students is capped at 10000".to_string()));
+/// A finished serve session: the server's summary plus its telemetry.
+struct Served {
+    summary: tw_core::serve::ServeSummary,
+    /// Every telemetry event the session published, drained once it ended.
+    events: Vec<tw_core::game::TelemetryEvent>,
+    /// Telemetry events the bounded buffer evicted before the drain.
+    evicted: u64,
+}
+
+impl Served {
+    fn lag_events(&self) -> usize {
+        use tw_core::game::TelemetryEvent;
+        self.events
+            .iter()
+            .filter(|e| matches!(e, TelemetryEvent::SubscriberLagged { .. }))
+            .count()
     }
-    // One registry spans the pipeline and the hub when metrics output was
-    // asked for.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
-        .then(tw_core::metrics::MetricsRegistry::new);
-    // Build the one stream the whole class shares.
-    let class = open_class_stream(
-        args.scenario.as_deref(),
-        args.replay.as_deref(),
-        args.nodes,
-        args.seed,
-        args.window_us,
-        args.horizon_us,
-        args.skew_us,
-        registry.as_ref(),
-    )?;
-    let planned = planned_windows(class.stream.as_ref(), args.windows)?;
-    let (scenario_name, description, node_count) =
-        (class.scenario, class.description, class.node_count);
-    let mut stream = paced(class.stream, args.speed);
+
+    /// The lines both transcripts end with: a roster-balance warning when
+    /// the books do not balance, then the final metrics snapshot.
+    fn write_tail(&self, out: &mut String, metrics_json: Option<&str>) -> Result<(), CliError> {
+        if let Some(error) = self.summary.broadcast.conservation_error() {
+            let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
+        }
+        if let Some(snapshot) = &self.summary.snapshot {
+            let _ = writeln!(out, "metrics: {}", snapshot.one_line());
+            if let Some(path) = metrics_json {
+                write_metrics_json(path, snapshot)?;
+                let _ = writeln!(out, "wrote metrics snapshot to {path}");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The serving body `serve` and `classroom` share: serve `stream` on
+/// `listener`, holding the first window until `wait_for` students have
+/// connected, and fan identical frames out to every connection.
+fn serve_class(
+    listener: std::net::TcpListener,
+    stream: &mut dyn tw_core::ingest::WindowStream,
+    class: &ClassStream,
+    args: &ServeArgs,
+    wait_for: usize,
+) -> Result<Served, CliError> {
+    use tw_core::game::TelemetryHub;
+    use tw_core::serve::{serve, ServeConfig};
 
     // Size the dashboard buffer to the class — joins, detaches, the close,
     // and one lag event per window per student — so the printed lag count is
     // exact. The clamp bounds memory for absurd classes; beyond it the count
-    // can undercount and the eviction note below says so.
+    // can undercount and the printed eviction count says so.
     let telemetry_capacity = args
         .students
-        .saturating_mul(planned.saturating_add(3))
+        .max(1)
+        .saturating_mul(class.planned.saturating_add(3))
         .clamp(1024, 1 << 18);
     let telemetry = TelemetryHub::with_capacity(telemetry_capacity);
-    let mut caster = Broadcaster::with_instrumentation(
-        BroadcastConfig {
-            channel_capacity: planned.clamp(64, 1024),
-            ring_capacity: planned.clamp(32, 1024),
-        },
-        Some(telemetry.clone()),
-        registry.as_ref(),
-    );
-    let handle = caster.handle();
-    let late = args.late.unwrap_or(args.students / 5);
-    let late = late.min(args.students.saturating_sub(1));
-    let on_time = args.students - late;
-    let late_at = (planned / 2) as u64;
+    let config = ServeConfig {
+        scenario: class.scenario.clone(),
+        seed: class.seed,
+        channel_capacity: class.planned.clamp(64, 1024),
+        ring_capacity: class.planned.clamp(32, 1024),
+        wait_for,
+        max_windows: class.planned,
+        // With a roster the class defines the session: once every student
+        // has left there is no one to serve, even mid-stream.
+        stop_when_empty: args.students > 0,
+        metrics: class.registry.clone(),
+        stats_every: args.stats_every,
+        keyframe_every: args.keyframe_every,
+        ..ServeConfig::default()
+    };
+    let summary = serve(listener, stream, &config, Some(telemetry.clone()))
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok(Served {
+        summary,
+        events: telemetry.drain(),
+        evicted: telemetry.dropped(),
+    })
+}
 
-    struct StudentLine {
-        id: usize,
-        joined: u64,
-        seen: u64,
-        last: Option<u64>,
-        dropped: u64,
-        missed: u64,
+/// Arguments for [`run_classroom`]: one scenario served over loopback to a
+/// class of students.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClassroomArgs {
+    /// The session the class attends. `students` is the class size, and
+    /// the classroom binds its own loopback listener (`listen` is unused).
+    pub serve: ServeArgs,
+    /// Students that connect mid-scenario (default: one in five).
+    pub late: Option<usize>,
+}
+
+/// The late students' rendezvous with the class stream: the stream opens
+/// the door at the late window, and each late student reports in once its
+/// connect has returned.
+#[derive(Default)]
+struct LateDoor {
+    open: std::sync::atomic::AtomicBool,
+    arrived: std::sync::atomic::AtomicUsize,
+}
+
+/// The class stream with window `late_at` held back until the late students
+/// have connected, so each of them joins mid-scenario and catches up from
+/// the ring like any late `connect`. A stream that ends or fails first
+/// opens the door at that pull instead.
+struct HoldForLate<'a> {
+    inner: Box<dyn tw_core::ingest::WindowStream>,
+    late_at: u64,
+    late: usize,
+    pulled: u64,
+    door: &'a LateDoor,
+}
+
+impl tw_core::ingest::WindowStream for HoldForLate<'_> {
+    fn next_window(
+        &mut self,
+    ) -> Result<Option<tw_core::ingest::WindowReport>, tw_core::ingest::StreamError> {
+        use std::sync::atomic::Ordering;
+        let next = self.inner.next_window();
+        let reached = self.pulled == self.late_at || !matches!(next, Ok(Some(_)));
+        if reached && !self.door.open.swap(true, Ordering::SeqCst) {
+            // The deadline only guards against a wedged student thread.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while self.door.arrived.load(Ordering::SeqCst) < self.late
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+        }
+        self.pulled += 1;
+        next
     }
 
-    let (summary, lines) = std::thread::scope(|scope| {
-        let consumers: Vec<_> = (0..args.students)
-            .map(|sid| {
-                // On-time students subscribe before the first window; late
-                // ones wait for the scenario's midpoint, then catch up from
-                // the ring.
-                let early = (sid < on_time).then(|| caster.subscribe(StartOffset::Origin));
-                let handle = handle.clone();
-                let scenario_name = scenario_name.clone();
-                let seed = args.seed;
-                scope.spawn(move || {
-                    let subscription = early.unwrap_or_else(|| {
-                        while handle.windows_broadcast() < late_at && !handle.is_closed() {
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                        }
-                        handle.subscribe(StartOffset::Window(late_at))
-                    });
-                    let joined = subscription.start_window();
-                    let mut session =
-                        GameSession::start(ModuleBundle::new(&scenario_name), seed ^ sid as u64)
-                            .expect("empty bundle always loads");
-                    session.join_broadcast(10, subscription);
-                    session.follow_broadcast(usize::MAX);
-                    let live = session.live().expect("joined above");
-                    let subscription = session.subscription().expect("still joined");
-                    StudentLine {
-                        id: sid,
-                        joined,
-                        seen: live.windows_seen(),
-                        last: live.last_stats().map(|s| s.window_index),
-                        dropped: subscription.dropped(),
-                        missed: subscription.missed(),
-                    }
-                })
-            })
-            .collect();
-        // This thread is the producer: drive the stream once for everyone.
-        let mut broadcast = 0usize;
-        let mut stats_lines = Vec::new();
-        let run = loop {
-            if broadcast >= planned {
-                break Ok(());
-            }
-            match caster.step(stream.as_mut()) {
-                Ok(Some(_)) => {
-                    broadcast += 1;
-                    if args.stats_every > 0 && (broadcast as u64).is_multiple_of(args.stats_every) {
-                        if let Some(registry) = &registry {
-                            stats_lines.push((broadcast, registry.snapshot().one_line()));
-                        }
-                    }
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        // An unpaced broadcast can outrun the roster: hold the summary until
-        // every planned student has subscribed (late joiners still catch up
-        // from the ring), so the final count covers the whole class. The
-        // deadline only guards against a wedged student thread.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while handle.subscribers_joined() < args.students && std::time::Instant::now() < deadline {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn window_us(&self) -> u64 {
+        self.inner.window_us()
+    }
+
+    fn remaining_windows(&self) -> Option<usize> {
+        self.inner.remaining_windows()
+    }
+}
+
+/// What one classroom student saw of the session.
+struct StudentLine {
+    seen: u64,
+    last: Option<u64>,
+    /// The server's accounting for this student's connection.
+    close: tw_core::ingest::CloseSummary,
+    /// Wire stats snapshots, each with the last window seen before it.
+    stats: Vec<(u64, String)>,
+}
+
+/// One student: connect to the class session (a late student only once the
+/// door opens) and follow it to the close frame.
+fn attend(
+    addr: std::net::SocketAddr,
+    sid: usize,
+    seed: u64,
+    late: bool,
+    door: &LateDoor,
+) -> Result<StudentLine, CliError> {
+    use std::sync::atomic::Ordering;
+    use tw_core::serve::ClientStream;
+
+    if late {
+        while !door.open.load(Ordering::SeqCst) {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        let summary = run.map(|()| caster.close());
-        let mut lines: Vec<StudentLine> = consumers
-            .into_iter()
-            .map(|c| c.join().expect("student threads do not panic"))
+    }
+    let client = ClientStream::connect(addr);
+    if late {
+        door.arrived.fetch_add(1, Ordering::SeqCst);
+    }
+    let student = |e: &dyn std::fmt::Display| CliError(format!("student {sid}: {e}"));
+    let mut client = client.map_err(|e| student(&e))?;
+    let mut last = None;
+    let mut stats = Vec::new();
+    let session = follow_connection(&mut client, seed, usize::MAX, |step| match step {
+        Followed::Stats(snapshot) => stats.push((last.unwrap_or(0), snapshot.one_line())),
+        Followed::Window(report) => last = Some(report.stats.window_index),
+    })
+    .map_err(|e| student(&e))?;
+    let close = *client
+        .close_summary()
+        .ok_or_else(|| student(&"the stream ended without a close frame"))?;
+    // With wire stats on, the last snapshot is the server's final one,
+    // which the transcript prints as its `metrics:` line.
+    stats.pop();
+    Ok(StudentLine {
+        seen: session.live().map_or(0, |live| live.windows_seen()),
+        last,
+        close,
+        stats,
+    })
+}
+
+/// Serve one scenario to a classroom: a `serve` session on a loopback port
+/// with one `connect` student per thread; returns per-student summaries.
+pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
+    classroom(args).map(|(out, _)| out)
+}
+
+/// [`run_classroom`], also returning the session's drained telemetry.
+fn classroom(
+    args: &ClassroomArgs,
+) -> Result<(String, Vec<tw_core::game::TelemetryEvent>), CliError> {
+    let serve = &args.serve;
+    let (class, stream) = open_class_stream(serve)?;
+    let students = serve.students;
+    let late = args.late.unwrap_or(students / 5);
+    let late = late.min(students.saturating_sub(1));
+    let on_time = students - late;
+    let late_at = (class.planned / 2) as u64;
+    let listener = tw_core::serve::loopback_listener().map_err(|e| CliError(e.to_string()))?;
+    let addr = listener.local_addr().map_err(|e| CliError(e.to_string()))?;
+    let door = LateDoor::default();
+    let mut stream = HoldForLate {
+        inner: stream,
+        late_at,
+        late,
+        pulled: 0,
+        door: &door,
+    };
+
+    let (served, lines) = std::thread::scope(|scope| {
+        let door = &door;
+        let seed = class.seed;
+        let threads: Vec<_> = (0..students)
+            .map(|sid| {
+                scope.spawn(move || attend(addr, sid, seed ^ sid as u64, sid >= on_time, door))
+            })
             .collect();
-        lines.sort_by_key(|l| l.id);
-        (summary.map(|s| (s, stats_lines)), lines)
+        // The on-time students are the roster `serve` waits for.
+        let served = serve_class(listener, &mut stream, &class, serve, on_time);
+        // A serve that stopped short of the late window still lets the late
+        // group go: they find the session over and report why.
+        door.open.store(true, std::sync::atomic::Ordering::SeqCst);
+        let lines: Vec<_> = threads
+            .into_iter()
+            .enumerate()
+            .map(|(sid, t)| {
+                t.join()
+                    .unwrap_or_else(|_| Err(CliError(format!("student {sid}: thread panicked"))))
+            })
+            .collect();
+        (served, lines)
     });
-    let (summary, stats_lines) = summary.map_err(|e| CliError(e.to_string()))?;
+    let served = served?;
+    let lines = lines.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut out = format!(
-        "classroom: {scenario_name} ({description}) over {node_count} nodes -> {} student(s) ({} on time, {late} late at w{late_at})\n",
-        args.students, on_time,
+        "classroom: {} ({}) over {} nodes -> {students} student(s) ({on_time} on time, {late} late at w{late_at})\n",
+        class.scenario, class.description, class.node_count,
     );
-    for (window, line) in &stats_lines {
-        let _ = writeln!(out, "  stats after w{}: {line}", window - 1);
+    for (window, line) in lines.first().map_or(&[][..], |l| &l.stats) {
+        let _ = writeln!(out, "  stats after w{window}: {line}");
     }
-    for line in &lines {
+    for (sid, line) in lines.iter().enumerate() {
+        // A student who stayed to the close accounts for every window from
+        // its start on, so what its books leave out is where it started.
+        let close = &line.close;
+        let joined = close
+            .windows
+            .saturating_sub(close.delivered + close.dropped + close.missed);
         let _ = writeln!(
             out,
-            "  student {:>3}: joined w{:<4} {:>4} window(s)  dropped {:>3}  missed {:>3}  last {}",
-            line.id,
-            line.joined,
+            "  student {sid:>3}: joined w{joined:<4} {:>4} window(s)  dropped {:>3}  missed {:>3}  last {}",
             line.seen,
-            line.dropped,
-            line.missed,
+            close.dropped,
+            close.missed,
             line.last.map_or("-".to_string(), |w| format!("w{w}")),
         );
     }
-    // One accounting authority: the roster totals and the printed summary
-    // come from the same arithmetic the conservation check audits.
+    let summary = &served.summary.broadcast;
     let totals = summary.totals();
-    let lag_events = telemetry
-        .drain()
-        .into_iter()
-        .filter(|e| matches!(e, TelemetryEvent::SubscriberLagged { .. }))
-        .count();
     // The eviction count prints unconditionally: a zero is the reader's
-    // proof the lag count above is exact, not merely what survived the
-    // telemetry ring.
+    // proof the lag count is exact, not merely what survived the telemetry
+    // ring.
     let _ = writeln!(
         out,
-        "broadcast: {} window(s) served once to {} subscriber(s); {} delivered, {} dropped, {} missed, {lag_events} lag event(s), {} telemetry event(s) evicted{}",
+        "broadcast: {} window(s) served once to {} subscriber(s); {} delivered, {} dropped, {} missed, {} lag event(s), {} telemetry event(s) evicted{}",
         summary.windows,
         summary.subscribers,
         totals.delivered,
         totals.dropped,
         totals.missed,
-        telemetry.dropped(),
-        if args.speed > 0 {
-            format!(", paced at {}x real time", args.speed)
+        served.lag_events(),
+        served.evicted,
+        if serve.speed > 0 {
+            format!(", paced at {}x real time", serve.speed)
         } else {
             String::new()
         },
     );
-    if let Some(error) = summary.conservation_error() {
-        let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
-    }
-    if let Some(registry) = &registry {
-        let snapshot = registry.snapshot();
-        let _ = writeln!(out, "metrics: {}", snapshot.one_line());
-        if let Some(path) = args.metrics_json.as_deref() {
-            write_metrics_json(path, &snapshot)?;
-            let _ = writeln!(out, "wrote metrics snapshot to {path}");
-        }
-    }
-    Ok(out)
+    served.write_tail(&mut out, serve.metrics_json.as_deref())?;
+    Ok((out, served.events))
 }
 
 /// Arguments for [`run_serve`] (one scenario served to remote clients).
@@ -1593,79 +1632,13 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
 /// encode each window once, and fan identical frames out to every connected
 /// client; returns per-student accounting once the serve ends.
 pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result<String, CliError> {
-    use tw_core::game::{TelemetryEvent, TelemetryHub};
-    use tw_core::serve::{serve, ServeConfig};
-
-    if args.students > 10_000 {
-        return Err(CliError("--students is capped at 10000".to_string()));
-    }
-    // One registry spans the pipeline, the hub and the server when metrics
-    // output (file or wire) was asked for.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
-        .then(tw_core::metrics::MetricsRegistry::new);
-    let class = open_class_stream(
-        args.scenario.as_deref(),
-        args.replay.as_deref(),
-        args.nodes,
-        args.seed,
-        args.window_us,
-        args.horizon_us,
-        args.skew_us,
-        registry.as_ref(),
-    )?;
-    let planned = planned_windows(class.stream.as_ref(), args.windows)?;
-    let mut stream = paced(class.stream, args.speed);
+    let (class, mut stream) = open_class_stream(args)?;
     let addr = listener.local_addr().map_err(|e| CliError(e.to_string()))?;
-    // The listening line streams eagerly (like paced replay) so students —
-    // and scripts parsing the bound port — see the address while the serve
-    // itself blocks; the accounting below stays on the buffered contract.
-    println!(
-        "listening on {addr}: {} ({}) over {} nodes, {} window(s){}{}",
-        class.scenario,
-        class.description,
-        class.node_count,
-        planned,
-        if args.students > 0 {
-            format!(", waiting for {} student(s)", args.students)
-        } else {
-            String::new()
-        },
-        if args.speed > 0 {
-            format!(", paced at {}x real time", args.speed)
-        } else {
-            String::new()
-        },
-    );
-    {
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-    }
-
-    let telemetry_capacity = args
-        .students
-        .max(1)
-        .saturating_mul(planned.saturating_add(3))
-        .clamp(1024, 1 << 18);
-    let telemetry = TelemetryHub::with_capacity(telemetry_capacity);
-    let config = ServeConfig {
-        scenario: class.scenario.clone(),
-        seed: class.seed,
-        channel_capacity: planned.clamp(64, 1024),
-        ring_capacity: planned.clamp(32, 1024),
-        wait_for: args.students,
-        max_windows: planned,
-        // With a roster gate the class defines the session: once every
-        // student has left there is no one to serve, even mid-stream.
-        stop_when_empty: args.students > 0,
-        metrics: registry.clone(),
-        stats_every: args.stats_every,
-        keyframe_every: args.keyframe_every,
-        ..ServeConfig::default()
-    };
-    let summary = serve(listener, stream.as_mut(), &config, Some(telemetry.clone()))
-        .map_err(|e| CliError(e.to_string()))?;
+    print_listening(addr, &class, args);
+    let served = serve_class(listener, stream.as_mut(), &class, args, args.students)?;
 
     let mut out = String::new();
+    let summary = &served.summary;
     for report in &summary.broadcast.reports {
         let _ = writeln!(
             out,
@@ -1683,35 +1656,91 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
         );
     }
     let totals = summary.broadcast.totals();
-    let lag_events = telemetry
-        .drain()
-        .into_iter()
-        .filter(|e| matches!(e, TelemetryEvent::SubscriberLagged { .. }))
-        .count();
     // The eviction count prints unconditionally, like the classroom's: zero
     // means the lag count is exact.
     let _ = writeln!(
         out,
-        "served {} window(s) ({} encoded bytes) to {} connection(s); {} delivered, {} dropped, {} missed, {lag_events} lag event(s), {} telemetry event(s) evicted",
+        "served {} window(s) ({} encoded bytes) to {} connection(s); {} delivered, {} dropped, {} missed, {} lag event(s), {} telemetry event(s) evicted",
         summary.windows(),
         summary.encoded_bytes,
         summary.connections(),
         totals.delivered,
         totals.dropped,
         totals.missed,
-        telemetry.dropped(),
+        served.lag_events(),
+        served.evicted,
     );
-    if let Some(error) = summary.broadcast.conservation_error() {
-        let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
-    }
-    if let Some(snapshot) = &summary.snapshot {
-        let _ = writeln!(out, "metrics: {}", snapshot.one_line());
-        if let Some(path) = args.metrics_json.as_deref() {
-            write_metrics_json(path, snapshot)?;
-            let _ = writeln!(out, "wrote metrics snapshot to {path}");
-        }
-    }
+    served.write_tail(&mut out, args.metrics_json.as_deref())?;
     Ok(out)
+}
+
+/// The eager `listening on` line: it streams to stdout (like paced replay)
+/// so students — and scripts parsing the bound port — see the address while
+/// the serve itself blocks; the accounting stays on the buffered contract.
+fn print_listening(addr: std::net::SocketAddr, class: &ClassStream, args: &ServeArgs) {
+    use std::io::Write as _;
+    println!(
+        "listening on {addr}: {} ({}) over {} nodes, {} window(s){}{}",
+        class.scenario,
+        class.description,
+        class.node_count,
+        class.planned,
+        if args.students > 0 {
+            format!(", waiting for {} student(s)", args.students)
+        } else {
+            String::new()
+        },
+        if args.speed > 0 {
+            format!(", paced at {}x real time", args.speed)
+        } else {
+            String::new()
+        },
+    );
+    let _ = std::io::stdout().flush();
+}
+
+/// One step of a followed serve connection, in wire order.
+enum Followed<'a> {
+    /// A server metrics snapshot (sent under `--stats-every`).
+    Stats(tw_core::metrics::MetricsSnapshot),
+    /// A decoded window, already applied to the live warehouse.
+    Window(&'a WindowReport),
+}
+
+/// Follow a serve connection into a live warehouse session until the close
+/// frame, or until `cap` windows: every window re-pallets the 10x10 display
+/// scene, the same path a local replay drives. `on` sees each stats
+/// snapshot and each window as it arrives.
+fn follow_connection(
+    client: &mut tw_core::serve::ClientStream,
+    seed: u64,
+    cap: usize,
+    mut on: impl FnMut(Followed<'_>),
+) -> Result<GameSession, CliError> {
+    use tw_core::ingest::WindowStream;
+
+    let scenario = client.manifest().scenario.clone();
+    let mut session = GameSession::start(ModuleBundle::new(&scenario), seed)
+        .map_err(|e| CliError(e.to_string()))?;
+    session.subscribe_live(10);
+    let mut seen = 0usize;
+    loop {
+        let next = if seen < cap {
+            client.next_window().map_err(|e| CliError(e.to_string()))?
+        } else {
+            None
+        };
+        for snapshot in client.take_stats() {
+            on(Followed::Stats(snapshot));
+        }
+        let Some(report) = next else {
+            break;
+        };
+        session.ingest_window(&report);
+        on(Followed::Window(&report));
+        seen += 1;
+    }
+    Ok(session)
 }
 
 /// Join a serve session: follow the remote window stream into a live
@@ -1719,7 +1748,6 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
 /// the server's interleaved metrics snapshots (sent when it serves with
 /// `--stats-every`) print as one-line summaries where they arrived.
 pub fn run_connect(addr: &str, windows: Option<usize>, stats: bool) -> Result<String, CliError> {
-    use tw_core::ingest::WindowStream;
     use tw_core::serve::ClientStream;
 
     let mut client = ClientStream::connect(addr).map_err(|e| CliError(format!("{addr}: {e}")))?;
@@ -1734,35 +1762,19 @@ pub fn run_connect(addr: &str, windows: Option<usize>, stats: bool) -> Result<St
             .windows
             .map_or(String::new(), |w| format!(", {w} window(s) planned")),
     );
-    // The remote stream drives the same live-warehouse path as a local
-    // replay: every window re-pallets the 10x10 display scene.
-    let mut session = GameSession::start(ModuleBundle::new(&manifest.scenario), manifest.seed)
-        .map_err(|e| CliError(e.to_string()))?;
-    session.subscribe_live(10);
-    let cap = windows.unwrap_or(usize::MAX);
-    let mut seen = 0usize;
     let mut stats_seen = 0usize;
-    loop {
-        let next = if seen < cap {
-            client.next_window().map_err(|e| CliError(e.to_string()))?
-        } else {
-            None
-        };
-        if stats {
-            for snapshot in client.take_stats() {
+    let cap = windows.unwrap_or(usize::MAX);
+    let session = follow_connection(&mut client, manifest.seed, cap, |step| match step {
+        Followed::Stats(snapshot) => {
+            if stats {
                 stats_seen += 1;
                 let _ = writeln!(out, "stats: {}", snapshot.one_line());
             }
         }
-        match next {
-            Some(report) => {
-                session.ingest_window(&report);
-                let _ = writeln!(out, "{}", report.stats.summary());
-                seen += 1;
-            }
-            None => break,
+        Followed::Window(report) => {
+            let _ = writeln!(out, "{}", report.stats.summary());
         }
-    }
+    })?;
     if stats {
         let _ = writeln!(out, "received {stats_seen} stats frame(s)");
     }
@@ -2154,21 +2166,14 @@ mod tests {
                 "30"
             ]))
             .unwrap(),
-            Command::Classroom {
-                scenario: Some("ddos".into()),
-                replay: None,
-                students: 30,
-                windows: None,
-                nodes: 256,
-                seed: 7,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
-                speed: 0,
+            Command::Classroom(ClassroomArgs {
+                serve: ServeArgs {
+                    scenario: Some("ddos".into()),
+                    students: 30,
+                    ..ServeArgs::new(LOOPBACK)
+                },
                 late: None,
-                metrics_json: None,
-                stats_every: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2189,21 +2194,19 @@ mod tests {
                 "50000",
             ]))
             .unwrap(),
-            Command::Classroom {
-                scenario: None,
-                replay: Some("c.zip".into()),
-                students: 8,
-                windows: Some(4),
-                nodes: 128,
-                seed: 9,
-                window_us: 50_000,
-                horizon_us: 0,
-                skew_us: 0,
-                speed: 8,
+            Command::Classroom(ClassroomArgs {
+                serve: ServeArgs {
+                    replay: Some("c.zip".into()),
+                    students: 8,
+                    windows: Some(4),
+                    nodes: 128,
+                    seed: 9,
+                    window_us: 50_000,
+                    speed: 8,
+                    ..ServeArgs::new(LOOPBACK)
+                },
                 late: Some(2),
-                metrics_json: None,
-                stats_every: 0,
-            }
+            })
         );
     }
 
@@ -2276,11 +2279,15 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Classroom {
-                metrics_json,
-                stats_every,
+            Command::Classroom(ClassroomArgs {
+                serve:
+                    ServeArgs {
+                        metrics_json,
+                        stats_every,
+                        ..
+                    },
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics_json.as_deref(), Some("m.json"));
                 assert_eq!(stats_every, 3);
             }
@@ -2401,19 +2408,17 @@ mod tests {
         let path = dir.join("class.json").to_string_lossy().into_owned();
 
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
-            students: 4,
-            windows: Some(3),
-            nodes: 128,
-            seed: 7,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
-            speed: 0,
+            serve: ServeArgs {
+                scenario: Some("ddos".into()),
+                students: 4,
+                windows: Some(3),
+                nodes: 128,
+                window_us: 50_000,
+                metrics_json: Some(path.clone()),
+                stats_every: 1,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: Some(0),
-            metrics_json: Some(path.clone()),
-            stats_every: 1,
         })
         .unwrap();
         assert!(out.contains("metrics: "), "{out}");
@@ -2837,19 +2842,15 @@ mod tests {
     fn classroom_serves_live_and_replayed_scenarios() {
         // Live: 6 students, one late, 3 windows.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
-            students: 6,
-            windows: Some(3),
-            nodes: 128,
-            seed: 7,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
-            speed: 0,
+            serve: ServeArgs {
+                scenario: Some("ddos".into()),
+                students: 6,
+                windows: Some(3),
+                nodes: 128,
+                window_us: 50_000,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: Some(1),
-            metrics_json: None,
-            stats_every: 0,
         })
         .unwrap();
         assert!(
@@ -2862,9 +2863,15 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("3 window(s) served once to 6 subscriber(s)"));
-        // On-time students saw all 3 windows; the late one joined at w1.
-        assert!(out.contains("joined w0       3 window(s)"), "{out}");
-        assert!(out.contains("joined w1       2 window(s)"), "{out}");
+        // Every student saw all 3 windows: the late one connected at w1 and,
+        // like any late `connect`, caught up from the ring starting at w0.
+        assert_eq!(
+            out.lines()
+                .filter(|l| l.contains("joined w0       3 window(s)"))
+                .count(),
+            6,
+            "{out}"
+        );
 
         // Replay: record 4 windows, broadcast the file to 4 students.
         let dir = std::env::temp_dir().join(format!("tw-cli-classroom-{}", std::process::id()));
@@ -2881,19 +2888,12 @@ mod tests {
         })
         .unwrap();
         let out = run_classroom(&ClassroomArgs {
-            scenario: None,
-            replay: Some(zip.clone()),
-            students: 4,
-            windows: None,
-            nodes: 256,
-            seed: 7,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
-            speed: 0,
+            serve: ServeArgs {
+                replay: Some(zip.clone()),
+                students: 4,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
         })
         .unwrap();
         assert!(out.contains("scan (replayed from"), "{out}");
@@ -2903,19 +2903,17 @@ mod tests {
         // Errors: unknown scenario, missing recording, tiny address space.
         let bad = |scenario: Option<&str>, replay: Option<String>, nodes| {
             run_classroom(&ClassroomArgs {
-                scenario: scenario.map(String::from),
-                replay,
-                students: 2,
-                windows: Some(1),
-                nodes,
-                seed: 1,
-                window_us: 1_000,
-                horizon_us: 0,
-                skew_us: 0,
-                speed: 0,
+                serve: ServeArgs {
+                    scenario: scenario.map(String::from),
+                    replay,
+                    students: 2,
+                    windows: Some(1),
+                    nodes,
+                    seed: 1,
+                    window_us: 1_000,
+                    ..ServeArgs::new(LOOPBACK)
+                },
                 late: None,
-                metrics_json: None,
-                stats_every: 0,
             })
         };
         assert!(bad(Some("wat"), None, 128)
@@ -2932,19 +2930,17 @@ mod tests {
 
         // A skewed live classroom: the whole class still sees every window.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
-            students: 3,
-            windows: Some(2),
-            nodes: 128,
-            seed: 7,
-            window_us: 50_000,
-            horizon_us: 20_000,
-            skew_us: 5_000,
-            speed: 0,
+            serve: ServeArgs {
+                scenario: Some("ddos".into()),
+                students: 3,
+                windows: Some(2),
+                nodes: 128,
+                window_us: 50_000,
+                horizon_us: 20_000,
+                skew_us: 5_000,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
         })
         .unwrap();
         assert!(
@@ -2956,19 +2952,17 @@ mod tests {
 
         // An undersized horizon warns up front, like `ingest` does.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
-            students: 1,
-            windows: Some(1),
-            nodes: 128,
-            seed: 7,
-            window_us: 50_000,
-            horizon_us: 100,
-            skew_us: 20_000,
-            speed: 0,
+            serve: ServeArgs {
+                scenario: Some("ddos".into()),
+                students: 1,
+                windows: Some(1),
+                nodes: 128,
+                window_us: 50_000,
+                horizon_us: 100,
+                skew_us: 20_000,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
         })
         .unwrap();
         assert!(
@@ -2978,23 +2972,124 @@ mod tests {
 
         // Programmatic callers hit the same skew-vs-replay guard as the parser.
         let err = run_classroom(&ClassroomArgs {
-            scenario: None,
-            replay: Some(zip.clone()),
-            students: 1,
-            windows: Some(1),
-            nodes: 128,
-            seed: 1,
-            window_us: 1_000,
-            horizon_us: 0,
-            skew_us: 5_000,
-            speed: 0,
+            serve: ServeArgs {
+                replay: Some(zip.clone()),
+                students: 1,
+                windows: Some(1),
+                nodes: 128,
+                seed: 1,
+                window_us: 1_000,
+                skew_us: 5_000,
+                ..ServeArgs::new(LOOPBACK)
+            },
             late: None,
-            metrics_json: None,
-            stats_every: 0,
         })
         .unwrap_err();
         assert!(err.0.contains("live ingestion"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn classroom_replay_forwards_recorded_frames_to_every_student() {
+        use tw_core::metrics::MetricsSnapshot;
+        let dir = std::env::temp_dir().join(format!("tw-cli-class-forward-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let zip = dir.join("lesson.zip").to_string_lossy().into_owned();
+        let path = dir.join("class.json").to_string_lossy().into_owned();
+        run_ingest(&IngestArgs {
+            windows: 4,
+            nodes: 128,
+            window_us: 50_000,
+            record: Some(zip.clone()),
+            ..IngestArgs::new("ddos")
+        })
+        .unwrap();
+        let out = run_classroom(&ClassroomArgs {
+            serve: ServeArgs {
+                replay: Some(zip),
+                students: 3,
+                metrics_json: Some(path.clone()),
+                ..ServeArgs::new(LOOPBACK)
+            },
+            late: Some(1),
+        })
+        .unwrap();
+        assert!(
+            out.contains("4 window(s) served once to 3 subscriber(s)"),
+            "{out}"
+        );
+        assert!(!out.contains("WARNING"), "{out}");
+        // Students reach the lesson only through `serve`: a cadence-0
+        // recording goes out as its archive entries, never re-encoded.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let snapshot = MetricsSnapshot::from_json(&tw_core::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(snapshot.counter("serve.windows_encoded"), 4);
+        assert_eq!(snapshot.counter("serve.windows_forwarded"), 4);
+        assert_eq!(snapshot.counter("serve.connections"), 3);
+        for peer in 0..3 {
+            let count = |what: &str| snapshot.counter(&format!("serve.peer.{peer}.{what}"));
+            assert_eq!(
+                count("delivered") + count("dropped") + count("missed"),
+                4,
+                "{snapshot:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn classroom_late_students_catch_up_from_the_ring() {
+        use tw_core::game::TelemetryEvent;
+        let (out, events) = classroom(&ClassroomArgs {
+            serve: ServeArgs {
+                scenario: Some("ddos".into()),
+                students: 5,
+                windows: Some(4),
+                nodes: 128,
+                window_us: 50_000,
+                ..ServeArgs::new(LOOPBACK)
+            },
+            late: Some(2),
+        })
+        .unwrap();
+        assert!(out.contains("(3 on time, 2 late at w2)"), "{out}");
+        let caught_up: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::SubscriberJoined { caught_up, .. } => Some(*caught_up),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(caught_up.len(), 5, "{events:?}");
+        // The roster gate holds w0 for the on-time students; the late ones
+        // connect while w2 is held, after w0 and w1 went out.
+        assert_eq!(caught_up.iter().filter(|&&c| c == 0).count(), 3);
+        assert_eq!(caught_up.iter().filter(|&&c| c >= 2).count(), 2);
+    }
+
+    #[test]
+    fn held_window_opens_the_late_door_when_the_stream_fails_early() {
+        use std::sync::atomic::Ordering;
+        use tw_core::ingest::{Pipeline, PipelineConfig, Scenario, WindowStream};
+        let pipeline = Pipeline::new(Scenario::Ddos.source(64, 1), PipelineConfig::default());
+        let door = LateDoor::default();
+        let mut stream = HoldForLate {
+            inner: Box::new(tw_core::serve::ChaosStream::new(pipeline, 1)),
+            late_at: 5,
+            late: 0,
+            pulled: 0,
+            door: &door,
+        };
+        assert!(stream.next_window().unwrap().is_some());
+        assert!(
+            !door.open.load(Ordering::SeqCst),
+            "w0 is before the late window"
+        );
+        assert!(stream.next_window().is_err());
+        assert!(
+            door.open.load(Ordering::SeqCst),
+            "the failure releases the late group"
+        );
     }
 
     #[test]

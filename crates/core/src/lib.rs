@@ -93,8 +93,8 @@ pub mod serve {
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use tw_game::{
-        BroadcastConfig, Broadcaster, GameSession, Level, LiveWarehouse, StartOffset, Subscription,
-        TelemetryHub, TrainingLevel, ViewMode, ViewState, WarehouseScene,
+        GameSession, Level, LiveWarehouse, TelemetryHub, TrainingLevel, ViewMode, ViewState,
+        WarehouseScene,
     };
     pub use tw_ingest::{
         ArchiveRecorder, EventSource, FileReplaySource, IngestStats, Paced, Pipeline,

@@ -2,8 +2,8 @@
 //! analytics substrate feeding the game's motivation.
 
 use proptest::prelude::*;
-use tw_core::matrix::parallel::{par_matrix_from_events, serial_matrix_from_events};
-use tw_core::matrix::stream::synthetic_events;
+use tw_core::matrix::stream::{synthetic_events, PacketEvent};
+use tw_core::matrix::{CooMatrix, CsrMatrix};
 use tw_core::module::library::{full_curriculum, initial_library};
 use tw_core::prelude::*;
 use tw_core::sim::{ClassroomConfig, LearnerPopulation};
@@ -71,13 +71,22 @@ fn classroom_measurement_runs_over_the_real_library() {
     );
 }
 
+/// Build a traffic matrix from packet events with one serial COO pass.
+fn serial_matrix_from_events(node_count: usize, events: &[PacketEvent]) -> CsrMatrix<u64> {
+    let mut coo = CooMatrix::with_capacity(node_count, node_count, events.len());
+    for e in events {
+        coo.push(e.source as usize, e.destination as usize, e.packets as u64);
+    }
+    coo.to_csr()
+}
+
 #[test]
-fn streaming_analytics_substrate_is_consistent_serial_vs_parallel() {
+fn streaming_analytics_substrate_conserves_packets() {
     let events = synthetic_events(256, 100_000, 42);
-    let serial = serial_matrix_from_events(256, &events);
-    let parallel = par_matrix_from_events(256, &events);
-    assert_eq!(serial, parallel);
-    assert!(serial.nnz() > 1_000);
+    let matrix = serial_matrix_from_events(256, &events);
+    let packets: u64 = events.iter().map(|e| e.packets as u64).sum();
+    assert_eq!(matrix.iter().map(|(_, _, v)| v).sum::<u64>(), packets);
+    assert!(matrix.nnz() > 1_000);
 }
 
 #[test]

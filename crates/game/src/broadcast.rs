@@ -1,13 +1,13 @@
-//! Classroom broadcast serving: one window stream fanned out to many
-//! sessions.
+//! The classroom fan-out hub: one indexed window stream, many subscribers.
 //!
 //! The paper's premise is a *classroom* inspecting the same traffic-matrix
-//! scenario together. Before this module, one [`Pipeline`] fed exactly one
-//! consumer via pull-based `next_window()`; the [`Broadcaster`] inverts that
-//! seam: it drives any [`WindowStream`] **once** and pushes each
-//! [`WindowReport`] — wrapped in an [`Arc`], so fan-out cost is a pointer
-//! clone per student, not a matrix copy — over bounded crossbeam channels to
-//! every subscribed session.
+//! scenario together. A [`BroadcastHub`] takes each window **once** from its
+//! producer ([`BroadcastHub::publish_window`]) and pushes it over bounded
+//! crossbeam channels to every subscriber. The payload is anything cheap to
+//! clone — fan-out costs a pointer clone per student, never a matrix copy.
+//! `tw-serve` publishes each window's encoded frame (`T = Arc<[u8]>`) and
+//! gives every TCP connection one subscription, so a class of students at
+//! their own machines all read the same frame bytes.
 //!
 //! * **Late joiners** catch up from a bounded ring of the most recent
 //!   windows: a student connecting mid-scenario receives the ring suffix
@@ -17,28 +17,19 @@
 //!   channel is full, that window is dropped *for that subscriber only* and
 //!   counted (`dropped`), with a [`TelemetryEvent::SubscriberLagged`] event
 //!   for the educator dashboard.
-//! * **Detach is clean**: dropping a [`Subscription`] disconnects its
-//!   channel; the broadcaster notices on the next delivery, retires the
-//!   slot, and reports its final counters.
+//! * **Detach is clean**: dropping a [`HubSubscription`] disconnects its
+//!   channel; the hub notices on the next delivery, retires the slot, and
+//!   reports its final counters.
 //!
 //! The hub is deliberately synchronous and lock-based (one mutex around the
 //! subscriber table and ring): broadcasting is O(subscribers) pointer sends
 //! per window, and every blocking wait lives in the channels, not the lock.
-//!
-//! The hub is generic over its payload: [`BroadcastHub<T>`] fans out any
-//! cheaply clonable item tagged with a window index. [`Broadcaster`] (the
-//! in-process classroom, `T = Arc<WindowReport>`) is one instantiation; the
-//! network serving tier in `tw-serve` is another (`T = Arc<[u8]>`, windows
-//! encoded **once** and the same frame bytes fanned out to every TCP
-//! connection). Both share the ring catch-up, lag-drop and roster
-//! accounting verified here.
 
 use crate::telemetry::{TelemetryEvent, TelemetryHub};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tw_ingest::{StreamError, WindowReport, WindowStream};
 use tw_metrics::{Counter, Gauge, Histogram, MetricsRegistry, StageTimer};
 
 /// Pre-resolved metric handles for the fan-out stage, all under the
@@ -78,7 +69,7 @@ impl HubMetrics {
     }
 }
 
-/// Tuning knobs for a [`Broadcaster`].
+/// Tuning knobs for a [`BroadcastHub`].
 #[derive(Debug, Clone)]
 pub struct BroadcastConfig {
     /// Bounded depth of each subscriber's window channel; a subscriber more
@@ -109,7 +100,7 @@ pub enum StartOffset {
     Window(u64),
 }
 
-/// Per-subscriber counters, shared between the hub and the [`Subscription`].
+/// Per-subscriber counters, shared between the hub and the [`HubSubscription`].
 #[derive(Debug, Default)]
 struct SharedCounters {
     delivered: AtomicU64,
@@ -499,9 +490,6 @@ pub struct HubHandle<T: Clone> {
     state: Arc<Mutex<HubState<T>>>,
 }
 
-/// The in-process classroom handle (`T = Arc<WindowReport>`).
-pub type BroadcastHandle = HubHandle<Arc<WindowReport>>;
-
 impl<T: Clone> Clone for HubHandle<T> {
     fn clone(&self) -> Self {
         HubHandle {
@@ -554,14 +542,10 @@ impl<T: Clone> std::fmt::Debug for HubHandle<T> {
 /// The hub that fans one indexed payload stream out to N subscribers.
 ///
 /// `T` is whatever one broadcast window costs a pointer clone to share:
-/// `Arc<WindowReport>` for the in-process classroom (see [`Broadcaster`]),
 /// `Arc<[u8]>` for the encoded wire frames of the `tw-serve` network tier.
 pub struct BroadcastHub<T: Clone> {
     state: Arc<Mutex<HubState<T>>>,
 }
-
-/// The hub that drives one [`WindowStream`] and fans it out to N subscribers.
-pub type Broadcaster = BroadcastHub<Arc<WindowReport>>;
 
 impl<T: Clone> BroadcastHub<T> {
     /// A hub with the given configuration and no telemetry.
@@ -642,7 +626,7 @@ impl<T: Clone> BroadcastHub<T> {
     /// Broadcast one payload carrying the given window index.
     ///
     /// Indices must be consecutive from 0 (the contract every
-    /// [`WindowStream`] already honors) for missed/ring accounting to be
+    /// `WindowStream` already honors) for missed/ring accounting to be
     /// exact. Publishing on a closed hub is a no-op. Returns the index.
     pub fn publish_window(&self, index: u64, item: T) -> u64 {
         let mut state = self.lock();
@@ -663,51 +647,6 @@ impl<T: Clone> BroadcastHub<T> {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
-    }
-}
-
-impl Broadcaster {
-    /// Pull one window from the stream and broadcast it; `Ok(None)` once the
-    /// stream is exhausted (which closes the broadcast) or the broadcast is
-    /// already closed. Returns the broadcast window's index otherwise.
-    pub fn step(&mut self, stream: &mut dyn WindowStream) -> Result<Option<u64>, StreamError> {
-        if self.handle().is_closed() {
-            return Ok(None);
-        }
-        match stream.next_window() {
-            Ok(Some(report)) => {
-                let index = report.stats.window_index;
-                let mut state = self.lock();
-                Ok(Some(state.broadcast(index, Arc::new(report))))
-            }
-            Ok(None) => {
-                self.close();
-                Ok(None)
-            }
-            Err(e) => {
-                // Close so blocked subscribers unblock instead of hanging on
-                // a broadcast that will never produce another window.
-                self.close();
-                Err(e)
-            }
-        }
-    }
-
-    /// Drive the stream to exhaustion (or `max_windows`), then close the
-    /// broadcast and return the final per-subscriber accounting.
-    pub fn run(
-        &mut self,
-        stream: &mut dyn WindowStream,
-        max_windows: usize,
-    ) -> Result<BroadcastSummary, StreamError> {
-        let mut broadcast = 0usize;
-        while broadcast < max_windows {
-            match self.step(stream)? {
-                Some(_) => broadcast += 1,
-                None => break,
-            }
-        }
-        Ok(self.close())
     }
 }
 
@@ -744,9 +683,6 @@ pub struct HubSubscription<T> {
     receiver: Receiver<T>,
     counters: Arc<SharedCounters>,
 }
-
-/// The in-process classroom subscription (`T = Arc<WindowReport>`).
-pub type Subscription = HubSubscription<Arc<WindowReport>>;
 
 impl<T> HubSubscription<T> {
     /// The subscriber id the hub assigned (subscription order from 0).
@@ -799,7 +735,31 @@ impl<T> HubSubscription<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_ingest::{Pipeline, PipelineConfig, Scenario};
+    use tw_ingest::{Pipeline, PipelineConfig, Scenario, WindowReport};
+
+    /// The hub driven with whole window reports, as a producer loop would.
+    type Hub = BroadcastHub<Arc<WindowReport>>;
+    type Sub = HubSubscription<Arc<WindowReport>>;
+
+    /// Pull one window from `stream` and publish it; `None` once the hub is
+    /// closed or the stream is exhausted.
+    fn step(hub: &Hub, stream: &mut Pipeline) -> Option<u64> {
+        if hub.handle().is_closed() {
+            return None;
+        }
+        let report = stream.next_window()?;
+        Some(hub.publish_window(report.stats.window_index, Arc::new(report)))
+    }
+
+    /// Publish up to `max_windows` windows, then close the hub.
+    fn run(hub: &mut Hub, stream: &mut Pipeline, max_windows: usize) -> BroadcastSummary {
+        for _ in 0..max_windows {
+            if step(hub, stream).is_none() {
+                break;
+            }
+        }
+        hub.close()
+    }
 
     fn ddos_pipeline(windows_us: u64) -> Pipeline {
         let config = PipelineConfig {
@@ -823,12 +783,12 @@ mod tests {
         let mut reference = ddos_pipeline(50_000);
         let reference = reference.run(4);
 
-        let mut caster = Broadcaster::new(roomy());
-        let subs: Vec<Subscription> = (0..3)
+        let mut caster = Hub::new(roomy());
+        let subs: Vec<Sub> = (0..3)
             .map(|_| caster.subscribe(StartOffset::Origin))
             .collect();
         let mut stream = ddos_pipeline(50_000);
-        let summary = caster.run(&mut stream, 4).unwrap();
+        let summary = run(&mut caster, &mut stream, 4);
         assert_eq!(summary.windows, 4);
         assert_eq!(summary.subscribers, 3);
         for sub in &subs {
@@ -854,14 +814,14 @@ mod tests {
     #[test]
     fn late_joiner_catches_up_from_the_ring() {
         let mut stream = ddos_pipeline(50_000);
-        let mut caster = Broadcaster::new(roomy());
+        let mut caster = Hub::new(roomy());
         let early = caster.subscribe(StartOffset::Origin);
         // Broadcast two windows, then join late asking for window 1.
-        caster.step(&mut stream).unwrap();
-        caster.step(&mut stream).unwrap();
+        step(&caster, &mut stream);
+        step(&caster, &mut stream);
         let late = caster.subscribe(StartOffset::Window(1));
         let live = caster.subscribe(StartOffset::Live);
-        caster.step(&mut stream).unwrap();
+        step(&caster, &mut stream);
         caster.close();
 
         let early: Vec<u64> = early.drain().iter().map(|r| r.stats.window_index).collect();
@@ -875,10 +835,10 @@ mod tests {
 
     #[test]
     fn future_start_offsets_skip_earlier_windows() {
-        let mut caster = Broadcaster::new(roomy());
+        let mut caster = Hub::new(roomy());
         let sub = caster.subscribe(StartOffset::Window(2));
         let mut stream = ddos_pipeline(50_000);
-        caster.run(&mut stream, 4).unwrap();
+        run(&mut caster, &mut stream, 4);
         let seen: Vec<u64> = sub.drain().iter().map(|r| r.stats.window_index).collect();
         assert_eq!(seen, vec![2, 3], "windows before the start are skipped");
         assert_eq!(sub.delivered(), 2);
@@ -889,12 +849,12 @@ mod tests {
     #[test]
     fn windows_older_than_the_ring_are_counted_missed() {
         let mut stream = ddos_pipeline(50_000);
-        let mut caster = Broadcaster::new(BroadcastConfig {
+        let mut caster = Hub::new(BroadcastConfig {
             channel_capacity: 8,
             ring_capacity: 2,
         });
         for _ in 0..4 {
-            caster.step(&mut stream).unwrap();
+            step(&caster, &mut stream);
         }
         // Ring now holds windows {2, 3}; an Origin joiner wanted 0..=3.
         let sub = caster.subscribe(StartOffset::Origin);
@@ -907,7 +867,7 @@ mod tests {
     #[test]
     fn slow_subscribers_drop_with_accounting_instead_of_stalling() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Broadcaster::with_telemetry(
+        let mut caster = Hub::with_telemetry(
             BroadcastConfig {
                 channel_capacity: 2,
                 ring_capacity: 8,
@@ -916,7 +876,7 @@ mod tests {
         );
         let slow = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
-        let summary = caster.run(&mut stream, 5).unwrap();
+        let summary = run(&mut caster, &mut stream, 5);
         assert_eq!(summary.windows, 5);
         // Capacity 2 and nobody draining: 2 delivered, 3 dropped.
         assert_eq!(slow.delivered(), 2);
@@ -938,15 +898,15 @@ mod tests {
     #[test]
     fn dropped_subscription_detaches_cleanly() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Broadcaster::with_telemetry(roomy(), telemetry.clone());
+        let mut caster = Hub::with_telemetry(roomy(), telemetry.clone());
         let keep = caster.subscribe(StartOffset::Origin);
         let leave = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
-        caster.step(&mut stream).unwrap();
+        step(&caster, &mut stream);
         assert_eq!(caster.handle().subscriber_count(), 2);
         drop(leave);
         // The hub notices on the next delivery and retires the slot.
-        caster.step(&mut stream).unwrap();
+        step(&caster, &mut stream);
         assert_eq!(caster.handle().subscriber_count(), 1);
         let summary = caster.close();
         assert_eq!(summary.subscribers, 2);
@@ -969,9 +929,9 @@ mod tests {
 
     #[test]
     fn subscribing_after_close_yields_the_ring_suffix_then_disconnect() {
-        let mut caster = Broadcaster::new(roomy());
+        let mut caster = Hub::new(roomy());
         let mut stream = ddos_pipeline(50_000);
-        caster.run(&mut stream, 3).unwrap();
+        run(&mut caster, &mut stream, 3);
         assert!(caster.handle().is_closed());
         let sub = caster.subscribe(StartOffset::Window(1));
         let seen: Vec<u64> = sub.drain().iter().map(|r| r.stats.window_index).collect();
@@ -981,8 +941,8 @@ mod tests {
 
     #[test]
     fn threaded_consumers_all_receive_every_window() {
-        let mut caster = Broadcaster::new(roomy());
-        let subs: Vec<Subscription> = (0..8)
+        let mut caster = Hub::new(roomy());
+        let subs: Vec<Sub> = (0..8)
             .map(|_| caster.subscribe(StartOffset::Origin))
             .collect();
         let handle = caster.handle();
@@ -1000,7 +960,7 @@ mod tests {
                 })
                 .collect();
             let mut stream = ddos_pipeline(50_000);
-            let summary = caster.run(&mut stream, 6).unwrap();
+            let summary = run(&mut caster, &mut stream, 6);
             assert_eq!(summary.windows, 6);
             for consumer in consumers {
                 assert_eq!(consumer.join().unwrap(), vec![0, 1, 2, 3, 4, 5]);
@@ -1013,10 +973,10 @@ mod tests {
     #[test]
     fn telemetry_reports_joins_and_close() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Broadcaster::with_telemetry(roomy(), telemetry.clone());
+        let mut caster = Hub::with_telemetry(roomy(), telemetry.clone());
         let _sub = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
-        caster.run(&mut stream, 2).unwrap();
+        run(&mut caster, &mut stream, 2);
         let events = telemetry.drain();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1046,7 +1006,7 @@ mod tests {
 
     #[test]
     fn dropping_the_broadcaster_closes_the_hub() {
-        let caster = Broadcaster::new(roomy());
+        let caster = Hub::new(roomy());
         let sub = caster.subscribe(StartOffset::Origin);
         let handle = caster.handle();
         // No explicit close(): the Drop impl must unblock subscribers even
@@ -1058,10 +1018,10 @@ mod tests {
 
     #[test]
     fn step_after_close_is_a_no_op() {
-        let mut caster = Broadcaster::new(roomy());
+        let mut caster = Hub::new(roomy());
         let mut stream = ddos_pipeline(50_000);
-        caster.run(&mut stream, 1).unwrap();
-        assert_eq!(caster.step(&mut stream).unwrap(), None);
+        run(&mut caster, &mut stream, 1);
+        assert_eq!(step(&caster, &mut stream), None);
         let again = caster.close();
         assert_eq!(again.windows, 1);
     }
@@ -1117,19 +1077,19 @@ mod tests {
 
     #[test]
     fn roster_totals_sum_every_counter_once() {
-        let mut caster = Broadcaster::new(BroadcastConfig {
+        let mut caster = Hub::new(BroadcastConfig {
             channel_capacity: 2,
             ring_capacity: 2,
         });
         let _slow = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
         for _ in 0..4 {
-            caster.step(&mut stream).unwrap();
+            step(&caster, &mut stream);
         }
         // Joins after the ring slid: missed counts too.
         let _late = caster.subscribe(StartOffset::Origin);
-        caster.step(&mut stream).unwrap();
-        let summary = caster.run(&mut stream, 1).unwrap();
+        step(&caster, &mut stream);
+        let summary = run(&mut caster, &mut stream, 1);
         let totals = summary.totals();
         assert_eq!(
             totals.delivered,
@@ -1153,7 +1113,7 @@ mod tests {
     #[test]
     fn instrumented_hub_counters_match_the_summary() {
         let registry = MetricsRegistry::new();
-        let mut caster = Broadcaster::with_instrumentation(
+        let mut caster = Hub::with_instrumentation(
             BroadcastConfig {
                 channel_capacity: 2,
                 ring_capacity: 2,
@@ -1164,11 +1124,11 @@ mod tests {
         let _slow = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
         for _ in 0..4 {
-            caster.step(&mut stream).unwrap();
+            step(&caster, &mut stream);
         }
         // Joins after the ring slid, so misses land on the registry too.
         let _late = caster.subscribe(StartOffset::Origin);
-        let summary = caster.run(&mut stream, 2).unwrap();
+        let summary = run(&mut caster, &mut stream, 2);
         let totals = summary.totals();
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("broadcast.windows"), summary.windows);
@@ -1257,10 +1217,10 @@ mod tests {
 
     #[test]
     fn conservation_error_pinpoints_a_cooked_report() {
-        let mut caster = Broadcaster::new(roomy());
+        let mut caster = Hub::new(roomy());
         let _sub = caster.subscribe(StartOffset::Origin);
         let mut stream = ddos_pipeline(50_000);
-        let mut summary = caster.run(&mut stream, 3).unwrap();
+        let mut summary = run(&mut caster, &mut stream, 3);
         assert_eq!(summary.conservation_error(), None);
         summary.reports[0].delivered += 1;
         let err = summary

@@ -7,7 +7,6 @@
 //! display guidance) and the warehouse scene, built once, is re-palleted in
 //! place, so a class can watch a scenario unfold window by window.
 
-use crate::broadcast::Subscription;
 use crate::warehouse::WarehouseScene;
 use tw_ingest::{IngestStats, StreamError, WindowReport, WindowStream};
 use tw_matrix::{CsrMatrix, LabelSet, TrafficMatrix};
@@ -150,26 +149,6 @@ impl LiveWarehouse {
             stats.push(report.stats);
         }
         Ok(stats)
-    }
-
-    /// Consume a broadcast [`Subscription`] until the broadcast closes (or
-    /// `max_windows` arrive), re-palleting per window; returns the stats of
-    /// every window received. Blocks between windows like a student's screen
-    /// would.
-    pub fn follow_subscription(
-        &mut self,
-        subscription: &Subscription,
-        max_windows: usize,
-    ) -> Vec<IngestStats> {
-        let mut stats = Vec::new();
-        while stats.len() < max_windows {
-            let Some(report) = subscription.recv() else {
-                break;
-            };
-            self.on_window(&report);
-            stats.push(report.stats.clone());
-        }
-        stats
     }
 }
 
@@ -379,20 +358,6 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(live.windows_seen(), 2);
         assert!(live.scene().is_some());
-    }
-
-    #[test]
-    fn follow_subscription_consumes_a_broadcast() {
-        use crate::broadcast::{BroadcastConfig, Broadcaster, StartOffset};
-        let mut caster = Broadcaster::new(BroadcastConfig::default());
-        let sub = caster.subscribe(StartOffset::Origin);
-        let mut pipeline = ddos_pipeline();
-        caster.run(&mut pipeline, 3).unwrap();
-        let mut live = LiveWarehouse::new(10);
-        let stats = live.follow_subscription(&sub, usize::MAX);
-        assert_eq!(stats.len(), 3);
-        assert_eq!(live.windows_seen(), 3);
-        assert_eq!(live.last_stats().unwrap().window_index, 2);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! "Traffic Warehouse will take the zip file and load each of the JSON files
 //! contained in it and present them sequentially one at a time."
 
-use crate::broadcast::Subscription;
 use crate::level::Level;
 use crate::live::LiveWarehouse;
 use crate::telemetry::{TelemetryEvent, TelemetryHub};
@@ -35,7 +34,6 @@ pub struct GameSession {
     score: SessionScore,
     telemetry: TelemetryHub,
     live: Option<LiveWarehouse>,
-    broadcast: Option<Subscription>,
 }
 
 impl GameSession {
@@ -55,7 +53,6 @@ impl GameSession {
             score: SessionScore::default(),
             telemetry,
             live: None,
-            broadcast: None,
         };
         session.load_current()?;
         Ok(session)
@@ -130,55 +127,6 @@ impl GameSession {
     /// The live warehouse view, if subscribed.
     pub fn live(&self) -> Option<&LiveWarehouse> {
         self.live.as_ref()
-    }
-
-    /// Join a classroom broadcast: windows pushed by the
-    /// [`Broadcaster`](crate::broadcast::Broadcaster) behind `subscription`
-    /// re-pallet this session's live warehouse (`dimension`×`dimension`
-    /// display pallets). The session owns the subscription handle — it no
-    /// longer needs (or sees) the pipeline that produces the windows.
-    pub fn join_broadcast(&mut self, dimension: usize, subscription: Subscription) {
-        self.subscribe_live(dimension);
-        self.broadcast = Some(subscription);
-    }
-
-    /// The joined broadcast subscription, if any.
-    pub fn subscription(&self) -> Option<&Subscription> {
-        self.broadcast.as_ref()
-    }
-
-    /// Ingest every window already buffered on the joined subscription
-    /// without blocking; returns how many were applied.
-    pub fn poll_broadcast(&mut self) -> usize {
-        let Some(subscription) = self.broadcast.take() else {
-            return 0;
-        };
-        let mut applied = 0;
-        while let Some(report) = subscription.try_recv() {
-            self.ingest_window(&report);
-            applied += 1;
-        }
-        self.broadcast = Some(subscription);
-        applied
-    }
-
-    /// Follow the joined broadcast until it closes (or `max_windows`
-    /// arrive), blocking between windows; returns how many were applied.
-    /// A session that never joined returns 0 immediately.
-    pub fn follow_broadcast(&mut self, max_windows: usize) -> usize {
-        let Some(subscription) = self.broadcast.take() else {
-            return 0;
-        };
-        let mut applied = 0;
-        while applied < max_windows {
-            let Some(report) = subscription.recv() else {
-                break;
-            };
-            self.ingest_window(&report);
-            applied += 1;
-        }
-        self.broadcast = Some(subscription);
-        applied
     }
 
     /// Deliver one ingest window to the live view (no-op when not
@@ -402,44 +350,6 @@ mod tests {
         assert!(events.contains(&TelemetryEvent::ViewToggled { now_3d: true }));
         assert!(events.contains(&TelemetryEvent::ViewRotated { steps: 1 }));
         assert!(events.contains(&TelemetryEvent::ColorsToggled { now_colored: true }));
-    }
-
-    #[test]
-    fn session_consumes_a_broadcast_subscription() {
-        use crate::broadcast::{BroadcastConfig, Broadcaster, StartOffset};
-        use tw_ingest::{Pipeline, PipelineConfig, Scenario};
-
-        let mut caster = Broadcaster::new(BroadcastConfig::default());
-        let sub = caster.subscribe(StartOffset::Origin);
-        let mut session = GameSession::start(ModuleBundle::new("class"), 1).unwrap();
-        assert_eq!(session.follow_broadcast(usize::MAX), 0, "not joined yet");
-        session.join_broadcast(10, sub);
-        assert!(session.subscription().is_some());
-        assert_eq!(session.poll_broadcast(), 0, "nothing broadcast yet");
-
-        let config = PipelineConfig {
-            window_us: 50_000,
-            batch_size: 4_096,
-            reorder_horizon_us: 0,
-            ..Default::default()
-        };
-        let mut pipeline = Pipeline::new(Scenario::Ddos.source(200, 9), config);
-        caster.step(&mut pipeline).unwrap();
-        assert_eq!(session.poll_broadcast(), 1, "first window applied");
-        caster.run(&mut pipeline, 2).unwrap();
-        assert_eq!(session.follow_broadcast(usize::MAX), 2);
-        let live = session.live().expect("joined");
-        assert_eq!(live.windows_seen(), 3);
-        assert!(live.scene().is_some());
-        // The session received the windows through the handle alone — and the
-        // telemetry stream saw every live window.
-        let live_events = session
-            .telemetry()
-            .drain()
-            .into_iter()
-            .filter(|e| matches!(e, TelemetryEvent::LiveWindow { .. }))
-            .count();
-        assert_eq!(live_events, 3);
     }
 
     #[test]

@@ -1,13 +1,28 @@
 //! Property tests for the classroom broadcast hub's equivalence guarantee:
-//! for ANY scenario and subscriber count, driving the stream
-//! once through a [`Broadcaster`] delivers every subscriber — including one
+//! for ANY scenario and subscriber count, publishing the stream once
+//! through a [`BroadcastHub`] delivers every subscriber — including one
 //! joining at an arbitrary offset mid-broadcast — a window suffix that is
 //! cell-for-cell identical to a serial `Pipeline::run` of the same seeded
 //! scenario.
 
 use proptest::prelude::*;
-use tw_game::{BroadcastConfig, Broadcaster, StartOffset, Subscription};
+use std::sync::Arc;
+use tw_game::{BroadcastConfig, BroadcastHub, HubSubscription, StartOffset};
 use tw_ingest::{Pipeline, PipelineConfig, Scenario, WindowReport};
+
+type Hub = BroadcastHub<Arc<WindowReport>>;
+type Sub = HubSubscription<Arc<WindowReport>>;
+
+/// Pull one window from `stream` and publish it; false once exhausted.
+fn step(hub: &Hub, stream: &mut Pipeline) -> bool {
+    match stream.next_window() {
+        Some(report) => {
+            hub.publish_window(report.stats.window_index, Arc::new(report));
+            true
+        }
+        None => false,
+    }
+}
 
 fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
     let config = PipelineConfig {
@@ -28,7 +43,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 /// the stats is deterministic per seed).
 fn assert_suffix(
     reference: &[WindowReport],
-    subscription: &Subscription,
+    subscription: &Sub,
     start: usize,
 ) -> Result<(), TestCaseError> {
     let received = subscription.drain();
@@ -75,11 +90,11 @@ proptest! {
 
         // Broadcast run over an identically-seeded pipeline. Capacities are
         // sized so nothing can drop: equivalence, not lag, is under test.
-        let mut caster = Broadcaster::new(BroadcastConfig {
+        let mut caster = Hub::new(BroadcastConfig {
             channel_capacity: windows.max(1),
             ring_capacity: windows.max(1),
         });
-        let on_time: Vec<Subscription> = (0..subscribers)
+        let on_time: Vec<Sub> = (0..subscribers)
             .map(|_| caster.subscribe(StartOffset::Origin))
             .collect();
 
@@ -87,11 +102,11 @@ proptest! {
         let late_at = late_join.min(windows);
         let mut stream = pipeline(scenario, nodes, seed);
         for _ in 0..late_at {
-            prop_assert!(caster.step(&mut stream).unwrap().is_some());
+            prop_assert!(step(&caster, &mut stream));
         }
         let late = caster.subscribe(StartOffset::Window(late_at as u64));
         while caster.handle().windows_broadcast() < windows as u64 {
-            prop_assert!(caster.step(&mut stream).unwrap().is_some());
+            prop_assert!(step(&caster, &mut stream));
         }
         let summary = caster.close();
         prop_assert_eq!(summary.windows, windows as u64);
@@ -120,14 +135,14 @@ proptest! {
         ring in 1usize..3,
     ) {
         let reference = pipeline(scenario, nodes, seed).run(windows);
-        let mut caster = Broadcaster::new(BroadcastConfig {
+        let mut caster = Hub::new(BroadcastConfig {
             channel_capacity: windows,
             ring_capacity: ring,
         });
         let mut stream = pipeline(scenario, nodes, seed);
         // Broadcast everything, then join asking for the origin.
         for _ in 0..windows {
-            prop_assert!(caster.step(&mut stream).unwrap().is_some());
+            prop_assert!(step(&caster, &mut stream));
         }
         let sub = caster.subscribe(StartOffset::Origin);
         caster.close();

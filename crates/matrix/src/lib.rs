@@ -17,9 +17,7 @@
 //! * [`semiring`] / [`ops`] — GraphBLAS-lite operations (`mxm`, `mxv`,
 //!   element-wise, reduce, transpose, extract) over configurable semirings;
 //! * [`analytics`] — the network-analytics vocabulary the learning modules
-//!   teach (degrees, supernodes, isolated links, link classification);
-//! * [`parallel`] — rayon-parallel construction and analytics paths used by
-//!   the scaling benchmarks.
+//!   teach (degrees, supernodes, isolated links, link classification).
 
 pub mod analytics;
 pub mod color;
@@ -29,7 +27,6 @@ pub mod dense;
 pub mod error;
 pub mod labels;
 pub mod ops;
-pub mod parallel;
 pub mod semiring;
 pub mod stream;
 

@@ -1,10 +1,9 @@
 //! GraphBLAS-lite operations over CSR matrices.
 //!
-//! These are serial reference kernels; [`crate::parallel`] provides
-//! rayon-parallel versions of the row-parallel ones. The set mirrors the core
-//! GraphBLAS primitives the paper's references build on: matrix-vector and
-//! matrix-matrix multiply over a semiring, element-wise add/multiply,
-//! reductions, transpose and sub-matrix extraction.
+//! Serial kernels mirroring the core GraphBLAS primitives the paper's
+//! references build on: matrix-vector and matrix-matrix multiply over a
+//! semiring, element-wise add/multiply, reductions, transpose and sub-matrix
+//! extraction.
 
 use crate::csr::CsrMatrix;
 use crate::error::{MatrixError, Result};

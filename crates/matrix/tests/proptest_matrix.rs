@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use tw_matrix::ops::{ewise_add, ewise_mul, mxm, mxv, reduce_all, reduce_cols, reduce_rows};
-use tw_matrix::parallel::{par_mxm, par_mxv, par_reduce_all};
 use tw_matrix::{CooMatrix, CsrMatrix, LabelSet, MatrixProfile, PlusTimes, TrafficMatrix};
 
 /// Strategy for a small dense grid (n×n, n in 1..=12, values 0..15 as the paper suggests).
@@ -152,14 +151,5 @@ proptest! {
         let left = mxm(&PlusTimes, &a, &b).unwrap().transpose();
         let right = mxm(&PlusTimes, &b.transpose(), &a.transpose()).unwrap();
         prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn parallel_kernels_match_serial(triples in arb_triples(12)) {
-        let a = csr_from(12, &triples);
-        let x: Vec<u64> = (0..12).map(|i| (i * 3 % 5) as u64).collect();
-        prop_assert_eq!(par_mxv(&PlusTimes, &a, &x).unwrap(), mxv(&PlusTimes, &a, &x).unwrap());
-        prop_assert_eq!(par_reduce_all(&PlusTimes, &a), reduce_all(&PlusTimes, &a));
-        prop_assert_eq!(par_mxm(&PlusTimes, &a, &a).unwrap(), mxm(&PlusTimes, &a, &a).unwrap());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! [`ClientStream`] dials a serving endpoint, reads the manifest frame, and
 //! then yields decoded windows through the same [`WindowStream`] contract
-//! every local producer implements — so a [`GameSession`], the classroom
-//! CLI, or `collect_stream` drives a remote scenario exactly as it would a
-//! local pipeline or replay. The close frame ends the stream (`Ok(None)`)
+//! every local producer implements — so a [`GameSession`], a classroom
+//! student, or `collect_stream` drives a remote scenario exactly as it
+//! would a local pipeline or replay. The close frame ends the stream (`Ok(None)`)
 //! and leaves the server's per-connection accounting readable via
 //! [`ClientStream::close_summary`].
 //!

@@ -1,30 +1,28 @@
 //! # tw-serve
 //!
-//! The network serving tier: the classroom broadcast, across machines.
+//! The network serving tier: the one way a lesson reaches its students.
 //!
 //! The paper's classroom has every student watching the same live
-//! traffic-matrix stream; `tw-game`'s [`Broadcaster`] fans a stream out
-//! in-process, and this crate puts the same fan-out on TCP — the step the
-//! roadmap calls "classroom into campus": N boxes × many connections
-//! replaying one archive or following one live scenario.
+//! traffic-matrix stream, each at their own machine. This crate serves one
+//! stream over TCP to every connection: N boxes × many connections replaying
+//! one archive or following one live scenario. The `classroom` command is a
+//! `serve` session on a loopback port with one [`ClientStream`] per student.
 //!
 //! * [`server`] — [`serve`]: drive any
-//!   [`WindowStream`](tw_ingest::WindowStream) once, encode each window
+//!   [`WindowStream`](tw_ingest::WindowStream) once, frame each window
 //!   once, and fan identical [`Arc<[u8]>`](std::sync::Arc) frames out to
 //!   every connection through a [`BroadcastHub`](tw_game::BroadcastHub) —
-//!   the *same* ring catch-up, lag-drop and roster accounting as the
-//!   in-process classroom, with per-peer writer threads and a polling
-//!   acceptor, all joined before `serve` returns;
+//!   ring catch-up for late joiners, lag-drop and roster accounting — with
+//!   per-peer writer threads and a polling acceptor, all joined before
+//!   `serve` returns;
 //! * [`client`] — [`ClientStream`]: dial a server, read the manifest, and
 //!   be a `WindowStream` — every existing consumer (game session,
-//!   classroom, `collect_stream`) works unchanged across the socket;
+//!   `collect_stream`) works unchanged across the socket;
 //! * [`chaos`] — [`ChaosStream`]: fault injection for proving the failure
 //!   paths stay clean.
 //!
 //! The wire format is `tw-ingest`'s [`frame`](tw_ingest::frame) module:
 //! length-prefixed, CRC-checked frames carrying the v2 window codec.
-//!
-//! [`Broadcaster`]: tw_game::Broadcaster
 
 pub mod chaos;
 pub mod client;

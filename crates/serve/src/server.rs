@@ -1,7 +1,8 @@
 //! The serving side: one window stream, many TCP connections.
 //!
 //! [`serve`] drives any [`WindowStream`] exactly once on the calling thread
-//! and fans each window out to every connected peer:
+//! and fans each window out to every connected peer — remote `connect`
+//! students, or the classroom's students on loopback:
 //!
 //! ```text
 //!            main thread                 acceptor thread
@@ -37,12 +38,13 @@
 //! sleeps 1 ms, doubling up to 32 ms, and every accept resets the wait: an
 //! idle acceptor costs almost no CPU during a lesson, a burst of joins is
 //! accepted at 1 ms pace, and shutdown never waits on a blocked `accept`.
+//! A failed accept (`ConnectionAborted`, `EMFILE`) backs off the same way
+//! and the acceptor keeps polling until the serve stops.
 //!
 //! All threads live inside one [`std::thread::scope`]: when [`serve`]
 //! returns, the acceptor and every writer have been joined — no leaks, no
 //! orphan sockets.
 
-use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -218,8 +220,7 @@ pub struct ServeSummary {
     /// Total codec payload bytes published (full or delta, forwarded or
     /// encoded, once per window, regardless of connection count).
     pub encoded_bytes: u64,
-    /// The hub's roster accounting — the same [`BroadcastSummary`] the
-    /// in-process classroom reports, one entry per connection.
+    /// The hub's roster accounting, one entry per connection.
     pub broadcast: BroadcastSummary,
     /// The final metrics snapshot, when [`ServeConfig::metrics`] was set.
     /// Taken after the hub closed, so every counter is final and the books
@@ -347,11 +348,14 @@ pub fn serve(
                             )
                         });
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Nothing to accept, or a transient failure (an aborted
+                    // handshake, the process out of descriptors): back off
+                    // and poll again, so one bad accept never strands the
+                    // students still to come.
+                    Err(_) => {
                         std::thread::sleep(idle);
                         idle = (idle * 2).min(ACCEPT_IDLE_MAX);
                     }
-                    Err(_) => break,
                 }
             }
         });

@@ -2,7 +2,7 @@
 //! guarantee: for ANY scenario and client count, serving on an
 //! ephemeral loopback port delivers every `connect` client — including one
 //! joining mid-broadcast — a window suffix that is cell-for-cell identical
-//! to a serial `Pipeline::run` of the same seeded scenario. The in-process
+//! to a serial `Pipeline::run` of the same seeded scenario. The hub-level
 //! mirror of this property lives in `tw-game`'s `proptest_broadcast.rs`;
 //! here the windows additionally survive encode → frame → TCP → decode.
 //!
@@ -66,7 +66,7 @@ fn assert_suffix(
 
 proptest! {
     // TCP setup/teardown per case is comparatively expensive; fewer cases
-    // than the in-process mirror, same property space.
+    // than the hub-level mirror, same property space.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
