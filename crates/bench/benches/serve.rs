@@ -33,12 +33,11 @@ use std::io::{BufReader, Cursor};
 use std::net::TcpStream;
 use std::sync::Arc;
 use tw_bench::{banner, quick_criterion};
-use tw_core::game::{BroadcastConfig, BroadcastHub, StartOffset};
 use tw_core::ingest::{
     read_raw_frame, window_frame, ArchiveRecorder, FrameKind, Pipeline, PipelineConfig,
     RecordingMeta, ReplaySource, Scenario,
 };
-use tw_core::serve::{loopback_listener, serve, ServeConfig};
+use tw_core::serve::{loopback_listener, serve, BroadcastConfig, BroadcastHub, ServeConfig};
 
 const NODES: u32 = 1024;
 const SEED: u64 = 7;
@@ -132,28 +131,28 @@ fn serve_campus(recording: &[u8], windows: usize, connections: usize) -> u64 {
 }
 
 /// The frames `serve` publishes for the recording: each replayed window's
-/// archive entry, forwarded as its wire frame.
-fn served_frames(recording: &[u8]) -> Vec<Arc<[u8]>> {
+/// archive entry, forwarded as its wire frame, with its key-frame flag.
+fn served_frames(recording: &[u8]) -> Vec<(Arc<[u8]>, bool)> {
     let mut replay = ReplaySource::new(Cursor::new(recording)).expect("recording parses");
     let mut frames = Vec::new();
     while let Some(report) = replay.next_window().expect("replay decodes") {
-        frames.push(window_frame(&report, None).bytes);
+        let frame = window_frame(&report, None);
+        frames.push((frame.bytes, !frame.delta));
     }
     frames
 }
 
 /// Publish every frame through a hub to `subscribers` subscriptions, then
 /// drain them. Returns the frames received across the class.
-fn hub_fanout(frames: &[Arc<[u8]>], subscribers: usize) -> u64 {
-    let mut hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(BroadcastConfig {
+fn hub_fanout(frames: &[(Arc<[u8]>, bool)], subscribers: usize) -> u64 {
+    let config = BroadcastConfig {
         channel_capacity: frames.len().max(1),
         ring_capacity: frames.len().clamp(1, 64),
-    });
-    let subs: Vec<_> = (0..subscribers)
-        .map(|_| hub.subscribe(StartOffset::Origin))
-        .collect();
-    for (index, frame) in frames.iter().enumerate() {
-        hub.publish_window(index as u64, frame.clone());
+    };
+    let mut hub = BroadcastHub::new(config, None, None);
+    let subs: Vec<_> = (0..subscribers).map(|_| hub.subscribe()).collect();
+    for (index, (frame, key)) in frames.iter().enumerate() {
+        hub.publish_window(index as u64, frame.clone(), *key);
     }
     let summary = hub.close();
     assert_eq!(

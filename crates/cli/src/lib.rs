@@ -1644,7 +1644,7 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
             out,
             "  student {:>3}: joined w{:<4} delivered {:>4}  dropped {:>3}  missed {:>3}{}",
             report.id,
-            report.start_window,
+            report.joined_at,
             report.delivered,
             report.dropped,
             report.missed,

@@ -15,15 +15,10 @@
 //! * [`training`] — the built-in training level (paper Fig. 5);
 //! * [`live`] — live ingest windows coarsened onto the warehouse floor
 //!   (the scene re-pallets per tumbling window);
-//! * [`broadcast`] — the classroom fan-out hub: each published window
-//!   (in `tw-serve`, one encoded frame) goes once to N subscribers over
-//!   bounded channels, with late-joiner catch-up and per-subscriber lag
-//!   accounting;
 //! * [`session`] — the game state machine walking a module bundle;
 //! * [`telemetry`] — the event stream used for the future-work outcome
 //!   measurement the paper calls for (bounded, drop-oldest).
 
-pub mod broadcast;
 pub mod controller;
 pub mod level;
 pub mod live;
@@ -33,10 +28,6 @@ pub mod training;
 pub mod view;
 pub mod warehouse;
 
-pub use broadcast::{
-    BroadcastConfig, BroadcastHub, BroadcastSummary, CatchupRewrite, HubHandle, HubSubscription,
-    RosterTotals, StartOffset, SubscriberReport,
-};
 pub use controller::PalletLabelController;
 pub use level::Level;
 pub use live::{coarsen_window, LiveWarehouse};

@@ -45,8 +45,9 @@ pub enum TelemetryEvent {
         events: u64,
         nnz: usize,
     },
-    /// A student session subscribed to a window broadcast; `missed` counts
-    /// wanted windows that had already left the catch-up ring.
+    /// A student subscribed to a window broadcast: its catch-up starts at
+    /// `start_window` (the catch-up ring's first key frame) with `caught_up`
+    /// frames, and `missed` counts the windows before it.
     SubscriberJoined {
         subscriber: usize,
         start_window: u64,

@@ -1,18 +1,18 @@
-//! The classroom fan-out hub: one indexed window stream, many subscribers.
+//! The classroom fan-out hub: one frame stream, many subscribers.
 //!
 //! The paper's premise is a *classroom* inspecting the same traffic-matrix
-//! scenario together. A [`BroadcastHub`] takes each window **once** from its
-//! producer ([`BroadcastHub::publish_window`]) and pushes it over bounded
-//! crossbeam channels to every subscriber. The payload is anything cheap to
-//! clone — fan-out costs a pointer clone per student, never a matrix copy.
-//! `tw-serve` publishes each window's encoded frame (`T = Arc<[u8]>`) and
-//! gives every TCP connection one subscription, so a class of students at
-//! their own machines all read the same frame bytes.
+//! scenario together. [`serve`](crate::serve) frames each window once and
+//! hands the frame to a [`BroadcastHub`] ([`BroadcastHub::publish_window`]),
+//! which pushes it over bounded crossbeam channels to every subscriber — one
+//! per TCP connection. Fan-out costs an `Arc` clone per student, never a
+//! copy of the frame bytes.
 //!
 //! * **Late joiners** catch up from a bounded ring of the most recent
-//!   windows: a student connecting mid-scenario receives the ring suffix
-//!   from their requested offset immediately, and anything older than the
-//!   ring is counted as `missed` rather than silently skipped.
+//!   frames, starting at the ring's first key frame: the first frame a
+//!   fresh decoder can read. Every earlier window, in the ring or already
+//!   out of it, is counted as `missed` rather than silently skipped. Under
+//!   full-frame serving every frame is a key frame, so a joiner gets the
+//!   whole ring.
 //! * **Slow consumers** never stall the class: when a subscriber's bounded
 //!   channel is full, that window is dropped *for that subscriber only* and
 //!   counted (`dropped`), with a [`TelemetryEvent::SubscriberLagged`] event
@@ -25,18 +25,18 @@
 //! subscriber table and ring): broadcasting is O(subscribers) pointer sends
 //! per window, and every blocking wait lives in the channels, not the lock.
 
-use crate::telemetry::{TelemetryEvent, TelemetryHub};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_metrics::{Counter, Gauge, Histogram, MetricsRegistry, StageTimer};
 
 /// Pre-resolved metric handles for the fan-out stage, all under the
 /// `broadcast.` prefix. `None` on the hub disables every update.
 #[derive(Clone, Debug)]
 struct HubMetrics {
-    /// `broadcast.windows`: payloads broadcast so far.
+    /// `broadcast.windows`: frames broadcast so far.
     windows: Counter,
     /// `broadcast.delivered` / `.dropped` / `.missed`: roster-wide totals,
     /// updated at the same points as the per-subscriber shared counters.
@@ -72,10 +72,10 @@ impl HubMetrics {
 /// Tuning knobs for a [`BroadcastHub`].
 #[derive(Debug, Clone)]
 pub struct BroadcastConfig {
-    /// Bounded depth of each subscriber's window channel; a subscriber more
+    /// Bounded depth of each subscriber's frame channel; a subscriber more
     /// than this many windows behind starts dropping (and counting) them.
     pub channel_capacity: usize,
-    /// Recent windows retained for late-joiner catch-up.
+    /// Recent frames retained for late-joiner catch-up.
     pub ring_capacity: usize,
 }
 
@@ -86,18 +86,6 @@ impl Default for BroadcastConfig {
             ring_capacity: 32,
         }
     }
-}
-
-/// Where in the stream a new subscriber wants to start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartOffset {
-    /// From the first window of the scenario (windows that already left the
-    /// catch-up ring are counted as missed).
-    Origin,
-    /// From the next window broadcast after subscribing.
-    Live,
-    /// From the given window index, catching up from the ring where possible.
-    Window(u64),
 }
 
 /// Per-subscriber counters, shared between the hub and the [`HubSubscription`].
@@ -113,13 +101,14 @@ struct SharedCounters {
 pub struct SubscriberReport {
     /// The subscriber's id (assigned in subscription order from 0).
     pub id: usize,
-    /// The window index the subscriber asked to start from.
-    pub start_window: u64,
+    /// Windows the hub had published when the subscriber joined.
+    pub joined_at: u64,
     /// Windows enqueued to the subscriber's channel.
     pub delivered: u64,
     /// Windows dropped because the subscriber's channel was full.
     pub dropped: u64,
-    /// Wanted windows that had already left the catch-up ring at join time.
+    /// Windows before the first one the subscriber received: those that had
+    /// left the catch-up ring, or preceded its first key frame, at join time.
     pub missed: u64,
     /// Whether the subscriber detached before the broadcast closed (its
     /// receiving half was dropped mid-broadcast). Counters freeze at the
@@ -131,8 +120,8 @@ pub struct SubscriberReport {
 impl SubscriberReport {
     /// Every window this subscriber accounted for, one way or another:
     /// `delivered + dropped + missed`. For a subscriber that stayed to the
-    /// end this equals the windows broadcast past its start offset — the
-    /// conservation law [`BroadcastSummary::conservation_error`] checks.
+    /// end this equals the windows broadcast — the conservation law
+    /// [`BroadcastSummary::conservation_error`] checks.
     pub fn accounted(&self) -> u64 {
         self.delivered + self.dropped + self.missed
     }
@@ -147,7 +136,7 @@ pub struct RosterTotals {
     pub delivered: u64,
     /// Windows dropped (full channel) across all subscribers.
     pub dropped: u64,
-    /// Windows missed (left the ring before join) across all subscribers.
+    /// Windows missed (before the join's first frame) across all subscribers.
     pub missed: u64,
 }
 
@@ -175,47 +164,42 @@ impl BroadcastSummary {
     }
 
     /// Check the conservation law: every subscriber that stayed to the end
-    /// accounted for exactly the windows broadcast past its start offset
-    /// (`delivered + dropped + missed == windows - start_window`). Returns a
-    /// description of the first violation, or `None` when the books balance.
-    /// Early leavers are skipped — their counters froze at the detach.
+    /// accounted for exactly the windows broadcast (`delivered + dropped +
+    /// missed == windows`). Returns a description of the first violation,
+    /// or `None` when the books balance. Early leavers are skipped — their
+    /// counters froze at the detach.
     pub fn conservation_error(&self) -> Option<String> {
-        for r in &self.reports {
-            if r.left_early {
-                continue;
-            }
-            let wanted = self.windows.saturating_sub(r.start_window);
-            if r.accounted() != wanted {
-                return Some(format!(
+        self.reports
+            .iter()
+            .find(|r| !r.left_early && r.accounted() != self.windows)
+            .map(|r| {
+                format!(
                     "subscriber {} accounted {} window(s) (delivered {} + dropped {} + \
-                     missed {}) but the broadcast served {} past its start w{}",
+                     missed {}) but the broadcast served {}",
                     r.id,
                     r.accounted(),
                     r.delivered,
                     r.dropped,
                     r.missed,
-                    wanted,
-                    r.start_window
-                ));
-            }
-        }
-        None
+                    self.windows
+                )
+            })
     }
 }
 
-struct Slot<T> {
+struct Slot {
     id: usize,
-    start_window: u64,
-    sender: Sender<T>,
+    joined_at: u64,
+    sender: Sender<Arc<[u8]>>,
     counters: Arc<SharedCounters>,
     detached: bool,
 }
 
-impl<T> Slot<T> {
+impl Slot {
     fn report(&self, left_early: bool) -> SubscriberReport {
         SubscriberReport {
             id: self.id,
-            start_window: self.start_window,
+            joined_at: self.joined_at,
             delivered: self.counters.delivered.load(Ordering::Relaxed),
             dropped: self.counters.dropped.load(Ordering::Relaxed),
             missed: self.counters.missed.load(Ordering::Relaxed),
@@ -224,122 +208,79 @@ impl<T> Slot<T> {
     }
 }
 
-/// Rewrites the catch-up sequence a joining subscriber receives from the
-/// ring. Called with the ring's `(window index, payload)` entries (oldest
-/// first) and the join's requested start window; returns the entries to
-/// deliver instead. The serving tier uses this to materialize a key frame
-/// when the ring holds delta-encoded windows a joiner could not decode
-/// mid-chain. Contract: returned indices are strictly increasing, all
-/// `>= start_window`, and form a suffix of the broadcast stream — the hub
-/// counts everything between `start_window` and the first returned index
-/// as missed, exactly like ring fall-off on the default path.
-pub type CatchupRewrite<T> = Arc<dyn Fn(&[(u64, T)], u64) -> Vec<(u64, T)> + Send + Sync>;
+/// One published frame in the catch-up ring. The window index rides
+/// alongside the bytes because a frame cannot answer for its own position
+/// in the stream without being parsed.
+struct RingEntry {
+    index: u64,
+    frame: Arc<[u8]>,
+    /// Whether the frame decodes on its own (a full window, not a delta).
+    key: bool,
+}
 
-struct HubState<T: Clone> {
+struct HubState {
     config: BroadcastConfig,
     telemetry: Option<TelemetryHub>,
     metrics: Option<HubMetrics>,
-    /// Optional join-time rewrite of the ring suffix (see [`CatchupRewrite`]).
-    catchup_rewrite: Option<CatchupRewrite<T>>,
-    /// Recent payloads with the window index each one carries. The index
-    /// rides alongside the payload because an encoded frame (unlike a
-    /// `WindowReport`) cannot answer for its own position in the stream.
-    ring: VecDeque<(u64, T)>,
+    ring: VecDeque<RingEntry>,
     /// The index the next broadcast window will carry (== windows broadcast
     /// so far, since window indices are consecutive from 0).
     next_index: u64,
     closed: bool,
     next_id: usize,
-    active: Vec<Slot<T>>,
+    active: Vec<Slot>,
     /// Reports of subscribers that already detached.
     finished: Vec<SubscriberReport>,
 }
 
-impl<T: Clone> HubState<T> {
+impl HubState {
     fn publish(&self, event: TelemetryEvent) {
         if let Some(hub) = &self.telemetry {
             hub.publish(event);
         }
     }
 
-    /// First window index the ring still holds (= `next_index` when empty).
-    fn ring_start(&self) -> u64 {
-        self.ring
-            .front()
-            .map(|(index, _)| *index)
-            .unwrap_or(self.next_index)
-    }
-
-    fn subscribe(&mut self, offset: StartOffset) -> HubSubscription<T> {
+    fn subscribe(&mut self) -> HubSubscription {
         let id = self.next_id;
         self.next_id += 1;
-        let start_window = match offset {
-            StartOffset::Origin => 0,
-            StartOffset::Live => self.next_index,
-            StartOffset::Window(index) => index,
-        };
         let (sender, receiver) = bounded(self.config.channel_capacity);
         let counters = Arc::new(SharedCounters::default());
-        // With a rewrite hook, the hook decides the catch-up sequence (and
-        // thereby what counts as missed); materialize it before the slot so
-        // the ring can be borrowed contiguously.
-        let rewritten = self
-            .catchup_rewrite
-            .clone()
-            .map(|rewrite| rewrite(self.ring.make_contiguous(), start_window));
-        // Windows the subscriber wanted but that already left the ring (or
-        // that the rewrite declined to reconstruct).
-        let missed = match &rewritten {
-            None => self.ring_start().saturating_sub(start_window),
-            Some(entries) => entries
-                .first()
-                .map(|(index, _)| index.saturating_sub(start_window))
-                .unwrap_or_else(|| self.next_index.saturating_sub(start_window)),
-        };
-        counters.missed.store(missed, Ordering::Relaxed);
+        // Catch up from the ring's first key frame, the first frame a fresh
+        // decoder can read; every window before it counts as missed.
+        let skip = self
+            .ring
+            .iter()
+            .position(|entry| entry.key)
+            .unwrap_or(self.ring.len());
+        let start_window = self
+            .ring
+            .get(skip)
+            .map_or(self.next_index, |entry| entry.index);
+        counters.missed.store(start_window, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
-            m.missed.add(missed);
+            m.missed.add(start_window);
         }
         let mut slot = Slot {
             id,
-            start_window,
+            joined_at: self.next_index,
             sender,
             counters: counters.clone(),
             detached: false,
         };
-        // Catch up from the ring: everything at or past the requested start.
-        let mut caught_up = 0u64;
-        match &rewritten {
-            None => {
-                for (index, item) in self.ring.iter().filter(|(i, _)| *i >= start_window) {
-                    deliver(
-                        &mut slot,
-                        *index,
-                        item,
-                        self.telemetry.as_ref(),
-                        self.metrics.as_ref(),
-                    );
-                    caught_up += 1;
-                }
-            }
-            Some(entries) => {
-                for (index, item) in entries {
-                    deliver(
-                        &mut slot,
-                        *index,
-                        item,
-                        self.telemetry.as_ref(),
-                        self.metrics.as_ref(),
-                    );
-                    caught_up += 1;
-                }
-            }
+        for entry in self.ring.iter().skip(skip) {
+            deliver(
+                &mut slot,
+                entry.index,
+                &entry.frame,
+                self.telemetry.as_ref(),
+                self.metrics.as_ref(),
+            );
         }
         self.publish(TelemetryEvent::SubscriberJoined {
             subscriber: id,
             start_window,
-            caught_up,
-            missed,
+            caught_up: (self.ring.len() - skip) as u64,
+            missed: start_window,
         });
         if self.closed || slot.detached {
             // Joining a finished broadcast still yields the ring suffix; the
@@ -354,30 +295,29 @@ impl<T: Clone> HubState<T> {
         }
         HubSubscription {
             id,
-            start_window,
             receiver,
             counters,
         }
     }
 
-    fn broadcast(&mut self, index: u64, item: T) -> u64 {
-        self.ring.push_back((index, item.clone()));
+    fn broadcast(&mut self, index: u64, frame: Arc<[u8]>, key: bool) {
+        {
+            let _fanout = StageTimer::start(self.metrics.as_ref().map(|m| &m.fanout_ns));
+            for slot in &mut self.active {
+                deliver(
+                    slot,
+                    index,
+                    &frame,
+                    self.telemetry.as_ref(),
+                    self.metrics.as_ref(),
+                );
+            }
+        }
+        self.ring.push_back(RingEntry { index, frame, key });
         while self.ring.len() > self.config.ring_capacity {
             self.ring.pop_front();
         }
-        let telemetry = self.telemetry.clone();
-        let metrics = self.metrics.clone();
-        {
-            let _fanout = StageTimer::start(metrics.as_ref().map(|m| &m.fanout_ns));
-            for slot in &mut self.active {
-                // A subscriber that asked to start in the future receives
-                // nothing (and counts nothing) until its start window arrives.
-                if index >= slot.start_window {
-                    deliver(slot, index, &item, telemetry.as_ref(), metrics.as_ref());
-                }
-            }
-        }
-        if let Some(m) = &metrics {
+        if let Some(m) = &self.metrics {
             m.windows.inc();
             m.ring_occupancy.set(self.ring.len() as i64);
             // One queue-depth sample per subscriber per window: how far each
@@ -387,11 +327,10 @@ impl<T: Clone> HubState<T> {
             }
         }
         self.retire_detached();
-        if let Some(m) = &metrics {
+        if let Some(m) = &self.metrics {
             m.subscribers.set(self.active.len() as i64);
         }
         self.next_index = index + 1;
-        index
     }
 
     fn retire_detached(&mut self) {
@@ -448,18 +387,18 @@ impl<T: Clone> HubState<T> {
     }
 }
 
-/// Enqueue one window to one subscriber, with lag accounting.
-fn deliver<T: Clone>(
-    slot: &mut Slot<T>,
+/// Enqueue one frame to one subscriber, with lag accounting.
+fn deliver(
+    slot: &mut Slot,
     index: u64,
-    item: &T,
+    frame: &Arc<[u8]>,
     telemetry: Option<&TelemetryHub>,
     metrics: Option<&HubMetrics>,
 ) {
     if slot.detached {
         return;
     }
-    match slot.sender.try_send(item.clone()) {
+    match slot.sender.try_send(frame.clone()) {
         Ok(()) => {
             slot.counters.delivered.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = metrics {
@@ -486,30 +425,24 @@ fn deliver<T: Clone>(
 }
 
 /// A handle for subscribing to (and observing) a broadcast from any thread.
-pub struct HubHandle<T: Clone> {
-    state: Arc<Mutex<HubState<T>>>,
+#[derive(Clone)]
+pub struct HubHandle {
+    state: Arc<Mutex<HubState>>,
 }
 
-impl<T: Clone> Clone for HubHandle<T> {
-    fn clone(&self) -> Self {
-        HubHandle {
-            state: self.state.clone(),
-        }
-    }
-}
-
-impl<T: Clone> HubHandle<T> {
-    fn lock(&self) -> MutexGuard<'_, HubState<T>> {
+impl HubHandle {
+    fn lock(&self) -> MutexGuard<'_, HubState> {
         match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// Subscribe a new consumer starting at `offset`. Works before, during
-    /// and after the broadcast; ring catch-up is delivered immediately.
-    pub fn subscribe(&self, offset: StartOffset) -> HubSubscription<T> {
-        self.lock().subscribe(offset)
+    /// Subscribe a new consumer. Works before, during and after the
+    /// broadcast; ring catch-up from the first key frame is delivered
+    /// immediately.
+    pub fn subscribe(&self) -> HubSubscription {
+        self.lock().subscribe()
     }
 
     /// Windows broadcast so far.
@@ -533,44 +466,23 @@ impl<T: Clone> HubHandle<T> {
     }
 }
 
-impl<T: Clone> std::fmt::Debug for HubHandle<T> {
+impl std::fmt::Debug for HubHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("HubHandle { .. }")
     }
 }
 
-/// The hub that fans one indexed payload stream out to N subscribers.
-///
-/// `T` is whatever one broadcast window costs a pointer clone to share:
-/// `Arc<[u8]>` for the encoded wire frames of the `tw-serve` network tier.
-pub struct BroadcastHub<T: Clone> {
-    state: Arc<Mutex<HubState<T>>>,
+/// The hub that fans one indexed frame stream out to N subscribers.
+pub struct BroadcastHub {
+    handle: HubHandle,
 }
 
-impl<T: Clone> BroadcastHub<T> {
-    /// A hub with the given configuration and no telemetry.
-    pub fn new(config: BroadcastConfig) -> Self {
-        Self::build(config, None, None)
-    }
-
-    /// A hub publishing subscriber lifecycle and lag events to the given
-    /// telemetry hub.
-    pub fn with_telemetry(config: BroadcastConfig, telemetry: TelemetryHub) -> Self {
-        Self::build(config, Some(telemetry), None)
-    }
-
-    /// A hub with optional telemetry *and* optional metrics: fan-out timing,
-    /// roster-wide delivered/dropped/missed counters, queue-depth samples,
-    /// and ring/subscriber gauges land on `registry` under `broadcast.*`.
-    pub fn with_instrumentation(
-        config: BroadcastConfig,
-        telemetry: Option<TelemetryHub>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Self {
-        Self::build(config, telemetry, registry)
-    }
-
-    fn build(
+impl BroadcastHub {
+    /// A hub with optional telemetry (subscriber lifecycle and lag events)
+    /// and optional metrics: fan-out timing, roster-wide delivered/dropped/
+    /// missed counters, queue-depth samples, and ring/subscriber gauges land
+    /// on `registry` under `broadcast.*`.
+    pub fn new(
         config: BroadcastConfig,
         telemetry: Option<TelemetryHub>,
         registry: Option<&MetricsRegistry>,
@@ -583,70 +495,51 @@ impl<T: Clone> BroadcastHub<T> {
             config.ring_capacity >= 1,
             "the catch-up ring needs capacity"
         );
+        let state = HubState {
+            config,
+            telemetry,
+            metrics: registry.map(HubMetrics::new),
+            ring: VecDeque::new(),
+            next_index: 0,
+            closed: false,
+            next_id: 0,
+            active: Vec::new(),
+            finished: Vec::new(),
+        };
         BroadcastHub {
-            state: Arc::new(Mutex::new(HubState {
-                config,
-                telemetry,
-                metrics: registry.map(HubMetrics::new),
-                catchup_rewrite: None,
-                ring: VecDeque::new(),
-                next_index: 0,
-                closed: false,
-                next_id: 0,
-                active: Vec::new(),
-                finished: Vec::new(),
-            })),
+            handle: HubHandle {
+                state: Arc::new(Mutex::new(state)),
+            },
         }
     }
 
     /// A clonable handle for subscribing from other threads.
-    pub fn handle(&self) -> HubHandle<T> {
-        HubHandle {
-            state: self.state.clone(),
-        }
-    }
-
-    /// Install a join-time rewrite of the catch-up ring suffix (see
-    /// [`CatchupRewrite`]). Without one, joiners receive the raw ring
-    /// entries at or past their start window — the behavior every
-    /// full-window broadcast keeps. Install before subscribers join whose
-    /// catch-up should be rewritten; joins already served are unaffected.
-    pub fn set_catchup_rewrite(
-        &self,
-        rewrite: impl Fn(&[(u64, T)], u64) -> Vec<(u64, T)> + Send + Sync + 'static,
-    ) {
-        self.lock().catchup_rewrite = Some(Arc::new(rewrite));
+    pub fn handle(&self) -> HubHandle {
+        self.handle.clone()
     }
 
     /// Subscribe a consumer (convenience for [`HubHandle::subscribe`]).
-    pub fn subscribe(&self, offset: StartOffset) -> HubSubscription<T> {
-        self.handle().subscribe(offset)
+    pub fn subscribe(&self) -> HubSubscription {
+        self.handle.subscribe()
     }
 
-    /// Broadcast one payload carrying the given window index.
+    /// Broadcast one frame carrying the given window index; `key` says the
+    /// frame decodes on its own, so a late joiner may start there.
     ///
     /// Indices must be consecutive from 0 (the contract every
     /// `WindowStream` already honors) for missed/ring accounting to be
-    /// exact. Publishing on a closed hub is a no-op. Returns the index.
-    pub fn publish_window(&self, index: u64, item: T) -> u64 {
-        let mut state = self.lock();
-        if state.closed {
-            return index;
+    /// exact. Publishing on a closed hub is a no-op.
+    pub fn publish_window(&self, index: u64, frame: Arc<[u8]>, key: bool) {
+        let mut state = self.handle.lock();
+        if !state.closed {
+            state.broadcast(index, frame, key);
         }
-        state.broadcast(index, item)
     }
 
     /// Close the broadcast: every subscriber channel disconnects once
     /// drained. Idempotent; returns the (final) summary.
     pub fn close(&mut self) -> BroadcastSummary {
-        self.lock().close()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HubState<T>> {
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.handle.lock().close()
     }
 }
 
@@ -654,15 +547,15 @@ impl<T: Clone> BroadcastHub<T> {
 /// blocked in `recv()` always unblock — even when a panic or an early return
 /// skips the explicit [`BroadcastHub::close`] (surviving [`HubHandle`]
 /// clones keep the channel senders alive otherwise).
-impl<T: Clone> Drop for BroadcastHub<T> {
+impl Drop for BroadcastHub {
     fn drop(&mut self) {
-        self.lock().close();
+        self.handle.lock().close();
     }
 }
 
-impl<T: Clone> std::fmt::Debug for BroadcastHub<T> {
+impl std::fmt::Debug for BroadcastHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.lock();
+        let state = self.handle.lock();
         f.debug_struct("BroadcastHub")
             .field("windows", &state.next_index)
             .field("subscribers", &state.active.len())
@@ -677,40 +570,34 @@ impl<T: Clone> std::fmt::Debug for BroadcastHub<T> {
 /// next delivery attempt. Counters are shared with the hub, so they remain
 /// readable (and final) after the broadcast closes.
 #[derive(Debug)]
-pub struct HubSubscription<T> {
+pub struct HubSubscription {
     id: usize,
-    start_window: u64,
-    receiver: Receiver<T>,
+    receiver: Receiver<Arc<[u8]>>,
     counters: Arc<SharedCounters>,
 }
 
-impl<T> HubSubscription<T> {
+impl HubSubscription {
     /// The subscriber id the hub assigned (subscription order from 0).
     pub fn id(&self) -> usize {
         self.id
     }
 
-    /// The window index this subscription asked to start from.
-    pub fn start_window(&self) -> u64 {
-        self.start_window
-    }
-
-    /// Block until the next window arrives; `None` once the broadcast has
+    /// Block until the next frame arrives; `None` once the broadcast has
     /// closed and everything buffered has been received.
-    pub fn recv(&self) -> Option<T> {
+    pub fn recv(&self) -> Option<Arc<[u8]>> {
         self.receiver.recv().ok()
     }
 
-    /// The next window, if one is already buffered.
-    pub fn try_recv(&self) -> Option<T> {
+    /// The next frame, if one is already buffered.
+    pub fn try_recv(&self) -> Option<Arc<[u8]>> {
         self.receiver.try_recv().ok()
     }
 
-    /// Drain every currently buffered window.
-    pub fn drain(&self) -> Vec<T> {
+    /// Drain every currently buffered frame.
+    pub fn drain(&self) -> Vec<Arc<[u8]>> {
         let mut out = Vec::new();
-        while let Some(report) = self.try_recv() {
-            out.push(report);
+        while let Some(frame) = self.try_recv() {
+            out.push(frame);
         }
         out
     }
@@ -725,8 +612,7 @@ impl<T> HubSubscription<T> {
         self.counters.dropped.load(Ordering::Relaxed)
     }
 
-    /// Wanted windows that had already left the ring when this subscription
-    /// joined.
+    /// Windows before the first one this subscription received at join.
     pub fn missed(&self) -> u64 {
         self.counters.missed.load(Ordering::Relaxed)
     }
@@ -735,35 +621,57 @@ impl<T> HubSubscription<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_ingest::{Pipeline, PipelineConfig, Scenario, WindowReport};
+    use tw_ingest::frame::{split_frame, window_frame};
+    use tw_ingest::{decode_window, Pipeline, PipelineConfig, Scenario};
 
-    /// The hub driven with whole window reports, as a producer loop would.
-    type Hub = BroadcastHub<Arc<WindowReport>>;
-    type Sub = HubSubscription<Arc<WindowReport>>;
-
-    /// Pull one window from `stream` and publish it; `None` once the hub is
-    /// closed or the stream is exhausted.
-    fn step(hub: &Hub, stream: &mut Pipeline) -> Option<u64> {
-        if hub.handle().is_closed() {
-            return None;
-        }
-        let report = stream.next_window()?;
-        Some(hub.publish_window(report.stats.window_index, Arc::new(report)))
+    /// A stand-in frame whose bytes name its window index: the hub never
+    /// looks inside a frame, so most tests need nothing heavier.
+    fn frame(index: u64) -> Arc<[u8]> {
+        Arc::from(index.to_le_bytes().as_slice())
     }
 
-    /// Publish up to `max_windows` windows, then close the hub.
-    fn run(hub: &mut Hub, stream: &mut Pipeline, max_windows: usize) -> BroadcastSummary {
-        for _ in 0..max_windows {
-            if step(hub, stream).is_none() {
-                break;
-            }
+    /// The window indices of every frame buffered for `sub`.
+    fn indices(sub: &HubSubscription) -> Vec<u64> {
+        sub.drain()
+            .iter()
+            .map(|f| u64::from_le_bytes(f.as_ref().try_into().unwrap()))
+            .collect()
+    }
+
+    /// Publish the next window as a key frame; `None` once the hub is closed.
+    fn step(hub: &BroadcastHub) -> Option<u64> {
+        let handle = hub.handle();
+        if handle.is_closed() {
+            return None;
+        }
+        let index = handle.windows_broadcast();
+        hub.publish_window(index, frame(index), true);
+        Some(index)
+    }
+
+    /// Publish `windows` key frames, then close the hub.
+    fn run(hub: &mut BroadcastHub, windows: usize) -> BroadcastSummary {
+        for _ in 0..windows {
+            step(hub);
         }
         hub.close()
     }
 
-    fn ddos_pipeline(windows_us: u64) -> Pipeline {
+    fn hub(channel_capacity: usize, ring_capacity: usize) -> BroadcastHub {
+        let config = BroadcastConfig {
+            channel_capacity,
+            ring_capacity,
+        };
+        BroadcastHub::new(config, None, None)
+    }
+
+    fn roomy() -> BroadcastHub {
+        hub(64, 64)
+    }
+
+    fn ddos_pipeline() -> Pipeline {
         let config = PipelineConfig {
-            window_us: windows_us,
+            window_us: 50_000,
             batch_size: 4_096,
             reorder_horizon_us: 0,
             ..Default::default()
@@ -771,24 +679,16 @@ mod tests {
         Pipeline::new(Scenario::Ddos.source(128, 7), config)
     }
 
-    fn roomy() -> BroadcastConfig {
-        BroadcastConfig {
-            channel_capacity: 64,
-            ring_capacity: 64,
-        }
-    }
-
     #[test]
     fn every_subscriber_sees_the_identical_stream() {
-        let mut reference = ddos_pipeline(50_000);
-        let reference = reference.run(4);
-
-        let mut caster = Hub::new(roomy());
-        let subs: Vec<Sub> = (0..3)
-            .map(|_| caster.subscribe(StartOffset::Origin))
-            .collect();
-        let mut stream = ddos_pipeline(50_000);
-        let summary = run(&mut caster, &mut stream, 4);
+        let reference = ddos_pipeline().run(4);
+        let mut caster = roomy();
+        let subs: Vec<HubSubscription> = (0..3).map(|_| caster.subscribe()).collect();
+        for report in &reference {
+            let frame = window_frame(report, None);
+            caster.publish_window(report.stats.window_index, frame.bytes, true);
+        }
+        let summary = caster.close();
         assert_eq!(summary.windows, 4);
         assert_eq!(summary.subscribers, 3);
         for sub in &subs {
@@ -797,10 +697,10 @@ mod tests {
             assert_eq!(sub.delivered(), 4);
             assert_eq!(sub.dropped(), 0);
             assert_eq!(sub.missed(), 0);
-            for (reference, received) in reference.iter().zip(&received) {
+            for (reference, frame) in reference.iter().zip(&received) {
+                let (_, payload) = split_frame(frame).unwrap();
+                let received = decode_window(payload).unwrap();
                 assert_eq!(reference.matrix, received.matrix, "cell-for-cell");
-                // Everything but the wall-clock elapsed is deterministic
-                // across two runs of the same seeded scenario.
                 assert_eq!(reference.stats.window_index, received.stats.window_index);
                 assert_eq!(reference.stats.events, received.stats.events);
                 assert_eq!(reference.stats.packets, received.stats.packets);
@@ -813,70 +713,84 @@ mod tests {
 
     #[test]
     fn late_joiner_catches_up_from_the_ring() {
-        let mut stream = ddos_pipeline(50_000);
-        let mut caster = Hub::new(roomy());
-        let early = caster.subscribe(StartOffset::Origin);
-        // Broadcast two windows, then join late asking for window 1.
-        step(&caster, &mut stream);
-        step(&caster, &mut stream);
-        let late = caster.subscribe(StartOffset::Window(1));
-        let live = caster.subscribe(StartOffset::Live);
-        step(&caster, &mut stream);
-        caster.close();
-
-        let early: Vec<u64> = early.drain().iter().map(|r| r.stats.window_index).collect();
-        let late_seen: Vec<u64> = late.drain().iter().map(|r| r.stats.window_index).collect();
-        let live_seen: Vec<u64> = live.drain().iter().map(|r| r.stats.window_index).collect();
-        assert_eq!(early, vec![0, 1, 2]);
-        assert_eq!(late_seen, vec![1, 2], "ring caught the late joiner up");
-        assert_eq!(live_seen, vec![2], "live join sees only the future");
+        let mut caster = roomy();
+        let early = caster.subscribe();
+        // Broadcast two windows, then join late.
+        step(&caster);
+        step(&caster);
+        let late = caster.subscribe();
+        step(&caster);
+        let summary = caster.close();
+        assert_eq!(indices(&early), vec![0, 1, 2]);
+        assert_eq!(
+            indices(&late),
+            vec![0, 1, 2],
+            "ring caught the late joiner up"
+        );
         assert_eq!(late.missed(), 0);
+        assert_eq!(summary.reports[1].joined_at, 2);
+        assert_eq!(summary.conservation_error(), None);
     }
 
     #[test]
-    fn future_start_offsets_skip_earlier_windows() {
-        let mut caster = Hub::new(roomy());
-        let sub = caster.subscribe(StartOffset::Window(2));
-        let mut stream = ddos_pipeline(50_000);
-        run(&mut caster, &mut stream, 4);
-        let seen: Vec<u64> = sub.drain().iter().map(|r| r.stats.window_index).collect();
-        assert_eq!(seen, vec![2, 3], "windows before the start are skipped");
-        assert_eq!(sub.delivered(), 2);
-        assert_eq!(sub.dropped(), 0, "skipped windows are not drops");
-        assert_eq!(sub.missed(), 0, "nor misses");
+    fn joined_at_is_the_published_window_count() {
+        let mut caster = roomy();
+        let _early = caster.subscribe();
+        for _ in 0..3 {
+            step(&caster);
+        }
+        let _late = caster.subscribe();
+        let summary = run(&mut caster, 1);
+        assert_eq!(summary.reports[0].joined_at, 0);
+        assert_eq!(summary.reports[1].joined_at, 3);
     }
 
     #[test]
     fn windows_older_than_the_ring_are_counted_missed() {
-        let mut stream = ddos_pipeline(50_000);
-        let mut caster = Hub::new(BroadcastConfig {
-            channel_capacity: 8,
-            ring_capacity: 2,
-        });
+        let mut caster = hub(8, 2);
         for _ in 0..4 {
-            step(&caster, &mut stream);
+            step(&caster);
         }
-        // Ring now holds windows {2, 3}; an Origin joiner wanted 0..=3.
-        let sub = caster.subscribe(StartOffset::Origin);
-        let seen: Vec<u64> = sub.drain().iter().map(|r| r.stats.window_index).collect();
-        assert_eq!(seen, vec![2, 3]);
+        // Ring now holds windows {2, 3}; a joiner wanted 0..=3.
+        let sub = caster.subscribe();
+        assert_eq!(indices(&sub), vec![2, 3]);
         assert_eq!(sub.missed(), 2, "windows 0 and 1 already left the ring");
         caster.close();
     }
 
     #[test]
+    fn catchup_starts_at_the_rings_first_key_frame() {
+        // Ring 4, key frames every 3rd window (0, 3, 6, ...).
+        let mut caster = hub(8, 4);
+        let publish = |caster: &BroadcastHub, windows: std::ops::Range<u64>| {
+            for i in windows {
+                caster.publish_window(i, frame(i), i % 3 == 0);
+            }
+        };
+        publish(&caster, 0..7);
+        // The ring holds w3..=w6 and starts on a key frame.
+        let first = caster.subscribe();
+        assert_eq!(indices(&first), vec![3, 4, 5, 6]);
+        assert_eq!(first.missed(), 3);
+        publish(&caster, 7..8);
+        // The ring holds w4..=w7: w4 and w5 are deltas without their base.
+        let second = caster.subscribe();
+        assert_eq!(indices(&second), vec![6, 7]);
+        assert_eq!(second.missed(), 6);
+        let summary = caster.close();
+        assert_eq!(summary.conservation_error(), None);
+    }
+
+    #[test]
     fn slow_subscribers_drop_with_accounting_instead_of_stalling() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Hub::with_telemetry(
-            BroadcastConfig {
-                channel_capacity: 2,
-                ring_capacity: 8,
-            },
-            telemetry.clone(),
-        );
-        let slow = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
-        let summary = run(&mut caster, &mut stream, 5);
+        let config = BroadcastConfig {
+            channel_capacity: 2,
+            ring_capacity: 8,
+        };
+        let mut caster = BroadcastHub::new(config, Some(telemetry.clone()), None);
+        let slow = caster.subscribe();
+        let summary = run(&mut caster, 5);
         assert_eq!(summary.windows, 5);
         // Capacity 2 and nobody draining: 2 delivered, 3 dropped.
         assert_eq!(slow.delivered(), 2);
@@ -889,8 +803,7 @@ mod tests {
             .count();
         assert_eq!(lag_events, 3, "every drop surfaced on telemetry");
         // The windows that did arrive are the oldest (head-of-line), in order.
-        let seen: Vec<u64> = slow.drain().iter().map(|r| r.stats.window_index).collect();
-        assert_eq!(seen, vec![0, 1]);
+        assert_eq!(indices(&slow), vec![0, 1]);
         // Drops still conserve: 2 delivered + 3 dropped == 5 windows.
         assert_eq!(summary.conservation_error(), None);
     }
@@ -898,15 +811,18 @@ mod tests {
     #[test]
     fn dropped_subscription_detaches_cleanly() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Hub::with_telemetry(roomy(), telemetry.clone());
-        let keep = caster.subscribe(StartOffset::Origin);
-        let leave = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
-        step(&caster, &mut stream);
+        let config = BroadcastConfig {
+            channel_capacity: 64,
+            ring_capacity: 64,
+        };
+        let mut caster = BroadcastHub::new(config, Some(telemetry.clone()), None);
+        let keep = caster.subscribe();
+        let leave = caster.subscribe();
+        step(&caster);
         assert_eq!(caster.handle().subscriber_count(), 2);
         drop(leave);
         // The hub notices on the next delivery and retires the slot.
-        step(&caster, &mut stream);
+        step(&caster);
         assert_eq!(caster.handle().subscriber_count(), 1);
         let summary = caster.close();
         assert_eq!(summary.subscribers, 2);
@@ -929,38 +845,34 @@ mod tests {
 
     #[test]
     fn subscribing_after_close_yields_the_ring_suffix_then_disconnect() {
-        let mut caster = Hub::new(roomy());
-        let mut stream = ddos_pipeline(50_000);
-        run(&mut caster, &mut stream, 3);
+        let mut caster = hub(64, 2);
+        run(&mut caster, 3);
         assert!(caster.handle().is_closed());
-        let sub = caster.subscribe(StartOffset::Window(1));
-        let seen: Vec<u64> = sub.drain().iter().map(|r| r.stats.window_index).collect();
-        assert_eq!(seen, vec![1, 2]);
+        let sub = caster.subscribe();
+        assert_eq!(indices(&sub), vec![1, 2]);
+        assert_eq!(sub.missed(), 1);
         assert!(sub.recv().is_none());
     }
 
     #[test]
     fn threaded_consumers_all_receive_every_window() {
-        let mut caster = Hub::new(roomy());
-        let subs: Vec<Sub> = (0..8)
-            .map(|_| caster.subscribe(StartOffset::Origin))
-            .collect();
+        let mut caster = roomy();
+        let subs: Vec<HubSubscription> = (0..8).map(|_| caster.subscribe()).collect();
         let handle = caster.handle();
         std::thread::scope(|scope| {
             let consumers: Vec<_> = subs
                 .into_iter()
                 .map(|sub| {
                     scope.spawn(move || {
-                        let mut indices = Vec::new();
-                        while let Some(report) = sub.recv() {
-                            indices.push(report.stats.window_index);
+                        let mut seen = Vec::new();
+                        while let Some(frame) = sub.recv() {
+                            seen.push(u64::from_le_bytes(frame.as_ref().try_into().unwrap()));
                         }
-                        indices
+                        seen
                     })
                 })
                 .collect();
-            let mut stream = ddos_pipeline(50_000);
-            let summary = run(&mut caster, &mut stream, 6);
+            let summary = run(&mut caster, 6);
             assert_eq!(summary.windows, 6);
             for consumer in consumers {
                 assert_eq!(consumer.join().unwrap(), vec![0, 1, 2, 3, 4, 5]);
@@ -973,10 +885,10 @@ mod tests {
     #[test]
     fn telemetry_reports_joins_and_close() {
         let telemetry = TelemetryHub::new();
-        let mut caster = Hub::with_telemetry(roomy(), telemetry.clone());
-        let _sub = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
-        run(&mut caster, &mut stream, 2);
+        let mut caster =
+            BroadcastHub::new(BroadcastConfig::default(), Some(telemetry.clone()), None);
+        let _sub = caster.subscribe();
+        run(&mut caster, 2);
         let events = telemetry.drain();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1006,8 +918,8 @@ mod tests {
 
     #[test]
     fn dropping_the_broadcaster_closes_the_hub() {
-        let caster = Hub::new(roomy());
-        let sub = caster.subscribe(StartOffset::Origin);
+        let caster = roomy();
+        let sub = caster.subscribe();
         let handle = caster.handle();
         // No explicit close(): the Drop impl must unblock subscribers even
         // though `handle` keeps the hub state alive.
@@ -1018,25 +930,22 @@ mod tests {
 
     #[test]
     fn step_after_close_is_a_no_op() {
-        let mut caster = Hub::new(roomy());
-        let mut stream = ddos_pipeline(50_000);
-        run(&mut caster, &mut stream, 1);
-        assert_eq!(step(&caster, &mut stream), None);
+        let mut caster = roomy();
+        run(&mut caster, 1);
+        assert_eq!(step(&caster), None);
         let again = caster.close();
         assert_eq!(again.windows, 1);
     }
 
     #[test]
     fn frame_payloads_fan_out_the_same_bytes_to_everyone() {
-        // The serving-tier instantiation: encoded frames, shared by pointer.
-        let mut hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(roomy());
-        let subs: Vec<HubSubscription<Arc<[u8]>>> =
-            (0..3).map(|_| hub.subscribe(StartOffset::Origin)).collect();
+        let mut caster = roomy();
+        let subs: Vec<HubSubscription> = (0..3).map(|_| caster.subscribe()).collect();
         let frames: Vec<Arc<[u8]>> = (0u8..4).map(|i| Arc::from(vec![i; 8])).collect();
         for (i, frame) in frames.iter().enumerate() {
-            hub.publish_window(i as u64, frame.clone());
+            caster.publish_window(i as u64, frame.clone(), true);
         }
-        let summary = hub.close();
+        let summary = caster.close();
         assert_eq!(summary.windows, 4);
         for sub in &subs {
             let received = sub.drain();
@@ -1052,13 +961,10 @@ mod tests {
     fn frame_payload_lag_drop_is_deterministic() {
         // Nothing drains the channel, so capacity bounds delivery exactly:
         // the first `capacity` frames are delivered, every later one drops.
-        let hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(BroadcastConfig {
-            channel_capacity: 1,
-            ring_capacity: 8,
-        });
-        let stalled = hub.subscribe(StartOffset::Origin);
+        let caster = hub(1, 8);
+        let stalled = caster.subscribe();
         for i in 0..5u64 {
-            hub.publish_window(i, Arc::from(vec![0u8; 4]));
+            caster.publish_window(i, frame(i), true);
         }
         assert_eq!(stalled.delivered(), 1);
         assert_eq!(stalled.dropped(), 4);
@@ -1066,30 +972,26 @@ mod tests {
 
     #[test]
     fn publish_after_close_is_a_no_op() {
-        let mut hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(roomy());
-        let sub = hub.subscribe(StartOffset::Origin);
-        hub.publish_window(0, Arc::from(vec![1u8]));
-        hub.close();
-        hub.publish_window(1, Arc::from(vec![2u8]));
+        let mut caster = roomy();
+        let sub = caster.subscribe();
+        caster.publish_window(0, frame(0), true);
+        caster.close();
+        caster.publish_window(1, frame(1), true);
         assert_eq!(sub.drain().len(), 1, "post-close publishes go nowhere");
-        assert_eq!(hub.handle().windows_broadcast(), 1);
+        assert_eq!(caster.handle().windows_broadcast(), 1);
     }
 
     #[test]
     fn roster_totals_sum_every_counter_once() {
-        let mut caster = Hub::new(BroadcastConfig {
-            channel_capacity: 2,
-            ring_capacity: 2,
-        });
-        let _slow = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
+        let mut caster = hub(2, 2);
+        let _slow = caster.subscribe();
         for _ in 0..4 {
-            step(&caster, &mut stream);
+            step(&caster);
         }
         // Joins after the ring slid: missed counts too.
-        let _late = caster.subscribe(StartOffset::Origin);
-        step(&caster, &mut stream);
-        let summary = run(&mut caster, &mut stream, 1);
+        let _late = caster.subscribe();
+        step(&caster);
+        let summary = run(&mut caster, 1);
         let totals = summary.totals();
         assert_eq!(
             totals.delivered,
@@ -1113,22 +1015,18 @@ mod tests {
     #[test]
     fn instrumented_hub_counters_match_the_summary() {
         let registry = MetricsRegistry::new();
-        let mut caster = Hub::with_instrumentation(
-            BroadcastConfig {
-                channel_capacity: 2,
-                ring_capacity: 2,
-            },
-            None,
-            Some(&registry),
-        );
-        let _slow = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
+        let config = BroadcastConfig {
+            channel_capacity: 2,
+            ring_capacity: 2,
+        };
+        let mut caster = BroadcastHub::new(config, None, Some(&registry));
+        let _slow = caster.subscribe();
         for _ in 0..4 {
-            step(&caster, &mut stream);
+            step(&caster);
         }
         // Joins after the ring slid, so misses land on the registry too.
-        let _late = caster.subscribe(StartOffset::Origin);
-        let summary = run(&mut caster, &mut stream, 2);
+        let _late = caster.subscribe();
+        let summary = run(&mut caster, 2);
         let totals = summary.totals();
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("broadcast.windows"), summary.windows);
@@ -1147,80 +1045,10 @@ mod tests {
     }
 
     #[test]
-    fn catchup_rewrite_replaces_the_ring_suffix_for_joiners() {
-        // The serving tier's shape: the ring holds payloads a joiner cannot
-        // use mid-chain, so a rewrite materializes a fresh head entry and
-        // passes the rest through. Entries it declines count as missed.
-        let hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(BroadcastConfig {
-            channel_capacity: 8,
-            ring_capacity: 8,
-        });
-        for i in 0..5u64 {
-            hub.publish_window(i, Arc::from(vec![i as u8; 2]));
-        }
-        hub.set_catchup_rewrite(|ring, start| {
-            // Skip up to the requested start, then replace the first
-            // delivered entry with a rewritten payload.
-            let mut out: Vec<(u64, Arc<[u8]>)> =
-                ring.iter().filter(|(i, _)| *i >= start).cloned().collect();
-            if let Some((_, payload)) = out.first_mut() {
-                *payload = Arc::from(vec![0xAAu8; 2]);
-            }
-            out
-        });
-        let sub = hub.subscribe(StartOffset::Window(2));
-        let frames = sub.drain();
-        assert_eq!(frames.len(), 3, "windows 2, 3, 4");
-        assert_eq!(frames[0].as_ref(), &[0xAA, 0xAA], "head was rewritten");
-        assert_eq!(frames[1].as_ref(), &[3, 3], "tail passes through");
-        assert_eq!(sub.missed(), 0);
-
-        // A rewrite that starts later than asked books the gap as missed,
-        // and an empty rewrite books the whole wanted range.
-        hub.set_catchup_rewrite(|ring, start| {
-            ring.iter()
-                .filter(|(i, _)| *i >= start.max(4))
-                .cloned()
-                .collect()
-        });
-        let partial = hub.subscribe(StartOffset::Window(1));
-        assert_eq!(partial.drain().len(), 1, "only window 4");
-        assert_eq!(partial.missed(), 3, "windows 1..=3 were declined");
-        hub.set_catchup_rewrite(|_, _| Vec::new());
-        let none = hub.subscribe(StartOffset::Origin);
-        assert!(none.drain().is_empty());
-        assert_eq!(none.missed(), 5, "all five broadcast windows");
-    }
-
-    #[test]
-    fn catchup_rewrite_keeps_the_conservation_law() {
-        let mut hub: BroadcastHub<Arc<[u8]>> = BroadcastHub::new(BroadcastConfig {
-            channel_capacity: 8,
-            ring_capacity: 4,
-        });
-        hub.set_catchup_rewrite(|ring, start| {
-            ring.iter().filter(|(i, _)| *i >= start).cloned().collect()
-        });
-        for i in 0..6u64 {
-            hub.publish_window(i, Arc::from(vec![0u8]));
-        }
-        // Ring holds 2..=5; an Origin joiner gets those, misses 0 and 1,
-        // then receives 6 and 7 live.
-        let sub = hub.subscribe(StartOffset::Origin);
-        for i in 6..8u64 {
-            hub.publish_window(i, Arc::from(vec![0u8]));
-        }
-        let summary = hub.close();
-        assert_eq!(sub.drain().len(), 6);
-        assert_eq!(summary.conservation_error(), None);
-    }
-
-    #[test]
     fn conservation_error_pinpoints_a_cooked_report() {
-        let mut caster = Hub::new(roomy());
-        let _sub = caster.subscribe(StartOffset::Origin);
-        let mut stream = ddos_pipeline(50_000);
-        let mut summary = run(&mut caster, &mut stream, 3);
+        let mut caster = roomy();
+        let _sub = caster.subscribe();
+        let mut summary = run(&mut caster, 3);
         assert_eq!(summary.conservation_error(), None);
         summary.reports[0].delivered += 1;
         let err = summary

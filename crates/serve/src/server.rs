@@ -8,15 +8,15 @@
 //!            main thread                 acceptor thread
 //!  ┌───────────────────────────┐   ┌──────────────────────────┐
 //!  │ next_window()             │   │ listener.accept() poll   │
-//!  │   → forward the recorded  │   │   → subscribe(Origin)    │
+//!  │   → forward the recorded  │   │   → subscribe()          │
 //!  │     frame or encode once  │   │   → spawn writer thread  │
 //!  │     (Arc<[u8]>)           │   │ (idle: 1 → 32 ms sleeps) │
 //!  │   → hub.publish_window()  │   └──────────┬───────────────┘
 //!  └───────────┬───────────────┘              │ per connection
 //!              ▼                              ▼
-//!   BroadcastHub<Arc<[u8]>>  ──bounded──►  writer: manifest frame,
-//!   (ring catch-up, lag-drop              recv() → write_all(frame),
-//!    accounting from tw-game)             close frame with accounting
+//!   BroadcastHub             ──bounded──►  writer: manifest frame,
+//!   (catch-up from the ring's             recv() → write_all(frame),
+//!    first key frame, lag-drop)           close frame with accounting
 //! ```
 //!
 //! Each window is framed **once**; every connection shares the same frame
@@ -26,9 +26,9 @@
 //! [`window_frame`] forwards those bytes whenever they are exactly what
 //! encoding would write; any other window is encoded straight into its
 //! frame buffer. With [`ServeConfig::keyframe_every`] set, the
-//! windows between key frames go out as v3 delta frames and a late joiner
-//! is caught up from the newest key frame covering its join point (the
-//! hub's [`CatchupRewrite`](tw_game::broadcast::CatchupRewrite) hook). A slow connection fills its bounded channel and
+//! windows between key frames go out as v3 delta frames, and the
+//! [`BroadcastHub`] starts a late joiner's catch-up at the first key frame
+//! in its ring. A slow connection fills its bounded channel and
 //! starts dropping frames — counted per subscriber, surfaced on telemetry,
 //! and echoed to the peer in its close frame — but it never stalls the
 //! class. A dead connection fails its next write, the writer thread exits,
@@ -45,21 +45,19 @@
 //! returns, the acceptor and every writer have been joined — no leaks, no
 //! orphan sockets.
 
+use crate::broadcast::{
+    BroadcastConfig, BroadcastHub, BroadcastSummary, HubHandle, HubSubscription,
+};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tw_game::broadcast::{
-    BroadcastConfig, BroadcastHub, BroadcastSummary, HubHandle, HubSubscription, StartOffset,
-};
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::frame::{
-    encode_close_frame, encode_manifest_frame, encode_stats_frame, split_frame, window_frame,
-    write_frame, CloseSummary, FrameError, FrameKind, StreamManifest,
+    encode_close_frame, encode_manifest_frame, encode_stats_frame, window_frame, write_frame,
+    CloseSummary, FrameError, StreamManifest,
 };
-use tw_ingest::{
-    decode_window_into, CodecMetrics, DecodeScratch, StreamError, WindowReport, WindowStream,
-};
+use tw_ingest::{CodecMetrics, StreamError, WindowReport, WindowStream};
 use tw_metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, StageTimer};
 
 /// Pre-resolved handles for the serving tier's own metrics (`serve.*`).
@@ -286,8 +284,7 @@ pub fn serve(
         channel_capacity: config.channel_capacity,
         ring_capacity: config.ring_capacity,
     };
-    let mut hub: BroadcastHub<Arc<[u8]>> =
-        BroadcastHub::with_instrumentation(hub_config, telemetry.clone(), config.metrics.as_ref());
+    let mut hub = BroadcastHub::new(hub_config, telemetry.clone(), config.metrics.as_ref());
     let serve_metrics = config.metrics.as_ref().map(ServeMetrics::new);
     let conn_metrics = config.metrics.as_ref().map(|registry| ConnMetrics {
         registry: registry.clone(),
@@ -296,12 +293,9 @@ pub fn serve(
         wire_bytes: registry.counter("serve.wire_bytes"),
     });
     let codec_metrics = config.metrics.as_ref().map(CodecMetrics::new);
-    // The cadence is clamped to the ring so a joiner's catch-up always
-    // contains a key frame to anchor its delta chain on.
+    // The cadence is clamped to the ring so the ring always holds a key
+    // frame for a joiner's catch-up to start at.
     let keyframe_every = config.keyframe_every.min(config.ring_capacity as u64);
-    if keyframe_every > 0 {
-        hub.set_catchup_rewrite(rewrite_delta_catchup);
-    }
     let serve_started = Instant::now();
     let handle = hub.handle();
     let stop = AtomicBool::new(false);
@@ -327,7 +321,7 @@ pub fn serve(
                             m.accept_ns.record(serve_started.elapsed());
                             m.connections.inc();
                         }
-                        let sub = acceptor_handle.subscribe(StartOffset::Origin);
+                        let sub = acceptor_handle.subscribe();
                         if let Some(t) = &acceptor_telemetry {
                             t.publish(TelemetryEvent::PeerConnected {
                                 subscriber: sub.id(),
@@ -405,7 +399,7 @@ pub fn serve(
                         m.windows_forwarded.add(u64::from(frame.forwarded));
                         m.encoded_bytes.add(payload_len as u64);
                     }
-                    hub.publish_window(index, frame.bytes);
+                    hub.publish_window(index, frame.bytes, !frame.delta);
                     if keyframe_every != 0 {
                         prev = Some(report);
                     }
@@ -449,57 +443,6 @@ pub fn serve(
     })
 }
 
-/// Join-time rewrite of the catch-up ring for delta serving: a joiner that
-/// lands mid-chain cannot decode a delta frame without its base, so anchor
-/// on the newest key frame at or before the join point, roll the delta
-/// chain forward, and hand the joiner one freshly encoded full frame
-/// followed by the raw remainder of the ring. Joiners landing on a key
-/// frame get the untouched suffix; a join point no key frame covers falls
-/// forward to the next one, booking the gap as missed exactly like ring
-/// fall-off.
-fn rewrite_delta_catchup(ring: &[(u64, Arc<[u8]>)], start_window: u64) -> Vec<(u64, Arc<[u8]>)> {
-    let first = match ring.first() {
-        Some((index, _)) => *index,
-        None => return Vec::new(),
-    };
-    let start = (start_window.saturating_sub(first) as usize).min(ring.len());
-    if start == ring.len() {
-        return Vec::new();
-    }
-    let is_keyframe =
-        |entry: &(u64, Arc<[u8]>)| matches!(split_frame(&entry.1), Ok((FrameKind::Window, _)));
-    if is_keyframe(&ring[start]) {
-        return ring[start..].to_vec();
-    }
-    let Some(anchor) = ring[..start].iter().rposition(is_keyframe) else {
-        return match ring[start..].iter().position(is_keyframe) {
-            Some(offset) => ring[start + offset..].to_vec(),
-            None => Vec::new(),
-        };
-    };
-    let mut scratch = DecodeScratch::new();
-    let mut joined: Option<WindowReport> = None;
-    for (_, frame) in &ring[anchor..=start] {
-        let Ok((_, payload)) = split_frame(frame) else {
-            return ring[start..].to_vec();
-        };
-        match decode_window_into(payload, &mut scratch) {
-            Ok(report) => joined = Some(report),
-            // The server published this chain itself, so it decodes; if it
-            // somehow does not, fall back to the raw suffix rather than
-            // dropping the joiner.
-            Err(_) => return ring[start..].to_vec(),
-        }
-    }
-    let Some(report) = joined else {
-        return ring[start..].to_vec();
-    };
-    let mut out: Vec<(u64, Arc<[u8]>)> = Vec::with_capacity(ring.len() - start);
-    out.push((ring[start].0, window_frame(&report, None).bytes));
-    out.extend(ring[start + 1..].iter().cloned());
-    out
-}
-
 /// One connection's writer: manifest, every received frame, close summary.
 ///
 /// Any write failure (dead peer, `write_timeout` elapsed against a stalled
@@ -507,9 +450,9 @@ fn rewrite_delta_catchup(ring: &[(u64, Arc<[u8]>)], start_window: u64) -> Vec<(u
 /// intact — the class never waits on this connection again.
 fn write_connection(
     mut socket: TcpStream,
-    sub: HubSubscription<Arc<[u8]>>,
+    sub: HubSubscription,
     manifest_frame: Arc<[u8]>,
-    handle: HubHandle<Arc<[u8]>>,
+    handle: HubHandle,
     write_timeout: Duration,
     metrics: Option<ConnMetrics>,
 ) {
@@ -716,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn late_joiner_mid_chain_gets_a_materialized_key_frame() {
+    fn late_joiners_delta_suffix_decodes_cell_for_cell() {
         let reference = ddos_pipeline(32).run(6);
         let listener = loopback_listener().unwrap();
         let addr = listener.local_addr().unwrap();
@@ -726,8 +669,8 @@ mod tests {
             wait_for: 1,
             max_windows: 6,
             // Cadence 5 over 6 windows: only windows 0 and 5 are key
-            // frames, so a mid-broadcast join almost surely lands on a
-            // delta and exercises the roll-forward rewrite.
+            // frames, so the late joiner's suffix is mostly deltas, which
+            // decode only because its catch-up starts at a key frame.
             keyframe_every: 5,
             ..ServeConfig::default()
         };

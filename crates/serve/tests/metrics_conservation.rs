@@ -7,7 +7,7 @@
 //! also travels the wire as `Stats` frames, so the last one a client drains
 //! is checked against the server-side copy.
 //!
-//! [`BroadcastSummary`]: tw_game::broadcast::BroadcastSummary
+//! [`BroadcastSummary`]: tw_serve::BroadcastSummary
 
 use proptest::prelude::*;
 use tw_ingest::{collect_stream, Pipeline, PipelineConfig, Scenario};
