@@ -3,17 +3,13 @@
 //! The `traffic-warehouse` command-line tool: the headless delivery vehicle
 //! for the game. Educators use it to validate and preview module files and to
 //! export the built-in library; students (or scripts) can play a bundle from
-//! the terminal.
+//! the terminal, and a lab streams scenarios to a class over TCP.
 //!
-//! ```text
-//! traffic-warehouse validate <module.json>
-//! traffic-warehouse render   <module.json> [--three-d] [--colors] [--out out.ppm]
-//! traffic-warehouse play     <bundle.zip>  [--seed N]
-//! traffic-warehouse export-library <directory>
-//! traffic-warehouse obfuscate <module.json>
-//! traffic-warehouse curriculum
-//! traffic-warehouse figures
-//! ```
+//! [`USAGE`] documents every subcommand and its flags: `validate`, `render`,
+//! `play`, `export-library`, `obfuscate`, `ingest`, `replay`, `serve`,
+//! `connect`, `classroom`, `analyze`, `scenarios`, `curriculum`, `figures`
+//! and `help`. `ingest`, `serve` and `classroom` describe their window
+//! stream with the same flags, parsed into one [`StreamSpec`].
 
 use std::fmt::Write as _;
 use tw_core::game::{GameSession, ViewState, WarehouseScene};
@@ -43,21 +39,7 @@ pub enum Command {
     Obfuscate { path: String },
     /// Run a named ingest scenario and print per-window statistics,
     /// optionally recording the window stream to a replayable ZIP.
-    Ingest {
-        scenario: String,
-        windows: usize,
-        nodes: u32,
-        seed: u64,
-        batch: usize,
-        window_us: u64,
-        horizon_us: u64,
-        skew_us: u64,
-        record: Option<String>,
-        keyframe_every: u64,
-        json: bool,
-        metrics_json: Option<String>,
-        stats_every: u64,
-    },
+    Ingest(IngestArgs),
     /// Replay a recorded window stream into the live warehouse view.
     Replay { path: String, speed: u64 },
     /// Serve one scenario (live or replayed) to remote `connect` clients
@@ -192,39 +174,209 @@ Commands:
 /// loopback port of its own.
 const LOOPBACK: &str = "127.0.0.1:0";
 
+/// The window stream `ingest`, `serve` and `classroom` open, parsed once
+/// from the flags all three take: `--scenario`, `--windows`, `--nodes`,
+/// `--seed`, `--window-us`, `--skew-us`, `--horizon-us`, `--metrics-json`
+/// and `--stats-every`. Each command adds its own flags on top: `ingest`
+/// takes `--batch`, `--record`, `--keyframe-every` and `--json`
+/// ([`IngestArgs`]); `serve` and `classroom` share `--replay`, `--students`
+/// and `--speed` ([`ServeArgs`]); `serve` adds `--listen` and
+/// `--keyframe-every`, and `classroom` adds `--late` ([`ClassroomArgs`]).
+///
+/// Defaults: `ingest` streams 4 windows over 1024 nodes in batches of 8192;
+/// `serve` and `classroom` stream 256 nodes, 8 live windows or the whole
+/// recording, and `classroom` seats 8 students of whom `students / 5`
+/// connect late. All three use seed 7 and 100 ms windows, with no clock
+/// skew, no reordering horizon and no metrics output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamSpec {
+    /// Scenario name (`serve` and `classroom` take `--replay` instead).
+    pub scenario: Option<String>,
+    /// Windows to stream (`None`: the whole recording, or 8 live windows).
+    pub windows: Option<usize>,
+    /// Address-space size for live scenarios.
+    pub nodes: u32,
+    /// Scenario seed for live scenarios.
+    pub seed: u64,
+    /// Tumbling-window duration in simulated microseconds.
+    pub window_us: u64,
+    /// Per-source clock skew in simulated microseconds (0 = sorted stream).
+    pub skew_us: u64,
+    /// Watermark reordering horizon in simulated microseconds (0 = strict).
+    pub horizon_us: u64,
+    /// Write the final metrics snapshot (pretty tw-json) here.
+    pub metrics_json: Option<String>,
+    /// Report metrics every N windows (0 = never): a one-line summary in the
+    /// `ingest` transcript (suppressed by `--json`), a Stats frame to every
+    /// client of a serve (`connect --stats` prints them).
+    pub stats_every: u64,
+}
+
+impl Default for StreamSpec {
+    /// The `serve` and `classroom` defaults.
+    fn default() -> Self {
+        StreamSpec {
+            scenario: None,
+            windows: None,
+            nodes: 256,
+            seed: 7,
+            window_us: 100_000,
+            skew_us: 0,
+            horizon_us: 0,
+            metrics_json: None,
+            stats_every: 0,
+        }
+    }
+}
+
+impl StreamSpec {
+    /// Take `flag` and its value when it is a stream flag; false otherwise.
+    fn take_flag(&mut self, flag: &str, iter: &mut Args<'_>) -> Result<bool, CliError> {
+        match flag {
+            "--scenario" => self.scenario = Some(text(iter, flag, "a name")?),
+            "--windows" => self.windows = Some(at_least_one(iter, flag)?),
+            "--nodes" => self.nodes = value(iter, flag)?,
+            "--seed" => self.seed = value(iter, flag)?,
+            "--window-us" => self.window_us = value(iter, flag)?,
+            "--skew-us" => self.skew_us = value(iter, flag)?,
+            "--horizon-us" => self.horizon_us = value(iter, flag)?,
+            "--metrics-json" => self.metrics_json = Some(text(iter, flag, "a file path")?),
+            "--stats-every" => self.stats_every = value(iter, flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Windows to stream from a source holding `recorded` windows (`None`
+    /// for an unbounded live scenario).
+    fn planned(&self, recorded: Option<usize>) -> usize {
+        match recorded {
+            Some(recorded) => self.windows.unwrap_or(recorded).min(recorded),
+            None => self.windows.unwrap_or(8),
+        }
+    }
+
+    /// The registry a run records into, when metrics output was asked for.
+    fn registry(&self) -> Option<tw_core::metrics::MetricsRegistry> {
+        (self.metrics_json.is_some() || self.stats_every > 0)
+            .then(tw_core::metrics::MetricsRegistry::new)
+    }
+
+    /// Open the live scenario as a pipeline recording into `registry`.
+    /// Everything is checked before the pipeline is built: a known
+    /// scenario, at least 20 nodes, a non-empty window and, when `encoded`
+    /// (its windows go through the window codec), an address space the
+    /// codec can encode. Returns the pipeline, its scenario and the source's
+    /// disorder bound in microseconds.
+    fn open_live(
+        &self,
+        batch_size: usize,
+        encoded: bool,
+        registry: Option<&tw_core::metrics::MetricsRegistry>,
+    ) -> Result<(tw_core::ingest::Pipeline, tw_core::ingest::Scenario, u64), CliError> {
+        use tw_core::ingest::{Pipeline, PipelineConfig, Scenario, MAX_DIMENSION};
+
+        let name = self.scenario.as_deref().unwrap_or_default();
+        let scenario = Scenario::by_name(name).ok_or_else(|| {
+            let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
+            CliError(format!(
+                "unknown scenario {name:?}; known scenarios: {}",
+                known.join(", ")
+            ))
+        })?;
+        if self.nodes < 20 {
+            return Err(CliError("--nodes must be at least 20".to_string()));
+        }
+        if encoded && self.nodes as usize > MAX_DIMENSION {
+            return Err(CliError(format!(
+                "--nodes must be at most {MAX_DIMENSION} to encode windows (the window codec's dimension limit)"
+            )));
+        }
+        if self.window_us == 0 {
+            return Err(CliError("--window-us must be at least 1".to_string()));
+        }
+        let config = PipelineConfig {
+            window_us: self.window_us,
+            batch_size,
+            reorder_horizon_us: self.horizon_us,
+            ..PipelineConfig::default()
+        };
+        let (source, max_disorder_us) = scenario.skewed_source(self.nodes, self.seed, self.skew_us);
+        let mut pipeline = Pipeline::new(source, config);
+        if let Some(registry) = registry {
+            pipeline.instrument(registry);
+        }
+        Ok((pipeline, scenario, max_disorder_us))
+    }
+}
+
+/// The arguments after the command name.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The next argument as `flag`'s value.
+fn value<T: std::str::FromStr>(iter: &mut Args<'_>, flag: &str) -> Result<T, CliError> {
+    iter.next()
+        .ok_or(CliError(format!("{flag} needs a value")))?
+        .parse()
+        .map_err(|_| CliError(format!("{flag} value is not valid")))
+}
+
+/// `flag`'s value where zero would mean nothing at all (a count or a pace).
+fn at_least_one<T>(iter: &mut Args<'_>, flag: &str) -> Result<T, CliError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let count = value(iter, flag)?;
+    if count == T::default() {
+        return Err(CliError(format!("{flag} must be at least 1")));
+    }
+    Ok(count)
+}
+
+/// The next argument as the text `name` (a flag or a command) needs: a
+/// path, a name or an address, described by `what` when it is missing.
+fn text(iter: &mut Args<'_>, name: &str, what: &str) -> Result<String, CliError> {
+    iter.next()
+        .cloned()
+        .ok_or(CliError(format!("{name} needs {what}")))
+}
+
+/// Hand each remaining flag to `take`, which consumes the flag's value and
+/// returns false for a flag its command does not accept.
+fn parse_flags(
+    iter: &mut Args<'_>,
+    mut take: impl FnMut(&str, &mut Args<'_>) -> Result<bool, CliError>,
+) -> Result<(), CliError> {
+    while let Some(flag) = iter.next() {
+        if !take(flag, iter)? {
+            return Err(CliError(format!("unknown flag {flag:?}")));
+        }
+    }
+    Ok(())
+}
+
 /// Parse command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut iter = args.iter();
     let command = iter.next().map(String::as_str).unwrap_or("help");
     match command {
-        "validate" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("validate needs a module path".to_string()))?;
-            Ok(Command::Validate { path: path.clone() })
-        }
+        "validate" => Ok(Command::Validate {
+            path: text(&mut iter, command, "a module path")?,
+        }),
         "render" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("render needs a module path".to_string()))?
-                .clone();
+            let path = text(&mut iter, command, "a module path")?;
             let mut three_d = false;
             let mut colors = false;
             let mut out = None;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
+            parse_flags(&mut iter, |flag, iter| {
+                match flag {
                     "--three-d" | "--3d" => three_d = true,
                     "--colors" => colors = true,
-                    "--out" => {
-                        out = Some(
-                            iter.next()
-                                .ok_or(CliError("--out needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+                    "--out" => out = Some(text(iter, flag, "a file path")?),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Render {
                 path,
                 three_d,
@@ -233,283 +385,84 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "play" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("play needs a bundle path".to_string()))?
-                .clone();
+            let path = text(&mut iter, command, "a bundle path")?;
             let mut seed = 0u64;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        seed = iter
-                            .next()
-                            .ok_or(CliError("--seed needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--seed must be an integer".to_string()))?
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+            parse_flags(&mut iter, |flag, iter| match flag {
+                "--seed" => {
+                    seed = value(iter, flag)?;
+                    Ok(true)
                 }
-            }
+                _ => Ok(false),
+            })?;
             Ok(Command::Play { path, seed })
         }
-        "export-library" => {
-            let directory = iter
-                .next()
-                .ok_or(CliError("export-library needs a directory".to_string()))?;
-            Ok(Command::ExportLibrary {
-                directory: directory.clone(),
-            })
-        }
-        "obfuscate" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("obfuscate needs a module path".to_string()))?;
-            Ok(Command::Obfuscate { path: path.clone() })
-        }
+        "export-library" => Ok(Command::ExportLibrary {
+            directory: text(&mut iter, command, "a directory")?,
+        }),
+        "obfuscate" => Ok(Command::Obfuscate {
+            path: text(&mut iter, command, "a module path")?,
+        }),
         "ingest" => {
-            let mut scenario = None;
-            let mut windows = 4usize;
-            let mut nodes = 1024u32;
-            let mut seed = 7u64;
-            let mut batch = 8192usize;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut record = None;
-            let mut keyframe_every = 0u64;
-            let mut json = false;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            fn value<'a, T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'a, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--windows" => windows = value(&mut iter, "--windows")?,
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--batch" => batch = value(&mut iter, "--batch")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--record" => {
-                        record = Some(
-                            iter.next()
-                                .ok_or(CliError("--record needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--keyframe-every" => keyframe_every = value(&mut iter, "--keyframe-every")?,
-                    "--json" => json = true,
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+            let mut args = IngestArgs::default();
+            parse_flags(&mut iter, |flag, iter| {
+                match flag {
+                    "--batch" => args.batch = value(iter, flag)?,
+                    "--record" => args.record = Some(text(iter, flag, "a file path")?),
+                    "--keyframe-every" => args.keyframe_every = value(iter, flag)?,
+                    "--json" => args.json = true,
+                    _ => return args.stream.take_flag(flag, iter),
                 }
+                Ok(true)
+            })?;
+            if args.stream.scenario.is_none() {
+                return Err(CliError("ingest needs --scenario <name>".to_string()));
             }
-            let scenario =
-                scenario.ok_or(CliError("ingest needs --scenario <name>".to_string()))?;
-            if windows == 0 {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            if keyframe_every > 0 && record.is_none() {
+            if args.keyframe_every > 0 && args.record.is_none() {
                 return Err(CliError(
                     "--keyframe-every shapes the recorded archive; it needs --record".to_string(),
                 ));
             }
-            Ok(Command::Ingest {
-                scenario,
-                windows,
-                nodes,
-                seed,
-                batch,
-                window_us,
-                horizon_us,
-                skew_us,
-                record,
-                keyframe_every,
-                json,
-                metrics_json,
-                stats_every,
-            })
+            Ok(Command::Ingest(args))
         }
         "replay" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("replay needs a recording path".to_string()))?
-                .clone();
+            let path = text(&mut iter, command, "a recording path")?;
             let mut speed = 0u64;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--speed" => {
-                        speed = iter
-                            .next()
-                            .ok_or(CliError("--speed needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--speed must be an integer".to_string()))?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+            parse_flags(&mut iter, |flag, iter| match flag {
+                "--speed" => {
+                    speed = at_least_one(iter, flag)?;
+                    Ok(true)
                 }
-            }
+                _ => Ok(false),
+            })?;
             Ok(Command::Replay { path, speed })
         }
         "serve" => {
             let mut listen = None;
-            let mut scenario = None;
-            let mut replay = None;
-            let mut students = 0usize;
-            let mut windows = None;
-            let mut nodes = 256u32;
-            let mut seed = 7u64;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut speed = 0u64;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            let mut keyframe_every = 0u64;
-            fn value<T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--listen" => {
-                        listen = Some(
-                            iter.next()
-                                .ok_or(CliError("--listen needs an address".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            iter.next()
-                                .ok_or(CliError("--replay needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--students" => students = value(&mut iter, "--students")?,
-                    "--windows" => windows = Some(value(&mut iter, "--windows")?),
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--speed" => {
-                        speed = value(&mut iter, "--speed")?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    "--keyframe-every" => keyframe_every = value(&mut iter, "--keyframe-every")?,
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+            let mut args = ServeArgs::new("");
+            parse_flags(&mut iter, |flag, iter| {
+                match flag {
+                    "--listen" => listen = Some(text(iter, flag, "an address")?),
+                    "--keyframe-every" => args.keyframe_every = value(iter, flag)?,
+                    _ => return args.take_flag(flag, iter),
                 }
-            }
-            let listen = listen.ok_or(CliError("serve needs --listen <addr>".to_string()))?;
-            if scenario.is_none() && replay.is_none() {
-                return Err(CliError(
-                    "serve needs --scenario <name> or --replay <file.zip>".to_string(),
-                ));
-            }
-            if scenario.is_some() && replay.is_some() {
-                return Err(CliError(
-                    "--scenario and --replay are mutually exclusive (a recording \
-                     carries its own scenario)"
-                        .to_string(),
-                ));
-            }
-            if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
-                return Err(CliError(
-                    "--skew-us/--horizon-us shape live ingestion; a recording was \
-                     already windowed when it was captured"
-                        .to_string(),
-                ));
-            }
-            if windows == Some(0) {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            Ok(Command::Serve(ServeArgs {
-                listen,
-                scenario,
-                replay,
-                students,
-                windows,
-                nodes,
-                seed,
-                window_us,
-                horizon_us,
-                skew_us,
-                speed,
-                metrics_json,
-                stats_every,
-                keyframe_every,
-            }))
+                Ok(true)
+            })?;
+            args.listen = listen.ok_or(CliError("serve needs --listen <addr>".to_string()))?;
+            args.check(command)?;
+            Ok(Command::Serve(args))
         }
         "connect" => {
-            let addr = iter
-                .next()
-                .ok_or(CliError("connect needs a server address".to_string()))?
-                .clone();
+            let addr = text(&mut iter, command, "a server address")?;
             let mut windows = None;
             let mut stats = false;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--windows" => {
-                        let n: usize = iter
-                            .next()
-                            .ok_or(CliError("--windows needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--windows value is not valid".to_string()))?;
-                        if n == 0 {
-                            return Err(CliError("--windows must be at least 1".to_string()));
-                        }
-                        windows = Some(n);
-                    }
+            parse_flags(&mut iter, |flag, iter| {
+                match flag {
+                    "--windows" => windows = Some(at_least_one(iter, flag)?),
                     "--stats" => stats = true,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Connect {
                 addr,
                 windows,
@@ -517,112 +470,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "classroom" => {
-            let mut scenario = None;
-            let mut replay = None;
-            let mut students = 8usize;
-            let mut windows = None;
-            let mut nodes = 256u32;
-            let mut seed = 7u64;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut speed = 0u64;
-            let mut late = None;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            fn value<T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            iter.next()
-                                .ok_or(CliError("--replay needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--students" => students = value(&mut iter, "--students")?,
-                    "--windows" => windows = Some(value(&mut iter, "--windows")?),
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--speed" => {
-                        speed = value(&mut iter, "--speed")?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    "--late" => late = Some(value(&mut iter, "--late")?),
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            if scenario.is_none() && replay.is_none() {
-                return Err(CliError(
-                    "classroom needs --scenario <name> or --replay <file.zip>".to_string(),
-                ));
-            }
-            if scenario.is_some() && replay.is_some() {
-                return Err(CliError(
-                    "--scenario and --replay are mutually exclusive (a recording \
-                     carries its own scenario)"
-                        .to_string(),
-                ));
-            }
-            if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
-                return Err(CliError(
-                    "--skew-us/--horizon-us shape live ingestion; a recording was \
-                     already windowed when it was captured"
-                        .to_string(),
-                ));
-            }
-            if students == 0 {
-                return Err(CliError("--students must be at least 1".to_string()));
-            }
-            if windows == Some(0) {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            Ok(Command::Classroom(ClassroomArgs {
+            let mut args = ClassroomArgs {
                 serve: ServeArgs {
-                    scenario,
-                    replay,
-                    students,
-                    windows,
-                    nodes,
-                    seed,
-                    window_us,
-                    horizon_us,
-                    skew_us,
-                    speed,
-                    metrics_json,
-                    stats_every,
+                    students: 8,
                     ..ServeArgs::new(LOOPBACK)
                 },
-                late,
-            }))
+                late: None,
+            };
+            parse_flags(&mut iter, |flag, iter| match flag {
+                "--late" => {
+                    args.late = Some(value(iter, flag)?);
+                    Ok(true)
+                }
+                _ => args.serve.take_flag(flag, iter),
+            })?;
+            args.serve.check(command)?;
+            if args.serve.students == 0 {
+                return Err(CliError("--students must be at least 1".to_string()));
+            }
+            Ok(Command::Classroom(args))
         }
         "analyze" => {
             let mut root = None;
@@ -630,34 +496,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut json = None;
             let mut deny_warnings = false;
             let mut list_waivers = false;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--root" => {
-                        root = Some(
-                            iter.next()
-                                .ok_or(CliError("--root needs a directory".to_string()))?
-                                .clone(),
-                        );
-                    }
-                    "--rule" => {
-                        rule = Some(
-                            iter.next()
-                                .ok_or(CliError("--rule needs a rule name".to_string()))?
-                                .clone(),
-                        );
-                    }
-                    "--json" => {
-                        json = Some(
-                            iter.next()
-                                .ok_or(CliError("--json needs a file path".to_string()))?
-                                .clone(),
-                        );
-                    }
+            parse_flags(&mut iter, |flag, iter| {
+                match flag {
+                    "--root" => root = Some(text(iter, flag, "a directory")?),
+                    "--rule" => rule = Some(text(iter, flag, "a rule name")?),
+                    "--json" => json = Some(text(iter, flag, "a file path")?),
                     "--deny-warnings" => deny_warnings = true,
                     "--list-waivers" => list_waivers = true,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Analyze {
                 root,
                 rule,
@@ -733,35 +582,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             let module = from_json_maybe_obfuscated(&text).map_err(|e| CliError(e.to_string()))?;
             to_obfuscated_json(&module).map_err(|e| CliError(e.to_string()))
         }
-        Command::Ingest {
-            scenario,
-            windows,
-            nodes,
-            seed,
-            batch,
-            window_us,
-            horizon_us,
-            skew_us,
-            record,
-            keyframe_every,
-            json,
-            metrics_json,
-            stats_every,
-        } => run_ingest(&IngestArgs {
-            scenario: scenario.clone(),
-            windows: *windows,
-            nodes: *nodes,
-            seed: *seed,
-            batch: *batch,
-            window_us: *window_us,
-            horizon_us: *horizon_us,
-            skew_us: *skew_us,
-            record: record.clone(),
-            keyframe_every: *keyframe_every,
-            json: *json,
-            metrics_json: metrics_json.clone(),
-            stats_every: *stats_every,
-        }),
+        Command::Ingest(args) => run_ingest(args),
         Command::Replay { path, speed } => run_replay(path, *speed),
         Command::Serve(args) => run_serve(args),
         Command::Connect {
@@ -826,24 +647,12 @@ fn run_analyze(
 }
 
 /// Arguments for [`run_ingest`] (one scenario streamed through the pipeline).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestArgs {
-    /// Scenario name.
-    pub scenario: String,
-    /// Windows to emit.
-    pub windows: usize,
-    /// Address-space size.
-    pub nodes: u32,
-    /// Scenario seed.
-    pub seed: u64,
+    /// The stream to ingest.
+    pub stream: StreamSpec,
     /// Batch size (the backpressure bound).
     pub batch: usize,
-    /// Tumbling-window duration in simulated microseconds.
-    pub window_us: u64,
-    /// Watermark reordering horizon in simulated microseconds (0 = strict).
-    pub horizon_us: u64,
-    /// Per-source clock skew in simulated microseconds (0 = sorted stream).
-    pub skew_us: u64,
     /// Record the window stream to a replayable ZIP at this path.
     pub record: Option<String>,
     /// Key-frame cadence for the recorded archive: every K-th window is a
@@ -853,31 +662,31 @@ pub struct IngestArgs {
     /// Emit one tw-json object per window (machine-readable transcript)
     /// instead of the human per-window lines, banner and totals.
     pub json: bool,
-    /// Write the final pipeline metrics snapshot (pretty tw-json) here.
-    pub metrics_json: Option<String>,
-    /// Print a one-line metrics summary every N windows (0 = never;
-    /// suppressed by `json`, which keeps the transcript pure JSONL).
-    pub stats_every: u64,
+}
+
+impl Default for IngestArgs {
+    /// The `ingest` defaults, with no scenario chosen yet.
+    fn default() -> Self {
+        IngestArgs {
+            stream: StreamSpec {
+                windows: Some(4),
+                nodes: 1024,
+                ..StreamSpec::default()
+            },
+            batch: 8192,
+            record: None,
+            keyframe_every: 0,
+            json: false,
+        }
+    }
 }
 
 impl IngestArgs {
     /// Defaults matching the CLI parser, for tests and embedding callers.
     pub fn new(scenario: &str) -> Self {
-        IngestArgs {
-            scenario: scenario.to_string(),
-            windows: 4,
-            nodes: 1024,
-            seed: 7,
-            batch: 8192,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
-            record: None,
-            keyframe_every: 0,
-            json: false,
-            metrics_json: None,
-            stats_every: 0,
-        }
+        let mut args = IngestArgs::default();
+        args.stream.scenario = Some(scenario.to_string());
+        args
     }
 }
 
@@ -924,66 +733,36 @@ fn write_metrics_json(
 /// clocks (an out-of-order stream) and `horizon_us` sets the watermark
 /// reordering horizon that absorbs the disorder.
 pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
-    use tw_core::ingest::{
-        ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, Scenario, MAX_DIMENSION,
-    };
-    use tw_core::metrics::MetricsRegistry;
+    use tw_core::ingest::{ArchiveRecorder, RecordingMeta};
 
-    let scenario_name = args.scenario.as_str();
-    let scenario = Scenario::by_name(scenario_name).ok_or_else(|| {
-        let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        CliError(format!(
-            "unknown scenario {scenario_name:?}; known scenarios: {}",
-            known.join(", ")
-        ))
-    })?;
-    if args.nodes < 20 {
-        return Err(CliError("--nodes must be at least 20".to_string()));
-    }
-    if args.record.is_some() && args.nodes as usize > MAX_DIMENSION {
-        return Err(CliError(format!(
-            "--record supports at most {MAX_DIMENSION} nodes (the window codec's dimension limit)"
-        )));
-    }
+    let spec = &args.stream;
     if args.batch == 0 {
         return Err(CliError("--batch must be at least 1".to_string()));
     }
-    if args.window_us == 0 {
-        return Err(CliError("--window-us must be at least 1".to_string()));
-    }
-    let config = PipelineConfig {
-        window_us: args.window_us,
-        batch_size: args.batch,
-        reorder_horizon_us: args.horizon_us,
-        ..PipelineConfig::default()
-    };
-    let (source, max_disorder_us) = scenario.skewed_source(args.nodes, args.seed, args.skew_us);
     // One registry spans the whole run when any metrics output was asked
     // for; the pipeline records its stage timings and counters into it.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0).then(MetricsRegistry::new);
-    let mut pipeline = Pipeline::new(source, config);
-    if let Some(registry) = &registry {
-        pipeline.instrument(registry);
-    }
+    let registry = spec.registry();
+    let (mut pipeline, scenario, max_disorder_us) =
+        spec.open_live(args.batch, args.record.is_some(), registry.as_ref())?;
     let mut out = String::new();
     if !args.json {
         let _ = writeln!(
             out,
             "scenario {scenario} ({}): {} nodes, {} us windows, batch {}, seed {}",
             scenario.describe(),
-            args.nodes,
-            args.window_us,
+            spec.nodes,
+            spec.window_us,
             args.batch,
-            args.seed,
+            spec.seed,
         );
-        if args.skew_us > 0 || args.horizon_us > 0 {
+        if spec.skew_us > 0 || spec.horizon_us > 0 {
             let _ = writeln!(
                 out,
                 "out-of-order: clock skew up to {} us (max disorder {} us), reorder horizon {} us{}",
-                args.skew_us,
+                spec.skew_us,
                 max_disorder_us,
-                args.horizon_us,
-                if max_disorder_us > args.horizon_us {
+                spec.horizon_us,
+                if max_disorder_us > spec.horizon_us {
                     " [WARNING: horizon below the disorder bound; late drops expected]"
                 } else {
                     ""
@@ -994,9 +773,9 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     let mut recorder = args.record.as_ref().map(|_| {
         ArchiveRecorder::new(RecordingMeta {
             scenario: scenario.name().to_string(),
-            seed: args.seed,
-            node_count: args.nodes as usize,
-            window_us: args.window_us,
+            seed: spec.seed,
+            node_count: spec.nodes as usize,
+            window_us: spec.window_us,
             keyframe_every: args.keyframe_every,
         })
     });
@@ -1005,8 +784,9 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     // Only the per-window stats are kept for the totals; each matrix goes
     // back to the pipeline's CSR pool once recorded, so the transcript run
     // holds one window in memory and rotation reuses the arrays.
-    let mut window_stats = Vec::with_capacity(args.windows);
-    while window_stats.len() < args.windows {
+    let windows = spec.planned(None);
+    let mut window_stats = Vec::with_capacity(windows);
+    while window_stats.len() < windows {
         let report = match pipeline.next_window() {
             Some(report) => report,
             None => break,
@@ -1024,8 +804,8 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
         pipeline.recycle_window(report.matrix);
         window_stats.push(report.stats);
         if !args.json
-            && args.stats_every > 0
-            && (window_stats.len() as u64).is_multiple_of(args.stats_every)
+            && spec.stats_every > 0
+            && (window_stats.len() as u64).is_multiple_of(spec.stats_every)
         {
             if let Some(registry) = &registry {
                 let _ = writeln!(out, "stats: {}", registry.snapshot().one_line());
@@ -1058,7 +838,7 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
             );
         }
     }
-    if let (Some(path), Some(registry)) = (args.metrics_json.as_deref(), &registry) {
+    if let (Some(path), Some(registry)) = (spec.metrics_json.as_deref(), &registry) {
         write_metrics_json(path, &registry.snapshot())?;
         if !args.json {
             let _ = writeln!(out, "wrote metrics snapshot to {path}");
@@ -1149,27 +929,20 @@ struct ClassStream {
 }
 
 /// Build the one stream a whole class shares — a live scenario or a recorded
-/// capture, paced when asked — validating the same invariants for `serve`
-/// and `classroom`.
+/// capture, paced when asked — checking the same rules for `serve` and
+/// `classroom` (`command` names the one asking).
 fn open_class_stream(
     args: &ServeArgs,
+    command: &str,
 ) -> Result<(ClassStream, Box<dyn tw_core::ingest::WindowStream>), CliError> {
-    use tw_core::ingest::{
-        FileReplaySource, Paced, Pipeline, PipelineConfig, Scenario, WindowStream,
-    };
+    use tw_core::ingest::{FileReplaySource, Paced, WindowStream};
 
+    args.check(command)?;
     if args.students > 10_000 {
         return Err(CliError("--students is capped at 10000".to_string()));
     }
-    if args.replay.is_some() && (args.horizon_us > 0 || args.skew_us > 0) {
-        return Err(CliError(
-            "--skew-us/--horizon-us shape live ingestion; a recording was \
-             already windowed when it was captured"
-                .to_string(),
-        ));
-    }
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
-        .then(tw_core::metrics::MetricsRegistry::new);
+    let spec = &args.stream;
+    let registry = spec.registry();
     let (stream, scenario, description, node_count, seed) = match args.replay.as_deref() {
         Some(path) => {
             let replay =
@@ -1184,41 +957,15 @@ fn open_class_stream(
             )
         }
         None => {
-            let name = args.scenario.as_deref().ok_or(CliError(
-                "a scenario name or a recording is required".to_string(),
-            ))?;
-            let scenario = Scenario::by_name(name).ok_or_else(|| {
-                let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-                CliError(format!(
-                    "unknown scenario {name:?}; known scenarios: {}",
-                    known.join(", ")
-                ))
-            })?;
-            if args.nodes < 20 {
-                return Err(CliError("--nodes must be at least 20".to_string()));
-            }
-            if args.window_us == 0 {
-                return Err(CliError("--window-us must be at least 1".to_string()));
-            }
-            let config = PipelineConfig {
-                window_us: args.window_us,
-                batch_size: 8_192,
-                reorder_horizon_us: args.horizon_us,
-                ..PipelineConfig::default()
-            };
-            let (source, max_disorder_us) =
-                scenario.skewed_source(args.nodes, args.seed, args.skew_us);
-            let mut pipeline = Pipeline::new(source, config);
-            if let Some(registry) = &registry {
-                pipeline.instrument(registry);
-            }
-            let description = if args.skew_us > 0 || args.horizon_us > 0 {
+            let (pipeline, scenario, max_disorder_us) =
+                spec.open_live(8_192, true, registry.as_ref())?;
+            let description = if spec.skew_us > 0 || spec.horizon_us > 0 {
                 format!(
                     "{}; clock skew {} us, horizon {} us{}",
                     scenario.describe(),
-                    args.skew_us,
-                    args.horizon_us,
-                    if max_disorder_us > args.horizon_us {
+                    spec.skew_us,
+                    spec.horizon_us,
+                    if max_disorder_us > spec.horizon_us {
                         " [WARNING: horizon below the disorder bound; late drops expected]"
                     } else {
                         ""
@@ -1231,15 +978,12 @@ fn open_class_stream(
                 Box::new(pipeline) as Box<dyn WindowStream>,
                 scenario.name().to_string(),
                 description,
-                args.nodes as usize,
-                args.seed,
+                spec.nodes as usize,
+                spec.seed,
             )
         }
     };
-    let planned = match stream.remaining_windows() {
-        Some(recorded) => args.windows.unwrap_or(recorded).min(recorded),
-        None => args.windows.unwrap_or(8),
-    };
+    let planned = spec.planned(stream.remaining_windows());
     if planned == 0 {
         return Err(CliError("the recording holds no windows".to_string()));
     }
@@ -1328,7 +1072,7 @@ fn serve_class(
         // has left there is no one to serve, even mid-stream.
         stop_when_empty: args.students > 0,
         metrics: class.registry.clone(),
-        stats_every: args.stats_every,
+        stats_every: args.stream.stats_every,
         keyframe_every: args.keyframe_every,
         ..ServeConfig::default()
     };
@@ -1471,7 +1215,7 @@ fn classroom(
     args: &ClassroomArgs,
 ) -> Result<(String, Vec<tw_core::game::TelemetryEvent>), CliError> {
     let serve = &args.serve;
-    let (class, stream) = open_class_stream(serve)?;
+    let (class, stream) = open_class_stream(serve, "classroom")?;
     let students = serve.students;
     let late = args.late.unwrap_or(students / 5);
     let late = late.min(students.saturating_sub(1));
@@ -1558,7 +1302,7 @@ fn classroom(
             String::new()
         },
     );
-    served.write_tail(&mut out, serve.metrics_json.as_deref())?;
+    served.write_tail(&mut out, serve.stream.metrics_json.as_deref())?;
     Ok((out, served.events))
 }
 
@@ -1567,32 +1311,17 @@ fn classroom(
 pub struct ServeArgs {
     /// Address to listen on (e.g. `127.0.0.1:7000`; port 0 picks a free one).
     pub listen: String,
-    /// Scenario name (required unless `replay` is given).
-    pub scenario: Option<String>,
+    /// The stream to serve: its scenario is required unless `replay` is
+    /// given, and its node, seed, window-length and reordering fields shape
+    /// live scenarios only.
+    pub stream: StreamSpec,
     /// Recording to serve instead of generating events live.
     pub replay: Option<String>,
     /// Hold the first window until this many clients have connected
     /// (0 = start streaming immediately).
     pub students: usize,
-    /// Windows to serve (default: 8 live, the whole recording on replay).
-    pub windows: Option<usize>,
-    /// Address-space size for live scenarios.
-    pub nodes: u32,
-    /// Scenario seed for live scenarios.
-    pub seed: u64,
-    /// Tumbling-window duration for live scenarios.
-    pub window_us: u64,
-    /// Watermark reordering horizon for live scenarios (0 = strict).
-    pub horizon_us: u64,
-    /// Per-source clock skew for live scenarios (0 = sorted stream).
-    pub skew_us: u64,
     /// Pace the serve at N x real time (0 = as fast as possible).
     pub speed: u64,
-    /// Write the final serving-stack metrics snapshot here.
-    pub metrics_json: Option<String>,
-    /// Also stream a Stats frame to every client after each N window
-    /// frames (0 = none); `connect --stats` prints them.
-    pub stats_every: u64,
     /// Key-frame cadence on the wire: every K-th window is served as a
     /// self-contained full frame, the rest as sparse v3 delta frames
     /// against the previous window (0 = every window full).
@@ -1604,19 +1333,46 @@ impl ServeArgs {
     pub fn new(listen: &str) -> Self {
         ServeArgs {
             listen: listen.to_string(),
-            scenario: None,
+            stream: StreamSpec::default(),
             replay: None,
             students: 0,
-            windows: None,
-            nodes: 256,
-            seed: 7,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
             speed: 0,
-            metrics_json: None,
-            stats_every: 0,
             keyframe_every: 0,
+        }
+    }
+
+    /// Take `flag` and its value when `serve` and `classroom` both accept it:
+    /// `--replay`, `--students`, `--speed` or a stream flag.
+    fn take_flag(&mut self, flag: &str, iter: &mut Args<'_>) -> Result<bool, CliError> {
+        match flag {
+            "--replay" => self.replay = Some(text(iter, flag, "a file path")?),
+            "--students" => self.students = value(iter, flag)?,
+            "--speed" => self.speed = at_least_one(iter, flag)?,
+            _ => return self.stream.take_flag(flag, iter),
+        }
+        Ok(true)
+    }
+
+    /// The rules a served stream meets, checked at parse time and again for
+    /// programmatic callers: a scenario or a recording but not both, and no
+    /// live-ingestion shaping on a recording.
+    fn check(&self, command: &str) -> Result<(), CliError> {
+        let shapes_ingestion = self.stream.horizon_us > 0 || self.stream.skew_us > 0;
+        match (&self.stream.scenario, &self.replay) {
+            (None, None) => Err(CliError(format!(
+                "{command} needs --scenario <name> or --replay <file.zip>"
+            ))),
+            (Some(_), Some(_)) => Err(CliError(
+                "--scenario and --replay are mutually exclusive (a recording \
+                 carries its own scenario)"
+                    .to_string(),
+            )),
+            (None, Some(_)) if shapes_ingestion => Err(CliError(
+                "--skew-us/--horizon-us shape live ingestion; a recording was \
+                 already windowed when it was captured"
+                    .to_string(),
+            )),
+            _ => Ok(()),
         }
     }
 }
@@ -1632,7 +1388,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
 /// encode each window once, and fan identical frames out to every connected
 /// client; returns per-student accounting once the serve ends.
 pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result<String, CliError> {
-    let (class, mut stream) = open_class_stream(args)?;
+    let (class, mut stream) = open_class_stream(args, "serve")?;
     let addr = listener.local_addr().map_err(|e| CliError(e.to_string()))?;
     print_listening(addr, &class, args);
     let served = serve_class(listener, stream.as_mut(), &class, args, args.students)?;
@@ -1670,7 +1426,7 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
         served.lag_events(),
         served.evicted,
     );
-    served.write_tail(&mut out, args.metrics_json.as_deref())?;
+    served.write_tail(&mut out, args.stream.metrics_json.as_deref())?;
     Ok(out)
 }
 
@@ -1939,6 +1695,17 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A live `scenario` stream: `windows` windows of `window_us` over `nodes`.
+    fn live(scenario: &str, windows: usize, nodes: u32, window_us: u64) -> StreamSpec {
+        StreamSpec {
+            scenario: Some(scenario.into()),
+            windows: Some(windows),
+            nodes,
+            window_us,
+            ..StreamSpec::default()
+        }
+    }
+
     #[test]
     fn parses_commands_and_flags() {
         assert_eq!(parse_args(&args(&["help"])).unwrap(), Command::Help);
@@ -1994,40 +1761,25 @@ mod tests {
                 "50000"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
-                windows: 2,
-                nodes: 256,
-                seed: 3,
+            Command::Ingest(IngestArgs {
+                stream: StreamSpec {
+                    seed: 3,
+                    ..live("ddos", 2, 256, 50_000)
+                },
                 batch: 512,
-                window_us: 50_000,
-                horizon_us: 0,
-                skew_us: 0,
-                record: None,
-                keyframe_every: 0,
-                json: false,
-                metrics_json: None,
-                stats_every: 0,
-            }
+                ..IngestArgs::default()
+            })
         );
         // Defaults: 4 windows over 1024 nodes.
         assert_eq!(
             parse_args(&args(&["ingest", "--scenario", "scan"])).unwrap(),
-            Command::Ingest {
-                scenario: "scan".into(),
-                windows: 4,
-                nodes: 1024,
-                seed: 7,
+            Command::Ingest(IngestArgs {
+                stream: live("scan", 4, 1024, 100_000),
                 batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
                 record: None,
                 keyframe_every: 0,
                 json: false,
-                metrics_json: None,
-                stats_every: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2040,21 +1792,11 @@ mod tests {
                 "4"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
-                windows: 4,
-                nodes: 1024,
-                seed: 7,
-                batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
+            Command::Ingest(IngestArgs {
                 record: Some("out.zip".into()),
                 keyframe_every: 4,
-                json: false,
-                metrics_json: None,
-                stats_every: 0,
-            }
+                ..IngestArgs::new("ddos")
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2067,21 +1809,14 @@ mod tests {
                 "20000"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
-                windows: 4,
-                nodes: 1024,
-                seed: 7,
-                batch: 8192,
-                window_us: 100_000,
-                horizon_us: 20_000,
-                skew_us: 5_000,
-                record: None,
-                keyframe_every: 0,
-                json: false,
-                metrics_json: None,
-                stats_every: 0,
-            }
+            Command::Ingest(IngestArgs {
+                stream: StreamSpec {
+                    horizon_us: 20_000,
+                    skew_us: 5_000,
+                    ..live("ddos", 4, 1024, 100_000)
+                },
+                ..IngestArgs::default()
+            })
         );
         assert_eq!(
             parse_args(&args(&["replay", "out.zip"])).unwrap(),
@@ -2119,9 +1854,12 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve(ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: StreamSpec {
+                    scenario: Some("ddos".into()),
+                    windows: Some(6),
+                    ..StreamSpec::default()
+                },
                 students: 30,
-                windows: Some(6),
                 speed: 4,
                 keyframe_every: 8,
                 ..ServeArgs::new("127.0.0.1:0")
@@ -2168,7 +1906,10 @@ mod tests {
             .unwrap(),
             Command::Classroom(ClassroomArgs {
                 serve: ServeArgs {
-                    scenario: Some("ddos".into()),
+                    stream: StreamSpec {
+                        scenario: Some("ddos".into()),
+                        ..StreamSpec::default()
+                    },
                     students: 30,
                     ..ServeArgs::new(LOOPBACK)
                 },
@@ -2196,12 +1937,15 @@ mod tests {
             .unwrap(),
             Command::Classroom(ClassroomArgs {
                 serve: ServeArgs {
+                    stream: StreamSpec {
+                        windows: Some(4),
+                        nodes: 128,
+                        seed: 9,
+                        window_us: 50_000,
+                        ..StreamSpec::default()
+                    },
                     replay: Some("c.zip".into()),
                     students: 8,
-                    windows: Some(4),
-                    nodes: 128,
-                    seed: 9,
-                    window_us: 50_000,
                     speed: 8,
                     ..ServeArgs::new(LOOPBACK)
                 },
@@ -2224,21 +1968,15 @@ mod tests {
                 "2",
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
-                windows: 4,
-                nodes: 1024,
-                seed: 7,
-                batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
-                record: None,
-                keyframe_every: 0,
+            Command::Ingest(IngestArgs {
+                stream: StreamSpec {
+                    metrics_json: Some("m.json".into()),
+                    stats_every: 2,
+                    ..live("ddos", 4, 1024, 100_000)
+                },
                 json: true,
-                metrics_json: Some("m.json".into()),
-                stats_every: 2,
-            }
+                ..IngestArgs::default()
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2254,9 +1992,12 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve(ServeArgs {
-                scenario: Some("ddos".into()),
-                metrics_json: Some("m.json".into()),
-                stats_every: 1,
+                stream: StreamSpec {
+                    scenario: Some("ddos".into()),
+                    metrics_json: Some("m.json".into()),
+                    stats_every: 1,
+                    ..StreamSpec::default()
+                },
                 ..ServeArgs::new("127.0.0.1:0")
             })
         );
@@ -2282,8 +2023,12 @@ mod tests {
             Command::Classroom(ClassroomArgs {
                 serve:
                     ServeArgs {
-                        metrics_json,
-                        stats_every,
+                        stream:
+                            StreamSpec {
+                                metrics_json,
+                                stats_every,
+                                ..
+                            },
                         ..
                     },
                 ..
@@ -2317,14 +2062,79 @@ mod tests {
     }
 
     #[test]
+    fn stream_commands_share_the_stream_flags_and_keep_their_own() {
+        let commands: [&[&str]; 3] = [
+            &["ingest", "--scenario", "scan"],
+            &["serve", "--listen", "127.0.0.1:0", "--scenario", "scan"],
+            &["classroom", "--scenario", "scan"],
+        ];
+        let stream = |list: &[&str]| match parse_args(&args(list)) {
+            Ok(Command::Ingest(parsed)) => parsed.stream,
+            Ok(Command::Serve(parsed)) => parsed.stream,
+            Ok(Command::Classroom(parsed)) => parsed.serve.stream,
+            other => panic!("{list:?} parsed to {other:?}"),
+        };
+        type Set = fn(&mut StreamSpec);
+        let flags: [(&str, &str, Set); 9] = [
+            ("--scenario", "ddos", |s| s.scenario = Some("ddos".into())),
+            ("--windows", "3", |s| s.windows = Some(3)),
+            ("--nodes", "99", |s| s.nodes = 99),
+            ("--seed", "5", |s| s.seed = 5),
+            ("--window-us", "250", |s| s.window_us = 250),
+            ("--skew-us", "40", |s| s.skew_us = 40),
+            ("--horizon-us", "60", |s| s.horizon_us = 60),
+            ("--metrics-json", "m.json", |s| {
+                s.metrics_json = Some("m.json".into())
+            }),
+            ("--stats-every", "2", |s| s.stats_every = 2),
+        ];
+        for command in commands {
+            let defaults = stream(command);
+            for (flag, value, set) in flags {
+                let mut expected = defaults.clone();
+                set(&mut expected);
+                let list = [command, &[flag, value]].concat();
+                assert_eq!(stream(&list), expected, "{list:?}");
+            }
+        }
+        // Each command still refuses the other commands' own flags.
+        let [ingest, serve, classroom] = commands;
+        let refused: [(&[&str], &[&str]); 3] = [
+            (
+                classroom,
+                &[
+                    "--keyframe-every",
+                    "--listen",
+                    "--batch",
+                    "--record",
+                    "--json",
+                ],
+            ),
+            (
+                ingest,
+                &["--replay", "--speed", "--students", "--late", "--listen"],
+            ),
+            (serve, &["--late", "--batch", "--record", "--json"]),
+        ];
+        for (command, flags) in refused {
+            for flag in flags {
+                let list = [command, &[flag, "1"]].concat();
+                assert_eq!(
+                    parse_args(&args(&list)),
+                    Err(CliError(format!("unknown flag {flag:?}"))),
+                    "{list:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ingest_json_mode_emits_parseable_window_objects() {
         use tw_core::json;
         let out = run_ingest(&IngestArgs {
-            windows: 3,
-            nodes: 256,
-            window_us: 50_000,
+            stream: live("ddos", 3, 256, 50_000),
             json: true,
-            ..IngestArgs::new("ddos")
+            ..IngestArgs::default()
         })
         .unwrap();
         let lines: Vec<&str> = out.lines().collect();
@@ -2360,12 +2170,12 @@ mod tests {
         let path = dir.join("ingest.json").to_string_lossy().into_owned();
 
         let out = run_ingest(&IngestArgs {
-            windows: 4,
-            nodes: 256,
-            window_us: 50_000,
-            metrics_json: Some(path.clone()),
-            stats_every: 2,
-            ..IngestArgs::new("ddos")
+            stream: StreamSpec {
+                metrics_json: Some(path.clone()),
+                stats_every: 2,
+                ..live("ddos", 4, 256, 50_000)
+            },
+            ..IngestArgs::default()
         })
         .unwrap();
         // Two interleaved one-line summaries (after windows 2 and 4).
@@ -2409,13 +2219,12 @@ mod tests {
 
         let out = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: StreamSpec {
+                    metrics_json: Some(path.clone()),
+                    stats_every: 1,
+                    ..live("ddos", 3, 128, 50_000)
+                },
                 students: 4,
-                windows: Some(3),
-                nodes: 128,
-                window_us: 50_000,
-                metrics_json: Some(path.clone()),
-                stats_every: 1,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(0),
@@ -2636,21 +2445,11 @@ mod tests {
 
     #[test]
     fn ingest_command_streams_windows() {
-        let out = run(&Command::Ingest {
-            scenario: "ddos".into(),
-            windows: 4,
-            nodes: 256,
-            seed: 7,
+        let out = run(&Command::Ingest(IngestArgs {
+            stream: live("ddos", 4, 256, 50_000),
             batch: 2048,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
-            record: None,
-            keyframe_every: 0,
-            json: false,
-            metrics_json: None,
-            stats_every: 0,
-        })
+            ..IngestArgs::default()
+        }))
         .unwrap();
         assert!(out.contains("scenario ddos"));
         assert_eq!(out.lines().filter(|l| l.starts_with("window ")).count(), 4);
@@ -2659,12 +2458,12 @@ mod tests {
         assert!(out.contains("total: "));
         // Unknown scenarios name the catalog.
         let small = |scenario: &str, nodes, batch, window_us| IngestArgs {
-            windows: 1,
-            nodes,
-            seed: 1,
+            stream: StreamSpec {
+                seed: 1,
+                ..live(scenario, 1, nodes, window_us)
+            },
             batch,
-            window_us,
-            ..IngestArgs::new(scenario)
+            ..IngestArgs::default()
         };
         let err = run_ingest(&small("wat", 256, 128, 1_000)).unwrap_err();
         assert!(err.0.contains("known scenarios"));
@@ -2688,12 +2487,12 @@ mod tests {
         // covering the disorder bound (5000 + 5000/4 = 6250 <= 20000)
         // ingests with zero late drops and a busy reordered counter.
         let out = run_ingest(&IngestArgs {
-            windows: 3,
-            nodes: 256,
-            window_us: 50_000,
-            horizon_us: 20_000,
-            skew_us: 5_000,
-            ..IngestArgs::new("ddos")
+            stream: StreamSpec {
+                horizon_us: 20_000,
+                skew_us: 5_000,
+                ..live("ddos", 3, 256, 50_000)
+            },
+            ..IngestArgs::default()
         })
         .unwrap();
         assert!(
@@ -2708,12 +2507,12 @@ mod tests {
 
         // An undersized horizon warns up front and reports its drops.
         let out = run_ingest(&IngestArgs {
-            windows: 3,
-            nodes: 256,
-            window_us: 50_000,
-            horizon_us: 100,
-            skew_us: 20_000,
-            ..IngestArgs::new("ddos")
+            stream: StreamSpec {
+                horizon_us: 100,
+                skew_us: 20_000,
+                ..live("ddos", 3, 256, 50_000)
+            },
+            ..IngestArgs::default()
         })
         .unwrap();
         assert!(
@@ -2728,21 +2527,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("ddos.zip").to_string_lossy().into_owned();
 
-        let ingest_out = run(&Command::Ingest {
-            scenario: "ddos".into(),
-            windows: 8,
-            nodes: 256,
-            seed: 7,
+        let ingest_out = run(&Command::Ingest(IngestArgs {
+            stream: live("ddos", 8, 256, 50_000),
             batch: 2048,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
             record: Some(zip.clone()),
-            keyframe_every: 0,
-            json: false,
-            metrics_json: None,
-            stats_every: 0,
-        })
+            ..IngestArgs::default()
+        }))
         .unwrap();
         assert!(ingest_out.contains("recorded 8 window(s)"), "{ingest_out}");
 
@@ -2775,13 +2565,13 @@ mod tests {
         // Recording refuses address spaces beyond the window codec's limit
         // up front instead of panicking mid-capture.
         let err = run_ingest(&IngestArgs {
-            windows: 1,
-            nodes: u32::MAX,
-            seed: 1,
+            stream: StreamSpec {
+                seed: 1,
+                ..live("ddos", 1, u32::MAX, 1_000)
+            },
             batch: 128,
-            window_us: 1_000,
             record: Some("never.zip".into()),
-            ..IngestArgs::new("ddos")
+            ..IngestArgs::default()
         })
         .unwrap_err();
         assert!(err.0.contains("codec"), "{err}");
@@ -2802,13 +2592,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("delta.zip").to_string_lossy().into_owned();
         let ingest_out = run_ingest(&IngestArgs {
-            windows: 7,
-            nodes: 256,
+            stream: live("ddos", 7, 256, 50_000),
             batch: 2048,
-            window_us: 50_000,
             record: Some(zip.clone()),
             keyframe_every: 3,
-            ..IngestArgs::new("ddos")
+            ..IngestArgs::default()
         })
         .unwrap();
         assert!(ingest_out.contains("recorded 7 window(s)"), "{ingest_out}");
@@ -2843,11 +2631,8 @@ mod tests {
         // Live: 6 students, one late, 3 windows.
         let out = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: live("ddos", 3, 128, 50_000),
                 students: 6,
-                windows: Some(3),
-                nodes: 128,
-                window_us: 50_000,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(1),
@@ -2878,13 +2663,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("class.zip").to_string_lossy().into_owned();
         run_ingest(&IngestArgs {
-            windows: 4,
-            nodes: 128,
-            seed: 3,
+            stream: StreamSpec {
+                seed: 3,
+                ..live("scan", 4, 128, 50_000)
+            },
             batch: 2048,
-            window_us: 50_000,
             record: Some(zip.clone()),
-            ..IngestArgs::new("scan")
+            ..IngestArgs::default()
         })
         .unwrap();
         let out = run_classroom(&ClassroomArgs {
@@ -2904,13 +2689,16 @@ mod tests {
         let bad = |scenario: Option<&str>, replay: Option<String>, nodes| {
             run_classroom(&ClassroomArgs {
                 serve: ServeArgs {
-                    scenario: scenario.map(String::from),
+                    stream: StreamSpec {
+                        scenario: scenario.map(String::from),
+                        windows: Some(1),
+                        nodes,
+                        seed: 1,
+                        window_us: 1_000,
+                        ..StreamSpec::default()
+                    },
                     replay,
                     students: 2,
-                    windows: Some(1),
-                    nodes,
-                    seed: 1,
-                    window_us: 1_000,
                     ..ServeArgs::new(LOOPBACK)
                 },
                 late: None,
@@ -2927,17 +2715,18 @@ mod tests {
         )
         .is_err());
         assert!(bad(Some("ddos"), None, 4).is_err(), "tiny address space");
+        let err = bad(Some("ddos"), None, 16_777_217).unwrap_err();
+        assert!(err.0.contains("dimension limit"), "{err}");
 
         // A skewed live classroom: the whole class still sees every window.
         let out = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: StreamSpec {
+                    horizon_us: 20_000,
+                    skew_us: 5_000,
+                    ..live("ddos", 2, 128, 50_000)
+                },
                 students: 3,
-                windows: Some(2),
-                nodes: 128,
-                window_us: 50_000,
-                horizon_us: 20_000,
-                skew_us: 5_000,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(0),
@@ -2953,13 +2742,12 @@ mod tests {
         // An undersized horizon warns up front, like `ingest` does.
         let out = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: StreamSpec {
+                    horizon_us: 100,
+                    skew_us: 20_000,
+                    ..live("ddos", 1, 128, 50_000)
+                },
                 students: 1,
-                windows: Some(1),
-                nodes: 128,
-                window_us: 50_000,
-                horizon_us: 100,
-                skew_us: 20_000,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(0),
@@ -2973,13 +2761,16 @@ mod tests {
         // Programmatic callers hit the same skew-vs-replay guard as the parser.
         let err = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
+                stream: StreamSpec {
+                    windows: Some(1),
+                    nodes: 128,
+                    seed: 1,
+                    window_us: 1_000,
+                    skew_us: 5_000,
+                    ..StreamSpec::default()
+                },
                 replay: Some(zip.clone()),
                 students: 1,
-                windows: Some(1),
-                nodes: 128,
-                seed: 1,
-                window_us: 1_000,
-                skew_us: 5_000,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: None,
@@ -2997,18 +2788,19 @@ mod tests {
         let zip = dir.join("lesson.zip").to_string_lossy().into_owned();
         let path = dir.join("class.json").to_string_lossy().into_owned();
         run_ingest(&IngestArgs {
-            windows: 4,
-            nodes: 128,
-            window_us: 50_000,
+            stream: live("ddos", 4, 128, 50_000),
             record: Some(zip.clone()),
-            ..IngestArgs::new("ddos")
+            ..IngestArgs::default()
         })
         .unwrap();
         let out = run_classroom(&ClassroomArgs {
             serve: ServeArgs {
+                stream: StreamSpec {
+                    metrics_json: Some(path.clone()),
+                    ..StreamSpec::default()
+                },
                 replay: Some(zip),
                 students: 3,
-                metrics_json: Some(path.clone()),
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(1),
@@ -3042,11 +2834,8 @@ mod tests {
         use tw_core::game::TelemetryEvent;
         let (out, events) = classroom(&ClassroomArgs {
             serve: ServeArgs {
-                scenario: Some("ddos".into()),
+                stream: live("ddos", 4, 128, 50_000),
                 students: 5,
-                windows: Some(4),
-                nodes: 128,
-                window_us: 50_000,
                 ..ServeArgs::new(LOOPBACK)
             },
             late: Some(2),
@@ -3097,11 +2886,8 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let args = ServeArgs {
-            scenario: Some("ddos".into()),
+            stream: live("ddos", 3, 128, 50_000),
             students: 2,
-            windows: Some(3),
-            nodes: 128,
-            window_us: 50_000,
             ..ServeArgs::new("127.0.0.1:0")
         };
         let (serve_out, client_outs) = std::thread::scope(|scope| {
@@ -3141,8 +2927,12 @@ mod tests {
 
         // Error paths: an unbindable address, an unreachable server, and the
         // same stream validation the classroom applies.
+        let scenario = |name: &str| StreamSpec {
+            scenario: Some(name.into()),
+            ..StreamSpec::default()
+        };
         assert!(run_serve(&ServeArgs {
-            scenario: Some("ddos".into()),
+            stream: scenario("ddos"),
             ..ServeArgs::new("256.0.0.1:0")
         })
         .is_err());
@@ -3151,7 +2941,7 @@ mod tests {
             "nothing listens"
         );
         assert!(run_serve(&ServeArgs {
-            scenario: Some("wat".into()),
+            stream: scenario("wat"),
             ..ServeArgs::new("127.0.0.1:0")
         })
         .unwrap_err()
@@ -3159,13 +2949,30 @@ mod tests {
         .contains("known scenarios"));
         assert!(
             run_serve(&ServeArgs {
-                scenario: Some("ddos".into()),
-                nodes: 4,
+                stream: StreamSpec {
+                    nodes: 4,
+                    ..scenario("ddos")
+                },
                 ..ServeArgs::new("127.0.0.1:0")
             })
             .is_err(),
             "tiny address space"
         );
+        // An address space the window codec cannot encode is refused before
+        // any pipeline is built, not a panic on the first window.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let err = run_serve_on(
+            listener,
+            &ServeArgs {
+                stream: StreamSpec {
+                    nodes: 16_777_217,
+                    ..scenario("ddos")
+                },
+                ..ServeArgs::new("127.0.0.1:0")
+            },
+        )
+        .unwrap_err();
+        assert!(err.0.contains("dimension limit"), "{err}");
     }
 
     #[test]
@@ -3178,13 +2985,12 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let args = ServeArgs {
-            scenario: Some("ddos".into()),
+            stream: StreamSpec {
+                metrics_json: Some(path.clone()),
+                stats_every: 1,
+                ..live("ddos", 3, 128, 50_000)
+            },
             students: 1,
-            windows: Some(3),
-            nodes: 128,
-            window_us: 50_000,
-            metrics_json: Some(path.clone()),
-            stats_every: 1,
             ..ServeArgs::new("127.0.0.1:0")
         };
         let (serve_out, client_out) = std::thread::scope(|scope| {
