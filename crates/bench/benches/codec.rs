@@ -10,6 +10,21 @@
 //! window, so the delta archive is recorded alongside the full one to show
 //! (not assert) that full encoding is the right default there.
 //!
+//! `ddos` windows also time the two per-byte kernels every replayed window
+//! crosses on the frame path. `frame_crc32/{table,dispatch}/*` checksums a
+//! 30 KiB and a 128 KiB buffer of window payload bytes through the
+//! slicing-by-8 tables alone and through [`crc32`]'s dispatch; on a CPU
+//! with carry-less multiply the dispatch must be at least 5x the tables at
+//! 128 KiB (asserted here, speedup recorded). `decode_full_v2` rows decode
+//! the bursty windows above (`codec_ddos`: 512 nodes, 50 ms, ~3.8k cells
+//! in rows of ~7) and windows shaped like a recorded lesson
+//! (`codec_ddos_lesson`: 1,024 nodes, 1 s, ~62k cells in rows of ~60)
+//! through the full-window decoder and its four-cell one-byte-varint path.
+//! On the lesson windows it must read at least 1.2x faster than the
+//! per-cell decoder it replaced — a margin between two commits, so it is
+//! checked by running both rather than asserted; short rows leave the
+//! `codec_ddos` row near parity.
+//!
 //! The hot-cell count scales with `TW_CODEC_BENCH_EVENTS` (default 1e6,
 //! CI's bench smoke step runs with 20000).
 
@@ -17,6 +32,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tw_bench::{banner, quick_criterion};
+use tw_core::archive::crc32::{crc32, crc32_table};
 use tw_core::ingest::{
     decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
     DecodeScratch, IngestStats, Pipeline, PipelineConfig, RecordingMeta, Scenario, WindowReport,
@@ -170,6 +186,23 @@ fn best_of<F: FnMut() -> u64>(mut f: F) -> Duration {
     best
 }
 
+/// Whether this CPU runs [`crc32`]'s carry-less-multiply kernel.
+#[cfg(target_arch = "x86_64")]
+fn crc_hardware() -> bool {
+    std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn crc_hardware() -> bool {
+    false
+}
+
+/// Sixteen checksums of `input`, so one timed round is well above the
+/// clock's resolution.
+fn crc_rounds(input: &[u8], crc: fn(&[u8]) -> u32) -> u64 {
+    (0..16).map(|_| u64::from(crc(black_box(input)))).sum()
+}
+
 fn bench_codec(c: &mut Criterion) {
     banner("E-S7", "Delta window codec: archive size and decode cost");
     let hot = (event_budget() / WINDOWS).clamp(64, NODES * NODES / 2);
@@ -199,7 +232,7 @@ fn bench_codec(c: &mut Criterion) {
         reorder_horizon_us: 0,
         ..Default::default()
     };
-    let ddos = Pipeline::new(Scenario::Ddos.source(NODES as u32, SEED), config).run(8);
+    let ddos = Pipeline::new(Scenario::Ddos.source(NODES as u32, SEED), config.clone()).run(8);
     let ddos_full = archive_bytes(&ddos, "ddos", 0);
     let ddos_delta = archive_bytes(&ddos, "ddos", KEYFRAME_EVERY);
     criterion::record_measurement("codec_ddos/archive_bytes/full", ddos_full as u128);
@@ -210,6 +243,52 @@ fn bench_codec(c: &mut Criterion) {
          — churn-heavy streams keep full encoding the right default",
         ddos_delta as f64 / ddos_full as f64 * 100.0
     );
+
+    // -- Frame-path kernels on ddos windows: decode and CRC-32. ----------
+    // The lesson windows have the shape of a recorded classroom lesson:
+    // 1,024 nodes, 1 s windows, ~62k cells and ~128 KB per window.
+    let lesson_config = PipelineConfig {
+        window_us: 1_000_000,
+        ..config
+    };
+    let lesson = Pipeline::new(Scenario::Ddos.source(1_024, SEED), lesson_config).run(4);
+    for (group_name, reports) in [("codec_ddos", &ddos), ("codec_ddos_lesson", &lesson)] {
+        let frames = full_frames(reports);
+        let nnz = reports.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
+        assert_eq!(decode_full(&frames), nnz);
+        let mut group = c.benchmark_group(group_name);
+        group.bench_function("decode_full_v2", |b| {
+            b.iter(|| black_box(decode_full(&frames)))
+        });
+        group.finish();
+    }
+
+    let payload = full_frames(&lesson).concat();
+    let mut group = c.benchmark_group("frame_crc32");
+    let mut crc_speedup = 0.0;
+    for (label, len) in [("30KiB", 30 << 10), ("128KiB", 128 << 10)] {
+        let input: Vec<u8> = payload.iter().copied().cycle().take(len).collect();
+        assert_eq!(crc32(&input), crc32_table(&input));
+        group.bench_function(format!("table/{label}"), |b| {
+            b.iter(|| black_box(crc32_table(&input)))
+        });
+        group.bench_function(format!("dispatch/{label}"), |b| {
+            b.iter(|| black_box(crc32(&input)))
+        });
+        let table = best_of(|| crc_rounds(&input, crc32_table));
+        let dispatch = best_of(|| crc_rounds(&input, crc32));
+        crc_speedup = table.as_secs_f64() / dispatch.as_secs_f64().max(1e-9);
+        println!(
+            "crc32 over {label}: tables {:.1} us, dispatch {:.1} us: {crc_speedup:.1}x",
+            table.as_secs_f64() * 1e6 / 16.0,
+            dispatch.as_secs_f64() * 1e6 / 16.0,
+        );
+        criterion::record_measurement(
+            &format!("frame_crc32/{label}/dispatch_speedup_x1000"),
+            (crc_speedup * 1000.0).round() as u128,
+        );
+    }
+    group.finish();
 
     // -- Decode cost, steady: v2 full stream vs v3 chain into scratch. ---
     let full = full_frames(&steady);
@@ -251,6 +330,16 @@ fn bench_codec(c: &mut Criterion) {
         &format!("{prefix}/speedup_x1000"),
         (speedup * 1000.0).round() as u128,
     );
+    // `crc_speedup` is the last (128 KiB) size's.
+    if crc_hardware() {
+        assert!(
+            crc_speedup >= 5.0,
+            "the carry-less-multiply CRC must be >= 5x the tables at 128 KiB \
+             (got {crc_speedup:.2}x)"
+        );
+    } else {
+        println!("no carry-less multiply on this CPU: dispatch runs the tables");
+    }
     assert!(
         speedup >= 1.3,
         "decoding the steady delta chain into a scratch must be >= 1.3x \

@@ -141,6 +141,46 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Decode the LEB128 varint at `*pos` and step past it: the one varint
+/// decoder, behind both [`Reader::varint`] and the full-window cell loop.
+#[inline]
+fn read_varint(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CodecError> {
+    // Fast path: hypersparse windows make almost every field (column
+    // deltas, small packet counts, row gaps) a single varint byte.
+    if let Some(&b) = data.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(u64::from(b));
+        }
+    }
+    read_varint_slow(data, pos, what)
+}
+
+#[cold]
+fn read_varint_slow(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CodecError> {
+    let mut value: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let byte = *data.get(*pos).ok_or(CodecError::Truncated(what))?;
+        *pos += 1;
+        let payload = u64::from(byte & 0x7F);
+        if shift >= 64 || (shift == 63 && payload > 1) {
+            return Err(CodecError::VarintOverflow(what));
+        }
+        value |= payload << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
+    }
+}
+
+/// [`read_varint`] for a count or index.
+#[inline]
+fn read_usize(data: &[u8], pos: &mut usize, what: &'static str) -> Result<usize, CodecError> {
+    usize::try_from(read_varint(data, pos, what)?).map_err(|_| CodecError::VarintOverflow(what))
+}
+
 /// A cursor over the encoded bytes.
 pub(crate) struct Reader<'a> {
     pub(crate) data: &'a [u8],
@@ -157,38 +197,12 @@ impl<'a> Reader<'a> {
 
     #[inline]
     pub(crate) fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        // Fast path: hypersparse windows make almost every field (column
-        // deltas, small packet counts, row gaps) a single varint byte.
-        if let Some(&b) = self.data.get(self.pos) {
-            if b < 0x80 {
-                self.pos += 1;
-                return Ok(u64::from(b));
-            }
-        }
-        self.varint_slow(what)
-    }
-
-    #[cold]
-    fn varint_slow(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte(what)?;
-            let payload = u64::from(byte & 0x7F);
-            if shift >= 64 || (shift == 63 && payload > 1) {
-                return Err(CodecError::VarintOverflow(what));
-            }
-            value |= payload << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
+        read_varint(self.data, &mut self.pos, what)
     }
 
     #[inline]
     pub(crate) fn usize_varint(&mut self, what: &'static str) -> Result<usize, CodecError> {
-        usize::try_from(self.varint(what)?).map_err(|_| CodecError::VarintOverflow(what))
+        read_usize(self.data, &mut self.pos, what)
     }
 }
 
@@ -376,55 +390,102 @@ fn parse_full_body(
     col_idx.reserve(nnz.min(r.data.len()));
     values.clear();
     values.reserve(nnz.min(r.data.len()));
-    let mut row = 0usize;
-    let mut next_row_fill = 0usize;
-    for i in 0..occupied {
-        let gap = r.usize_varint("row gap")?;
-        row = if i == 0 {
-            gap
-        } else {
-            row.checked_add(gap + 1)
-                .ok_or(CodecError::Corrupt("row overflow"))?
-        };
+    // The cell loop runs on a local cursor over the payload; `Reader` is
+    // only brought up to date once the last cell is read.
+    let (data, mut pos) = (r.data, r.pos);
+    // The lowest row the next occupied row may take: the first row is
+    // absolute, later ones store (gap - 1).
+    let mut next_row = 0usize;
+    for _ in 0..occupied {
+        let gap = read_usize(data, &mut pos, "row gap")?;
+        let row = next_row
+            .checked_add(gap)
+            .ok_or(CodecError::Corrupt("row overflow"))?;
         if row >= rows {
             return Err(CodecError::Corrupt("row index out of bounds"));
         }
         // Rows between the previous occupied row and this one are empty.
-        for slot in &mut row_ptr[next_row_fill..=row] {
-            *slot = col_idx.len();
-        }
-        next_row_fill = row + 1;
-        let row_nnz = r.usize_varint("row nnz")?;
+        row_ptr[next_row..=row].fill(col_idx.len());
+        next_row = row + 1;
+        let row_nnz = read_usize(data, &mut pos, "row nnz")?;
         if row_nnz == 0 {
             return Err(CodecError::Corrupt("occupied row with zero entries"));
         }
-        let mut col = 0usize;
-        for j in 0..row_nnz {
-            let delta = r.usize_varint("column delta")?;
-            col = if j == 0 {
-                delta
-            } else {
-                col.checked_add(delta + 1)
-                    .ok_or(CodecError::Corrupt("column overflow"))?
-            };
-            if col >= cols {
-                return Err(CodecError::Corrupt("column index out of bounds"));
-            }
-            let value = r.varint("value")?;
-            col_idx.push(col);
-            values.push(value);
-        }
+        parse_row_cells(data, &mut pos, row_nnz, cols, col_idx, values)?;
     }
     if col_idx.len() != nnz {
         return Err(CodecError::Corrupt("entry count disagrees with header"));
     }
-    if r.pos != r.data.len() {
+    if pos != data.len() {
         return Err(CodecError::Corrupt("trailing bytes after the last entry"));
     }
-    for slot in &mut row_ptr[next_row_fill..=rows] {
-        *slot = nnz;
-    }
+    r.pos = pos;
+    row_ptr[next_row..=rows].fill(nnz);
     Ok((rows, cols, stats))
+}
+
+/// Bit 7 of each byte of a little-endian word: clear in all eight exactly
+/// when the word holds eight one-byte varints.
+const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Parse one occupied row's `row_nnz` (column delta, value) cells at
+/// `*pos`, appending them to `col_idx` and `values`.
+///
+/// Columns strictly increase within a row: the first is absolute, later
+/// ones store (delta - 1). Hypersparse rows are mostly one-byte varints,
+/// so while four or more cells remain, the next eight bytes are loaded as
+/// one word; when none has its continuation bit set they are four cells,
+/// and their last (largest) column is the only one that needs the bounds
+/// check — it fails exactly when the per-cell loop would, with the same
+/// error. Any other byte falls through to that per-cell loop for one cell.
+#[inline]
+fn parse_row_cells(
+    data: &[u8],
+    pos: &mut usize,
+    row_nnz: usize,
+    cols: usize,
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) -> Result<(), CodecError> {
+    // The lowest column the next cell may take.
+    let mut next_col = 0usize;
+    let mut left = row_nnz;
+    while left > 0 {
+        if left >= 4 {
+            if let Some(&word) = data.get(*pos..).and_then(<[u8]>::first_chunk::<8>) {
+                if u64::from_le_bytes(word) & CONTINUATION_BITS == 0 {
+                    // `next_col <= cols <= MAX_DIMENSION`, so these sums
+                    // cannot overflow.
+                    let c0 = next_col + usize::from(word[0]);
+                    let c1 = c0 + 1 + usize::from(word[2]);
+                    let c2 = c1 + 1 + usize::from(word[4]);
+                    let c3 = c2 + 1 + usize::from(word[6]);
+                    if c3 >= cols {
+                        return Err(CodecError::Corrupt("column index out of bounds"));
+                    }
+                    col_idx.extend_from_slice(&[c0, c1, c2, c3]);
+                    values.extend_from_slice(&[word[1], word[3], word[5], word[7]].map(u64::from));
+                    next_col = c3 + 1;
+                    *pos += 8;
+                    left -= 4;
+                    continue;
+                }
+            }
+        }
+        let delta = read_usize(data, pos, "column delta")?;
+        let col = next_col
+            .checked_add(delta)
+            .ok_or(CodecError::Corrupt("column overflow"))?;
+        if col >= cols {
+            return Err(CodecError::Corrupt("column index out of bounds"));
+        }
+        let value = read_varint(data, pos, "value")?;
+        col_idx.push(col);
+        values.push(value);
+        next_col = col + 1;
+        left -= 1;
+    }
+    Ok(())
 }
 
 /// Encode one window as a sparse delta ([`DELTA_WINDOW_VERSION`]) against
@@ -781,18 +842,16 @@ fn parse_delta_body(
     }
 
     changes.clear();
-    let mut row = 0usize;
-    for i in 0..changed_rows {
+    let mut next_row = 0usize;
+    for _ in 0..changed_rows {
         let gap = r.usize_varint("row gap")?;
-        row = if i == 0 {
-            gap
-        } else {
-            row.checked_add(gap + 1)
-                .ok_or(CodecError::Corrupt("row overflow"))?
-        };
+        let row = next_row
+            .checked_add(gap)
+            .ok_or(CodecError::Corrupt("row overflow"))?;
         if row >= rows {
             return Err(CodecError::Corrupt("row index out of bounds"));
         }
+        next_row = row + 1;
         let dels = r.usize_varint("deleted column count")?;
         let sets = r.usize_varint("upserted column count")?;
         if dels == 0 && sets == 0 {
@@ -801,18 +860,16 @@ fn parse_delta_body(
         let row_start = changes.len();
         for list in [(dels, false), (sets, true)] {
             let (count, is_set) = list;
-            let mut col = 0usize;
-            for j in 0..count {
+            let mut next_col = 0usize;
+            for _ in 0..count {
                 let delta = r.usize_varint("column delta")?;
-                col = if j == 0 {
-                    delta
-                } else {
-                    col.checked_add(delta + 1)
-                        .ok_or(CodecError::Corrupt("column overflow"))?
-                };
+                let col = next_col
+                    .checked_add(delta)
+                    .ok_or(CodecError::Corrupt("column overflow"))?;
                 if col >= cols {
                     return Err(CodecError::Corrupt("column index out of bounds"));
                 }
+                next_col = col + 1;
                 let value = if is_set {
                     Some(r.varint("value")?)
                 } else {
@@ -1031,6 +1088,51 @@ mod tests {
         assert_eq!(
             decode_window(&padded),
             Err(CodecError::Corrupt("trailing bytes after the last entry"))
+        );
+    }
+
+    #[test]
+    fn gaps_at_the_varint_limit_are_overflow_errors() {
+        // A row gap or column delta of u64::MAX (the largest varint) is the
+        // (gap - 1) of a position past every index: a typed overflow error,
+        // never an arithmetic panic or a silently repeated index.
+        let header = |kind: u8| {
+            let mut bytes = WINDOW_MAGIC.to_vec();
+            bytes.push(kind);
+            for _ in 0..7 {
+                super::push_varint(&mut bytes, 0); // stats fields
+            }
+            bytes
+        };
+        let full = |counts: [u64; 4], cells: &[u64]| {
+            let mut bytes = header(FULL_WINDOW_VERSION);
+            for v in counts.iter().chain(cells) {
+                super::push_varint(&mut bytes, *v);
+            }
+            decode_window(&bytes).map(|_| ())
+        };
+        // rows, cols, nnz, occupied; then row 0 with one cell, then a gap.
+        assert_eq!(
+            full([4, 4, 2, 2], &[0, 1, 0, 1, u64::MAX, 1, 0, 1]),
+            Err(CodecError::Corrupt("row overflow"))
+        );
+        // Row 0 with two cells, the second a column delta past the end.
+        assert_eq!(
+            full([4, 4, 2, 1], &[0, 2, 0, 1, u64::MAX, 1]),
+            Err(CodecError::Corrupt("column overflow"))
+        );
+
+        let mut delta = header(DELTA_WINDOW_VERSION);
+        // base index, rows, cols, final nnz, changed rows; row 0 upserts
+        // two cells, the second a column delta past the end.
+        for v in [0u64, 4, 4, 2, 1, 0, 0, 2, 0, 1, u64::MAX, 1] {
+            super::push_varint(&mut delta, v);
+        }
+        let mut scratch = DecodeScratch::new();
+        scratch.base.set_matrix(0, &CsrMatrix::empty(4, 4));
+        assert_eq!(
+            decode_window_into(&delta, &mut scratch).map(|_| ()),
+            Err(CodecError::Corrupt("column overflow"))
         );
     }
 

@@ -303,6 +303,14 @@ pub fn serve(
     let mut drive_result: Result<(), StreamError> = Ok(());
 
     std::thread::scope(|scope| {
+        // Stop accepting and disconnect the hub when this body ends, by
+        // return or by a panic in the stream: writers then drain what is
+        // buffered, append their close frames and exit, so the scope join
+        // below never waits on a writer or acceptor that cannot finish.
+        let session = ShutdownGuard {
+            stop: &stop,
+            hub: &mut hub,
+        };
         let acceptor_handle = handle.clone();
         let acceptor_telemetry = telemetry.clone();
         let acceptor_metrics = serve_metrics.clone();
@@ -399,7 +407,7 @@ pub fn serve(
                         m.windows_forwarded.add(u64::from(frame.forwarded));
                         m.encoded_bytes.add(payload_len as u64);
                     }
-                    hub.publish_window(index, frame.bytes, !frame.delta);
+                    session.hub.publish_window(index, frame.bytes, !frame.delta);
                     if keyframe_every != 0 {
                         prev = Some(report);
                     }
@@ -412,12 +420,8 @@ pub fn serve(
                 }
             }
         }
-
-        // Stop accepting, then disconnect the hub: writers drain whatever
-        // is buffered, append their close frames, and exit. The scope join
-        // proves no writer thread outlives the serve call.
-        stop.store(true, Ordering::Relaxed);
-        hub.close();
+        // Dropping `session` here shuts it down; the scope join proves
+        // no writer thread outlives the serve call.
     });
 
     // A peer that squeezed in between close and the acceptor noticing the
@@ -441,6 +445,20 @@ pub fn serve(
         broadcast,
         snapshot,
     })
+}
+
+/// Ends a serving session when dropped: raises the acceptor's stop flag and
+/// closes the hub, which disconnects every writer's channel.
+struct ShutdownGuard<'a> {
+    stop: &'a AtomicBool,
+    hub: &'a mut BroadcastHub,
+}
+
+impl Drop for ShutdownGuard<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.hub.close();
+    }
 }
 
 /// One connection's writer: manifest, every received frame, close summary.

@@ -14,8 +14,12 @@
 //!   server's summary — conservation holds across the wire.
 //! * A **dead producer** ([`ChaosStream`]) still closes every peer with a
 //!   clean close frame (covered here and in the server unit tests).
+//! * A **panicking producer** unwinds out of `serve` instead of hanging
+//!   it: the acceptor stops, the hub closes, every writer sends its close
+//!   frame and is joined, and the panic reaches the caller.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::{
@@ -264,4 +268,73 @@ fn chaos_stream_fault_closes_remote_peers_cleanly() {
             assert_eq!(close.delivered, 3);
         }
     });
+}
+
+/// A stream that panics on its `panic_at`-th `next_window` call.
+struct PanickingStream {
+    inner: Pipeline,
+    panic_at: usize,
+    calls: usize,
+}
+
+impl WindowStream for PanickingStream {
+    fn next_window(&mut self) -> Result<Option<WindowReport>, StreamError> {
+        self.calls += 1;
+        assert!(self.calls < self.panic_at, "window source panicked");
+        WindowStream::next_window(&mut self.inner)
+    }
+
+    fn node_count(&self) -> usize {
+        WindowStream::node_count(&self.inner)
+    }
+
+    fn window_us(&self) -> u64 {
+        WindowStream::window_us(&self.inner)
+    }
+
+    fn remaining_windows(&self) -> Option<usize> {
+        None
+    }
+}
+
+#[test]
+fn panicking_stream_unwinds_out_of_serve_and_closes_peers() {
+    let listener = loopback_listener().unwrap();
+    let addr = listener.local_addr().unwrap();
+    let config = ServeConfig {
+        scenario: "ddos".to_string(),
+        seed: 11,
+        wait_for: 1,
+        ..ServeConfig::default()
+    };
+    // Plain threads, not a scope: if `serve` hung, a scope would hang this
+    // test with it. The bounded wait below turns a hang into a failure.
+    let client = std::thread::spawn(move || {
+        let mut client = ClientStream::connect(addr).unwrap();
+        let windows = collect_stream(&mut client, usize::MAX).unwrap();
+        (windows.len(), client.close_summary().copied())
+    });
+    let (done, finished) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let mut stream = PanickingStream {
+            inner: ddos_pipeline(48),
+            panic_at: 3,
+            calls: 0,
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve(listener, &mut stream, &config, None)
+        }));
+        let _ = done.send(outcome.is_err());
+    });
+    let panicked = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve must return within 30 s after its stream panics");
+    assert!(panicked, "the stream's panic reaches serve's caller");
+    server.join().unwrap();
+    let (seen, close) = client.join().unwrap();
+    // The two windows before the panic went out, then a clean close frame.
+    assert_eq!(seen, 2);
+    let close = close.expect("close frame arrived");
+    assert_eq!(close.windows, 2);
+    assert_eq!(close.delivered, 2);
 }
