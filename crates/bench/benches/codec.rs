@@ -1,29 +1,35 @@
-//! E-S7 — the v3 delta window codec: archive size and decode cost.
+//! E-S7 — the window codec: archive size, bytes per window and decode
+//! cost.
 //!
 //! Two workloads probe the two sides of the delta trade. A synthetic
 //! *steady* stream (a fixed hot-cell set with ~2% churn per window — the
 //! shape of campus traffic between incidents) is where deltas pay: the
 //! archive must shrink by at least 30% and decoding the delta chain
-//! through a recycled [`DecodeScratch`] must beat full v2 decoding by at
+//! through a recycled [`DecodeScratch`] must beat full decoding by at
 //! least 1.3x — both asserted here, recorded in `BENCH_codec.json`. The
 //! *bursty* `ddos` scenario is the counter-case: most cells churn every
 //! window, so the delta archive is recorded alongside the full one to show
 //! (not assert) that full encoding is the right default there.
 //!
-//! `ddos` windows also time the two per-byte kernels every replayed window
-//! crosses on the frame path. `frame_crc32/{table,dispatch}/*` checksums a
-//! 30 KiB and a 128 KiB buffer of window payload bytes through the
-//! slicing-by-8 tables alone and through [`crc32`]'s dispatch; on a CPU
-//! with carry-less multiply the dispatch must be at least 5x the tables at
-//! 128 KiB (asserted here, speedup recorded). `decode_full_v2` rows decode
-//! the bursty windows above (`codec_ddos`: 512 nodes, 50 ms, ~3.8k cells
-//! in rows of ~7) and windows shaped like a recorded lesson
-//! (`codec_ddos_lesson`: 1,024 nodes, 1 s, ~62k cells in rows of ~60)
-//! through the full-window decoder and its four-cell one-byte-varint path.
-//! On the lesson windows it must read at least 1.2x faster than the
-//! per-cell decoder it replaced — a margin between two commits, so it is
-//! checked by running both rather than asserted; short rows leave the
-//! `codec_ddos` row near parity.
+//! Three lesson shapes compare the full-window layouts, v2 (per-row
+//! headers, written by recordings made before v4) against v4 (one run of
+//! linear-index gaps, what the encoder writes now): `codec_lesson_mixed`
+//! (mixed on 4,096 nodes, 100 ms windows: a live lesson),
+//! `codec_lesson_scan` (a clock-skewed scan on 4,096 nodes through a
+//! reordering pipeline: a skewed recording) and `codec_lesson_ddos` (ddos
+//! on 1,024 nodes, 1 s windows: a recorded lesson). Each records the mean
+//! payload bytes per window and times encoding and decoding (through a
+//! recycled scratch, as a replay or a client does) in both layouts. The
+//! size margin is deterministic, so it is asserted: v4 must be at least
+//! 10% smaller than v2 on the mixed lesson. The timings are margins
+//! between layouts on a noisy host, so they are recorded, not asserted.
+//!
+//! `ddos` lesson windows also feed the CRC-32 kernel timings:
+//! `frame_crc32/{table,dispatch}/*` checksums a 30 KiB and a 128 KiB
+//! buffer of window payload bytes through the slicing-by-8 tables alone
+//! and through [`crc32`]'s dispatch; on a CPU with carry-less multiply the
+//! dispatch must be at least 5x the tables at 128 KiB (asserted here,
+//! speedup recorded).
 //!
 //! The hot-cell count scales with `TW_CODEC_BENCH_EVENTS` (default 1e6,
 //! CI's bench smoke step runs with 20000).
@@ -39,9 +45,14 @@ use tw_core::ingest::{
 };
 use tw_matrix::CsrMatrix;
 
+#[path = "../../ingest/tests/support/legacy_codec.rs"]
+mod legacy_codec;
+
 const NODES: usize = 512;
 const WINDOWS: usize = 16;
 const KEYFRAME_EVERY: u64 = 8;
+/// Windows per 4,096-node lesson shape in the layout comparison.
+const LESSON_WINDOWS: usize = 8;
 const SEED: u64 = 0x5eed_cafe;
 
 fn event_budget() -> usize {
@@ -134,9 +145,17 @@ fn archive_bytes(reports: &[WindowReport], scenario: &str, keyframe_every: u64) 
     recorder.finish().expect("well under format limits").len()
 }
 
-/// Every window encoded self-contained (the v2 wire/archive layout).
+/// Every window encoded self-contained (the v4 wire/archive layout).
 fn full_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports.iter().map(encode_window).collect()
+}
+
+/// Every window in the v2 layout of recordings made before v4.
+fn v2_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
+    reports
+        .iter()
+        .map(|report| legacy_codec::encode_legacy(report, 2))
+        .collect()
 }
 
 /// The v3 chain: a key frame every [`KEYFRAME_EVERY`] windows, deltas
@@ -244,25 +263,67 @@ fn bench_codec(c: &mut Criterion) {
         ddos_delta as f64 / ddos_full as f64 * 100.0
     );
 
-    // -- Frame-path kernels on ddos windows: decode and CRC-32. ----------
-    // The lesson windows have the shape of a recorded classroom lesson:
-    // 1,024 nodes, 1 s windows, ~62k cells and ~128 KB per window.
+    // -- Full-window layouts, v2 vs v4, on three lesson shapes. ---------
+    let mixed = Pipeline::new(
+        Scenario::Mixed.source(4_096, SEED),
+        PipelineConfig::default(),
+    )
+    .run(LESSON_WINDOWS);
+    let (skewed, horizon_us) = Scenario::Scan.skewed_source(4_096, SEED, 5_000);
+    let scan = Pipeline::new(
+        skewed,
+        PipelineConfig {
+            reorder_horizon_us: horizon_us,
+            ..PipelineConfig::default()
+        },
+    )
+    .run(LESSON_WINDOWS);
     let lesson_config = PipelineConfig {
         window_us: 1_000_000,
         ..config
     };
     let lesson = Pipeline::new(Scenario::Ddos.source(1_024, SEED), lesson_config).run(4);
-    for (group_name, reports) in [("codec_ddos", &ddos), ("codec_ddos_lesson", &lesson)] {
-        let frames = full_frames(reports);
+    let mut mixed_bytes = (0, 0);
+    for (group_name, reports) in [
+        ("codec_lesson_mixed", &mixed),
+        ("codec_lesson_scan", &scan),
+        ("codec_lesson_ddos", &lesson),
+    ] {
+        let v2 = v2_frames(reports);
+        let v4 = full_frames(reports);
         let nnz = reports.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
-        assert_eq!(decode_full(&frames), nnz);
+        assert_eq!(decode_chain(&v2), nnz);
+        assert_eq!(decode_chain(&v4), nnz);
+        let per_window =
+            |frames: &[Vec<u8>]| frames.iter().map(Vec::len).sum::<usize>() / frames.len().max(1);
+        let (v2_bytes, v4_bytes) = (per_window(&v2), per_window(&v4));
+        criterion::record_measurement(
+            &format!("{group_name}/bytes_per_window/v2"),
+            v2_bytes as u128,
+        );
+        criterion::record_measurement(
+            &format!("{group_name}/bytes_per_window/v4"),
+            v4_bytes as u128,
+        );
+        println!(
+            "{group_name} ({} windows, {} cells/window): v2 {v2_bytes} B/window, \
+             v4 {v4_bytes} B/window ({:+.1}%)",
+            reports.len(),
+            nnz / reports.len().max(1) as u64,
+            (v4_bytes as f64 / v2_bytes as f64 - 1.0) * 100.0
+        );
+        if group_name == "codec_lesson_mixed" {
+            mixed_bytes = (v2_bytes, v4_bytes);
+        }
         let mut group = c.benchmark_group(group_name);
-        group.bench_function("decode_full_v2", |b| {
-            b.iter(|| black_box(decode_full(&frames)))
-        });
+        group.bench_function("encode/v2", |b| b.iter(|| black_box(v2_frames(reports))));
+        group.bench_function("encode/v4", |b| b.iter(|| black_box(full_frames(reports))));
+        group.bench_function("decode/v2", |b| b.iter(|| black_box(decode_chain(&v2))));
+        group.bench_function("decode/v4", |b| b.iter(|| black_box(decode_chain(&v4))));
         group.finish();
     }
 
+    // -- CRC-32 on lesson payload bytes. ---------------------------------
     let payload = full_frames(&lesson).concat();
     let mut group = c.benchmark_group("frame_crc32");
     let mut crc_speedup = 0.0;
@@ -290,7 +351,7 @@ fn bench_codec(c: &mut Criterion) {
     }
     group.finish();
 
-    // -- Decode cost, steady: v2 full stream vs v3 chain into scratch. ---
+    // -- Decode cost, steady: full stream vs v3 chain into scratch. ------
     let full = full_frames(&steady);
     let chain = chain_frames(&steady);
     let expect = steady.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
@@ -298,13 +359,11 @@ fn bench_codec(c: &mut Criterion) {
     assert_eq!(decode_chain(&chain), expect);
 
     let mut group = c.benchmark_group(format!("codec_{hot}_hot_cells"));
-    group.bench_function("decode_full_v2", |b| {
-        b.iter(|| black_box(decode_full(&full)))
-    });
+    group.bench_function("decode_full", |b| b.iter(|| black_box(decode_full(&full))));
     group.bench_function("decode_delta_scratch", |b| {
         b.iter(|| black_box(decode_chain(&chain)))
     });
-    group.bench_function("encode_full_v2", |b| {
+    group.bench_function("encode_full", |b| {
         b.iter(|| black_box(full_frames(&steady).len()))
     });
     group.bench_function("encode_delta_chain", |b| {
@@ -316,7 +375,7 @@ fn bench_codec(c: &mut Criterion) {
     let chain_time = best_of(|| decode_chain(&chain));
     let speedup = full_time.as_secs_f64() / chain_time.as_secs_f64().max(1e-9);
     println!(
-        "steady decode: full v2 {:.2} ms vs delta-into-scratch {:.2} ms: {speedup:.1}x faster",
+        "steady decode: full {:.2} ms vs delta-into-scratch {:.2} ms: {speedup:.1}x faster",
         full_time.as_secs_f64() * 1e3,
         chain_time.as_secs_f64() * 1e3,
     );
@@ -329,6 +388,12 @@ fn bench_codec(c: &mut Criterion) {
     criterion::record_measurement(
         &format!("{prefix}/speedup_x1000"),
         (speedup * 1000.0).round() as u128,
+    );
+    let (v2_bytes, v4_bytes) = mixed_bytes;
+    assert!(
+        v4_bytes * 10 <= v2_bytes * 9,
+        "v4 windows must be at least 10% smaller than v2 on the mixed lesson \
+         (v2 {v2_bytes} B, v4 {v4_bytes} B)"
     );
     // `crc_speedup` is the last (128 KiB) size's.
     if crc_hardware() {
@@ -343,7 +408,7 @@ fn bench_codec(c: &mut Criterion) {
     assert!(
         speedup >= 1.3,
         "decoding the steady delta chain into a scratch must be >= 1.3x \
-         faster than full v2 decoding (got {speedup:.2}x)"
+         faster than full decoding (got {speedup:.2}x)"
     );
 }
 

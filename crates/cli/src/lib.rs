@@ -43,7 +43,7 @@ pub enum Command {
     /// Replay a recorded window stream into the live warehouse view.
     Replay { path: String, speed: u64 },
     /// Serve one scenario (live or replayed) to remote `connect` clients
-    /// over TCP, framing the v2 window codec.
+    /// over TCP, framing the window codec.
     Serve(ServeArgs),
     /// Join a `serve` session and follow its window stream.
     Connect {
@@ -135,7 +135,7 @@ Commands:
                                               serve one window stream (live scenario, or a
                                               recording with --replay) to remote connect
                                               clients as length-prefixed, CRC-checked
-                                              frames carrying the v2 window codec;
+                                              frames carrying the window codec;
                                               --students holds the first window until that
                                               many clients have joined, and a slow reader
                                               drops frames (with accounting) instead of

@@ -1,14 +1,21 @@
 //! A compact, versioned binary codec for [`WindowReport`]s.
 //!
 //! Recorded scenarios are replayed in class many times from one capture, so
-//! the on-disk window format must be both small and stable. Version 1 encodes
-//! the CSR matrix row by row with LEB128 varints and delta-compressed
-//! coordinates — hypersparse windows (a few entries per row, clustered
-//! columns) shrink to a handful of bytes per stored cell — followed by the
-//! window's [`IngestStats`]. Every integer field is varint-encoded, so the
-//! format has no architecture-dependent widths, and decoding validates
-//! structure (magic, version, bounds, exact length) before any matrix is
-//! built.
+//! the on-disk window format must be both small and stable. Every integer
+//! field is a LEB128 varint except one fixed-width stat, so the format has
+//! no architecture-dependent widths, and decoding validates structure
+//! (magic, version, bounds, exact length) before any matrix is built.
+//!
+//! | version | kind  | stats block                      | cells                                                              |
+//! |---------|-------|----------------------------------|--------------------------------------------------------------------|
+//! | 1       | full  | six varints (no `reordered`)     | occupied-row count; per row: row gap, cell count, column gaps      |
+//! | 2       | full  | seven varints                    | as version 1                                                       |
+//! | 3       | delta | seven varints                    | base window; per changed row: deleted and upserted column lists    |
+//! | 4       | full  | six varints + 8-byte `elapsed`   | one run of linear-index gaps, no per-row headers                   |
+//!
+//! [`encode_window`] writes version 4 and [`encode_window_delta`] version
+//! 3; versions 1 and 2 are only read, so recordings made before version 4
+//! keep replaying.
 //!
 //! ```
 //! use tw_ingest::codec::{decode_window, encode_window};
@@ -37,13 +44,14 @@ pub const WINDOW_MAGIC: [u8; 4] = *b"TWWR";
 /// still decode, with `reordered` reported as `0`. Version 3 is the
 /// *delta-window* layout ([`encode_window_delta`]): sparse cell changes
 /// against the previous window, decodable only through a
-/// [`DecodeScratch`] holding that base. Full windows are still written as
-/// version 2 — the layout gained nothing in v3 — so archives recorded
-/// without key-frame cadence stay readable by v2-era builds.
-pub const WINDOW_CODEC_VERSION: u8 = 3;
+/// [`DecodeScratch`] holding that base. Version 4 is the full layout
+/// [`encode_window`] writes: each cell is addressed by its linear index
+/// `row · cols + col`, gap-coded against the previous cell, so a window
+/// spends no bytes on per-row headers.
+pub const WINDOW_CODEC_VERSION: u8 = 4;
 /// The version byte of a full (self-contained) window, as written by
 /// [`encode_window`].
-pub const FULL_WINDOW_VERSION: u8 = 2;
+pub const FULL_WINDOW_VERSION: u8 = 4;
 /// The version byte of a delta window, as written by
 /// [`encode_window_delta`].
 pub const DELTA_WINDOW_VERSION: u8 = 3;
@@ -129,28 +137,32 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Append a LEB128 varint.
+#[inline]
 pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
     }
+    buf.push(v as u8);
 }
 
 /// Decode the LEB128 varint at `*pos` and step past it: the one varint
 /// decoder, behind both [`Reader::varint`] and the full-window cell loop.
 #[inline]
 fn read_varint(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CodecError> {
-    // Fast path: hypersparse windows make almost every field (column
-    // deltas, small packet counts, row gaps) a single varint byte.
+    // Fast paths: hypersparse windows make almost every field a one-byte
+    // varint (small packet counts, column gaps), and the linear-index gaps
+    // of a 4,096-node window are mostly two bytes.
     if let Some(&b) = data.get(*pos) {
         if b < 0x80 {
             *pos += 1;
             return Ok(u64::from(b));
+        }
+        if let Some(&b1) = data.get(*pos + 1) {
+            if b1 < 0x80 {
+                *pos += 2;
+                return Ok(u64::from(b & 0x7F) | (u64::from(b1) << 7));
+            }
         }
     }
     read_varint_slow(data, pos, what)
@@ -204,10 +216,29 @@ impl<'a> Reader<'a> {
     pub(crate) fn usize_varint(&mut self, what: &'static str) -> Result<usize, CodecError> {
         read_usize(self.data, &mut self.pos, what)
     }
+
+    /// A fixed-width little-endian `u64`.
+    fn u64_le(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        let bytes = self
+            .data
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<8>)
+            .ok_or(CodecError::Truncated(what))?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(*bytes))
+    }
 }
 
-/// Append the stats block shared by the full and delta layouts.
-fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats) {
+/// Whether a layout writes `elapsed` as a fixed 8-byte little-endian
+/// nanosecond count rather than a varint. A wall-clock varint's length
+/// follows the timing; a fixed field makes a full window's length depend
+/// only on its matrix and counts.
+fn fixed_elapsed(version: u8) -> bool {
+    version >= FULL_WINDOW_VERSION
+}
+
+/// Append the stats block of a `version` window.
+fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats, version: u8) {
     push_varint(buf, stats.window_index);
     push_varint(buf, stats.events);
     push_varint(buf, stats.packets);
@@ -215,10 +246,14 @@ fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats) {
     push_varint(buf, stats.dropped_late);
     push_varint(buf, stats.reordered);
     let nanos = u64::try_from(stats.elapsed.as_nanos()).unwrap_or(u64::MAX);
-    push_varint(buf, nanos);
+    if fixed_elapsed(version) {
+        buf.extend_from_slice(&nanos.to_le_bytes());
+    } else {
+        push_varint(buf, nanos);
+    }
 }
 
-/// Parse the stats block shared by the full and delta layouts.
+/// Parse the stats block of a `version` window.
 fn parse_stats(r: &mut Reader<'_>, version: u8) -> Result<IngestStats, CodecError> {
     let window_index = r.varint("window_index")?;
     let events = r.varint("events")?;
@@ -232,7 +267,11 @@ fn parse_stats(r: &mut Reader<'_>, version: u8) -> Result<IngestStats, CodecErro
     } else {
         0
     };
-    let elapsed = Duration::from_nanos(r.varint("elapsed")?);
+    let elapsed = Duration::from_nanos(if fixed_elapsed(version) {
+        r.u64_le("elapsed")?
+    } else {
+        r.varint("elapsed")?
+    });
     Ok(IngestStats {
         window_index,
         events,
@@ -278,7 +317,6 @@ pub fn encode_window(report: &WindowReport) -> Vec<u8> {
 /// on a local `Vec`, as fast as encoding into a fresh one.
 pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec<u8> {
     let matrix = &report.matrix;
-    let stats = &report.stats;
     let (rows, cols) = matrix.shape();
     assert!(
         rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
@@ -286,41 +324,50 @@ pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec
     );
     buf.extend_from_slice(&WINDOW_MAGIC);
     buf.push(FULL_WINDOW_VERSION);
-    push_stats(&mut buf, stats);
-
+    push_stats(&mut buf, &report.stats, FULL_WINDOW_VERSION);
     push_varint(&mut buf, rows as u64);
     push_varint(&mut buf, cols as u64);
     push_varint(&mut buf, matrix.nnz() as u64);
-    let occupied = (0..rows).filter(|&r| matrix.row_nnz(r) > 0).count();
-    push_varint(&mut buf, occupied as u64);
 
-    // Rows appear in increasing order, delta-compressed: the first occupied
-    // row is absolute, later ones store (gap - 1). Columns within a row are
-    // strictly increasing, so the first is absolute and later ones store
-    // (delta - 1). Values follow their column inline.
-    let mut prev_row: Option<usize> = None;
-    for r in 0..rows {
-        let row_nnz = matrix.row_nnz(r);
-        if row_nnz == 0 {
-            continue;
-        }
-        match prev_row {
-            None => push_varint(&mut buf, r as u64),
-            Some(p) => push_varint(&mut buf, (r - p - 1) as u64),
-        }
-        prev_row = Some(r);
-        push_varint(&mut buf, row_nnz as u64);
-        let mut prev_col: Option<usize> = None;
-        for (c, v) in matrix.row(r) {
-            match prev_col {
-                None => push_varint(&mut buf, c as u64),
-                Some(p) => push_varint(&mut buf, (c - p - 1) as u64),
-            }
-            prev_col = Some(c);
-            push_varint(&mut buf, v);
+    // Cells in row-major order, each addressed by its linear index
+    // `row * cols + col`: the first index is absolute, each later one
+    // stores (index - previous - 1). Values follow their index inline.
+    // Both dimensions are at most 2^24, so indices fit a u64.
+    let (col_idx, values) = (matrix.col_indices(), matrix.values());
+    let mut next = 0u64;
+    for (row, span) in matrix.row_ptr().windows(2).enumerate() {
+        let row_start = row as u64 * cols as u64;
+        let (start, end) = (span[0], span[1]);
+        for (&col, &value) in col_idx[start..end].iter().zip(&values[start..end]) {
+            let index = row_start + col as u64;
+            push_varint(&mut buf, index - next);
+            push_varint(&mut buf, value);
+            next = index + 1;
         }
     }
     buf
+}
+
+/// The `(rows, cols)` a window payload's header claims, read without
+/// decoding a cell; `None` when the header does not parse (decoding the
+/// payload then fails too, with the precise error).
+///
+/// A reader that knows its stream's node count checks this before
+/// decoding, so a corrupt or hostile header cannot make it build a row
+/// index for millions of rows.
+pub fn window_shape(payload: &[u8]) -> Option<(usize, usize)> {
+    let mut r = Reader {
+        data: payload,
+        pos: 0,
+    };
+    let version = parse_header(&mut r).ok()?;
+    parse_stats(&mut r, version).ok()?;
+    if version == DELTA_WINDOW_VERSION {
+        r.varint("base window index").ok()?;
+    }
+    let rows = r.usize_varint("rows").ok()?;
+    let cols = r.usize_varint("cols").ok()?;
+    Some((rows, cols))
 }
 
 /// Decode a window previously produced by [`encode_window`].
@@ -375,17 +422,16 @@ fn parse_full_body(
         });
     }
     let nnz = r.usize_varint("nnz")?;
-    let occupied = r.usize_varint("occupied row count")?;
-    if occupied > rows || nnz < occupied {
-        return Err(CodecError::Corrupt("row/entry counts are inconsistent"));
-    }
 
     // The arrays are assembled directly in CSR layout — no intermediate
     // triple buffer, no counting pass — which is what makes replay decode
-    // a fraction of live-ingest cost. Capacities are clamped by the buffer
-    // length so a corrupt header cannot force a huge allocation.
+    // a fraction of live-ingest cost. Cell capacities are clamped by the
+    // buffer length so a corrupt header cannot force a huge allocation; the
+    // row index is sized from the claimed rows, which `MAX_DIMENSION`
+    // bounds and a reader that knows its node count checks first
+    // ([`window_shape`]).
     row_ptr.clear();
-    row_ptr.resize(rows + 1, 0);
+    row_ptr.reserve(rows + 1);
     col_idx.clear();
     col_idx.reserve(nnz.min(r.data.len()));
     values.clear();
@@ -393,11 +439,40 @@ fn parse_full_body(
     // The cell loop runs on a local cursor over the payload; `Reader` is
     // only brought up to date once the last cell is read.
     let (data, mut pos) = (r.data, r.pos);
-    // The lowest row the next occupied row may take: the first row is
-    // absolute, later ones store (gap - 1).
+    if version < FULL_WINDOW_VERSION {
+        parse_row_runs(data, &mut pos, (rows, cols), nnz, row_ptr, col_idx, values)?;
+    } else {
+        parse_linear_cells(data, &mut pos, (rows, cols), nnz, row_ptr, col_idx, values)?;
+    }
+    if pos != data.len() {
+        return Err(CodecError::Corrupt("trailing bytes after the last entry"));
+    }
+    r.pos = pos;
+    row_ptr.resize(rows + 1, nnz);
+    Ok((rows, cols, stats))
+}
+
+/// Parse the `nnz` cells of a version 1 or 2 window: an occupied-row count,
+/// then per occupied row a row gap (the first row absolute, later ones
+/// (gap - 1)), a cell count and its cells. Fills `row_ptr` up to and
+/// including the last occupied row.
+fn parse_row_runs(
+    data: &[u8],
+    pos: &mut usize,
+    (rows, cols): (usize, usize),
+    nnz: usize,
+    row_ptr: &mut Vec<usize>,
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) -> Result<(), CodecError> {
+    let occupied = read_usize(data, pos, "occupied row count")?;
+    if occupied > rows || nnz < occupied {
+        return Err(CodecError::Corrupt("row/entry counts are inconsistent"));
+    }
+    // The lowest row the next occupied row may take.
     let mut next_row = 0usize;
     for _ in 0..occupied {
-        let gap = read_usize(data, &mut pos, "row gap")?;
+        let gap = read_usize(data, pos, "row gap")?;
         let row = next_row
             .checked_add(gap)
             .ok_or(CodecError::Corrupt("row overflow"))?;
@@ -405,39 +480,153 @@ fn parse_full_body(
             return Err(CodecError::Corrupt("row index out of bounds"));
         }
         // Rows between the previous occupied row and this one are empty.
-        row_ptr[next_row..=row].fill(col_idx.len());
+        row_ptr.resize(row + 1, col_idx.len());
         next_row = row + 1;
-        let row_nnz = read_usize(data, &mut pos, "row nnz")?;
+        let row_nnz = read_usize(data, pos, "row nnz")?;
         if row_nnz == 0 {
             return Err(CodecError::Corrupt("occupied row with zero entries"));
         }
-        parse_row_cells(data, &mut pos, row_nnz, cols, col_idx, values)?;
+        parse_row_cells(data, pos, row_nnz, cols, col_idx, values)?;
     }
     if col_idx.len() != nnz {
         return Err(CodecError::Corrupt("entry count disagrees with header"));
     }
-    if pos != data.len() {
-        return Err(CodecError::Corrupt("trailing bytes after the last entry"));
+    Ok(())
+}
+
+/// Parse the `nnz` cells of a version 4 window: each a linear-index gap
+/// and a value. Fills `row_ptr` up to and including the last cell's row.
+///
+/// The cursor is a row and the lowest column the next cell may take in
+/// it, so a cell in the cursor's row costs one comparison and a cell in
+/// the next row one subtraction; only a gap over empty rows divides.
+/// Crossing rows fills their starts in `row_ptr`. A [`one_byte_quad`] is
+/// taken whole when its four cells land in the cursor's row or cross one
+/// row end, which is how the long rows of a dense lesson end.
+fn parse_linear_cells(
+    data: &[u8],
+    pos: &mut usize,
+    (rows, cols): (usize, usize),
+    nnz: usize,
+    row_ptr: &mut Vec<usize>,
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) -> Result<(), CodecError> {
+    row_ptr.push(0);
+    // A window without rows has no cell in bounds: treating it as one
+    // without columns sends every cell to the out-of-bounds error.
+    let cols = if rows == 0 { 0 } else { cols };
+    let mut row = 0usize;
+    // The lowest column the next cell may take in `row`; up to `cols`.
+    let mut next_col = 0usize;
+    let mut left = nnz;
+    // Whether the last cell was two one-byte varints. A quad is tried only
+    // then: long rows of small gaps take it run after run, while the
+    // multi-byte gaps between the short rows of a hypersparse window do
+    // not pay for a failed word load per cell.
+    let mut quad_likely = true;
+    while left > 0 {
+        if quad_likely && left >= 4 {
+            if let Some((quad_cols, quad_values)) = one_byte_quad(data, *pos, next_col) {
+                if quad_cols[3] < cols {
+                    col_idx.extend_from_slice(&quad_cols);
+                    values.extend_from_slice(&quad_values);
+                    next_col = quad_cols[3] + 1;
+                    *pos += 8;
+                    left -= 4;
+                    continue;
+                }
+                if quad_cols[3] - cols < cols && row + 1 < rows {
+                    // The quad crosses one row end: its cells at or past
+                    // the end start the next row.
+                    let fit = quad_cols.iter().filter(|&&c| c < cols).count();
+                    row += 1;
+                    row_ptr.push(col_idx.len() + fit);
+                    let quad_cols = quad_cols.map(|c| if c < cols { c } else { c - cols });
+                    col_idx.extend_from_slice(&quad_cols);
+                    values.extend_from_slice(&quad_values);
+                    next_col = quad_cols[3] + 1;
+                    *pos += 8;
+                    left -= 4;
+                    continue;
+                }
+            }
+        }
+        let start = *pos;
+        let gap = read_usize(data, pos, "cell gap")?;
+        let mut col = next_col
+            .checked_add(gap)
+            .ok_or(CodecError::Corrupt("cell index out of bounds"))?;
+        if col >= cols {
+            if cols == 0 {
+                return Err(CodecError::Corrupt("cell index out of bounds"));
+            }
+            // The gap runs past the row's end: one subtraction is the
+            // common step to the next row, and a longer run is one
+            // division, so a huge gap cannot cost a step per row.
+            col -= cols;
+            let crossed = if col < cols {
+                1
+            } else {
+                let crossed = 1 + col / cols;
+                col %= cols;
+                crossed
+            };
+            if crossed >= rows - row {
+                return Err(CodecError::Corrupt("cell index out of bounds"));
+            }
+            row += crossed;
+            if crossed == 1 {
+                row_ptr.push(col_idx.len());
+            } else {
+                row_ptr.resize(row + 1, col_idx.len());
+            }
+        }
+        let value = read_varint(data, pos, "value")?;
+        quad_likely = *pos - start == 2;
+        col_idx.push(col);
+        values.push(value);
+        next_col = col + 1;
+        left -= 1;
     }
-    r.pos = pos;
-    row_ptr[next_row..=rows].fill(nnz);
-    Ok((rows, cols, stats))
+    Ok(())
 }
 
 /// Bit 7 of each byte of a little-endian word: clear in all eight exactly
 /// when the word holds eight one-byte varints.
 const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
 
+/// Four (column gap, value) cells at `pos` read as one 8-byte word, when
+/// all eight are one-byte varints: their columns counted on from
+/// `next_col`, and their values. Rows of small gaps and small counts are
+/// runs of one-byte varints, so both full-window cell loops try this
+/// first.
+#[inline]
+fn one_byte_quad(data: &[u8], pos: usize, next_col: usize) -> Option<([usize; 4], [u64; 4])> {
+    let &word = data.get(pos..)?.first_chunk::<8>()?;
+    if u64::from_le_bytes(word) & CONTINUATION_BITS != 0 {
+        return None;
+    }
+    // `next_col <= cols <= MAX_DIMENSION`, so these sums cannot overflow.
+    let c0 = next_col + usize::from(word[0]);
+    let c1 = c0 + 1 + usize::from(word[2]);
+    let c2 = c1 + 1 + usize::from(word[4]);
+    let c3 = c2 + 1 + usize::from(word[6]);
+    Some((
+        [c0, c1, c2, c3],
+        [word[1], word[3], word[5], word[7]].map(u64::from),
+    ))
+}
+
 /// Parse one occupied row's `row_nnz` (column delta, value) cells at
 /// `*pos`, appending them to `col_idx` and `values`.
 ///
 /// Columns strictly increase within a row: the first is absolute, later
-/// ones store (delta - 1). Hypersparse rows are mostly one-byte varints,
-/// so while four or more cells remain, the next eight bytes are loaded as
-/// one word; when none has its continuation bit set they are four cells,
-/// and their last (largest) column is the only one that needs the bounds
-/// check — it fails exactly when the per-cell loop would, with the same
-/// error. Any other byte falls through to that per-cell loop for one cell.
+/// ones store (delta - 1). While four or more cells remain, a
+/// [`one_byte_quad`] is four cells, and their last (largest) column is the
+/// only one that needs the bounds check — it fails exactly when the
+/// per-cell loop would, with the same error. Any other byte falls through
+/// to that per-cell loop for one cell.
 #[inline]
 fn parse_row_cells(
     data: &[u8],
@@ -452,24 +641,16 @@ fn parse_row_cells(
     let mut left = row_nnz;
     while left > 0 {
         if left >= 4 {
-            if let Some(&word) = data.get(*pos..).and_then(<[u8]>::first_chunk::<8>) {
-                if u64::from_le_bytes(word) & CONTINUATION_BITS == 0 {
-                    // `next_col <= cols <= MAX_DIMENSION`, so these sums
-                    // cannot overflow.
-                    let c0 = next_col + usize::from(word[0]);
-                    let c1 = c0 + 1 + usize::from(word[2]);
-                    let c2 = c1 + 1 + usize::from(word[4]);
-                    let c3 = c2 + 1 + usize::from(word[6]);
-                    if c3 >= cols {
-                        return Err(CodecError::Corrupt("column index out of bounds"));
-                    }
-                    col_idx.extend_from_slice(&[c0, c1, c2, c3]);
-                    values.extend_from_slice(&[word[1], word[3], word[5], word[7]].map(u64::from));
-                    next_col = c3 + 1;
-                    *pos += 8;
-                    left -= 4;
-                    continue;
+            if let Some((quad_cols, quad_values)) = one_byte_quad(data, *pos, next_col) {
+                if quad_cols[3] >= cols {
+                    return Err(CodecError::Corrupt("column index out of bounds"));
                 }
+                col_idx.extend_from_slice(&quad_cols);
+                values.extend_from_slice(&quad_values);
+                next_col = quad_cols[3] + 1;
+                *pos += 8;
+                left -= 4;
+                continue;
             }
         }
         let delta = read_usize(data, pos, "column delta")?;
@@ -493,8 +674,8 @@ fn parse_row_cells(
 ///
 /// Consecutive windows of a steady scenario share most cells, so the delta
 /// — per changed row: deleted columns and upserted `(column, value)` pairs,
-/// all delta-compressed like the full layout — is a fraction of the full
-/// encoding. The payload names its base window index;
+/// all delta-compressed like the version-2 full layout — is a fraction of
+/// the full encoding. The payload names its base window index;
 /// [`decode_window_into`] refuses to apply it to anything else. Both
 /// matrices must share one shape (a stream invariant).
 pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
@@ -528,7 +709,7 @@ pub(crate) fn encode_window_delta_into(
     buf.reserve(64 + changes.len() * 4);
     buf.extend_from_slice(&WINDOW_MAGIC);
     buf.push(DELTA_WINDOW_VERSION);
-    push_stats(&mut buf, &cur.stats);
+    push_stats(&mut buf, &cur.stats, DELTA_WINDOW_VERSION);
     push_varint(&mut buf, prev.stats.window_index);
     push_varint(&mut buf, rows as u64);
     push_varint(&mut buf, cols as u64);
@@ -547,9 +728,9 @@ pub(crate) fn encode_window_delta_into(
     };
     push_varint(&mut buf, changed_rows as u64);
 
-    // Per changed row (rows delta-compressed like the full layout): the
-    // deleted-column list, then the upserted (column, value) list, each
-    // with first-absolute / later (delta - 1) column compression.
+    // Per changed row (rows delta-compressed like the version-2 full
+    // layout): the deleted-column list, then the upserted (column, value)
+    // list, each with first-absolute / later (delta - 1) column compression.
     let mut prev_row: Option<usize> = None;
     let mut i = 0usize;
     while i < changes.len() {
@@ -760,7 +941,7 @@ impl DecodeScratch {
 
 /// Decode a full or delta window through a [`DecodeScratch`].
 ///
-/// Full windows (versions 1 and 2) decode exactly as [`decode_window`] and
+/// Full windows (versions 1, 2 and 4) decode exactly as [`decode_window`] and
 /// additionally become the scratch's base; delta windows
 /// ([`DELTA_WINDOW_VERSION`]) are applied to that base. Either way the
 /// returned matrix is built into recycled buffers when any are pooled —
@@ -950,6 +1131,24 @@ mod tests {
         }
     }
 
+    /// Magic, `version` and an all-zero stats block in that version's
+    /// layout: the prefix of a hand-assembled payload.
+    fn header(version: u8) -> Vec<u8> {
+        let zero = IngestStats {
+            window_index: 0,
+            events: 0,
+            packets: 0,
+            nnz: 0,
+            dropped_late: 0,
+            reordered: 0,
+            elapsed: Duration::ZERO,
+        };
+        let mut bytes = WINDOW_MAGIC.to_vec();
+        bytes.push(version);
+        push_stats(&mut bytes, &zero, version);
+        bytes
+    }
+
     #[test]
     fn round_trips_a_small_window() {
         let original = report(6, 6, &[(0, 1, 5), (0, 4, 1), (2, 2, 9), (5, 0, u64::MAX)]);
@@ -1008,28 +1207,20 @@ mod tests {
         // Hand-assemble a header claiming a huge dimension: the decoder must
         // reject it before allocating row storage, and the error must name
         // both the offending dimension and the limit.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WINDOW_MAGIC);
-        bytes.push(FULL_WINDOW_VERSION);
-        for _ in 0..7 {
-            super::push_varint(&mut bytes, 0); // stats fields
-        }
-        super::push_varint(&mut bytes, (MAX_DIMENSION as u64) + 1); // rows
-        super::push_varint(&mut bytes, 4); // cols
         let expected = Err(CodecError::DimensionTooLarge {
             dimension: MAX_DIMENSION + 1,
             limit: MAX_DIMENSION,
         });
-        assert_eq!(decode_window(&bytes).map(|_| ()), expected);
+        for version in [2, FULL_WINDOW_VERSION] {
+            let mut bytes = header(version);
+            super::push_varint(&mut bytes, (MAX_DIMENSION as u64) + 1); // rows
+            super::push_varint(&mut bytes, 4); // cols
+            assert_eq!(decode_window(&bytes).map(|_| ()), expected, "v{version}");
+        }
 
         // Mirror of the guard on the delta path: same header shape after the
         // base window index.
-        let mut delta = Vec::new();
-        delta.extend_from_slice(&WINDOW_MAGIC);
-        delta.push(DELTA_WINDOW_VERSION);
-        for _ in 0..7 {
-            super::push_varint(&mut delta, 0); // stats fields
-        }
+        let mut delta = header(DELTA_WINDOW_VERSION);
         super::push_varint(&mut delta, 0); // base window index
         super::push_varint(&mut delta, (MAX_DIMENSION as u64) + 1); // rows
         super::push_varint(&mut delta, 4); // cols
@@ -1093,19 +1284,11 @@ mod tests {
 
     #[test]
     fn gaps_at_the_varint_limit_are_overflow_errors() {
-        // A row gap or column delta of u64::MAX (the largest varint) is the
-        // (gap - 1) of a position past every index: a typed overflow error,
-        // never an arithmetic panic or a silently repeated index.
-        let header = |kind: u8| {
-            let mut bytes = WINDOW_MAGIC.to_vec();
-            bytes.push(kind);
-            for _ in 0..7 {
-                super::push_varint(&mut bytes, 0); // stats fields
-            }
-            bytes
-        };
-        let full = |counts: [u64; 4], cells: &[u64]| {
-            let mut bytes = header(FULL_WINDOW_VERSION);
+        // A row gap, column delta or cell gap of u64::MAX (the largest
+        // varint) is the (gap - 1) of a position past every index: a typed
+        // error, never an arithmetic panic or a silently repeated index.
+        let full = |version: u8, counts: &[u64], cells: &[u64]| {
+            let mut bytes = header(version);
             for v in counts.iter().chain(cells) {
                 super::push_varint(&mut bytes, *v);
             }
@@ -1113,14 +1296,22 @@ mod tests {
         };
         // rows, cols, nnz, occupied; then row 0 with one cell, then a gap.
         assert_eq!(
-            full([4, 4, 2, 2], &[0, 1, 0, 1, u64::MAX, 1, 0, 1]),
+            full(2, &[4, 4, 2, 2], &[0, 1, 0, 1, u64::MAX, 1, 0, 1]),
             Err(CodecError::Corrupt("row overflow"))
         );
         // Row 0 with two cells, the second a column delta past the end.
         assert_eq!(
-            full([4, 4, 2, 1], &[0, 2, 0, 1, u64::MAX, 1]),
+            full(2, &[4, 4, 2, 1], &[0, 2, 0, 1, u64::MAX, 1]),
             Err(CodecError::Corrupt("column overflow"))
         );
+        // rows, cols, nnz; then cell 0, then a cell gap past the end, both
+        // from the first cell and from the last column of a row.
+        for first in [0, 3] {
+            assert_eq!(
+                full(FULL_WINDOW_VERSION, &[4, 4, 2], &[first, 1, u64::MAX, 1]),
+                Err(CodecError::Corrupt("cell index out of bounds"))
+            );
+        }
 
         let mut delta = header(DELTA_WINDOW_VERSION);
         // base index, rows, cols, final nnz, changed rows; row 0 upserts
@@ -1184,11 +1375,105 @@ mod tests {
     }
 
     #[test]
-    fn full_windows_still_encode_as_version_two() {
-        // K=0 archives must stay byte-compatible with pre-delta readers:
-        // the full encoding never mentions version 3.
-        let bytes = encode_window(&report(8, 8, &[(0, 1, 2), (3, 4, 5)]));
-        assert_eq!(bytes[4], FULL_WINDOW_VERSION);
+    fn full_windows_encode_as_version_four() {
+        // One writer: every full window is a version-4 linear-gap run. Two
+        // cells two rows apart: index 1 absolute, then 28 - 1 - 1 = 26.
+        let original = report(8, 8, &[(0, 1, 2), (3, 4, 5)]);
+        let bytes = encode_window(&original);
+        assert_eq!(FULL_WINDOW_VERSION, 4);
+        let mut want = WINDOW_MAGIC.to_vec();
+        want.push(4);
+        push_stats(&mut want, &original.stats, 4);
+        want.extend_from_slice(&[8, 8, 2, 1, 2, 26, 5]);
+        assert_eq!(bytes, want);
+    }
+
+    #[test]
+    fn fixed_elapsed_keeps_full_window_lengths_independent_of_timing() {
+        let mut fast = report(8, 8, &[(0, 1, 2), (3, 4, 5)]);
+        fast.stats.elapsed = Duration::from_nanos(1);
+        let mut slow = fast.clone();
+        slow.stats.elapsed = Duration::from_secs(3_600);
+        assert_eq!(encode_window(&fast).len(), encode_window(&slow).len());
+        assert_eq!(decode_window(&encode_window(&slow)).unwrap(), slow);
+        // The delta layout keeps its varint.
+        let mut cur = fast.clone();
+        cur.stats.window_index += 1;
+        let mut slow_cur = cur.clone();
+        slow_cur.stats.elapsed = slow.stats.elapsed;
+        assert!(
+            encode_window_delta(&fast, &cur).len() < encode_window_delta(&fast, &slow_cur).len()
+        );
+    }
+
+    #[test]
+    fn linear_gaps_cross_empty_rows_and_reach_the_last_cell() {
+        // A first cell past row 0, a gap over several empty rows, a
+        // four-cell word that would cross a row end, and the last cell of
+        // the matrix.
+        let cells = [
+            (1, 3, 1),
+            (5, 0, 2),
+            (5, 1, 3),
+            (5, 2, 4),
+            (6, 0, 5),
+            (9, 6, 6),
+        ];
+        // And a four-cell word of one-byte varints that crosses one row
+        // end after its second cell.
+        let crossing = [(0, 5, 1), (0, 6, 2), (1, 0, 3), (1, 2, 4), (2, 7, 5)];
+        for original in [report(10, 7, &cells), report(3, 8, &crossing)] {
+            let bytes = encode_window(&original);
+            assert_eq!(decode_window(&bytes).unwrap(), original);
+            let mut scratch = DecodeScratch::new();
+            assert_eq!(decode_window_into(&bytes, &mut scratch).unwrap(), original);
+        }
+        // One more cell past the end is out of bounds, and so is any cell
+        // in a window with no rows or no columns.
+        let mut past = header(FULL_WINDOW_VERSION);
+        for v in [10u64, 7, 1, 70, 1] {
+            super::push_varint(&mut past, v);
+        }
+        assert_eq!(
+            decode_window(&past),
+            Err(CodecError::Corrupt("cell index out of bounds"))
+        );
+        for (rows, cols) in [(0u64, 7u64), (7, 0), (0, 0)] {
+            let mut empty = header(FULL_WINDOW_VERSION);
+            for v in [rows, cols, 1, 0, 1] {
+                super::push_varint(&mut empty, v);
+            }
+            assert_eq!(
+                decode_window(&empty),
+                Err(CodecError::Corrupt("cell index out of bounds")),
+                "{rows}x{cols}"
+            );
+        }
+    }
+
+    #[test]
+    fn window_shape_reads_only_the_header() {
+        let bytes = encode_window(&report(9, 5, &[(2, 2, 1)]));
+        assert_eq!(window_shape(&bytes), Some((9, 5)));
+        // Everything after the shape may be missing.
+        let mut claim = header(FULL_WINDOW_VERSION);
+        super::push_varint(&mut claim, 1 << 24);
+        super::push_varint(&mut claim, 4);
+        assert_eq!(window_shape(&claim), Some((1 << 24, 4)));
+        let mut v2 = header(2);
+        super::push_varint(&mut v2, 3);
+        super::push_varint(&mut v2, 6);
+        assert_eq!(window_shape(&v2), Some((3, 6)));
+        let prev = report(9, 5, &[(2, 2, 1)]);
+        let mut cur = report(9, 5, &[(2, 3, 1)]);
+        cur.stats.window_index += 1;
+        assert_eq!(
+            window_shape(&encode_window_delta(&prev, &cur)),
+            Some((9, 5))
+        );
+        for junk in [&b""[..], b"TWWR", b"not a window", &bytes[..20]] {
+            assert_eq!(window_shape(junk), None);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wire frames: the v2 window codec on a byte stream.
+//! Wire frames: the window codec on a byte stream.
 //!
 //! The [`codec`](crate::codec) module encodes one [`WindowReport`] into a
 //! self-contained byte blob; this module puts those blobs **on a socket**.
@@ -18,7 +18,7 @@
 //! Three frame kinds make a serving session: a [`StreamManifest`] opens it
 //! (scenario identity and matrix dimension, so the client can build its
 //! warehouse before the first window lands), [`Frame::Window`] frames carry
-//! v2-codec-encoded windows, and a [`CloseSummary`] ends it with the
+//! full codec-encoded windows, and a [`CloseSummary`] ends it with the
 //! server's per-connection accounting (delivered/dropped/missed), so a
 //! student knows whether the stream they saw was complete. A fourth,
 //! optional kind interleaves with windows: [`Frame::Stats`] carries the
@@ -29,9 +29,11 @@
 //! decoding one needs the previous window as its base, so
 //! [`parse_frame_payload`] only validates the payload header and hands the
 //! raw bytes to a stateful consumer holding a
-//! [`DecodeScratch`](crate::codec::DecodeScratch). A server that sticks to
-//! full windows (keyframe cadence 0) emits a byte-identical v2 stream —
-//! older clients interoperate unless deltas are switched on.
+//! [`DecodeScratch`](crate::codec::DecodeScratch). The frame format does
+//! not change with the window codec: a window frame carries whichever full
+//! layout it was encoded or recorded in (v4 for everything encoded now), so
+//! a client built before v4 reads the frames and refuses a v4 payload with
+//! a typed codec error.
 //!
 //! A window frame's payload is byte for byte a recording's archive entry,
 //! and a ZIP entry's stored CRC-32 is the same checksum of the same bytes
@@ -59,9 +61,11 @@ use tw_metrics::MetricsSnapshot;
 /// The four magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"TWFR";
 
-/// The frame format version. Starts at 2 in lockstep with
-/// [`WINDOW_CODEC_VERSION`](crate::codec::WINDOW_CODEC_VERSION): a version-1
-/// frame never existed, so the decoder rejects it as foreign.
+/// The frame format version. It started at 2, the
+/// [`WINDOW_CODEC_VERSION`](crate::codec::WINDOW_CODEC_VERSION) of its day,
+/// and stays there while the window codec moves on (its payloads carry
+/// their own version byte): a version-1 frame never existed, so the
+/// decoder rejects it as foreign.
 pub const FRAME_VERSION: u8 = 2;
 
 /// Upper bound on a declared payload length (64 MiB). A hostile or corrupt
@@ -81,7 +85,7 @@ const TRAILER_LEN: usize = 4;
 pub enum FrameKind {
     /// Session header: one [`StreamManifest`], first frame on the wire.
     Manifest,
-    /// One v2-codec-encoded window.
+    /// One full codec-encoded window.
     Window,
     /// Session trailer: one [`CloseSummary`], last frame on the wire.
     Close,
@@ -318,11 +322,12 @@ impl WindowFrame {
 ///
 /// A report that carries the frame it was recorded in
 /// ([`WindowReport::frame`]) is forwarded as is when those bytes are exactly
-/// what encoding would write: a v2 payload at a key-frame position, or a v3
+/// what encoding would write: a v4 payload at a key-frame position, or a v3
 /// payload whose base is `base`'s window at a delta position. Anything else
-/// (no carried frame, a legacy v1 payload, a full entry at a delta
-/// position, a delta at a key-frame position or against another base) is
-/// encoded straight into a fresh frame buffer.
+/// (no carried frame, a v1 or v2 payload from a recording made before v4,
+/// a full entry at a delta position, a delta at a key-frame position or
+/// against another base) is encoded straight into a fresh frame buffer,
+/// so an old recording is served transcoded and a new one bytes-through.
 ///
 /// Panics if an encoded payload exceeds [`MAX_FRAME_LEN`], like
 /// [`encode_frame`].

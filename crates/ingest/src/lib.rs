@@ -38,7 +38,8 @@
 //!   up to a configurable horizon by routing each event straight into its
 //!   window instead of dropping it;
 //! * [`codec`] — the compact, versioned binary encoding of a
-//!   [`WindowReport`] (delta-compressed CSR + stats);
+//!   [`WindowReport`] (gap-coded linear cell indices + stats, or a sparse
+//!   delta against the previous window);
 //! * [`frame`] — the wire framing atop the codec (magic, version, kind,
 //!   length prefix, CRC32) that the `tw-serve` network tier streams over
 //!   TCP: manifest / window / close frames with typed, alloc-guarded

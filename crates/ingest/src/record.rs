@@ -41,7 +41,7 @@
 //! assert!(replay.next_window().unwrap().is_none());
 //! ```
 
-use crate::codec::{encode_window, encode_window_delta, CodecError, CodecMetrics};
+use crate::codec::{encode_window, encode_window_delta, window_shape, CodecError, CodecMetrics};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
 use tw_archive::{ArchiveError, ZipWriter};
@@ -52,12 +52,15 @@ use tw_metrics::MetricsRegistry;
 pub const MANIFEST_ENTRY: &str = "manifest.json";
 /// The manifest format identifier.
 pub const MANIFEST_FORMAT: &str = "tw-replay";
-/// The manifest version written for pure full-window recordings
-/// (`keyframe_every == 0`): byte-compatible with pre-delta readers.
-pub const MANIFEST_VERSION: i64 = 1;
-/// The manifest version written once a recording contains delta windows.
-/// Pre-delta readers reject it cleanly instead of mis-decoding entries.
-pub const MANIFEST_VERSION_DELTA: i64 = 2;
+/// The manifest version every new recording writes, with or without
+/// delta windows.
+///
+/// Version 1 recordings hold only version-2 full windows; version 2 adds
+/// version-3 deltas; version 3 stores full windows in the version-4
+/// linear-gap layout. Readers accept every version from 1 on, and a reader
+/// that predates one rejects the archive up front instead of failing on
+/// its first window.
+pub const MANIFEST_VERSION: i64 = 3;
 
 /// Errors produced while recording or replaying a window archive.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +112,7 @@ pub struct RecordingMeta {
     pub window_us: u64,
     /// Delta-encoding cadence: every `K`th window is a full key frame and
     /// the rest are deltas against their predecessor; `0` records every
-    /// window in full (pre-delta archive format).
+    /// window in full.
     pub keyframe_every: u64,
 }
 
@@ -211,15 +214,7 @@ impl ArchiveRecorder {
     fn manifest_json(&self) -> String {
         let mut root = Map::new();
         root.insert("format", MANIFEST_FORMAT);
-        // K=0 recordings keep the version-1 manifest so pre-delta readers
-        // replay them unchanged; delta recordings bump the version so those
-        // readers reject the archive instead of choking on a delta entry.
-        let version = if self.meta.keyframe_every == 0 {
-            MANIFEST_VERSION
-        } else {
-            MANIFEST_VERSION_DELTA
-        };
-        root.insert("version", version);
+        root.insert("version", MANIFEST_VERSION);
         root.insert("scenario", self.meta.scenario.as_str());
         // Seeds are full u64s; JSON numbers here are i64/f64, so the seed is
         // carried as a decimal string to stay lossless.
@@ -257,10 +252,8 @@ impl ArchiveRecorder {
                     "dropped_late",
                     Value::from(i64::try_from(s.dropped_late).unwrap_or(i64::MAX)),
                 );
-                w.insert(
-                    "elapsed_us",
-                    Value::from(i64::try_from(s.elapsed.as_micros()).unwrap_or(i64::MAX)),
-                );
+                // No wall-clock `elapsed`: it differs run to run, so a
+                // recording's size would too; each entry's stats carry it.
                 Value::Object(w)
             })
             .collect();
@@ -293,19 +286,23 @@ impl ReplayManifest {
     }
 }
 
-/// Reject a decoded window whose shape disagrees with the manifest.
-pub(crate) fn check_shape(
-    report: &WindowReport,
-    entry: &str,
+/// Reject a window payload whose header claims a shape other than
+/// `node_count × node_count`, before any of it is decoded: the decoder
+/// sizes its row index from the claimed rows, so a stream that knows its
+/// node count refuses a corrupt or hostile claim first. A payload whose
+/// header does not parse passes; decoding it then reports the codec error.
+/// `window` names the window in the error.
+pub fn check_shape(
+    payload: &[u8],
+    window: impl fmt::Display,
     node_count: usize,
 ) -> Result<(), RecordError> {
-    if report.matrix.shape() != (node_count, node_count) {
-        return Err(RecordError::Manifest(format!(
-            "window {entry} has shape {:?}, manifest says {node_count} nodes",
-            report.matrix.shape()
-        )));
+    match window_shape(payload) {
+        Some(shape) if shape != (node_count, node_count) => Err(RecordError::Manifest(format!(
+            "window {window} has shape {shape:?}, manifest says {node_count} nodes"
+        ))),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn manifest_u64(root: &Value, key: &str) -> Result<u64, RecordError> {
@@ -329,10 +326,9 @@ pub(crate) fn parse_manifest(
         )));
     }
     let version = root.get("version").and_then(Value::as_i64).unwrap_or(0);
-    if !(MANIFEST_VERSION..=MANIFEST_VERSION_DELTA).contains(&version) {
+    if !(1..=MANIFEST_VERSION).contains(&version) {
         return Err(RecordError::Manifest(format!(
-            "manifest version {version} is not in the supported range \
-             {MANIFEST_VERSION}..={MANIFEST_VERSION_DELTA}"
+            "manifest version {version} is not in the supported range 1..={MANIFEST_VERSION}"
         )));
     }
     let scenario = root
@@ -518,6 +514,33 @@ mod tests {
     }
 
     #[test]
+    fn recording_length_does_not_follow_wall_clock_time() {
+        // The same windows ingested fast or slowly record to the same
+        // number of bytes: only `elapsed` differs, and full windows store
+        // it at a fixed width.
+        let (reports, _) = record_ddos(4);
+        let record = |elapsed: std::time::Duration| {
+            let mut recorder = ArchiveRecorder::new(RecordingMeta {
+                scenario: "ddos".to_string(),
+                seed: 7,
+                node_count: 128,
+                window_us: 50_000,
+                keyframe_every: 0,
+            });
+            for report in &reports {
+                let mut report = report.clone();
+                report.stats.elapsed = elapsed;
+                recorder.record(&report).unwrap();
+            }
+            recorder.finish().unwrap().len()
+        };
+        assert_eq!(
+            record(std::time::Duration::from_nanos(1)),
+            record(std::time::Duration::from_secs(100))
+        );
+    }
+
+    #[test]
     fn duplicate_window_indices_are_rejected_at_record_time() {
         let (reports, _) = record_ddos(1);
         let mut recorder = ArchiveRecorder::new(RecordingMeta {
@@ -652,16 +675,16 @@ mod tests {
 
     #[test]
     fn delta_cadence_places_keyframes_where_the_manifest_says() {
-        // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v2 codec
-        // bytes), everything else is a v3 delta. The manifest bumps to the
-        // delta version so pre-delta readers reject it cleanly.
+        // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v4 codec
+        // bytes), everything else is a v3 delta, under the one manifest
+        // version new recordings write.
         use crate::codec::{DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION};
         let (_, bytes) = record_ddos_with_cadence(7, 3);
         let mut reader = reader(&bytes);
         let manifest = tw_json::parse(&reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
         assert_eq!(
             manifest.get("version").and_then(Value::as_i64),
-            Some(MANIFEST_VERSION_DELTA)
+            Some(MANIFEST_VERSION)
         );
         assert_eq!(
             manifest.get("keyframe_every").and_then(Value::as_u64),
@@ -679,10 +702,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_cadence_recordings_keep_the_version_one_manifest() {
-        // K=0 must stay readable by pre-delta builds: version 1, and every
-        // entry a full v2 window.
+    fn zero_cadence_recordings_write_the_current_manifest() {
+        // K=0 recordings write the same manifest version as delta ones, so
+        // a reader that predates v4 windows rejects the archive up front;
+        // every entry is a full v4 window.
         use crate::codec::FULL_WINDOW_VERSION;
+        assert_eq!(MANIFEST_VERSION, 3);
         let (_, bytes) = record_ddos(2);
         let mut reader = reader(&bytes);
         let text = reader.read_text(MANIFEST_ENTRY).unwrap();
@@ -706,6 +731,15 @@ mod tests {
             .join("\n");
         let parsed = parse_manifest(&stripped, |_| true).unwrap();
         assert_eq!(parsed.keyframe_every, 0);
+        // Manifests of every earlier version still parse.
+        for version in 1..MANIFEST_VERSION {
+            let old = text.replace(
+                &format!("\"version\": {MANIFEST_VERSION}"),
+                &format!("\"version\": {version}"),
+            );
+            assert_ne!(old, text, "replacement must hit the version line");
+            assert!(parse_manifest(&old, |_| true).is_ok(), "version {version}");
+        }
     }
 
     #[test]
@@ -714,7 +748,7 @@ mod tests {
         let text = reader(&bytes).read_text(MANIFEST_ENTRY).unwrap();
         let future = text.replace(
             &format!("\"version\": {MANIFEST_VERSION}"),
-            &format!("\"version\": {}", MANIFEST_VERSION_DELTA + 1),
+            &format!("\"version\": {}", MANIFEST_VERSION + 1),
         );
         assert_ne!(future, text, "replacement must hit the version line");
         assert!(matches!(

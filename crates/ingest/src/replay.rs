@@ -68,7 +68,8 @@ impl<R: Read + Seek> ReplaySource<R> {
     }
 
     /// Read, CRC-check and decode the next recorded window; `Ok(None)` once
-    /// the recording is exhausted.
+    /// the recording is exhausted. A window whose header claims a shape
+    /// other than the manifest's is refused before it is decoded.
     ///
     /// The entry is read straight into a wire-frame buffer and the report
     /// carries that frame ([`WindowReport::frame`]), sealed with the
@@ -81,8 +82,8 @@ impl<R: Read + Seek> ReplaySource<R> {
         // trailer reallocates it.
         let mut frame = recorded_frame_buffer(self.reader.entry_len(entry).unwrap_or(0));
         let crc = self.reader.read_into(entry, &mut frame)?;
+        check_shape(&frame[HEADER_LEN..], entry, self.manifest.node_count)?;
         let mut report = decode_window_into(&frame[HEADER_LEN..], &mut self.scratch)?;
-        check_shape(&report, entry, self.manifest.node_count)?;
         report.frame = seal_recorded_frame(frame, crc);
         self.cursor += 1;
         Ok(Some(report))
@@ -286,6 +287,43 @@ mod tests {
             Err(RecordError::Archive(ArchiveError::CrcMismatch { name, .. }))
                 if name == "windows/00000001.bin"
         ));
+    }
+
+    #[test]
+    fn misshapen_windows_are_refused_before_they_are_decoded() {
+        use tw_archive::ZipWriter;
+        // A 19-byte v2 window claiming 16,777,216 rows and no cells: it
+        // decodes, into a row index of 128 MiB. The manifest says 128
+        // nodes, so the header alone refuses it and the decoder never
+        // sees it (the scratch holds no base window afterwards).
+        let mut claim = b"TWWR".to_vec();
+        claim.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]); // v2, stats
+        claim.extend_from_slice(&[0x80, 0x80, 0x80, 0x08, 4, 0, 0]); // shape, counts
+        assert_eq!(claim.len(), 19);
+        assert_eq!(
+            crate::codec::window_shape(&claim),
+            Some((crate::codec::MAX_DIMENSION, 4))
+        );
+        let (_, bytes) = record_ddos(2);
+        let mut reader = ZipReader::parse(Cursor::new(&bytes)).unwrap();
+        let manifest = reader.read_text(MANIFEST_ENTRY).unwrap();
+        let mut w = ZipWriter::new();
+        w.add_file("windows/00000000.bin", &claim).unwrap();
+        w.add_file(
+            "windows/00000001.bin",
+            &reader.read("windows/00000001.bin").unwrap(),
+        )
+        .unwrap();
+        w.add_file(MANIFEST_ENTRY, manifest.as_bytes()).unwrap();
+        let tampered = w.finish().unwrap();
+
+        let mut replay = ReplaySource::new(Cursor::new(&tampered)).unwrap();
+        assert!(matches!(
+            replay.next_window(),
+            Err(RecordError::Manifest(msg))
+                if msg.contains("00000000") && msg.contains("16777216") && msg.contains("128 nodes")
+        ));
+        assert_eq!(replay.scratch.base_window(), None, "never decoded");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the v3 delta codec and cross-version decoding: a v2
-//! archive reads bit-identically under the v3 reader, any delta chain is
+//! window reads bit-identically under the v4 reader (and serves as a delta
+//! base), any delta chain is
 //! cell-for-cell equal to the full stream it compresses (including seeks
 //! landing mid-chain), and no byte stream — full, delta, mixed, or corrupt
 //! — panics the decoder.
@@ -14,6 +15,9 @@ use tw_ingest::{
     FULL_WINDOW_VERSION,
 };
 use tw_matrix::CsrMatrix;
+
+#[path = "support/legacy_codec.rs"]
+mod legacy_codec;
 
 /// An arbitrary window report over an `n`-address space (same coalescing as
 /// the real COO path: sorted, deduplicated, no stored zeros).
@@ -93,16 +97,28 @@ proptest! {
     }
 
     #[test]
-    fn v2_windows_decode_bit_identically_under_the_v3_reader(report in arb_report(64)) {
-        // The full encoding still writes version 2 bytes; both the plain
-        // decoder and the scratch path read them to the same report.
-        let bytes = encode_window(&report);
-        prop_assert_eq!(bytes[4], FULL_WINDOW_VERSION);
-        let plain = decode_window(&bytes).unwrap();
-        let mut scratch = DecodeScratch::new();
-        let scratched = decode_window_into(&bytes, &mut scratch).unwrap();
-        prop_assert_eq!(&plain, &report);
-        prop_assert_eq!(&scratched, &report);
+    fn v2_windows_decode_bit_identically_under_the_v3_reader(
+        report in arb_report(64),
+        next in arb_report(64),
+    ) {
+        // Recordings made before v4 hold v2 full windows: both the plain
+        // decoder and the scratch path read them to the same report as the
+        // v4 bytes the encoder writes now, and a v2 window held as a
+        // scratch's base takes a delta like a v4 one.
+        let v4 = encode_window(&report);
+        prop_assert_eq!(v4[4], FULL_WINDOW_VERSION);
+        let v2 = legacy_codec::encode_legacy(&report, 2);
+        let reports = reindex(vec![report, next]);
+        let delta = encode_window_delta(&reports[0], &reports[1]);
+        for bytes in [v4, v2] {
+            let plain = decode_window(&bytes).unwrap();
+            let mut scratch = DecodeScratch::new();
+            let scratched = decode_window_into(&bytes, &mut scratch).unwrap();
+            prop_assert_eq!(&plain, &reports[0]);
+            prop_assert_eq!(&scratched, &reports[0]);
+            let patched = decode_window_into(&delta, &mut scratch).unwrap();
+            prop_assert_eq!(&patched, &reports[1]);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! student, or `collect_stream` drives a remote scenario exactly as it
 //! would a local pipeline or replay. The close frame ends the stream (`Ok(None)`)
 //! and leaves the server's per-connection accounting readable via
-//! [`ClientStream::close_summary`].
+//! [`ClientStream::close_summary`]. A window frame whose header claims
+//! another shape than the manifest's node count is refused before it is
+//! decoded.
 //!
 //! [`GameSession`]: tw_game::GameSession
 
@@ -16,6 +18,7 @@ use tw_ingest::frame::{
     parse_frame_payload, read_frame, read_raw_frame, CloseSummary, Frame, FrameError, FrameKind,
     StreamManifest,
 };
+use tw_ingest::record::check_shape;
 use tw_ingest::{decode_window_into, DecodeScratch, StreamError, WindowReport, WindowStream};
 use tw_matrix::CsrMatrix;
 use tw_metrics::{MetricsRegistry, MetricsSnapshot};
@@ -28,7 +31,7 @@ pub struct ClientStream {
     close: Option<CloseSummary>,
     seen: u64,
     /// Per-connection decode state: recycled CSR buffers plus the base
-    /// window a v3 delta frame applies to. A v2 full-frame stream never
+    /// window a v3 delta frame applies to. A full-frame stream never
     /// touches the base but still reuses buffers.
     scratch: DecodeScratch,
     /// Stats frames that arrived since the last [`take_stats`] drain, in
@@ -121,6 +124,14 @@ impl WindowStream for ClientStream {
             // goes through the ordinary frame parser.
             let (kind, payload) = read_raw_frame(&mut self.reader)?;
             if matches!(kind, FrameKind::Window | FrameKind::DeltaWindow) {
+                // A window of another shape than the manifest announced is
+                // refused from its header, before the decoder sizes a row
+                // index from the claim.
+                check_shape(
+                    &payload,
+                    format_args!("#{}", self.seen),
+                    self.manifest.node_count,
+                )?;
                 match decode_window_into(&payload, &mut self.scratch) {
                     Ok(report) => {
                         self.seen += 1;

@@ -23,7 +23,7 @@
 //!   paths stay clean.
 //!
 //! The wire format is `tw-ingest`'s [`frame`](tw_ingest::frame) module:
-//! length-prefixed, CRC-checked frames carrying the v2 window codec.
+//! length-prefixed, CRC-checked frames carrying the window codec.
 
 pub mod broadcast;
 pub mod chaos;

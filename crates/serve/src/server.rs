@@ -161,7 +161,7 @@ pub struct ServeConfig {
     /// Key-frame cadence for v3 delta serving: every K-th window goes out
     /// as a self-contained full frame, the windows between as sparse deltas
     /// against the previous window. 0 (the default) serves every window as
-    /// a full v2 frame. Clamped to `ring_capacity` so the catch-up ring
+    /// a full frame. Clamped to `ring_capacity` so the catch-up ring
     /// always holds a key frame for late joiners to anchor on.
     pub keyframe_every: u64,
 }

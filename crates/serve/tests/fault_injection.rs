@@ -17,6 +17,8 @@
 //! * A **panicking producer** unwinds out of `serve` instead of hanging
 //!   it: the acceptor stops, the hub closes, every writer sends its close
 //!   frame and is joined, and the panic reaches the caller.
+//! * A **misshapen window** from a peer (a header claiming another shape
+//!   than the manifest's) is refused before the client decodes it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -337,4 +339,48 @@ fn panicking_stream_unwinds_out_of_serve_and_closes_peers() {
     let close = close.expect("close frame arrived");
     assert_eq!(close.windows, 2);
     assert_eq!(close.delivered, 2);
+}
+
+#[test]
+fn misshapen_window_frames_are_refused_before_they_are_decoded() {
+    use std::io::Write;
+    use tw_ingest::frame::{encode_frame, encode_manifest_frame, FrameKind, StreamManifest};
+    use tw_ingest::RecordError;
+    // A peer that announces 64 nodes and then sends a 19-byte v2 window
+    // claiming 16,777,216 rows and no cells: it decodes, into a row index
+    // of 128 MiB. The client refuses it from its header instead.
+    let mut claim = b"TWWR".to_vec();
+    claim.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]); // v2, stats
+    claim.extend_from_slice(&[0x80, 0x80, 0x80, 0x08, 4, 0, 0]); // shape, counts
+    let listener = loopback_listener().unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let manifest = StreamManifest {
+            scenario: "crafted".to_string(),
+            seed: 0,
+            node_count: 64,
+            window_us: 50_000,
+            windows: Some(1),
+        };
+        socket.write_all(&encode_manifest_frame(&manifest)).unwrap();
+        socket
+            .write_all(&encode_frame(FrameKind::Window, &claim))
+            .unwrap();
+    });
+    let mut client = ClientStream::connect(addr).unwrap();
+    match client.next_window() {
+        Err(StreamError::Replay(RecordError::Manifest(msg))) => {
+            assert!(
+                msg.contains("16777216") && msg.contains("64 nodes"),
+                "{msg}"
+            );
+        }
+        other => panic!(
+            "expected a shape error, got {:?}",
+            other.map(|window| window.map(|w| w.matrix.shape()))
+        ),
+    }
+    assert_eq!(client.windows_seen(), 0);
+    peer.join().unwrap();
 }

@@ -17,12 +17,15 @@ use tw_archive::{ZipReader, ZipWriter};
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::frame::{read_raw_frame, FrameKind};
 use tw_ingest::{
-    collect_stream, decode_window_into, ArchiveRecorder, DecodeScratch, Pipeline, PipelineConfig,
-    RecordingMeta, ReplaySource, Scenario, StreamError, WindowReport, WindowStream,
+    collect_stream, decode_window, decode_window_into, ArchiveRecorder, DecodeScratch, Pipeline,
+    PipelineConfig, RecordingMeta, ReplaySource, Scenario, StreamError, WindowReport, WindowStream,
     FULL_WINDOW_VERSION,
 };
 use tw_metrics::MetricsRegistry;
 use tw_serve::{loopback_listener, serve, ClientStream, ServeConfig};
+
+#[path = "../../ingest/tests/support/legacy_codec.rs"]
+mod legacy_codec;
 
 fn pipeline(scenario: Scenario, nodes: u32, seed: u64) -> Pipeline {
     let config = PipelineConfig {
@@ -265,10 +268,22 @@ impl<S: WindowStream> WindowStream for Harness<S> {
     }
 }
 
-/// Record `reports` at key-frame cadence `keyframe_every`; with `legacy`,
-/// rewrite the first (key-frame) entry in the version-1 window layout,
-/// which predates the `reordered` stats field.
-fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, legacy: bool) -> Vec<u8> {
+/// Which full-window layout a recording's key frames are stored in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// As the recorder writes them: version 4.
+    Current,
+    /// The first entry rewritten in the version-1 layout, which predates
+    /// the `reordered` stats field.
+    V1First,
+    /// Every full entry rewritten in the version-2 layout, as recordings
+    /// made before version 4 hold them.
+    V2,
+}
+
+/// Record `reports` at key-frame cadence `keyframe_every`, with its full
+/// entries in `layout`.
+fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, layout: Layout) -> Vec<u8> {
     let mut recorder = ArchiveRecorder::new(RecordingMeta {
         scenario: "bytes-through".to_string(),
         seed: 0,
@@ -280,7 +295,7 @@ fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, legacy: 
         recorder.record(report).unwrap();
     }
     let bytes = recorder.finish().unwrap();
-    if !legacy {
+    if layout == Layout::Current {
         return bytes;
     }
     let mut reader = ZipReader::parse(Cursor::new(&bytes)).unwrap();
@@ -288,44 +303,24 @@ fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, legacy: 
     let names: Vec<String> = reader.entry_names().map(str::to_string).collect();
     for (i, name) in names.iter().enumerate() {
         let entry = reader.read(name).unwrap();
-        let entry = if i == 0 {
-            to_version_one(&entry)
-        } else {
-            entry
+        let version = match layout {
+            Layout::V1First if i == 0 => Some(1),
+            Layout::V2 => Some(2),
+            _ => None,
+        };
+        let entry = match version {
+            Some(version) if entry.get(4) == Some(&FULL_WINDOW_VERSION) => {
+                let report = decode_window(&entry).unwrap();
+                if version == 1 {
+                    assert_eq!(report.stats.reordered, 0, "strict mode reorders nothing");
+                }
+                legacy_codec::encode_legacy(&report, version)
+            }
+            _ => entry,
         };
         writer.add_file(name, &entry).unwrap();
     }
     writer.finish().unwrap()
-}
-
-/// Re-lay a full (v2) window as v1: drop the `reordered` varint, the sixth
-/// of the seven stats varints after the 5-byte magic and version prefix.
-fn to_version_one(v2: &[u8]) -> Vec<u8> {
-    assert_eq!(v2[4], FULL_WINDOW_VERSION);
-    let mut varints = Vec::new();
-    let mut pos = 5;
-    for _ in 0..7 {
-        let start = pos;
-        while v2[pos] & 0x80 != 0 {
-            pos += 1;
-        }
-        pos += 1;
-        varints.push(start..pos);
-    }
-    assert_eq!(
-        &v2[varints[5].clone()],
-        &[0],
-        "strict mode reorders nothing"
-    );
-    let mut v1 = v2[..4].to_vec();
-    v1.push(1);
-    for (i, range) in varints.into_iter().enumerate() {
-        if i != 5 {
-            v1.extend_from_slice(&v2[range]);
-        }
-    }
-    v1.extend_from_slice(&v2[pos..]);
-    v1
 }
 
 /// One serve session of `recording` to an on-time client and a client
@@ -388,16 +383,17 @@ const RING: usize = 8;
 const WINDOWS: usize = 14;
 
 proptest! {
-    // 2 recordings x 16 cadence pairings x 2 serve sessions per case.
+    // 3 layouts x 16 cadence pairings x 2 serve sessions per case.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Bytes-through ≡ transcode on the wire: for every pairing of
-    /// recording cadence and serve cadence, with and without a legacy v1
-    /// entry, every client (one on time, one joining past the ring, mid
-    /// delta chain for most cadences) reads the identical raw frame
-    /// sequence whether `serve` forwards the recorded frames or encodes
-    /// every window itself; and `serve` forwards exactly the windows whose
-    /// recorded payload is what it would encode.
+    /// recording cadence and serve cadence, with v4 key frames, a legacy
+    /// v1 first entry or all key frames in the v2 layout, every client
+    /// (one on time, one joining past the ring, mid delta chain for most
+    /// cadences) reads the identical raw frame sequence whether `serve`
+    /// forwards the recorded frames or encodes every window itself; and
+    /// `serve` forwards exactly the windows whose recorded payload is what
+    /// it would encode, so legacy full entries are always transcoded.
     #[test]
     fn forwarded_frames_are_the_frames_transcoding_writes(
         scenario in arb_scenario(),
@@ -408,11 +404,11 @@ proptest! {
         let reports = pipeline(scenario, nodes, seed).run(WINDOWS);
         let recordings = [0u64, 1, 3, 8]
             .into_iter()
-            .flat_map(|every| [(every, false), (every, true)]);
-        for (record_every, legacy) in recordings {
-            let recording = recording(&reports, nodes, record_every, legacy);
+            .flat_map(|every| [Layout::Current, Layout::V1First, Layout::V2].map(|l| (every, l)));
+        for (record_every, layout) in recordings {
+            let recording = recording(&reports, nodes, record_every, layout);
             for serve_every in [0u64, 1, 3, 8] {
-                let pairing = format!("record {record_every} legacy {legacy} serve {serve_every}");
+                let pairing = format!("record {record_every} {layout:?} serve {serve_every}");
                 let (on_time, late, forwarded) =
                     serve_recording(&recording, serve_every, join_at, false);
                 let (on_time_ref, late_ref, transcoded) =
@@ -423,9 +419,15 @@ proptest! {
                 prop_assert_eq!(on_time.len(), WINDOWS + 2, "manifest, windows, close");
 
                 let key = |every: u64, i: u64| every == 0 || i.is_multiple_of(every);
+                // Legacy full entries are transcoded, never forwarded.
+                let legacy = |i: u64| match layout {
+                    Layout::Current => false,
+                    Layout::V1First => i == 0,
+                    Layout::V2 => key(record_every, i),
+                };
                 let expected = (0..WINDOWS as u64)
                     .filter(|&i| key(serve_every, i) == key(record_every, i))
-                    .filter(|&i| !(legacy && i == 0))
+                    .filter(|&i| !legacy(i))
                     .count() as u64;
                 prop_assert_eq!(forwarded, expected, "{}", pairing);
 
