@@ -22,27 +22,51 @@ const DISPLAY_PACKET_LIMIT: u64 = 14;
 /// block sums are then rescaled so the hottest cell shows
 /// [`DISPLAY_PACKET_LIMIT`] packets (non-zero cells never round down to
 /// zero, so a single scan probe still lights its pallet).
+///
+/// The addresses of block `b` are the range `⌈b·n/dimension⌉` up to
+/// `⌈(b+1)·n/dimension⌉`, so the rows of one display row are one contiguous
+/// run of CSR cells. Each display row is summed in one flat loop over that
+/// run, with consecutive cells spread over four partial-sum rows: a cell
+/// never waits on the add of the cell before it, although sorted columns
+/// send runs of cells to the same block. Columns map to blocks through a
+/// table filled one block's range at a time, so no cell divides.
 pub fn coarsen_window(matrix: &CsrMatrix<u64>, dimension: usize) -> TrafficMatrix {
     assert!(dimension >= 1, "display dimension must be positive");
-    let n = matrix.rows().max(1);
-    // block_of[a] = min(a·dimension/n, dimension − 1), filled one block's
-    // address range at a time, so neither rows nor non-zeros divide.
-    let mut block_of = vec![dimension - 1; matrix.rows().max(matrix.cols())];
+    let rows = matrix.rows();
+    let n = rows.max(1);
+    // The first address of display block `b`, for `b` up to `dimension`.
+    let block_start = |b: usize| (b * n).div_ceil(dimension);
+    // block_of[a] = min(a·dimension/n, dimension − 1): columns past the
+    // last row clamp onto the last block.
+    let mut block_of = vec![dimension - 1; rows.max(matrix.cols())];
     let len = block_of.len();
     for b in 0..dimension - 1 {
-        let start = (b * n).div_ceil(dimension).min(len);
-        let end = ((b + 1) * n).div_ceil(dimension).min(len);
-        block_of[start..end].fill(b);
+        block_of[block_start(b).min(len)..block_start(b + 1).min(len)].fill(b);
     }
     // Block sums and the rescale run in u128: a block can absorb up to n²
     // u64 cells, and the rescale multiplies by DISPLAY_PACKET_LIMIT — both
     // overflow u64 for packet counts as low as u64::MAX / 14.
     let mut grid = vec![0u128; dimension * dimension];
+    // Three partial-sum rows; the display row itself is the fourth.
+    let mut partials = vec![0u128; 3 * dimension];
+    let (p1, rest) = partials.split_at_mut(dimension);
+    let (p2, p3) = rest.split_at_mut(dimension);
     let (row_ptr, cols, values) = (matrix.row_ptr(), matrix.col_indices(), matrix.values());
-    for (span, &br) in row_ptr.windows(2).zip(&block_of) {
-        let row = &mut grid[br * dimension..][..dimension];
-        for (&c, &v) in cols[span[0]..span[1]].iter().zip(&values[span[0]..span[1]]) {
+    for (b, row) in grid.chunks_exact_mut(dimension).enumerate() {
+        let span = row_ptr[block_start(b).min(rows)]..row_ptr[block_start(b + 1).min(rows)];
+        let (cells, counts) = (&cols[span.clone()], &values[span]);
+        let (cell_quads, count_quads) = (cells.chunks_exact(4), counts.chunks_exact(4));
+        for (&c, &v) in cell_quads.remainder().iter().zip(count_quads.remainder()) {
             row[block_of[c]] += u128::from(v);
+        }
+        for (c, v) in cell_quads.zip(count_quads) {
+            row[block_of[c[0]]] += u128::from(v[0]);
+            p1[block_of[c[1]]] += u128::from(v[1]);
+            p2[block_of[c[2]]] += u128::from(v[2]);
+            p3[block_of[c[3]]] += u128::from(v[3]);
+        }
+        for (((sum, x), y), z) in row.iter_mut().zip(&mut *p1).zip(&mut *p2).zip(&mut *p3) {
+            *sum += std::mem::take(x) + std::mem::take(y) + std::mem::take(z);
         }
     }
     let max = grid.iter().copied().max().unwrap_or(0);

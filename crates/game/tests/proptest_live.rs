@@ -4,11 +4,16 @@
 //! the same printed tree, and node for node in process order the same name,
 //! kind, groups, exports and properties (node ids and `NodeRef` values
 //! aside). The pallet controller then colors both scenes alike.
+//!
+//! `coarsen_window` is held to the per-cell block formula: every cell of
+//! an `n`-node window adds into display block `min(a·dimension/n,
+//! dimension − 1)` of its row and column, and the u128 block sums are
+//! rescaled under the 14-packet display limit.
 
 use proptest::prelude::*;
 use tw_engine::{Node, SceneTree, Variant};
-use tw_game::{PalletLabelController, WarehouseScene};
-use tw_matrix::{CellColor, LabelSet, TrafficMatrix};
+use tw_game::{coarsen_window, PalletLabelController, WarehouseScene};
+use tw_matrix::{CellColor, CsrMatrix, LabelSet, TrafficMatrix};
 use tw_module::{LearningModule, ModuleBuilder};
 
 /// How one cell moves between two steps.
@@ -124,8 +129,84 @@ fn colored_materials(scene: &mut WarehouseScene) -> Vec<Option<String>> {
         .collect()
 }
 
+/// The packet count the hottest coarsened cell is scaled to.
+const DISPLAY_PACKET_LIMIT: u128 = 14;
+
+/// A window shape, its display dimension, and per row 0–9 cells of
+/// `(column draw, value)`. Shapes under a dozen nodes (fewer rows than
+/// display cells) are drawn as often as shapes up to 600; values run from
+/// tiny counts to `u64::MAX`.
+type Window = (usize, usize, usize, Vec<Vec<(usize, u64)>>);
+
+fn arb_window() -> impl Strategy<Value = Window> {
+    let side = || prop_oneof![0usize..=12, 0usize..=600];
+    (side(), side(), 1usize..=12).prop_flat_map(|(rows, cols, dimension)| {
+        let value = (0u8..4, any::<u64>()).prop_map(|(kind, v)| match kind {
+            0 => u64::MAX,
+            1 => v,
+            _ => v % 20,
+        });
+        let row = prop::collection::vec((0usize..600, value), 0..=9);
+        (
+            Just(rows),
+            Just(cols),
+            Just(dimension),
+            prop::collection::vec(row, rows..=rows),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat block-sum kernel equals the per-cell block formula on every
+    /// shape: square or not, fewer rows than display cells, empty windows,
+    /// and rows long and short enough to run both the four-cell body and
+    /// its remainder.
+    #[test]
+    fn coarsening_matches_the_per_cell_block_formula(window in arb_window()) {
+        let (rows, cols, dimension, drawn) = window;
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for cells in &drawn {
+            let mut cells: Vec<(usize, u64)> = if cols == 0 {
+                Vec::new()
+            } else {
+                cells.iter().map(|&(c, v)| (c % cols, v)).collect()
+            };
+            cells.sort_unstable_by_key(|&(c, _)| c);
+            cells.dedup_by_key(|&mut (c, _)| c);
+            for (c, v) in cells {
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values).unwrap();
+
+        let block = |a: usize| (a * dimension / rows).min(dimension - 1);
+        let mut sums = vec![vec![0u128; dimension]; dimension];
+        for (r, c, v) in matrix.iter() {
+            sums[block(r)][block(c)] += u128::from(v);
+        }
+        let max = sums.iter().flatten().copied().max().unwrap();
+        let display = coarsen_window(&matrix, dimension);
+        prop_assert_eq!(display.dimension(), dimension);
+        for (br, row) in sums.iter().enumerate() {
+            for (bc, &v) in row.iter().enumerate() {
+                let expected = match v {
+                    0 => 0,
+                    v if max <= DISPLAY_PACKET_LIMIT => v as u32,
+                    v => (v * DISPLAY_PACKET_LIMIT / max).max(1) as u32,
+                };
+                prop_assert_eq!(
+                    display.get(br, bc).unwrap(),
+                    expected,
+                    "{rows}x{cols} onto {dimension}: block ({br}, {bc})"
+                );
+            }
+        }
+    }
 
     /// Re-palleting after every step equals a fresh build of that step's
     /// module, for growing, emptied and unchanged cells alike.

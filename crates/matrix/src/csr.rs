@@ -117,13 +117,17 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     /// Build directly from pre-assembled CSR arrays.
     ///
     /// This is the zero-copy constructor for decoders (the `tw-ingest`
-    /// window codec) that already produce the arrays in CSR layout: no
-    /// intermediate triple buffer, no counting pass. Structural invariants
-    /// are validated in O(rows + nnz): `row_ptr` must be monotone from `0`
-    /// to `nnz` with `rows + 1` entries, `col_idx`/`values` must have equal
-    /// length, and every column index must be in bounds. Column *ordering*
-    /// within a row is the caller's contract (checked in debug builds), as
-    /// in [`CsrMatrix::from_sorted_coo`].
+    /// window codec) and the ingest merge, which already produce the arrays
+    /// in CSR layout: no intermediate triple buffer, no counting pass.
+    ///
+    /// The caller's contract is that columns rise strictly within each row
+    /// (checked in debug builds), as in [`CsrMatrix::from_sorted_coo`].
+    /// Under it the check costs O(rows), not O(nnz): `row_ptr` must be
+    /// monotone from `0` to `nnz` with `rows + 1` entries, `col_idx` and
+    /// `values` must have equal length, and each row's last (so largest)
+    /// column must be below `cols`. Only the first row that fails is
+    /// searched, for its first out-of-range column, so the error is the one
+    /// a scan of every column would report.
     pub fn from_raw_parts(
         rows: usize,
         cols: usize,
@@ -145,7 +149,15 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
                 col_idx.len()
             )));
         }
-        if let Some(&bad) = col_idx.iter().find(|&&c| c >= cols) {
+        // An empty row re-checks the last column of the non-empty row before
+        // it, which was checked first, so the row found is never empty; and
+        // skipping only leading empty rows keeps the loop's branches
+        // predictable on hypersparse windows.
+        let bad_column = row_ptr
+            .windows(2)
+            .find(|span| span[1] > 0 && col_idx[span[1] - 1] >= cols)
+            .and_then(|span| col_idx[span[0]..span[1]].iter().find(|&&c| c >= cols));
+        if let Some(&bad) = bad_column {
             return Err(MatrixError::IndexOutOfBounds {
                 index: bad,
                 bound: cols,
@@ -552,6 +564,17 @@ mod tests {
             CsrMatrix::<u32>::from_raw_parts(1, 4, vec![0, 1], vec![9], vec![1]).unwrap_err(),
             MatrixError::IndexOutOfBounds {
                 index: 9,
+                bound: 4,
+                axis: "column"
+            }
+        );
+        // Only a row's last column is checked up front; the failing row is
+        // then searched, so its first bad column is reported, not its last.
+        assert_eq!(
+            CsrMatrix::<u32>::from_raw_parts(2, 4, vec![0, 1, 4], vec![3, 1, 5, 6], vec![1; 4])
+                .unwrap_err(),
+            MatrixError::IndexOutOfBounds {
+                index: 5,
                 bound: 4,
                 axis: "column"
             }

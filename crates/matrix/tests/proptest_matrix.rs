@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use tw_matrix::ops::{ewise_add, ewise_mul, mxm, mxv, reduce_all, reduce_cols, reduce_rows};
-use tw_matrix::{CooMatrix, CsrMatrix, LabelSet, MatrixProfile, PlusTimes, TrafficMatrix};
+use tw_matrix::{
+    CooMatrix, CsrMatrix, LabelSet, MatrixError, MatrixProfile, PlusTimes, TrafficMatrix,
+};
 
 /// Strategy for a small dense grid (n×n, n in 1..=12, values 0..15 as the paper suggests).
 fn arb_grid() -> impl Strategy<Value = Vec<Vec<u32>>> {
@@ -22,8 +24,62 @@ fn csr_from(n: usize, triples: &[(usize, usize, u64)]) -> CsrMatrix<u64> {
     coo.to_csr()
 }
 
+/// Raw CSR rows over `cols` columns: each row a sorted set of distinct
+/// columns, some rows empty, and about one draw in six out of range. Out-of-
+/// range draws may be several per row and may be all of it; sorting puts
+/// them after the row's in-range columns, as the strictly-rising contract of
+/// `from_raw_parts` requires.
+fn arb_raw_rows() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
+    (0usize..=12).prop_flat_map(|cols| {
+        let draw = (0u8..6, 0usize..64).prop_map(move |(kind, v)| {
+            if kind == 0 || cols == 0 {
+                cols + v % 5
+            } else {
+                v % cols
+            }
+        });
+        let row = prop::collection::vec(draw, 0..=6).prop_map(|mut row| {
+            row.sort_unstable();
+            row.dedup();
+            row
+        });
+        (Just(cols), prop::collection::vec(row, 0..=16))
+    })
+}
+
+/// The column check `from_raw_parts` made before it relied on sorted rows:
+/// every stored column, in storage order, against `cols`.
+fn full_scan_columns(col_idx: &[usize], cols: usize) -> Result<(), MatrixError> {
+    match col_idx.iter().find(|&&c| c >= cols) {
+        Some(&index) => Err(MatrixError::IndexOutOfBounds {
+            index,
+            bound: cols,
+            axis: "column",
+        }),
+        None => Ok(()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn from_raw_parts_matches_a_full_column_scan(raw in arb_raw_rows()) {
+        let (cols, rows) = raw;
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for row in &rows {
+            col_idx.extend_from_slice(row);
+            row_ptr.push(col_idx.len());
+        }
+        let values: Vec<u64> = (1..=col_idx.len() as u64).collect();
+        let expected = full_scan_columns(&col_idx, cols).map(|()| {
+            (rows.len(), cols, row_ptr.clone(), col_idx.clone(), values.clone())
+        });
+        let built = CsrMatrix::from_raw_parts(rows.len(), cols, row_ptr, col_idx, values)
+            .map(CsrMatrix::into_raw_parts);
+        prop_assert_eq!(built, expected);
+    }
 
     #[test]
     fn dense_grid_round_trips(grid in arb_grid()) {
