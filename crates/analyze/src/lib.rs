@@ -1,7 +1,7 @@
 //! # tw-analyze
 //!
-//! Workspace-native static analysis: an offline, dependency-free pass over
-//! the workspace's own Rust source that enforces the invariants the code has
+//! Workspace-native static analysis: an offline pass over the workspace's
+//! own Rust source that enforces the invariants the code has
 //! already bought — no panics in library code, no allocation in the ingest
 //! hot path, metric names that agree across code, manifest, and README,
 //! every frame kind covered by encode/decode/proptests, and no blocking
@@ -17,13 +17,14 @@
 //! // tw-analyze: allow-file(no-panic-in-lib, "figure data built from vetted literals")
 //! ```
 //!
-//! `analyze.toml` at the workspace root configures path scopes and per-rule
-//! inputs; `metrics.toml` is the canonical manifest of metric names. Both are
-//! read by the hand-rolled TOML-subset parser in [`config`] and the Rust
-//! line scanner in [`lexer`] — recursive-descent, total, and property-tested
-//! to never panic on arbitrary bytes.
+//! `analyze.json` at the workspace root configures path scopes and per-rule
+//! inputs; `metrics.json` is the canonical manifest of metric names. Both are
+//! the workspace's one config dialect, read by `tw-json` (`//` comments and
+//! trailing commas allowed, errors by line and column); each top-level key
+//! is a section (`"paths"`, `"rule.<name>"`, `"counter"`, …). Source files
+//! go through the Rust line scanner in [`lexer`] — recursive-descent, total,
+//! and property-tested to never panic on arbitrary bytes.
 
-pub mod config;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -32,6 +33,11 @@ pub use report::{Finding, Report, Waiver, WaiverScope};
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use tw_json::{JsonError, Value};
+
+/// The analyzer's configuration file, at the workspace root.
+const CONFIG_FILE: &str = "analyze.json";
 
 /// How a source file participates in analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +64,7 @@ pub struct SourceFile {
 #[derive(Debug, Clone)]
 pub struct Workspace {
     pub root: PathBuf,
-    pub config: config::Document,
+    pub config: Value,
     pub files: Vec<SourceFile>,
 }
 
@@ -75,6 +81,16 @@ impl Workspace {
             .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
             .map_err(|e| AnalyzeError::Io(rel.to_string(), e.to_string()))
     }
+
+    /// One `key` of a top-level config `section`, if both exist.
+    pub fn setting(&self, section: &str, key: &str) -> Option<&Value> {
+        self.config.get(section)?.get(key)
+    }
+}
+
+/// Parse the text of the workspace-relative config file `rel`.
+fn parse_config(rel: &str, text: &str) -> Result<Value, AnalyzeError> {
+    tw_json::parse(text).map_err(|e| AnalyzeError::Config(rel.to_string(), e))
 }
 
 /// Analysis failures (I/O and configuration; findings are not errors).
@@ -82,9 +98,9 @@ impl Workspace {
 pub enum AnalyzeError {
     /// `path, message`
     Io(String, String),
-    /// `file, underlying parse error`
-    Config(String, String),
-    /// No `analyze.toml` found walking up from the start directory.
+    /// `file, parse error` (the error carries its line and column)
+    Config(String, JsonError),
+    /// No `analyze.json` found walking up from the start directory.
     NoWorkspace(String),
     /// An unknown rule was requested via `--rule`.
     UnknownRule(String),
@@ -96,7 +112,7 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::Io(path, e) => write!(f, "{path}: {e}"),
             AnalyzeError::Config(file, e) => write!(f, "{file}: {e}"),
             AnalyzeError::NoWorkspace(start) => {
-                write!(f, "no analyze.toml found above {start}")
+                write!(f, "no {CONFIG_FILE} found above {start}")
             }
             AnalyzeError::UnknownRule(rule) => {
                 write!(
@@ -118,7 +134,7 @@ pub struct Options {
     pub rule: Option<String>,
 }
 
-/// Walk up from `start` to the nearest directory containing `analyze.toml`.
+/// Walk up from `start` to the nearest directory containing `analyze.json`.
 pub fn find_workspace_root(start: &Path) -> Result<PathBuf, AnalyzeError> {
     let mut dir = if start.is_absolute() {
         start.to_path_buf()
@@ -128,7 +144,7 @@ pub fn find_workspace_root(start: &Path) -> Result<PathBuf, AnalyzeError> {
             .join(start)
     };
     loop {
-        if dir.join("analyze.toml").is_file() {
+        if dir.join(CONFIG_FILE).is_file() {
             return Ok(dir);
         }
         if !dir.pop() {
@@ -139,23 +155,14 @@ pub fn find_workspace_root(start: &Path) -> Result<PathBuf, AnalyzeError> {
 
 /// Load and scan the workspace rooted at `root`.
 pub fn load_workspace(root: &Path) -> Result<Workspace, AnalyzeError> {
-    let config_text = std::fs::read_to_string(root.join("analyze.toml"))
-        .map_err(|e| AnalyzeError::Io("analyze.toml".into(), e.to_string()))?;
-    let config = config::parse(&config_text)
-        .map_err(|e| AnalyzeError::Config("analyze.toml".into(), e.to_string()))?;
+    let config_text = std::fs::read_to_string(root.join(CONFIG_FILE))
+        .map_err(|e| AnalyzeError::Io(CONFIG_FILE.into(), e.to_string()))?;
+    let config = parse_config(CONFIG_FILE, &config_text)?;
 
-    let include: Vec<String> = config
-        .get_array("paths", "include")
-        .map(|a| a.to_vec())
-        .unwrap_or_else(|| vec!["crates".to_string()]);
-    let exclude: Vec<String> = config
-        .get_array("paths", "exclude")
-        .map(|a| a.to_vec())
-        .unwrap_or_default();
-    let bin_crates: Vec<String> = config
-        .get_array("paths", "bin_crates")
-        .map(|a| a.to_vec())
-        .unwrap_or_default();
+    let paths = |key: &str| config.get("paths")?.get(key)?.as_string_list();
+    let include = paths("include").unwrap_or_else(|| vec!["crates".to_string()]);
+    let exclude = paths("exclude").unwrap_or_default();
+    let bin_crates = paths("bin_crates").unwrap_or_default();
 
     let mut rels = Vec::new();
     for inc in &include {

@@ -12,7 +12,7 @@ USAGE:
                [--deny-warnings] [--list-waivers]
 
 OPTIONS:
-    --root <dir>      workspace root (default: walk up to analyze.toml)
+    --root <dir>      workspace root (default: walk up to analyze.json)
     --rule <name>     run a single rule instead of all of them
     --json <path>     also write the machine-readable report to <path>
     --deny-warnings   exit non-zero when any unwaived finding remains

@@ -5,37 +5,35 @@
 //! silently, so the rule fails closed on the variant's declaration line.
 
 use crate::lexer::{contains_token, enum_spans, function_spans};
-use crate::{Finding, Workspace};
+use crate::{Finding, Workspace, CONFIG_FILE};
+use tw_json::Value;
 
 pub const NAME: &str = "frame-kind-coverage";
 const SECTION: &str = "rule.frame-kind-coverage";
 
 pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
     let mut out = Vec::new();
-    let Some(spec) = ws.config.get_str(SECTION, "enum").map(str::to_string) else {
+    let Some(spec) = ws.setting(SECTION, "enum").and_then(Value::as_str) else {
         // Rule not configured for this workspace (fixture roots often skip it).
         return Ok(out);
     };
     let encode_fn = ws
-        .config
-        .get_str(SECTION, "encode")
-        .unwrap_or("to_byte")
-        .to_string();
+        .setting(SECTION, "encode")
+        .and_then(Value::as_str)
+        .unwrap_or("to_byte");
     let decode_fn = ws
-        .config
-        .get_str(SECTION, "decode")
-        .unwrap_or("from_byte")
-        .to_string();
-    let proptests: Vec<String> = ws
-        .config
-        .get_array(SECTION, "proptests")
-        .map(|a| a.to_vec())
+        .setting(SECTION, "decode")
+        .and_then(Value::as_str)
+        .unwrap_or("from_byte");
+    let proptests = ws
+        .setting(SECTION, "proptests")
+        .and_then(Value::as_string_list)
         .unwrap_or_default();
 
     let Some((file_rel, enum_name)) = spec.rsplit_once("::") else {
         out.push(Finding::new(
             NAME,
-            "analyze.toml",
+            CONFIG_FILE,
             0,
             format!("bad enum spec {spec:?} — expected \"<file>::<Enum>\""),
         ));
@@ -44,7 +42,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
     let Some(file) = ws.file(file_rel) else {
         out.push(Finding::new(
             NAME,
-            "analyze.toml",
+            CONFIG_FILE,
             0,
             format!("enum spec {spec:?} names a file that is not in the workspace"),
         ));
@@ -56,7 +54,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
             NAME,
             file_rel,
             0,
-            format!("enum `{enum_name}` not found — update analyze.toml"),
+            format!("enum `{enum_name}` not found — update {CONFIG_FILE}"),
         ));
         return Ok(out);
     };
@@ -76,8 +74,8 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
         }
     }
 
-    let encode_lines = span_lines(file, &encode_fn);
-    let decode_lines = span_lines(file, &decode_fn);
+    let encode_lines = span_lines(file, encode_fn);
+    let decode_lines = span_lines(file, decode_fn);
     for (variant, line) in &variants {
         let mut missing = Vec::new();
         if !encode_lines
@@ -119,7 +117,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
         if ws.file(rel).is_none() {
             out.push(Finding::new(
                 NAME,
-                "analyze.toml",
+                CONFIG_FILE,
                 0,
                 format!("proptest file {rel:?} is not in the workspace"),
             ));

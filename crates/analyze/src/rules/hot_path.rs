@@ -1,4 +1,4 @@
-//! `hot-path-no-alloc`: the functions named in `analyze.toml` — the ingest
+//! `hot-path-no-alloc`: the functions named in `analyze.json` — the ingest
 //! hot path that PRs past spent so much effort keeping allocation-free —
 //! must not regress into allocating per call. The deny list is token-based
 //! (`vec!`, `.collect()`, `.to_vec()`, …) and configurable; cold-start
@@ -6,12 +6,13 @@
 //! inline waivers.
 
 use crate::lexer::{contains_token, function_spans};
-use crate::{Finding, Workspace};
+use crate::{Finding, Workspace, CONFIG_FILE};
+use tw_json::Value;
 
 pub const NAME: &str = "hot-path-no-alloc";
 const SECTION: &str = "rule.hot-path-no-alloc";
 
-/// Used when `analyze.toml` does not override `deny`.
+/// Used when `analyze.json` does not override `deny`.
 const DEFAULT_DENY: &[&str] = &[
     "Vec::new",
     "vec!",
@@ -29,21 +30,19 @@ const DEFAULT_DENY: &[&str] = &[
 pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
     let mut out = Vec::new();
     let functions = ws
-        .config
-        .get_array(SECTION, "functions")
-        .map(|a| a.to_vec())
+        .setting(SECTION, "functions")
+        .and_then(Value::as_string_list)
         .unwrap_or_default();
     let deny: Vec<String> = ws
-        .config
-        .get_array(SECTION, "deny")
-        .map(|a| a.to_vec())
+        .setting(SECTION, "deny")
+        .and_then(Value::as_string_list)
         .unwrap_or_else(|| DEFAULT_DENY.iter().map(|s| s.to_string()).collect());
 
     for spec in &functions {
         let Some((path, fn_name)) = spec.rsplit_once("::") else {
             out.push(Finding::new(
                 NAME,
-                "analyze.toml",
+                CONFIG_FILE,
                 0,
                 format!("bad hot-path spec {spec:?} — expected \"<file>::<fn>\""),
             ));
@@ -52,7 +51,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
         let Some(file) = ws.file(path) else {
             out.push(Finding::new(
                 NAME,
-                "analyze.toml",
+                CONFIG_FILE,
                 0,
                 format!("hot-path spec {spec:?} names a file that is not in the workspace"),
             ));
@@ -64,7 +63,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, crate::AnalyzeError> {
                 NAME,
                 path,
                 0,
-                format!("hot-path function `{fn_name}` not found — update analyze.toml"),
+                format!("hot-path function `{fn_name}` not found — update {CONFIG_FILE}"),
             ));
             continue;
         }

@@ -1,6 +1,6 @@
 //! `metric-name-registry`: every metric name must agree across three places —
 //! the code that registers it (`registry.counter("…")` and friends), the
-//! canonical manifest (`metrics.toml`), and the README's observability
+//! canonical manifest (`metrics.json`), and the README's observability
 //! documentation. The rule checks all directions:
 //!
 //! - a literal name passed to `.counter(` / `.gauge(` / `.histogram(` in
@@ -16,8 +16,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use tw_json::Value;
+
 use crate::lexer::find_token_from;
-use crate::{config, AnalyzeError, FileClass, Finding, Workspace};
+use crate::{parse_config, AnalyzeError, FileClass, Finding, Workspace};
 
 pub const NAME: &str = "metric-name-registry";
 const SECTION: &str = "rule.metric-name-registry";
@@ -63,16 +65,30 @@ fn wildcard_match(pattern: &str, name: &str) -> bool {
     pat.len() == got.len() && pat.iter().zip(&got).all(|(p, g)| *p == "*" || p == g)
 }
 
+/// The 1-based line declaring manifest entry `key`: the first non-comment
+/// line holding it quoted (tw-json values carry no positions), or 0.
+fn declared_line(text: &str, key: &str) -> usize {
+    let quoted = tw_json::ser::escape_string(key);
+    text.lines()
+        .position(|line| !line.trim_start().starts_with("//") && line.contains(&quoted))
+        .map_or(0, |idx| idx + 1)
+}
+
 fn load_manifest(ws: &Workspace, rel: &str) -> Result<Manifest, AnalyzeError> {
     let text = ws.read_text(rel)?;
-    let doc =
-        config::parse(&text).map_err(|e| AnalyzeError::Config(rel.to_string(), e.to_string()))?;
+    let doc = parse_config(rel, &text)?;
     let mut entries = BTreeMap::new();
     let mut prefixes = BTreeSet::new();
     for (kind, _) in KINDS {
-        for entry in doc.section(kind).unwrap_or(&[]) {
-            entries.insert(entry.key.clone(), (kind.to_string(), entry.line));
-            if let Some(first) = entry.key.split('.').next() {
+        let Some(section) = doc.get(kind).and_then(Value::as_object) else {
+            continue;
+        };
+        for key in section.keys() {
+            entries.insert(
+                key.to_string(),
+                (kind.to_string(), declared_line(&text, key)),
+            );
+            if let Some(first) = key.split('.').next() {
                 prefixes.insert(first.to_string());
             }
         }
@@ -86,16 +102,14 @@ fn load_manifest(ws: &Workspace, rel: &str) -> Result<Manifest, AnalyzeError> {
 
 pub fn check(ws: &Workspace) -> Result<Vec<Finding>, AnalyzeError> {
     let manifest_rel = ws
-        .config
-        .get_str(SECTION, "manifest")
-        .unwrap_or("metrics.toml")
-        .to_string();
+        .setting(SECTION, "manifest")
+        .and_then(Value::as_str)
+        .unwrap_or("metrics.json");
     let readme_rel = ws
-        .config
-        .get_str(SECTION, "readme")
-        .unwrap_or("README.md")
-        .to_string();
-    let manifest = load_manifest(ws, &manifest_rel)?;
+        .setting(SECTION, "readme")
+        .and_then(Value::as_str)
+        .unwrap_or("README.md");
+    let manifest = load_manifest(ws, manifest_rel)?;
 
     let mut out = Vec::new();
     let mut used: BTreeSet<String> = BTreeSet::new();
@@ -115,7 +129,7 @@ pub fn check(ws: &Workspace) -> Result<Vec<Finding>, AnalyzeError> {
         }
     }
 
-    check_readme(ws, &manifest, &readme_rel, &mut out)?;
+    check_readme(ws, &manifest, readme_rel, &mut out)?;
     Ok(out)
 }
 

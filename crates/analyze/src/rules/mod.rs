@@ -2,14 +2,16 @@
 //!
 //! Each rule lives in its own module with a `NAME` constant and a
 //! `check(&Workspace) -> Result<Vec<Finding>, AnalyzeError>` entry point.
-//! Rules are deny-by-default: they run unless `analyze.toml` sets
-//! `enabled = false` in the rule's `[rule.<name>]` section.
+//! Rules are deny-by-default: they run unless `analyze.json` sets
+//! `"enabled": false` in the rule's `"rule.<name>"` section.
 
 pub mod frame_coverage;
 pub mod hot_path;
 pub mod lock_channel;
 pub mod metric_names;
 pub mod no_panic;
+
+use tw_json::Value;
 
 use crate::{AnalyzeError, Finding, Workspace};
 
@@ -40,8 +42,8 @@ pub fn run(
             continue;
         }
         let enabled = ws
-            .config
-            .get_bool(&format!("rule.{name}"), "enabled")
+            .setting(&format!("rule.{name}"), "enabled")
+            .and_then(Value::as_bool)
             .unwrap_or(true);
         if !enabled {
             continue;

@@ -1,10 +1,10 @@
 //! Golden tests: each rule runs over a small fixture workspace under
 //! `tests/fixtures/` that contains the offending shape, the waived shape,
 //! and the shapes the rule must ignore. The fixtures are plain source trees
-//! with their own `analyze.toml` — they are never compiled, only scanned.
+//! with their own `analyze.json` — they are never compiled, only scanned.
 
 use std::path::PathBuf;
-use tw_analyze::{analyze_with, Finding, Options, Report};
+use tw_analyze::{analyze_with, AnalyzeError, Finding, Options, Report};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -123,11 +123,38 @@ fn metric_registry_catches_the_seeded_readme_drift() {
             .any(|f| f.message.contains("pipeline.coalesce_sort") && f.message.contains("gauge")),
         "missing the kind-mismatch finding: {hits:#?}"
     );
-    assert!(
-        hits.iter()
-            .any(|f| f.file == "metrics.toml" && f.message.contains("pipeline.dead_entry")),
-        "missing the never-registered finding: {hits:#?}"
-    );
+    let dead = hits
+        .iter()
+        .find(|f| f.file == "metrics.json" && f.message.contains("pipeline.dead_entry"))
+        .unwrap_or_else(|| panic!("missing the never-registered finding: {hits:#?}"));
+    // The finding points at the manifest line that declares the entry, past
+    // the comment and the `"counter"` section opener.
+    assert_eq!(dead.line, 5, "the declaring manifest line: {dead:#?}");
+}
+
+#[test]
+fn malformed_config_is_a_typed_error_with_its_position() {
+    let root = std::env::temp_dir().join(format!("tw-analyze-bad-config-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    // Line 3 lacks the comma before the next key.
+    std::fs::write(
+        root.join("analyze.json"),
+        "{\n  \"paths\": {\n    \"include\": [\"crates\"]\n    \"exclude\": [],\n  },\n}\n",
+    )
+    .unwrap();
+    let result = analyze_with(&root, &Options::default());
+    std::fs::remove_dir_all(&root).unwrap();
+
+    match result {
+        Err(AnalyzeError::Config(file, e)) => {
+            assert_eq!(file, "analyze.json");
+            assert_eq!((e.line, e.column), (4, 5), "{e}");
+            let message = AnalyzeError::Config(file, e).to_string();
+            assert!(message.starts_with("analyze.json: "), "{message}");
+            assert!(message.contains("line 4 column 5"), "{message}");
+        }
+        other => panic!("expected a config error, got {other:?}"),
+    }
 }
 
 #[test]

@@ -118,24 +118,6 @@ fn bench_scaling(c: &mut Criterion) {
         b.iter(|| black_box(reduce_rows(&PlusTimes, &matrix).len()))
     });
     group.finish();
-
-    // Window aggregation throughput (the streaming pipeline).
-    let mut group = c.benchmark_group("stream_aggregation");
-    for &count in &[10_000usize, 100_000] {
-        let stream = synthetic_events(256, count, 3);
-        group.bench_with_input(
-            BenchmarkId::new("windowed_ingest", count),
-            &stream,
-            |b, stream| {
-                b.iter(|| {
-                    let mut agg = tw_matrix::StreamAggregator::new(256, 10_000);
-                    agg.ingest_all(stream);
-                    black_box(agg.finish().len())
-                })
-            },
-        );
-    }
-    group.finish();
 }
 
 criterion_group! {

@@ -158,7 +158,9 @@ Commands:
   analyze [--root <dir>] [--rule <name>] [--json <file.json>] [--deny-warnings] [--list-waivers]
                                               run the workspace static-analysis pass
                                               (lexer + rule engine over the crates'
-                                              own source); --rule runs one rule,
+                                              own source, configured by analyze.json
+                                              and metrics.json at the workspace
+                                              root); --rule runs one rule,
                                               --json also writes the machine-readable
                                               report, --deny-warnings fails when any
                                               unwaived finding remains, and
@@ -613,7 +615,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
 /// Run the workspace static-analysis pass and render its report.
 ///
 /// Without `--root` the workspace is found by walking up from the current
-/// directory to the nearest `analyze.toml`. With `--deny-warnings` an
+/// directory to the nearest `analyze.json`. With `--deny-warnings` an
 /// unwaived finding is an error (non-zero exit), matching the CI gate.
 fn run_analyze(
     root: Option<&str>,

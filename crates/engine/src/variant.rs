@@ -103,14 +103,6 @@ impl Variant {
         }
     }
 
-    /// As a dictionary if the variant is one.
-    pub fn as_dict(&self) -> Option<&BTreeMap<String, Variant>> {
-        match self {
-            Variant::Dict(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// As a node reference id.
     pub fn as_node_ref(&self) -> Option<u64> {
         match self {

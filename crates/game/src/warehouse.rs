@@ -9,7 +9,7 @@
 
 // tw-analyze: allow-file(no-panic-in-lib, "scene construction from vetted module data; every expect proves a shape the module validators already enforced, and the scene builders are exercised by the warehouse tests")
 use crate::view::ViewState;
-use tw_engine::{Node, NodeId, NodeKind, SceneTree, Variant};
+use tw_engine::{NodeId, NodeKind, SceneTree, Variant};
 use tw_module::LearningModule;
 use tw_render::{stack_layout, Camera, Framebuffer, PlacedMesh, RenderScene};
 use tw_voxel::{box_asset, floor_tile, label_board, pallet_asset, Palette};
@@ -359,11 +359,6 @@ pub fn fig2_scene_tree() -> SceneTree {
     let module = crate::training::training_module();
     let scene = WarehouseScene::build(&module);
     scene.tree
-}
-
-/// Re-export of [`Node`] construction for downstream scene surgery in examples.
-pub fn make_node(name: &str, kind: NodeKind) -> Node {
-    Node::new(name, kind)
 }
 
 #[cfg(test)]

@@ -396,22 +396,10 @@ pub fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
 /// Validate one complete in-memory frame's header and length and return
 /// its kind, payload and trailer checksum, without checking the CRC.
 fn frame_parts(bytes: &[u8]) -> Result<(FrameKind, &[u8], u32), FrameError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(FrameError::Truncated("frame header"));
-    }
-    if bytes[..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if bytes[4] != FRAME_VERSION {
-        return Err(FrameError::UnsupportedVersion(bytes[4]));
-    }
-    let kind = FrameKind::from_byte(bytes[5]).ok_or(FrameError::UnknownKind(bytes[5]))?;
-    let declared = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-    if declared > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized {
-            declared: declared as u64,
-        });
-    }
+    let header = bytes
+        .first_chunk()
+        .ok_or(FrameError::Truncated("frame header"))?;
+    let (kind, declared) = parse_header(header)?;
     if bytes.len() != HEADER_LEN + declared + TRAILER_LEN {
         return Err(FrameError::Truncated("frame payload"));
     }
@@ -423,6 +411,26 @@ fn frame_parts(bytes: &[u8]) -> Result<(FrameKind, &[u8], u32), FrameError> {
         bytes[HEADER_LEN + declared + 3],
     ]);
     Ok((kind, payload, expected))
+}
+
+/// Check a frame header's magic, version, kind and declared payload length,
+/// in that order. The length is refused past [`MAX_FRAME_LEN`] before any
+/// buffer is sized from it.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize), FrameError> {
+    if header[..4] != FRAME_MAGIC {
+        return Err(FrameError::BadMagic);
+    }
+    if header[4] != FRAME_VERSION {
+        return Err(FrameError::UnsupportedVersion(header[4]));
+    }
+    let kind = FrameKind::from_byte(header[5]).ok_or(FrameError::UnknownKind(header[5]))?;
+    let declared = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
+    if declared > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized {
+            declared: declared as u64,
+        });
+    }
+    Ok((kind, declared))
 }
 
 /// Encode a session-header frame.
@@ -581,20 +589,7 @@ fn read_exact(
 pub fn read_raw_frame(reader: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FrameError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact(reader, &mut header, "frame header")?;
-    if header[..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if header[4] != FRAME_VERSION {
-        return Err(FrameError::UnsupportedVersion(header[4]));
-    }
-    let kind = FrameKind::from_byte(header[5]).ok_or(FrameError::UnknownKind(header[5]))?;
-    let declared = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    if declared > MAX_FRAME_LEN {
-        // Refuse before sizing any buffer from the untrusted length.
-        return Err(FrameError::Oversized {
-            declared: declared as u64,
-        });
-    }
+    let (kind, declared) = parse_header(&header)?;
     let mut payload = vec![0u8; declared];
     read_exact(reader, &mut payload, "frame payload")?;
     let mut trailer = [0u8; 4];

@@ -194,14 +194,6 @@ impl Value {
         }
     }
 
-    /// The value as a mutable vector, if it is an array.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// The value as an object map, if it is an object.
     pub fn as_object(&self) -> Option<&Map> {
         match self {

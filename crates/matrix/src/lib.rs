@@ -38,4 +38,4 @@ pub use dense::TrafficMatrix;
 pub use error::{MatrixError, Result};
 pub use labels::{LabelSet, NodeClass};
 pub use semiring::{MaxPlus, MinPlus, OrAnd, PlusTimes, Semiring};
-pub use stream::{PacketEvent, StreamAggregator};
+pub use stream::PacketEvent;

@@ -3,11 +3,9 @@
 //! The paper's motivation cites GraphBLAS pipelines that construct traffic
 //! matrices from streaming network telemetry ("anonymized high performance
 //! streaming of network traffic"). This module provides the synthetic
-//! equivalent: a packet-event type, a generator for realistic event mixes and
-//! a windowed aggregator that turns an event stream into sparse matrices.
+//! equivalent: a packet-event type and a generator for realistic event mixes.
+//! Windowing an event stream into sparse matrices is `tw-ingest`'s job.
 
-use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,85 +71,9 @@ pub fn synthetic_events(node_count: u32, event_count: usize, seed: u64) -> Vec<P
     events
 }
 
-/// Aggregates packet events into fixed-duration window matrices.
-#[derive(Debug)]
-pub struct StreamAggregator {
-    node_count: usize,
-    window_us: u64,
-    current_window: u64,
-    current: CooMatrix<u64>,
-    completed: Vec<CsrMatrix<u64>>,
-    total_events: u64,
-}
-
-impl StreamAggregator {
-    /// Create an aggregator over `node_count` addresses with windows of
-    /// `window_us` microseconds.
-    pub fn new(node_count: usize, window_us: u64) -> Self {
-        assert!(window_us > 0, "window must be positive");
-        StreamAggregator {
-            node_count,
-            window_us,
-            current_window: 0,
-            current: CooMatrix::new(node_count, node_count),
-            completed: Vec::new(),
-            total_events: 0,
-        }
-    }
-
-    /// Number of addresses per axis.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// Total events ingested so far.
-    pub fn total_events(&self) -> u64 {
-        self.total_events
-    }
-
-    /// Ingest one event. Events must be fed in non-decreasing timestamp order;
-    /// an event belonging to a later window finalizes the current one.
-    pub fn ingest(&mut self, event: &PacketEvent) {
-        let window = event.timestamp_us / self.window_us;
-        while window > self.current_window {
-            self.rotate();
-        }
-        self.current.push(
-            event.source as usize,
-            event.destination as usize,
-            event.packets as u64,
-        );
-        self.total_events += 1;
-    }
-
-    /// Ingest a batch of events.
-    pub fn ingest_all(&mut self, events: &[PacketEvent]) {
-        for e in events {
-            self.ingest(e);
-        }
-    }
-
-    fn rotate(&mut self) {
-        let full = std::mem::replace(
-            &mut self.current,
-            CooMatrix::new(self.node_count, self.node_count),
-        );
-        self.completed.push(full.to_csr());
-        self.current_window += 1;
-    }
-
-    /// Finalize the in-progress window and return all window matrices.
-    pub fn finish(mut self) -> Vec<CsrMatrix<u64>> {
-        self.rotate();
-        self.completed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::reduce_all;
-    use crate::semiring::PlusTimes;
 
     #[test]
     fn synthetic_events_are_reproducible_and_valid() {
@@ -203,55 +125,5 @@ mod tests {
             max / min < 1.5,
             "non-supernode destinations should be near-uniform, got min {min} max {max}"
         );
-    }
-
-    #[test]
-    fn aggregator_windows_preserve_packet_totals() {
-        let events = synthetic_events(50, 5_000, 3);
-        let total_packets: u64 = events.iter().map(|e| e.packets as u64).sum();
-        let mut agg = StreamAggregator::new(50, 50_000);
-        agg.ingest_all(&events);
-        assert_eq!(agg.total_events(), 5_000);
-        assert_eq!(agg.node_count(), 50);
-        let windows = agg.finish();
-        assert!(!windows.is_empty());
-        let recovered: u64 = windows.iter().map(|w| reduce_all(&PlusTimes, w)).sum();
-        assert_eq!(recovered, total_packets);
-    }
-
-    #[test]
-    fn aggregator_rotates_on_window_boundaries() {
-        let mut agg = StreamAggregator::new(4, 1_000);
-        agg.ingest(&PacketEvent {
-            source: 0,
-            destination: 1,
-            packets: 2,
-            timestamp_us: 10,
-        });
-        agg.ingest(&PacketEvent {
-            source: 1,
-            destination: 2,
-            packets: 3,
-            timestamp_us: 2_500,
-        });
-        agg.ingest(&PacketEvent {
-            source: 2,
-            destination: 3,
-            packets: 1,
-            timestamp_us: 3_100,
-        });
-        let windows = agg.finish();
-        // Windows 0..=3 exist (0, 1 empty, 2, 3).
-        assert_eq!(windows.len(), 4);
-        assert_eq!(windows[0].get(0, 1), 2);
-        assert_eq!(windows[1].nnz(), 0);
-        assert_eq!(windows[2].get(1, 2), 3);
-        assert_eq!(windows[3].get(2, 3), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_panics() {
-        let _ = StreamAggregator::new(4, 0);
     }
 }

@@ -432,7 +432,7 @@ pub fn serve(
     // reports are final: copy them into per-peer counters, then snapshot.
     let snapshot = config.metrics.as_ref().map(|registry| {
         for report in &broadcast.reports {
-            // tw-analyze: allow(metric-name-registry, "runtime expansion of the serve.peer.*.{delivered,dropped,missed} wildcards declared in metrics.toml")
+            // tw-analyze: allow(metric-name-registry, "runtime expansion of the serve.peer.*.{delivered,dropped,missed} wildcards declared in metrics.json")
             let peer = |what: &str| registry.counter(&format!("serve.peer.{}.{what}", report.id));
             peer("delivered").add(report.delivered);
             peer("dropped").add(report.dropped);
