@@ -4,8 +4,9 @@
 //! own Rust source that enforces the invariants the code has
 //! already bought — no panics in library code, no allocation in the ingest
 //! hot path, metric names that agree across code, manifest, and README,
-//! every frame kind covered by encode/decode/proptests, and no blocking
-//! channel operations while a lock guard is live.
+//! every frame kind covered by encode/decode/proptests, no blocking
+//! channel operations while a lock guard is live, and no `pub` item that
+//! only tests name. The report also counts the tree's non-test code lines.
 //!
 //! The pass runs as `traffic-warehouse analyze` (or `cargo run -p
 //! tw-analyze`) and is gated in CI with `--deny-warnings`. Rules are
@@ -58,6 +59,9 @@ pub struct SourceFile {
     pub rel: String,
     pub class: FileClass,
     pub scanned: lexer::ScannedFile,
+    /// Non-blank lines outside `#[cfg(test)]` regions that are not
+    /// comment-only (a line inside a multi-line string counts).
+    pub code_lines: usize,
 }
 
 /// The loaded workspace: configuration plus every scanned source file.
@@ -118,7 +122,11 @@ impl fmt::Display for AnalyzeError {
                 write!(
                     f,
                     "unknown rule {rule:?}; known rules: {}",
-                    rules::ALL.join(", ")
+                    rules::ALL
+                        .iter()
+                        .map(|(name, _)| *name)
+                        .collect::<Vec<_>>()
+                        .join(", ")
                 )
             }
         }
@@ -183,10 +191,12 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, AnalyzeError> {
             .map_err(|e| AnalyzeError::Io(rel.clone(), e.to_string()))?;
         let scanned = lexer::scan_bytes(&bytes);
         let class = classify(&rel, &bin_crates);
+        let code_lines = count_code_lines(&bytes, &scanned);
         files.push(SourceFile {
             rel,
             class,
             scanned,
+            code_lines,
         });
     }
     Ok(Workspace {
@@ -196,8 +206,26 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, AnalyzeError> {
     })
 }
 
+/// Count the lines of `bytes` that are non-blank, outside `#[cfg(test)]`,
+/// and not comment-only, pairing each source line with its scanned line.
+fn count_code_lines(bytes: &[u8], scanned: &lexer::ScannedFile) -> usize {
+    bytes
+        .split(|&b| b == b'\n')
+        .zip(&scanned.lines)
+        .filter(|(raw, line)| {
+            !line.in_test
+                && !raw.iter().all(u8::is_ascii_whitespace)
+                && (!line.code.trim().is_empty() || line.comment.trim().is_empty())
+        })
+        .count()
+}
+
 /// Recursively collect `.rs` files under `dir`, as workspace-relative paths.
-fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), AnalyzeError> {
+pub(crate) fn collect_rust_files(
+    root: &Path,
+    dir: &Path,
+    out: &mut Vec<String>,
+) -> Result<(), AnalyzeError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(_) => return Ok(()), // a configured include that does not exist
@@ -355,14 +383,9 @@ fn parse_waiver_comment(text: &str) -> Result<(String, String, bool), String> {
 }
 
 /// Run the full pass: load, scan, rule-check, waive, and report.
-pub fn analyze(root: &Path) -> Result<Report, AnalyzeError> {
-    analyze_with(root, &Options::default())
-}
-
-/// [`analyze`] with options.
 pub fn analyze_with(root: &Path, options: &Options) -> Result<Report, AnalyzeError> {
     if let Some(rule) = &options.rule {
-        if !rules::ALL.contains(&rule.as_str()) {
+        if !rules::is_known(rule) {
             return Err(AnalyzeError::UnknownRule(rule.clone()));
         }
     }
@@ -397,7 +420,7 @@ pub fn analyze_with(root: &Path, options: &Options) -> Result<Report, AnalyzeErr
             Some(rule) => waiver.rule == *rule,
             None => true,
         };
-        if in_scope && !waiver.used && rules::ALL.contains(&waiver.rule.as_str()) {
+        if in_scope && !waiver.used && rules::is_known(&waiver.rule) {
             findings.push(Finding::new(
                 rules::STALE_WAIVER,
                 &waiver.file,
@@ -407,7 +430,7 @@ pub fn analyze_with(root: &Path, options: &Options) -> Result<Report, AnalyzeErr
                     waiver.rule
                 ),
             ));
-        } else if in_scope && !rules::ALL.contains(&waiver.rule.as_str()) {
+        } else if in_scope && !rules::is_known(&waiver.rule) {
             findings.push(Finding::new(
                 rules::STALE_WAIVER,
                 &waiver.file,
@@ -422,6 +445,12 @@ pub fn analyze_with(root: &Path, options: &Options) -> Result<Report, AnalyzeErr
         findings,
         waivers,
         files_scanned: ws.files.len(),
+        code_lines: ws
+            .files
+            .iter()
+            .filter(|f| f.class != FileClass::TestLike)
+            .map(|f| f.code_lines)
+            .sum(),
         rules_run,
     })
 }
@@ -444,6 +473,15 @@ mod tests {
         assert!(parse_waiver_comment("allow(rule, \"\")").is_err());
         assert!(parse_waiver_comment("allow(RULE, \"x\")").is_err());
         assert!(parse_waiver_comment("deny(rule, \"x\")").is_err());
+    }
+
+    #[test]
+    fn code_lines_skip_blank_comment_and_test_lines() {
+        let src = "//! doc\n\nfn a() {\n    /* block\n       comment */\n    let s = \"one\ntwo\n\nthree\";\n}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        // `fn a() {`, the string's `one`, `two` and `three` lines, and `}`:
+        // a line inside a string counts unless it is blank.
+        let scanned = lexer::scan(src);
+        assert_eq!(count_code_lines(src.as_bytes(), &scanned), 5);
     }
 
     #[test]

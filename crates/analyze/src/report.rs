@@ -59,6 +59,9 @@ pub struct Report {
     pub findings: Vec<Finding>,
     pub waivers: Vec<Waiver>,
     pub files_scanned: usize,
+    /// Non-blank, non-comment lines outside `#[cfg(test)]` in library and
+    /// binary files: the size figure a deletion is measured by.
+    pub code_lines: usize,
     pub rules_run: Vec<String>,
 }
 
@@ -89,11 +92,13 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "analyze: {} finding(s), {} waived, {} unwaived across {} file(s); rules: {}",
+            "analyze: {} finding(s), {} waived, {} unwaived across {} file(s) \
+             ({} non-test code lines in lib and bin files); rules: {}",
             self.findings.len(),
             self.waived_count(),
             self.unwaived_count(),
             self.files_scanned,
+            self.code_lines,
             self.rules_run.join(", "),
         );
         out
@@ -121,6 +126,7 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
+        let _ = writeln!(out, "  \"code_lines\": {},", self.code_lines);
         let _ = writeln!(out, "  \"unwaived\": {},", self.unwaived_count());
         let _ = writeln!(out, "  \"waived\": {},", self.waived_count());
         out.push_str("  \"rules\": [");

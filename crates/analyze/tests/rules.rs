@@ -200,13 +200,64 @@ fn lock_across_channel_flags_only_the_live_guard() {
 }
 
 #[test]
+fn pub_reach_flags_items_that_only_tests_prose_or_imports_name() {
+    let report = run_rule("pub_reach", "pub-reach");
+    let lib = "crates/demo/src/lib.rs";
+    let flagged: Vec<(&str, usize)> = unwaived(&report, "pub-reach")
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // Named only at its declaration.
+    assert!(flagged.contains(&(lib, 4)), "only_declared: {flagged:?}");
+    // Named only in a #[cfg(test)] module and under tests/.
+    assert!(flagged.contains(&(lib, 7)), "only_tested: {flagged:?}");
+    // Named only in a string literal and comments.
+    assert!(flagged.contains(&(lib, 12)), "OnlyInProse: {flagged:?}");
+    // Named only on use lines and an impl header.
+    assert!(flagged.contains(&(lib, 15)), "OnlyImported: {flagged:?}");
+    // Reached from another crate, a bench and the extra name root: silent,
+    // and so are the name root's own items and crate-private items.
+    assert_eq!(flagged.len(), 4, "nothing else is flagged: {flagged:?}");
+    let finding = &unwaived(&report, "pub-reach")[0];
+    assert!(
+        finding.message.contains("`pub fn only_declared`"),
+        "{finding:#?}"
+    );
+
+    // A waiver silences its item; a waiver over a reached item is stale.
+    let silenced = waived(&report, "pub-reach");
+    assert_eq!(silenced.len(), 1, "{silenced:#?}");
+    assert_eq!((silenced[0].file.as_str(), silenced[0].line), (lib, 37));
+    let stale: Vec<_> = unwaived(&report, "stale-waiver");
+    assert_eq!(stale.len(), 1, "{stale:#?}");
+    assert_eq!((stale[0].file.as_str(), stale[0].line), (lib, 40));
+}
+
+#[test]
+fn the_report_counts_non_test_code_lines_in_lib_and_bin_files() {
+    let report = run_rule("pub_reach", "pub-reach");
+    // 19 lines of demo's lib.rs sit outside its test module and are neither
+    // blank nor comment-only; app's main.rs has 9. Test, bench and name-root
+    // files do not count.
+    assert_eq!(report.code_lines, 19 + 9);
+    assert!(report.render_text().contains("(28 non-test code lines"));
+    assert!(report.render_json().contains("\"code_lines\": 28,"));
+}
+
+#[test]
 fn the_real_workspace_is_clean() {
     // The same invariant CI enforces: zero unwaived findings over the
     // actual source tree, with every rule enabled.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = tw_analyze::analyze(&root).expect("analyzing the workspace");
+    let report = analyze_with(&root, &Options::default()).expect("analyzing the workspace");
     let open: Vec<&Finding> = report.unwaived().collect();
     assert!(open.is_empty(), "unwaived findings in the tree: {open:#?}");
+    let rules: Vec<&str> = tw_analyze::rules::ALL
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(report.rules_run, rules, "every registered rule runs");
+    assert!(rules.contains(&"pub-reach"));
     assert!(
         report.waived_count() > 0,
         "the waiver channel should be exercised by the real tree"

@@ -130,7 +130,7 @@ proptest! {
     /// with the right dimensions.
     #[test]
     fn render_2d_is_total(n in 1usize..14, cells in prop::collection::vec((0usize..14, 0usize..14, 1u32..15), 0..40)) {
-        let mut matrix = TrafficMatrix::zeros_numeric(n);
+        let mut matrix = TrafficMatrix::zeros(LabelSet::numeric(n));
         for (r, c, v) in cells {
             let _ = matrix.set(r % n, c % n, v);
         }

@@ -38,7 +38,12 @@ fn educator_authors_module_student_plays_it() {
 
     let (module, report) = tw_core::load_module(json_text).expect("module parses");
     assert!(report.is_valid(), "{:?}", report.issues);
-    assert_eq!(module.matrix.get_by_label("WS1", "SRV1"), Some(3));
+    let labels = module.matrix.labels();
+    let (ws1, srv1) = (
+        labels.index_of("WS1").unwrap(),
+        labels.index_of("SRV1").unwrap(),
+    );
+    assert_eq!(module.matrix.get(ws1, srv1), Some(3));
 
     // Bundle it, zip it, load it back.
     let mut bundle = ModuleBundle::new("Integration");
@@ -100,23 +105,19 @@ fn pattern_profiles_match_module_content_after_round_trip() {
 
 #[test]
 fn sparse_analytics_agree_with_dense_module_matrices() {
-    use tw_core::matrix::ops::{reduce_all, reduce_rows};
-    use tw_core::matrix::PlusTimes;
+    use tw_core::matrix::ops::reduce_rows;
+    use tw_core::matrix::{CooMatrix, PlusTimes};
     // The dense game matrices and the sparse analytics path agree on totals.
     for pattern in patterns_for_figure(Figure::Ddos) {
         let dense_total = pattern.matrix.total_packets();
-        let csr = pattern.matrix.to_coo().to_csr();
-        let csr64 = tw_core::matrix::CsrMatrix::from_dense(
-            &pattern
-                .matrix
-                .to_grid()
-                .iter()
-                .map(|row| row.iter().map(|&v| v as u64).collect())
-                .collect::<Vec<Vec<u64>>>(),
-        )
-        .expect("dense grid is square");
-        assert_eq!(csr.nnz(), pattern.matrix.nonzero_count());
-        assert_eq!(reduce_all(&PlusTimes, &csr64), dense_total);
+        let n = pattern.matrix.dimension();
+        let mut coo = CooMatrix::new(n, n);
+        for (r, c, v) in pattern.matrix.iter_nonzero() {
+            coo.push(r, c, u64::from(v));
+        }
+        let csr64 = coo.to_csr();
+        assert_eq!(csr64.nnz(), pattern.matrix.nonzero_count());
+        assert_eq!(csr64.values().iter().sum::<u64>(), dense_total);
         let row_sums = reduce_rows(&PlusTimes, &csr64);
         assert_eq!(row_sums, pattern.matrix.out_degrees());
     }

@@ -117,11 +117,6 @@ impl Node {
         }
     }
 
-    /// True when the node is in the named group.
-    pub fn is_in_group(&self, group: &str) -> bool {
-        self.groups.iter().any(|g| g == group)
-    }
-
     /// The node's groups.
     pub fn groups(&self) -> &[String] {
         &self.groups
@@ -156,9 +151,7 @@ mod tests {
         n.add_to_group("pallets");
         n.add_to_group("pallets");
         n.add_to_group("row_0");
-        assert!(n.is_in_group("pallets"));
-        assert!(!n.is_in_group("boxes"));
-        assert_eq!(n.groups().len(), 2);
+        assert_eq!(n.groups(), ["pallets", "row_0"]);
     }
 
     #[test]

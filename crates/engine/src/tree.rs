@@ -55,9 +55,8 @@ struct Slot {
 /// An arena-backed scene tree.
 ///
 /// Node identity is stable for the life of the tree (ids are never reused),
-/// and children keep insertion order, which determines lifecycle order: like
-/// Godot, `ready_order` visits children before their parent, depth-first, and
-/// `process_order` visits parents before children.
+/// and children keep insertion order, which [`SceneTree::descendants`] and
+/// [`SceneTree::print_tree`] follow depth-first, parents before children.
 #[derive(Debug)]
 pub struct SceneTree {
     slots: BTreeMap<u64, Slot>,
@@ -290,59 +289,6 @@ impl SceneTree {
             })
     }
 
-    /// The absolute path of a node from the root, e.g. `"/Training level/Data"`.
-    pub fn path_of(&self, id: NodeId) -> Result<String, TreeError> {
-        let mut segments = Vec::new();
-        let mut current = Some(id);
-        while let Some(n) = current {
-            segments.push(self.node(n)?.name.clone());
-            current = self.parent(n)?;
-        }
-        segments.reverse();
-        Ok(format!("/{}", segments.join("/")))
-    }
-
-    /// All nodes in the named group, in id order.
-    pub fn nodes_in_group(&self, group: &str) -> Vec<NodeId> {
-        self.slots
-            .iter()
-            .filter(|(_, s)| s.node.is_in_group(group))
-            .map(|(&id, _)| NodeId(id))
-            .collect()
-    }
-
-    /// Lifecycle order for `_ready()`: depth-first, children before parents
-    /// (Godot readies leaves first so parents can rely on their children).
-    pub fn ready_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        self.post_order(self.root, &mut out);
-        out
-    }
-
-    fn post_order(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        if let Some(slot) = self.slots.get(&id.0) {
-            for &child in &slot.children {
-                self.post_order(child, out);
-            }
-            out.push(id);
-        }
-    }
-
-    /// Lifecycle order for `_process()`: parents before children, depth-first.
-    pub fn process_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            if let Some(slot) = self.slots.get(&id.0) {
-                for &child in slot.children.iter().rev() {
-                    stack.push(child);
-                }
-            }
-        }
-        out
-    }
-
     /// Pretty-print the tree in the style of Godot's Scene dock (the paper's
     /// Fig. 2): one node per line, children indented under their parent.
     pub fn print_tree(&self) -> String {
@@ -387,8 +333,8 @@ mod tests {
         let (tree, data, controller, pallets) = sample_tree();
         assert_eq!(tree.len(), 4);
         assert_eq!(
-            tree.path_of(pallets).unwrap(),
-            "/Training level/Pallet and label controller/Pallets"
+            tree.get_node(tree.root(), "Pallet and label controller/Pallets"),
+            Ok(pallets)
         );
         assert_eq!(tree.parent(data).unwrap(), Some(tree.root()));
         assert_eq!(tree.children(controller).unwrap(), vec![pallets]);
@@ -447,23 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_orders() {
-        let (tree, data, controller, pallets) = sample_tree();
-        let ready = tree.ready_order();
-        // Children ready before parents; root is last.
-        assert_eq!(*ready.last().unwrap(), tree.root());
-        let pos = |id: NodeId| ready.iter().position(|&n| n == id).unwrap();
-        assert!(pos(pallets) < pos(controller));
-        assert!(pos(data) < pos(tree.root()));
-
-        let process = tree.process_order();
-        assert_eq!(process[0], tree.root());
-        let ppos = |id: NodeId| process.iter().position(|&n| n == id).unwrap();
-        assert!(ppos(controller) < ppos(pallets));
-        assert_eq!(process.len(), tree.len());
-    }
-
-    #[test]
     fn groups_across_the_tree() {
         let (mut tree, _, _, pallets) = sample_tree();
         for i in 0..3 {
@@ -472,8 +401,15 @@ mod tests {
                 .unwrap();
             tree.node_mut(id).unwrap().add_to_group("pallets");
         }
-        assert_eq!(tree.nodes_in_group("pallets").len(), 3);
-        assert!(tree.nodes_in_group("boxes").is_empty());
+        let in_group = |group| {
+            let nodes = tree.descendants(tree.root()).unwrap();
+            nodes
+                .into_iter()
+                .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == group))
+                .count()
+        };
+        assert_eq!(in_group("pallets"), 3);
+        assert_eq!(in_group("boxes"), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! arbitrary build/remove sequences.
 
 use proptest::prelude::*;
-use tw_engine::{Node, NodeKind, SceneTree};
+use tw_engine::{Node, NodeId, NodeKind, SceneTree};
 
 /// Build a tree from a sequence of (parent-choice, remove-choice) operations.
 fn build_tree(ops: &[(u8, bool)]) -> SceneTree {
@@ -27,45 +27,33 @@ fn build_tree(ops: &[(u8, bool)]) -> SceneTree {
     tree
 }
 
+/// The root followed by every descendant, parents before children.
+fn every_node(tree: &SceneTree) -> Vec<NodeId> {
+    let mut nodes = vec![tree.root()];
+    nodes.extend(tree.descendants(tree.root()).unwrap());
+    nodes
+}
+
+/// The absolute path of `node`, e.g. `"/Root/N0/N3"`, built from its parents.
+fn path_of(tree: &SceneTree, node: NodeId) -> String {
+    let mut segments = Vec::new();
+    let mut current = Some(node);
+    while let Some(n) = current {
+        segments.push(tree.node(n).unwrap().name.clone());
+        current = tree.parent(n).unwrap();
+    }
+    segments.reverse();
+    format!("/{}", segments.join("/"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn lifecycle_orders_cover_every_node_exactly_once(ops in prop::collection::vec((any::<u8>(), any::<bool>()), 1..40)) {
-        let tree = build_tree(&ops);
-        let ready = tree.ready_order();
-        let process = tree.process_order();
-        prop_assert_eq!(ready.len(), tree.len());
-        prop_assert_eq!(process.len(), tree.len());
-        let mut sorted_ready = ready.clone();
-        sorted_ready.sort();
-        sorted_ready.dedup();
-        prop_assert_eq!(sorted_ready.len(), tree.len(), "ready order must not repeat nodes");
-        // Root is last in ready order and first in process order.
-        prop_assert_eq!(*ready.last().unwrap(), tree.root());
-        prop_assert_eq!(process[0], tree.root());
-    }
-
-    #[test]
-    fn children_ready_before_parents_and_after_in_process(ops in prop::collection::vec((any::<u8>(), any::<bool>()), 1..40)) {
-        let tree = build_tree(&ops);
-        let ready = tree.ready_order();
-        let process = tree.process_order();
-        let ready_pos = |id| ready.iter().position(|&n| n == id).unwrap();
-        let process_pos = |id| process.iter().position(|&n| n == id).unwrap();
-        for &node in &ready {
-            if let Ok(Some(parent)) = tree.parent(node) {
-                prop_assert!(ready_pos(node) < ready_pos(parent));
-                prop_assert!(process_pos(node) > process_pos(parent));
-            }
-        }
-    }
-
-    #[test]
     fn paths_round_trip_for_every_node(ops in prop::collection::vec((any::<u8>(), any::<bool>()), 1..30)) {
         let tree = build_tree(&ops);
-        for node in tree.process_order() {
-            let path = tree.path_of(node).unwrap();
+        for node in every_node(&tree) {
+            let path = path_of(&tree, node);
             prop_assert!(path.starts_with("/Root"));
             let resolved = tree.get_node(tree.root(), path.trim_start_matches('/')).unwrap_or_else(|_| {
                 // Absolute form must always resolve.
@@ -78,7 +66,7 @@ proptest! {
     #[test]
     fn removal_never_leaves_dangling_children(ops in prop::collection::vec((any::<u8>(), any::<bool>()), 1..40)) {
         let tree = build_tree(&ops);
-        for node in tree.process_order() {
+        for node in every_node(&tree) {
             for child in tree.children(node).unwrap() {
                 prop_assert!(tree.node(child).is_ok(), "child list references a freed node");
                 prop_assert_eq!(tree.parent(child).unwrap(), Some(node));

@@ -162,17 +162,6 @@ impl PalletLabelController {
         }
         Ok(())
     }
-
-    /// The material currently applied to the pallet at flat index `i`.
-    pub fn pallet_material(&self, tree: &SceneTree, i: usize) -> Option<String> {
-        let pallet = *tree.children(self.pallets).ok()?.get(i)?;
-        let mesh = *tree.children(pallet).ok()?.first()?;
-        tree.node(mesh)
-            .ok()?
-            .get("material_override")?
-            .as_str()
-            .map(str::to_string)
-    }
 }
 
 fn node_ref(tree: &SceneTree, node: NodeId, property: &str) -> Result<NodeId, TreeError> {
@@ -187,6 +176,20 @@ fn node_ref(tree: &SceneTree, node: NodeId, property: &str) -> Result<NodeId, Tr
     let resolved = NodeId(id);
     tree.node(resolved)?;
     Ok(resolved)
+}
+
+#[cfg(test)]
+impl PalletLabelController {
+    /// The material currently applied to the pallet at flat index `i`.
+    pub(crate) fn pallet_material(&self, tree: &SceneTree, i: usize) -> Option<String> {
+        let pallet = *tree.children(self.pallets).ok()?.get(i)?;
+        let mesh = *tree.children(pallet).ok()?.first()?;
+        tree.node(mesh)
+            .ok()?
+            .get("material_override")?
+            .as_str()
+            .map(str::to_string)
+    }
 }
 
 #[cfg(test)]

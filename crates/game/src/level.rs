@@ -86,18 +86,6 @@ impl Level {
     pub fn render(&self, width: usize, height: usize) -> Framebuffer {
         self.scene.render(&self.view, width, height)
     }
-
-    /// Render the 2-D spreadsheet view directly (used for figure generation
-    /// regardless of the current mode).
-    pub fn render_matrix_view(&self) -> Framebuffer {
-        let module = self.scene.module();
-        let colors = if self.view.colors_on {
-            Some(&module.colors)
-        } else {
-            None
-        };
-        tw_render::render_matrix_2d(&module.matrix, colors)
-    }
 }
 
 #[cfg(test)]
@@ -168,8 +156,6 @@ mod tests {
     #[test]
     fn rendering_both_views_and_the_matrix_view() {
         let mut level = Level::load(&tw_module::template_6x6(), 2).unwrap();
-        let flat = level.render_matrix_view();
-        assert!(flat.width() > 0);
         let before = level.render(48, 48).to_ascii();
         level.handle_input(InputEvent::Pressed(Key::Space)).unwrap();
         level.handle_input(InputEvent::Pressed(Key::E)).unwrap();

@@ -8,7 +8,7 @@
 //! place, so a class can watch a scenario unfold window by window.
 
 use crate::warehouse::WarehouseScene;
-use tw_ingest::{IngestStats, StreamError, WindowReport, WindowStream};
+use tw_ingest::{IngestStats, WindowReport};
 use tw_matrix::{CsrMatrix, LabelSet, TrafficMatrix};
 use tw_module::ModuleBuilder;
 
@@ -155,12 +155,20 @@ impl LiveWarehouse {
         self.windows_seen += 1;
         self.last_stats = Some(report.stats.clone());
     }
+}
 
-    /// Drive any [`WindowStream`] (a live `Pipeline`, a replay, a paced
-    /// replay) for up to `max_windows`, re-palleting per window; returns the
-    /// stats of every window received.
-    pub fn follow<S: WindowStream + ?Sized>(
-        &mut self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::GameSession;
+    use crate::telemetry::TelemetryEvent;
+    use tw_ingest::{Pipeline, PipelineConfig, Scenario, StreamError, WindowStream};
+    use tw_module::ModuleBundle;
+
+    /// Drive any [`WindowStream`] for up to `max_windows`, re-palleting per
+    /// window; returns the stats of every window received.
+    fn follow<S: WindowStream + ?Sized>(
+        live: &mut LiveWarehouse,
         stream: &mut S,
         max_windows: usize,
     ) -> Result<Vec<IngestStats>, StreamError> {
@@ -169,20 +177,24 @@ impl LiveWarehouse {
             let Some(report) = stream.next_window()? else {
                 break;
             };
-            self.on_window(&report);
+            live.on_window(&report);
             stats.push(report.stats);
         }
         Ok(stats)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::session::GameSession;
-    use crate::telemetry::TelemetryEvent;
-    use tw_ingest::{Pipeline, PipelineConfig, Scenario};
-    use tw_module::ModuleBundle;
+    /// The CSR matrix of a dense row-major grid, dropping zero cells.
+    fn csr(grid: &[Vec<u64>]) -> CsrMatrix<u64> {
+        let mut triples = Vec::new();
+        for (r, row) in grid.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0 {
+                    triples.push((r, c, v));
+                }
+            }
+        }
+        CsrMatrix::from_sorted_triples(grid.len(), grid[0].len(), &triples)
+    }
 
     fn ddos_pipeline() -> Pipeline {
         let config = PipelineConfig {
@@ -221,7 +233,7 @@ mod tests {
         let mut live = LiveWarehouse::new(10);
         assert!(live.scene().is_none());
         let mut pipeline = ddos_pipeline();
-        let stats = live.follow(&mut pipeline, 3).unwrap();
+        let stats = follow(&mut live, &mut pipeline, 3).unwrap();
         assert_eq!(stats.len(), 3);
         assert_eq!(live.windows_seen(), 3);
         assert_eq!(live.dimension(), 10);
@@ -238,7 +250,7 @@ mod tests {
         // A single cell at u64::MAX: the old u64 rescale computed
         // v * 14 before dividing, overflowing for any v > u64::MAX / 14
         // (debug panic, wrong pallet colors in release).
-        let hot = CsrMatrix::from_dense(&[vec![u64::MAX, 0], vec![0, 3]]).unwrap();
+        let hot = csr(&[vec![u64::MAX, 0], vec![0, 3]]);
         let display = coarsen_window(&hot, 2);
         assert_eq!(display.get(0, 0).unwrap(), DISPLAY_PACKET_LIMIT as u32);
         // Tiny non-zero cells never round down to zero.
@@ -246,13 +258,12 @@ mod tests {
 
         // Two u64::MAX cells coarsened into one block: the block sum itself
         // overflows u64 and must accumulate in u128.
-        let sum_overflow = CsrMatrix::from_dense(&[
+        let sum_overflow = csr(&[
             vec![u64::MAX, u64::MAX, 0, 0],
             vec![0, 0, 0, 0],
             vec![0, 0, 0, 0],
             vec![0, 0, 0, 1],
-        ])
-        .unwrap();
+        ]);
         let display = coarsen_window(&sum_overflow, 2);
         assert_eq!(display.get(0, 0).unwrap(), DISPLAY_PACKET_LIMIT as u32);
         assert_eq!(display.get(1, 1).unwrap(), 1);
@@ -262,7 +273,7 @@ mod tests {
             u64::MAX / DISPLAY_PACKET_LIMIT,
             u64::MAX / DISPLAY_PACKET_LIMIT + 1,
         ] {
-            let m = CsrMatrix::from_dense(&[vec![v, 0], vec![0, 1]]).unwrap();
+            let m = csr(&[vec![v, 0], vec![0, 1]]);
             let display = coarsen_window(&m, 2);
             assert_eq!(
                 display.get(0, 0).unwrap(),
@@ -291,7 +302,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let matrix = CsrMatrix::from_dense(&dense).unwrap();
+            let matrix = csr(&dense);
             let block = |a: usize| (a * dimension / rows).min(dimension - 1);
             let mut sums = vec![vec![0u128; dimension]; dimension];
             for (r, row) in dense.iter().enumerate() {
@@ -363,7 +374,7 @@ mod tests {
     fn follow_accepts_any_window_stream() {
         use tw_ingest::{ArchiveRecorder, RecordingMeta, ReplaySource};
         // Record two windows, then follow the replay through the same
-        // `follow` entry point as the live pipeline.
+        // `on_window` entry point as the live pipeline.
         let mut pipeline = ddos_pipeline();
         let mut recorder = ArchiveRecorder::new(RecordingMeta {
             scenario: "ddos".to_string(),
@@ -378,7 +389,7 @@ mod tests {
         let bytes = recorder.finish().unwrap();
         let mut replay = ReplaySource::new(std::io::Cursor::new(&bytes)).unwrap();
         let mut live = LiveWarehouse::new(10);
-        let stats = live.follow(&mut replay, usize::MAX).unwrap();
+        let stats = follow(&mut live, &mut replay, usize::MAX).unwrap();
         assert_eq!(stats.len(), 2);
         assert_eq!(live.windows_seen(), 2);
         assert!(live.scene().is_some());

@@ -120,11 +120,6 @@ impl TrainingLevel {
         self.packets_placed
     }
 
-    /// True when every packet has been placed.
-    pub fn all_packets_placed(&self) -> bool {
-        self.packets_placed == self.total_packets
-    }
-
     /// The instruction text shown for the current step.
     pub fn instruction(&self) -> &'static str {
         match self.step {
@@ -172,7 +167,12 @@ mod tests {
         let module = training_module();
         assert!(validate(&module).is_valid());
         assert_eq!(module.dimension(), 6);
-        assert_eq!(module.matrix.get_by_label("WS1", "SRV1"), Some(3));
+        let labels = module.matrix.labels();
+        let (ws1, srv1) = (
+            labels.index_of("WS1").unwrap(),
+            labels.index_of("SRV1").unwrap(),
+        );
+        assert_eq!(module.matrix.get(ws1, srv1), Some(3));
         assert_eq!(
             module.question.as_ref().unwrap().correct_answer(),
             Some("3")
@@ -192,7 +192,8 @@ mod tests {
         assert_eq!(training.step(), TrainingStep::PlacePackets);
         training.advance_step();
         assert_eq!(training.step(), TrainingStep::Complete);
-        assert!(training.all_packets_placed());
+        let (placed, total) = training.placement_progress();
+        assert_eq!(placed, total, "every packet is placed");
         training.advance_step();
         assert_eq!(
             training.step(),
@@ -210,7 +211,7 @@ mod tests {
         for expected in 1..=total {
             assert_eq!(training.place_next_packet(), expected);
         }
-        assert!(training.all_packets_placed());
+        assert_eq!(training.placement_progress(), (total, total));
         // Placing beyond the total is a no-op.
         assert_eq!(training.place_next_packet(), total);
     }

@@ -258,17 +258,6 @@ impl WarehouseScene {
         self.dimension() as f64 * CELL_SIZE
     }
 
-    /// The pallet node for a cell.
-    pub fn pallet_at(&self, row: usize, col: usize) -> Option<NodeId> {
-        self.tree
-            .child_by_name(self.pallets, &format!("Pallet_{row}_{col}"))
-    }
-
-    /// Total number of packet boxes in the scene.
-    pub fn total_boxes(&self) -> usize {
-        self.tree.nodes_in_group("boxes").len()
-    }
-
     /// Build the render scene. `colored` selects whether pallets use their
     /// color-plane accent (the toggle button state); `packets_placed` limits
     /// how many boxes are shown, in row-major packet order (`None` = all),
@@ -353,18 +342,32 @@ fn grid_variant(grid: &[Vec<u32>]) -> Variant {
     )
 }
 
-/// Convenience: spawn a bare `Node` tree mirroring the training level of the
-/// paper's Fig. 2 (used by the figure harness without building a full module).
-pub fn fig2_scene_tree() -> SceneTree {
-    let module = crate::training::training_module();
-    let scene = WarehouseScene::build(&module);
-    scene.tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tw_module::template_10x10;
+
+    /// The pallet node for a cell.
+    fn pallet_at(scene: &WarehouseScene, row: usize, col: usize) -> Option<NodeId> {
+        scene
+            .tree
+            .child_by_name(scene.pallets, &format!("Pallet_{row}_{col}"))
+    }
+
+    /// The number of nodes in `group`.
+    fn group_len(scene: &WarehouseScene, group: &str) -> usize {
+        let tree = &scene.tree;
+        let nodes = tree.descendants(tree.root()).unwrap();
+        nodes
+            .into_iter()
+            .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == group))
+            .count()
+    }
+
+    /// Total number of packet boxes in the scene.
+    fn total_boxes(scene: &WarehouseScene) -> usize {
+        group_len(scene, "boxes")
+    }
 
     #[test]
     fn scene_tree_matches_the_paper_structure() {
@@ -388,8 +391,8 @@ mod tests {
         );
         // 100 pallets, one per cell; template has 30 packets → 30 box nodes.
         assert_eq!(tree.children(scene.pallets).unwrap().len(), 100);
-        assert_eq!(scene.total_boxes(), 30);
-        assert_eq!(tree.nodes_in_group("pallets").len(), 100);
+        assert_eq!(total_boxes(&scene), 30);
+        assert_eq!(group_len(&scene, "pallets"), 100);
         // The controller exports the references the Inspector shows in Fig. 3.
         let controller = tree.node(scene.controller).unwrap();
         assert_eq!(
@@ -425,8 +428,8 @@ mod tests {
     fn pallet_lookup_and_extent() {
         let module = template_10x10();
         let scene = WarehouseScene::build(&module);
-        assert!(scene.pallet_at(3, 7).is_some());
-        assert!(scene.pallet_at(10, 0).is_none());
+        assert!(pallet_at(&scene, 3, 7).is_some());
+        assert!(pallet_at(&scene, 10, 0).is_none());
         assert_eq!(scene.extent(), 10.0);
         assert_eq!(scene.dimension(), 10);
         assert_eq!(scene.module().name, "10x10 Template");
@@ -435,11 +438,11 @@ mod tests {
     #[test]
     fn repallet_keeps_pallets_and_rebuilds_on_a_new_dimension() {
         let mut scene = WarehouseScene::build(&template_10x10());
-        let pallet = scene.pallet_at(3, 7).unwrap();
+        let pallet = pallet_at(&scene, 3, 7).unwrap();
         let empty = tw_module::ModuleBuilder::new("empty", "tests").build();
         scene.repallet(&empty);
-        assert_eq!(scene.pallet_at(3, 7), Some(pallet));
-        assert_eq!(scene.total_boxes(), 0);
+        assert_eq!(pallet_at(&scene, 3, 7), Some(pallet));
+        assert_eq!(total_boxes(&scene), 0);
         assert_eq!(scene.tree.node(scene.tree.root()).unwrap().name, "empty");
         assert_eq!(scene.module().name, "empty");
 
@@ -448,7 +451,7 @@ mod tests {
         let fresh = WarehouseScene::build(&six);
         assert_eq!(scene.dimension(), 6);
         assert_eq!(scene.tree.print_tree(), fresh.tree.print_tree());
-        assert_eq!(scene.total_boxes(), fresh.total_boxes());
+        assert_eq!(total_boxes(&scene), total_boxes(&fresh));
     }
 
     #[test]
@@ -489,7 +492,8 @@ mod tests {
 
     #[test]
     fn fig2_tree_prints_like_the_figure() {
-        let text = fig2_scene_tree().print_tree();
+        let module = crate::training::training_module();
+        let text = WarehouseScene::build(&module).tree.print_tree();
         assert!(text.contains("Pallet and label controller"));
         assert!(text.contains("Data"));
         assert!(text.contains("Camera3D"));

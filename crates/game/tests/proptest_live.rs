@@ -104,7 +104,13 @@ fn properties(node: &Node) -> Vec<(String, Variant)> {
 
 fn assert_same_tree(repalleted: &SceneTree, fresh: &SceneTree) -> Result<(), TestCaseError> {
     prop_assert_eq!(repalleted.print_tree(), fresh.print_tree());
-    let (ours, theirs) = (repalleted.process_order(), fresh.process_order());
+    // Every node, parents before children: the root, then its descendants.
+    let order = |tree: &SceneTree| {
+        let mut nodes = vec![tree.root()];
+        nodes.extend(tree.descendants(tree.root()).unwrap());
+        nodes
+    };
+    let (ours, theirs) = (order(repalleted), order(fresh));
     prop_assert_eq!(ours.len(), theirs.len());
     for (&a, &b) in ours.iter().zip(&theirs) {
         let (a, b) = (repalleted.node(a).unwrap(), fresh.node(b).unwrap());
@@ -125,7 +131,12 @@ fn colored_materials(scene: &mut WarehouseScene) -> Vec<Option<String>> {
     controller.change_pallet_color(&mut scene.tree).unwrap();
     let cells = scene.dimension() * scene.dimension();
     (0..cells)
-        .map(|i| controller.pallet_material(&scene.tree, i))
+        .map(|i| {
+            let pallet = *scene.tree.children(scene.pallets).ok()?.get(i)?;
+            let mesh = *scene.tree.children(pallet).ok()?.first()?;
+            let material = scene.tree.node(mesh).ok()?.get("material_override")?;
+            material.as_str().map(str::to_string)
+        })
         .collect()
 }
 
@@ -227,7 +238,11 @@ proptest! {
             let fresh = WarehouseScene::build(&module);
             assert_same_tree(&scene.tree, &fresh.tree)?;
             prop_assert_eq!(scene.module(), fresh.module());
-            prop_assert_eq!(scene.total_boxes(), cells.iter().sum::<u32>() as usize);
+            let tree = &scene.tree;
+            let boxes = tree.descendants(tree.root()).unwrap().into_iter()
+                .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == "boxes"))
+                .count();
+            prop_assert_eq!(boxes, cells.iter().sum::<u32>() as usize);
             last = Some(module);
         }
 

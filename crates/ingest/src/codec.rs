@@ -911,7 +911,8 @@ impl DecodeScratch {
     }
 
     /// The window index of the current delta base, if any.
-    pub fn base_window(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn base_window(&self) -> Option<u64> {
         self.base.index
     }
 

@@ -50,7 +50,7 @@
 //! v2 — a v1 byte means a foreign or corrupt peer), and every failure is a
 //! typed [`FrameError`], never a panic.
 
-use crate::codec::{self, decode_window, encode_window, CodecError};
+use crate::codec::{self, decode_window, CodecError};
 use crate::window::WindowReport;
 use std::fmt;
 use std::io::{Read, Write};
@@ -254,12 +254,6 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encode and frame one window (convenience for tests and single senders;
-/// the serving tier uses [`window_frame`]).
-pub fn encode_report_frame(report: &WindowReport) -> Vec<u8> {
-    encode_frame(FrameKind::Window, &encode_window(report))
-}
-
 /// A frame buffer for a recorded window: a placeholder header, with room
 /// for `payload_len` payload bytes and the trailer. Append the payload,
 /// then [`seal_recorded_frame`].
@@ -376,21 +370,6 @@ fn forwardable(frame: &[u8], base: Option<&WindowReport>) -> bool {
                 && codec::delta_base_index(payload) == Some(base.stats.window_index)
         }
     }
-}
-
-/// Split one complete in-memory frame into its kind and payload slice,
-/// CRC-verified but not decoded — no allocation, no copy.
-///
-/// This is how the serving tier inspects its own catch-up ring: entries
-/// are fully-encoded frames, and a late join needs to know which are key
-/// frames (and patch together the rest) without re-reading a stream.
-pub fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
-    let (kind, payload, expected) = frame_parts(bytes)?;
-    let actual = crc32(payload);
-    if expected != actual {
-        return Err(FrameError::CrcMismatch { expected, actual });
-    }
-    Ok((kind, payload))
 }
 
 /// Validate one complete in-memory frame's header and length and return
@@ -608,14 +587,6 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, FrameError> {
     parse_frame_payload(kind, &payload)
 }
 
-/// Decode the first frame in a byte slice; returns the frame and the number
-/// of bytes it consumed.
-pub fn decode_frame(data: &[u8]) -> Result<(Frame, usize), FrameError> {
-    let mut cursor = data;
-    let frame = read_frame(&mut cursor)?;
-    Ok((frame, data.len() - cursor.len()))
-}
-
 /// Write pre-encoded frame bytes to the transport.
 pub fn write_frame(writer: &mut impl Write, frame_bytes: &[u8]) -> Result<(), FrameError> {
     writer
@@ -626,8 +597,33 @@ pub fn write_frame(writer: &mut impl Write, frame_bytes: &[u8]) -> Result<(), Fr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_window;
     use crate::pipeline::{Pipeline, PipelineConfig};
     use crate::scenario::Scenario;
+
+    /// Encode and frame one full window.
+    fn encode_report_frame(report: &WindowReport) -> Vec<u8> {
+        encode_frame(FrameKind::Window, &encode_window(report))
+    }
+
+    /// Split one complete in-memory frame into its kind and payload slice,
+    /// CRC-verified but not decoded.
+    fn split_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FrameError> {
+        let (kind, payload, expected) = frame_parts(bytes)?;
+        let actual = crc32(payload);
+        if expected != actual {
+            return Err(FrameError::CrcMismatch { expected, actual });
+        }
+        Ok((kind, payload))
+    }
+
+    /// Decode the first frame in a byte slice; returns the frame and the number
+    /// of bytes it consumed.
+    fn decode_frame(data: &[u8]) -> Result<(Frame, usize), FrameError> {
+        let mut cursor = data;
+        let frame = read_frame(&mut cursor)?;
+        Ok((frame, data.len() - cursor.len()))
+    }
 
     fn sample_report() -> WindowReport {
         let config = PipelineConfig {

@@ -74,10 +74,10 @@ pub use codec::{
     CodecMetrics, DecodeScratch, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION,
 };
 pub use frame::{
-    decode_frame, encode_close_frame, encode_frame, encode_manifest_frame, encode_report_frame,
-    encode_stats_frame, parse_frame_payload, read_frame, read_raw_frame, split_frame, window_frame,
-    write_frame, CloseSummary, Frame, FrameError, FrameKind, StreamManifest, WindowFrame,
-    FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN,
+    encode_close_frame, encode_frame, encode_manifest_frame, encode_stats_frame,
+    parse_frame_payload, read_frame, read_raw_frame, window_frame, write_frame, CloseSummary,
+    Frame, FrameError, FrameKind, StreamManifest, WindowFrame, FRAME_MAGIC, FRAME_VERSION,
+    MAX_FRAME_LEN,
 };
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest};

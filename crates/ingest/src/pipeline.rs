@@ -166,12 +166,6 @@ impl Pipeline {
         self.metrics = Some(PipelineMetrics::new(registry));
     }
 
-    /// Builder-style [`Pipeline::instrument`].
-    pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.instrument(registry);
-        self
-    }
-
     /// The address-space size.
     pub fn node_count(&self) -> usize {
         self.accumulator.node_count()
@@ -492,8 +486,6 @@ mod tests {
     use super::*;
     use crate::shard::window_matrix;
     use crate::source::{collect_events, HeavyTailSource, Limit, ScanSweepSource};
-    use tw_matrix::ops::reduce_all;
-    use tw_matrix::PlusTimes;
 
     fn limited_background(nodes: u32, events: usize, seed: u64) -> Box<dyn EventSource> {
         Box::new(Limit::new(
@@ -552,7 +544,7 @@ mod tests {
             assert_eq!(report.stats.nnz, report.matrix.nnz());
             assert_eq!(
                 report.stats.packets,
-                reduce_all(&PlusTimes, &report.matrix),
+                report.matrix.values().iter().sum::<u64>(),
                 "packets survive coalescing"
             );
         }
@@ -957,8 +949,8 @@ mod tests {
             reorder_horizon_us: 25_000,
             ..PipelineConfig::default()
         };
-        let mut pipeline =
-            Pipeline::new(limited_background(32, 10_000, 11), config).with_metrics(&registry);
+        let mut pipeline = Pipeline::new(limited_background(32, 10_000, 11), config);
+        pipeline.instrument(&registry);
         let reports = pipeline.run(usize::MAX);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("pipeline.windows"), reports.len() as u64);

@@ -28,11 +28,6 @@ impl WindowClock {
         self.window_us
     }
 
-    /// The window index a timestamp belongs to.
-    pub fn window_of(&self, timestamp_us: u64) -> u64 {
-        timestamp_us / self.window_us
-    }
-
     /// The index of the window currently being filled.
     pub fn current(&self) -> u64 {
         self.current
@@ -142,9 +137,6 @@ mod tests {
     fn clock_maps_timestamps_and_advances() {
         let mut clock = WindowClock::new(1_000);
         assert_eq!(clock.window_us(), 1_000);
-        assert_eq!(clock.window_of(0), 0);
-        assert_eq!(clock.window_of(999), 0);
-        assert_eq!(clock.window_of(1_000), 1);
         assert_eq!(clock.current(), 0);
         assert_eq!(clock.advance(), 0);
         assert_eq!(clock.current(), 1);

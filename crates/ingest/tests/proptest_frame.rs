@@ -6,13 +6,25 @@ use proptest::prelude::*;
 use std::time::Duration;
 use tw_ingest::codec::{decode_window_into, encode_window, encode_window_delta, DecodeScratch};
 use tw_ingest::frame::{
-    decode_frame, encode_close_frame, encode_manifest_frame, encode_report_frame,
-    encode_stats_frame, read_frame, window_frame, CloseSummary, Frame, FrameError, StreamManifest,
-    MAX_FRAME_LEN,
+    encode_close_frame, encode_frame, encode_manifest_frame, encode_stats_frame, read_frame,
+    window_frame, CloseSummary, Frame, FrameError, FrameKind, StreamManifest, MAX_FRAME_LEN,
 };
 use tw_ingest::{IngestStats, WindowReport};
 use tw_matrix::CsrMatrix;
 use tw_metrics::MetricsSnapshot;
+
+/// Encode and frame one full window.
+fn encode_report_frame(report: &WindowReport) -> Vec<u8> {
+    encode_frame(FrameKind::Window, &encode_window(report))
+}
+
+/// Decode the first frame in a byte slice; returns the frame and the number
+/// of bytes it consumed.
+fn decode_frame(data: &[u8]) -> Result<(Frame, usize), FrameError> {
+    let mut cursor = data;
+    let frame = read_frame(&mut cursor)?;
+    Ok((frame, data.len() - cursor.len()))
+}
 
 fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
     let entries = prop::collection::vec((0..n as u32, 0..n as u32, 1u64..1_000), 0..60);

@@ -1,11 +1,11 @@
-//! Error type shared by the parser, serializer and path queries.
+//! Error type shared by the parser and serializer.
 
 use std::fmt;
 
 /// Result alias used throughout `tw-json`.
 pub type Result<T> = std::result::Result<T, JsonError>;
 
-/// An error produced while parsing or querying JSON.
+/// An error produced while parsing JSON.
 ///
 /// Errors carry a line/column position (1-based) so an educator editing a
 /// learning-module file by hand gets an actionable message.
@@ -39,10 +39,6 @@ pub enum ErrorKind {
     DepthLimitExceeded(usize),
     /// A duplicate object key was encountered and duplicates are rejected.
     DuplicateKey(String),
-    /// A path query did not match the document shape.
-    PathError(String),
-    /// A type conversion (e.g. `as_u64` on a float) failed.
-    TypeError(String),
 }
 
 impl JsonError {
@@ -64,11 +60,6 @@ impl JsonError {
     pub fn kind(&self) -> &ErrorKind {
         &self.kind
     }
-
-    /// True when the error is a positionless semantic error (path/type).
-    pub fn is_semantic(&self) -> bool {
-        matches!(self.kind, ErrorKind::PathError(_) | ErrorKind::TypeError(_))
-    }
 }
 
 impl fmt::Display for JsonError {
@@ -85,8 +76,6 @@ impl fmt::Display for JsonError {
             ErrorKind::TrailingContent => write!(f, "trailing content after JSON value")?,
             ErrorKind::DepthLimitExceeded(d) => write!(f, "nesting depth exceeds limit of {d}")?,
             ErrorKind::DuplicateKey(k) => write!(f, "duplicate object key {k:?}")?,
-            ErrorKind::PathError(msg) => write!(f, "path error: {msg}")?,
-            ErrorKind::TypeError(msg) => write!(f, "type error: {msg}")?,
         }
         if self.line > 0 {
             write!(f, " at line {} column {}", self.line, self.column)?;
@@ -111,15 +100,13 @@ mod tests {
 
     #[test]
     fn display_without_position() {
-        let e = JsonError::new(ErrorKind::TypeError("not a number".into()));
+        let e = JsonError::new(ErrorKind::InvalidLiteral("nul".into()));
         assert!(!e.to_string().contains("line"));
-        assert!(e.is_semantic());
     }
 
     #[test]
     fn kind_accessor() {
         let e = JsonError::new(ErrorKind::DuplicateKey("size".into()));
         assert_eq!(e.kind(), &ErrorKind::DuplicateKey("size".into()));
-        assert!(!e.is_semantic());
     }
 }

@@ -26,14 +26,12 @@
 pub mod error;
 pub mod number;
 pub mod parse;
-pub mod path;
 pub mod ser;
 pub mod value;
 
 pub use error::{JsonError, Result};
 pub use number::Number;
 pub use parse::{parse, parse_with_options, ParseOptions};
-pub use path::JsonPath;
 pub use ser::{to_string, to_string_pretty, WriteOptions};
 pub use value::{Map, Value};
 

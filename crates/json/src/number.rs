@@ -48,11 +48,6 @@ impl Number {
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|u| usize::try_from(u).ok())
     }
-
-    /// True when the number was written as an integer literal.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Number::Int(_))
-    }
 }
 
 impl PartialEq for Number {
@@ -132,7 +127,7 @@ mod tests {
         assert_eq!(n.as_u64(), Some(42));
         assert_eq!(n.as_usize(), Some(42));
         assert_eq!(n.as_f64(), 42.0);
-        assert!(n.is_int());
+        assert!(matches!(n, Number::Int(42)));
     }
 
     #[test]
@@ -146,7 +141,7 @@ mod tests {
     fn float_with_zero_fraction_converts() {
         let n = Number::from(7.0);
         assert_eq!(n.as_i64(), Some(7));
-        assert!(!n.is_int());
+        assert!(!matches!(n, Number::Int(_)));
     }
 
     #[test]

@@ -36,18 +36,6 @@ impl Default for ParseOptions {
     }
 }
 
-impl ParseOptions {
-    /// Strict RFC 8259 parsing: no trailing commas, no comments.
-    pub fn strict() -> Self {
-        ParseOptions {
-            allow_trailing_commas: false,
-            allow_comments: false,
-            max_depth: 128,
-            reject_duplicate_keys: true,
-        }
-    }
-}
-
 /// Parse a JSON document with default options.
 pub fn parse(input: &str) -> Result<Value> {
     parse_with_options(input, &ParseOptions::default())
@@ -498,7 +486,11 @@ mod tests {
 
     #[test]
     fn strict_mode_rejects_trailing_commas_and_comments() {
-        let opts = ParseOptions::strict();
+        let opts = ParseOptions {
+            allow_trailing_commas: false,
+            allow_comments: false,
+            ..ParseOptions::default()
+        };
         assert!(parse_with_options("[1, 2,]", &opts).is_err());
         assert!(parse_with_options("// c\n1", &opts).is_err());
         assert!(parse_with_options("[1, 2]", &opts).is_ok());

@@ -210,11 +210,6 @@ impl Value {
         }
     }
 
-    /// True when the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// A short name for the value's type, used in error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -386,7 +381,7 @@ mod tests {
         assert_eq!(v.at(1).unwrap().as_i64(), Some(2));
         assert_eq!(v.at(5), None);
         assert_eq!(v.type_name(), "array");
-        assert!(Value::Null.is_null());
+        assert_eq!(Value::Null.type_name(), "null");
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(2.5).as_f64(), Some(2.5));

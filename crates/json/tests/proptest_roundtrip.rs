@@ -47,7 +47,12 @@ proptest! {
     fn serialized_output_is_strict(v in arb_value()) {
         // Output never relies on the relaxed extensions (comments/trailing commas).
         let text = to_string(&v);
-        let strict = parse_with_options(&text, &ParseOptions::strict()).expect("strict parse");
+        let strict_options = ParseOptions {
+            allow_trailing_commas: false,
+            allow_comments: false,
+            ..ParseOptions::default()
+        };
+        let strict = parse_with_options(&text, &strict_options).expect("strict parse");
         prop_assert_eq!(strict, v);
     }
 

@@ -174,13 +174,6 @@ impl MatrixProfile {
     pub fn packets_for(&self, class: LinkClass) -> u64 {
         self.packets_by_class[class_slot(class)]
     }
-
-    /// True when any traffic touches adversary space.
-    pub fn has_red_contact(&self) -> bool {
-        self.packets_for(LinkClass::BlueRedContact) > 0
-            || self.packets_for(LinkClass::GreyRedContact) > 0
-            || self.packets_for(LinkClass::IntraRed) > 0
-    }
 }
 
 fn class_slot(class: LinkClass) -> usize {
@@ -234,6 +227,18 @@ fn peers_within(matrix: &TrafficMatrix, node: usize, allowed: &[usize]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Packets on links that touch adversary space.
+    fn red_contact(p: &MatrixProfile) -> u64 {
+        [
+            LinkClass::BlueRedContact,
+            LinkClass::GreyRedContact,
+            LinkClass::IntraRed,
+        ]
+        .into_iter()
+        .map(|class| p.packets_for(class))
+        .sum()
+    }
     use crate::labels::LabelSet;
 
     fn paper_template() -> TrafficMatrix {
@@ -247,7 +252,7 @@ mod tests {
 
     #[test]
     fn degree_summary_and_supernodes() {
-        let mut m = TrafficMatrix::zeros_numeric(6);
+        let mut m = TrafficMatrix::zeros(LabelSet::numeric(6));
         // Node 0 talks to 1,2,3,4 → supernode; others have fanout ≤ 2.
         for dst in 1..5 {
             m.set(0, dst, 1).unwrap();
@@ -311,7 +316,7 @@ mod tests {
         assert_eq!(p.nonzero_links, 20);
         assert_eq!(p.self_loops, 10);
         assert!(p.symmetric);
-        assert!(p.has_red_contact());
+        assert!(red_contact(&p) > 0);
         // The anti-diagonal blue↔adv contacts: rows 0-3 ↔ cols 6-9 both directions, 2 packets each.
         assert_eq!(p.packets_for(LinkClass::BlueRedContact), 16);
         assert_eq!(p.packets_for(LinkClass::SelfLoop), 10);
@@ -322,7 +327,7 @@ mod tests {
 
     #[test]
     fn isolated_pairs_detected() {
-        let mut m = TrafficMatrix::zeros_numeric(6);
+        let mut m = TrafficMatrix::zeros(LabelSet::numeric(6));
         m.set(0, 1, 2).unwrap();
         m.set(1, 0, 2).unwrap();
         m.set(2, 3, 1).unwrap();
@@ -340,11 +345,11 @@ mod tests {
 
     #[test]
     fn empty_matrix_profile() {
-        let m = TrafficMatrix::zeros_numeric(4);
+        let m = TrafficMatrix::zeros(LabelSet::numeric(4));
         let p = MatrixProfile::of(&m);
         assert_eq!(p.total_packets, 0);
         assert_eq!(p.nonzero_links, 0);
-        assert!(!p.has_red_contact());
+        assert_eq!(red_contact(&p), 0);
         assert!(p.isolated_pairs.is_empty());
         assert!(p.supernodes.is_empty());
         assert!(p.symmetric);

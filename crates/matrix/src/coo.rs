@@ -7,7 +7,6 @@
 //! paper's introduction cites.
 
 use crate::csr::CsrMatrix;
-use crate::error::{MatrixError, Result};
 
 /// A sparse matrix stored as unordered `(row, col, value)` triples.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,34 +52,13 @@ impl<T: Copy + PartialEq + std::ops::Add<Output = T> + Default> CooMatrix<T> {
 
     /// Append a triple without bounds checking against existing duplicates.
     ///
-    /// Panics in debug builds when the coordinates are out of range; use
-    /// [`CooMatrix::try_push`] for checked insertion.
+    /// Panics in debug builds when the coordinates are out of range.
     pub fn push(&mut self, row: usize, col: usize, value: T) {
         debug_assert!(
             row < self.rows && col < self.cols,
             "coordinate out of range"
         );
         self.entries.push((row, col, value));
-    }
-
-    /// Append a triple, validating coordinates.
-    pub fn try_push(&mut self, row: usize, col: usize, value: T) -> Result<()> {
-        if row >= self.rows {
-            return Err(MatrixError::IndexOutOfBounds {
-                index: row,
-                bound: self.rows,
-                axis: "row",
-            });
-        }
-        if col >= self.cols {
-            return Err(MatrixError::IndexOutOfBounds {
-                index: col,
-                bound: self.cols,
-                axis: "column",
-            });
-        }
-        self.entries.push((row, col, value));
-        Ok(())
     }
 
     /// The stored triples in insertion order.
@@ -117,19 +95,6 @@ impl<T: Copy + PartialEq + std::ops::Add<Output = T> + Default> CooMatrix<T> {
         self.coalesce();
         CsrMatrix::from_sorted_coo(self.rows, self.cols, self.entries)
     }
-
-    /// Merge another COO matrix of the same shape into this one.
-    pub fn extend_from(&mut self, other: &CooMatrix<T>) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "cannot merge {:?} into {:?}",
-                other.shape(),
-                self.shape()
-            )));
-        }
-        self.entries.extend_from_slice(&other.entries);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -145,20 +110,6 @@ mod tests {
         assert_eq!(m.nnz(), 2);
         assert!(!m.is_empty());
         assert_eq!(m.entries()[1], (2, 3, 1));
-    }
-
-    #[test]
-    fn try_push_bounds() {
-        let mut m = CooMatrix::<u32>::new(2, 3);
-        assert!(m.try_push(1, 2, 1).is_ok());
-        assert!(matches!(
-            m.try_push(2, 0, 1),
-            Err(MatrixError::IndexOutOfBounds { axis: "row", .. })
-        ));
-        assert!(matches!(
-            m.try_push(0, 3, 1),
-            Err(MatrixError::IndexOutOfBounds { axis: "column", .. })
-        ));
     }
 
     #[test]
@@ -178,17 +129,6 @@ mod tests {
         let mut m = CooMatrix::<u32>::new(3, 3);
         m.coalesce();
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn extend_from_requires_same_shape() {
-        let mut a = CooMatrix::<u32>::new(2, 2);
-        let mut b = CooMatrix::<u32>::new(2, 2);
-        b.push(0, 1, 9);
-        a.extend_from(&b).unwrap();
-        assert_eq!(a.nnz(), 1);
-        let c = CooMatrix::<u32>::new(3, 2);
-        assert!(a.extend_from(&c).is_err());
     }
 
     #[test]

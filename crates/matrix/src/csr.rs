@@ -182,28 +182,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         })
     }
 
-    /// Build from a dense row-major grid, dropping `T::default()` entries.
-    pub fn from_dense(grid: &[Vec<T>]) -> Result<Self> {
-        let rows = grid.len();
-        let cols = grid.first().map(|r| r.len()).unwrap_or(0);
-        let mut triples = Vec::new();
-        for (r, row) in grid.iter().enumerate() {
-            if row.len() != cols {
-                return Err(MatrixError::RaggedRows {
-                    row: r,
-                    expected: cols,
-                    actual: row.len(),
-                });
-            }
-            for (c, &v) in row.iter().enumerate() {
-                if v != T::default() {
-                    triples.push((r, c, v));
-                }
-            }
-        }
-        Ok(Self::from_sorted_triples(rows, cols, &triples))
-    }
-
     /// The shape as `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -286,15 +264,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         CsrMatrix::from_sorted_triples(self.cols, self.rows, &triples)
     }
 
-    /// Convert back to a dense row-major grid.
-    pub fn to_dense(&self) -> Vec<Vec<T>> {
-        let mut grid = vec![vec![T::default(); self.cols]; self.rows];
-        for (r, c, v) in self.iter() {
-            grid[r][c] = v;
-        }
-        grid
-    }
-
     /// Decompose into `(rows, cols, row_ptr, col_idx, values)`, the inverse
     /// of [`CsrMatrix::from_raw_parts`].
     ///
@@ -317,8 +286,8 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     /// Changes are `(row, col, Some(new_value))` for cells stored in `other`
     /// with a value `self` does not store there, and `(row, col, None)` for
     /// cells stored in `self` but not in `other`. The list is sorted by
-    /// `(row, col)` — exactly the contract [`CsrMatrix::apply_delta`]
-    /// expects, so `self.apply_delta(&self.diff(other))` reconstructs
+    /// `(row, col)` — exactly the contract [`CsrMatrix::apply_delta_into`]
+    /// expects, so applying `self.diff(other)` to `self` reconstructs
     /// `other` cell for cell (including stored `T::default()` values, which
     /// survive as `Some(default)` upserts rather than collapsing into
     /// deletes).
@@ -371,25 +340,8 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         Ok(changes)
     }
 
-    /// Apply sparse cell changes (the output of [`CsrMatrix::diff`]),
-    /// producing the patched matrix.
-    ///
-    /// `Some(v)` upserts a cell, `None` deletes it (deleting an absent cell
-    /// is a no-op). Changes must be sorted strictly by `(row, col)` and in
-    /// bounds.
-    pub fn apply_delta(&self, changes: &[(usize, usize, Option<T>)]) -> Result<CsrMatrix<T>> {
-        let (mut row_ptr, mut col_idx, mut values) = (Vec::new(), Vec::new(), Vec::new());
-        self.apply_delta_into(changes, &mut row_ptr, &mut col_idx, &mut values)?;
-        Ok(CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// [`CsrMatrix::apply_delta`], but building into caller-provided arrays.
+    /// Apply sorted cell changes (the output of [`CsrMatrix::diff`]) to
+    /// `self`, building into caller-provided arrays.
     ///
     /// The arrays are cleared and refilled with a valid CSR layout for the
     /// patched matrix (`self` shape), reusing their allocations — this is
@@ -470,12 +422,32 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
 mod tests {
     use super::*;
 
+    /// The CSR matrix of a dense row-major grid, dropping zero cells.
+    fn from_grid(grid: &[Vec<u32>]) -> CsrMatrix<u32> {
+        let triples: Vec<_> = (0..grid.len())
+            .flat_map(|r| (0..grid[r].len()).map(move |c| (r, c)))
+            .filter(|&(r, c)| grid[r][c] != 0)
+            .map(|(r, c)| (r, c, grid[r][c]))
+            .collect();
+        CsrMatrix::from_sorted_triples(grid.len(), grid[0].len(), &triples)
+    }
+
+    /// `changes` applied to `a` through [`CsrMatrix::apply_delta_into`].
+    fn patched(
+        a: &CsrMatrix<u32>,
+        changes: &[(usize, usize, Option<u32>)],
+    ) -> Result<CsrMatrix<u32>> {
+        let (mut row_ptr, mut col_idx, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        a.apply_delta_into(changes, &mut row_ptr, &mut col_idx, &mut values)?;
+        CsrMatrix::from_raw_parts(a.rows(), a.cols(), row_ptr, col_idx, values)
+    }
+
     fn sample() -> CsrMatrix<u32> {
         // 3x4:
         // [0 2 0 1]
         // [0 0 0 0]
         // [5 0 3 0]
-        CsrMatrix::from_dense(&[vec![0, 2, 0, 1], vec![0, 0, 0, 0], vec![5, 0, 3, 0]]).unwrap()
+        from_grid(&[vec![0, 2, 0, 1], vec![0, 0, 0, 0], vec![5, 0, 3, 0]])
     }
 
     #[test]
@@ -507,12 +479,15 @@ mod tests {
     #[test]
     fn iter_and_to_dense_round_trip() {
         let m = sample();
-        let dense = m.to_dense();
+        let mut dense = vec![vec![0; 4]; 3];
+        for (r, c, v) in m.iter() {
+            dense[r][c] = v;
+        }
         assert_eq!(
             dense,
             vec![vec![0, 2, 0, 1], vec![0, 0, 0, 0], vec![5, 0, 3, 0]]
         );
-        let rebuilt = CsrMatrix::from_dense(&dense).unwrap();
+        let rebuilt = from_grid(&dense);
         assert_eq!(rebuilt, m);
         assert_eq!(m.iter().count(), 4);
     }
@@ -582,11 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_rejects_ragged() {
-        assert!(CsrMatrix::<u32>::from_dense(&[vec![1, 2], vec![3]]).is_err());
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = CsrMatrix::<u32>::empty(5, 5);
         assert_eq!(m.nnz(), 0);
@@ -633,20 +603,19 @@ mod tests {
         // [0 2 0 1]      [0 2 0 0]   cell (0,3) deleted,
         // [0 0 0 0]  ->  [0 7 0 0]   cell (1,1) added,
         // [5 0 3 0]      [5 0 4 0]   cell (2,2) changed.
-        let b =
-            CsrMatrix::from_dense(&[vec![0, 2, 0, 0], vec![0, 7, 0, 0], vec![5, 0, 4, 0]]).unwrap();
+        let b = from_grid(&[vec![0, 2, 0, 0], vec![0, 7, 0, 0], vec![5, 0, 4, 0]]);
         let changes = a.diff(&b).unwrap();
         assert_eq!(
             changes,
             vec![(0, 3, None), (1, 1, Some(7)), (2, 2, Some(4))]
         );
-        assert_eq!(a.apply_delta(&changes).unwrap(), b);
+        assert_eq!(patched(&a, &changes).unwrap(), b);
         // The reverse diff restores the original.
         let back = b.diff(&a).unwrap();
-        assert_eq!(b.apply_delta(&back).unwrap(), a);
+        assert_eq!(patched(&b, &back).unwrap(), a);
         // An empty diff is the identity.
         assert_eq!(a.diff(&a).unwrap(), vec![]);
-        assert_eq!(a.apply_delta(&[]).unwrap(), a);
+        assert_eq!(patched(&a, &[]).unwrap(), a);
     }
 
     #[test]
@@ -657,16 +626,15 @@ mod tests {
         let b = CsrMatrix::from_sorted_triples(2, 2, &[(0usize, 0usize, 0u32)]);
         let changes = a.diff(&b).unwrap();
         assert_eq!(changes, vec![(0, 0, Some(0))]);
-        let patched = a.apply_delta(&changes).unwrap();
-        assert_eq!(patched, b);
-        assert_eq!(patched.nnz(), 1, "the stored zero survives");
+        let applied = patched(&a, &changes).unwrap();
+        assert_eq!(applied, b);
+        assert_eq!(applied.nnz(), 1, "the stored zero survives");
     }
 
     #[test]
     fn apply_delta_into_reuses_buffers() {
         let a = sample();
-        let b =
-            CsrMatrix::from_dense(&[vec![1, 0, 0, 1], vec![0, 0, 2, 0], vec![5, 0, 3, 9]]).unwrap();
+        let b = from_grid(&[vec![1, 0, 0, 1], vec![0, 0, 2, 0], vec![5, 0, 3, 9]]);
         let changes = a.diff(&b).unwrap();
         let (mut rp, mut ci, mut vs) = (vec![9usize; 50], vec![7usize; 50], vec![1u32; 50]);
         a.apply_delta_into(&changes, &mut rp, &mut ci, &mut vs)
@@ -679,10 +647,10 @@ mod tests {
     fn apply_delta_rejects_bad_changes() {
         let a = sample();
         // Unsorted, duplicate, and out-of-bounds change lists are rejected.
-        assert!(a.apply_delta(&[(1, 1, Some(1)), (0, 0, Some(1))]).is_err());
-        assert!(a.apply_delta(&[(0, 0, Some(1)), (0, 0, None)]).is_err());
+        assert!(patched(&a, &[(1, 1, Some(1)), (0, 0, Some(1))]).is_err());
+        assert!(patched(&a, &[(0, 0, Some(1)), (0, 0, None)]).is_err());
         assert_eq!(
-            a.apply_delta(&[(3, 0, Some(1))]).unwrap_err(),
+            patched(&a, &[(3, 0, Some(1))]).unwrap_err(),
             MatrixError::IndexOutOfBounds {
                 index: 3,
                 bound: 3,
@@ -690,7 +658,7 @@ mod tests {
             }
         );
         assert_eq!(
-            a.apply_delta(&[(0, 4, Some(1))]).unwrap_err(),
+            patched(&a, &[(0, 4, Some(1))]).unwrap_err(),
             MatrixError::IndexOutOfBounds {
                 index: 4,
                 bound: 4,
@@ -700,6 +668,6 @@ mod tests {
         // Shape-mismatched diffs are rejected before any work.
         assert!(a.diff(&CsrMatrix::<u32>::empty(2, 2)).is_err());
         // Deleting an absent cell is a harmless no-op.
-        assert_eq!(a.apply_delta(&[(1, 2, None)]).unwrap(), a);
+        assert_eq!(patched(&a, &[(1, 2, None)]).unwrap(), a);
     }
 }

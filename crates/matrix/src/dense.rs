@@ -5,7 +5,6 @@
 //! needs one pallet per cell regardless of value.
 
 use crate::color::{CellColor, ColorMatrix};
-use crate::coo::CooMatrix;
 use crate::error::{MatrixError, Result};
 use crate::labels::LabelSet;
 
@@ -24,11 +23,6 @@ impl TrafficMatrix {
             labels,
             values: vec![0; n * n],
         }
-    }
-
-    /// An all-zero matrix with numeric labels `0..n`.
-    pub fn zeros_numeric(n: usize) -> Self {
-        TrafficMatrix::zeros(LabelSet::numeric(n))
     }
 
     /// Build from a row-major grid (the module-file `traffic_matrix` encoding)
@@ -87,13 +81,6 @@ impl TrafficMatrix {
         }
     }
 
-    /// The packet count between two labelled nodes.
-    pub fn get_by_label(&self, source: &str, destination: &str) -> Option<u32> {
-        let row = self.labels.index_of(source)?;
-        let col = self.labels.index_of(destination)?;
-        self.get(row, col)
-    }
-
     /// Set the packet count at `(row, col)`.
     pub fn set(&mut self, row: usize, col: usize, value: u32) -> Result<()> {
         let n = self.dimension();
@@ -146,15 +133,6 @@ impl TrafficMatrix {
     /// The largest cell value. The paper notes values under 15 display well.
     pub fn max_value(&self) -> u32 {
         self.values.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Density: non-zero cells / total cells.
-    pub fn density(&self) -> f64 {
-        let n = self.dimension();
-        if n == 0 {
-            return 0.0;
-        }
-        self.nonzero_count() as f64 / (n * n) as f64
     }
 
     /// Out-degree (row sum) of every node, in packets.
@@ -248,46 +226,6 @@ impl TrafficMatrix {
         (0..n).all(|r| (0..n).all(|c| self.values[r * n + c] == self.values[c * n + r]))
     }
 
-    /// Packets whose source and destination are both in the index set `nodes`.
-    pub fn subgraph_total(&self, nodes: &[usize]) -> u64 {
-        let mut total = 0u64;
-        for &r in nodes {
-            for &c in nodes {
-                if let Some(v) = self.get(r, c) {
-                    total += v as u64;
-                }
-            }
-        }
-        total
-    }
-
-    /// Packets from any node in `sources` to any node in `destinations`.
-    pub fn block_total(&self, sources: &[usize], destinations: &[usize]) -> u64 {
-        let mut total = 0u64;
-        for &r in sources {
-            for &c in destinations {
-                if let Some(v) = self.get(r, c) {
-                    total += v as u64;
-                }
-            }
-        }
-        total
-    }
-
-    /// Convert to a sparse COO matrix (dropping explicit zeros).
-    pub fn to_coo(&self) -> CooMatrix<u32> {
-        let mut coo = CooMatrix::new(self.dimension(), self.dimension());
-        for (r, c, v) in self.iter_nonzero() {
-            coo.push(r, c, v);
-        }
-        coo
-    }
-
-    /// The default color plane derived from the labels (blue/red quadrants).
-    pub fn default_colors(&self) -> ColorMatrix {
-        ColorMatrix::from_label_classes(&self.labels)
-    }
-
     /// Render the matrix as a compact ASCII table with axis labels, the same
     /// orientation as the paper's 2-D view (rows = sources, columns = destinations).
     pub fn to_ascii(&self) -> String {
@@ -353,12 +291,12 @@ mod tests {
         assert_eq!(m.get(0, 9), Some(2));
         assert_eq!(m.get(10, 0), None);
         // The question from the paper: "How many packets did WS1 send to ADV4?" → 2.
-        assert_eq!(m.get_by_label("WS1", "ADV4"), Some(2));
-        assert_eq!(m.get_by_label("WS1", "NOPE"), None);
+        let by_label = |s, d| m.get(m.labels().index_of(s)?, m.labels().index_of(d)?);
+        assert_eq!(by_label("WS1", "ADV4"), Some(2));
+        assert_eq!(by_label("WS1", "NOPE"), None);
         assert_eq!(m.total_packets(), 10 + 20);
         assert_eq!(m.nonzero_count(), 20);
         assert_eq!(m.max_value(), 2);
-        assert!((m.density() - 0.20).abs() < 1e-9);
     }
 
     #[test]
@@ -372,7 +310,7 @@ mod tests {
 
     #[test]
     fn set_add_and_bounds() {
-        let mut m = TrafficMatrix::zeros_numeric(4);
+        let mut m = TrafficMatrix::zeros(LabelSet::numeric(4));
         m.set(1, 2, 5).unwrap();
         m.add(1, 2, 3).unwrap();
         assert_eq!(m.get(1, 2), Some(8));
@@ -400,7 +338,7 @@ mod tests {
         let m = paper_template_matrix();
         assert!(m.is_symmetric());
         assert_eq!(m.transpose(), m);
-        let mut asym = TrafficMatrix::zeros_numeric(3);
+        let mut asym = TrafficMatrix::zeros(LabelSet::numeric(3));
         asym.set(0, 1, 7).unwrap();
         assert!(!asym.is_symmetric());
         assert_eq!(asym.transpose().get(1, 0), Some(7));
@@ -413,21 +351,8 @@ mod tests {
         let doubled = m.combine(&m).unwrap();
         assert_eq!(doubled.get(0, 0), Some(2));
         assert_eq!(doubled.total_packets(), 2 * m.total_packets());
-        let other = TrafficMatrix::zeros_numeric(10);
+        let other = TrafficMatrix::zeros(LabelSet::numeric(10));
         assert!(m.combine(&other).is_err(), "labels differ");
-    }
-
-    #[test]
-    fn block_and_subgraph_totals() {
-        let m = paper_template_matrix();
-        let labels = m.labels().clone();
-        // Blue→red traffic in the template: rows 0-3, cols 6-9 anti-diagonal 2s.
-        assert_eq!(
-            m.block_total(&labels.blue_indices(), &labels.red_indices()),
-            8
-        );
-        assert_eq!(m.subgraph_total(&labels.blue_indices()), 4); // diagonal ones
-        assert_eq!(m.subgraph_total(&[]), 0);
     }
 
     #[test]
@@ -439,21 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn to_coo_drops_zeros() {
-        let m = paper_template_matrix();
-        let coo = m.to_coo();
-        assert_eq!(coo.nnz(), 20);
-        assert_eq!(coo.shape(), (10, 10));
-    }
-
-    #[test]
     fn ascii_view_contains_labels_and_values() {
         let m = paper_template_matrix();
         let text = m.to_ascii();
         assert!(text.contains("WS1"));
         assert!(text.contains("ADV4"));
         assert!(text.lines().count() == 11);
-        let colored = m.to_ascii_with_colors(Some(&m.default_colors()));
+        let colored = m.to_ascii_with_colors(Some(&ColorMatrix::from_label_classes(m.labels())));
         assert!(
             colored.contains("2r"),
             "blue→adv cells should carry the red glyph:\n{colored}"
@@ -471,7 +388,7 @@ mod tests {
 
     #[test]
     fn set_labels_validates_length() {
-        let mut m = TrafficMatrix::zeros_numeric(6);
+        let mut m = TrafficMatrix::zeros(LabelSet::numeric(6));
         assert!(m.set_labels(LabelSet::paper_default_6()).is_ok());
         assert!(m.set_labels(LabelSet::paper_default_10()).is_err());
         assert_eq!(m.labels().get(0), Some("WS1"));

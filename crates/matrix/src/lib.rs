@@ -14,8 +14,8 @@
 //!   learning modules display, with color planes for blue/grey/red space;
 //! * [`coo::CooMatrix`] / [`csr::CsrMatrix`] — sparse formats for large
 //!   matrices built from packet event streams;
-//! * [`semiring`] / [`ops`] — GraphBLAS-lite operations (`mxm`, `mxv`,
-//!   element-wise, reduce, transpose, extract) over configurable semirings;
+//! * [`semiring`] / [`ops`] — GraphBLAS-lite operations (`mxv` and
+//!   `reduce_rows`) over a semiring, plus [`CsrMatrix::transpose`];
 //! * [`analytics`] — the network-analytics vocabulary the learning modules
 //!   teach (degrees, supernodes, isolated links, link classification).
 
@@ -37,5 +37,5 @@ pub use csr::CsrMatrix;
 pub use dense::TrafficMatrix;
 pub use error::{MatrixError, Result};
 pub use labels::{LabelSet, NodeClass};
-pub use semiring::{MaxPlus, MinPlus, OrAnd, PlusTimes, Semiring};
+pub use semiring::{PlusTimes, Semiring};
 pub use stream::PacketEvent;

@@ -54,63 +54,6 @@ impl Semiring<f64> for PlusTimes {
     }
 }
 
-/// The boolean semiring `(∨, ∧, false)`: reachability / "is there any traffic".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OrAnd;
-
-impl Semiring<bool> for OrAnd {
-    fn zero(&self) -> bool {
-        false
-    }
-    fn add(&self, a: bool, b: bool) -> bool {
-        a || b
-    }
-    fn mul(&self, a: bool, b: bool) -> bool {
-        a && b
-    }
-    fn is_zero(&self, a: bool) -> bool {
-        !a
-    }
-}
-
-/// The tropical min-plus semiring `(min, +, +inf)`: shortest paths (hop/latency).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinPlus;
-
-impl Semiring<f64> for MinPlus {
-    fn zero(&self) -> f64 {
-        f64::INFINITY
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == f64::INFINITY
-    }
-}
-
-/// The max-plus semiring `(max, +, -inf)`: critical paths / widest cumulative load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxPlus;
-
-impl Semiring<f64> for MaxPlus {
-    fn zero(&self) -> f64 {
-        f64::NEG_INFINITY
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a.max(b)
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == f64::NEG_INFINITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,35 +76,5 @@ mod tests {
         assert_eq!(s.add(0.5f64, 0.25), 0.75);
         assert_eq!(s.mul(0.5f64, 4.0), 2.0);
         assert!(Semiring::<f64>::is_zero(&s, 0.0));
-    }
-
-    #[test]
-    fn or_and_is_reachability() {
-        let s = OrAnd;
-        assert!(!s.zero());
-        assert!(s.add(true, false));
-        assert!(!s.mul(true, false));
-        assert!(s.mul(true, true));
-        assert!(s.is_zero(false));
-    }
-
-    #[test]
-    fn min_plus_is_shortest_path_algebra() {
-        let s = MinPlus;
-        assert_eq!(s.zero(), f64::INFINITY);
-        assert_eq!(s.add(3.0, 5.0), 3.0);
-        assert_eq!(s.mul(3.0, 5.0), 8.0);
-        // Identity laws.
-        assert_eq!(s.add(s.zero(), 4.0), 4.0);
-        assert!(s.is_zero(s.zero()));
-    }
-
-    #[test]
-    fn max_plus_identities() {
-        let s = MaxPlus;
-        assert_eq!(s.add(s.zero(), 4.0), 4.0);
-        assert_eq!(s.add(2.0, 7.0), 7.0);
-        assert_eq!(s.mul(2.0, 7.0), 9.0);
-        assert!(s.is_zero(f64::NEG_INFINITY));
     }
 }

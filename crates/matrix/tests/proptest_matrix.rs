@@ -1,7 +1,7 @@
 //! Property-based tests over the matrix substrate's core invariants.
 
 use proptest::prelude::*;
-use tw_matrix::ops::{ewise_add, ewise_mul, mxm, mxv, reduce_all, reduce_cols, reduce_rows};
+use tw_matrix::ops::{mxv, reduce_rows};
 use tw_matrix::{
     CooMatrix, CsrMatrix, LabelSet, MatrixError, MatrixProfile, PlusTimes, TrafficMatrix,
 };
@@ -110,7 +110,11 @@ proptest! {
     #[test]
     fn dense_to_sparse_preserves_structure(grid in arb_grid()) {
         let m = TrafficMatrix::from_grid(LabelSet::numeric(grid.len()), &grid).unwrap();
-        let csr = m.to_coo().to_csr();
+        let mut coo = CooMatrix::new(m.dimension(), m.dimension());
+        for (r, c, v) in m.iter_nonzero() {
+            coo.push(r, c, v);
+        }
+        let csr = coo.to_csr();
         prop_assert_eq!(csr.nnz(), m.nonzero_count());
         for (r, c, v) in m.iter_nonzero() {
             prop_assert_eq!(csr.get(r, c), v);
@@ -151,7 +155,7 @@ proptest! {
         let coalesced_total: u64 = coo.entries().iter().map(|&(_, _, v)| v).sum();
         prop_assert_eq!(coalesced_total, total);
         let csr = csr_from(n, &triples);
-        prop_assert_eq!(reduce_all(&PlusTimes, &csr), total);
+        prop_assert_eq!(csr.values().iter().sum::<u64>(), total);
     }
 
     #[test]
@@ -172,40 +176,8 @@ proptest! {
     fn reduce_rows_and_cols_agree_with_total(triples in arb_triples(10)) {
         let a = csr_from(10, &triples);
         let row_total: u64 = reduce_rows(&PlusTimes, &a).iter().sum();
-        let col_total: u64 = reduce_cols(&PlusTimes, &a).iter().sum();
+        let col_total: u64 = reduce_rows(&PlusTimes, &a.transpose()).iter().sum();
         prop_assert_eq!(row_total, col_total);
-        prop_assert_eq!(row_total, reduce_all(&PlusTimes, &a));
-    }
-
-    #[test]
-    fn ewise_add_total_is_sum_of_totals(ta in arb_triples(7), tb in arb_triples(7)) {
-        let a = csr_from(7, &ta);
-        let b = csr_from(7, &tb);
-        let c = ewise_add(&PlusTimes, &a, &b).unwrap();
-        prop_assert_eq!(
-            reduce_all(&PlusTimes, &c),
-            reduce_all(&PlusTimes, &a) + reduce_all(&PlusTimes, &b)
-        );
-    }
-
-    #[test]
-    fn ewise_mul_pattern_is_intersection(ta in arb_triples(7), tb in arb_triples(7)) {
-        let a = csr_from(7, &ta);
-        let b = csr_from(7, &tb);
-        let c = ewise_mul(&PlusTimes, &a, &b).unwrap();
-        for (r, col, v) in c.iter() {
-            prop_assert!(a.get(r, col) > 0 && b.get(r, col) > 0);
-            prop_assert_eq!(v, a.get(r, col) * b.get(r, col));
-        }
-    }
-
-    #[test]
-    fn mxm_transpose_identity(ta in arb_triples(6), tb in arb_triples(6)) {
-        // (A·B)^T == B^T · A^T
-        let a = csr_from(6, &ta);
-        let b = csr_from(6, &tb);
-        let left = mxm(&PlusTimes, &a, &b).unwrap().transpose();
-        let right = mxm(&PlusTimes, &b.transpose(), &a.transpose()).unwrap();
-        prop_assert_eq!(left, right);
+        prop_assert_eq!(row_total, a.values().iter().sum::<u64>());
     }
 }

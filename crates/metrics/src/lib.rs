@@ -32,15 +32,6 @@ pub fn bucket_index(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
-/// Inclusive lower edge of a bucket.
-#[inline]
-pub fn bucket_lower(bucket: usize) -> u64 {
-    match bucket {
-        0 => 0,
-        b => 1u64 << (b - 1),
-    }
-}
-
 /// Inclusive upper edge of a bucket.
 #[inline]
 pub fn bucket_upper(bucket: usize) -> u64 {
@@ -554,6 +545,14 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inclusive lower edge of a bucket.
+    fn bucket_lower(bucket: usize) -> u64 {
+        match bucket {
+            0 => 0,
+            b => 1u64 << (b - 1),
+        }
+    }
 
     #[test]
     fn bucket_edges_partition_the_u64_line() {

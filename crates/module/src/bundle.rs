@@ -7,7 +7,7 @@
 
 use crate::error::{ModuleError, Result};
 use crate::schema::LearningModule;
-use crate::validate::{validate, ValidationReport};
+use crate::validate::validate;
 use std::io::Cursor;
 use tw_archive::{ZipReader, ZipWriter};
 
@@ -46,17 +46,6 @@ impl ModuleBundle {
     /// True when the bundle has no modules.
     pub fn is_empty(&self) -> bool {
         self.modules.is_empty()
-    }
-
-    /// Validate every module, returning `(index, report)` pairs for modules
-    /// with findings.
-    pub fn validate_all(&self) -> Vec<(usize, ValidationReport)> {
-        self.modules
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i, validate(m)))
-            .filter(|(_, r)| !r.issues.is_empty())
-            .collect()
     }
 
     /// True when every module passes validation with no errors.
@@ -205,9 +194,14 @@ mod tests {
         let mut broken = template_6x6();
         broken.matrix.set(0, 0, 99).unwrap();
         bundle.push(broken);
-        let reports = bundle.validate_all();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].0, 2);
+        let problems: Vec<usize> = bundle
+            .modules()
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !validate(m).issues.is_empty())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(problems, vec![2]);
         assert!(bundle.is_valid(), "packet-count overflow is only a warning");
     }
 

@@ -82,21 +82,6 @@ impl Curriculum {
         self.units.is_empty()
     }
 
-    /// Total module count across all units.
-    pub fn total_modules(&self) -> usize {
-        self.units.iter().map(|u| u.bundle.len()).sum()
-    }
-
-    /// The units currently unlocked for a student who has completed the named
-    /// units, in curriculum order (completed units are not re-listed).
-    pub fn unlocked_units(&self, completed: &[String]) -> Vec<&CurriculumUnit> {
-        self.units
-            .iter()
-            .filter(|unit| !completed.contains(&unit.name))
-            .filter(|unit| unit.prerequisites.iter().all(|p| completed.contains(p)))
-            .collect()
-    }
-
     /// A full ordering of the units that respects prerequisites (the insertion
     /// order already does, by construction; this re-checks and returns it).
     pub fn schedule(&self) -> Result<Vec<&CurriculumUnit>> {
@@ -171,46 +156,12 @@ mod tests {
     fn default_curriculum_structure() {
         let curriculum = default_curriculum();
         assert_eq!(curriculum.len(), 6);
-        assert_eq!(curriculum.total_modules(), 26);
+        let modules: usize = curriculum.units().iter().map(|u| u.bundle.len()).sum();
+        assert_eq!(modules, 26);
         assert!(!curriculum.is_empty());
         let ddos = curriculum.unit("DDoS").unwrap();
         assert_eq!(ddos.prerequisites.len(), 2);
         assert!(curriculum.unit("Missing").is_none());
-    }
-
-    #[test]
-    fn unlocking_follows_prerequisites() {
-        let curriculum = default_curriculum();
-        let start: Vec<&str> = curriculum
-            .unlocked_units(&[])
-            .iter()
-            .map(|u| u.name.as_str())
-            .collect();
-        assert_eq!(start, vec!["Basics"]);
-
-        let after_basics: Vec<&str> = curriculum
-            .unlocked_units(&["Basics".to_string()])
-            .iter()
-            .map(|u| u.name.as_str())
-            .collect();
-        assert_eq!(after_basics, vec!["Traffic Topologies", "Graph Theory"]);
-
-        let almost_done: Vec<String> = [
-            "Basics",
-            "Traffic Topologies",
-            "Graph Theory",
-            "Security, Defense, and Deterrence",
-            "Notional Attack",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let last: Vec<&str> = curriculum
-            .unlocked_units(&almost_done)
-            .iter()
-            .map(|u| u.name.as_str())
-            .collect();
-        assert_eq!(last, vec!["DDoS"]);
     }
 
     #[test]

@@ -256,6 +256,14 @@ fn grid_to_value(grid: &[Vec<u32>]) -> Value {
 mod tests {
     use super::*;
 
+    /// The packet count from `source` to `destination`, by label.
+    fn by_label(m: &TrafficMatrix, source: &str, destination: &str) -> Option<u32> {
+        m.get(
+            m.labels().index_of(source)?,
+            m.labels().index_of(destination)?,
+        )
+    }
+
     /// The paper's full 10×10 template assembled from the Section II listings.
     pub(crate) fn paper_template_json() -> String {
         let mut matrix_rows = String::new();
@@ -319,7 +327,7 @@ mod tests {
         assert_eq!(module.author, "Chasen Milner");
         assert_eq!(module.size, MatrixSize(10));
         assert_eq!(module.dimension(), 10);
-        assert_eq!(module.matrix.get_by_label("WS1", "ADV4"), Some(2));
+        assert_eq!(by_label(&module.matrix, "WS1", "ADV4"), Some(2));
         assert_eq!(module.colors.get(0, 9).unwrap().code(), 2);
         let q = module.question.as_ref().unwrap();
         assert_eq!(q.text, "How many packets did WS1 send to ADV4?");

@@ -81,6 +81,7 @@ mod tests {
     use super::*;
     use crate::noise::{add_background_noise, NoiseConfig};
     use crate::{attack, ddos, graph_theory, topology};
+    use tw_matrix::LabelSet;
 
     #[test]
     fn every_clean_pattern_classifies_as_itself() {
@@ -131,13 +132,13 @@ mod tests {
         // Attack and backscatter occupy disjoint cells → orthogonal.
         assert_eq!(ab, 0.0);
         // Different dimensions → zero.
-        let small = TrafficMatrix::zeros_numeric(4);
+        let small = TrafficMatrix::zeros(LabelSet::numeric(4));
         assert_eq!(similarity(&a, &small), 0.0);
     }
 
     #[test]
     fn empty_matrix_has_zero_similarity_everywhere() {
-        let empty = TrafficMatrix::zeros_numeric(10);
+        let empty = TrafficMatrix::zeros(LabelSet::numeric(10));
         let result = classify(&empty);
         assert_eq!(result.best_score, 0.0);
         assert!(result.ranking.iter().all(|(_, s)| *s == 0.0));
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn classify_against_empty_candidates() {
-        let result = classify_against(&TrafficMatrix::zeros_numeric(10), &[]);
+        let result = classify_against(&TrafficMatrix::zeros(LabelSet::numeric(10)), &[]);
         assert_eq!(result.best_id, "");
         assert_eq!(result.best_score, 0.0);
         assert!(result.ranking.is_empty());

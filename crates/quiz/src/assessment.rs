@@ -19,22 +19,6 @@ pub struct AssessmentDesign {
 }
 
 impl AssessmentDesign {
-    /// The paper's design: three options.
-    pub fn three_option(question_count: usize) -> Self {
-        AssessmentDesign {
-            options_per_question: 3,
-            question_count,
-        }
-    }
-
-    /// The conventional alternative: four options.
-    pub fn four_option(question_count: usize) -> Self {
-        AssessmentDesign {
-            options_per_question: 4,
-            question_count,
-        }
-    }
-
     /// Probability of answering one question correctly by pure guessing.
     pub fn guessing_floor(&self) -> f64 {
         1.0 / self.options_per_question as f64
@@ -115,15 +99,23 @@ impl AssessmentStats {
 mod tests {
     use super::*;
 
+    /// A design with `options` answers per question.
+    fn design(options: usize, question_count: usize) -> AssessmentDesign {
+        AssessmentDesign {
+            options_per_question: options,
+            question_count,
+        }
+    }
+
     #[test]
     fn guessing_floors() {
-        assert!((AssessmentDesign::three_option(10).guessing_floor() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((AssessmentDesign::four_option(10).guessing_floor() - 0.25).abs() < 1e-12);
+        assert!((design(3, 10).guessing_floor() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((design(4, 10).guessing_floor() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn expected_score_interpolates_between_floor_and_one() {
-        let d = AssessmentDesign::three_option(20);
+        let d = design(3, 20);
         assert!((d.expected_score(0.0) - d.guessing_floor()).abs() < 1e-12);
         assert!((d.expected_score(1.0) - 1.0).abs() < 1e-12);
         let half = d.expected_score(0.5);
@@ -138,8 +130,8 @@ mod tests {
         // With more options the guessing floor is lower, so raw discrimination
         // is higher — the paper's point is that this gain is small relative to
         // the difficulty of authoring a fourth plausible distractor.
-        let three = AssessmentDesign::three_option(20);
-        let four = AssessmentDesign::four_option(20);
+        let three = design(3, 20);
+        let four = design(4, 20);
         assert!(four.discrimination(0.5) > three.discrimination(0.5));
         let gain = four.discrimination(0.5) - three.discrimination(0.5);
         assert!(gain < 0.06, "the discrimination gain is small: {gain}");
@@ -147,8 +139,8 @@ mod tests {
 
     #[test]
     fn separation_grows_with_question_count() {
-        let short = AssessmentDesign::three_option(5);
-        let long = AssessmentDesign::three_option(50);
+        let short = design(3, 5);
+        let long = design(3, 50);
         assert!(long.separation_z(0.5) > short.separation_z(0.5));
     }
 
@@ -165,7 +157,7 @@ mod tests {
 
     #[test]
     fn perfect_knowledge_gives_infinite_separation() {
-        let d = AssessmentDesign::three_option(10);
+        let d = design(3, 10);
         assert_eq!(d.separation_z(1.0), f64::INFINITY);
     }
 }

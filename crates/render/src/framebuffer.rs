@@ -51,15 +51,6 @@ impl Framebuffer {
         }
     }
 
-    /// The depth at a pixel (+inf when out of range or unwritten).
-    pub fn depth_at(&self, x: usize, y: usize) -> f64 {
-        if x < self.width && y < self.height {
-            self.depth[y * self.width + x]
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Write a pixel if it passes the depth test.
     pub fn set_pixel(&mut self, x: usize, y: usize, depth: f64, rgb: [f64; 3]) -> bool {
         if x >= self.width || y >= self.height {
@@ -157,6 +148,15 @@ impl Framebuffer {
 mod tests {
     use super::*;
 
+    /// The depth at a pixel (+inf when out of range or unwritten).
+    fn depth_at(fb: &Framebuffer, x: usize, y: usize) -> f64 {
+        if x < fb.width && y < fb.height {
+            fb.depth[y * fb.width + x]
+        } else {
+            f64::INFINITY
+        }
+    }
+
     #[test]
     fn depth_test() {
         let mut fb = Framebuffer::new(4, 4);
@@ -170,7 +170,7 @@ mod tests {
             "closer fragment must win"
         );
         assert_eq!(fb.pixel(1, 1), [0.0, 0.0, 1.0]);
-        assert_eq!(fb.depth_at(1, 1), 2.0);
+        assert_eq!(depth_at(&fb, 1, 1), 2.0);
         assert_eq!(fb.covered_pixels(), 1);
         assert!(!fb.set_pixel(10, 10, 0.0, [1.0; 3]));
     }

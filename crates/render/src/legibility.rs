@@ -39,18 +39,9 @@ pub fn legibility_score(count: u32) -> f64 {
     visible_from_above(count) as f64 / count as f64
 }
 
-/// The legibility of the worst cell in a matrix.
-pub fn matrix_legibility(matrix: &tw_matrix::TrafficMatrix) -> f64 {
-    matrix
-        .iter_nonzero()
-        .map(|(_, _, v)| legibility_score(v))
-        .fold(1.0, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_matrix::TrafficMatrix;
 
     #[test]
     fn layout_fills_a_layer_before_stacking() {
@@ -82,16 +73,6 @@ mod tests {
             "legibility must not increase with count"
         );
         assert!((legibility_score(32) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_legibility_is_the_worst_cell() {
-        let mut m = TrafficMatrix::zeros_numeric(4);
-        m.set(0, 1, 5).unwrap();
-        m.set(2, 3, 32).unwrap();
-        assert!((matrix_legibility(&m) - 0.5).abs() < 1e-12);
-        let empty = TrafficMatrix::zeros_numeric(4);
-        assert_eq!(matrix_legibility(&empty), 1.0);
     }
 
     #[test]

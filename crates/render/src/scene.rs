@@ -45,11 +45,6 @@ impl RenderScene {
         self.meshes.push(placed);
     }
 
-    /// Total triangle count across the scene.
-    pub fn triangle_count(&self) -> usize {
-        self.meshes.iter().map(|m| m.mesh.quads.len() * 2).sum()
-    }
-
     /// Render the scene into a framebuffer through a camera, clearing to the
     /// warehouse background color first.
     pub fn render(&self, camera: &Camera, fb: &mut Framebuffer) {
@@ -81,6 +76,11 @@ mod tests {
     use super::*;
     use tw_voxel::{box_asset, pallet_asset};
 
+    /// Total triangle count across the scene.
+    fn triangle_count(scene: &RenderScene) -> usize {
+        scene.meshes.iter().map(|m| m.mesh.quads.len() * 2).sum()
+    }
+
     #[test]
     fn placed_meshes_render_into_the_buffer() {
         let mut scene = RenderScene::new();
@@ -90,7 +90,7 @@ mod tests {
             0.1,
         ));
         scene.add(PlacedMesh::from_grid(&box_asset(), [0.2, 0.3, 0.2], 0.1));
-        assert!(scene.triangle_count() > 12);
+        assert!(triangle_count(&scene) > 12);
 
         let camera = Camera::top_down(1.0);
         let mut fb = Framebuffer::new(48, 48);
@@ -120,6 +120,6 @@ mod tests {
         let mut fb = Framebuffer::new(8, 8);
         scene.render(&Camera::top_down(1.0), &mut fb);
         assert_eq!(fb.covered_pixels(), 0);
-        assert_eq!(scene.triangle_count(), 0);
+        assert_eq!(triangle_count(&scene), 0);
     }
 }

@@ -65,31 +65,31 @@ fn fill_cell(fb: &mut Framebuffer, row: usize, col: usize, rgb: [f64; 3]) {
     }
 }
 
-/// Mean brightness of the pixels belonging to one cell, used by tests to check
-/// that packet counts are visually distinguishable.
-pub fn cell_brightness(fb: &Framebuffer, row: usize, col: usize) -> f64 {
-    let y0 = row * CELL_PIXELS + 1;
-    let x0 = col * CELL_PIXELS + 1;
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for y in y0..row * CELL_PIXELS + CELL_PIXELS {
-        for x in x0..col * CELL_PIXELS + CELL_PIXELS {
-            let [r, g, b] = fb.pixel(x, y);
-            total += (r + g + b) / 3.0;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tw_matrix::LabelSet;
+
+    /// Mean brightness of the pixels belonging to one cell, to check
+    /// that packet counts are visually distinguishable.
+    fn cell_brightness(fb: &Framebuffer, row: usize, col: usize) -> f64 {
+        let y0 = row * CELL_PIXELS + 1;
+        let x0 = col * CELL_PIXELS + 1;
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for y in y0..row * CELL_PIXELS + CELL_PIXELS {
+            for x in x0..col * CELL_PIXELS + CELL_PIXELS {
+                let [r, g, b] = fb.pixel(x, y);
+                total += (r + g + b) / 3.0;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            0.0
+        } else {
+            total / count as f64
+        }
+    }
 
     fn template() -> (TrafficMatrix, ColorMatrix) {
         let labels = LabelSet::paper_default_10();
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn one_by_one_matrix_renders() {
-        let m = TrafficMatrix::zeros_numeric(1);
+        let m = TrafficMatrix::zeros(LabelSet::numeric(1));
         let fb = render_matrix_2d(&m, None);
         assert_eq!(fb.width(), CELL_PIXELS);
     }

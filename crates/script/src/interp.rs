@@ -82,8 +82,9 @@ impl Interpreter {
         })
     }
 
-    /// Read a script global (useful for assertions after a run).
-    pub fn global(&self, name: &str) -> Option<&Variant> {
+    /// Read a script global.
+    #[cfg(test)]
+    pub(crate) fn global(&self, name: &str) -> Option<&Variant> {
         self.globals.get(name)
     }
 

@@ -32,15 +32,29 @@ fn ready_sets_labels_and_flattens_colors_like_the_paper() {
         interp.errors
     );
 
-    // pallet_color_array is the flattened 100-entry color list.
-    let colors = interp
-        .global("pallet_color_array")
-        .unwrap()
-        .as_array()
+    // pallet_color_array is the flattened 100-entry color list: coloring the
+    // pallets reads one entry per pallet, code 2 (red) at cell (0,6) and
+    // code 1 (blue) at cell (6,0).
+    interp
+        .call_function("change_pallet_color", &[], &mut scene.tree)
         .unwrap();
-    assert_eq!(colors.len(), 100);
-    assert_eq!(colors[6].as_int(), Some(2));
-    assert_eq!(colors[60].as_int(), Some(1));
+    assert!(interp.errors.is_empty(), "{:?}", interp.errors);
+    let pallets = scene.tree.children(scene.pallets).unwrap();
+    assert_eq!(pallets.len(), 100);
+    for (i, &pallet) in pallets.iter().enumerate() {
+        let mesh = scene.tree.children(pallet).unwrap()[0];
+        let material = scene.tree.node(mesh).unwrap().get("material_override");
+        let expected = match i {
+            6 => MATERIAL_RED,
+            60 => MATERIAL_BLUE,
+            _ => continue,
+        };
+        assert_eq!(
+            material.and_then(Variant::as_str),
+            Some(expected),
+            "pallet {i}"
+        );
+    }
 
     // Labels were written onto the Text child of every axis holder.
     let x_holders = scene.tree.children(scene.x_axis).unwrap();
@@ -85,23 +99,6 @@ fn change_pallet_color_matches_the_native_controller() {
         tw_game::PalletLabelController::ready(&mut native.tree, native.controller).unwrap();
     controller.change_pallet_color(&mut native.tree).unwrap();
 
-    // Every pallet mesh carries the same material in both implementations.
-    let scripted_pallets = scripted.tree.children(scripted.pallets).unwrap();
-    for (i, &pallet) in scripted_pallets.iter().enumerate() {
-        let mesh = scripted.tree.children(pallet).unwrap()[0];
-        let scripted_material = scripted
-            .tree
-            .node(mesh)
-            .unwrap()
-            .get("material_override")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let native_material = controller.pallet_material(&native.tree, i).unwrap();
-        assert_eq!(scripted_material, native_material, "pallet {i}");
-    }
-    // Spot-check the three material classes directly.
     let material_of = |scene: &WarehouseScene, index: usize| -> String {
         let pallet = scene.tree.children(scene.pallets).unwrap()[index];
         let mesh = scene.tree.children(pallet).unwrap()[0];
@@ -115,24 +112,26 @@ fn change_pallet_color_matches_the_native_controller() {
             .unwrap()
             .to_string()
     };
+    // Every pallet mesh carries the same material in both implementations.
+    let scripted_pallets = scripted.tree.children(scripted.pallets).unwrap();
+    for i in 0..scripted_pallets.len() {
+        assert_eq!(
+            material_of(&scripted, i),
+            material_of(&native, i),
+            "pallet {i}"
+        );
+    }
+    // Spot-check the three material classes directly.
     assert_eq!(material_of(&scripted, 6), MATERIAL_RED);
     assert_eq!(material_of(&scripted, 60), MATERIAL_BLUE);
     assert_eq!(material_of(&scripted, 44), MATERIAL_GREEN);
 
-    // The script also flips its own pallets_are_colored flag.
-    assert_eq!(
-        interp.global("pallets_are_colored"),
-        Some(&Variant::Bool(true))
-    );
-
-    // Toggling a second time restores the default material everywhere.
+    // The script also flips its own pallets_are_colored flag: toggling a
+    // second time restores the default material everywhere, and a third
+    // toggle colors the pallets again.
     interp
         .call_function("change_pallet_color", &[], &mut scripted.tree)
         .unwrap();
-    assert_eq!(
-        interp.global("pallets_are_colored"),
-        Some(&Variant::Bool(false))
-    );
     for &pallet in &scripted.tree.children(scripted.pallets).unwrap() {
         let mesh = scripted.tree.children(pallet).unwrap()[0];
         assert_eq!(
@@ -146,6 +145,10 @@ fn change_pallet_color_matches_the_native_controller() {
             Some("pallet_material")
         );
     }
+    interp
+        .call_function("change_pallet_color", &[], &mut scripted.tree)
+        .unwrap();
+    assert_eq!(material_of(&scripted, 6), MATERIAL_RED);
 }
 
 #[test]

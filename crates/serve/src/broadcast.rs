@@ -451,7 +451,8 @@ impl HubHandle {
     }
 
     /// Whether the broadcast has closed.
-    pub fn is_closed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_closed(&self) -> bool {
         self.lock().closed
     }
 
@@ -621,7 +622,7 @@ impl HubSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tw_ingest::frame::{split_frame, window_frame};
+    use tw_ingest::frame::{read_raw_frame, window_frame};
     use tw_ingest::{decode_window, Pipeline, PipelineConfig, Scenario};
 
     /// A stand-in frame whose bytes name its window index: the hub never
@@ -698,8 +699,8 @@ mod tests {
             assert_eq!(sub.dropped(), 0);
             assert_eq!(sub.missed(), 0);
             for (reference, frame) in reference.iter().zip(&received) {
-                let (_, payload) = split_frame(frame).unwrap();
-                let received = decode_window(payload).unwrap();
+                let (_, payload) = read_raw_frame(&mut &frame[..]).unwrap();
+                let received = decode_window(&payload).unwrap();
                 assert_eq!(reference.matrix, received.matrix, "cell-for-cell");
                 assert_eq!(reference.stats.window_index, received.stats.window_index);
                 assert_eq!(reference.stats.events, received.stats.events);

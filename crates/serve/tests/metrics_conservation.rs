@@ -92,7 +92,8 @@ proptest! {
                     })
                 })
                 .collect();
-            let mut stream = pipeline(scenario, nodes, seed).with_metrics(&registry);
+            let mut stream = pipeline(scenario, nodes, seed);
+            stream.instrument(&registry);
             let summary = serve(listener, &mut stream, &config, None).unwrap();
             let client_stats: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
             (summary, client_stats)

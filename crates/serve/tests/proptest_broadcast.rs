@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tw_ingest::frame::{split_frame, window_frame};
+use tw_ingest::frame::{read_raw_frame, window_frame};
 use tw_ingest::{
     decode_window_into, DecodeScratch, Pipeline, PipelineConfig, Scenario, WindowReport,
 };
@@ -57,8 +57,8 @@ fn assert_suffix(reference: &[WindowReport], sub: &HubSubscription) -> Result<()
     let mut scratch = DecodeScratch::new();
     let mut first = None;
     for (n, frame) in sub.drain().iter().enumerate() {
-        let (_, payload) = split_frame(frame).expect("the hub hands out whole frames");
-        let got = decode_window_into(payload, &mut scratch);
+        let (_, payload) = read_raw_frame(&mut &frame[..]).expect("the hub hands out whole frames");
+        let got = decode_window_into(&payload, &mut scratch);
         prop_assert!(got.is_ok(), "frame {} did not decode: {:?}", n, got.err());
         let got = got.unwrap();
         let start = *first.get_or_insert(got.stats.window_index as usize);

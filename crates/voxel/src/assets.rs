@@ -5,7 +5,7 @@
 //! canvas so all assets share the consistent scale the paper wants.
 
 use crate::grid::VoxelGrid;
-use crate::palette::{self, Palette};
+use crate::palette;
 
 /// The kinds of assets the warehouse scene instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,15 +89,12 @@ pub fn build(kind: AssetKind) -> VoxelGrid {
     }
 }
 
-/// Build a pallet with the accent derived from a traffic-matrix color code.
-pub fn pallet_for_color_code(code: u32) -> VoxelGrid {
-    pallet_asset(Palette::accent_for_code(code))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::palette::{ACCENT_BLACK, ACCENT_BLUE, ACCENT_GREEN, ACCENT_GREY, ACCENT_RED};
+    use crate::palette::{
+        Palette, ACCENT_BLACK, ACCENT_BLUE, ACCENT_GREEN, ACCENT_GREY, ACCENT_RED,
+    };
 
     #[test]
     fn all_assets_are_nonempty_and_bounded() {
@@ -116,14 +113,16 @@ mod tests {
 
     #[test]
     fn pallet_accent_follows_color_codes() {
-        assert!(pallet_for_color_code(0)
+        assert!(pallet_asset(Palette::accent_for_code(0))
             .colors_used()
             .contains(&ACCENT_GREY));
-        assert!(pallet_for_color_code(1)
+        assert!(pallet_asset(Palette::accent_for_code(1))
             .colors_used()
             .contains(&ACCENT_BLUE));
-        assert!(pallet_for_color_code(2).colors_used().contains(&ACCENT_RED));
-        assert!(pallet_for_color_code(9)
+        assert!(pallet_asset(Palette::accent_for_code(2))
+            .colors_used()
+            .contains(&ACCENT_RED));
+        assert!(pallet_asset(Palette::accent_for_code(9))
             .colors_used()
             .contains(&ACCENT_BLACK));
         // Default pallet uses the green default material like the paper's script.

@@ -50,11 +50,6 @@ impl VoxelGrid {
         }
     }
 
-    /// True when a voxel is present at the coordinate.
-    pub fn is_filled(&self, x: usize, y: usize, z: usize) -> bool {
-        self.get(x, y, z) != EMPTY
-    }
-
     /// Fill the axis-aligned box `[x0..=x1] × [y0..=y1] × [z0..=z1]`.
     #[allow(clippy::too_many_arguments)] // six box corners + color is the natural signature
     pub fn fill_box(
@@ -75,14 +70,23 @@ impl VoxelGrid {
             }
         }
     }
+}
+
+/// Observers the crate's tests read assets through.
+#[cfg(test)]
+impl VoxelGrid {
+    /// True when a voxel is present at the coordinate.
+    pub(crate) fn is_filled(&self, x: usize, y: usize, z: usize) -> bool {
+        self.get(x, y, z) != EMPTY
+    }
 
     /// Number of filled voxels.
-    pub fn filled_count(&self) -> usize {
+    pub(crate) fn filled_count(&self) -> usize {
         self.voxels.iter().filter(|&&v| v != EMPTY).count()
     }
 
     /// Iterate over filled voxels as `(x, y, z, color)`.
-    pub fn iter_filled(&self) -> impl Iterator<Item = (usize, usize, usize, u8)> + '_ {
+    pub(crate) fn iter_filled(&self) -> impl Iterator<Item = (usize, usize, usize, u8)> + '_ {
         (0..self.size_y).flat_map(move |y| {
             (0..self.size_z).flat_map(move |z| {
                 (0..self.size_x).filter_map(move |x| {
@@ -93,20 +97,8 @@ impl VoxelGrid {
         })
     }
 
-    /// Replace every voxel of one color with another (used for pallet recoloring).
-    pub fn recolor(&mut self, from: u8, to: u8) -> usize {
-        let mut changed = 0;
-        for v in &mut self.voxels {
-            if *v == from {
-                *v = to;
-                changed += 1;
-            }
-        }
-        changed
-    }
-
     /// The set of distinct colors present (excluding empty), sorted.
-    pub fn colors_used(&self) -> Vec<u8> {
+    pub(crate) fn colors_used(&self) -> Vec<u8> {
         let mut colors: Vec<u8> = self
             .voxels
             .iter()
@@ -157,8 +149,8 @@ mod tests {
         g.set(1, 0, 0, ACCENT_BLUE);
         g.set(2, 0, 0, PALLET_WOOD);
         assert_eq!(g.colors_used(), vec![PALLET_WOOD, ACCENT_BLUE]);
-        assert_eq!(g.recolor(ACCENT_BLUE, ACCENT_RED), 2);
+        g.set(0, 0, 0, ACCENT_RED);
+        g.set(1, 0, 0, ACCENT_RED);
         assert_eq!(g.colors_used(), vec![PALLET_WOOD, ACCENT_RED]);
-        assert_eq!(g.recolor(ACCENT_BLUE, ACCENT_RED), 0);
     }
 }

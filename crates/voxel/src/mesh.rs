@@ -54,34 +54,6 @@ impl Mesh {
         }
         out
     }
-
-    /// Total surface area of the mesh.
-    pub fn surface_area(&self) -> f64 {
-        self.quads
-            .iter()
-            .map(|q| {
-                let e1 = sub(q.corners[1], q.corners[0]);
-                let e2 = sub(q.corners[3], q.corners[0]);
-                length(cross(e1, e2))
-            })
-            .sum()
-    }
-}
-
-fn sub(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
-    [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
-}
-
-fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
-    [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ]
-}
-
-fn length(v: [f64; 3]) -> f64 {
-    (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
 }
 
 /// The six axis directions a face can point.
@@ -228,6 +200,26 @@ mod tests {
     use super::*;
     use crate::palette::{ACCENT_BLUE, PALLET_WOOD};
 
+    /// Total surface area of a mesh: the sum of its quads' areas.
+    fn surface_area(mesh: &Mesh) -> f64 {
+        let sub = |a: [f64; 3], b: [f64; 3]| [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+        mesh.quads
+            .iter()
+            .map(|q| {
+                let (e1, e2) = (
+                    sub(q.corners[1], q.corners[0]),
+                    sub(q.corners[3], q.corners[0]),
+                );
+                let cross = [
+                    e1[1] * e2[2] - e1[2] * e2[1],
+                    e1[2] * e2[0] - e1[0] * e2[2],
+                    e1[0] * e2[1] - e1[1] * e2[0],
+                ];
+                (cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]).sqrt()
+            })
+            .sum()
+    }
+
     #[test]
     fn single_voxel_meshes_to_six_faces() {
         let mut g = VoxelGrid::new(3, 3, 3);
@@ -235,7 +227,7 @@ mod tests {
         let mesh = greedy_mesh(&g);
         assert_eq!(mesh.quads.len(), 6);
         assert_eq!(mesh.triangles().len(), 12);
-        assert!((mesh.surface_area() - 6.0).abs() < 1e-9);
+        assert!((surface_area(&mesh) - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -245,7 +237,7 @@ mod tests {
         let mesh = greedy_mesh(&g);
         // A fully merged 4×4×4 cube needs exactly 6 quads (one per side).
         assert_eq!(mesh.quads.len(), 6);
-        assert!((mesh.surface_area() - 6.0 * 16.0).abs() < 1e-9);
+        assert!((surface_area(&mesh) - 6.0 * 16.0).abs() < 1e-9);
         // No interior faces are emitted.
         assert_eq!(mesh.triangles().len(), 12);
     }
@@ -267,7 +259,7 @@ mod tests {
     fn empty_grid_produces_empty_mesh() {
         let mesh = greedy_mesh(&VoxelGrid::new(4, 4, 4));
         assert!(mesh.quads.is_empty());
-        assert_eq!(mesh.surface_area(), 0.0);
+        assert_eq!(surface_area(&mesh), 0.0);
     }
 
     #[test]
@@ -277,7 +269,7 @@ mod tests {
         g.set(0, 0, 0, PALLET_WOOD);
         g.set(4, 0, 0, PALLET_WOOD);
         let mesh = greedy_mesh(&g);
-        assert!((mesh.surface_area() - 12.0).abs() < 1e-9);
+        assert!((surface_area(&mesh) - 12.0).abs() < 1e-9);
     }
 
     #[test]

@@ -59,20 +59,19 @@ pub fn to_obj(mesh: &Mesh, object_name: &str) -> String {
     out
 }
 
-/// Count the `v` and `f` records of an OBJ document (used by tests and the
-/// asset-pipeline bench as a cheap structural check).
-pub fn obj_stats(obj: &str) -> (usize, usize) {
-    let vertices = obj.lines().filter(|l| l.starts_with("v ")).count();
-    let faces = obj.lines().filter(|l| l.starts_with("f ")).count();
-    (vertices, faces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assets::{box_asset, pallet_asset};
     use crate::mesh::greedy_mesh;
     use crate::palette::ACCENT_BLUE;
+
+    /// Count the `v` and `f` records of an OBJ document.
+    fn obj_stats(obj: &str) -> (usize, usize) {
+        let vertices = obj.lines().filter(|l| l.starts_with("v ")).count();
+        let faces = obj.lines().filter(|l| l.starts_with("f ")).count();
+        (vertices, faces)
+    }
 
     #[test]
     fn obj_structure_for_a_cube() {

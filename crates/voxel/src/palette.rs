@@ -118,9 +118,6 @@ const COLORS: [PaletteColor; 10] = [
 ];
 
 impl Palette {
-    /// Number of palette entries (including the empty entry).
-    pub const LEN: usize = COLORS.len();
-
     /// Look up a palette entry by index; out-of-range indices map to the black
     /// error material, mirroring the `_:` fallback in the paper's color match.
     pub fn color(index: u8) -> PaletteColor {
@@ -161,7 +158,7 @@ mod tests {
             "accent_black",
             "unknown indices fall back to black"
         );
-        assert_eq!(Palette::all().len(), Palette::LEN);
+        assert_eq!(Palette::all().len(), COLORS.len());
     }
 
     #[test]
