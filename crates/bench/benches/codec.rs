@@ -11,6 +11,14 @@
 //! window, so the delta archive is recorded alongside the full one to show
 //! (not assert) that full encoding is the right default there.
 //!
+//! On both workloads the delta layouts are compared, v3 (per changed row:
+//! deleted and upserted column lists, written by recordings made before v5;
+//! the test-side legacy writer stands in for the deleted encoder) against
+//! v5 (one run of tagged linear-index gaps, what the encoder writes now):
+//! `codec_steady_deltas` and `codec_ddos_deltas` record the archive bytes
+//! of the key-frame chain in each layout and time encoding and decoding
+//! it. Those are recorded, not asserted.
+//!
 //! Three lesson shapes compare the full-window layouts, v2 (per-row
 //! headers, written by recordings made before v4) against v4 (one run of
 //! linear-index gaps, what the encoder writes now): `codec_lesson_mixed`
@@ -39,6 +47,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tw_bench::{banner, quick_criterion};
 use tw_core::archive::crc32::{crc32, crc32_table};
+use tw_core::archive::ZipWriter;
 use tw_core::ingest::{
     decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
     DecodeScratch, IngestStats, Pipeline, PipelineConfig, RecordingMeta, Scenario, WindowReport,
@@ -158,9 +167,12 @@ fn v2_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The v3 chain: a key frame every [`KEYFRAME_EVERY`] windows, deltas
+/// A delta encoder: v5 ([`encode_window_delta`]) or the legacy v3 writer.
+type DeltaEncoder = fn(&WindowReport, &WindowReport) -> Vec<u8>;
+
+/// The delta chain: a key frame every [`KEYFRAME_EVERY`] windows, deltas
 /// against the previous window in between — what `--keyframe-every` stores.
-fn chain_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
+fn chain_frames(reports: &[WindowReport], delta: DeltaEncoder) -> Vec<Vec<u8>> {
     reports
         .iter()
         .enumerate()
@@ -168,10 +180,21 @@ fn chain_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
             if (i as u64).is_multiple_of(KEYFRAME_EVERY) {
                 encode_window(report)
             } else {
-                encode_window_delta(&reports[i - 1], report)
+                delta(&reports[i - 1], report)
             }
         })
         .collect()
+}
+
+/// The size of a ZIP holding `frames` as window entries, as a recording
+/// stores them (less the manifest, which is the same for every layout).
+fn zip_bytes(frames: &[Vec<u8>]) -> usize {
+    let mut zip = ZipWriter::new();
+    for (i, frame) in frames.iter().enumerate() {
+        zip.add_file(&format!("windows/{i:08}.bin"), frame)
+            .expect("unique entry names");
+    }
+    zip.finish().expect("well under format limits").len()
 }
 
 fn decode_full(frames: &[Vec<u8>]) -> u64 {
@@ -263,6 +286,42 @@ fn bench_codec(c: &mut Criterion) {
         ddos_delta as f64 / ddos_full as f64 * 100.0
     );
 
+    // -- Delta layouts, v3 vs v5, steady and bursty. --------------------
+    for (group_name, reports) in [
+        ("codec_steady_deltas", &steady),
+        ("codec_ddos_deltas", &ddos),
+    ] {
+        let encoders: [(&str, DeltaEncoder); 2] = [
+            ("v3", legacy_codec::encode_legacy_delta),
+            ("v5", encode_window_delta),
+        ];
+        let nnz = reports.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
+        let mut group = c.benchmark_group(group_name);
+        let mut sizes = Vec::new();
+        for (layout, encoder) in encoders {
+            let chain = chain_frames(reports, encoder);
+            assert_eq!(decode_chain(&chain), nnz);
+            let bytes = zip_bytes(&chain);
+            criterion::record_measurement(
+                &format!("{group_name}/archive_bytes/{layout}"),
+                bytes as u128,
+            );
+            sizes.push(format!("{layout} {bytes} B"));
+            group.bench_function(format!("encode/{layout}"), |b| {
+                b.iter(|| black_box(chain_frames(reports, encoder)))
+            });
+            group.bench_function(format!("decode/{layout}"), |b| {
+                b.iter(|| black_box(decode_chain(&chain)))
+            });
+        }
+        group.finish();
+        println!(
+            "{group_name} ({} windows, keyframe-every-{KEYFRAME_EVERY}): archive {}",
+            reports.len(),
+            sizes.join(", ")
+        );
+    }
+
     // -- Full-window layouts, v2 vs v4, on three lesson shapes. ---------
     let mixed = Pipeline::new(
         Scenario::Mixed.source(4_096, SEED),
@@ -351,9 +410,9 @@ fn bench_codec(c: &mut Criterion) {
     }
     group.finish();
 
-    // -- Decode cost, steady: full stream vs v3 chain into scratch. ------
+    // -- Decode cost, steady: full stream vs delta chain into scratch. ---
     let full = full_frames(&steady);
-    let chain = chain_frames(&steady);
+    let chain = chain_frames(&steady, encode_window_delta);
     let expect = steady.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
     assert_eq!(decode_full(&full), expect);
     assert_eq!(decode_chain(&chain), expect);
@@ -367,7 +426,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| black_box(full_frames(&steady).len()))
     });
     group.bench_function("encode_delta_chain", |b| {
-        b.iter(|| black_box(chain_frames(&steady).len()))
+        b.iter(|| black_box(chain_frames(&steady, encode_window_delta).len()))
     });
     group.finish();
 

@@ -105,7 +105,7 @@ Commands:
                                               --record also captures the window stream
                                               as a replayable ZIP (--keyframe-every N
                                               stores every N-th window in full and the
-                                              rest as sparse v3 deltas — smaller
+                                              rest as sparse v5 deltas — smaller
                                               archives for steady traffic); --json
                                               emits one
                                               tw-json object per window instead of the
@@ -142,7 +142,7 @@ Commands:
                                               stalling the class; port 0 picks a free port
                                               (printed on the eager `listening on` line);
                                               --keyframe-every N serves every N-th
-                                              window in full and the rest as sparse v3
+                                              window in full and the rest as sparse v5
                                               delta frames (late joiners anchor on a
                                               key frame from the catch-up ring);
                                               --metrics-json writes the final snapshot,
@@ -658,8 +658,8 @@ pub struct IngestArgs {
     /// Record the window stream to a replayable ZIP at this path.
     pub record: Option<String>,
     /// Key-frame cadence for the recorded archive: every K-th window is a
-    /// self-contained key frame, the rest sparse v3 deltas against the
-    /// previous window (0 = every window full, a version-1 archive).
+    /// self-contained key frame, the rest sparse v5 deltas against the
+    /// previous window (0 = every window full).
     pub keyframe_every: u64,
     /// Emit one tw-json object per window (machine-readable transcript)
     /// instead of the human per-window lines, banner and totals.
@@ -1325,7 +1325,7 @@ pub struct ServeArgs {
     /// Pace the serve at N x real time (0 = as fast as possible).
     pub speed: u64,
     /// Key-frame cadence on the wire: every K-th window is served as a
-    /// self-contained full frame, the rest as sparse v3 delta frames
+    /// self-contained full frame, the rest as sparse v5 delta frames
     /// against the previous window (0 = every window full).
     pub keyframe_every: u64,
 }

@@ -43,7 +43,7 @@ impl NodeKind {
     }
 }
 
-/// A scene node: a named, typed bag of properties plus group tags.
+/// A scene node: a named, typed bag of properties and exported names.
 ///
 /// Structure (parent/children) lives in the [`crate::SceneTree`]; the node
 /// itself only stores its own data, mirroring how Godot separates the tree
@@ -56,7 +56,6 @@ pub struct Node {
     pub kind: NodeKind,
     properties: BTreeMap<String, Variant>,
     exported: Vec<String>,
-    groups: Vec<String>,
 }
 
 impl Node {
@@ -67,7 +66,6 @@ impl Node {
             kind,
             properties: BTreeMap::new(),
             exported: Vec::new(),
-            groups: Vec::new(),
         }
     }
 
@@ -109,18 +107,6 @@ impl Node {
     pub fn exported(&self) -> &[String] {
         &self.exported
     }
-
-    /// Add the node to a named group (Godot's tagging mechanism).
-    pub fn add_to_group(&mut self, group: &str) {
-        if !self.groups.iter().any(|g| g == group) {
-            self.groups.push(group.to_string());
-        }
-    }
-
-    /// The node's groups.
-    pub fn groups(&self) -> &[String] {
-        &self.groups
-    }
 }
 
 #[cfg(test)]
@@ -143,15 +129,6 @@ mod tests {
         // Re-exporting is idempotent.
         n.export("y_axis");
         assert_eq!(n.exported().len(), 2);
-    }
-
-    #[test]
-    fn groups() {
-        let mut n = Node::new("Pallet_0_0", NodeKind::MeshInstance3D);
-        n.add_to_group("pallets");
-        n.add_to_group("pallets");
-        n.add_to_group("row_0");
-        assert_eq!(n.groups(), ["pallets", "row_0"]);
     }
 
     #[test]

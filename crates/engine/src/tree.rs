@@ -393,26 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_across_the_tree() {
-        let (mut tree, _, _, pallets) = sample_tree();
-        for i in 0..3 {
-            let id = tree
-                .spawn(pallets, &format!("Pallet_{i}"), NodeKind::MeshInstance3D)
-                .unwrap();
-            tree.node_mut(id).unwrap().add_to_group("pallets");
-        }
-        let in_group = |group| {
-            let nodes = tree.descendants(tree.root()).unwrap();
-            nodes
-                .into_iter()
-                .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == group))
-                .count()
-        };
-        assert_eq!(in_group("pallets"), 3);
-        assert_eq!(in_group("boxes"), 0);
-    }
-
-    #[test]
     fn print_tree_matches_fig2_style() {
         let (mut tree, _, controller, pallets) = sample_tree();
         tree.spawn(controller, "Y", NodeKind::Node3D).unwrap();

@@ -77,7 +77,6 @@ impl WarehouseScene {
                     "position",
                     Variant::Vector3(col as f64 * CELL_SIZE, 0.0, row as f64 * CELL_SIZE),
                 );
-                node.add_to_group("floor");
             }
         }
 
@@ -140,7 +139,6 @@ impl WarehouseScene {
                     );
                     node.set("row", row);
                     node.set("col", col);
-                    node.add_to_group("pallets");
                 }
                 let mesh = tree
                     .spawn(pallet, "Mesh", NodeKind::MeshInstance3D)
@@ -238,7 +236,6 @@ impl WarehouseScene {
                     .expect("unique box names");
                 let node = tree.node_mut(b).expect("box exists");
                 node.set("packet_index", p);
-                node.add_to_group("boxes");
             }
         }
     }
@@ -354,19 +351,15 @@ mod tests {
             .child_by_name(scene.pallets, &format!("Pallet_{row}_{col}"))
     }
 
-    /// The number of nodes in `group`.
-    fn group_len(scene: &WarehouseScene, group: &str) -> usize {
-        let tree = &scene.tree;
-        let nodes = tree.descendants(tree.root()).unwrap();
-        nodes
-            .into_iter()
-            .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == group))
-            .count()
-    }
-
-    /// Total number of packet boxes in the scene.
+    /// Total number of packet boxes in the scene: every pallet's children
+    /// past its mesh.
     fn total_boxes(scene: &WarehouseScene) -> usize {
-        group_len(scene, "boxes")
+        let tree = &scene.tree;
+        let pallets = tree.children(scene.pallets).unwrap();
+        pallets
+            .into_iter()
+            .map(|pallet| tree.child_ids(pallet).unwrap().len() - 1)
+            .sum()
     }
 
     #[test]
@@ -392,7 +385,6 @@ mod tests {
         // 100 pallets, one per cell; template has 30 packets → 30 box nodes.
         assert_eq!(tree.children(scene.pallets).unwrap().len(), 100);
         assert_eq!(total_boxes(&scene), 30);
-        assert_eq!(group_len(&scene, "pallets"), 100);
         // The controller exports the references the Inspector shows in Fig. 3.
         let controller = tree.node(scene.controller).unwrap();
         assert_eq!(

@@ -2,7 +2,7 @@
 //! of display matrices, a scene updated with `WarehouseScene::repallet` after
 //! every step equals a fresh `WarehouseScene::build` of the same module —
 //! the same printed tree, and node for node in process order the same name,
-//! kind, groups, exports and properties (node ids and `NodeRef` values
+//! kind, exports and properties (node ids and `NodeRef` values
 //! aside). The pallet controller then colors both scenes alike.
 //!
 //! `coarsen_window` is held to the per-cell block formula: every cell of
@@ -116,7 +116,6 @@ fn assert_same_tree(repalleted: &SceneTree, fresh: &SceneTree) -> Result<(), Tes
         let (a, b) = (repalleted.node(a).unwrap(), fresh.node(b).unwrap());
         prop_assert_eq!(&a.name, &b.name);
         prop_assert_eq!(a.kind, b.kind);
-        prop_assert_eq!(a.groups(), b.groups());
         prop_assert_eq!(a.exported(), b.exported());
         prop_assert_eq!(properties(a), properties(b), "properties of {}", a.name);
     }
@@ -239,9 +238,10 @@ proptest! {
             assert_same_tree(&scene.tree, &fresh.tree)?;
             prop_assert_eq!(scene.module(), fresh.module());
             let tree = &scene.tree;
-            let boxes = tree.descendants(tree.root()).unwrap().into_iter()
-                .filter(|&n| tree.node(n).unwrap().groups().iter().any(|g| g == "boxes"))
-                .count();
+            // Every pallet's children past its mesh are its boxes.
+            let boxes: usize = tree.children(scene.pallets).unwrap().into_iter()
+                .map(|pallet| tree.child_ids(pallet).unwrap().len() - 1)
+                .sum();
             prop_assert_eq!(boxes, cells.iter().sum::<u32>() as usize);
             last = Some(module);
         }

@@ -2,8 +2,8 @@
 //!
 //! Recorded scenarios are replayed in class many times from one capture, so
 //! the on-disk window format must be both small and stable. Every integer
-//! field is a LEB128 varint except one fixed-width stat, so the format has
-//! no architecture-dependent widths, and decoding validates structure
+//! field is a LEB128 varint except two fixed-width fields, so the format
+//! has no architecture-dependent widths, and decoding validates structure
 //! (magic, version, bounds, exact length) before any matrix is built.
 //!
 //! | version | kind  | stats block                      | cells                                                              |
@@ -12,9 +12,12 @@
 //! | 2       | full  | seven varints                    | as version 1                                                       |
 //! | 3       | delta | seven varints                    | base window; per changed row: deleted and upserted column lists    |
 //! | 4       | full  | six varints + 8-byte `elapsed`   | one run of linear-index gaps, no per-row headers                   |
+//! | 5       | delta | as version 4                     | base window, 4-byte change count; one run of tagged linear gaps    |
 //!
-//! [`encode_window`] writes version 4 and [`encode_window_delta`] version
-//! 3; versions 1 and 2 are only read, so recordings made before version 4
+//! Both layouts written now address a cell by its linear index
+//! `row · cols + col`, gap-coded against the previous cell. [`encode_window`]
+//! writes version 4 and [`encode_window_delta`] version 5; versions 1 to 3
+//! are only read (by the `legacy` module), so recordings made before them
 //! keep replaying.
 //!
 //! ```
@@ -35,26 +38,28 @@ use std::time::Duration;
 use tw_matrix::CsrMatrix;
 use tw_metrics::{Counter, MetricsRegistry};
 
+mod legacy;
+
 /// Leading magic of an encoded window.
 pub const WINDOW_MAGIC: [u8; 4] = *b"TWWR";
 /// The newest codec version this module reads.
 ///
 /// Version 2 appends the [`IngestStats::reordered`] counter to the stats
 /// block; version-1 windows (recorded before the watermark stage existed)
-/// still decode, with `reordered` reported as `0`. Version 3 is the
-/// *delta-window* layout ([`encode_window_delta`]): sparse cell changes
-/// against the previous window, decodable only through a
-/// [`DecodeScratch`] holding that base. Version 4 is the full layout
-/// [`encode_window`] writes: each cell is addressed by its linear index
-/// `row · cols + col`, gap-coded against the previous cell, so a window
-/// spends no bytes on per-row headers.
-pub const WINDOW_CODEC_VERSION: u8 = 4;
+/// still decode, with `reordered` reported as `0`. Version 3 is the first
+/// *delta-window* layout, per-row change lists against the previous window.
+/// Version 4 is the full layout [`encode_window`] writes: each cell is
+/// addressed by its linear index, gap-coded against the previous cell, so a
+/// window spends no bytes on per-row headers. Version 5 is the delta layout
+/// [`encode_window_delta`] writes: the same addressing for the changed
+/// cells, each gap tagged as a set or a delete.
+pub const WINDOW_CODEC_VERSION: u8 = 5;
 /// The version byte of a full (self-contained) window, as written by
 /// [`encode_window`].
 pub const FULL_WINDOW_VERSION: u8 = 4;
 /// The version byte of a delta window, as written by
 /// [`encode_window_delta`].
-pub const DELTA_WINDOW_VERSION: u8 = 3;
+pub const DELTA_WINDOW_VERSION: u8 = 5;
 /// The largest matrix dimension the codec accepts (16 Mi addresses).
 ///
 /// This bounds the `row_ptr` allocation a decoder performs for a *claimed*
@@ -147,7 +152,7 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decode the LEB128 varint at `*pos` and step past it: the one varint
-/// decoder, behind both [`Reader::varint`] and the full-window cell loop.
+/// decoder, behind both [`Reader::varint`] and the cell loops.
 #[inline]
 fn read_varint(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CodecError> {
     // Fast paths: hypersparse windows make almost every field a one-byte
@@ -217,28 +222,131 @@ impl<'a> Reader<'a> {
         read_usize(self.data, &mut self.pos, what)
     }
 
-    /// A fixed-width little-endian `u64`.
-    fn u64_le(&mut self, what: &'static str) -> Result<u64, CodecError> {
+    /// `N` fixed bytes.
+    fn fixed<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
         let bytes = self
             .data
             .get(self.pos..)
-            .and_then(<[u8]>::first_chunk::<8>)
+            .and_then(<[u8]>::first_chunk::<N>)
             .ok_or(CodecError::Truncated(what))?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(*bytes))
+        self.pos += N;
+        Ok(*bytes)
     }
 }
 
-/// Whether a layout writes `elapsed` as a fixed 8-byte little-endian
-/// nanosecond count rather than a varint. A wall-clock varint's length
-/// follows the timing; a fixed field makes a full window's length depend
-/// only on its matrix and counts.
-fn fixed_elapsed(version: u8) -> bool {
-    version >= FULL_WINDOW_VERSION
+/// The facts every window payload states before its cells.
+#[derive(Debug)]
+pub(crate) struct WindowHeader {
+    /// The codec version byte.
+    pub(crate) version: u8,
+    /// The window's stats block.
+    pub(crate) stats: IngestStats,
+    /// For a delta window, the index of the window it patches; `None` for
+    /// a full window.
+    pub(crate) base: Option<u64>,
+    /// Claimed matrix rows.
+    pub(crate) rows: usize,
+    /// Claimed matrix columns.
+    pub(crate) cols: usize,
 }
 
-/// Append the stats block of a `version` window.
-fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats, version: u8) {
+impl WindowHeader {
+    /// Whether this build's encoder writes this payload's layout
+    /// ([`FULL_WINDOW_VERSION`] for a full window, [`DELTA_WINDOW_VERSION`]
+    /// for a delta), so re-encoding its window gives the same layout.
+    pub(crate) fn is_current(&self) -> bool {
+        matches!(
+            (self.version, self.base),
+            (DELTA_WINDOW_VERSION, Some(_)) | (FULL_WINDOW_VERSION, None)
+        )
+    }
+}
+
+/// Read a payload's header: magic, version, stats, the base window index
+/// of a delta, and the claimed shape. The one reader of these facts, for
+/// the decoders and for every caller that inspects a payload without
+/// decoding it.
+fn read_header(r: &mut Reader<'_>) -> Result<WindowHeader, CodecError> {
+    if r.fixed::<4>("magic")? != WINDOW_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let version = r.byte("version")?;
+    if version == 0 || version > WINDOW_CODEC_VERSION {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    // Fields are read in the order they are written.
+    let stats = IngestStats {
+        window_index: r.varint("window_index")?,
+        events: r.varint("events")?,
+        packets: r.varint("packets")?,
+        nnz: r.usize_varint("stats nnz")?,
+        dropped_late: r.varint("dropped_late")?,
+        // Version 1 predates the reordering stage; its streams were
+        // strictly sorted, so a zero count is the accurate value, not a
+        // placeholder.
+        reordered: if version >= 2 {
+            r.varint("reordered")?
+        } else {
+            0
+        },
+        elapsed: Duration::from_nanos(if version >= FULL_WINDOW_VERSION {
+            u64::from_le_bytes(r.fixed("elapsed")?)
+        } else {
+            r.varint("elapsed")?
+        }),
+    };
+    let base = match version {
+        3 | DELTA_WINDOW_VERSION => Some(r.varint("base window index")?),
+        _ => None,
+    };
+    let rows = r.usize_varint("rows")?;
+    let cols = r.usize_varint("cols")?;
+    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
+        return Err(CodecError::DimensionTooLarge {
+            dimension: rows.max(cols),
+            limit: MAX_DIMENSION,
+        });
+    }
+    Ok(WindowHeader {
+        version,
+        stats,
+        base,
+        rows,
+        cols,
+    })
+}
+
+/// [`read_header`] over a whole payload.
+pub(crate) fn window_header(payload: &[u8]) -> Result<WindowHeader, CodecError> {
+    read_header(&mut Reader {
+        data: payload,
+        pos: 0,
+    })
+}
+
+/// A first guess at a full window's encoded size: magic, version and stats
+/// plus ~2 varints per stored entry.
+pub(crate) fn full_size_hint(report: &WindowReport) -> usize {
+    32 + report.matrix.nnz() * 4
+}
+
+/// Append magic, `version`, the stats block, a delta's base index, the
+/// shape and the stored cell count: the header both layouts written now
+/// share.
+///
+/// The stats block is six varints, then `elapsed` as a fixed 8-byte
+/// little-endian nanosecond count. A wall-clock varint's length follows
+/// the timing; the fixed field makes a window's length depend only on its
+/// matrix and counts.
+fn push_header(buf: &mut Vec<u8>, version: u8, report: &WindowReport, base: Option<u64>) {
+    let (rows, cols) = report.matrix.shape();
+    assert!(
+        rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
+        "window matrices larger than {MAX_DIMENSION} addresses are not encodable"
+    );
+    buf.extend_from_slice(&WINDOW_MAGIC);
+    buf.push(version);
+    let stats = &report.stats;
     push_varint(buf, stats.window_index);
     push_varint(buf, stats.events);
     push_varint(buf, stats.packets);
@@ -246,63 +354,13 @@ fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats, version: u8) {
     push_varint(buf, stats.dropped_late);
     push_varint(buf, stats.reordered);
     let nanos = u64::try_from(stats.elapsed.as_nanos()).unwrap_or(u64::MAX);
-    if fixed_elapsed(version) {
-        buf.extend_from_slice(&nanos.to_le_bytes());
-    } else {
-        push_varint(buf, nanos);
+    buf.extend_from_slice(&nanos.to_le_bytes());
+    if let Some(base) = base {
+        push_varint(buf, base);
     }
-}
-
-/// Parse the stats block of a `version` window.
-fn parse_stats(r: &mut Reader<'_>, version: u8) -> Result<IngestStats, CodecError> {
-    let window_index = r.varint("window_index")?;
-    let events = r.varint("events")?;
-    let packets = r.varint("packets")?;
-    let nnz = r.usize_varint("stats nnz")?;
-    let dropped_late = r.varint("dropped_late")?;
-    // Version 1 predates the reordering stage; its streams were strictly
-    // sorted, so a zero count is the accurate value, not a placeholder.
-    let reordered = if version >= 2 {
-        r.varint("reordered")?
-    } else {
-        0
-    };
-    let elapsed = Duration::from_nanos(if fixed_elapsed(version) {
-        r.u64_le("elapsed")?
-    } else {
-        r.varint("elapsed")?
-    });
-    Ok(IngestStats {
-        window_index,
-        events,
-        packets,
-        nnz,
-        dropped_late,
-        reordered,
-        elapsed,
-    })
-}
-
-/// Read and validate the magic and version prefix.
-fn parse_header(r: &mut Reader<'_>) -> Result<u8, CodecError> {
-    let mut magic = [0u8; 4];
-    for b in &mut magic {
-        *b = r.byte("magic")?;
-    }
-    if magic != WINDOW_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.byte("version")?;
-    if version == 0 || version > WINDOW_CODEC_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    Ok(version)
-}
-
-/// A first guess at a full window's encoded size: magic, version and stats
-/// plus ~2 varints per stored entry.
-pub(crate) fn full_size_hint(report: &WindowReport) -> usize {
-    32 + report.matrix.nnz() * 4
+    push_varint(buf, rows as u64);
+    push_varint(buf, cols as u64);
+    push_varint(buf, report.matrix.nnz() as u64);
 }
 
 /// Encode one window into the full ([`FULL_WINDOW_VERSION`]) binary format.
@@ -316,27 +374,17 @@ pub fn encode_window(report: &WindowReport) -> Vec<u8> {
 /// buffer). The buffer moves in and out by value so the encode loop works
 /// on a local `Vec`, as fast as encoding into a fresh one.
 pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec<u8> {
-    let matrix = &report.matrix;
-    let (rows, cols) = matrix.shape();
-    assert!(
-        rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
-        "window matrices larger than {MAX_DIMENSION} addresses are not encodable"
-    );
-    buf.extend_from_slice(&WINDOW_MAGIC);
-    buf.push(FULL_WINDOW_VERSION);
-    push_stats(&mut buf, &report.stats, FULL_WINDOW_VERSION);
-    push_varint(&mut buf, rows as u64);
-    push_varint(&mut buf, cols as u64);
-    push_varint(&mut buf, matrix.nnz() as u64);
-
+    push_header(&mut buf, FULL_WINDOW_VERSION, report, None);
     // Cells in row-major order, each addressed by its linear index
     // `row * cols + col`: the first index is absolute, each later one
     // stores (index - previous - 1). Values follow their index inline.
     // Both dimensions are at most 2^24, so indices fit a u64.
+    let matrix = &report.matrix;
+    let cols = matrix.cols() as u64;
     let (col_idx, values) = (matrix.col_indices(), matrix.values());
     let mut next = 0u64;
     for (row, span) in matrix.row_ptr().windows(2).enumerate() {
-        let row_start = row as u64 * cols as u64;
+        let row_start = row as u64 * cols;
         let (start, end) = (span[0], span[1]);
         for (&col, &value) in col_idx[start..end].iter().zip(&values[start..end]) {
             let index = row_start + col as u64;
@@ -356,18 +404,8 @@ pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec
 /// decoding, so a corrupt or hostile header cannot make it build a row
 /// index for millions of rows.
 pub fn window_shape(payload: &[u8]) -> Option<(usize, usize)> {
-    let mut r = Reader {
-        data: payload,
-        pos: 0,
-    };
-    let version = parse_header(&mut r).ok()?;
-    parse_stats(&mut r, version).ok()?;
-    if version == DELTA_WINDOW_VERSION {
-        r.varint("base window index").ok()?;
-    }
-    let rows = r.usize_varint("rows").ok()?;
-    let cols = r.usize_varint("cols").ok()?;
-    Some((rows, cols))
+    let header = window_header(payload).ok()?;
+    Some((header.rows, header.cols))
 }
 
 /// Decode a window previously produced by [`encode_window`].
@@ -376,51 +414,39 @@ pub fn window_shape(payload: &[u8]) -> Option<(usize, usize)> {
 /// cell for cell (including shape), and the stats are identical.
 ///
 /// This entry point is stateless, so it can only materialize full windows;
-/// a [`DELTA_WINDOW_VERSION`] payload is rejected with
-/// [`CodecError::DeltaBaseMismatch`] — use [`decode_window_into`] with a
-/// [`DecodeScratch`] that has decoded the base window.
+/// a delta payload is rejected with [`CodecError::DeltaBaseMismatch`] — use
+/// [`decode_window_into`] with a [`DecodeScratch`] that has decoded the
+/// base window.
 pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
     let mut r = Reader { data, pos: 0 };
-    let version = parse_header(&mut r)?;
-    if version == DELTA_WINDOW_VERSION {
-        let _ = parse_stats(&mut r, version)?;
-        let expected = r.varint("base window index")?;
+    let header = read_header(&mut r)?;
+    if let Some(expected) = header.base {
         return Err(CodecError::DeltaBaseMismatch {
             expected,
             actual: None,
         });
     }
     let (mut row_ptr, mut col_idx, mut values) = (Vec::new(), Vec::new(), Vec::new());
-    let (rows, cols, stats) =
-        parse_full_body(&mut r, version, &mut row_ptr, &mut col_idx, &mut values)?;
-    let matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
+    parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values)?;
+    let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
         .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
     Ok(WindowReport {
         matrix,
-        stats,
+        stats: header.stats,
         frame: None,
     })
 }
 
-/// Parse everything after the version byte of a full window into the given
-/// (cleared and refilled) CSR arrays, returning the shape and stats.
+/// Parse the cells after a full window's header into the given (cleared
+/// and refilled) CSR arrays.
 fn parse_full_body(
     r: &mut Reader<'_>,
-    version: u8,
+    header: &WindowHeader,
     row_ptr: &mut Vec<usize>,
     col_idx: &mut Vec<usize>,
     values: &mut Vec<u64>,
-) -> Result<(usize, usize, IngestStats), CodecError> {
-    let stats = parse_stats(r, version)?;
-
-    let rows = r.usize_varint("rows")?;
-    let cols = r.usize_varint("cols")?;
-    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
-        return Err(CodecError::DimensionTooLarge {
-            dimension: rows.max(cols),
-            limit: MAX_DIMENSION,
-        });
-    }
+) -> Result<(), CodecError> {
+    let shape = (header.rows, header.cols);
     let nnz = r.usize_varint("nnz")?;
 
     // The arrays are assembled directly in CSR layout — no intermediate
@@ -431,7 +457,7 @@ fn parse_full_body(
     // bounds and a reader that knows its node count checks first
     // ([`window_shape`]).
     row_ptr.clear();
-    row_ptr.reserve(rows + 1);
+    row_ptr.reserve(shape.0 + 1);
     col_idx.clear();
     col_idx.reserve(nnz.min(r.data.len()));
     values.clear();
@@ -439,70 +465,63 @@ fn parse_full_body(
     // The cell loop runs on a local cursor over the payload; `Reader` is
     // only brought up to date once the last cell is read.
     let (data, mut pos) = (r.data, r.pos);
-    if version < FULL_WINDOW_VERSION {
-        parse_row_runs(data, &mut pos, (rows, cols), nnz, row_ptr, col_idx, values)?;
+    if header.version < FULL_WINDOW_VERSION {
+        legacy::parse_row_runs(data, &mut pos, shape, nnz, row_ptr, col_idx, values)?;
     } else {
-        parse_linear_cells(data, &mut pos, (rows, cols), nnz, row_ptr, col_idx, values)?;
+        parse_linear_cells(data, &mut pos, shape, nnz, row_ptr, col_idx, values)?;
     }
     if pos != data.len() {
         return Err(CodecError::Corrupt("trailing bytes after the last entry"));
     }
     r.pos = pos;
-    row_ptr.resize(rows + 1, nnz);
-    Ok((rows, cols, stats))
-}
-
-/// Parse the `nnz` cells of a version 1 or 2 window: an occupied-row count,
-/// then per occupied row a row gap (the first row absolute, later ones
-/// (gap - 1)), a cell count and its cells. Fills `row_ptr` up to and
-/// including the last occupied row.
-fn parse_row_runs(
-    data: &[u8],
-    pos: &mut usize,
-    (rows, cols): (usize, usize),
-    nnz: usize,
-    row_ptr: &mut Vec<usize>,
-    col_idx: &mut Vec<usize>,
-    values: &mut Vec<u64>,
-) -> Result<(), CodecError> {
-    let occupied = read_usize(data, pos, "occupied row count")?;
-    if occupied > rows || nnz < occupied {
-        return Err(CodecError::Corrupt("row/entry counts are inconsistent"));
-    }
-    // The lowest row the next occupied row may take.
-    let mut next_row = 0usize;
-    for _ in 0..occupied {
-        let gap = read_usize(data, pos, "row gap")?;
-        let row = next_row
-            .checked_add(gap)
-            .ok_or(CodecError::Corrupt("row overflow"))?;
-        if row >= rows {
-            return Err(CodecError::Corrupt("row index out of bounds"));
-        }
-        // Rows between the previous occupied row and this one are empty.
-        row_ptr.resize(row + 1, col_idx.len());
-        next_row = row + 1;
-        let row_nnz = read_usize(data, pos, "row nnz")?;
-        if row_nnz == 0 {
-            return Err(CodecError::Corrupt("occupied row with zero entries"));
-        }
-        parse_row_cells(data, pos, row_nnz, cols, col_idx, values)?;
-    }
-    if col_idx.len() != nnz {
-        return Err(CodecError::Corrupt("entry count disagrees with header"));
-    }
+    row_ptr.resize(shape.0 + 1, nnz);
     Ok(())
 }
 
-/// Parse the `nnz` cells of a version 4 window: each a linear-index gap
-/// and a value. Fills `row_ptr` up to and including the last cell's row.
+/// Step a linear-index cursor `gap` cells past (`row`, `next_col`): the
+/// number of row ends crossed and the column of the cell it lands on.
+/// `cols` must be 0 when `rows` is, so that no cell of an empty matrix is
+/// in bounds.
 ///
-/// The cursor is a row and the lowest column the next cell may take in
-/// it, so a cell in the cursor's row costs one comparison and a cell in
-/// the next row one subtraction; only a gap over empty rows divides.
-/// Crossing rows fills their starts in `row_ptr`. A [`one_byte_quad`] is
-/// taken whole when its four cells land in the cursor's row or cross one
-/// row end, which is how the long rows of a dense lesson end.
+/// A cell in the cursor's row costs one comparison and a cell in the next
+/// row one subtraction; only a gap over empty rows divides, so a huge gap
+/// cannot cost a step per row.
+#[inline(always)]
+fn step(
+    row: usize,
+    next_col: usize,
+    gap: usize,
+    (rows, cols): (usize, usize),
+) -> Result<(usize, usize), CodecError> {
+    const OUT_OF_BOUNDS: CodecError = CodecError::Corrupt("cell index out of bounds");
+    let mut col = next_col.checked_add(gap).ok_or(OUT_OF_BOUNDS)?;
+    if col >= cols {
+        if cols == 0 {
+            return Err(OUT_OF_BOUNDS);
+        }
+        col -= cols;
+        let crossed = if col < cols {
+            1
+        } else {
+            let crossed = 1 + col / cols;
+            col %= cols;
+            crossed
+        };
+        if crossed >= rows - row {
+            return Err(OUT_OF_BOUNDS);
+        }
+        return Ok((crossed, col));
+    }
+    Ok((0, col))
+}
+
+/// Parse the `nnz` cells of a version 4 window: each a linear-index gap
+/// and a value, located by [`step`]. Fills `row_ptr` up to and including
+/// the last cell's row.
+///
+/// A [`one_byte_quad`] is taken whole when its four cells land in the
+/// cursor's row or cross one row end, which is how the long rows of a
+/// dense lesson end.
 fn parse_linear_cells(
     data: &[u8],
     pos: &mut usize,
@@ -554,27 +573,8 @@ fn parse_linear_cells(
         }
         let start = *pos;
         let gap = read_usize(data, pos, "cell gap")?;
-        let mut col = next_col
-            .checked_add(gap)
-            .ok_or(CodecError::Corrupt("cell index out of bounds"))?;
-        if col >= cols {
-            if cols == 0 {
-                return Err(CodecError::Corrupt("cell index out of bounds"));
-            }
-            // The gap runs past the row's end: one subtraction is the
-            // common step to the next row, and a longer run is one
-            // division, so a huge gap cannot cost a step per row.
-            col -= cols;
-            let crossed = if col < cols {
-                1
-            } else {
-                let crossed = 1 + col / cols;
-                col %= cols;
-                crossed
-            };
-            if crossed >= rows - row {
-                return Err(CodecError::Corrupt("cell index out of bounds"));
-            }
+        let (crossed, col) = step(row, next_col, gap, (rows, cols))?;
+        if crossed > 0 {
             row += crossed;
             if crossed == 1 {
                 row_ptr.push(col_idx.len());
@@ -599,7 +599,7 @@ const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
 /// Four (column gap, value) cells at `pos` read as one 8-byte word, when
 /// all eight are one-byte varints: their columns counted on from
 /// `next_col`, and their values. Rows of small gaps and small counts are
-/// runs of one-byte varints, so both full-window cell loops try this
+/// runs of one-byte varints, so the full-window cell loop tries this
 /// first.
 #[inline]
 fn one_byte_quad(data: &[u8], pos: usize, next_col: usize) -> Option<([usize; 4], [u64; 4])> {
@@ -618,64 +618,12 @@ fn one_byte_quad(data: &[u8], pos: usize, next_col: usize) -> Option<([usize; 4]
     ))
 }
 
-/// Parse one occupied row's `row_nnz` (column delta, value) cells at
-/// `*pos`, appending them to `col_idx` and `values`.
-///
-/// Columns strictly increase within a row: the first is absolute, later
-/// ones store (delta - 1). While four or more cells remain, a
-/// [`one_byte_quad`] is four cells, and their last (largest) column is the
-/// only one that needs the bounds check — it fails exactly when the
-/// per-cell loop would, with the same error. Any other byte falls through
-/// to that per-cell loop for one cell.
-#[inline]
-fn parse_row_cells(
-    data: &[u8],
-    pos: &mut usize,
-    row_nnz: usize,
-    cols: usize,
-    col_idx: &mut Vec<usize>,
-    values: &mut Vec<u64>,
-) -> Result<(), CodecError> {
-    // The lowest column the next cell may take.
-    let mut next_col = 0usize;
-    let mut left = row_nnz;
-    while left > 0 {
-        if left >= 4 {
-            if let Some((quad_cols, quad_values)) = one_byte_quad(data, *pos, next_col) {
-                if quad_cols[3] >= cols {
-                    return Err(CodecError::Corrupt("column index out of bounds"));
-                }
-                col_idx.extend_from_slice(&quad_cols);
-                values.extend_from_slice(&quad_values);
-                next_col = quad_cols[3] + 1;
-                *pos += 8;
-                left -= 4;
-                continue;
-            }
-        }
-        let delta = read_usize(data, pos, "column delta")?;
-        let col = next_col
-            .checked_add(delta)
-            .ok_or(CodecError::Corrupt("column overflow"))?;
-        if col >= cols {
-            return Err(CodecError::Corrupt("column index out of bounds"));
-        }
-        let value = read_varint(data, pos, "value")?;
-        col_idx.push(col);
-        values.push(value);
-        next_col = col + 1;
-        left -= 1;
-    }
-    Ok(())
-}
-
 /// Encode one window as a sparse delta ([`DELTA_WINDOW_VERSION`]) against
 /// the previous window of the same stream.
 ///
 /// Consecutive windows of a steady scenario share most cells, so the delta
-/// — per changed row: deleted columns and upserted `(column, value)` pairs,
-/// all delta-compressed like the version-2 full layout — is a fraction of
-/// the full encoding. The payload names its base window index;
+/// — the changed cells only, addressed like the full layout — is a
+/// fraction of the full encoding. The payload names its base window index;
 /// [`decode_window_into`] refuses to apply it to anything else. Both
 /// matrices must share one shape (a stream invariant).
 pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
@@ -685,6 +633,15 @@ pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
 /// Append the delta encoding of `cur` against `prev` to `buf` and hand the
 /// buffer back (by value, like [`encode_window_into`]): the bytes
 /// [`encode_window_delta`] returns, written where the caller wants them.
+///
+/// One merge of each row of `prev` with the same row of `cur` writes the
+/// changes straight into the buffer, in linear-index order: a cell only in
+/// `prev` is a delete, a cell only in `cur` or stored with another value
+/// is a set. Each change is its linear-index gap (as in the full layout)
+/// shifted left one bit, with the low bit set for a delete; a set is
+/// followed by its value. A stored zero is a set like any other value. The
+/// change count, a fixed-width field ahead of the run, is filled in once
+/// the run is written.
 pub(crate) fn encode_window_delta_into(
     prev: &WindowReport,
     cur: &WindowReport,
@@ -696,91 +653,63 @@ pub(crate) fn encode_window_delta_into(
         (rows, cols),
         "delta windows require a same-shape base window"
     );
-    assert!(
-        rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
-        "window matrices larger than {MAX_DIMENSION} addresses are not encodable"
+    buf.reserve(64);
+    push_header(
+        &mut buf,
+        DELTA_WINDOW_VERSION,
+        cur,
+        Some(prev.stats.window_index),
     );
-    let changes = prev
-        .matrix
-        .diff(&cur.matrix)
-        // tw-analyze: allow(no-panic-in-lib, "the shape assert a few lines up guarantees diff cannot reject these matrices")
-        .expect("shapes were checked above");
+    let count_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
 
-    buf.reserve(64 + changes.len() * 4);
-    buf.extend_from_slice(&WINDOW_MAGIC);
-    buf.push(DELTA_WINDOW_VERSION);
-    push_stats(&mut buf, &cur.stats, DELTA_WINDOW_VERSION);
-    push_varint(&mut buf, prev.stats.window_index);
-    push_varint(&mut buf, rows as u64);
-    push_varint(&mut buf, cols as u64);
-    push_varint(&mut buf, cur.matrix.nnz() as u64);
-
-    let changed_rows = {
-        let mut count = 0usize;
-        let mut prev_row = usize::MAX;
-        for &(r, _, _) in &changes {
-            if r != prev_row {
-                count += 1;
-                prev_row = r;
-            }
+    let (a, b) = (&prev.matrix, &cur.matrix);
+    let mut next = 0u64;
+    let mut changes = 0u64;
+    let mut change = |buf: &mut Vec<u8>, index: u64, set: Option<u64>| {
+        push_varint(buf, (index - next) << 1 | u64::from(set.is_none()));
+        if let Some(value) = set {
+            push_varint(buf, value);
         }
-        count
+        next = index + 1;
+        changes += 1;
     };
-    push_varint(&mut buf, changed_rows as u64);
-
-    // Per changed row (rows delta-compressed like the version-2 full
-    // layout): the deleted-column list, then the upserted (column, value)
-    // list, each with first-absolute / later (delta - 1) column compression.
-    let mut prev_row: Option<usize> = None;
-    let mut i = 0usize;
-    while i < changes.len() {
-        let row = changes[i].0;
-        let end = changes[i..]
-            .iter()
-            .position(|&(r, _, _)| r != row)
-            .map_or(changes.len(), |p| i + p);
-        match prev_row {
-            None => push_varint(&mut buf, row as u64),
-            Some(p) => push_varint(&mut buf, (row - p - 1) as u64),
-        }
-        prev_row = Some(row);
-        let row_changes = &changes[i..end];
-        let dels = row_changes.iter().filter(|(_, _, v)| v.is_none()).count();
-        push_varint(&mut buf, dels as u64);
-        push_varint(&mut buf, (row_changes.len() - dels) as u64);
-        for keep_sets in [false, true] {
-            let mut prev_col: Option<usize> = None;
-            for &(_, c, v) in row_changes
-                .iter()
-                .filter(|(_, _, v)| v.is_some() == keep_sets)
-            {
-                match prev_col {
-                    None => push_varint(&mut buf, c as u64),
-                    Some(p) => push_varint(&mut buf, (c - p - 1) as u64),
+    for row in 0..rows {
+        let (mut i, i_end) = (a.row_ptr()[row], a.row_ptr()[row + 1]);
+        let (mut j, j_end) = (b.row_ptr()[row], b.row_ptr()[row + 1]);
+        let row_start = row as u64 * cols as u64;
+        // Past a row's last cell its column reads as `usize::MAX`, beyond
+        // every real column.
+        while i < i_end || j < j_end {
+            let a_col = if i < i_end {
+                a.col_indices()[i]
+            } else {
+                usize::MAX
+            };
+            let b_col = if j < j_end {
+                b.col_indices()[j]
+            } else {
+                usize::MAX
+            };
+            if a_col < b_col {
+                change(&mut buf, row_start + a_col as u64, None);
+                i += 1;
+            } else {
+                if a_col > b_col || a.values()[i] != b.values()[j] {
+                    change(&mut buf, row_start + b_col as u64, Some(b.values()[j]));
                 }
-                prev_col = Some(c);
-                if let Some(v) = v {
-                    push_varint(&mut buf, v);
-                }
+                i += usize::from(a_col == b_col);
+                j += 1;
             }
         }
-        i = end;
     }
+    assert!(
+        changes <= u64::from(u32::MAX),
+        "a delta window holds at most {} changes",
+        u32::MAX
+    );
+    buf[count_at..count_at + 4].copy_from_slice(&(changes as u32).to_le_bytes());
     buf
-}
-
-/// The base window index a delta ([`DELTA_WINDOW_VERSION`]) payload names;
-/// `None` for full windows and for payloads whose header does not parse.
-pub(crate) fn delta_base_index(payload: &[u8]) -> Option<u64> {
-    let mut r = Reader {
-        data: payload,
-        pos: 0,
-    };
-    if parse_header(&mut r).ok()? != DELTA_WINDOW_VERSION {
-        return None;
-    }
-    parse_stats(&mut r, DELTA_WINDOW_VERSION).ok()?;
-    r.varint("base window index").ok()
 }
 
 /// Reusable decode state: the delta base window plus recycled CSR buffers.
@@ -797,8 +726,6 @@ pub struct DecodeScratch {
     base: DeltaBase,
     /// Recycled `(row_ptr, col_idx, values)` triples.
     pool: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)>,
-    /// Reused change-list buffer for delta application.
-    changes: Vec<(usize, usize, Option<u64>)>,
     reuse_hits: u64,
     reuse_counter: Option<Counter>,
 }
@@ -864,11 +791,13 @@ impl DeltaBase {
                 data: &self.payload,
                 pos: 0,
             };
-            let version = parse_header(&mut r)?;
-            let (rows, cols, _) =
-                parse_full_body(&mut r, version, &mut row_ptr, &mut col_idx, &mut values)?;
-            self.matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
-                .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
+            let header = read_header(&mut r)?;
+            parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values)?;
+            self.matrix =
+                CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
+                    .map_err(|_| {
+                        CodecError::Corrupt("decoded arrays are not a valid CSR matrix")
+                    })?;
             self.decoded = true;
         }
         Ok(&self.matrix)
@@ -943,137 +872,169 @@ impl DecodeScratch {
 /// Decode a full or delta window through a [`DecodeScratch`].
 ///
 /// Full windows (versions 1, 2 and 4) decode exactly as [`decode_window`] and
-/// additionally become the scratch's base; delta windows
-/// ([`DELTA_WINDOW_VERSION`]) are applied to that base. Either way the
-/// returned matrix is built into recycled buffers when any are pooled —
-/// hand finished matrices back via [`DecodeScratch::recycle`] and the loop
-/// stops allocating once buffers reach their high-water marks.
+/// additionally become the scratch's base; delta windows (versions 3 and
+/// 5) are applied to that base. Either way the returned matrix is built
+/// into recycled buffers when any are pooled — hand finished matrices back
+/// via [`DecodeScratch::recycle`] and the loop stops allocating once
+/// buffers reach their high-water marks.
 pub fn decode_window_into(
     data: &[u8],
     scratch: &mut DecodeScratch,
 ) -> Result<WindowReport, CodecError> {
     let mut r = Reader { data, pos: 0 };
-    let version = parse_header(&mut r)?;
+    let header = read_header(&mut r)?;
     let (mut row_ptr, mut col_idx, mut values) = scratch.take_buffers();
-    let delta = version == DELTA_WINDOW_VERSION;
-    let parsed = if delta {
-        let DecodeScratch { base, changes, .. } = &mut *scratch;
-        parse_delta_body(
-            &mut r,
-            base,
-            changes,
-            &mut row_ptr,
-            &mut col_idx,
-            &mut values,
-        )
-    } else {
-        parse_full_body(&mut r, version, &mut row_ptr, &mut col_idx, &mut values)
+    let parsed = match header.base {
+        Some(expected) => scratch.base.resolve(expected).and_then(|base| {
+            parse_delta_body(
+                &mut r,
+                &header,
+                base,
+                &mut row_ptr,
+                &mut col_idx,
+                &mut values,
+            )
+        }),
+        None => parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values),
     };
-    let (rows, cols, stats) = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            if scratch.pool.len() < SCRATCH_POOL_LIMIT {
-                scratch.pool.push((row_ptr, col_idx, values));
-            }
-            return Err(e);
+    if let Err(e) = parsed {
+        if scratch.pool.len() < SCRATCH_POOL_LIMIT {
+            scratch.pool.push((row_ptr, col_idx, values));
         }
-    };
-    let matrix = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values)
+        return Err(e);
+    }
+    let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
         .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
-    if delta {
-        scratch.base.set_matrix(stats.window_index, &matrix);
+    let index = header.stats.window_index;
+    if header.base.is_some() {
+        scratch.base.set_matrix(index, &matrix);
     } else {
-        scratch.base.set_payload(stats.window_index, data);
+        scratch.base.set_payload(index, data);
     }
     Ok(WindowReport {
         matrix,
-        stats,
+        stats: header.stats,
         frame: None,
     })
 }
 
-/// Parse everything after the version byte of a delta window and apply it
-/// to `base`, filling the given CSR arrays with the patched window.
+/// Parse everything after a delta window's header and apply it to `base`,
+/// filling the given CSR arrays with the patched window.
+///
+/// A version-5 run is read change by change as [`merge_changes`] consumes
+/// it; a version-3 body is parsed by the `legacy` module and fed to the
+/// same merge.
 fn parse_delta_body(
     r: &mut Reader<'_>,
-    base: &mut DeltaBase,
-    changes: &mut Vec<(usize, usize, Option<u64>)>,
+    header: &WindowHeader,
+    base: &CsrMatrix<u64>,
     row_ptr: &mut Vec<usize>,
     col_idx: &mut Vec<usize>,
     values: &mut Vec<u64>,
-) -> Result<(usize, usize, IngestStats), CodecError> {
-    let stats = parse_stats(r, DELTA_WINDOW_VERSION)?;
-    let expected = r.varint("base window index")?;
-    let base = base.resolve(expected)?;
-
-    let rows = r.usize_varint("rows")?;
-    let cols = r.usize_varint("cols")?;
-    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
-        return Err(CodecError::DimensionTooLarge {
-            dimension: rows.max(cols),
-            limit: MAX_DIMENSION,
-        });
-    }
+) -> Result<(), CodecError> {
+    let (rows, cols) = (header.rows, header.cols);
     if (rows, cols) != base.shape() {
         return Err(CodecError::Corrupt("delta shape disagrees with its base"));
     }
     let final_nnz = r.usize_varint("final nnz")?;
-    let changed_rows = r.usize_varint("changed row count")?;
-    if changed_rows > rows {
-        return Err(CodecError::Corrupt("changed row count exceeds the rows"));
-    }
-
-    changes.clear();
-    let mut next_row = 0usize;
-    for _ in 0..changed_rows {
-        let gap = r.usize_varint("row gap")?;
-        let row = next_row
-            .checked_add(gap)
-            .ok_or(CodecError::Corrupt("row overflow"))?;
-        if row >= rows {
-            return Err(CodecError::Corrupt("row index out of bounds"));
-        }
-        next_row = row + 1;
-        let dels = r.usize_varint("deleted column count")?;
-        let sets = r.usize_varint("upserted column count")?;
-        if dels == 0 && sets == 0 {
-            return Err(CodecError::Corrupt("changed row with no changes"));
-        }
-        let row_start = changes.len();
-        for list in [(dels, false), (sets, true)] {
-            let (count, is_set) = list;
-            let mut next_col = 0usize;
-            for _ in 0..count {
-                let delta = r.usize_varint("column delta")?;
-                let col = next_col
-                    .checked_add(delta)
-                    .ok_or(CodecError::Corrupt("column overflow"))?;
-                if col >= cols {
-                    return Err(CodecError::Corrupt("column index out of bounds"));
-                }
-                next_col = col + 1;
-                let value = if is_set {
-                    Some(r.varint("value")?)
-                } else {
-                    None
-                };
-                changes.push((row, col, value));
-            }
-        }
-        // Deletes and upserts were parsed as two sorted runs; restore the
-        // single by-column order `apply_delta_into` requires. A column in
-        // both runs survives the sort and is rejected as a duplicate below.
-        changes[row_start..].sort_unstable_by_key(|&(_, c, _)| c);
+    // The result holds at most the base's cells plus one per change, and
+    // every change takes at least a byte: a corrupt count cannot force a
+    // huge allocation.
+    let capacity = final_nnz.min(base.nnz() + r.data.len());
+    row_ptr.clear();
+    row_ptr.reserve(rows + 1);
+    col_idx.clear();
+    col_idx.reserve(capacity);
+    values.clear();
+    values.reserve(capacity);
+    if header.version == DELTA_WINDOW_VERSION {
+        let count = u32::from_le_bytes(r.fixed("change count")?);
+        let (data, mut pos) = (r.data, r.pos);
+        // As in `parse_linear_cells`: no cell of a window without rows is
+        // in bounds.
+        let shape = (rows, if rows == 0 { 0 } else { cols });
+        let (mut row, mut next_col) = (0usize, 0usize);
+        let changes = (0..count).map(|_| {
+            let tag = read_usize(data, &mut pos, "change tag")?;
+            let (crossed, col) = step(row, next_col, tag >> 1, shape)?;
+            row += crossed;
+            next_col = col + 1;
+            let set = if tag & 1 == 0 {
+                Some(read_varint(data, &mut pos, "value")?)
+            } else {
+                None
+            };
+            Ok((row, col, set))
+        });
+        merge_changes(base, changes, row_ptr, col_idx, values)?;
+        r.pos = pos;
+    } else {
+        legacy::parse_v3_changes(r, base, row_ptr, col_idx, values)?;
     }
     if r.pos != r.data.len() {
         return Err(CodecError::Corrupt("trailing bytes after the last entry"));
     }
-    base.apply_delta_into(changes, row_ptr, col_idx, values)
-        .map_err(|_| CodecError::Corrupt("delta changes do not apply to the base window"))?;
     if col_idx.len() != final_nnz {
         return Err(CodecError::Corrupt("delta result disagrees with header"));
     }
-    Ok((rows, cols, stats))
+    Ok(())
+}
+
+/// Merge `base` with a run of cell changes into the given (cleared) CSR
+/// arrays, in one pass over both.
+///
+/// Each change is (row, column, new value), `None` deleting the cell, in
+/// strictly increasing (row, column) order and in bounds; the first error
+/// a change yields ends the merge. A change replaces the base cell at its
+/// position; a delete of a cell the base does not hold is corrupt. Base
+/// cells between changes are copied a row span at a time, and the starts
+/// of rows without changes are shifted in one pass.
+fn merge_changes(
+    base: &CsrMatrix<u64>,
+    changes: impl Iterator<Item = Result<(usize, usize, Option<u64>), CodecError>>,
+    row_ptr: &mut Vec<usize>,
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) -> Result<(), CodecError> {
+    let (b_ptr, b_col, b_val) = (base.row_ptr(), base.col_indices(), base.values());
+    row_ptr.push(0);
+    // The row being filled, and the next base cell to copy (within it).
+    let (mut row, mut next) = (0usize, 0usize);
+    for change in changes {
+        let (r, c, set) = change?;
+        if r > row {
+            // Finish `row` and copy the rows up to `r` whole: each of their
+            // starts moves by the same amount.
+            let (end, out) = (b_ptr[r], col_idx.len());
+            row_ptr.extend(b_ptr[row + 1..=r].iter().map(|&p| p - next + out));
+            col_idx.extend_from_slice(&b_col[next..end]);
+            values.extend_from_slice(&b_val[next..end]);
+            (row, next) = (r, end);
+        }
+        let (start, row_end) = (next, b_ptr[r + 1]);
+        while next < row_end && b_col[next] < c {
+            next += 1;
+        }
+        col_idx.extend_from_slice(&b_col[start..next]);
+        values.extend_from_slice(&b_val[start..next]);
+        let held = next < row_end && b_col[next] == c;
+        if held {
+            next += 1;
+        }
+        match set {
+            Some(value) => {
+                col_idx.push(c);
+                values.push(value);
+            }
+            None if !held => return Err(CodecError::Corrupt("delete of an absent cell")),
+            None => {}
+        }
+    }
+    let out = col_idx.len();
+    row_ptr.extend(b_ptr[row + 1..].iter().map(|&p| p - next + out));
+    col_idx.extend_from_slice(&b_col[next..]);
+    values.extend_from_slice(&b_val[next..]);
+    Ok(())
 }
 
 /// The `codec.*` counters: encoder cadence and decoder buffer reuse.
@@ -1132,21 +1093,40 @@ mod tests {
         }
     }
 
+    /// The stats block of a window written now: six varints and a fixed
+    /// 8-byte `elapsed`.
+    fn push_stats(buf: &mut Vec<u8>, stats: &IngestStats) {
+        let IngestStats {
+            window_index,
+            events,
+            packets,
+            nnz,
+            dropped_late,
+            reordered,
+            elapsed,
+        } = stats.clone();
+        for v in [
+            window_index,
+            events,
+            packets,
+            nnz as u64,
+            dropped_late,
+            reordered,
+        ] {
+            super::push_varint(buf, v);
+        }
+        buf.extend_from_slice(&(elapsed.as_nanos() as u64).to_le_bytes());
+    }
+
     /// Magic, `version` and an all-zero stats block in that version's
     /// layout: the prefix of a hand-assembled payload.
     fn header(version: u8) -> Vec<u8> {
-        let zero = IngestStats {
-            window_index: 0,
-            events: 0,
-            packets: 0,
-            nnz: 0,
-            dropped_late: 0,
-            reordered: 0,
-            elapsed: Duration::ZERO,
-        };
         let mut bytes = WINDOW_MAGIC.to_vec();
         bytes.push(version);
-        push_stats(&mut bytes, &zero, version);
+        // index, events, packets, nnz, late, then reordered from version 2.
+        bytes.resize(bytes.len() + if version >= 2 { 6 } else { 5 }, 0);
+        // `elapsed`: a varint before version 4, fixed 8 bytes from it on.
+        bytes.resize(bytes.len() + if version >= 4 { 8 } else { 1 }, 0);
         bytes
     }
 
@@ -1221,16 +1201,19 @@ mod tests {
 
         // Mirror of the guard on the delta path: same header shape after the
         // base window index.
-        let mut delta = header(DELTA_WINDOW_VERSION);
-        super::push_varint(&mut delta, 0); // base window index
-        super::push_varint(&mut delta, (MAX_DIMENSION as u64) + 1); // rows
-        super::push_varint(&mut delta, 4); // cols
-        let mut scratch = DecodeScratch::new();
-        scratch.base.set_matrix(0, &CsrMatrix::empty(2, 2));
-        assert_eq!(
-            decode_window_into(&delta, &mut scratch).map(|_| ()),
-            expected
-        );
+        for version in [3, DELTA_WINDOW_VERSION] {
+            let mut delta = header(version);
+            super::push_varint(&mut delta, 0); // base window index
+            super::push_varint(&mut delta, (MAX_DIMENSION as u64) + 1); // rows
+            super::push_varint(&mut delta, 4); // cols
+            let mut scratch = DecodeScratch::new();
+            scratch.base.set_matrix(0, &CsrMatrix::empty(2, 2));
+            assert_eq!(
+                decode_window_into(&delta, &mut scratch).map(|_| ()),
+                expected,
+                "v{version}"
+            );
+        }
     }
 
     #[test]
@@ -1314,17 +1297,32 @@ mod tests {
             );
         }
 
-        let mut delta = header(DELTA_WINDOW_VERSION);
-        // base index, rows, cols, final nnz, changed rows; row 0 upserts
-        // two cells, the second a column delta past the end.
-        for v in [0u64, 4, 4, 2, 1, 0, 0, 2, 0, 1, u64::MAX, 1] {
-            super::push_varint(&mut delta, v);
-        }
-        let mut scratch = DecodeScratch::new();
-        scratch.base.set_matrix(0, &CsrMatrix::empty(4, 4));
+        let delta = |version: u8, counts: &[u64], changes: &[u64]| {
+            let mut bytes = header(version);
+            for v in counts {
+                super::push_varint(&mut bytes, *v);
+            }
+            if version == DELTA_WINDOW_VERSION {
+                bytes.extend_from_slice(&2u32.to_le_bytes()); // change count
+            }
+            for v in changes {
+                super::push_varint(&mut bytes, *v);
+            }
+            let mut scratch = DecodeScratch::new();
+            scratch.base.set_matrix(0, &CsrMatrix::empty(4, 4));
+            decode_window_into(&bytes, &mut scratch).map(|_| ())
+        };
+        // v3: base index, rows, cols, final nnz, changed rows; row 0
+        // upserts two cells, the second a column delta past the end.
         assert_eq!(
-            decode_window_into(&delta, &mut scratch).map(|_| ()),
+            delta(3, &[0, 4, 4, 2, 1], &[0, 0, 2, 0, 1, u64::MAX, 1]),
             Err(CodecError::Corrupt("column overflow"))
+        );
+        // v5: base index, rows, cols, final nnz; cell 0 set to 1, then a
+        // change tag whose gap runs past the end.
+        assert_eq!(
+            delta(DELTA_WINDOW_VERSION, &[0, 4, 4, 2], &[0, 1, u64::MAX, 1]),
+            Err(CodecError::Corrupt("cell index out of bounds"))
         );
     }
 
@@ -1384,7 +1382,7 @@ mod tests {
         assert_eq!(FULL_WINDOW_VERSION, 4);
         let mut want = WINDOW_MAGIC.to_vec();
         want.push(4);
-        push_stats(&mut want, &original.stats, 4);
+        push_stats(&mut want, &original.stats);
         want.extend_from_slice(&[8, 8, 2, 1, 2, 26, 5]);
         assert_eq!(bytes, want);
     }
@@ -1397,14 +1395,57 @@ mod tests {
         slow.stats.elapsed = Duration::from_secs(3_600);
         assert_eq!(encode_window(&fast).len(), encode_window(&slow).len());
         assert_eq!(decode_window(&encode_window(&slow)).unwrap(), slow);
-        // The delta layout keeps its varint.
+        // The delta layout writes the same fixed field.
         let mut cur = fast.clone();
         cur.stats.window_index += 1;
         let mut slow_cur = cur.clone();
         slow_cur.stats.elapsed = slow.stats.elapsed;
-        assert!(
-            encode_window_delta(&fast, &cur).len() < encode_window_delta(&fast, &slow_cur).len()
+        assert_eq!(
+            encode_window_delta(&fast, &cur).len(),
+            encode_window_delta(&fast, &slow_cur).len()
         );
+    }
+
+    #[test]
+    fn delta_windows_encode_as_version_five() {
+        // One writer: a delta is one run of tagged linear gaps in index
+        // order. (3,4) set to a stored zero: index 28, tag 28 << 1 = 56,
+        // value 0; (5,5) deleted: index 45, gap 45 - 29 = 16, tag 33;
+        // (6,0) set to u64::MAX: index 48, gap 2, tag 4.
+        let prev = report(8, 8, &[(0, 1, 2), (3, 4, 5), (5, 5, 1)]);
+        let mut cur = report(8, 8, &[(0, 1, 2), (3, 4, 0), (6, 0, u64::MAX)]);
+        cur.stats.window_index += 1;
+        let bytes = encode_window_delta(&prev, &cur);
+        let mut want = WINDOW_MAGIC.to_vec();
+        want.push(DELTA_WINDOW_VERSION);
+        push_stats(&mut want, &cur.stats);
+        want.extend_from_slice(&[3, 8, 8, 3]); // base, rows, cols, final nnz
+        want.extend_from_slice(&3u32.to_le_bytes()); // change count
+        want.extend_from_slice(&[56, 0, 33, 4]);
+        super::push_varint(&mut want, u64::MAX);
+        assert_eq!(bytes, want);
+
+        let mut scratch = DecodeScratch::new();
+        decode_window_into(&encode_window(&prev), &mut scratch).unwrap();
+        let got = decode_window_into(&bytes, &mut scratch).unwrap();
+        assert_reports_equal(&got, &cur);
+        assert_eq!(got.matrix.nnz(), 3, "the stored zero survives");
+        // A delete of a cell the base does not hold is corrupt.
+        let mut absent = want.clone();
+        let tag = absent.len() - 12;
+        absent[tag] = 35; // (5,6): not in the base
+        let mut scratch = DecodeScratch::new();
+        decode_window_into(&encode_window(&prev), &mut scratch).unwrap();
+        assert_eq!(
+            decode_window_into(&absent, &mut scratch).map(|_| ()),
+            Err(CodecError::Corrupt("delete of an absent cell"))
+        );
+        // A payload cut anywhere fails.
+        for len in 0..bytes.len() {
+            let mut scratch = DecodeScratch::new();
+            decode_window_into(&encode_window(&prev), &mut scratch).unwrap();
+            assert!(decode_window_into(&bytes[..len], &mut scratch).is_err());
+        }
     }
 
     #[test]

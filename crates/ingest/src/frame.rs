@@ -24,16 +24,16 @@
 //! optional kind interleaves with windows: [`Frame::Stats`] carries the
 //! server's live [`MetricsSnapshot`] as `tw-json` bytes, so `connect
 //! --stats` can watch ingest rates and fan-out lag without a second
-//! connection or a side channel. The fifth kind carries a v3 delta window
+//! connection or a side channel. The fifth kind carries a delta window
 //! ([`encode_window_delta`](crate::codec::encode_window_delta) bytes);
 //! decoding one needs the previous window as its base, so
 //! [`parse_frame_payload`] only validates the payload header and hands the
 //! raw bytes to a stateful consumer holding a
 //! [`DecodeScratch`](crate::codec::DecodeScratch). The frame format does
-//! not change with the window codec: a window frame carries whichever full
-//! layout it was encoded or recorded in (v4 for everything encoded now), so
-//! a client built before v4 reads the frames and refuses a v4 payload with
-//! a typed codec error.
+//! not change with the window codec: a frame carries whichever layout its
+//! window was encoded or recorded in (v4 full and v5 delta for everything
+//! encoded now), so a client built before a layout reads the frames and
+//! refuses that payload with a typed codec error.
 //!
 //! A window frame's payload is byte for byte a recording's archive entry,
 //! and a ZIP entry's stored CRC-32 is the same checksum of the same bytes
@@ -61,10 +61,9 @@ use tw_metrics::MetricsSnapshot;
 /// The four magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"TWFR";
 
-/// The frame format version. It started at 2, the
-/// [`WINDOW_CODEC_VERSION`](crate::codec::WINDOW_CODEC_VERSION) of its day,
-/// and stays there while the window codec moves on (its payloads carry
-/// their own version byte): a version-1 frame never existed, so the
+/// The frame format version. It started at 2, the window codec version of
+/// its day, and stays there while the window codec moves on (its payloads
+/// carry their own version byte): a version-1 frame never existed, so the
 /// decoder rejects it as foreign.
 pub const FRAME_VERSION: u8 = 2;
 
@@ -91,7 +90,7 @@ pub enum FrameKind {
     Close,
     /// A live [`MetricsSnapshot`], interleaved with windows on request.
     Stats,
-    /// One v3-codec delta window, patched against the previous window.
+    /// One delta window, patched against the previous window.
     DeltaWindow,
 }
 
@@ -159,7 +158,7 @@ pub enum Frame {
     Close(CloseSummary),
     /// A live metrics snapshot from the server.
     Stats(MetricsSnapshot),
-    /// One delta window's raw v3 codec bytes, header-validated only.
+    /// One delta window's raw codec bytes, header-validated only.
     ///
     /// A delta is meaningless without its base window, so the frame layer
     /// does not decode it; feed the bytes to
@@ -266,18 +265,18 @@ pub(crate) fn recorded_frame_buffer(payload_len: usize) -> Vec<u8> {
 /// Finish a recorded window's frame: `buf` is a [`recorded_frame_buffer`]
 /// with the archive entry's codec payload appended, `crc` the entry's
 /// verified CRC-32 — the same checksum a frame trailer carries, so no
-/// second CRC pass runs. The kind follows the payload's version byte.
-/// `None` when the payload exceeds [`MAX_FRAME_LEN`]: such a window has no
-/// frame to forward.
+/// second CRC pass runs. The kind follows the payload's header: a delta
+/// goes in a delta frame, anything else in a window frame. `None` when the
+/// payload exceeds [`MAX_FRAME_LEN`]: such a window has no frame to
+/// forward.
 pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32) -> Option<Arc<[u8]>> {
     let payload = buf.get(HEADER_LEN..)?;
     if payload.len() > MAX_FRAME_LEN {
         return None;
     }
-    let kind = if payload.get(4) == Some(&codec::DELTA_WINDOW_VERSION) {
-        FrameKind::DeltaWindow
-    } else {
-        FrameKind::Window
+    let kind = match codec::window_header(payload) {
+        Ok(header) if header.base.is_some() => FrameKind::DeltaWindow,
+        _ => FrameKind::Window,
     };
     Some(seal(buf, kind, crc))
 }
@@ -298,7 +297,7 @@ fn seal(mut buf: Vec<u8>, kind: FrameKind, crc: u32) -> Arc<[u8]> {
 pub struct WindowFrame {
     /// The complete frame: header, codec payload, CRC trailer.
     pub bytes: Arc<[u8]>,
-    /// Whether the payload is a v3 delta rather than a full window.
+    /// Whether the payload is a delta rather than a full window.
     pub delta: bool,
     /// Whether `bytes` are the report's carried frame, sent without encoding.
     pub forwarded: bool,
@@ -312,16 +311,17 @@ impl WindowFrame {
 }
 
 /// Frame one window for the wire: in full when `base` is `None` (a
-/// key-frame position), otherwise as a v3 delta against `base`.
+/// key-frame position), otherwise as a delta against `base`.
 ///
 /// A report that carries the frame it was recorded in
 /// ([`WindowReport::frame`]) is forwarded as is when those bytes are exactly
-/// what encoding would write: a v4 payload at a key-frame position, or a v3
-/// payload whose base is `base`'s window at a delta position. Anything else
-/// (no carried frame, a v1 or v2 payload from a recording made before v4,
-/// a full entry at a delta position, a delta at a key-frame position or
-/// against another base) is encoded straight into a fresh frame buffer,
-/// so an old recording is served transcoded and a new one bytes-through.
+/// what encoding would write: a full payload in the current layout at a
+/// key-frame position, or a current-layout delta whose base is `base`'s
+/// window at a delta position. Anything else (no carried frame, a payload
+/// in a layout from before the current one, a full entry at a delta
+/// position, a delta at a key-frame position or against another base) is
+/// encoded straight into a fresh frame buffer, so an old recording is
+/// served transcoded and a new one bytes-through.
 ///
 /// Panics if an encoded payload exceeds [`MAX_FRAME_LEN`], like
 /// [`encode_frame`].
@@ -363,13 +363,16 @@ fn forwardable(frame: &[u8], base: Option<&WindowReport>) -> bool {
     let Ok((kind, payload, _)) = frame_parts(frame) else {
         return false;
     };
-    match base {
-        None => kind == FrameKind::Window && payload.get(4) == Some(&codec::FULL_WINDOW_VERSION),
-        Some(base) => {
-            kind == FrameKind::DeltaWindow
-                && codec::delta_base_index(payload) == Some(base.stats.window_index)
+    let Ok(header) = codec::window_header(payload) else {
+        return false;
+    };
+    header.is_current()
+        && match base {
+            None => kind == FrameKind::Window && header.base.is_none(),
+            Some(base) => {
+                kind == FrameKind::DeltaWindow && header.base == Some(base.stats.window_index)
+            }
         }
-    }
 }
 
 /// Validate one complete in-memory frame's header and length and return
@@ -520,20 +523,18 @@ fn decode_close_payload(payload: &[u8]) -> Result<CloseSummary, FrameError> {
 }
 
 /// Check a delta-window payload's codec header without decoding the body
-/// (the body needs a base window only a stateful consumer holds).
+/// (the body needs a base window only a stateful consumer holds): it must
+/// parse, and it must be a delta's. A full window's header is refused
+/// with its version.
 fn validate_delta_payload(payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() < 5 {
-        return Err(FrameError::Truncated("delta window header"));
+    match codec::window_header(payload) {
+        Ok(header) if header.base.is_some() => Ok(()),
+        Ok(header) => Err(FrameError::Window(CodecError::UnsupportedVersion(
+            header.version,
+        ))),
+        Err(CodecError::Truncated(_)) => Err(FrameError::Truncated("delta window header")),
+        Err(e) => Err(FrameError::Window(e)),
     }
-    if payload[..4] != codec::WINDOW_MAGIC {
-        return Err(FrameError::Window(CodecError::BadMagic));
-    }
-    if payload[4] != codec::DELTA_WINDOW_VERSION {
-        return Err(FrameError::Window(CodecError::UnsupportedVersion(
-            payload[4],
-        )));
-    }
-    Ok(())
 }
 
 /// Decode a raw frame's payload by kind.
@@ -759,8 +760,12 @@ mod tests {
 
     #[test]
     fn delta_frame_payload_headers_are_validated() {
-        // A delta frame whose payload is not a v3 window is refused at the
-        // frame layer, before any stateful decode is attempted.
+        // A delta frame whose payload is not a delta window is refused at
+        // the frame layer, before any stateful decode is attempted: the
+        // whole header is read, so a full window's header is refused with
+        // its version (a v2 header here: version, seven zero stats, shape).
+        let v2_header = b"TWWR\x02\0\0\0\0\0\0\0\x04\x04";
+        let full = encode_window(&sample_report());
         for (payload, want) in [
             (
                 b"xx".as_slice(),
@@ -771,8 +776,12 @@ mod tests {
                 FrameError::Window(CodecError::BadMagic),
             ),
             (
-                b"TWWR\x02rest".as_slice(),
+                v2_header.as_slice(),
                 FrameError::Window(CodecError::UnsupportedVersion(2)),
+            ),
+            (
+                full.as_slice(),
+                FrameError::Window(CodecError::UnsupportedVersion(4)),
             ),
         ] {
             let bytes = encode_frame(FrameKind::DeltaWindow, payload);

@@ -57,10 +57,11 @@ pub const MANIFEST_FORMAT: &str = "tw-replay";
 ///
 /// Version 1 recordings hold only version-2 full windows; version 2 adds
 /// version-3 deltas; version 3 stores full windows in the version-4
-/// linear-gap layout. Readers accept every version from 1 on, and a reader
-/// that predates one rejects the archive up front instead of failing on
-/// its first window.
-pub const MANIFEST_VERSION: i64 = 3;
+/// linear-gap layout; version 4 stores deltas in the version-5 layout,
+/// one run of tagged linear gaps. Readers accept every version from 1 on,
+/// and a reader that predates one rejects the archive up front instead of
+/// failing on its first window.
+pub const MANIFEST_VERSION: i64 = 4;
 
 /// Errors produced while recording or replaying a window archive.
 #[derive(Debug, Clone, PartialEq)]
@@ -516,16 +517,16 @@ mod tests {
     #[test]
     fn recording_length_does_not_follow_wall_clock_time() {
         // The same windows ingested fast or slowly record to the same
-        // number of bytes: only `elapsed` differs, and full windows store
-        // it at a fixed width.
+        // number of bytes: only `elapsed` differs, and full and delta
+        // windows both store it at a fixed width.
         let (reports, _) = record_ddos(4);
-        let record = |elapsed: std::time::Duration| {
+        let record = |elapsed: std::time::Duration, keyframe_every: u64| {
             let mut recorder = ArchiveRecorder::new(RecordingMeta {
                 scenario: "ddos".to_string(),
                 seed: 7,
                 node_count: 128,
                 window_us: 50_000,
-                keyframe_every: 0,
+                keyframe_every,
             });
             for report in &reports {
                 let mut report = report.clone();
@@ -534,10 +535,13 @@ mod tests {
             }
             recorder.finish().unwrap().len()
         };
-        assert_eq!(
-            record(std::time::Duration::from_nanos(1)),
-            record(std::time::Duration::from_secs(100))
-        );
+        for keyframe_every in [0, 2] {
+            assert_eq!(
+                record(std::time::Duration::from_nanos(1), keyframe_every),
+                record(std::time::Duration::from_secs(100), keyframe_every),
+                "keyframe_every {keyframe_every}"
+            );
+        }
     }
 
     #[test]
@@ -676,7 +680,7 @@ mod tests {
     #[test]
     fn delta_cadence_places_keyframes_where_the_manifest_says() {
         // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v4 codec
-        // bytes), everything else is a v3 delta, under the one manifest
+        // bytes), everything else is a v5 delta, under the one manifest
         // version new recordings write.
         use crate::codec::{DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION};
         let (_, bytes) = record_ddos_with_cadence(7, 3);
@@ -704,10 +708,10 @@ mod tests {
     #[test]
     fn zero_cadence_recordings_write_the_current_manifest() {
         // K=0 recordings write the same manifest version as delta ones, so
-        // a reader that predates v4 windows rejects the archive up front;
+        // a reader that predates v5 deltas rejects the archive up front;
         // every entry is a full v4 window.
         use crate::codec::FULL_WINDOW_VERSION;
-        assert_eq!(MANIFEST_VERSION, 3);
+        assert_eq!(MANIFEST_VERSION, 4);
         let (_, bytes) = record_ddos(2);
         let mut reader = reader(&bytes);
         let text = reader.read_text(MANIFEST_ENTRY).unwrap();

@@ -1,4 +1,4 @@
-//! Property tests for the v3 delta codec and cross-version decoding: a v2
+//! Property tests for the delta codec and cross-version decoding: a v2
 //! window reads bit-identically under the v4 reader (and serves as a delta
 //! base), any delta chain is
 //! cell-for-cell equal to the full stream it compresses (including seeks
@@ -216,7 +216,7 @@ proptest! {
         as_delta in prop::collection::vec(any::<bool>(), 2..8),
         skip_first in any::<bool>(),
     ) {
-        // Interleave v2 full frames and v3 delta frames in an arbitrary
+        // Interleave v4 full frames and v5 delta frames in an arbitrary
         // pattern — including chains whose base a reader joining late (or a
         // mis-ordered writer) never saw. Decoding may error (base
         // mismatch), but must never panic, and every full frame must reset

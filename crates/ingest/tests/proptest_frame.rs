@@ -149,7 +149,7 @@ proptest! {
 
     #[test]
     fn delta_frames_round_trip_and_patch(base in arb_report(24), next in arb_report(24)) {
-        // FrameKind::DeltaWindow end to end: frame the v3 delta bytes, get
+        // FrameKind::DeltaWindow end to end: frame the v5 delta bytes, get
         // them back untouched, then patch a scratch holding the base window
         // and recover `next` exactly.
         let delta = encode_window_delta(&base, &next);

@@ -1,12 +1,13 @@
 //! Differential property tests for the full-window decoder.
 //!
 //! The decoder reads four one-byte cells per 8-byte word where it can and
-//! falls back to one cell at a time everywhere else. [`reference_decode`]
-//! below is a plain cell-at-a-time decoder of every full layout, written
-//! independently of the codec module, with the codec's error for every
-//! failure: the version-4 run of linear-index gaps `encode_window` writes,
-//! and the version-2 per-row layout of older recordings (written here by
-//! the test-local `legacy_codec` writer). Over windows mixing one-byte and
+//! falls back to one cell at a time everywhere else. `reference_decode`
+//! (in the test-local `reference_codec`) is a plain cell-at-a-time decoder
+//! of every layout, written independently of the codec module, with the
+//! codec's error for every failure. Here it reads the version-4 run of
+//! linear-index gaps `encode_window` writes, and the version-2 per-row
+//! layout of older recordings (written by the test-local `legacy_codec`
+//! writer). Over windows mixing one-byte and
 //! multi-byte varints (values and gaps on both sides of 127/128 and
 //! 16,383/16,384, rows of 0–9 cells, runs of empty rows, a last cell at
 //! the matrix's last index), both decode entry points must return exactly
@@ -17,201 +18,21 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tw_ingest::codec::{
-    decode_window, decode_window_into, encode_window, CodecError, DecodeScratch,
-    DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION, WINDOW_CODEC_VERSION, WINDOW_MAGIC,
+    decode_window, decode_window_into, encode_window, DecodeScratch, FULL_WINDOW_VERSION,
 };
 use tw_ingest::{IngestStats, WindowReport};
 use tw_matrix::CsrMatrix;
 
 #[path = "support/legacy_codec.rs"]
 mod legacy_codec;
+#[path = "support/reference_codec.rs"]
+mod reference_codec;
 
-/// A decoded window, flattened for comparison.
-#[derive(Debug, PartialEq)]
-struct Decoded {
-    stats: IngestStats,
-    shape: (usize, usize),
-    cells: Vec<(usize, usize, u64)>,
-}
-
-impl Decoded {
-    fn of(report: &WindowReport) -> Self {
-        Decoded {
-            stats: report.stats.clone(),
-            shape: report.matrix.shape(),
-            cells: report.matrix.iter().collect(),
-        }
-    }
-}
-
-/// A byte cursor that reads varints one byte at a time.
-struct Bytes<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl Bytes<'_> {
-    fn byte(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        let b = *self.data.get(self.pos).ok_or(CodecError::Truncated(what))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let mut value = 0u128;
-        for shift in (0..).step_by(7) {
-            let byte = self.byte(what)?;
-            value |= u128::from(byte & 0x7F) << shift.min(70);
-            if shift >= 64 || value > u128::from(u64::MAX) {
-                return Err(CodecError::VarintOverflow(what));
-            }
-            if byte & 0x80 == 0 {
-                break;
-            }
-        }
-        Ok(value as u64)
-    }
-
-    fn index(&mut self, what: &'static str) -> Result<usize, CodecError> {
-        usize::try_from(self.varint(what)?).map_err(|_| CodecError::VarintOverflow(what))
-    }
-}
-
-/// `prev + 1 + gap` for a delta-coded index: the first index is absolute.
-fn advance(prev: Option<usize>, gap: usize, overflow: &'static str) -> Result<usize, CodecError> {
-    match prev {
-        None => Ok(gap),
-        Some(p) => {
-            usize::try_from(p as u128 + gap as u128 + 1).map_err(|_| CodecError::Corrupt(overflow))
-        }
-    }
-}
-
-/// Decode a full window one cell at a time, as `decode_window` must.
-fn reference_decode(data: &[u8]) -> Result<Decoded, CodecError> {
-    let mut b = Bytes { data, pos: 0 };
-    let mut magic = [0u8; 4];
-    for m in &mut magic {
-        *m = b.byte("magic")?;
-    }
-    if magic != WINDOW_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = b.byte("version")?;
-    if version == 0 || version > WINDOW_CODEC_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let window_index = b.varint("window_index")?;
-    let events = b.varint("events")?;
-    let packets = b.varint("packets")?;
-    let nnz = b.index("stats nnz")?;
-    let dropped_late = b.varint("dropped_late")?;
-    let reordered = if version >= 2 {
-        b.varint("reordered")?
-    } else {
-        0
-    };
-    let elapsed = Duration::from_nanos(if version >= 4 {
-        let mut le = [0u8; 8];
-        for byte in &mut le {
-            *byte = b.byte("elapsed")?;
-        }
-        u64::from_le_bytes(le)
-    } else {
-        b.varint("elapsed")?
-    });
-    let stats = IngestStats {
-        window_index,
-        events,
-        packets,
-        nnz,
-        dropped_late,
-        reordered,
-        elapsed,
-    };
-    if version == DELTA_WINDOW_VERSION {
-        // A fresh decoder holds no base for a delta to apply to.
-        return Err(CodecError::DeltaBaseMismatch {
-            expected: b.varint("base window index")?,
-            actual: None,
-        });
-    }
-
-    let rows = b.index("rows")?;
-    let cols = b.index("cols")?;
-    if rows > MAX_DIMENSION || cols > MAX_DIMENSION {
-        return Err(CodecError::DimensionTooLarge {
-            dimension: rows.max(cols),
-            limit: MAX_DIMENSION,
-        });
-    }
-    let nnz = b.index("nnz")?;
-    if version >= 4 {
-        // One run of cells, each addressed by its linear index
-        // `row * cols + col` as a gap from the previous cell's index + 1.
-        let size = rows as u128 * cols as u128;
-        let mut cells = Vec::new();
-        let mut next = 0u128;
-        for _ in 0..nnz {
-            let index = next + b.index("cell gap")? as u128;
-            if index >= size {
-                return Err(CodecError::Corrupt("cell index out of bounds"));
-            }
-            let (r, c) = (index / cols as u128, index % cols as u128);
-            cells.push((r as usize, c as usize, b.varint("value")?));
-            next = index + 1;
-        }
-        if b.pos != data.len() {
-            return Err(CodecError::Corrupt("trailing bytes after the last entry"));
-        }
-        return Ok(Decoded {
-            stats,
-            shape: (rows, cols),
-            cells,
-        });
-    }
-    let occupied = b.index("occupied row count")?;
-    if occupied > rows || nnz < occupied {
-        return Err(CodecError::Corrupt("row/entry counts are inconsistent"));
-    }
-    let mut cells = Vec::new();
-    let mut row = None;
-    for _ in 0..occupied {
-        let r = advance(row, b.index("row gap")?, "row overflow")?;
-        if r >= rows {
-            return Err(CodecError::Corrupt("row index out of bounds"));
-        }
-        row = Some(r);
-        let row_nnz = b.index("row nnz")?;
-        if row_nnz == 0 {
-            return Err(CodecError::Corrupt("occupied row with zero entries"));
-        }
-        let mut col = None;
-        for _ in 0..row_nnz {
-            let c = advance(col, b.index("column delta")?, "column overflow")?;
-            if c >= cols {
-                return Err(CodecError::Corrupt("column index out of bounds"));
-            }
-            col = Some(c);
-            cells.push((r, c, b.varint("value")?));
-        }
-    }
-    if cells.len() != nnz {
-        return Err(CodecError::Corrupt("entry count disagrees with header"));
-    }
-    if b.pos != data.len() {
-        return Err(CodecError::Corrupt("trailing bytes after the last entry"));
-    }
-    Ok(Decoded {
-        stats,
-        shape: (rows, cols),
-        cells,
-    })
-}
+use reference_codec::{reference_decode, Decoded};
 
 /// Both decode entry points must agree with the reference on `data`.
 fn check(data: &[u8]) -> Result<(), TestCaseError> {
-    let want = reference_decode(data);
+    let want = reference_decode(data, None);
     let got = decode_window(data).map(|r| Decoded::of(&r));
     prop_assert_eq!(&got, &want, "decode_window on {:?}", data);
     let mut scratch = DecodeScratch::new();
@@ -380,7 +201,7 @@ proptest! {
     #[test]
     fn decoder_equals_the_per_cell_reference(report in arb_window()) {
         for bytes in layouts(&report) {
-            prop_assert_eq!(reference_decode(&bytes), Ok(Decoded::of(&report)));
+            prop_assert_eq!(reference_decode(&bytes, None), Ok(Decoded::of(&report)));
             check(&bytes)?;
         }
     }

@@ -280,142 +280,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
             self.values,
         )
     }
-
-    /// The sparse cell changes that turn `self` into `other`.
-    ///
-    /// Changes are `(row, col, Some(new_value))` for cells stored in `other`
-    /// with a value `self` does not store there, and `(row, col, None)` for
-    /// cells stored in `self` but not in `other`. The list is sorted by
-    /// `(row, col)` — exactly the contract [`CsrMatrix::apply_delta_into`]
-    /// expects, so applying `self.diff(other)` to `self` reconstructs
-    /// `other` cell for cell (including stored `T::default()` values, which
-    /// survive as `Some(default)` upserts rather than collapsing into
-    /// deletes).
-    ///
-    /// Both matrices must have the same shape.
-    pub fn diff(&self, other: &CsrMatrix<T>) -> Result<Vec<(usize, usize, Option<T>)>> {
-        if self.shape() != other.shape() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "diff requires equal shapes, got {:?} and {:?}",
-                self.shape(),
-                other.shape()
-            )));
-        }
-        let mut changes = Vec::new();
-        for r in 0..self.rows {
-            let (a_start, a_end) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let (b_start, b_end) = (other.row_ptr[r], other.row_ptr[r + 1]);
-            let (mut a, mut b) = (a_start, b_start);
-            while a < a_end || b < b_end {
-                let ac = self.col_idx.get(a).copied().filter(|_| a < a_end);
-                let bc = other.col_idx.get(b).copied().filter(|_| b < b_end);
-                match (ac, bc) {
-                    (Some(ca), Some(cb)) if ca == cb => {
-                        if self.values[a] != other.values[b] {
-                            changes.push((r, ca, Some(other.values[b])));
-                        }
-                        a += 1;
-                        b += 1;
-                    }
-                    (Some(ca), Some(cb)) if ca < cb => {
-                        changes.push((r, ca, None));
-                        a += 1;
-                    }
-                    (Some(_), Some(cb)) => {
-                        changes.push((r, cb, Some(other.values[b])));
-                        b += 1;
-                    }
-                    (Some(ca), None) => {
-                        changes.push((r, ca, None));
-                        a += 1;
-                    }
-                    (None, Some(cb)) => {
-                        changes.push((r, cb, Some(other.values[b])));
-                        b += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
-            }
-        }
-        Ok(changes)
-    }
-
-    /// Apply sorted cell changes (the output of [`CsrMatrix::diff`]) to
-    /// `self`, building into caller-provided arrays.
-    ///
-    /// The arrays are cleared and refilled with a valid CSR layout for the
-    /// patched matrix (`self` shape), reusing their allocations — this is
-    /// the zero-allocation half of the delta-decode hot path; pass the
-    /// result to [`CsrMatrix::from_raw_parts`] to finish. The merge is one
-    /// ordered pass over `self` and the change list, `O(nnz + changes)`.
-    pub fn apply_delta_into(
-        &self,
-        changes: &[(usize, usize, Option<T>)],
-        row_ptr: &mut Vec<usize>,
-        col_idx: &mut Vec<usize>,
-        values: &mut Vec<T>,
-    ) -> Result<()> {
-        for w in changes.windows(2) {
-            if (w[0].0, w[0].1) >= (w[1].0, w[1].1) {
-                return Err(MatrixError::DimensionMismatch(format!(
-                    "delta changes must be sorted strictly by (row, col); \
-                     ({}, {}) does not precede ({}, {})",
-                    w[0].0, w[0].1, w[1].0, w[1].1
-                )));
-            }
-        }
-        for &(r, c, _) in changes {
-            if r >= self.rows {
-                return Err(MatrixError::IndexOutOfBounds {
-                    index: r,
-                    bound: self.rows,
-                    axis: "row",
-                });
-            }
-            if c >= self.cols {
-                return Err(MatrixError::IndexOutOfBounds {
-                    index: c,
-                    bound: self.cols,
-                    axis: "column",
-                });
-            }
-        }
-        row_ptr.clear();
-        col_idx.clear();
-        values.clear();
-        row_ptr.reserve(self.rows + 1);
-        col_idx.reserve(self.col_idx.len() + changes.len());
-        values.reserve(self.values.len() + changes.len());
-        row_ptr.push(0);
-        let mut next = 0usize;
-        for r in 0..self.rows {
-            let end = self.row_ptr[r + 1];
-            let mut base = self.row_ptr[r];
-            while next < changes.len() && changes[next].0 == r {
-                let (_, c, change) = changes[next];
-                while base < end && self.col_idx[base] < c {
-                    col_idx.push(self.col_idx[base]);
-                    values.push(self.values[base]);
-                    base += 1;
-                }
-                if base < end && self.col_idx[base] == c {
-                    base += 1; // superseded by the change
-                }
-                if let Some(v) = change {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-                next += 1;
-            }
-            while base < end {
-                col_idx.push(self.col_idx[base]);
-                values.push(self.values[base]);
-                base += 1;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -430,16 +294,6 @@ mod tests {
             .map(|(r, c)| (r, c, grid[r][c]))
             .collect();
         CsrMatrix::from_sorted_triples(grid.len(), grid[0].len(), &triples)
-    }
-
-    /// `changes` applied to `a` through [`CsrMatrix::apply_delta_into`].
-    fn patched(
-        a: &CsrMatrix<u32>,
-        changes: &[(usize, usize, Option<u32>)],
-    ) -> Result<CsrMatrix<u32>> {
-        let (mut row_ptr, mut col_idx, mut values) = (Vec::new(), Vec::new(), Vec::new());
-        a.apply_delta_into(changes, &mut row_ptr, &mut col_idx, &mut values)?;
-        CsrMatrix::from_raw_parts(a.rows(), a.cols(), row_ptr, col_idx, values)
     }
 
     fn sample() -> CsrMatrix<u32> {
@@ -595,79 +449,5 @@ mod tests {
         let empty = CsrMatrix::<u32>::empty(2, 2);
         target.clone_from(&empty);
         assert_eq!(target, empty);
-    }
-
-    #[test]
-    fn diff_and_apply_delta_round_trip() {
-        let a = sample();
-        // [0 2 0 1]      [0 2 0 0]   cell (0,3) deleted,
-        // [0 0 0 0]  ->  [0 7 0 0]   cell (1,1) added,
-        // [5 0 3 0]      [5 0 4 0]   cell (2,2) changed.
-        let b = from_grid(&[vec![0, 2, 0, 0], vec![0, 7, 0, 0], vec![5, 0, 4, 0]]);
-        let changes = a.diff(&b).unwrap();
-        assert_eq!(
-            changes,
-            vec![(0, 3, None), (1, 1, Some(7)), (2, 2, Some(4))]
-        );
-        assert_eq!(patched(&a, &changes).unwrap(), b);
-        // The reverse diff restores the original.
-        let back = b.diff(&a).unwrap();
-        assert_eq!(patched(&b, &back).unwrap(), a);
-        // An empty diff is the identity.
-        assert_eq!(a.diff(&a).unwrap(), vec![]);
-        assert_eq!(patched(&a, &[]).unwrap(), a);
-    }
-
-    #[test]
-    fn diff_preserves_stored_defaults() {
-        // A stored zero is a real entry, distinct from an absent cell: the
-        // diff must carry it as an upsert, not a delete.
-        let a = CsrMatrix::from_sorted_triples(2, 2, &[(0usize, 0usize, 5u32)]);
-        let b = CsrMatrix::from_sorted_triples(2, 2, &[(0usize, 0usize, 0u32)]);
-        let changes = a.diff(&b).unwrap();
-        assert_eq!(changes, vec![(0, 0, Some(0))]);
-        let applied = patched(&a, &changes).unwrap();
-        assert_eq!(applied, b);
-        assert_eq!(applied.nnz(), 1, "the stored zero survives");
-    }
-
-    #[test]
-    fn apply_delta_into_reuses_buffers() {
-        let a = sample();
-        let b = from_grid(&[vec![1, 0, 0, 1], vec![0, 0, 2, 0], vec![5, 0, 3, 9]]);
-        let changes = a.diff(&b).unwrap();
-        let (mut rp, mut ci, mut vs) = (vec![9usize; 50], vec![7usize; 50], vec![1u32; 50]);
-        a.apply_delta_into(&changes, &mut rp, &mut ci, &mut vs)
-            .unwrap();
-        let rebuilt = CsrMatrix::from_raw_parts(3, 4, rp, ci, vs).unwrap();
-        assert_eq!(rebuilt, b);
-    }
-
-    #[test]
-    fn apply_delta_rejects_bad_changes() {
-        let a = sample();
-        // Unsorted, duplicate, and out-of-bounds change lists are rejected.
-        assert!(patched(&a, &[(1, 1, Some(1)), (0, 0, Some(1))]).is_err());
-        assert!(patched(&a, &[(0, 0, Some(1)), (0, 0, None)]).is_err());
-        assert_eq!(
-            patched(&a, &[(3, 0, Some(1))]).unwrap_err(),
-            MatrixError::IndexOutOfBounds {
-                index: 3,
-                bound: 3,
-                axis: "row"
-            }
-        );
-        assert_eq!(
-            patched(&a, &[(0, 4, Some(1))]).unwrap_err(),
-            MatrixError::IndexOutOfBounds {
-                index: 4,
-                bound: 4,
-                axis: "column"
-            }
-        );
-        // Shape-mismatched diffs are rejected before any work.
-        assert!(a.diff(&CsrMatrix::<u32>::empty(2, 2)).is_err());
-        // Deleting an absent cell is a harmless no-op.
-        assert_eq!(patched(&a, &[(1, 2, None)]).unwrap(), a);
     }
 }

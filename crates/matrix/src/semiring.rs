@@ -39,21 +39,6 @@ impl Semiring<u64> for PlusTimes {
     }
 }
 
-impl Semiring<f64> for PlusTimes {
-    fn zero(&self) -> f64 {
-        0.0
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a * b
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == 0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +53,5 @@ mod tests {
         assert_eq!(s.mul(u64::MAX, 2), u64::MAX);
         assert!(Semiring::<u64>::is_zero(&s, 0));
         assert!(!Semiring::<u64>::is_zero(&s, 7));
-    }
-
-    #[test]
-    fn plus_times_f64() {
-        let s = PlusTimes;
-        assert_eq!(s.add(0.5f64, 0.25), 0.75);
-        assert_eq!(s.mul(0.5f64, 4.0), 2.0);
-        assert!(Semiring::<f64>::is_zero(&s, 0.0));
     }
 }

@@ -31,7 +31,7 @@ pub struct ClientStream {
     close: Option<CloseSummary>,
     seen: u64,
     /// Per-connection decode state: recycled CSR buffers plus the base
-    /// window a v3 delta frame applies to. A full-frame stream never
+    /// window a delta frame applies to. A full-frame stream never
     /// touches the base but still reuses buffers.
     scratch: DecodeScratch,
     /// Stats frames that arrived since the last [`take_stats`] drain, in

@@ -26,7 +26,7 @@
 //! [`window_frame`] forwards those bytes whenever they are exactly what
 //! encoding would write; any other window is encoded straight into its
 //! frame buffer. With [`ServeConfig::keyframe_every`] set, the
-//! windows between key frames go out as v3 delta frames, and the
+//! windows between key frames go out as delta frames, and the
 //! [`BroadcastHub`] starts a late joiner's catch-up at the first key frame
 //! in its ring. A slow connection fills its bounded channel and
 //! starts dropping frames — counted per subscriber, surfaced on telemetry,
@@ -158,7 +158,7 @@ pub struct ServeConfig {
     /// N window frames, plus a final snapshot before the close frame.
     /// 0 (the default) keeps the wire free of stats frames.
     pub stats_every: u64,
-    /// Key-frame cadence for v3 delta serving: every K-th window goes out
+    /// Key-frame cadence for delta serving: every K-th window goes out
     /// as a self-contained full frame, the windows between as sparse deltas
     /// against the previous window. 0 (the default) serves every window as
     /// a full frame. Clamped to `ring_capacity` so the catch-up ring

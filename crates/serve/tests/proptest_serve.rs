@@ -19,7 +19,7 @@ use tw_ingest::frame::{read_raw_frame, FrameKind};
 use tw_ingest::{
     collect_stream, decode_window, decode_window_into, ArchiveRecorder, DecodeScratch, Pipeline,
     PipelineConfig, RecordingMeta, ReplaySource, Scenario, StreamError, WindowReport, WindowStream,
-    FULL_WINDOW_VERSION,
+    DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION,
 };
 use tw_metrics::MetricsRegistry;
 use tw_serve::{loopback_listener, serve, ClientStream, ServeConfig};
@@ -268,10 +268,11 @@ impl<S: WindowStream> WindowStream for Harness<S> {
     }
 }
 
-/// Which full-window layout a recording's key frames are stored in.
+/// Which layouts a recording's entries are stored in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Layout {
-    /// As the recorder writes them: version 4.
+    /// As the recorder writes them: version 4 full windows, version 5
+    /// deltas.
     Current,
     /// The first entry rewritten in the version-1 layout, which predates
     /// the `reordered` stats field.
@@ -279,9 +280,12 @@ enum Layout {
     /// Every full entry rewritten in the version-2 layout, as recordings
     /// made before version 4 hold them.
     V2,
+    /// Every delta entry rewritten in the version-3 layout, as recordings
+    /// made before version 5 hold them.
+    V3Deltas,
 }
 
-/// Record `reports` at key-frame cadence `keyframe_every`, with its full
+/// Record `reports` at key-frame cadence `keyframe_every`, with its
 /// entries in `layout`.
 fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, layout: Layout) -> Vec<u8> {
     let mut recorder = ArchiveRecorder::new(RecordingMeta {
@@ -309,6 +313,9 @@ fn recording(reports: &[WindowReport], nodes: u32, keyframe_every: u64, layout: 
             _ => None,
         };
         let entry = match version {
+            _ if layout == Layout::V3Deltas && entry.get(4) == Some(&DELTA_WINDOW_VERSION) => {
+                legacy_codec::encode_legacy_delta(&reports[i - 1], &reports[i])
+            }
             Some(version) if entry.get(4) == Some(&FULL_WINDOW_VERSION) => {
                 let report = decode_window(&entry).unwrap();
                 if version == 1 {
@@ -383,17 +390,18 @@ const RING: usize = 8;
 const WINDOWS: usize = 14;
 
 proptest! {
-    // 3 layouts x 16 cadence pairings x 2 serve sessions per case.
+    // 4 layouts x 16 cadence pairings x 2 serve sessions per case.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Bytes-through ≡ transcode on the wire: for every pairing of
-    /// recording cadence and serve cadence, with v4 key frames, a legacy
-    /// v1 first entry or all key frames in the v2 layout, every client
+    /// recording cadence and serve cadence, with the current layouts, a
+    /// legacy v1 first entry, all key frames in the v2 layout or all
+    /// deltas in the v3 layout, every client
     /// (one on time, one joining past the ring, mid delta chain for most
     /// cadences) reads the identical raw frame sequence whether `serve`
     /// forwards the recorded frames or encodes every window itself; and
     /// `serve` forwards exactly the windows whose recorded payload is what
-    /// it would encode, so legacy full entries are always transcoded.
+    /// it would encode, so legacy entries are always transcoded.
     #[test]
     fn forwarded_frames_are_the_frames_transcoding_writes(
         scenario in arb_scenario(),
@@ -404,7 +412,10 @@ proptest! {
         let reports = pipeline(scenario, nodes, seed).run(WINDOWS);
         let recordings = [0u64, 1, 3, 8]
             .into_iter()
-            .flat_map(|every| [Layout::Current, Layout::V1First, Layout::V2].map(|l| (every, l)));
+            .flat_map(|every| {
+                [Layout::Current, Layout::V1First, Layout::V2, Layout::V3Deltas]
+                    .map(|l| (every, l))
+            });
         for (record_every, layout) in recordings {
             let recording = recording(&reports, nodes, record_every, layout);
             for serve_every in [0u64, 1, 3, 8] {
@@ -419,11 +430,12 @@ proptest! {
                 prop_assert_eq!(on_time.len(), WINDOWS + 2, "manifest, windows, close");
 
                 let key = |every: u64, i: u64| every == 0 || i.is_multiple_of(every);
-                // Legacy full entries are transcoded, never forwarded.
+                // Legacy entries are transcoded, never forwarded.
                 let legacy = |i: u64| match layout {
                     Layout::Current => false,
                     Layout::V1First => i == 0,
                     Layout::V2 => key(record_every, i),
+                    Layout::V3Deltas => !key(record_every, i),
                 };
                 let expected = (0..WINDOWS as u64)
                     .filter(|&i| key(serve_every, i) == key(record_every, i))
