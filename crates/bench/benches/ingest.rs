@@ -5,7 +5,9 @@
 //!
 //! 1. Window accumulation: a million-event stream turned into one matrix,
 //!    through the serial `window_matrix` reference (COO push + coalesce) and
-//!    through the pipeline's `WindowAccumulator` (counting-sort merge).
+//!    through the pipeline's `WindowAccumulator` (counting-sort merge);
+//!    and the merge at the shape a recorded lesson has, ~10k-event windows
+//!    of a 4,096-node scan, warm and recycled as the pipeline runs it.
 //! 2. The full pipeline: pull → scan → route → window rotation over ten
 //!    windows, with and without the consumer recycling each matrix.
 //!
@@ -78,6 +80,26 @@ fn ten_windows(events: &Arc<[PacketEvent]>, nodes: u32, window_us: u64, recycle:
     total_events
 }
 
+/// The first `count` whole windows of `window_us` from a `Scenario::Scan`
+/// stream over `nodes` nodes with a fixed seed, split by timestamp.
+fn lesson_windows(nodes: u32, window_us: u64, count: usize) -> Vec<Vec<PacketEvent>> {
+    let mut source = Scenario::Scan.source(nodes, 1);
+    let mut windows = vec![Vec::new(); count];
+    let mut batch = Vec::new();
+    loop {
+        batch.clear();
+        if source.pull(4_096, &mut batch) == 0 {
+            return windows;
+        }
+        for event in &batch {
+            match windows.get_mut((event.timestamp_us / window_us) as usize) {
+                Some(window) => window.push(*event),
+                None => return windows,
+            }
+        }
+    }
+}
+
 fn bench_ingest(c: &mut Criterion) {
     let nodes = 1024u32;
     let events = {
@@ -104,6 +126,31 @@ fn bench_ingest(c: &mut Criterion) {
             let mut acc = WindowAccumulator::new(nodes as usize);
             acc.ingest(&events);
             black_box(acc.merge().nnz())
+        })
+    });
+    group.finish();
+
+    // The merge at a recorded lesson's shape: 100 ms windows of a scan
+    // over 4,096 nodes (~10k events each), one window per iteration on a
+    // warm accumulator whose matrices are recycled.
+    let lesson_nodes = 4_096u32;
+    let lesson_windows = lesson_windows(lesson_nodes, 100_000, 8);
+    println!(
+        "{} scan windows over {lesson_nodes} nodes, {} events each on average",
+        lesson_windows.len(),
+        lesson_windows.iter().map(Vec::len).sum::<usize>() / lesson_windows.len()
+    );
+    let mut group = c.benchmark_group(format!("ingest_scan_{lesson_nodes}_nodes"));
+    group.bench_function("accumulator_merge_recycled", |b| {
+        let mut acc = WindowAccumulator::new(lesson_nodes as usize);
+        let mut next = lesson_windows.iter().cycle();
+        b.iter(|| {
+            let window = next.next().expect("cycle over a non-empty list");
+            acc.ingest(window);
+            let matrix = acc.merge();
+            let nnz = matrix.nnz();
+            acc.recycle(matrix);
+            black_box(nnz)
         })
     });
     group.finish();

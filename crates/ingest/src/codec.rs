@@ -100,6 +100,14 @@ pub enum CodecError {
         /// The window index the decoder currently holds, if any.
         actual: Option<u64>,
     },
+    /// A window's header claims another shape than its stream's
+    /// `node_count × node_count` (see [`decode_stream_window_into`]).
+    Misshapen {
+        /// The `(rows, cols)` the header claimed.
+        shape: (usize, usize),
+        /// The stream's node count.
+        node_count: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -134,6 +142,10 @@ impl fmt::Display for CodecError {
             } => write!(
                 f,
                 "delta window is encoded against base window {expected}, but the decoder holds no base window"
+            ),
+            CodecError::Misshapen { shape, node_count } => write!(
+                f,
+                "window has shape {shape:?}, but the stream has {node_count} nodes"
             ),
         }
     }
@@ -397,13 +409,11 @@ pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec
 }
 
 /// The `(rows, cols)` a window payload's header claims, read without
-/// decoding a cell; `None` when the header does not parse (decoding the
-/// payload then fails too, with the precise error).
-///
-/// A reader that knows its stream's node count checks this before
-/// decoding, so a corrupt or hostile header cannot make it build a row
-/// index for millions of rows.
-pub fn window_shape(payload: &[u8]) -> Option<(usize, usize)> {
+/// decoding a cell; `None` when the header does not parse. Tests use it to
+/// state what a crafted header claims; readers check the claim inside
+/// [`decode_stream_window_into`].
+#[cfg(test)]
+pub(crate) fn window_shape(payload: &[u8]) -> Option<(usize, usize)> {
     let header = window_header(payload).ok()?;
     Some((header.rows, header.cols))
 }
@@ -455,7 +465,7 @@ fn parse_full_body(
     // buffer length so a corrupt header cannot force a huge allocation; the
     // row index is sized from the claimed rows, which `MAX_DIMENSION`
     // bounds and a reader that knows its node count checks first
-    // ([`window_shape`]).
+    // ([`decode_stream_window_into`]).
     row_ptr.clear();
     row_ptr.reserve(shape.0 + 1);
     col_idx.clear();
@@ -883,6 +893,38 @@ pub fn decode_window_into(
 ) -> Result<WindowReport, CodecError> {
     let mut r = Reader { data, pos: 0 };
     let header = read_header(&mut r)?;
+    decode_body_into(r, header, scratch)
+}
+
+/// [`decode_window_into`] for a stream whose windows are all
+/// `node_count × node_count`, reading the header once. A header that
+/// claims another shape is refused with [`CodecError::Misshapen`] before
+/// anything is sized from it: the decoder sizes its row index from the
+/// claimed rows, so a corrupt or hostile claim could otherwise cost
+/// millions of rows. Returns the report and whether the payload was a
+/// delta.
+pub fn decode_stream_window_into(
+    data: &[u8],
+    node_count: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<(WindowReport, bool), CodecError> {
+    let mut r = Reader { data, pos: 0 };
+    let header = read_header(&mut r)?;
+    let shape = (header.rows, header.cols);
+    if shape != (node_count, node_count) {
+        return Err(CodecError::Misshapen { shape, node_count });
+    }
+    let delta = header.base.is_some();
+    Ok((decode_body_into(r, header, scratch)?, delta))
+}
+
+/// Decode the cells after a parsed `header` through `scratch`; `r` is
+/// positioned just past the header of the whole payload `r.data`.
+fn decode_body_into(
+    mut r: Reader<'_>,
+    header: WindowHeader,
+    scratch: &mut DecodeScratch,
+) -> Result<WindowReport, CodecError> {
     let (mut row_ptr, mut col_idx, mut values) = scratch.take_buffers();
     let parsed = match header.base {
         Some(expected) => scratch.base.resolve(expected).and_then(|base| {
@@ -909,7 +951,7 @@ pub fn decode_window_into(
     if header.base.is_some() {
         scratch.base.set_matrix(index, &matrix);
     } else {
-        scratch.base.set_payload(index, data);
+        scratch.base.set_payload(index, r.data);
     }
     Ok(WindowReport {
         matrix,
@@ -1532,6 +1574,36 @@ mod tests {
         let got_cur = decode_window_into(&delta, &mut scratch).unwrap();
         assert_reports_equal(&got_cur, &cur);
         assert_eq!(scratch.base_window(), Some(cur.stats.window_index));
+    }
+
+    #[test]
+    fn stream_decode_refuses_other_shapes_and_reports_deltas() {
+        let prev = report(16, 16, &[(1, 2, 3)]);
+        let mut cur = report(16, 16, &[(1, 2, 4)]);
+        cur.stats.window_index = prev.stats.window_index + 1;
+        let mut scratch = DecodeScratch::new();
+        let full = encode_window(&prev);
+        assert_eq!(
+            decode_stream_window_into(&full, 8, &mut scratch).unwrap_err(),
+            CodecError::Misshapen {
+                shape: (16, 16),
+                node_count: 8
+            }
+        );
+        assert_eq!(scratch.base_window(), None, "refused before decoding");
+        let (got, delta) = decode_stream_window_into(&full, 16, &mut scratch).unwrap();
+        assert_reports_equal(&got, &prev);
+        assert!(!delta);
+        let (got, delta) =
+            decode_stream_window_into(&encode_window_delta(&prev, &cur), 16, &mut scratch).unwrap();
+        assert_reports_equal(&got, &cur);
+        assert!(delta);
+        // A header that does not parse is the codec's error, as in
+        // `decode_window_into`.
+        assert_eq!(
+            decode_stream_window_into(&full[..3], 16, &mut scratch).unwrap_err(),
+            decode_window_into(&full[..3], &mut scratch).unwrap_err()
+        );
     }
 
     #[test]

@@ -265,18 +265,19 @@ pub(crate) fn recorded_frame_buffer(payload_len: usize) -> Vec<u8> {
 /// Finish a recorded window's frame: `buf` is a [`recorded_frame_buffer`]
 /// with the archive entry's codec payload appended, `crc` the entry's
 /// verified CRC-32 — the same checksum a frame trailer carries, so no
-/// second CRC pass runs. The kind follows the payload's header: a delta
-/// goes in a delta frame, anything else in a window frame. `None` when the
-/// payload exceeds [`MAX_FRAME_LEN`]: such a window has no frame to
-/// forward.
-pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32) -> Option<Arc<[u8]>> {
+/// second CRC pass runs. `delta` is what the decoder read from the
+/// payload's header: a delta goes in a delta frame, a full window in a
+/// window frame. `None` when the payload exceeds [`MAX_FRAME_LEN`]: such a
+/// window has no frame to forward.
+pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32, delta: bool) -> Option<Arc<[u8]>> {
     let payload = buf.get(HEADER_LEN..)?;
     if payload.len() > MAX_FRAME_LEN {
         return None;
     }
-    let kind = match codec::window_header(payload) {
-        Ok(header) if header.base.is_some() => FrameKind::DeltaWindow,
-        _ => FrameKind::Window,
+    let kind = if delta {
+        FrameKind::DeltaWindow
+    } else {
+        FrameKind::Window
     };
     Some(seal(buf, kind, crc))
 }

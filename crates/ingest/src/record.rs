@@ -41,7 +41,7 @@
 //! assert!(replay.next_window().unwrap().is_none());
 //! ```
 
-use crate::codec::{encode_window, encode_window_delta, window_shape, CodecError, CodecMetrics};
+use crate::codec::{encode_window, encode_window_delta, CodecError, CodecMetrics};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
 use tw_archive::{ArchiveError, ZipWriter};
@@ -287,22 +287,16 @@ impl ReplayManifest {
     }
 }
 
-/// Reject a window payload whose header claims a shape other than
-/// `node_count × node_count`, before any of it is decoded: the decoder
-/// sizes its row index from the claimed rows, so a stream that knows its
-/// node count refuses a corrupt or hostile claim first. A payload whose
-/// header does not parse passes; decoding it then reports the codec error.
-/// `window` names the window in the error.
-pub fn check_shape(
-    payload: &[u8],
-    window: impl fmt::Display,
-    node_count: usize,
-) -> Result<(), RecordError> {
-    match window_shape(payload) {
-        Some(shape) if shape != (node_count, node_count) => Err(RecordError::Manifest(format!(
+/// A window decode failure as a recording reader reports it: a window
+/// whose header claims another shape than the stream's
+/// ([`CodecError::Misshapen`]) is a manifest error naming `window`; any
+/// other failure is the codec's.
+pub fn window_error(e: CodecError, window: impl fmt::Display) -> RecordError {
+    match e {
+        CodecError::Misshapen { shape, node_count } => RecordError::Manifest(format!(
             "window {window} has shape {shape:?}, manifest says {node_count} nodes"
-        ))),
-        _ => Ok(()),
+        )),
+        e => RecordError::Codec(e),
     }
 }
 

@@ -12,9 +12,9 @@
 //! `BufReader<File>`-backed alias the CLI uses; a recording already in
 //! memory replays through a `std::io::Cursor`.
 
-use crate::codec::{decode_window_into, DecodeScratch};
+use crate::codec::{decode_stream_window_into, DecodeScratch};
 use crate::frame::{recorded_frame_buffer, seal_recorded_frame, HEADER_LEN};
-use crate::record::{check_shape, parse_manifest, RecordError, ReplayManifest, MANIFEST_ENTRY};
+use crate::record::{parse_manifest, window_error, RecordError, ReplayManifest, MANIFEST_ENTRY};
 use crate::window::WindowReport;
 use std::io::{Read, Seek};
 use tw_archive::ZipReader;
@@ -82,9 +82,13 @@ impl<R: Read + Seek> ReplaySource<R> {
         // trailer reallocates it.
         let mut frame = recorded_frame_buffer(self.reader.entry_len(entry).unwrap_or(0));
         let crc = self.reader.read_into(entry, &mut frame)?;
-        check_shape(&frame[HEADER_LEN..], entry, self.manifest.node_count)?;
-        let mut report = decode_window_into(&frame[HEADER_LEN..], &mut self.scratch)?;
-        report.frame = seal_recorded_frame(frame, crc);
+        let (mut report, delta) = decode_stream_window_into(
+            &frame[HEADER_LEN..],
+            self.manifest.node_count,
+            &mut self.scratch,
+        )
+        .map_err(|e| window_error(e, entry))?;
+        report.frame = seal_recorded_frame(frame, crc, delta);
         self.cursor += 1;
         Ok(Some(report))
     }

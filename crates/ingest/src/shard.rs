@@ -2,13 +2,22 @@
 //! window rotation.
 //!
 //! [`WindowAccumulator`] is serial. Routing an event is one push of its
-//! `(row, col, packets)` triple; the merge is a two-pass LSD counting sort —
-//! a stable scatter by column, then a stable scatter by row — which leaves
-//! every row's entries contiguous and in column order, so duplicate cells
-//! sum in one run and the CSR arrays fill in a single sweep. That is
-//! `O(entries + node_count)` with no comparison sort, and the CSR row
-//! pointer is `O(node_count)` anyway. (The module keeps its name: one
-//! accumulator is the ingest shard a pipeline owns.)
+//! `(row, col, packets)` triple. The merge is a two-pass LSD counting sort
+//! and one summing pass:
+//!
+//! 1. One read pass over the entries fills the column and the row
+//!    histograms together.
+//! 2. A stable scatter by column, then a stable scatter by row, leaves the
+//!    entries sorted by `(row, col)`, so equal cells are adjacent.
+//! 3. One pass over the sorted entries writes the CSR columns and values
+//!    at a cursor that advances only where the `(row, col)` pair changes,
+//!    summing duplicates in `u64` without a data-dependent branch. Each new
+//!    cell is counted into its row's (now free) histogram slot, and the row
+//!    pointer is the prefix sum of those counts.
+//!
+//! That is `O(entries + node_count)` with no comparison sort and no loop
+//! per row. (The module keeps its name: one accumulator is the ingest
+//! shard a pipeline owns.)
 //!
 //! **Serial-equivalence guarantee.** For any event stream,
 //! [`WindowAccumulator::merge`] equals [`window_matrix`] (one COO matrix
@@ -51,8 +60,9 @@ type Entry = (u32, u32, u32);
 /// pool of retired CSR arrays awaiting reuse.
 #[derive(Debug, Default)]
 struct MergeScratch {
-    /// Counting-sort offsets, one slot per node; the column pass and the
-    /// row pass take turns with it.
+    /// Counting-sort offsets: the column histogram in the first
+    /// `node_count` slots, the row histogram in the rest, whose slots end
+    /// up holding each row's cell count.
     counts: Vec<usize>,
     /// Entries after the column pass.
     by_col: Vec<Entry>,
@@ -135,9 +145,13 @@ impl WindowAccumulator {
     /// Merge the window into one CSR matrix and reset the accumulator for
     /// the next window.
     ///
-    /// Everything the merge needs — counting arrays, scatter buffer, CSR
-    /// arrays — comes from the scratch once the first window has warmed it,
-    /// so steady-state rotation allocates nothing.
+    /// One histogram pass, a column scatter and a row scatter sort the
+    /// entries by `(row, col)`; one summing pass then writes the CSR
+    /// arrays, which are sized once from the entry count and cut to the
+    /// cell count, never grown per cell. Everything the merge needs —
+    /// counting arrays, scatter buffer, CSR arrays — comes from the scratch
+    /// once the first window has warmed it, so steady-state rotation
+    /// allocates nothing.
     pub fn merge(&mut self) -> CsrMatrix<u64> {
         if self.scratch.warm {
             self.scratch_reuse_hits += 1;
@@ -152,31 +166,31 @@ impl WindowAccumulator {
             csr_pool,
             ..
         } = &mut self.scratch;
-        by_col.clear();
-        by_col.resize(self.entries.len(), (0, 0, 0));
-        scatter(&self.entries, by_col, counts, node_count, |&(_, col, _)| {
-            col
-        });
-        // Stable by row over column order: each row's run is contiguous and
-        // sorted by column, and `counts[row]` is left at the run's end.
-        scatter(
-            by_col,
-            &mut self.entries,
-            counts,
-            node_count,
-            |&(row, _, _)| row,
-        );
-        let (mut row_ptr, mut col_idx, mut values) = csr_pool.pop().unwrap_or_default();
-        row_ptr.clear();
-        col_idx.clear();
-        values.clear();
-        row_ptr.push(0);
-        let mut start = 0;
-        for &end in counts.iter() {
-            sum_run_into(&self.entries[start..end], &mut col_idx, &mut values);
-            row_ptr.push(col_idx.len());
-            start = end;
+        // One read pass fills both histograms: columns in the first half of
+        // `counts`, rows in the second.
+        counts.clear();
+        counts.resize(2 * node_count, 0);
+        let (by_col_counts, by_row_counts) = counts.split_at_mut(node_count);
+        for &(row, col, _) in &self.entries {
+            by_col_counts[col as usize] += 1;
+            by_row_counts[row as usize] += 1;
         }
+        // The scatter overwrites every slot, so only growth is zero-filled.
+        by_col.resize(self.entries.len(), (0, 0, 0));
+        scatter(&self.entries, by_col, by_col_counts, |&(_, col, _)| col);
+        // Stable by row over column order: each row's run is contiguous and
+        // sorted by column, so equal cells are adjacent.
+        scatter(by_col, &mut self.entries, by_row_counts, |&(row, _, _)| row);
+        let (mut row_ptr, mut col_idx, mut values) = csr_pool.pop().unwrap_or_default();
+        sum_cells(&self.entries, by_row_counts, &mut col_idx, &mut values);
+        row_ptr.clear();
+        row_ptr.reserve(node_count + 1);
+        row_ptr.push(0);
+        let mut nnz = 0;
+        row_ptr.extend(by_row_counts.iter().map(|&cells| {
+            nnz += cells;
+            nnz
+        }));
         self.entries.clear();
         CsrMatrix::from_raw_parts(node_count, node_count, row_ptr, col_idx, values)
             // tw-analyze: allow(no-panic-in-lib, "row_ptr rises from 0 to nnz over node_count + 1 slots and every column is an event destination below node_count")
@@ -216,60 +230,113 @@ impl WindowAccumulator {
 }
 
 /// Stable counting-sort scatter of `from` into `to` (same length) by
-/// `key`, which must be below `node_count`. Leaves `counts[k]` at the end of
-/// key `k`'s run in `to`.
-fn scatter(
-    from: &[Entry],
-    to: &mut [Entry],
-    counts: &mut Vec<usize>,
-    node_count: usize,
-    key: impl Fn(&Entry) -> u32,
-) {
-    counts.clear();
-    counts.resize(node_count, 0);
-    for entry in from {
-        counts[key(entry) as usize] += 1;
-    }
-    // Exclusive prefix sum: counts[k] becomes key k's start offset, and the
-    // scatter below advances it to key k's end.
+/// `key`. `offsets` holds each key's entry count on the way in and the end
+/// of that key's run in `to` on the way out.
+fn scatter(from: &[Entry], to: &mut [Entry], offsets: &mut [usize], key: impl Fn(&Entry) -> u32) {
+    // Exclusive prefix sum: offsets[k] becomes key k's start offset, and
+    // the scatter below advances it to key k's end.
     let mut run = 0;
-    for count in counts.iter_mut() {
-        let n = *count;
-        *count = run;
-        run += n;
+    for offset in offsets.iter_mut() {
+        let count = *offset;
+        *offset = run;
+        run += count;
     }
     for &entry in from {
-        let slot = &mut counts[key(&entry) as usize];
+        let slot = &mut offsets[key(&entry) as usize];
         to[*slot] = entry;
         *slot += 1;
     }
 }
 
-/// Sum one row's column-sorted run into CSR column/value arrays, dropping
-/// zero totals the way [`CooMatrix::coalesce`] does (zero-packet flow
-/// records exist in real telemetry).
-fn sum_run_into(run: &[Entry], col_idx: &mut Vec<usize>, values: &mut Vec<u64>) {
-    let mut push = |col: u32, total: u64| {
-        if total != 0 {
-            col_idx.push(col as usize);
-            values.push(total);
-        }
-    };
-    let mut iter = run.iter();
-    let Some(&(_, mut col, first)) = iter.next() else {
+/// Sum `(row, col)`-sorted entries into CSR column and value arrays in one
+/// pass, and leave each row's cell count in `cells` (one slot per row).
+///
+/// The arrays are sized from the entry count, an upper bound on the cells.
+/// A cursor advances only where the `(row, col)` pair changes, and the
+/// running total restarts there through a mask, so nothing in the loop
+/// branches on the data. Totals sum in `u64`. Zero totals are dropped the
+/// way [`CooMatrix::coalesce`] drops them (zero-packet flow records exist
+/// in real telemetry), by a second pass that runs only when some event
+/// carried zero packets.
+fn sum_cells(
+    entries: &[Entry],
+    cells: &mut [usize],
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) {
+    cells.fill(0);
+    let Some(&(first_row, first_col, _)) = entries.first() else {
+        col_idx.clear();
+        values.clear();
         return;
     };
-    let mut total = u64::from(first);
-    for &(_, c, packets) in iter {
-        if c == col {
-            total += u64::from(packets);
-        } else {
-            push(col, total);
-            col = c;
-            total = u64::from(packets);
-        }
+    size_for_overwrite(col_idx, entries.len());
+    size_for_overwrite(values, entries.len());
+    // The first entry opens cell 0; no sentinel key stands in for it.
+    cells[first_row as usize] = 1;
+    let mut key = cell_key(first_row, first_col);
+    let mut cursor = 0;
+    let mut total = 0u64;
+    let mut zero_packets = false;
+    for &(row, col, packets) in entries {
+        let next = cell_key(row, col);
+        let new_cell = usize::from(next != key);
+        key = next;
+        cursor += new_cell;
+        cells[row as usize] += new_cell;
+        // All ones within a cell, zero at a new one.
+        let keep = (new_cell as u64).wrapping_sub(1);
+        total = (total & keep) + u64::from(packets);
+        col_idx[cursor] = col as usize;
+        values[cursor] = total;
+        zero_packets |= packets == 0;
     }
-    push(col, total);
+    col_idx.truncate(cursor + 1);
+    values.truncate(cursor + 1);
+    if zero_packets {
+        drop_zero_cells(cells, col_idx, values);
+    }
+}
+
+/// Give `array` exactly `len` slots for a pass that writes every slot it
+/// keeps, so recycled contents need no clearing. An array too small is
+/// replaced by a zeroed allocation rather than grown: the allocator can map
+/// fresh zero pages for a large one without writing them, so a cold merge
+/// touches only the slots its cells reach.
+fn size_for_overwrite<T: Copy + Default>(array: &mut Vec<T>, len: usize) {
+    if array.capacity() < len {
+        // tw-analyze: allow(hot-path-no-alloc, "cold start or a window larger than any before it; steady windows reuse the recycled array")
+        *array = vec![T::default(); len];
+    } else {
+        array.resize(len, T::default());
+    }
+}
+
+/// A `(row, col)` pair as one comparable word.
+#[inline]
+fn cell_key(row: u32, col: u32) -> u64 {
+    u64::from(row) << 32 | u64::from(col)
+}
+
+/// Remove the zero totals from row-ordered CSR column and value arrays,
+/// keeping each row's cell count in `cells` current.
+fn drop_zero_cells(cells: &mut [usize], col_idx: &mut Vec<usize>, values: &mut Vec<u64>) {
+    let mut read = 0;
+    let mut kept = 0;
+    for count in cells.iter_mut() {
+        let row_start = kept;
+        for i in read..read + *count {
+            if values[i] != 0 {
+                col_idx[kept] = col_idx[i];
+                values[kept] = values[i];
+                kept += 1;
+            }
+        }
+        read += *count;
+        *count = kept - row_start;
+    }
+    col_idx.truncate(kept);
+    values.truncate(kept);
 }
 
 #[cfg(test)]

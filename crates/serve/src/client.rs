@@ -14,12 +14,13 @@
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
+use tw_ingest::codec::decode_stream_window_into;
 use tw_ingest::frame::{
     parse_frame_payload, read_frame, read_raw_frame, CloseSummary, Frame, FrameError, FrameKind,
     StreamManifest,
 };
-use tw_ingest::record::check_shape;
-use tw_ingest::{decode_window_into, DecodeScratch, StreamError, WindowReport, WindowStream};
+use tw_ingest::record::window_error;
+use tw_ingest::{CodecError, DecodeScratch, StreamError, WindowReport, WindowStream};
 use tw_matrix::CsrMatrix;
 use tw_metrics::{MetricsRegistry, MetricsSnapshot};
 
@@ -127,15 +128,17 @@ impl WindowStream for ClientStream {
                 // A window of another shape than the manifest announced is
                 // refused from its header, before the decoder sizes a row
                 // index from the claim.
-                check_shape(
+                match decode_stream_window_into(
                     &payload,
-                    format_args!("#{}", self.seen),
                     self.manifest.node_count,
-                )?;
-                match decode_window_into(&payload, &mut self.scratch) {
-                    Ok(report) => {
+                    &mut self.scratch,
+                ) {
+                    Ok((report, _)) => {
                         self.seen += 1;
                         return Ok(Some(report));
+                    }
+                    Err(e @ CodecError::Misshapen { .. }) => {
+                        return Err(window_error(e, format_args!("#{}", self.seen)).into())
                     }
                     Err(e) => return Err(FrameError::from(e).into()),
                 }
