@@ -32,6 +32,14 @@
 //! 10% smaller than v2 on the mixed lesson. The timings are margins
 //! between layouts on a noisy host, so they are recorded, not asserted.
 //!
+//! The v4 decode rows come in two kinds: `decode/v4/scalar` reads every
+//! cell through the scalar cell loop ([`decode_window_into_scalar`]) and
+//! `decode/v4/dispatch` through the block kernel where the CPU has SSSE3
+//! ([`decode_window_into`]). Alternating rounds of the two in this one
+//! process give `decode_v4_dispatch_speedup_x1000`; on a CPU with the
+//! kernel it must be at least 1.25x on the ddos lesson and at least 1x on
+//! the other two (asserted here, after the speedups are recorded).
+//!
 //! `ddos` lesson windows also feed the CRC-32 kernel timings:
 //! `frame_crc32/{table,dispatch}/*` checksums a 30 KiB and a 128 KiB
 //! buffer of window payload bytes through the slicing-by-8 tables alone
@@ -48,6 +56,7 @@ use std::time::{Duration, Instant};
 use tw_bench::{banner, quick_criterion};
 use tw_core::archive::crc32::{crc32, crc32_table};
 use tw_core::archive::ZipWriter;
+use tw_core::ingest::codec::{decode_window_into_scalar, CodecError};
 use tw_core::ingest::{
     decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
     DecodeScratch, IngestStats, Pipeline, PipelineConfig, RecordingMeta, Scenario, WindowReport,
@@ -206,14 +215,42 @@ fn decode_full(frames: &[Vec<u8>]) -> u64 {
 }
 
 fn decode_chain(frames: &[Vec<u8>]) -> u64 {
+    decode_chain_with(frames, decode_window_into)
+}
+
+/// A scratch decoder: [`decode_window_into`] (the block kernel where the CPU
+/// has it) or its scalar reference.
+type ScratchDecoder = fn(&[u8], &mut DecodeScratch) -> Result<WindowReport, CodecError>;
+
+/// Decode `frames` in order through one recycled scratch, as a replay or a
+/// client does.
+fn decode_chain_with(frames: &[Vec<u8>], decode: ScratchDecoder) -> u64 {
     let mut scratch = DecodeScratch::new();
     let mut nnz = 0u64;
     for frame in frames {
-        let report = decode_window_into(frame, &mut scratch).expect("encoded above");
+        let report = decode(frame, &mut scratch).expect("encoded above");
         nnz += report.matrix.nnz() as u64;
         scratch.recycle(report.matrix);
     }
     nnz
+}
+
+/// Best-of-N wall clock for two decode loops, run in alternating rounds so
+/// both see the same host state: a same-process A/B.
+fn interleaved_best_of<A: FnMut() -> u64, B: FnMut() -> u64>(
+    mut a: A,
+    mut b: B,
+) -> (Duration, Duration) {
+    let (mut best_a, mut best_b) = (Duration::MAX, Duration::MAX);
+    for _ in 0..15 {
+        let started = Instant::now();
+        black_box(a());
+        best_a = best_a.min(started.elapsed());
+        let started = Instant::now();
+        black_box(b());
+        best_b = best_b.min(started.elapsed());
+    }
+    (best_a, best_b)
 }
 
 /// Best-of-N wall clock for a decode loop (min is the stable estimator on
@@ -236,6 +273,17 @@ fn crc_hardware() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn crc_hardware() -> bool {
+    false
+}
+
+/// Whether this CPU runs the v4 block decode kernel.
+#[cfg(target_arch = "x86_64")]
+fn block_kernel() -> bool {
+    std::is_x86_feature_detected!("ssse3")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn block_kernel() -> bool {
     false
 }
 
@@ -343,6 +391,7 @@ fn bench_codec(c: &mut Criterion) {
     };
     let lesson = Pipeline::new(Scenario::Ddos.source(1_024, SEED), lesson_config).run(4);
     let mut mixed_bytes = (0, 0);
+    let mut kernel_speedups = Vec::new();
     for (group_name, reports) in [
         ("codec_lesson_mixed", &mixed),
         ("codec_lesson_scan", &scan),
@@ -353,6 +402,7 @@ fn bench_codec(c: &mut Criterion) {
         let nnz = reports.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
         assert_eq!(decode_chain(&v2), nnz);
         assert_eq!(decode_chain(&v4), nnz);
+        assert_eq!(decode_chain_with(&v4, decode_window_into_scalar), nnz);
         let per_window =
             |frames: &[Vec<u8>]| frames.iter().map(Vec::len).sum::<usize>() / frames.len().max(1);
         let (v2_bytes, v4_bytes) = (per_window(&v2), per_window(&v4));
@@ -378,8 +428,29 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_function("encode/v2", |b| b.iter(|| black_box(v2_frames(reports))));
         group.bench_function("encode/v4", |b| b.iter(|| black_box(full_frames(reports))));
         group.bench_function("decode/v2", |b| b.iter(|| black_box(decode_chain(&v2))));
-        group.bench_function("decode/v4", |b| b.iter(|| black_box(decode_chain(&v4))));
+        group.bench_function("decode/v4/scalar", |b| {
+            b.iter(|| black_box(decode_chain_with(&v4, decode_window_into_scalar)))
+        });
+        group.bench_function("decode/v4/dispatch", |b| {
+            b.iter(|| black_box(decode_chain(&v4)))
+        });
         group.finish();
+        let (scalar, dispatch) = interleaved_best_of(
+            || decode_chain_with(&v4, decode_window_into_scalar),
+            || decode_chain(&v4),
+        );
+        let speedup = scalar.as_secs_f64() / dispatch.as_secs_f64().max(1e-9);
+        println!(
+            "{group_name} v4 decode: scalar {:.1} us/window, dispatch {:.1} us/window: \
+             {speedup:.2}x",
+            scalar.as_secs_f64() * 1e6 / reports.len() as f64,
+            dispatch.as_secs_f64() * 1e6 / reports.len() as f64,
+        );
+        criterion::record_measurement(
+            &format!("{group_name}/decode_v4_dispatch_speedup_x1000"),
+            (speedup * 1000.0).round() as u128,
+        );
+        kernel_speedups.push((group_name, speedup));
     }
 
     // -- CRC-32 on lesson payload bytes. ---------------------------------
@@ -454,6 +525,25 @@ fn bench_codec(c: &mut Criterion) {
         "v4 windows must be at least 10% smaller than v2 on the mixed lesson \
          (v2 {v2_bytes} B, v4 {v4_bytes} B)"
     );
+    // The block kernel keeps its lines only while it wins: at least 1.25x
+    // the scalar cell loop on the dense ddos lesson, and no loss on the
+    // hypersparse 4,096-node ones.
+    if block_kernel() {
+        for (group_name, speedup) in kernel_speedups {
+            let bound = if group_name == "codec_lesson_ddos" {
+                1.25
+            } else {
+                1.0
+            };
+            assert!(
+                speedup >= bound,
+                "{group_name}: the v4 block kernel must decode >= {bound}x as fast as \
+                 the scalar cell loop (got {speedup:.2}x)"
+            );
+        }
+    } else {
+        println!("no SSSE3 on this CPU: v4 decode dispatch runs the scalar cell loop");
+    }
     // `crc_speedup` is the last (128 KiB) size's.
     if crc_hardware() {
         assert!(

@@ -3,11 +3,12 @@
 //! Two layers, each over pre-generated events so the scenario generator's
 //! cost stays out of the rows:
 //!
-//! 1. Window accumulation: a million-event stream turned into one matrix,
-//!    through the serial `window_matrix` reference (COO push + coalesce) and
-//!    through the pipeline's `WindowAccumulator` (counting-sort merge);
-//!    and the merge at the shape a recorded lesson has, ~10k-event windows
-//!    of a 4,096-node scan, warm and recycled as the pipeline runs it.
+//! 1. Window accumulation: the merge at the shape a recorded lesson has,
+//!    ~10k-event windows of a 4,096-node scan, warm and recycled as the
+//!    pipeline runs it (first, so the large rows leave no trace in it); and
+//!    a million-event stream turned into one matrix, through the serial
+//!    `window_matrix` reference (COO push + coalesce) and through the
+//!    pipeline's `WindowAccumulator` (counting-sort merge).
 //! 2. The full pipeline: pull → scan → route → window rotation over ten
 //!    windows, with and without the consumer recycling each matrix.
 //!
@@ -101,38 +102,16 @@ fn lesson_windows(nodes: u32, window_us: u64, count: usize) -> Vec<Vec<PacketEve
 }
 
 fn bench_ingest(c: &mut Criterion) {
-    let nodes = 1024u32;
-    let events = {
-        let mut source = Scenario::Mixed.source(nodes, 11);
-        collect_events(source.as_mut(), event_count())
-    };
     banner(
         "E-S3",
         "Streaming ingest throughput (serial COO reference vs window accumulator, full pipeline)",
     );
-    println!(
-        "{} events over {nodes} nodes; serial reference nnz {}",
-        events.len(),
-        window_matrix(nodes as usize, &events).nnz()
-    );
-
-    // One-shot accumulation: the whole stream as a single window.
-    let mut group = c.benchmark_group(format!("ingest_{}_events", events.len()));
-    group.bench_function("serial_window_matrix", |b| {
-        b.iter(|| black_box(window_matrix(nodes as usize, &events).nnz()))
-    });
-    group.bench_function("accumulator_merge", |b| {
-        b.iter(|| {
-            let mut acc = WindowAccumulator::new(nodes as usize);
-            acc.ingest(&events);
-            black_box(acc.merge().nnz())
-        })
-    });
-    group.finish();
 
     // The merge at a recorded lesson's shape: 100 ms windows of a scan
     // over 4,096 nodes (~10k events each), one window per iteration on a
-    // warm accumulator whose matrices are recycled.
+    // warm accumulator whose matrices are recycled. This fixed-size row
+    // runs first: after the million-event rows below it reads 20-60% slower
+    // on the same binary.
     let lesson_nodes = 4_096u32;
     let lesson_windows = lesson_windows(lesson_nodes, 100_000, 8);
     println!(
@@ -151,6 +130,31 @@ fn bench_ingest(c: &mut Criterion) {
             let nnz = matrix.nnz();
             acc.recycle(matrix);
             black_box(nnz)
+        })
+    });
+    group.finish();
+
+    let nodes = 1024u32;
+    let events = {
+        let mut source = Scenario::Mixed.source(nodes, 11);
+        collect_events(source.as_mut(), event_count())
+    };
+    println!(
+        "{} events over {nodes} nodes; serial reference nnz {}",
+        events.len(),
+        window_matrix(nodes as usize, &events).nnz()
+    );
+
+    // One-shot accumulation: the whole stream as a single window.
+    let mut group = c.benchmark_group(format!("ingest_{}_events", events.len()));
+    group.bench_function("serial_window_matrix", |b| {
+        b.iter(|| black_box(window_matrix(nodes as usize, &events).nnz()))
+    });
+    group.bench_function("accumulator_merge", |b| {
+        b.iter(|| {
+            let mut acc = WindowAccumulator::new(nodes as usize);
+            acc.ingest(&events);
+            black_box(acc.merge().nnz())
         })
     });
     group.finish();

@@ -104,11 +104,14 @@ fn serve_campus(recording: &[u8], windows: usize, connections: usize) -> u64 {
                     let _ = socket.set_nodelay(true);
                     let mut reader = BufReader::new(socket);
                     let mut seen = 0u64;
+                    let mut payload = Vec::new();
                     loop {
-                        match read_raw_frame(&mut reader).expect("frames arrive intact") {
-                            (FrameKind::Window | FrameKind::DeltaWindow, _) => seen += 1,
-                            (FrameKind::Close, _) => break,
-                            (FrameKind::Manifest | FrameKind::Stats, _) => {}
+                        match read_raw_frame(&mut reader, &mut payload)
+                            .expect("frames arrive intact")
+                        {
+                            FrameKind::Window | FrameKind::DeltaWindow => seen += 1,
+                            FrameKind::Close => break,
+                            FrameKind::Manifest | FrameKind::Stats => {}
                         }
                     }
                     seen

@@ -20,6 +20,17 @@
 //! are only read (by the `legacy` module), so recordings made before them
 //! keep replaying.
 //!
+//! A version-4 run is read by one of two cell loops that return the same
+//! `Result` for every payload. The scalar loop reads one cell at a time
+//! (`scalar_cell`): it is the exact-error reference, and the only loop on
+//! other architectures. On x86_64 CPUs with SSSE3 every decoder dispatches
+//! to the block kernel (the private `blocks` module, Masked VByte style),
+//! which reads runs of one- and two-byte varints 16 payload bytes per step
+//! and hands every other cell — a longer varint, a jump over many rows,
+//! the payload's last bytes, malformed input — to the scalar loop.
+//! [`decode_window_into_scalar`] runs the scalar loop alone; property tests
+//! hold the two equal and the codec bench times them side by side.
+//!
 //! ```
 //! use tw_ingest::codec::{decode_window, encode_window};
 //! use tw_ingest::{Pipeline, PipelineConfig, Scenario};
@@ -38,6 +49,8 @@ use std::time::Duration;
 use tw_matrix::CsrMatrix;
 use tw_metrics::{Counter, MetricsRegistry};
 
+#[cfg(target_arch = "x86_64")]
+mod blocks;
 mod legacy;
 
 /// Leading magic of an encoded window.
@@ -437,7 +450,14 @@ pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
         });
     }
     let (mut row_ptr, mut col_idx, mut values) = (Vec::new(), Vec::new(), Vec::new());
-    parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values)?;
+    parse_full_body(
+        &mut r,
+        &header,
+        CellLoop::Dispatch,
+        &mut row_ptr,
+        &mut col_idx,
+        &mut values,
+    )?;
     let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
         .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
     Ok(WindowReport {
@@ -448,10 +468,11 @@ pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
 }
 
 /// Parse the cells after a full window's header into the given (cleared
-/// and refilled) CSR arrays.
+/// and refilled) CSR arrays, a version-4 run through the `cells` loop.
 fn parse_full_body(
     r: &mut Reader<'_>,
     header: &WindowHeader,
+    cells: CellLoop,
     row_ptr: &mut Vec<usize>,
     col_idx: &mut Vec<usize>,
     values: &mut Vec<u64>,
@@ -478,7 +499,8 @@ fn parse_full_body(
     if header.version < FULL_WINDOW_VERSION {
         legacy::parse_row_runs(data, &mut pos, shape, nnz, row_ptr, col_idx, values)?;
     } else {
-        parse_linear_cells(data, &mut pos, shape, nnz, row_ptr, col_idx, values)?;
+        let at = LinearCursor::start(shape, nnz);
+        parse_linear_cells(data, &mut pos, at, cells, row_ptr, col_idx, values)?;
     }
     if pos != data.len() {
         return Err(CodecError::Corrupt("trailing bytes after the last entry"));
@@ -525,107 +547,101 @@ fn step(
     Ok((0, col))
 }
 
-/// Parse the `nnz` cells of a version 4 window: each a linear-index gap
-/// and a value, located by [`step`]. Fills `row_ptr` up to and including
-/// the last cell's row.
+/// Which loop reads the cells of a version-4 window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CellLoop {
+    /// The block kernel where the CPU has it, the scalar loop everywhere
+    /// else: what every decode entry point but the reference runs.
+    Dispatch,
+    /// The scalar loop alone ([`decode_window_into_scalar`]).
+    Scalar,
+}
+
+/// Where a version-4 cell run stands between cells.
+#[derive(Debug)]
+struct LinearCursor {
+    /// The window's `(rows, cols)`, `cols` 0 when `rows` is (see [`step`]).
+    shape: (usize, usize),
+    /// The row of the last cell read (0 before the first).
+    row: usize,
+    /// The lowest column the next cell may take in `row`; up to `cols`.
+    next_col: usize,
+    /// Cells still to read.
+    left: usize,
+}
+
+impl LinearCursor {
+    /// The cursor before the first of `nnz` cells of a `shape` window.
+    fn start((rows, cols): (usize, usize), nnz: usize) -> Self {
+        LinearCursor {
+            // A window without rows has no cell in bounds: treating it as
+            // one without columns sends every cell to the out-of-bounds
+            // error.
+            shape: (rows, if rows == 0 { 0 } else { cols }),
+            row: 0,
+            next_col: 0,
+            left: nnz,
+        }
+    }
+}
+
+/// Parse the cells of a version 4 window, from the cursor `at` on: each a
+/// linear-index gap and a value, located by [`step`]. Fills `row_ptr` up
+/// to and including the last cell's row.
 ///
-/// A [`one_byte_quad`] is taken whole when its four cells land in the
-/// cursor's row or cross one row end, which is how the long rows of a
-/// dense lesson end.
+/// With [`CellLoop::Dispatch`] on an x86_64 CPU with SSSE3, the `blocks`
+/// kernel reads runs of one- and two-byte varints 16 bytes at a time and
+/// hands every cell it cannot take to [`scalar_cell`]; the scalar loop
+/// reads whatever is left, so both loops return the same `Result`.
 fn parse_linear_cells(
     data: &[u8],
     pos: &mut usize,
-    (rows, cols): (usize, usize),
-    nnz: usize,
+    mut at: LinearCursor,
+    cells: CellLoop,
     row_ptr: &mut Vec<usize>,
     col_idx: &mut Vec<usize>,
     values: &mut Vec<u64>,
 ) -> Result<(), CodecError> {
     row_ptr.push(0);
-    // A window without rows has no cell in bounds: treating it as one
-    // without columns sends every cell to the out-of-bounds error.
-    let cols = if rows == 0 { 0 } else { cols };
-    let mut row = 0usize;
-    // The lowest column the next cell may take in `row`; up to `cols`.
-    let mut next_col = 0usize;
-    let mut left = nnz;
-    // Whether the last cell was two one-byte varints. A quad is tried only
-    // then: long rows of small gaps take it run after run, while the
-    // multi-byte gaps between the short rows of a hypersparse window do
-    // not pay for a failed word load per cell.
-    let mut quad_likely = true;
-    while left > 0 {
-        if quad_likely && left >= 4 {
-            if let Some((quad_cols, quad_values)) = one_byte_quad(data, *pos, next_col) {
-                if quad_cols[3] < cols {
-                    col_idx.extend_from_slice(&quad_cols);
-                    values.extend_from_slice(&quad_values);
-                    next_col = quad_cols[3] + 1;
-                    *pos += 8;
-                    left -= 4;
-                    continue;
-                }
-                if quad_cols[3] - cols < cols && row + 1 < rows {
-                    // The quad crosses one row end: its cells at or past
-                    // the end start the next row.
-                    let fit = quad_cols.iter().filter(|&&c| c < cols).count();
-                    row += 1;
-                    row_ptr.push(col_idx.len() + fit);
-                    let quad_cols = quad_cols.map(|c| if c < cols { c } else { c - cols });
-                    col_idx.extend_from_slice(&quad_cols);
-                    values.extend_from_slice(&quad_values);
-                    next_col = quad_cols[3] + 1;
-                    *pos += 8;
-                    left -= 4;
-                    continue;
-                }
-            }
-        }
-        let start = *pos;
-        let gap = read_usize(data, pos, "cell gap")?;
-        let (crossed, col) = step(row, next_col, gap, (rows, cols))?;
-        if crossed > 0 {
-            row += crossed;
-            if crossed == 1 {
-                row_ptr.push(col_idx.len());
-            } else {
-                row_ptr.resize(row + 1, col_idx.len());
-            }
-        }
-        let value = read_varint(data, pos, "value")?;
-        quad_likely = *pos - start == 2;
-        col_idx.push(col);
-        values.push(value);
-        next_col = col + 1;
-        left -= 1;
+    #[cfg(target_arch = "x86_64")]
+    if cells == CellLoop::Dispatch {
+        blocks::parse(data, pos, &mut at, row_ptr, col_idx, values)?;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = cells;
+    while at.left > 0 {
+        scalar_cell(data, pos, &mut at, row_ptr, col_idx, values)?;
     }
     Ok(())
 }
 
-/// Bit 7 of each byte of a little-endian word: clear in all eight exactly
-/// when the word holds eight one-byte varints.
-const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
-
-/// Four (column gap, value) cells at `pos` read as one 8-byte word, when
-/// all eight are one-byte varints: their columns counted on from
-/// `next_col`, and their values. Rows of small gaps and small counts are
-/// runs of one-byte varints, so the full-window cell loop tries this
-/// first.
-#[inline]
-fn one_byte_quad(data: &[u8], pos: usize, next_col: usize) -> Option<([usize; 4], [u64; 4])> {
-    let &word = data.get(pos..)?.first_chunk::<8>()?;
-    if u64::from_le_bytes(word) & CONTINUATION_BITS != 0 {
-        return None;
+/// Read the one cell at `*pos` (a linear-index gap and a value), append it
+/// and step past it: the reference every cell loop falls back on.
+#[inline(always)]
+fn scalar_cell(
+    data: &[u8],
+    pos: &mut usize,
+    at: &mut LinearCursor,
+    row_ptr: &mut Vec<usize>,
+    col_idx: &mut Vec<usize>,
+    values: &mut Vec<u64>,
+) -> Result<(), CodecError> {
+    let gap = read_usize(data, pos, "cell gap")?;
+    let (crossed, col) = step(at.row, at.next_col, gap, at.shape)?;
+    if crossed > 0 {
+        at.row += crossed;
+        if crossed == 1 {
+            row_ptr.push(col_idx.len());
+        } else {
+            row_ptr.resize(at.row + 1, col_idx.len());
+        }
     }
-    // `next_col <= cols <= MAX_DIMENSION`, so these sums cannot overflow.
-    let c0 = next_col + usize::from(word[0]);
-    let c1 = c0 + 1 + usize::from(word[2]);
-    let c2 = c1 + 1 + usize::from(word[4]);
-    let c3 = c2 + 1 + usize::from(word[6]);
-    Some((
-        [c0, c1, c2, c3],
-        [word[1], word[3], word[5], word[7]].map(u64::from),
-    ))
+    let value = read_varint(data, pos, "value")?;
+    col_idx.push(col);
+    values.push(value);
+    at.next_col = col + 1;
+    at.left -= 1;
+    Ok(())
 }
 
 /// Encode one window as a sparse delta ([`DELTA_WINDOW_VERSION`]) against
@@ -787,9 +803,9 @@ impl DeltaBase {
     }
 
     /// The base matrix for a delta encoded against window `expected`,
-    /// decoding the stored payload first when the base is still in byte
-    /// form.
-    fn resolve(&mut self, expected: u64) -> Result<&CsrMatrix<u64>, CodecError> {
+    /// decoding the stored payload (through the `cells` loop) first when
+    /// the base is still in byte form.
+    fn resolve(&mut self, expected: u64, cells: CellLoop) -> Result<&CsrMatrix<u64>, CodecError> {
         match self.index {
             Some(actual) if actual == expected => {}
             actual => return Err(CodecError::DeltaBaseMismatch { expected, actual }),
@@ -802,7 +818,14 @@ impl DeltaBase {
                 pos: 0,
             };
             let header = read_header(&mut r)?;
-            parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values)?;
+            parse_full_body(
+                &mut r,
+                &header,
+                cells,
+                &mut row_ptr,
+                &mut col_idx,
+                &mut values,
+            )?;
             self.matrix =
                 CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
                     .map_err(|_| {
@@ -893,7 +916,19 @@ pub fn decode_window_into(
 ) -> Result<WindowReport, CodecError> {
     let mut r = Reader { data, pos: 0 };
     let header = read_header(&mut r)?;
-    decode_body_into(r, header, scratch)
+    decode_body_into(r, header, scratch, CellLoop::Dispatch)
+}
+
+/// [`decode_window_into`] with every version-4 cell read by the scalar
+/// cell loop, whatever the CPU: the same `Result`, and the reference the
+/// block kernel is tested and timed against.
+pub fn decode_window_into_scalar(
+    data: &[u8],
+    scratch: &mut DecodeScratch,
+) -> Result<WindowReport, CodecError> {
+    let mut r = Reader { data, pos: 0 };
+    let header = read_header(&mut r)?;
+    decode_body_into(r, header, scratch, CellLoop::Scalar)
 }
 
 /// [`decode_window_into`] for a stream whose windows are all
@@ -915,19 +950,24 @@ pub fn decode_stream_window_into(
         return Err(CodecError::Misshapen { shape, node_count });
     }
     let delta = header.base.is_some();
-    Ok((decode_body_into(r, header, scratch)?, delta))
+    Ok((
+        decode_body_into(r, header, scratch, CellLoop::Dispatch)?,
+        delta,
+    ))
 }
 
-/// Decode the cells after a parsed `header` through `scratch`; `r` is
-/// positioned just past the header of the whole payload `r.data`.
+/// Decode the cells after a parsed `header` through `scratch`, full
+/// windows' cells through the `cells` loop; `r` is positioned just past
+/// the header of the whole payload `r.data`.
 fn decode_body_into(
     mut r: Reader<'_>,
     header: WindowHeader,
     scratch: &mut DecodeScratch,
+    cells: CellLoop,
 ) -> Result<WindowReport, CodecError> {
     let (mut row_ptr, mut col_idx, mut values) = scratch.take_buffers();
     let parsed = match header.base {
-        Some(expected) => scratch.base.resolve(expected).and_then(|base| {
+        Some(expected) => scratch.base.resolve(expected, cells).and_then(|base| {
             parse_delta_body(
                 &mut r,
                 &header,
@@ -937,7 +977,14 @@ fn decode_body_into(
                 &mut values,
             )
         }),
-        None => parse_full_body(&mut r, &header, &mut row_ptr, &mut col_idx, &mut values),
+        None => parse_full_body(
+            &mut r,
+            &header,
+            cells,
+            &mut row_ptr,
+            &mut col_idx,
+            &mut values,
+        ),
     };
     if let Err(e) = parsed {
         if scratch.pool.len() < SCRATCH_POOL_LIMIT {
@@ -1492,8 +1539,8 @@ mod tests {
 
     #[test]
     fn linear_gaps_cross_empty_rows_and_reach_the_last_cell() {
-        // A first cell past row 0, a gap over several empty rows, a
-        // four-cell word that would cross a row end, and the last cell of
+        // A first cell past row 0, a gap over several empty rows, a run
+        // of one-byte cells that crosses a row end, and the last cell of
         // the matrix.
         let cells = [
             (1, 3, 1),
@@ -1503,8 +1550,8 @@ mod tests {
             (6, 0, 5),
             (9, 6, 6),
         ];
-        // And a four-cell word of one-byte varints that crosses one row
-        // end after its second cell.
+        // And a run of one-byte cells that crosses one row end after its
+        // second cell.
         let crossing = [(0, 5, 1), (0, 6, 2), (1, 0, 3), (1, 2, 4), (2, 7, 5)];
         for original in [report(10, 7, &cells), report(3, 8, &crossing)] {
             let bytes = encode_window(&original);

@@ -71,6 +71,11 @@ pub const FRAME_VERSION: u8 = 2;
 /// length field is refused before any buffer is sized from it.
 pub const MAX_FRAME_LEN: usize = 1 << 26;
 
+/// The most capacity a receive buffer keeps past the frame it holds (1
+/// MiB, eight 126 KB lesson windows): [`read_raw_frame`] frees the rest, so
+/// one large frame does not hold its memory for the rest of a connection.
+const KEEP_PAYLOAD_CAPACITY: usize = 1 << 20;
+
 /// Upper bound on a manifest's scenario-name length.
 pub const MAX_SCENARIO_NAME: usize = 1 << 10;
 
@@ -563,29 +568,42 @@ fn read_exact(
     })
 }
 
-/// Pull one CRC-verified frame off the stream without decoding its payload.
+/// Pull one CRC-verified frame off the stream without decoding its
+/// payload: the payload lands in `payload` (resized to the frame's length,
+/// so a buffer kept across frames is only zero-filled where it grows) and
+/// the frame's kind is returned. A buffer whose capacity exceeds both the
+/// frame's length and 1 MiB is first shrunk to the larger of the two.
 ///
 /// Benchmark clients use this to count windows at wire speed (integrity
 /// checked, decode skipped); [`read_frame`] layers payload decoding on top.
-pub fn read_raw_frame(reader: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FrameError> {
+pub fn read_raw_frame(
+    reader: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<FrameKind, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact(reader, &mut header, "frame header")?;
     let (kind, declared) = parse_header(&header)?;
-    let mut payload = vec![0u8; declared];
-    read_exact(reader, &mut payload, "frame payload")?;
+    let keep = declared.max(KEEP_PAYLOAD_CAPACITY);
+    if payload.capacity() > keep {
+        payload.clear();
+        payload.shrink_to(keep);
+    }
+    payload.resize(declared, 0);
+    read_exact(reader, payload, "frame payload")?;
     let mut trailer = [0u8; 4];
     read_exact(reader, &mut trailer, "frame checksum")?;
     let expected = u32::from_le_bytes(trailer);
-    let actual = crc32(&payload);
+    let actual = crc32(payload);
     if expected != actual {
         return Err(FrameError::CrcMismatch { expected, actual });
     }
-    Ok((kind, payload))
+    Ok(kind)
 }
 
 /// Pull one frame off the stream and decode its payload.
 pub fn read_frame(reader: &mut impl Read) -> Result<Frame, FrameError> {
-    let (kind, payload) = read_raw_frame(reader)?;
+    let mut payload = Vec::new();
+    let kind = read_raw_frame(reader, &mut payload)?;
     parse_frame_payload(kind, &payload)
 }
 
@@ -625,6 +643,22 @@ mod tests {
         let mut cursor = data;
         let frame = read_frame(&mut cursor)?;
         Ok((frame, data.len() - cursor.len()))
+    }
+
+    #[test]
+    fn a_kept_receive_buffer_frees_what_a_large_frame_left() {
+        let large = encode_frame(FrameKind::Stats, &vec![7; 3 * KEEP_PAYLOAD_CAPACITY]);
+        let small = encode_frame(FrameKind::Stats, &[1, 2, 3]);
+        let mut payload = Vec::new();
+        read_raw_frame(&mut &large[..], &mut payload).unwrap();
+        assert_eq!(payload.len(), 3 * KEEP_PAYLOAD_CAPACITY);
+        let kind = read_raw_frame(&mut &small[..], &mut payload).unwrap();
+        assert_eq!((kind, &payload[..]), (FrameKind::Stats, &[1, 2, 3][..]));
+        assert!(payload.capacity() <= KEEP_PAYLOAD_CAPACITY);
+        // A steady stream of smaller frames keeps its buffer.
+        let kept = payload.as_ptr();
+        read_raw_frame(&mut &small[..], &mut payload).unwrap();
+        assert_eq!(payload.as_ptr(), kept);
     }
 
     fn sample_report() -> WindowReport {

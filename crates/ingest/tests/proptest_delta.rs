@@ -230,12 +230,13 @@ proptest! {
         }
         let mut cursor = Cursor::new(&wire);
         let mut scratch = DecodeScratch::new();
+        let mut payload = Vec::new();
         if skip_first {
             // Drop the head frame: a mid-stream joiner's view.
-            let _ = read_raw_frame(&mut cursor);
+            let _ = read_raw_frame(&mut cursor, &mut payload);
         }
         let mut decoded_any = false;
-        while let Ok((kind, payload)) = read_raw_frame(&mut cursor) {
+        while let Ok(kind) = read_raw_frame(&mut cursor, &mut payload) {
             prop_assert!(matches!(kind, FrameKind::Window | FrameKind::DeltaWindow));
             if decode_window_into(&payload, &mut scratch).is_ok() {
                 decoded_any = true;

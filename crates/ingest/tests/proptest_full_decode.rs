@@ -1,7 +1,8 @@
 //! Differential property tests for the full-window decoder.
 //!
-//! The decoder reads four one-byte cells per 8-byte word where it can and
-//! falls back to one cell at a time everywhere else. `reference_decode`
+//! The decoder reads runs of one- and two-byte varints 16 bytes at a time
+//! where the CPU has the block kernel and one cell at a time everywhere
+//! else. `reference_decode`
 //! (in the test-local `reference_codec`) is a plain cell-at-a-time decoder
 //! of every layout, written independently of the codec module, with the
 //! codec's error for every failure. Here it reads the version-4 run of
@@ -76,7 +77,7 @@ fn cols_floor() -> impl Strategy<Value = usize> {
 }
 
 /// One row: its gap from the previous one and 0–9 cells, either all
-/// one-byte varints (the four-cell path) or mixed. An empty row only
+/// one-byte varints (the block path's fastest case) or mixed. An empty row only
 /// widens the next row's gap.
 ///
 /// Row gaps stay under 16, so a window has fewer than 128 rows: a flip in

@@ -699,7 +699,8 @@ mod tests {
             assert_eq!(sub.dropped(), 0);
             assert_eq!(sub.missed(), 0);
             for (reference, frame) in reference.iter().zip(&received) {
-                let (_, payload) = read_raw_frame(&mut &frame[..]).unwrap();
+                let mut payload = Vec::new();
+                read_raw_frame(&mut &frame[..], &mut payload).unwrap();
                 let received = decode_window(&payload).unwrap();
                 assert_eq!(reference.matrix, received.matrix, "cell-for-cell");
                 assert_eq!(reference.stats.window_index, received.stats.window_index);

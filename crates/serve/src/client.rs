@@ -35,6 +35,12 @@ pub struct ClientStream {
     /// window a delta frame applies to. A full-frame stream never
     /// touches the base but still reuses buffers.
     scratch: DecodeScratch,
+    /// The receive buffer every frame's payload is read into, kept across
+    /// frames so a steady stream neither allocates nor zero-fills one per
+    /// window. [`read_raw_frame`] keeps at most the larger of the current
+    /// frame's length and 1 MiB, so a large frame's memory is freed at the
+    /// next smaller one.
+    payload: Vec<u8>,
     /// Stats frames that arrived since the last [`take_stats`] drain, in
     /// wire order. Unbounded growth is capped by the server's cadence: one
     /// snapshot per `stats_every` windows, so draining once per window (or
@@ -57,6 +63,7 @@ impl ClientStream {
                 close: None,
                 seen: 0,
                 scratch: DecodeScratch::new(),
+                payload: Vec::new(),
                 stats: Vec::new(),
             }),
             _ => Err(FrameError::Corrupt("first frame must be the manifest")),
@@ -123,13 +130,13 @@ impl WindowStream for ClientStream {
             // connection scratch, so a steady stream reuses the same CSR
             // buffers instead of allocating per window; everything else
             // goes through the ordinary frame parser.
-            let (kind, payload) = read_raw_frame(&mut self.reader)?;
+            let kind = read_raw_frame(&mut self.reader, &mut self.payload)?;
             if matches!(kind, FrameKind::Window | FrameKind::DeltaWindow) {
                 // A window of another shape than the manifest announced is
                 // refused from its header, before the decoder sizes a row
                 // index from the claim.
                 match decode_stream_window_into(
-                    &payload,
+                    &self.payload,
                     self.manifest.node_count,
                     &mut self.scratch,
                 ) {
@@ -143,7 +150,7 @@ impl WindowStream for ClientStream {
                     Err(e) => return Err(FrameError::from(e).into()),
                 }
             }
-            match parse_frame_payload(kind, &payload) {
+            match parse_frame_payload(kind, &self.payload) {
                 Ok(Frame::Stats(snapshot)) => {
                     // Interleaved telemetry, not part of the window stream:
                     // stash it for `take_stats` and keep reading.

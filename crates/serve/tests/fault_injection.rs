@@ -19,6 +19,9 @@
 //!   frame and is joined, and the panic reaches the caller.
 //! * A **misshapen window** from a peer (a header claiming another shape
 //!   than the manifest's) is refused before the client decodes it.
+//! * **Corrupt cells under a valid CRC** (a gap past the last row, a value
+//!   cut short by the payload end, inside a decode block and in the tail)
+//!   reach the client as the codec's typed error, never a panic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -30,6 +33,9 @@ use tw_ingest::{
 };
 use tw_matrix::CsrMatrix;
 use tw_serve::{loopback_listener, serve, ChaosStream, ClientStream, ServeConfig, ServeError};
+
+#[path = "../../ingest/tests/support/corrupt_cells.rs"]
+mod corrupt_cells;
 
 fn ddos_pipeline(nodes: u32) -> Pipeline {
     let config = PipelineConfig {
@@ -383,4 +389,40 @@ fn misshapen_window_frames_are_refused_before_they_are_decoded() {
     }
     assert_eq!(client.windows_seen(), 0);
     peer.join().unwrap();
+}
+
+#[test]
+fn corrupt_cells_under_a_valid_crc_reach_the_client_as_typed_errors() {
+    use std::io::Write;
+    use tw_ingest::frame::{
+        encode_frame, encode_manifest_frame, FrameError, FrameKind, StreamManifest,
+    };
+    // A peer that frames each corrupt payload with its true CRC: the frame
+    // layer passes it, and the decoder refuses its cells.
+    for corrupt in corrupt_cells::corrupt_cell_payloads() {
+        let listener = loopback_listener().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let frame = encode_frame(FrameKind::Window, &corrupt.payload);
+        let peer = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let manifest = StreamManifest {
+                scenario: "crafted".to_string(),
+                seed: 0,
+                node_count: corrupt_cells::NODES,
+                window_us: 50_000,
+                windows: Some(1),
+            };
+            socket.write_all(&encode_manifest_frame(&manifest)).unwrap();
+            socket.write_all(&frame).unwrap();
+        });
+        let mut client = ClientStream::connect(addr).unwrap();
+        assert_eq!(
+            client.next_window().map(|_| ()),
+            Err(StreamError::Frame(FrameError::Window(corrupt.error))),
+            "{}",
+            corrupt.what
+        );
+        assert_eq!(client.windows_seen(), 0);
+        peer.join().unwrap();
+    }
 }

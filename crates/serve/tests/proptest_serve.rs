@@ -205,7 +205,8 @@ fn read_wire(addr: std::net::SocketAddr) -> Wire {
     let mut socket = std::io::BufReader::new(std::net::TcpStream::connect(addr).unwrap());
     let mut wire = Wire::new();
     loop {
-        let (kind, payload) = read_raw_frame(&mut socket).expect("a well-formed frame stream");
+        let mut payload = Vec::new();
+        let kind = read_raw_frame(&mut socket, &mut payload).expect("a well-formed frame stream");
         wire.push((kind, payload));
         if kind == FrameKind::Close {
             return wire;
