@@ -40,6 +40,14 @@
 //! kernel it must be at least 1.25x on the ddos lesson and at least 1x on
 //! the other two (asserted here, after the speedups are recorded).
 //!
+//! The v4 encode is timed the same way against the plain per-row writer
+//! that `encode_window`'s chunked walk replaced (`encode/v4/reference`, the
+//! test-side writer in `support/reference_encoder.rs`): alternating rounds
+//! give `encode_v4_speedup_x1000`, which must be at least 1.3x on the mixed
+//! and scan lessons, whose rows hold 0–3 cells, and at least 0.95x on the
+//! dense ddos lesson, whose one-byte cells the per-row loop already writes
+//! without a mispredicted branch (asserted after recording).
+//!
 //! `ddos` lesson windows also feed the CRC-32 kernel timings:
 //! `frame_crc32/{table,dispatch}/*` checksums a 30 KiB and a 128 KiB
 //! buffer of window payload bytes through the slicing-by-8 tables alone
@@ -65,6 +73,8 @@ use tw_matrix::CsrMatrix;
 
 #[path = "../../ingest/tests/support/legacy_codec.rs"]
 mod legacy_codec;
+#[path = "../../ingest/tests/support/reference_encoder.rs"]
+mod reference_encoder;
 
 const NODES: usize = 512;
 const WINDOWS: usize = 16;
@@ -168,6 +178,14 @@ fn full_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports.iter().map(encode_window).collect()
 }
 
+/// Every window through the per-row v4 writer `encode_window` replaced.
+fn reference_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
+    reports
+        .iter()
+        .map(reference_encoder::encode_reference)
+        .collect()
+}
+
 /// Every window in the v2 layout of recordings made before v4.
 fn v2_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports
@@ -235,7 +253,7 @@ fn decode_chain_with(frames: &[Vec<u8>], decode: ScratchDecoder) -> u64 {
     nnz
 }
 
-/// Best-of-N wall clock for two decode loops, run in alternating rounds so
+/// Best-of-N wall clock for two codec loops, run in alternating rounds so
 /// both see the same host state: a same-process A/B.
 fn interleaved_best_of<A: FnMut() -> u64, B: FnMut() -> u64>(
     mut a: A,
@@ -392,6 +410,7 @@ fn bench_codec(c: &mut Criterion) {
     let lesson = Pipeline::new(Scenario::Ddos.source(1_024, SEED), lesson_config).run(4);
     let mut mixed_bytes = (0, 0);
     let mut kernel_speedups = Vec::new();
+    let mut encode_speedups = Vec::new();
     for (group_name, reports) in [
         ("codec_lesson_mixed", &mixed),
         ("codec_lesson_scan", &scan),
@@ -403,6 +422,7 @@ fn bench_codec(c: &mut Criterion) {
         assert_eq!(decode_chain(&v2), nnz);
         assert_eq!(decode_chain(&v4), nnz);
         assert_eq!(decode_chain_with(&v4, decode_window_into_scalar), nnz);
+        assert_eq!(v4, reference_frames(reports), "{group_name}: v4 bytes");
         let per_window =
             |frames: &[Vec<u8>]| frames.iter().map(Vec::len).sum::<usize>() / frames.len().max(1);
         let (v2_bytes, v4_bytes) = (per_window(&v2), per_window(&v4));
@@ -427,6 +447,9 @@ fn bench_codec(c: &mut Criterion) {
         let mut group = c.benchmark_group(group_name);
         group.bench_function("encode/v2", |b| b.iter(|| black_box(v2_frames(reports))));
         group.bench_function("encode/v4", |b| b.iter(|| black_box(full_frames(reports))));
+        group.bench_function("encode/v4/reference", |b| {
+            b.iter(|| black_box(reference_frames(reports)))
+        });
         group.bench_function("decode/v2", |b| b.iter(|| black_box(decode_chain(&v2))));
         group.bench_function("decode/v4/scalar", |b| {
             b.iter(|| black_box(decode_chain_with(&v4, decode_window_into_scalar)))
@@ -451,6 +474,22 @@ fn bench_codec(c: &mut Criterion) {
             (speedup * 1000.0).round() as u128,
         );
         kernel_speedups.push((group_name, speedup));
+        let (reference, chunked) = interleaved_best_of(
+            || reference_frames(reports).len() as u64,
+            || full_frames(reports).len() as u64,
+        );
+        let speedup = reference.as_secs_f64() / chunked.as_secs_f64().max(1e-9);
+        println!(
+            "{group_name} v4 encode: reference {:.1} us/window, chunked {:.1} us/window: \
+             {speedup:.2}x",
+            reference.as_secs_f64() * 1e6 / reports.len() as f64,
+            chunked.as_secs_f64() * 1e6 / reports.len() as f64,
+        );
+        criterion::record_measurement(
+            &format!("{group_name}/encode_v4_speedup_x1000"),
+            (speedup * 1000.0).round() as u128,
+        );
+        encode_speedups.push((group_name, speedup));
     }
 
     // -- CRC-32 on lesson payload bytes. ---------------------------------
@@ -543,6 +582,21 @@ fn bench_codec(c: &mut Criterion) {
         }
     } else {
         println!("no SSSE3 on this CPU: v4 decode dispatch runs the scalar cell loop");
+    }
+    // The chunked encoder keeps its lines only while it wins: at least 1.3x
+    // the per-row writer where rows hold 0-3 cells, and no more than a 5%
+    // loss on the dense ddos lesson.
+    for (group_name, speedup) in encode_speedups {
+        let bound = if group_name == "codec_lesson_ddos" {
+            0.95
+        } else {
+            1.3
+        };
+        assert!(
+            speedup >= bound,
+            "{group_name}: the chunked v4 encoder must be >= {bound}x as fast as \
+             the per-row writer (got {speedup:.2}x)"
+        );
     }
     // `crc_speedup` is the last (128 KiB) size's.
     if crc_hardware() {

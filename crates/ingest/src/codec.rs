@@ -31,6 +31,16 @@
 //! [`decode_window_into_scalar`] runs the scalar loop alone; property tests
 //! hold the two equal and the codec bench times them side by side.
 //!
+//! The one full-window writer, behind [`encode_window`] and the wire
+//! layer's frames, walks the cells a fixed-size chunk at a time with no
+//! per-row loop: most rows of a 4,096-node lesson window hold 0–3 cells,
+//! so an inner loop per row mispredicts its exit at almost every row.
+//! Row bases come from a per-chunk array of row starts, four one-byte
+//! cells go out as one 8-byte store, and a cell whose gap and value are
+//! both below 2^14 as one branch-free 4-byte store; a longer field goes
+//! through the plain varint writer, so the bytes are those of a per-row
+//! loop for every window (`tests/proptest_encode.rs` holds it to that).
+//!
 //! ```
 //! use tw_ingest::codec::{decode_window, encode_window};
 //! use tw_ingest::{Pipeline, PipelineConfig, Scenario};
@@ -393,32 +403,144 @@ pub fn encode_window(report: &WindowReport) -> Vec<u8> {
     encode_window_into(report, Vec::with_capacity(full_size_hint(report)))
 }
 
+/// Cells per chunk of [`encode_window_into`]'s walk.
+const ENCODE_CHUNK: usize = 256;
+
 /// Append one window's full ([`FULL_WINDOW_VERSION`]) encoding to `buf` and
 /// hand the buffer back: the bytes [`encode_window`] returns, written where
 /// the caller wants them (the wire layer encodes straight into a frame
 /// buffer). The buffer moves in and out by value so the encode loop works
 /// on a local `Vec`, as fast as encoding into a fresh one.
+///
+/// Cells go out in row-major order, each addressed by its linear index
+/// `row · cols + col`: the first index is absolute, each later one stores
+/// (index − previous − 1), and values follow their index inline. Both
+/// dimensions are at most 2^24, so indices fit a u64.
+///
+/// The walk takes [`ENCODE_CHUNK`] cells at a time and has no per-row loop:
+/// a 4,096-node lesson window holds 0–3 cells in most rows, where an inner
+/// loop over each row's cells mispredicts its exit at almost every row.
+/// Instead each row start inside the chunk adds `cols` to that cell's slot
+/// of a stack array (`row_steps`), and the cell loop adds the slot to a
+/// running row base, so `index = base + col` with no branch on rows. Four
+/// cells whose gaps and values are all one byte go out as one 8-byte store
+/// (the dense ddos lesson is almost all such cells); other cells go out one
+/// at a time through `stage_cells`. Both store into a stack staging buffer
+/// that is appended to `buf` once per chunk.
 pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec<u8> {
     push_header(&mut buf, FULL_WINDOW_VERSION, report, None);
-    // Cells in row-major order, each addressed by its linear index
-    // `row * cols + col`: the first index is absolute, each later one
-    // stores (index - previous - 1). Values follow their index inline.
-    // Both dimensions are at most 2^24, so indices fit a u64.
     let matrix = &report.matrix;
     let cols = matrix.cols() as u64;
-    let (col_idx, values) = (matrix.col_indices(), matrix.values());
-    let mut next = 0u64;
-    for (row, span) in matrix.row_ptr().windows(2).enumerate() {
-        let row_start = row as u64 * cols;
-        let (start, end) = (span[0], span[1]);
-        for (&col, &value) in col_idx[start..end].iter().zip(&values[start..end]) {
-            let index = row_start + col as u64;
-            push_varint(&mut buf, index - next);
-            push_varint(&mut buf, value);
-            next = index + 1;
+    // Row r >= 1 starts at cell `row_ptr[r]`; rows after the last cell
+    // start at `nnz` and are never reached.
+    let mut row_starts = &matrix.row_ptr()[1..];
+    let (mut base, mut next) = (0u64, 0u64);
+    let mut gap = |step: u64, col: usize| {
+        base += step;
+        let index = base + col as u64;
+        let gap = index - next;
+        next = index + 1;
+        gap
+    };
+    let chunks = matrix
+        .col_indices()
+        .chunks(ENCODE_CHUNK)
+        .zip(matrix.values().chunks(ENCODE_CHUNK));
+    for (chunk, (col_idx, values)) in chunks.enumerate() {
+        let first = chunk * ENCODE_CHUNK;
+        let mut steps = [0u64; ENCODE_CHUNK];
+        row_steps(
+            &mut steps,
+            &mut row_starts,
+            first..first + col_idx.len(),
+            cols,
+        );
+        // At most four bytes per cell are staged before a flush.
+        let mut staged = [0u8; 4 * ENCODE_CHUNK];
+        let mut len = 0;
+        let quads = col_idx
+            .chunks_exact(4)
+            .zip(values.chunks_exact(4))
+            .zip(steps.chunks_exact(4));
+        for ((col_idx, values), steps) in quads {
+            let gaps: [u64; 4] = std::array::from_fn(|i| gap(steps[i], col_idx[i]));
+            let wide = gaps.iter().chain(values).fold(0, |wide, &v| wide | v);
+            if wide < 0x80 {
+                let mut pairs = 0u64;
+                for (i, (&gap, &value)) in gaps.iter().zip(values).enumerate() {
+                    pairs |= (gap | value << 8) << (16 * i);
+                }
+                staged[len..len + 8].copy_from_slice(&pairs.to_le_bytes());
+                len += 8;
+            } else {
+                stage_cells(&mut staged, &mut len, &mut buf, &gaps, values);
+            }
         }
+        let tail = col_idx.len() / 4 * 4;
+        let cells = col_idx[tail..].iter().zip(&values[tail..]);
+        for ((&col, &value), &step) in cells.zip(&steps[tail..]) {
+            let gap = gap(step, col);
+            stage_cells(&mut staged, &mut len, &mut buf, &[gap], &[value]);
+        }
+        buf.extend_from_slice(&staged[..len]);
     }
     buf
+}
+
+/// Add `cols` to the slot of each cell in `cells` at which a row starts,
+/// taking those row starts off the front of `row_starts`: several empty
+/// rows add to one slot, so a cell's row base is its predecessor's plus its
+/// slot.
+#[inline(always)]
+fn row_steps(
+    steps: &mut [u64; ENCODE_CHUNK],
+    row_starts: &mut &[usize],
+    cells: std::ops::Range<usize>,
+    cols: u64,
+) {
+    while let Some((&start, rest)) = row_starts.split_first() {
+        if start >= cells.end {
+            break;
+        }
+        steps[start - cells.start] += cols;
+        *row_starts = rest;
+    }
+}
+
+/// Stage each `(gap, value)` cell: both fields below 2^14 go out as one
+/// 4-byte little-endian store of their varints, advancing `len` by
+/// 2 + `(gap >= 128)` + `(value >= 128)`; a larger field flushes what is
+/// staged and appends the cell through [`push_varint`].
+#[inline(always)]
+fn stage_cells(
+    staged: &mut [u8; 4 * ENCODE_CHUNK],
+    len: &mut usize,
+    buf: &mut Vec<u8>,
+    gaps: &[u64],
+    values: &[u64],
+) {
+    for (&gap, &value) in gaps.iter().zip(values) {
+        if (gap | value) < 1 << 14 {
+            let gap_len = 1 + usize::from(gap >= 0x80);
+            let word = short_varint(gap) | short_varint(value) << (8 * gap_len);
+            staged[*len..*len + 4].copy_from_slice(&word.to_le_bytes());
+            *len += gap_len + 1 + usize::from(value >= 0x80);
+        } else {
+            buf.extend_from_slice(&staged[..*len]);
+            *len = 0;
+            push_varint(buf, gap);
+            push_varint(buf, value);
+        }
+    }
+}
+
+/// The LEB128 bytes of `v < 2^14` as a little-endian word, without a
+/// branch: below 2^7 the value itself; otherwise its low seven bits with
+/// the continuation bit, then the high seven bits in the next byte.
+#[inline(always)]
+fn short_varint(v: u64) -> u32 {
+    let v = v as u32;
+    v + (v & 0x3f80) + (u32::from(v >= 0x80) << 7)
 }
 
 /// The `(rows, cols)` a window payload's header claims, read without

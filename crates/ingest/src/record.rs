@@ -41,7 +41,7 @@
 //! assert!(replay.next_window().unwrap().is_none());
 //! ```
 
-use crate::codec::{encode_window, encode_window_delta, CodecError, CodecMetrics};
+use crate::codec::{encode_window_delta_into, encode_window_into, CodecError, CodecMetrics};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
 use tw_archive::{ArchiveError, ZipWriter};
@@ -139,6 +139,9 @@ pub struct ArchiveRecorder {
     /// Encoded size of the last key frame: the steady-state proxy for what
     /// each delta window would have cost in full, driving `bytes_saved`.
     last_keyframe_len: usize,
+    /// The encode buffer, cleared and refilled for each window: its
+    /// entry's bytes are copied into the archive, so it is never handed on.
+    encoded: Vec<u8>,
     metrics: Option<CodecMetrics>,
 }
 
@@ -151,6 +154,7 @@ impl ArchiveRecorder {
             stats: Vec::new(),
             prev: None,
             last_keyframe_len: 0,
+            encoded: Vec::new(),
             metrics: None,
         }
     }
@@ -169,9 +173,11 @@ impl ArchiveRecorder {
     pub fn record(&mut self, report: &WindowReport) -> Result<(), RecordError> {
         let k = self.meta.keyframe_every;
         let keyframe = k == 0 || (self.stats.len() as u64).is_multiple_of(k);
+        let mut buf = std::mem::take(&mut self.encoded);
+        buf.clear();
         let bytes = match (&self.prev, keyframe) {
             (Some(prev), false) => {
-                let delta = encode_window_delta(prev, report);
+                let delta = encode_window_delta_into(prev, report, buf);
                 if let Some(m) = &self.metrics {
                     m.delta_windows.inc();
                     m.bytes_saved
@@ -180,7 +186,7 @@ impl ArchiveRecorder {
                 delta
             }
             _ => {
-                let full = encode_window(report);
+                let full = encode_window_into(report, buf);
                 self.last_keyframe_len = full.len();
                 if let Some(m) = &self.metrics {
                     m.keyframes.inc();
@@ -190,6 +196,7 @@ impl ArchiveRecorder {
         };
         self.writer
             .add_file(&window_entry_name(report.stats.window_index), &bytes)?;
+        self.encoded = bytes;
         self.stats.push(report.stats.clone());
         if k != 0 {
             match &mut self.prev {
