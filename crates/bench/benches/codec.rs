@@ -142,7 +142,7 @@ fn steady_reports(hot: usize) -> Vec<WindowReport> {
         let matrix = CsrMatrix::from_sorted_triples(NODES, NODES, &cells);
         let nnz = matrix.nnz();
         reports.push(WindowReport {
-            matrix,
+            matrix: matrix.into(),
             stats: IngestStats {
                 window_index: w as u64,
                 events: churn as u64,
@@ -240,15 +240,14 @@ fn decode_chain(frames: &[Vec<u8>]) -> u64 {
 /// has it) or its scalar reference.
 type ScratchDecoder = fn(&[u8], &mut DecodeScratch) -> Result<WindowReport, CodecError>;
 
-/// Decode `frames` in order through one recycled scratch, as a replay or a
-/// client does.
+/// Decode `frames` in order through one scratch, dropping each report, as a
+/// replay or a client does.
 fn decode_chain_with(frames: &[Vec<u8>], decode: ScratchDecoder) -> u64 {
     let mut scratch = DecodeScratch::new();
     let mut nnz = 0u64;
     for frame in frames {
         let report = decode(frame, &mut scratch).expect("encoded above");
         nnz += report.matrix.nnz() as u64;
-        scratch.recycle(report.matrix);
     }
     nnz
 }
@@ -491,6 +490,38 @@ fn bench_codec(c: &mut Criterion) {
         );
         encode_speedups.push((group_name, speedup));
     }
+
+    // -- Delta chain against full windows on the ddos lesson: a key frame
+    // and three v5 deltas decode to the same four windows the full frames
+    // do. Recorded, not asserted.
+    let lesson_full = full_frames(&lesson);
+    let lesson_chain = chain_frames(&lesson, encode_window_delta);
+    let lesson_nnz = lesson.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
+    assert_eq!(decode_chain(&lesson_chain), lesson_nnz);
+    let mut group = c.benchmark_group("codec_lesson_ddos_chain");
+    group.bench_function("decode/v4_full", |b| {
+        b.iter(|| black_box(decode_chain(&lesson_full)))
+    });
+    group.bench_function("decode/v5_chain", |b| {
+        b.iter(|| black_box(decode_chain(&lesson_chain)))
+    });
+    group.finish();
+    let (full_time, chain_time) = interleaved_best_of(
+        || decode_chain(&lesson_full),
+        || decode_chain(&lesson_chain),
+    );
+    let chain_over_full = chain_time.as_secs_f64() / full_time.as_secs_f64().max(1e-9);
+    println!(
+        "codec_lesson_ddos_chain ({} windows, keyframe-every-{KEYFRAME_EVERY}): full {:.2} ms, \
+         key frame + deltas {:.2} ms ({chain_over_full:.2}x the full decode)",
+        lesson.len(),
+        full_time.as_secs_f64() * 1e3,
+        chain_time.as_secs_f64() * 1e3,
+    );
+    criterion::record_measurement(
+        "codec_lesson_ddos_chain/decode_v5_chain_over_v4_full_x1000",
+        (chain_over_full * 1000.0).round() as u128,
+    );
 
     // -- CRC-32 on lesson payload bytes. ---------------------------------
     let payload = full_frames(&lesson).concat();

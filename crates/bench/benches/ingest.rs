@@ -55,8 +55,10 @@ impl EventSource for Replay {
     }
 }
 
-/// Ten windows through the pipeline; with `recycle`, every emitted matrix is
-/// handed back through `recycle_window` as a steady consumer would.
+/// Ten windows through the pipeline; with `recycle`, every report is
+/// dropped once read, as a steady consumer does, so rotation builds in its
+/// storage; without, all ten are held, so each window is built in new
+/// storage.
 fn ten_windows(events: &Arc<[PacketEvent]>, nodes: u32, window_us: u64, recycle: bool) -> u64 {
     let config = PipelineConfig {
         window_us,
@@ -69,13 +71,14 @@ fn ten_windows(events: &Arc<[PacketEvent]>, nodes: u32, window_us: u64, recycle:
     };
     let mut pipeline = Pipeline::new(Box::new(source), config);
     let mut total_events = 0u64;
+    let mut held = Vec::new();
     for _ in 0..10 {
         let Some(report) = pipeline.next_window() else {
             break;
         };
         total_events += report.stats.events;
-        if recycle {
-            pipeline.recycle_window(report.matrix);
+        if !recycle {
+            held.push(report);
         }
     }
     total_events
@@ -109,7 +112,7 @@ fn bench_ingest(c: &mut Criterion) {
 
     // The merge at a recorded lesson's shape: 100 ms windows of a scan
     // over 4,096 nodes (~10k events each), one window per iteration on a
-    // warm accumulator whose matrices are recycled. This fixed-size row
+    // warm accumulator whose matrices are dropped. This fixed-size row
     // runs first: after the million-event rows below it reads 20-60% slower
     // on the same binary.
     let lesson_nodes = 4_096u32;
@@ -126,10 +129,7 @@ fn bench_ingest(c: &mut Criterion) {
         b.iter(|| {
             let window = next.next().expect("cycle over a non-empty list");
             acc.ingest(window);
-            let matrix = acc.merge();
-            let nnz = matrix.nnz();
-            acc.recycle(matrix);
-            black_box(nnz)
+            black_box(acc.merge().nnz())
         })
     });
     group.finish();

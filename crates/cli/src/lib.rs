@@ -783,9 +783,9 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     });
     // Pull windows one at a time (instead of the batch `run`) so periodic
     // stats lines interleave with the transcript at the cadence asked for.
-    // Only the per-window stats are kept for the totals; each matrix goes
-    // back to the pipeline's CSR pool once recorded, so the transcript run
-    // holds one window in memory and rotation reuses the arrays.
+    // Only the per-window stats are kept for the totals; each report is
+    // dropped once recorded, so rotation builds the next window in its
+    // storage.
     let windows = spec.planned(None);
     let mut window_stats = Vec::with_capacity(windows);
     while window_stats.len() < windows {
@@ -803,7 +803,6 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
                 .record(&report)
                 .map_err(|e| CliError(e.to_string()))?;
         }
-        pipeline.recycle_window(report.matrix);
         window_stats.push(report.stats);
         if !args.json
             && spec.stats_every > 0

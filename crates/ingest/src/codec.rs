@@ -53,10 +53,11 @@
 //! assert_eq!(decoded.stats, report.stats);
 //! ```
 
-use crate::window::{IngestStats, WindowReport};
+use crate::window::{IngestStats, KeptWindows, WindowReport};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
-use tw_matrix::CsrMatrix;
+use tw_matrix::{CsrMatrix, MatrixError};
 use tw_metrics::{Counter, MetricsRegistry};
 
 #[cfg(target_arch = "x86_64")]
@@ -175,6 +176,12 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<MatrixError> for CodecError {
+    fn from(_: MatrixError) -> Self {
+        CodecError::Corrupt("decoded arrays are not a valid CSR matrix")
+    }
+}
 
 /// Append a LEB128 varint.
 #[inline]
@@ -580,10 +587,9 @@ pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
         &mut col_idx,
         &mut values,
     )?;
-    let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
-        .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
+    let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)?;
     Ok(WindowReport {
-        matrix,
+        matrix: Arc::new(matrix),
         stats: header.stats,
         frame: None,
     })
@@ -860,117 +866,32 @@ pub(crate) fn encode_window_delta_into(
     buf
 }
 
-/// Reusable decode state: the delta base window plus recycled CSR buffers.
+/// Reusable decode state: the last windows decoded, kept for their
+/// storage and as the delta base.
 ///
-/// A scratch makes [`decode_window_into`] allocation-free after warm-up:
-/// decoded matrices are built straight into buffers recycled through
-/// [`DecodeScratch::recycle`], and the delta base is refreshed in place
-/// rather than reallocated. One scratch serves one stream — it remembers
-/// the last window it materialized, and a delta payload must name that
-/// window as its base.
+/// One scratch serves one stream. It keeps the newest window it decoded,
+/// which a delta payload must name as its base and is decoded against in
+/// place, and builds each window in the storage of a kept window that no
+/// report holds any more (see [`WindowReport`]): a reader that drops each
+/// report decodes full windows in one window of storage, and a delta
+/// stream in two, with no allocation once warmed up.
+///
+/// A decode that fails leaves the storage it wrote empty; when that was
+/// the base's, the base is forgotten as by [`DecodeScratch::reset`], and
+/// the stream must go on from a key frame.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// The last window materialized through this scratch.
-    base: DeltaBase,
-    /// Recycled `(row_ptr, col_idx, values)` triples.
-    pool: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)>,
+    windows: KeptWindows,
+    /// The window index of the newest kept window, the base a delta must
+    /// name; `None` before the first decode, after a reset, or when a
+    /// failed decode wrote over it.
+    base: Option<u64>,
     reuse_hits: u64,
     reuse_counter: Option<Counter>,
 }
 
-/// A scratch's delta base, kept in the cheapest form that can produce it.
-///
-/// A full window is kept as its payload bytes (a copy of the compact
-/// encoding, into a reused buffer) and decoded only when a delta arrives;
-/// a window produced by a delta is kept as a matrix, refreshed in place
-/// with `clone_from`. A stream of full windows therefore never pays a
-/// per-window matrix copy.
-#[derive(Debug)]
-struct DeltaBase {
-    /// Window index of the base; `None` when the scratch holds no base.
-    index: Option<u64>,
-    /// The base window's full payload, valid while `decoded` is false.
-    payload: Vec<u8>,
-    /// Whether `matrix` holds the base (otherwise `payload` does).
-    decoded: bool,
-    /// Decoded base storage, reused across windows.
-    matrix: CsrMatrix<u64>,
-}
-
-impl Default for DeltaBase {
-    fn default() -> Self {
-        DeltaBase {
-            index: None,
-            payload: Vec::new(),
-            decoded: false,
-            matrix: CsrMatrix::empty(0, 0),
-        }
-    }
-}
-
-impl DeltaBase {
-    /// Make the full window `payload` (window `index`) the base.
-    fn set_payload(&mut self, index: u64, payload: &[u8]) {
-        self.payload.clear();
-        self.payload.extend_from_slice(payload);
-        self.index = Some(index);
-        self.decoded = false;
-    }
-
-    /// Make the delta-produced `matrix` (window `index`) the base.
-    fn set_matrix(&mut self, index: u64, matrix: &CsrMatrix<u64>) {
-        self.matrix.clone_from(matrix);
-        self.index = Some(index);
-        self.decoded = true;
-    }
-
-    /// The base matrix for a delta encoded against window `expected`,
-    /// decoding the stored payload (through the `cells` loop) first when
-    /// the base is still in byte form.
-    fn resolve(&mut self, expected: u64, cells: CellLoop) -> Result<&CsrMatrix<u64>, CodecError> {
-        match self.index {
-            Some(actual) if actual == expected => {}
-            actual => return Err(CodecError::DeltaBaseMismatch { expected, actual }),
-        }
-        if !self.decoded {
-            let storage = std::mem::replace(&mut self.matrix, CsrMatrix::empty(0, 0));
-            let (_, _, mut row_ptr, mut col_idx, mut values) = storage.into_raw_parts();
-            let mut r = Reader {
-                data: &self.payload,
-                pos: 0,
-            };
-            let header = read_header(&mut r)?;
-            parse_full_body(
-                &mut r,
-                &header,
-                cells,
-                &mut row_ptr,
-                &mut col_idx,
-                &mut values,
-            )?;
-            self.matrix =
-                CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
-                    .map_err(|_| {
-                        CodecError::Corrupt("decoded arrays are not a valid CSR matrix")
-                    })?;
-            self.decoded = true;
-        }
-        Ok(&self.matrix)
-    }
-
-    /// Forget the base, keeping its buffers.
-    fn clear(&mut self) {
-        self.index = None;
-        self.decoded = false;
-    }
-}
-
-/// How many recycled buffer triples a scratch keeps; more than this are
-/// dropped on [`DecodeScratch::recycle`] (a steady decode loop needs one).
-const SCRATCH_POOL_LIMIT: usize = 4;
-
 impl DecodeScratch {
-    /// A fresh scratch with no base window and empty buffer pool.
+    /// A fresh scratch with no base window and no kept storage.
     pub fn new() -> Self {
         DecodeScratch::default()
     }
@@ -981,15 +902,8 @@ impl DecodeScratch {
         self.reuse_counter = Some(registry.counter("codec.decode_reuse_hits"));
     }
 
-    /// Hand a no-longer-needed matrix's buffers back for the next decode.
-    pub fn recycle(&mut self, matrix: CsrMatrix<u64>) {
-        if self.pool.len() < SCRATCH_POOL_LIMIT {
-            let (_, _, row_ptr, col_idx, values) = matrix.into_raw_parts();
-            self.pool.push((row_ptr, col_idx, values));
-        }
-    }
-
-    /// How many decodes built into recycled buffers instead of allocating.
+    /// How many decodes built their window in a kept window's storage
+    /// instead of allocating.
     pub fn reuse_hits(&self) -> u64 {
         self.reuse_hits
     }
@@ -997,41 +911,24 @@ impl DecodeScratch {
     /// The window index of the current delta base, if any.
     #[cfg(test)]
     pub(crate) fn base_window(&self) -> Option<u64> {
-        self.base.index
+        self.base
     }
 
     /// Forget the base window (e.g. before seeking a recording): the next
-    /// payload must then be a full window. Recycled buffers are kept.
+    /// payload must then be a full window. Kept storage is reused still.
     pub fn reset(&mut self) {
-        self.base.clear();
-    }
-
-    /// Pop a recycled buffer triple (cleared), or fresh empty vectors.
-    fn take_buffers(&mut self) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
-        match self.pool.pop() {
-            Some((mut row_ptr, mut col_idx, mut values)) => {
-                row_ptr.clear();
-                col_idx.clear();
-                values.clear();
-                self.reuse_hits += 1;
-                if let Some(counter) = &self.reuse_counter {
-                    counter.inc();
-                }
-                (row_ptr, col_idx, values)
-            }
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        }
+        self.base = None;
     }
 }
 
 /// Decode a full or delta window through a [`DecodeScratch`].
 ///
-/// Full windows (versions 1, 2 and 4) decode exactly as [`decode_window`] and
-/// additionally become the scratch's base; delta windows (versions 3 and
-/// 5) are applied to that base. Either way the returned matrix is built
-/// into recycled buffers when any are pooled — hand finished matrices back
-/// via [`DecodeScratch::recycle`] and the loop stops allocating once
-/// buffers reach their high-water marks.
+/// Full windows (versions 1, 2 and 4) decode exactly as [`decode_window`];
+/// delta windows (versions 3 and 5) are applied to the scratch's base.
+/// Either way the window becomes the base, and it is built in the storage
+/// of a window the scratch kept when no report holds that window any more
+/// — a loop that drops each report stops allocating once the storage has
+/// reached its high-water mark.
 pub fn decode_window_into(
     data: &[u8],
     scratch: &mut DecodeScratch,
@@ -1087,40 +984,33 @@ fn decode_body_into(
     scratch: &mut DecodeScratch,
     cells: CellLoop,
 ) -> Result<WindowReport, CodecError> {
-    let (mut row_ptr, mut col_idx, mut values) = scratch.take_buffers();
-    let parsed = match header.base {
-        Some(expected) => scratch.base.resolve(expected, cells).and_then(|base| {
-            parse_delta_body(
-                &mut r,
-                &header,
-                base,
-                &mut row_ptr,
-                &mut col_idx,
-                &mut values,
-            )
-        }),
-        None => parse_full_body(
-            &mut r,
-            &header,
-            cells,
-            &mut row_ptr,
-            &mut col_idx,
-            &mut values,
-        ),
-    };
-    if let Err(e) = parsed {
-        if scratch.pool.len() < SCRATCH_POOL_LIMIT {
-            scratch.pool.push((row_ptr, col_idx, values));
+    let (index, actual) = (header.stats.window_index, scratch.base);
+    let built = scratch.windows.build(
+        (header.rows, header.cols),
+        header.base.is_some(),
+        |newest, row_ptr, col_idx, values| match (header.base, newest) {
+            (None, _) => parse_full_body(&mut r, &header, cells, row_ptr, col_idx, values),
+            (Some(expected), Some(base)) if actual == Some(expected) => {
+                parse_delta_body(&mut r, &header, base, row_ptr, col_idx, values)
+            }
+            (Some(expected), _) => Err(CodecError::DeltaBaseMismatch { expected, actual }),
+        },
+    );
+    let (matrix, reused) = match built {
+        Ok(built) => built,
+        Err(e) => {
+            if scratch.windows.newest().is_none() {
+                scratch.base = None;
+            }
+            return Err(e);
         }
-        return Err(e);
-    }
-    let matrix = CsrMatrix::from_raw_parts(header.rows, header.cols, row_ptr, col_idx, values)
-        .map_err(|_| CodecError::Corrupt("decoded arrays are not a valid CSR matrix"))?;
-    let index = header.stats.window_index;
-    if header.base.is_some() {
-        scratch.base.set_matrix(index, &matrix);
-    } else {
-        scratch.base.set_payload(index, r.data);
+    };
+    scratch.base = Some(index);
+    if reused {
+        scratch.reuse_hits += 1;
+        if let Some(counter) = &scratch.reuse_counter {
+            counter.inc();
+        }
     }
     Ok(WindowReport {
         matrix,
@@ -1264,7 +1154,8 @@ pub struct CodecMetrics {
     pub keyframes: Counter,
     /// Bytes the delta encoding saved vs the last key frame's size.
     pub bytes_saved: Counter,
-    /// Decodes that built into recycled buffers instead of allocating.
+    /// Decodes that built their window in a kept window's storage instead
+    /// of allocating, in windows.
     pub decode_reuse_hits: Counter,
 }
 
@@ -1298,10 +1189,19 @@ mod tests {
             elapsed: Duration::from_micros(1234),
         };
         WindowReport {
-            matrix,
+            matrix: Arc::new(matrix),
             stats,
             frame: None,
         }
+    }
+
+    /// A scratch whose delta base is an empty `rows × cols` window 0.
+    fn scratch_with_empty_base(rows: usize, cols: usize) -> DecodeScratch {
+        let mut base = report(rows, cols, &[]);
+        base.stats.window_index = 0;
+        let mut scratch = DecodeScratch::new();
+        decode_window_into(&encode_window(&base), &mut scratch).unwrap();
+        scratch
     }
 
     /// The stats block of a window written now: six varints and a fixed
@@ -1417,8 +1317,7 @@ mod tests {
             super::push_varint(&mut delta, 0); // base window index
             super::push_varint(&mut delta, (MAX_DIMENSION as u64) + 1); // rows
             super::push_varint(&mut delta, 4); // cols
-            let mut scratch = DecodeScratch::new();
-            scratch.base.set_matrix(0, &CsrMatrix::empty(2, 2));
+            let mut scratch = scratch_with_empty_base(2, 2);
             assert_eq!(
                 decode_window_into(&delta, &mut scratch).map(|_| ()),
                 expected,
@@ -1519,8 +1418,7 @@ mod tests {
             for v in changes {
                 super::push_varint(&mut bytes, *v);
             }
-            let mut scratch = DecodeScratch::new();
-            scratch.base.set_matrix(0, &CsrMatrix::empty(4, 4));
+            let mut scratch = scratch_with_empty_base(4, 4);
             decode_window_into(&bytes, &mut scratch).map(|_| ())
         };
         // v3: base index, rows, cols, final nnz, changed rows; row 0
@@ -1777,9 +1675,9 @@ mod tests {
 
     #[test]
     fn delta_chains_reuse_recycled_buffers() {
-        // A keyframe + three deltas decoded in a recycle loop: after the
-        // first decode hands its buffers back, every later decode is a
-        // pool hit.
+        // A keyframe + three deltas decoded in a loop that drops each
+        // report: the first delta is built beside its base, and every
+        // later decode in the storage of the window before its base.
         let mut reports = vec![report(32, 32, &[(0, 0, 1), (5, 9, 2)])];
         for (i, cells) in [
             vec![(0, 0, 2), (5, 9, 2)],
@@ -1802,9 +1700,8 @@ mod tests {
         for (bytes, want) in encoded.iter().zip(&reports) {
             let got = decode_window_into(bytes, &mut scratch).unwrap();
             assert_reports_equal(&got, want);
-            scratch.recycle(got.matrix);
         }
-        assert_eq!(scratch.reuse_hits(), encoded.len() as u64 - 1);
+        assert_eq!(scratch.reuse_hits(), encoded.len() as u64 - 2);
     }
 
     #[test]
@@ -1907,8 +1804,9 @@ mod tests {
         metrics.bytes_saved.add(10);
         let mut scratch = DecodeScratch::new();
         scratch.instrument(&registry);
-        scratch.recycle(CsrMatrix::empty(2, 2));
-        let got = decode_window_into(&encode_window(&report(2, 2, &[])), &mut scratch).unwrap();
+        let window = encode_window(&report(2, 2, &[]));
+        drop(decode_window_into(&window, &mut scratch).unwrap());
+        let got = decode_window_into(&window, &mut scratch).unwrap();
         assert_eq!(got.matrix.nnz(), 0);
         let snapshot = registry.snapshot();
         for (name, want) in [

@@ -24,7 +24,7 @@
 //!    column (a gap over empty rows included) and to stop before a cell
 //!    past them or past the last row.
 //! 5. The columns and values are widened to 64 bits and stored straight
-//!    into the recycled CSR arrays' spare capacity, and the row starts the
+//!    into the CSR arrays' spare capacity, and the row starts the
 //!    cells crossed into into `row_ptr`'s.
 //!
 //! Everything else — a varint of three or more bytes, a cell more than

@@ -274,7 +274,7 @@ pub(crate) fn recorded_frame_buffer(payload_len: usize) -> Vec<u8> {
 /// payload's header: a delta goes in a delta frame, a full window in a
 /// window frame. `None` when the payload exceeds [`MAX_FRAME_LEN`]: such a
 /// window has no frame to forward.
-pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32, delta: bool) -> Option<Arc<[u8]>> {
+pub(crate) fn seal_recorded_frame(mut buf: Vec<u8>, crc: u32, delta: bool) -> Option<Arc<[u8]>> {
     let payload = buf.get(HEADER_LEN..)?;
     if payload.len() > MAX_FRAME_LEN {
         return None;
@@ -284,18 +284,19 @@ pub(crate) fn seal_recorded_frame(buf: Vec<u8>, crc: u32, delta: bool) -> Option
     } else {
         FrameKind::Window
     };
-    Some(seal(buf, kind, crc))
+    Some(seal(&mut buf, kind, crc))
 }
 
-/// Fill a frame buffer's placeholder header and append the CRC trailer.
-fn seal(mut buf: Vec<u8>, kind: FrameKind, crc: u32) -> Arc<[u8]> {
+/// Fill a frame buffer's placeholder header, append the CRC trailer and
+/// copy the frame into the `Arc` it is sent in.
+fn seal(buf: &mut Vec<u8>, kind: FrameKind, crc: u32) -> Arc<[u8]> {
     let payload_len = (buf.len() - HEADER_LEN) as u32;
     buf[..4].copy_from_slice(&FRAME_MAGIC);
     buf[4] = FRAME_VERSION;
     buf[5] = kind.to_byte();
     buf[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf.into()
+    Arc::from(&buf[..])
 }
 
 /// One window's wire frame, as [`window_frame`] built it.
@@ -326,12 +327,24 @@ impl WindowFrame {
 /// window at a delta position. Anything else (no carried frame, a payload
 /// in a layout from before the current one, a full entry at a delta
 /// position, a delta at a key-frame position or against another base) is
-/// encoded straight into a fresh frame buffer, so an old recording is
-/// served transcoded and a new one bytes-through.
+/// encoded, so an old recording is served transcoded and a new one
+/// bytes-through.
 ///
 /// Panics if an encoded payload exceeds [`MAX_FRAME_LEN`], like
 /// [`encode_frame`].
 pub fn window_frame(report: &WindowReport, base: Option<&WindowReport>) -> WindowFrame {
+    window_frame_into(report, base, &mut Vec::new())
+}
+
+/// [`window_frame`], encoding in `buf`: the caller keeps the buffer from
+/// window to window, so an encoded frame costs only the `Arc` it is sent
+/// in once the buffer has grown to the largest frame. `buf`'s contents on
+/// entry are discarded.
+pub fn window_frame_into(
+    report: &WindowReport,
+    base: Option<&WindowReport>,
+    buf: &mut Vec<u8>,
+) -> WindowFrame {
     if let Some(bytes) = report.frame.as_ref().filter(|f| forwardable(f, base)) {
         return WindowFrame {
             bytes: bytes.clone(),
@@ -339,24 +352,28 @@ pub fn window_frame(report: &WindowReport, base: Option<&WindowReport>) -> Windo
             forwarded: true,
         };
     }
-    let mut buf = Vec::with_capacity(HEADER_LEN + codec::full_size_hint(report) + TRAILER_LEN);
-    buf.extend_from_slice(&[0; HEADER_LEN]);
-    let (kind, buf) = match base {
-        None => (FrameKind::Window, codec::encode_window_into(report, buf)),
+    let mut kept = std::mem::take(buf);
+    kept.clear();
+    kept.reserve(HEADER_LEN + codec::full_size_hint(report) + TRAILER_LEN);
+    kept.extend_from_slice(&[0; HEADER_LEN]);
+    let (kind, mut kept) = match base {
+        None => (FrameKind::Window, codec::encode_window_into(report, kept)),
         Some(base) => (
             FrameKind::DeltaWindow,
-            codec::encode_window_delta_into(base, report, buf),
+            codec::encode_window_delta_into(base, report, kept),
         ),
     };
-    let payload = &buf[HEADER_LEN..];
+    let payload = &kept[HEADER_LEN..];
     assert!(
         payload.len() <= MAX_FRAME_LEN,
         "frame payload of {} bytes exceeds MAX_FRAME_LEN",
         payload.len()
     );
     let crc = crc32(payload);
+    let bytes = seal(&mut kept, kind, crc);
+    *buf = kept;
     WindowFrame {
-        bytes: seal(buf, kind, crc),
+        bytes,
         delta: base.is_some(),
         forwarded: false,
     }

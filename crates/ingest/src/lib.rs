@@ -75,9 +75,9 @@ pub use codec::{
 };
 pub use frame::{
     encode_close_frame, encode_frame, encode_manifest_frame, encode_stats_frame,
-    parse_frame_payload, read_frame, read_raw_frame, window_frame, write_frame, CloseSummary,
-    Frame, FrameError, FrameKind, StreamManifest, WindowFrame, FRAME_MAGIC, FRAME_VERSION,
-    MAX_FRAME_LEN,
+    parse_frame_payload, read_frame, read_raw_frame, window_frame, window_frame_into, write_frame,
+    CloseSummary, Frame, FrameError, FrameKind, StreamManifest, WindowFrame, FRAME_MAGIC,
+    FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use record::{ArchiveRecorder, RecordError, RecordingMeta, ReplayManifest};

@@ -16,15 +16,17 @@
 //! queue head against the current window with two timestamp compares per
 //! event (no division), and a *route* that hands the whole current-window
 //! batch to [`WindowAccumulator::ingest`]. Everything runs on the caller's
-//! thread. Window rotation reuses merge scratch and (with consumer
-//! cooperation via [`Pipeline::recycle_window`]) the CSR arrays themselves,
-//! so a steady pipeline reaches zero steady-state allocation per window.
+//! thread. Window rotation reuses merge scratch and builds each window in
+//! the storage of an earlier one that no report holds any more, so a
+//! steady pipeline whose consumer drops each report reaches zero
+//! steady-state allocation per window.
 
 use crate::reorder::WatermarkRouter;
 use crate::shard::WindowAccumulator;
 use crate::source::EventSource;
 use crate::window::{IngestStats, WindowClock, WindowReport};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tw_matrix::stream::PacketEvent;
 use tw_matrix::CsrMatrix;
@@ -84,10 +86,10 @@ pub struct PipelineConfig {
     /// later window; only events older than the watermark itself are
     /// dropped (and counted in [`IngestStats::dropped_late`]).
     pub reorder_horizon_us: u64,
-    /// Keep merge scratch and pooled CSR arrays alive across windows (the
-    /// default). `false` releases everything after each rotation — the
-    /// fresh-allocation reference mode the recycling equivalence proptest
-    /// compares against.
+    /// Keep merge scratch and the last windows' storage alive across
+    /// windows (the default). `false` releases everything after each
+    /// rotation — the fresh-allocation reference mode the recycling
+    /// equivalence proptest compares against.
     pub recycle_scratch: bool,
 }
 
@@ -111,7 +113,10 @@ pub struct Pipeline {
     recycle_scratch: bool,
     /// The watermark router; `None` runs the strict sorted-input fast path.
     reorder: Option<WatermarkRouter>,
-    /// Strict mode: pulled events for later windows, not yet routed.
+    /// Strict mode: pulled events for later windows, not yet routed. It
+    /// holds at most one pull's tail, so it is sized for a whole batch up
+    /// front rather than doubled each time a window ends later in a batch
+    /// than any before it.
     pending: VecDeque<PacketEvent>,
     /// Scratch buffer reused across pulls.
     scratch: Vec<PacketEvent>,
@@ -143,7 +148,11 @@ impl Pipeline {
             recycle_scratch: config.recycle_scratch,
             reorder: (config.reorder_horizon_us > 0)
                 .then(|| WatermarkRouter::new(config.reorder_horizon_us)),
-            pending: VecDeque::new(),
+            pending: VecDeque::with_capacity(if config.reorder_horizon_us > 0 {
+                0
+            } else {
+                config.batch_size
+            }),
             scratch: Vec::new(),
             route_buf: Vec::new(),
             dropped_late: 0,
@@ -181,13 +190,11 @@ impl Pipeline {
         self.reorder.as_ref().map_or(0, WatermarkRouter::horizon_us)
     }
 
-    /// Hand a consumed window matrix back for CSR-array reuse: the next
-    /// rotation builds into its storage instead of allocating. A no-op when
-    /// [`PipelineConfig::recycle_scratch`] is off or the pool is full.
-    pub fn recycle_window(&mut self, matrix: CsrMatrix<u64>) {
-        if self.recycle_scratch {
-            self.accumulator.recycle(matrix);
-        }
+    /// Drop a consumed window matrix: a plain drop. Dropping the report, or
+    /// its matrix, is what lets a later rotation build in its storage, so
+    /// calling this is never needed.
+    pub fn recycle_window(&mut self, matrix: Arc<CsrMatrix<u64>>) {
+        drop(matrix);
     }
 
     /// Drive the pipeline until the current window closes; `None` once the
@@ -343,8 +350,8 @@ impl Pipeline {
             let _coalesce = StageTimer::start(metrics.as_ref().map(|m| &m.coalesce_ns));
             if last {
                 // End of stream: consume the accumulator so every retained
-                // entry, scratch and pool buffer is released, not kept warm
-                // for a window that will never come.
+                // entry, scratch buffer and kept window is released, not
+                // kept warm for a window that will never come.
                 let node_count = self.accumulator.node_count();
                 let acc =
                     std::mem::replace(&mut self.accumulator, WindowAccumulator::new(node_count));
@@ -540,7 +547,7 @@ mod tests {
                 .copied()
                 .filter(|e| e.timestamp_us / 50_000 == w)
                 .collect();
-            assert_eq!(report.matrix, window_matrix(64, &slice), "window {w}");
+            assert_eq!(*report.matrix, window_matrix(64, &slice), "window {w}");
             assert_eq!(report.stats.nnz, report.matrix.nnz());
             assert_eq!(
                 report.stats.packets,
@@ -844,7 +851,7 @@ mod tests {
                 .copied()
                 .filter(|e| e.timestamp_us / 100 == w)
                 .collect();
-            assert_eq!(report.matrix, window_matrix(8, &slice), "window {w}");
+            assert_eq!(*report.matrix, window_matrix(8, &slice), "window {w}");
         }
     }
 

@@ -134,7 +134,9 @@ pub struct ArchiveRecorder {
     meta: RecordingMeta,
     stats: Vec<IngestStats>,
     /// The previously recorded window, kept as the next delta's base
-    /// (`None` until the first window, or always when `keyframe_every == 0`).
+    /// (`None` until the first window, or always when `keyframe_every == 0`):
+    /// a clone of the report, which shares its matrix rather than copying
+    /// it.
     prev: Option<WindowReport>,
     /// Encoded size of the last key frame: the steady-state proxy for what
     /// each delta window would have cost in full, driving `bytes_saved`.
@@ -199,10 +201,7 @@ impl ArchiveRecorder {
         self.encoded = bytes;
         self.stats.push(report.stats.clone());
         if k != 0 {
-            match &mut self.prev {
-                Some(prev) => prev.clone_from(report),
-                None => self.prev = Some(report.clone()),
-            }
+            self.prev = Some(report.clone());
         }
         Ok(())
     }
@@ -635,7 +634,7 @@ mod tests {
                     })
                     .collect();
                 WindowReport {
-                    matrix: CsrMatrix::from_sorted_triples(128, 128, &entries),
+                    matrix: CsrMatrix::from_sorted_triples(128, 128, &entries).into(),
                     stats: IngestStats {
                         window_index: w,
                         events: 1_000,

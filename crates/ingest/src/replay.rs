@@ -32,7 +32,7 @@ pub struct ReplaySource<R: Read + Seek> {
     reader: ZipReader<R>,
     manifest: ReplayManifest,
     cursor: usize,
-    /// Delta base + recycled decode buffers (see
+    /// The delta base and the kept windows' storage (see
     /// [`DecodeScratch`](crate::codec::DecodeScratch)).
     scratch: DecodeScratch,
 }

@@ -25,12 +25,15 @@
 //! packets, order cells by `(row, col)` and drop zero totals. The property
 //! tests in `tests/proptest_shard.rs` check this over arbitrary streams.
 //!
-//! **Rotation-scratch recycling.** The counting arrays, the scatter buffer
-//! and (with consumer cooperation via [`WindowAccumulator::recycle`]) the
-//! CSR arrays themselves survive from window to window, so a steady
-//! pipeline reaches zero steady-state allocation per window once warmed up
-//! — see [`WindowAccumulator::scratch_reuse_hits`].
+//! **Rotation-scratch reuse.** The counting arrays and the scatter buffer
+//! survive from window to window (see
+//! [`WindowAccumulator::scratch_reuse_hits`]), and each window is built in
+//! the storage of an earlier one that no report holds any more (see
+//! [`WindowReport`](crate::WindowReport)), so a steady pipeline whose
+//! consumer drops each report allocates nothing per window once warmed up.
 
+use crate::window::KeptWindows;
+use std::sync::Arc;
 use tw_matrix::stream::PacketEvent;
 use tw_matrix::{CooMatrix, CsrMatrix};
 
@@ -49,15 +52,11 @@ pub fn window_matrix(node_count: usize, events: &[PacketEvent]) -> CsrMatrix<u64
     coo.to_csr()
 }
 
-/// Retired CSR arrays kept for reuse; matches `DecodeScratch`'s pool cap.
-const MAX_POOLED_CSR: usize = 4;
-
 /// One event as the accumulator keeps it: `(row, col, packets)`.
 type Entry = (u32, u32, u32);
 
-/// Window-rotation scratch (the merge-side sibling of the codec's
-/// `DecodeScratch`): counting-sort offsets, the scatter buffer, and a small
-/// pool of retired CSR arrays awaiting reuse.
+/// Window-rotation scratch: counting-sort offsets, the scatter buffer and
+/// the windows built last, whose storage the next merge reuses.
 #[derive(Debug, Default)]
 struct MergeScratch {
     /// Counting-sort offsets: the column histogram in the first
@@ -66,7 +65,7 @@ struct MergeScratch {
     counts: Vec<usize>,
     /// Entries after the column pass.
     by_col: Vec<Entry>,
-    csr_pool: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)>,
+    windows: KeptWindows,
     /// True once one merge has populated the scratch, i.e. the next merge
     /// runs entirely on recycled capacity.
     warm: bool,
@@ -117,9 +116,10 @@ impl WindowAccumulator {
         self.entries.is_empty()
     }
 
-    /// Merges that ran entirely on recycled scratch capacity (every merge
-    /// after the first, unless [`WindowAccumulator::release_scratch`]
-    /// intervened). Cumulative over the accumulator's lifetime.
+    /// Merges that ran on the previous merge's counting arrays and scatter
+    /// buffer (every merge after the first, unless
+    /// [`WindowAccumulator::release_scratch`] intervened), in windows.
+    /// Cumulative over the accumulator's lifetime.
     pub fn scratch_reuse_hits(&self) -> u64 {
         self.scratch_reuse_hits
     }
@@ -150,9 +150,9 @@ impl WindowAccumulator {
     /// arrays, which are sized once from the entry count and cut to the
     /// cell count, never grown per cell. Everything the merge needs —
     /// counting arrays, scatter buffer, CSR arrays — comes from the scratch
-    /// once the first window has warmed it, so steady-state rotation
-    /// allocates nothing.
-    pub fn merge(&mut self) -> CsrMatrix<u64> {
+    /// once the first window has warmed it and the window before last is
+    /// no longer held, so steady-state rotation allocates nothing.
+    pub fn merge(&mut self) -> Arc<CsrMatrix<u64>> {
         if self.scratch.warm {
             self.scratch_reuse_hits += 1;
         } else {
@@ -163,7 +163,7 @@ impl WindowAccumulator {
         let MergeScratch {
             counts,
             by_col,
-            csr_pool,
+            windows,
             ..
         } = &mut self.scratch;
         // One read pass fills both histograms: columns in the first half of
@@ -181,45 +181,43 @@ impl WindowAccumulator {
         // Stable by row over column order: each row's run is contiguous and
         // sorted by column, so equal cells are adjacent.
         scatter(by_col, &mut self.entries, by_row_counts, |&(row, _, _)| row);
-        let (mut row_ptr, mut col_idx, mut values) = csr_pool.pop().unwrap_or_default();
-        sum_cells(&self.entries, by_row_counts, &mut col_idx, &mut values);
-        row_ptr.clear();
-        row_ptr.reserve(node_count + 1);
-        row_ptr.push(0);
-        let mut nnz = 0;
-        row_ptr.extend(by_row_counts.iter().map(|&cells| {
-            nnz += cells;
-            nnz
-        }));
-        self.entries.clear();
-        CsrMatrix::from_raw_parts(node_count, node_count, row_ptr, col_idx, values)
+        let entries = &mut self.entries;
+        let built = windows.build(
+            (node_count, node_count),
+            false,
+            |_, row_ptr, col_idx, values| {
+                sum_cells(entries, by_row_counts, col_idx, values);
+                row_ptr.clear();
+                row_ptr.reserve(node_count + 1);
+                row_ptr.push(0);
+                let mut nnz = 0;
+                row_ptr.extend(by_row_counts.iter().map(|&cells| {
+                    nnz += cells;
+                    nnz
+                }));
+                Ok::<_, tw_matrix::MatrixError>(())
+            },
+        );
+        entries.clear();
+        built
             // tw-analyze: allow(no-panic-in-lib, "row_ptr rises from 0 to nnz over node_count + 1 slots and every column is an event destination below node_count")
             .expect("counting-sort merge builds valid CSR arrays")
+            .0
     }
 
     /// Merge the final window and release every retained buffer.
     ///
-    /// [`WindowAccumulator::merge`] deliberately keeps scratch and pool
-    /// capacity alive for the next window; at end-of-stream there is no
-    /// next window, so `finish` consumes the accumulator and drops it all,
-    /// returning the final matrix together with the closing
+    /// [`WindowAccumulator::merge`] deliberately keeps scratch capacity
+    /// and the last windows alive for the next window; at end-of-stream
+    /// there is no next window, so `finish` consumes the accumulator and
+    /// drops it all, returning the final matrix together with the closing
     /// [`WindowAccumulator::scratch_reuse_hits`] total.
-    pub fn finish(mut self) -> (CsrMatrix<u64>, u64) {
+    pub fn finish(mut self) -> (Arc<CsrMatrix<u64>>, u64) {
         let matrix = self.merge();
         (matrix, self.scratch_reuse_hits)
     }
 
-    /// Return a retired window matrix's CSR arrays to the merge pool so the
-    /// next [`WindowAccumulator::merge`] builds into them instead of
-    /// allocating. Pool is capped at [`MAX_POOLED_CSR`]; excess is dropped.
-    pub fn recycle(&mut self, matrix: CsrMatrix<u64>) {
-        if self.scratch.csr_pool.len() < MAX_POOLED_CSR {
-            let (_, _, row_ptr, col_idx, values) = matrix.into_raw_parts();
-            self.scratch.csr_pool.push((row_ptr, col_idx, values));
-        }
-    }
-
-    /// Drop all recycled capacity: merge scratch, CSR pool and entry
+    /// Drop all recycled capacity: merge scratch, kept windows and entry
     /// storage. The next merge re-allocates from scratch — this is the
     /// fresh-allocation reference mode the recycling proptest compares
     /// against (`recycle_scratch: false` in the pipeline).
@@ -302,14 +300,15 @@ fn sum_cells(
 /// keeps, so recycled contents need no clearing. An array too small is
 /// replaced by a zeroed allocation rather than grown: the allocator can map
 /// fresh zero pages for a large one without writing them, so a cold merge
-/// touches only the slots its cells reach.
+/// touches only the slots its cells reach. The new allocation is at least
+/// twice the old one, as a growing `Vec`'s is: sized to `len` alone, every
+/// window a little larger than any before it would allocate again.
 fn size_for_overwrite<T: Copy + Default>(array: &mut Vec<T>, len: usize) {
     if array.capacity() < len {
         // tw-analyze: allow(hot-path-no-alloc, "cold start or a window larger than any before it; steady windows reuse the recycled array")
-        *array = vec![T::default(); len];
-    } else {
-        array.resize(len, T::default());
+        *array = vec![T::default(); len.max(2 * array.capacity())];
     }
+    array.resize(len, T::default());
 }
 
 /// A `(row, col)` pair as one comparable word.
@@ -354,7 +353,7 @@ mod tests {
             assert_eq!(acc.events(), events.len() as u64);
             let merged = acc.merge();
             assert_eq!(
-                merged,
+                *merged,
                 window_matrix(node_count, &events),
                 "node_count={node_count}"
             );
@@ -373,8 +372,7 @@ mod tests {
         for window in 0..3 {
             acc.ingest(&events);
             let merged = acc.merge();
-            assert_eq!(merged, reference, "window={window}");
-            acc.recycle(merged);
+            assert_eq!(*merged, reference, "window={window}");
         }
     }
 
@@ -387,8 +385,8 @@ mod tests {
         let w0 = acc.merge();
         acc.ingest(second_half);
         let w1 = acc.merge();
-        assert_eq!(w0, window_matrix(64, first_half));
-        assert_eq!(w1, window_matrix(64, second_half));
+        assert_eq!(*w0, window_matrix(64, first_half));
+        assert_eq!(*w1, window_matrix(64, second_half));
         let total = w0.values().iter().sum::<u64>() + w1.values().iter().sum::<u64>();
         assert_eq!(
             total,
@@ -403,9 +401,8 @@ mod tests {
         assert_eq!(acc.scratch_reuse_hits(), 0);
         for window in 0..4 {
             acc.ingest(&events);
-            let m = acc.merge();
+            let _ = acc.merge();
             assert_eq!(acc.scratch_reuse_hits(), window as u64);
-            acc.recycle(m);
         }
         // Releasing the scratch makes the next merge cold again.
         acc.release_scratch();
@@ -423,7 +420,7 @@ mod tests {
         let mut acc = WindowAccumulator::new(48);
         acc.ingest(&events);
         let (matrix, scratch_reuse_hits) = acc.finish();
-        assert_eq!(matrix, window_matrix(48, &events));
+        assert_eq!(*matrix, window_matrix(48, &events));
         assert_eq!(scratch_reuse_hits, 0, "single cold merge");
     }
 

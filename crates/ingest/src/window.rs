@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-use tw_matrix::CsrMatrix;
+use tw_matrix::{CsrMatrix, MatrixError};
 
 /// Maps event timestamps onto tumbling window indices and tracks the window
 /// currently being filled.
@@ -97,12 +97,19 @@ impl IngestStats {
 
 /// One finished window: its hypersparse traffic matrix plus statistics.
 ///
+/// The matrix is shared: the producer that emitted the report keeps an
+/// `Arc` of it too, and builds a later window in its storage once no
+/// report holds it any more. Dropping a report is therefore how a window
+/// goes back; a consumer that keeps one (a delta base, a game scene) only
+/// costs the producer one more allocation while it does. Cloning a report
+/// copies no cells.
+///
 /// Equality compares `matrix` and `stats` only: a window is the same window
 /// whether or not it still carries the frame it arrived in.
 #[derive(Clone)]
 pub struct WindowReport {
     /// The coalesced window matrix (sources × destinations, packet counts).
-    pub matrix: CsrMatrix<u64>,
+    pub matrix: Arc<CsrMatrix<u64>>,
     /// The window's ingest statistics.
     pub stats: IngestStats,
     /// The complete TWFR wire frame (see [`frame`](crate::frame)) this
@@ -127,6 +134,80 @@ impl fmt::Debug for WindowReport {
             .field("frame_len", &self.frame.as_ref().map(|frame| frame.len()))
             .finish()
     }
+}
+
+/// The last windows a producer emitted, kept so that it builds the next
+/// window in the storage of one that no caller still holds.
+///
+/// The window pipeline's accumulator and a decoder's [`DecodeScratch`]
+/// each own one. [`KeptWindows::build`] writes into the first kept window
+/// whose `Arc` only the store holds, and allocates only when every kept
+/// window is held. It keeps two at most: the newest window emitted (a
+/// delta's base, for a decoder) and one spare.
+///
+/// [`DecodeScratch`]: crate::codec::DecodeScratch
+#[derive(Debug, Default)]
+pub(crate) struct KeptWindows {
+    newest: Option<Arc<CsrMatrix<u64>>>,
+    spare: Option<Arc<CsrMatrix<u64>>>,
+}
+
+impl KeptWindows {
+    /// The newest window built, unless a failed build wrote over it.
+    pub(crate) fn newest(&self) -> Option<&CsrMatrix<u64>> {
+        self.newest.as_deref()
+    }
+
+    /// Build the next `rows × cols` window: `fill` gets the newest window
+    /// when `read_newest` is set (its storage is then left alone) and
+    /// writes the new window's arrays as in [`CsrMatrix::rebuild`]. Returns
+    /// the window and whether it reused a kept window's storage.
+    ///
+    /// The window built becomes the newest, and the one it displaced the
+    /// spare (unless the newest's own storage was reused). A failed build
+    /// leaves the storage it wrote empty, as the spare; when that storage
+    /// was the newest window's, no newest window is left.
+    pub(crate) fn build<E: From<MatrixError>>(
+        &mut self,
+        (rows, cols): (usize, usize),
+        read_newest: bool,
+        fill: impl FnOnce(
+            Option<&CsrMatrix<u64>>,
+            &mut Vec<usize>,
+            &mut Vec<usize>,
+            &mut Vec<u64>,
+        ) -> Result<(), E>,
+    ) -> Result<(Arc<CsrMatrix<u64>>, bool), E> {
+        let in_newest = !read_newest && unheld(&mut self.newest);
+        let kept = if in_newest {
+            self.newest.take()
+        } else if unheld(&mut self.spare) {
+            self.spare.take()
+        } else {
+            None
+        };
+        let reused = kept.is_some();
+        let mut window = kept.unwrap_or_else(|| Arc::new(CsrMatrix::empty(0, 0)));
+        // The store holds the only `Arc` of the window, so `make_mut` hands
+        // out its storage without copying it.
+        let built = Arc::make_mut(&mut window).rebuild(rows, cols, |row_ptr, col_idx, values| {
+            fill(self.newest.as_deref(), row_ptr, col_idx, values)
+        });
+        if let Err(e) = built {
+            self.spare = Some(window);
+            return Err(e);
+        }
+        if !in_newest {
+            self.spare = self.newest.take();
+        }
+        self.newest = Some(Arc::clone(&window));
+        Ok((window, reused))
+    }
+}
+
+/// Whether a kept window is there and no caller holds it.
+fn unheld(window: &mut Option<Arc<CsrMatrix<u64>>>) -> bool {
+    window.as_mut().is_some_and(|w| Arc::get_mut(w).is_some())
 }
 
 #[cfg(test)]
@@ -154,7 +235,7 @@ mod tests {
             elapsed: Duration::ZERO,
         };
         let bare = WindowReport {
-            matrix: CsrMatrix::empty(2, 2),
+            matrix: Arc::new(CsrMatrix::empty(2, 2)),
             stats,
             frame: None,
         };

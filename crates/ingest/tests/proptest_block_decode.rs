@@ -137,7 +137,7 @@ fn window(
     let matrix = CsrMatrix::from_sorted_triples(rows, cols, &triples);
     let nnz = matrix.nnz();
     WindowReport {
-        matrix,
+        matrix: matrix.into(),
         stats: IngestStats {
             window_index: 9,
             events: nnz as u64,
@@ -168,7 +168,7 @@ fn full_rows(rows: usize, cols: usize, spare_rows: usize, long_values: u64) -> W
     let matrix = CsrMatrix::from_sorted_triples(rows + spare_rows, cols, &triples);
     let nnz = matrix.nnz();
     WindowReport {
-        matrix,
+        matrix: matrix.into(),
         stats: IngestStats {
             window_index: 2,
             events: nnz as u64,

@@ -44,7 +44,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
                 let matrix = CsrMatrix::from_sorted_triples(n, n, &triples);
                 let nnz = matrix.nnz();
                 WindowReport {
-                    matrix,
+                    matrix: matrix.into(),
                     stats: IngestStats {
                         window_index,
                         events,
@@ -144,7 +144,7 @@ proptest! {
         let matrix = tw_ingest::window_matrix(32, &events);
         let nnz = matrix.nnz();
         let report = WindowReport {
-            matrix,
+            matrix: matrix.into(),
             stats: IngestStats {
                 window_index: 0,
                 events: events.len() as u64,

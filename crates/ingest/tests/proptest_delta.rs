@@ -34,7 +34,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
         let matrix = CsrMatrix::from_sorted_triples(n, n, &triples);
         let nnz = matrix.nnz();
         WindowReport {
-            matrix,
+            matrix: matrix.into(),
             stats: IngestStats {
                 window_index: 0,
                 events,
@@ -282,7 +282,7 @@ proptest! {
         let mut scratch = DecodeScratch::new();
         if armed {
             let base = WindowReport {
-                matrix: CsrMatrix::from_sorted_triples(8, 8, &[(1, 2, 3)]),
+                matrix: CsrMatrix::from_sorted_triples(8, 8, &[(1, 2, 3)]).into(),
                 stats: IngestStats {
                     window_index: 0,
                     events: 1,

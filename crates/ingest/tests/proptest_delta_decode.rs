@@ -79,7 +79,7 @@ fn window(shape: (usize, usize), index: u64, cells: &[(usize, u64)]) -> WindowRe
     let matrix = CsrMatrix::from_sorted_triples(shape.0, shape.1, &triples);
     let nnz = matrix.nnz();
     WindowReport {
-        matrix,
+        matrix: matrix.into(),
         stats: IngestStats {
             window_index: index,
             events: nnz as u64,

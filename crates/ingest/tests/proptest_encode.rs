@@ -114,7 +114,7 @@ fn arb_nnz() -> BoxedStrategy<usize> {
 fn report(matrix: CsrMatrix<u64>) -> WindowReport {
     let nnz = matrix.nnz();
     WindowReport {
-        matrix,
+        matrix: matrix.into(),
         stats: IngestStats {
             window_index: 300,
             events: nnz as u64 * 3,

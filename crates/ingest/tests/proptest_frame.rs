@@ -38,7 +38,7 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
         let matrix = CsrMatrix::from_sorted_triples(n, n, &triples);
         let nnz = matrix.nnz();
         WindowReport {
-            matrix,
+            matrix: matrix.into(),
             stats: IngestStats {
                 window_index,
                 events,

@@ -135,7 +135,7 @@ fn arb_window() -> impl Strategy<Value = WindowReport> {
                 let matrix = CsrMatrix::from_sorted_triples(n_rows, n_cols, &triples);
                 let nnz = matrix.nnz();
                 WindowReport {
-                    matrix,
+                    matrix: matrix.into(),
                     stats: IngestStats {
                         window_index,
                         events,
@@ -181,7 +181,7 @@ fn arb_sparse_window() -> impl Strategy<Value = WindowReport> {
             let matrix = CsrMatrix::from_sorted_triples(rows, cols, &triples);
             let nnz = matrix.nnz();
             WindowReport {
-                matrix,
+                matrix: matrix.into(),
                 stats: IngestStats {
                     window_index: 1,
                     events: nnz as u64,

@@ -104,7 +104,7 @@ proptest! {
         let merged = acc.merge();
         let serial = window_matrix(48, &events);
         // Structural equality covers row_ptr/col_idx/values — cell-for-cell.
-        prop_assert_eq!(&merged, &serial);
+        prop_assert_eq!(&*merged, &serial);
         // And the packet mass balances against the raw stream.
         let total: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
         prop_assert_eq!(merged.values().iter().sum::<u64>(), total);
@@ -123,8 +123,8 @@ proptest! {
         for index in 0..windows {
             warm.ingest(&events);
             let matrix = warm.merge();
-            prop_assert_eq!(&matrix, &reference);
-            warm.recycle(matrix);
+            prop_assert_eq!(&*matrix, &reference);
+            drop(matrix);
             prop_assert_eq!(warm.scratch_reuse_hits(), index as u64);
         }
     }
@@ -154,7 +154,7 @@ proptest! {
         acc.ingest(&events);
         let merged = acc.merge();
         let serial = window_matrix(6, &events);
-        prop_assert_eq!(&merged, &serial);
+        prop_assert_eq!(&*merged, &serial);
         let heavy = events[0];
         let total = merged.get(heavy.source as usize, heavy.destination as usize);
         prop_assert!(total > u64::from(u32::MAX), "total {}", total);
@@ -174,7 +174,7 @@ proptest! {
         let mut acc = WindowAccumulator::new(12);
         acc.ingest(&events);
         let merged = acc.merge();
-        prop_assert_eq!(&merged, &window_matrix(12, &events));
+        prop_assert_eq!(&*merged, &window_matrix(12, &events));
         for (row, col) in [zero_first, zero_last] {
             let (row, col) = (row as usize, col as usize);
             prop_assert_eq!(merged.get(row, col), 0);
@@ -193,19 +193,18 @@ proptest! {
         let mut one = WindowAccumulator::new(1);
         one.ingest(&events);
         let merged = one.merge();
-        prop_assert_eq!(&merged, &window_matrix(1, &events));
-        one.recycle(merged);
-        prop_assert_eq!(one.merge(), window_matrix(1, &[]));
+        prop_assert_eq!(&*merged, &window_matrix(1, &events));
+        drop(merged);
+        prop_assert_eq!(&*one.merge(), &window_matrix(1, &[]));
 
         let mut acc = WindowAccumulator::new(node_count);
-        prop_assert_eq!(acc.merge(), window_matrix(node_count, &[]));
+        prop_assert_eq!(&*acc.merge(), &window_matrix(node_count, &[]));
         if node_count > 0 {
             acc.ingest(&[event(0, 0, 5)]);
-            let warm = acc.merge();
-            acc.recycle(warm);
+            drop(acc.merge());
         }
         let empty = acc.merge();
         prop_assert_eq!(empty.nnz(), 0);
-        prop_assert_eq!(&empty, &window_matrix(node_count, &[]));
+        prop_assert_eq!(&*empty, &window_matrix(node_count, &[]));
     }
 }

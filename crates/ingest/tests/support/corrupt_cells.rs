@@ -25,7 +25,7 @@ pub fn last_rows_window(cells: usize) -> WindowReport {
         .collect();
     let matrix = CsrMatrix::from_sorted_triples(NODES, NODES, &triples);
     WindowReport {
-        matrix,
+        matrix: matrix.into(),
         stats: IngestStats {
             window_index: 0,
             events: cells as u64,

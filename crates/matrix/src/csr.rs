@@ -29,8 +29,7 @@ impl<T: Clone> Clone for CsrMatrix<T> {
     }
 
     /// Clones into `self`'s existing array allocations (`Vec::clone_from`),
-    /// so repeatedly refreshing a matrix from a same-sized source — the
-    /// delta-decode base in `tw-ingest`'s `DecodeScratch` — allocates
+    /// so repeatedly refreshing a matrix from a same-sized source allocates
     /// nothing once the buffers have reached their high-water mark.
     fn clone_from(&mut self, source: &Self) {
         self.rows = source.rows;
@@ -117,8 +116,10 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
     /// Build directly from pre-assembled CSR arrays.
     ///
     /// This is the zero-copy constructor for decoders (the `tw-ingest`
-    /// window codec) and the ingest merge, which already produce the arrays
-    /// in CSR layout: no intermediate triple buffer, no counting pass.
+    /// window codec), which already produce the arrays in CSR layout: no
+    /// intermediate triple buffer, no counting pass.
+    /// [`CsrMatrix::rebuild`] does the same in an existing matrix's
+    /// storage.
     ///
     /// The caller's contract is that columns rise strictly within each row
     /// (checked in debug builds), as in [`CsrMatrix::from_sorted_coo`].
@@ -135,8 +136,52 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         col_idx: Vec<usize>,
         values: Vec<T>,
     ) -> Result<Self> {
+        let mut matrix = CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        };
+        matrix.rebuild(rows, cols, |_, _, _| Ok(()))?;
+        Ok(matrix)
+    }
+
+    /// Rebuild this matrix in place as a `rows × cols` matrix: `fill`
+    /// writes the three CSR arrays into this matrix's own storage, handed
+    /// over as they are (so it clears or overwrites them), and they are
+    /// checked as [`CsrMatrix::from_raw_parts`] checks them. Storage with
+    /// room enough is reused, so a rebuild into a matrix at least as large
+    /// allocates nothing: this is how a window producer builds each window
+    /// in the storage of a retired one.
+    ///
+    /// When `fill` fails or its arrays are not a valid CSR matrix, the
+    /// matrix is left empty and `0 × 0`, its storage kept, and the error is
+    /// returned: nothing half-written stays readable.
+    pub fn rebuild<E: From<MatrixError>>(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut Vec<usize>, &mut Vec<usize>, &mut Vec<T>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let filled = fill(&mut self.row_ptr, &mut self.col_idx, &mut self.values);
+        (self.rows, self.cols) = (rows, cols);
+        let built = filled.and_then(|()| Ok(self.check()?));
+        if built.is_err() {
+            self.row_ptr.clear();
+            self.col_idx.clear();
+            self.values.clear();
+            self.row_ptr.push(0);
+            (self.rows, self.cols) = (0, 0);
+        }
+        built
+    }
+
+    /// The check [`CsrMatrix::from_raw_parts`] documents.
+    fn check(&self) -> Result<()> {
+        let (rows, cols, row_ptr, col_idx) = (self.rows, self.cols, &self.row_ptr, &self.col_idx);
         if row_ptr.len() != rows + 1
-            || col_idx.len() != values.len()
+            || col_idx.len() != self.values.len()
             || row_ptr.first() != Some(&0)
             || row_ptr.last() != Some(&col_idx.len())
             || row_ptr.windows(2).any(|w| w[0] > w[1])
@@ -173,13 +218,7 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
                 "from_raw_parts requires strictly increasing columns within row {r}"
             );
         }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(())
     }
 
     /// The shape as `(rows, cols)`.
@@ -262,23 +301,6 @@ impl<T: Copy + Default + PartialEq> CsrMatrix<T> {
         let mut triples: Vec<(usize, usize, T)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
         triples.sort_unstable_by_key(|&(r, c, _)| (r, c));
         CsrMatrix::from_sorted_triples(self.cols, self.rows, &triples)
-    }
-
-    /// Decompose into `(rows, cols, row_ptr, col_idx, values)`, the inverse
-    /// of [`CsrMatrix::from_raw_parts`].
-    ///
-    /// This is the recycling half of the zero-copy decode loop: a consumer
-    /// that is done with a decoded window hands its arrays back (e.g. to
-    /// `tw-ingest`'s `DecodeScratch`) so the next decode builds into them
-    /// instead of allocating.
-    pub fn into_raw_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<T>) {
-        (
-            self.rows,
-            self.cols,
-            self.row_ptr,
-            self.col_idx,
-            self.values,
-        )
     }
 }
 
@@ -431,10 +453,49 @@ mod tests {
     #[test]
     fn raw_parts_round_trip() {
         let m = sample();
-        let (rows, cols, row_ptr, col_idx, values) = m.clone().into_raw_parts();
+        let (rows, cols) = m.shape();
         assert_eq!((rows, cols), (3, 4));
+        let (row_ptr, col_idx, values) = (
+            m.row_ptr().to_vec(),
+            m.col_indices().to_vec(),
+            m.values().to_vec(),
+        );
         let rebuilt = CsrMatrix::from_raw_parts(rows, cols, row_ptr, col_idx, values).unwrap();
         assert_eq!(rebuilt, m);
+    }
+
+    #[test]
+    fn rebuild_reuses_storage_and_empties_on_failure() {
+        let m = sample();
+        let mut target = m.clone();
+        let storage = target.values().as_ptr();
+        target
+            .rebuild(2, 2, |row_ptr, col_idx, values| {
+                assert_eq!(values.len(), m.nnz(), "handed over as they are");
+                *row_ptr = vec![0, 1, 1];
+                *col_idx = vec![1];
+                values.clear();
+                values.push(9);
+                Ok::<_, MatrixError>(())
+            })
+            .unwrap();
+        assert_eq!(target, CsrMatrix::from_sorted_triples(2, 2, &[(0, 1, 9)]));
+        assert_eq!(target.values().as_ptr(), storage, "no new allocation");
+
+        // A column out of bounds fails the check; a failing fill's error
+        // comes back as is. Either way nothing half-written is left.
+        let bad = target.rebuild(2, 2, |row_ptr, col_idx, values| {
+            *row_ptr = vec![0, 1, 1];
+            *col_idx = vec![2];
+            *values = vec![9];
+            Ok::<_, MatrixError>(())
+        });
+        assert!(matches!(bad, Err(MatrixError::IndexOutOfBounds { .. })));
+        assert_eq!(target, CsrMatrix::empty(0, 0));
+        let failed: std::result::Result<(), MatrixError> =
+            target.rebuild(2, 2, |_, _, _| Err(MatrixError::Empty("fill")));
+        assert_eq!(failed, Err(MatrixError::Empty("fill")));
+        assert_eq!(target, CsrMatrix::empty(0, 0));
     }
 
     #[test]

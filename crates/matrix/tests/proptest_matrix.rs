@@ -77,7 +77,10 @@ proptest! {
             (rows.len(), cols, row_ptr.clone(), col_idx.clone(), values.clone())
         });
         let built = CsrMatrix::from_raw_parts(rows.len(), cols, row_ptr, col_idx, values)
-            .map(CsrMatrix::into_raw_parts);
+            .map(|m| {
+                let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_indices().to_vec());
+                (m.rows(), m.cols(), row_ptr, col_idx, m.values().to_vec())
+            });
         prop_assert_eq!(built, expected);
     }
 

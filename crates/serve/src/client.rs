@@ -14,6 +14,7 @@
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use tw_ingest::codec::decode_stream_window_into;
 use tw_ingest::frame::{
     parse_frame_payload, read_frame, read_raw_frame, CloseSummary, Frame, FrameError, FrameKind,
@@ -31,9 +32,9 @@ pub struct ClientStream {
     manifest: StreamManifest,
     close: Option<CloseSummary>,
     seen: u64,
-    /// Per-connection decode state: recycled CSR buffers plus the base
-    /// window a delta frame applies to. A full-frame stream never
-    /// touches the base but still reuses buffers.
+    /// Per-connection decode state: the last windows decoded, one of them
+    /// the base a delta frame applies to, whose storage the next window is
+    /// built in once no report holds it.
     scratch: DecodeScratch,
     /// The receive buffer every frame's payload is read into, kept across
     /// frames so a steady stream neither allocates nor zero-fills one per
@@ -107,14 +108,15 @@ impl ClientStream {
         self.scratch.instrument(registry);
     }
 
-    /// Hand a consumed window's matrix buffers back for the next decode:
-    /// a driving loop that is done with a report can keep the client's
-    /// allocations flat instead of freeing and re-growing per window.
-    pub fn recycle(&mut self, matrix: CsrMatrix<u64>) {
-        self.scratch.recycle(matrix);
+    /// Drop a consumed window's matrix: a plain drop. Dropping the report,
+    /// or its matrix, is what lets a later decode build in its storage, so
+    /// calling this is never needed.
+    pub fn recycle(&mut self, matrix: Arc<CsrMatrix<u64>>) {
+        drop(matrix);
     }
 
-    /// Decode buffer-reuse hits on this connection so far.
+    /// Windows decoded on this connection so far in a kept window's
+    /// storage instead of a new allocation.
     pub fn decode_reuse_hits(&self) -> u64 {
         self.scratch.reuse_hits()
     }
@@ -126,10 +128,10 @@ impl WindowStream for ClientStream {
             return Ok(None);
         }
         loop {
-            // Window payloads (full or delta) decode straight into the
-            // connection scratch, so a steady stream reuses the same CSR
-            // buffers instead of allocating per window; everything else
-            // goes through the ordinary frame parser.
+            // Window payloads (full or delta) decode through the connection
+            // scratch, so a steady stream builds each window in a dropped
+            // one's storage instead of allocating; everything else goes
+            // through the ordinary frame parser.
             let kind = read_raw_frame(&mut self.reader, &mut self.payload)?;
             if matches!(kind, FrameKind::Window | FrameKind::DeltaWindow) {
                 // A window of another shape than the manifest announced is

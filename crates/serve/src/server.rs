@@ -23,10 +23,11 @@
 //! bytes behind an `Arc`. A window replayed from a recording carries the
 //! frame its archive entry was read into
 //! ([`WindowReport::frame`](tw_ingest::WindowReport::frame)), and
-//! [`window_frame`] forwards those bytes whenever they are exactly what
-//! encoding would write; any other window is encoded straight into its
-//! frame buffer. With [`ServeConfig::keyframe_every`] set, the
-//! windows between key frames go out as delta frames, and the
+//! [`window_frame_into`] forwards those bytes whenever they are exactly
+//! what encoding would write; any other window is encoded into one buffer
+//! the session keeps, then copied into its `Arc`. With
+//! [`ServeConfig::keyframe_every`] set, the windows between key frames go
+//! out as delta frames, and the
 //! [`BroadcastHub`] starts a late joiner's catch-up at the first key frame
 //! in its ring. A slow connection fills its bounded channel and
 //! starts dropping frames — counted per subscriber, surfaced on telemetry,
@@ -54,7 +55,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tw_game::telemetry::{TelemetryEvent, TelemetryHub};
 use tw_ingest::frame::{
-    encode_close_frame, encode_manifest_frame, encode_stats_frame, window_frame, write_frame,
+    encode_close_frame, encode_manifest_frame, encode_stats_frame, window_frame_into, write_frame,
     CloseSummary, FrameError, StreamManifest,
 };
 use tw_ingest::{CodecMetrics, StreamError, WindowReport, WindowStream};
@@ -370,7 +371,12 @@ pub fn serve(
         }
 
         let mut sent = 0usize;
+        // The delta base: the last report itself, whose matrix the stream
+        // shares, not a copy of it.
         let mut prev: Option<WindowReport> = None;
+        // Every encoded window is written here, then copied into the `Arc`
+        // the hub sends.
+        let mut frame_buf = Vec::new();
         let mut last_keyframe_len = 0usize;
         while sent < config.max_windows {
             if config.stop_when_empty
@@ -386,7 +392,8 @@ pub fn serve(
                         StageTimer::start(serve_metrics.as_ref().map(|m| &m.encode_ns));
                     let keyframe =
                         keyframe_every == 0 || (sent as u64).is_multiple_of(keyframe_every);
-                    let frame = window_frame(&report, prev.as_ref().filter(|_| !keyframe));
+                    let base = prev.as_ref().filter(|_| !keyframe);
+                    let frame = window_frame_into(&report, base, &mut frame_buf);
                     encode_timer.finish();
                     let payload_len = frame.payload_len();
                     if let Some(m) = &codec_metrics {
@@ -695,9 +702,9 @@ mod tests {
         std::thread::scope(|scope| {
             let on_time_reference = &reference;
             let on_time = scope.spawn(move || {
-                // Drive the stream by hand, handing each finished matrix
-                // back: from the second window on, decodes build into the
-                // recycled buffers instead of allocating.
+                // Drive the stream by hand, dropping each finished matrix:
+                // later decodes build in the dropped windows' storage
+                // instead of allocating.
                 let mut client = ClientStream::connect(addr).unwrap();
                 let mut seen = 0usize;
                 while let Some(report) = client.next_window().unwrap() {

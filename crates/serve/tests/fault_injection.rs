@@ -71,7 +71,7 @@ impl WindowStream for DenseStream<'_> {
         let matrix = CsrMatrix::from_sorted_triples(n, n, &triples);
         let nnz = matrix.nnz();
         let report = WindowReport {
-            matrix,
+            matrix: matrix.into(),
             stats: IngestStats {
                 window_index: self.next,
                 events: (n * n) as u64,

@@ -15,9 +15,12 @@
 //! machine-readable perf trajectory (CI uploads these files as artifacts).
 //! Every record opens with the host facts that produced it: `host.nproc`
 //! (available CPUs), `host.commit` (`git describe --always --dirty` of
-//! the working directory, or `"unknown"` outside a git checkout), and one
-//! `host.env.<NAME>` string per `TW_*_BENCH_*` scale variable that is set,
-//! so a smoke-scale record cannot pass for a full-scale one.
+//! the working directory, or `"unknown"` outside a git checkout), then,
+//! when the working tree differs from `HEAD`, `host.tree` (see
+//! [`tree_fact`]), so records of two different dirty trees of one commit
+//! do not look alike, and one `host.env.<NAME>` string per
+//! `TW_*_BENCH_*` scale variable that is set, so a smoke-scale record
+//! cannot pass for a full-scale one.
 //! Set `BENCH_JSON_DIR` to redirect the output directory; set it to `-` to
 //! disable writing. A group that panics (a missed bound asserted inside the
 //! bench) does not lose the record: `criterion_main!` still runs the other
@@ -26,7 +29,10 @@
 
 use std::any::Any;
 use std::fmt::Display;
+use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -245,10 +251,59 @@ fn host_facts() -> Vec<(String, String)> {
         ("host.nproc".to_string(), nproc.to_string()),
         ("host.commit".to_string(), json_string(&commit)),
     ];
+    facts.extend(tree_fact(Path::new(".")));
     facts.extend(bench_env_facts(std::env::vars_os().filter_map(
         |(key, value)| Some((key.into_string().ok()?, value.into_string().ok()?)),
     )));
     facts
+}
+
+/// The `host.tree` fact of the checkout that holds `dir`, when its working
+/// tree differs from `HEAD`: `git hash-object --stdin` over
+/// `git diff HEAD --binary`, followed by each untracked, non-ignored file's
+/// path (NUL-ended) and contents. Nothing is written to the repository.
+/// `None` for a clean tree, or outside a git checkout.
+fn tree_fact(dir: &Path) -> Option<(String, String)> {
+    let git = |args: &[&str], input: Option<&[u8]>| -> Option<Vec<u8>> {
+        let mut child = Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .ok()?;
+        // Dropping stdin after the write closes it, so git sees the end.
+        let written = child.stdin.take()?.write_all(input.unwrap_or_default());
+        let out = child.wait_with_output().ok()?;
+        (written.is_ok() && out.status.success()).then_some(out.stdout)
+    };
+    let top = git(&["rev-parse", "--show-toplevel"], None)?;
+    let top = Path::new(std::str::from_utf8(&top).ok()?.trim_end());
+    let mut state = git(&["diff", "HEAD", "--binary"], None)?;
+    let untracked = git(
+        &[
+            "ls-files",
+            "--others",
+            "--exclude-standard",
+            "--full-name",
+            "-z",
+        ],
+        None,
+    )?;
+    for path in untracked.split(|&b| b == 0).filter(|path| !path.is_empty()) {
+        state.extend_from_slice(path);
+        state.push(0);
+        let path = std::str::from_utf8(path).ok()?;
+        state.extend(std::fs::read(top.join(path)).unwrap_or_default());
+    }
+    if state.is_empty() {
+        return None;
+    }
+    let hash = git(&["hash-object", "--stdin"], Some(&state))?;
+    let hash = String::from_utf8(hash).ok()?;
+    Some(("host.tree".to_string(), json_string(hash.trim())))
 }
 
 /// One `host.env.<NAME>` fact per `TW_*_BENCH_*` variable among `vars`,
@@ -506,6 +561,55 @@ mod tests {
             json.contains("\"host.env.TW_CODEC_BENCH_EVENTS\": \"20000\""),
             "{json}"
         );
+    }
+
+    #[test]
+    fn a_dirty_tree_is_stamped_with_its_contents() {
+        let dir = std::env::temp_dir().join(format!("criterion-tree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let status = Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args([
+                    "-c",
+                    "user.name=bench",
+                    "-c",
+                    "user.email=bench@example.com",
+                ])
+                .args(args)
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .status()
+                .unwrap();
+            assert!(status.success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("a.txt"), "one\n").unwrap();
+        git(&["add", "a.txt"]);
+        git(&["commit", "-q", "-m", "one"]);
+        assert_eq!(tree_fact(&dir), None, "a clean tree has no tree fact");
+
+        std::fs::write(dir.join("a.txt"), "two\n").unwrap();
+        let (key, edited) = tree_fact(&dir).expect("an edited tree is stamped");
+        assert_eq!(key, "host.tree");
+        assert_eq!(edited.len(), 42, "a quoted object name: {edited}");
+        assert_eq!(tree_fact(&dir).unwrap().1, edited, "same tree, same stamp");
+
+        std::fs::write(dir.join("new.txt"), "x").unwrap();
+        let untracked = tree_fact(&dir).unwrap().1;
+        assert_ne!(untracked, edited, "an untracked file counts");
+        std::fs::write(dir.join("new.txt"), "y").unwrap();
+        assert_ne!(
+            tree_fact(&dir).unwrap().1,
+            untracked,
+            "and so do its contents"
+        );
+        std::fs::remove_file(dir.join("new.txt")).unwrap();
+        assert_eq!(tree_fact(&dir).unwrap().1, edited);
+        assert_eq!(tree_fact(&dir.join("missing")), None, "not a checkout");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
