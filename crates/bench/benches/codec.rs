@@ -19,34 +19,42 @@
 //! of the key-frame chain in each layout and time encoding and decoding
 //! it. Those are recorded, not asserted.
 //!
-//! Three lesson shapes compare the full-window layouts, v2 (per-row
-//! headers, written by recordings made before v4) against v4 (one run of
-//! linear-index gaps, what the encoder writes now): `codec_lesson_mixed`
-//! (mixed on 4,096 nodes, 100 ms windows: a live lesson),
-//! `codec_lesson_scan` (a clock-skewed scan on 4,096 nodes through a
-//! reordering pipeline: a skewed recording) and `codec_lesson_ddos` (ddos
-//! on 1,024 nodes, 1 s windows: a recorded lesson). Each records the mean
-//! payload bytes per window and times encoding and decoding (through a
-//! recycled scratch, as a replay or a client does) in both layouts. The
-//! size margin is deterministic, so it is asserted: v4 must be at least
-//! 10% smaller than v2 on the mixed lesson. The timings are margins
-//! between layouts on a noisy host, so they are recorded, not asserted.
+//! Three lesson shapes compare the full-window layouts: v2 (per-row
+//! headers, written by recordings made before v4), v4 (one run of
+//! linear-index gaps, each followed by its value, written by recordings
+//! made before v6; the test-side writer in `support/reference_encoder.rs`
+//! stands in for the replaced encoder) and v6 (v4 with small values folded
+//! into their gap varints, what the encoder writes now):
+//! `codec_lesson_mixed` (mixed on 4,096 nodes, 100 ms windows: a live
+//! lesson), `codec_lesson_scan` (a clock-skewed scan on 4,096 nodes
+//! through a reordering pipeline: a skewed recording) and
+//! `codec_lesson_ddos` (ddos on 1,024 nodes, 1 s windows: a recorded
+//! lesson). Each records the mean payload bytes per window in every layout,
+//! the fold width the encoder picks (`fold_bits`, the width most windows
+//! take), and times encoding and decoding (through a recycled scratch, as
+//! a replay or a client does). The size margin is deterministic, so it is
+//! asserted: v4 must be at least 10% smaller than v2 on the mixed lesson.
+//! The timings are margins between layouts on a noisy host, so they are
+//! recorded, not asserted.
 //!
-//! The v4 decode rows come in two kinds: `decode/v4/scalar` reads every
-//! cell through the scalar cell loop ([`decode_window_into_scalar`]) and
-//! `decode/v4/dispatch` through the block kernel where the CPU has SSSE3
+//! The v4 and v6 decode rows come in two kinds: `decode/*/scalar` reads
+//! every cell through the scalar cell loop ([`decode_window_into_scalar`])
+//! and `decode/*/dispatch` through the block kernel where the CPU has SSSE3
 //! ([`decode_window_into`]). Alternating rounds of the two in this one
-//! process give `decode_v4_dispatch_speedup_x1000`; on a CPU with the
-//! kernel it must be at least 1.25x on the ddos lesson and at least 1x on
-//! the other two (asserted here, after the speedups are recorded).
+//! process give `decode_v4_dispatch_speedup_x1000` and
+//! `decode_v6_dispatch_speedup_x1000`; on a CPU with the kernel each must
+//! be at least 1.25x on the ddos lesson and at least 1x on the other two
+//! (asserted here, after the speedups are recorded).
 //!
-//! The v4 encode is timed the same way against the plain per-row writer
-//! that `encode_window`'s chunked walk replaced (`encode/v4/reference`, the
-//! test-side writer in `support/reference_encoder.rs`): alternating rounds
-//! give `encode_v4_speedup_x1000`, which must be at least 1.3x on the mixed
-//! and scan lessons, whose rows hold 0–3 cells, and at least 0.95x on the
-//! dense ddos lesson, whose one-byte cells the per-row loop already writes
-//! without a mispredicted branch (asserted after recording).
+//! The v6 encode is timed the same way against a plain per-row writer of
+//! the same bytes (`encode/v6/reference`, the test-side writer, which
+//! counts the cells by the bit lengths of their gaps and values in one
+//! per-row pass to pick its fold width, and writes them in a second):
+//! alternating rounds give `encode_v6_speedup_x1000`, which must be
+//! at least 1.3x on the mixed and scan lessons, whose rows hold 0–3 cells,
+//! and at least 0.95x on the dense ddos lesson, whose one-byte cells the
+//! per-row loop already writes without a mispredicted branch (asserted
+//! after recording). `encode/v4/reference` times the per-row v4 writer.
 //!
 //! `ddos` lesson windows also feed the CRC-32 kernel timings:
 //! `frame_crc32/{table,dispatch}/*` checksums a 30 KiB and a 128 KiB
@@ -173,16 +181,24 @@ fn archive_bytes(reports: &[WindowReport], scenario: &str, keyframe_every: u64) 
     recorder.finish().expect("well under format limits").len()
 }
 
-/// Every window encoded self-contained (the v4 wire/archive layout).
+/// Every window encoded self-contained (the v6 wire/archive layout).
 fn full_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports.iter().map(encode_window).collect()
 }
 
-/// Every window through the per-row v4 writer `encode_window` replaced.
+/// Every window through the per-row v6 writer.
 fn reference_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports
         .iter()
         .map(reference_encoder::encode_reference)
+        .collect()
+}
+
+/// Every window in the v4 layout of recordings made before v6.
+fn v4_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
+    reports
+        .iter()
+        .map(reference_encoder::encode_reference_v4)
         .collect()
 }
 
@@ -293,7 +309,7 @@ fn crc_hardware() -> bool {
     false
 }
 
-/// Whether this CPU runs the v4 block decode kernel.
+/// Whether this CPU runs the full-window block decode kernel.
 #[cfg(target_arch = "x86_64")]
 fn block_kernel() -> bool {
     std::is_x86_feature_detected!("ssse3")
@@ -387,7 +403,7 @@ fn bench_codec(c: &mut Criterion) {
         );
     }
 
-    // -- Full-window layouts, v2 vs v4, on three lesson shapes. ---------
+    // -- Full-window layouts, v2, v4 and v6, on three lesson shapes. ----
     let mixed = Pipeline::new(
         Scenario::Mixed.source(4_096, SEED),
         PipelineConfig::default(),
@@ -416,76 +432,101 @@ fn bench_codec(c: &mut Criterion) {
         ("codec_lesson_ddos", &lesson),
     ] {
         let v2 = v2_frames(reports);
-        let v4 = full_frames(reports);
+        let v4 = v4_frames(reports);
+        let v6 = full_frames(reports);
         let nnz = reports.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
         assert_eq!(decode_chain(&v2), nnz);
-        assert_eq!(decode_chain(&v4), nnz);
-        assert_eq!(decode_chain_with(&v4, decode_window_into_scalar), nnz);
-        assert_eq!(v4, reference_frames(reports), "{group_name}: v4 bytes");
+        for frames in [&v4, &v6] {
+            assert_eq!(decode_chain(frames), nnz);
+            assert_eq!(decode_chain_with(frames, decode_window_into_scalar), nnz);
+        }
+        assert_eq!(v6, reference_frames(reports), "{group_name}: v6 bytes");
         let per_window =
             |frames: &[Vec<u8>]| frames.iter().map(Vec::len).sum::<usize>() / frames.len().max(1);
-        let (v2_bytes, v4_bytes) = (per_window(&v2), per_window(&v4));
-        criterion::record_measurement(
-            &format!("{group_name}/bytes_per_window/v2"),
-            v2_bytes as u128,
-        );
-        criterion::record_measurement(
-            &format!("{group_name}/bytes_per_window/v4"),
-            v4_bytes as u128,
-        );
+        let (v2_bytes, v4_bytes, v6_bytes) = (per_window(&v2), per_window(&v4), per_window(&v6));
+        for (layout, bytes) in [("v2", v2_bytes), ("v4", v4_bytes), ("v6", v6_bytes)] {
+            criterion::record_measurement(
+                &format!("{group_name}/bytes_per_window/{layout}"),
+                bytes as u128,
+            );
+        }
+        // The fold width each window's encoding names.
+        let folds: Vec<u8> = reports
+            .iter()
+            .zip(&v6)
+            .map(|(report, frame)| frame[reference_encoder::fold_width_at(report)])
+            .collect();
+        let fold_bits = (0..=8u8)
+            .max_by_key(|k| {
+                (
+                    folds.iter().filter(|f| *f == k).count(),
+                    std::cmp::Reverse(*k),
+                )
+            })
+            .unwrap_or(0);
+        criterion::record_measurement(&format!("{group_name}/fold_bits"), fold_bits.into());
         println!(
             "{group_name} ({} windows, {} cells/window): v2 {v2_bytes} B/window, \
-             v4 {v4_bytes} B/window ({:+.1}%)",
+             v4 {v4_bytes} B/window ({:+.1}%), v6 {v6_bytes} B/window ({:+.1}% on v4), \
+             fold widths {folds:?}",
             reports.len(),
             nnz / reports.len().max(1) as u64,
-            (v4_bytes as f64 / v2_bytes as f64 - 1.0) * 100.0
+            (v4_bytes as f64 / v2_bytes as f64 - 1.0) * 100.0,
+            (v6_bytes as f64 / v4_bytes as f64 - 1.0) * 100.0,
         );
         if group_name == "codec_lesson_mixed" {
             mixed_bytes = (v2_bytes, v4_bytes);
         }
         let mut group = c.benchmark_group(group_name);
         group.bench_function("encode/v2", |b| b.iter(|| black_box(v2_frames(reports))));
-        group.bench_function("encode/v4", |b| b.iter(|| black_box(full_frames(reports))));
         group.bench_function("encode/v4/reference", |b| {
+            b.iter(|| black_box(v4_frames(reports)))
+        });
+        group.bench_function("encode/v6", |b| b.iter(|| black_box(full_frames(reports))));
+        group.bench_function("encode/v6/reference", |b| {
             b.iter(|| black_box(reference_frames(reports)))
         });
         group.bench_function("decode/v2", |b| b.iter(|| black_box(decode_chain(&v2))));
-        group.bench_function("decode/v4/scalar", |b| {
-            b.iter(|| black_box(decode_chain_with(&v4, decode_window_into_scalar)))
-        });
-        group.bench_function("decode/v4/dispatch", |b| {
-            b.iter(|| black_box(decode_chain(&v4)))
-        });
+        for (layout, frames) in [("v4", &v4), ("v6", &v6)] {
+            group.bench_function(format!("decode/{layout}/scalar"), |b| {
+                b.iter(|| black_box(decode_chain_with(frames, decode_window_into_scalar)))
+            });
+            group.bench_function(format!("decode/{layout}/dispatch"), |b| {
+                b.iter(|| black_box(decode_chain(frames)))
+            });
+        }
         group.finish();
-        let (scalar, dispatch) = interleaved_best_of(
-            || decode_chain_with(&v4, decode_window_into_scalar),
-            || decode_chain(&v4),
-        );
-        let speedup = scalar.as_secs_f64() / dispatch.as_secs_f64().max(1e-9);
-        println!(
-            "{group_name} v4 decode: scalar {:.1} us/window, dispatch {:.1} us/window: \
-             {speedup:.2}x",
-            scalar.as_secs_f64() * 1e6 / reports.len() as f64,
-            dispatch.as_secs_f64() * 1e6 / reports.len() as f64,
-        );
-        criterion::record_measurement(
-            &format!("{group_name}/decode_v4_dispatch_speedup_x1000"),
-            (speedup * 1000.0).round() as u128,
-        );
-        kernel_speedups.push((group_name, speedup));
+        for (layout, frames) in [("v4", &v4), ("v6", &v6)] {
+            let (scalar, dispatch) = interleaved_best_of(
+                || decode_chain_with(frames, decode_window_into_scalar),
+                || decode_chain(frames),
+            );
+            let speedup = scalar.as_secs_f64() / dispatch.as_secs_f64().max(1e-9);
+            println!(
+                "{group_name} {layout} decode: scalar {:.1} us/window, dispatch {:.1} us/window: \
+                 {speedup:.2}x",
+                scalar.as_secs_f64() * 1e6 / reports.len() as f64,
+                dispatch.as_secs_f64() * 1e6 / reports.len() as f64,
+            );
+            criterion::record_measurement(
+                &format!("{group_name}/decode_{layout}_dispatch_speedup_x1000"),
+                (speedup * 1000.0).round() as u128,
+            );
+            kernel_speedups.push((group_name, layout, speedup));
+        }
         let (reference, chunked) = interleaved_best_of(
             || reference_frames(reports).len() as u64,
             || full_frames(reports).len() as u64,
         );
         let speedup = reference.as_secs_f64() / chunked.as_secs_f64().max(1e-9);
         println!(
-            "{group_name} v4 encode: reference {:.1} us/window, chunked {:.1} us/window: \
+            "{group_name} v6 encode: reference {:.1} us/window, chunked {:.1} us/window: \
              {speedup:.2}x",
             reference.as_secs_f64() * 1e6 / reports.len() as f64,
             chunked.as_secs_f64() * 1e6 / reports.len() as f64,
         );
         criterion::record_measurement(
-            &format!("{group_name}/encode_v4_speedup_x1000"),
+            &format!("{group_name}/encode_v6_speedup_x1000"),
             (speedup * 1000.0).round() as u128,
         );
         encode_speedups.push((group_name, speedup));
@@ -499,7 +540,7 @@ fn bench_codec(c: &mut Criterion) {
     let lesson_nnz = lesson.iter().map(|r| r.matrix.nnz() as u64).sum::<u64>();
     assert_eq!(decode_chain(&lesson_chain), lesson_nnz);
     let mut group = c.benchmark_group("codec_lesson_ddos_chain");
-    group.bench_function("decode/v4_full", |b| {
+    group.bench_function("decode/v6_full", |b| {
         b.iter(|| black_box(decode_chain(&lesson_full)))
     });
     group.bench_function("decode/v5_chain", |b| {
@@ -519,7 +560,7 @@ fn bench_codec(c: &mut Criterion) {
         chain_time.as_secs_f64() * 1e3,
     );
     criterion::record_measurement(
-        "codec_lesson_ddos_chain/decode_v5_chain_over_v4_full_x1000",
+        "codec_lesson_ddos_chain/decode_v5_chain_over_v6_full_x1000",
         (chain_over_full * 1000.0).round() as u128,
     );
 
@@ -599,7 +640,7 @@ fn bench_codec(c: &mut Criterion) {
     // the scalar cell loop on the dense ddos lesson, and no loss on the
     // hypersparse 4,096-node ones.
     if block_kernel() {
-        for (group_name, speedup) in kernel_speedups {
+        for (group_name, layout, speedup) in kernel_speedups {
             let bound = if group_name == "codec_lesson_ddos" {
                 1.25
             } else {
@@ -607,12 +648,12 @@ fn bench_codec(c: &mut Criterion) {
             };
             assert!(
                 speedup >= bound,
-                "{group_name}: the v4 block kernel must decode >= {bound}x as fast as \
+                "{group_name}: the block kernel must decode {layout} >= {bound}x as fast as \
                  the scalar cell loop (got {speedup:.2}x)"
             );
         }
     } else {
-        println!("no SSSE3 on this CPU: v4 decode dispatch runs the scalar cell loop");
+        println!("no SSSE3 on this CPU: full-window decode dispatch runs the scalar cell loop");
     }
     // The chunked encoder keeps its lines only while it wins: at least 1.3x
     // the per-row writer where rows hold 0-3 cells, and no more than a 5%
@@ -625,7 +666,7 @@ fn bench_codec(c: &mut Criterion) {
         };
         assert!(
             speedup >= bound,
-            "{group_name}: the chunked v4 encoder must be >= {bound}x as fast as \
+            "{group_name}: the chunked v6 encoder must be >= {bound}x as fast as \
              the per-row writer (got {speedup:.2}x)"
         );
     }

@@ -11,33 +11,47 @@
 //! | 1       | full  | six varints (no `reordered`)     | occupied-row count; per row: row gap, cell count, column gaps      |
 //! | 2       | full  | seven varints                    | as version 1                                                       |
 //! | 3       | delta | seven varints                    | base window; per changed row: deleted and upserted column lists    |
-//! | 4       | full  | six varints + 8-byte `elapsed`   | one run of linear-index gaps, no per-row headers                   |
+//! | 4       | full  | six varints + 8-byte `elapsed`   | one run of linear-index gaps, each followed by its value           |
 //! | 5       | delta | as version 4                     | base window, 4-byte change count; one run of tagged linear gaps    |
+//! | 6       | full  | as version 4                     | fold width `k`; one run of linear-index gaps, small values folded  |
 //!
-//! Both layouts written now address a cell by its linear index
+//! Every layout written now addresses a cell by its linear index
 //! `row · cols + col`, gap-coded against the previous cell. [`encode_window`]
-//! writes version 4 and [`encode_window_delta`] version 5; versions 1 to 3
-//! are only read (by the `legacy` module), so recordings made before them
-//! keep replaying.
+//! writes version 6 and [`encode_window_delta`] version 5; versions 1 to 4
+//! are only read, so recordings made before them keep replaying (versions 1
+//! to 3 by the `legacy` module).
 //!
-//! A version-4 run is read by one of two cell loops that return the same
+//! A version-6 cell is one varint `gap << k | f`, with the window's fold
+//! width `k` (0 to [`MAX_FOLD_BITS`]) in one byte after the cell count. `f`
+//! is the cell's value when `1 <= value < 2^k`; otherwise `f` is 0, an
+//! *escape*, and the value follows as a varint of its own (stored zeros,
+//! large counts and `u64::MAX` all escape). At `k = 0` every cell escapes,
+//! so a version-4 run is exactly a version-6 run with `k = 0`, and one cell
+//! loop reads both. The encoder picks the `k` that gives the smallest
+//! payload, the smaller `k` on a tie: a cell's bytes at every width follow
+//! from the bit lengths of its gap and value, so it sums them for all nine
+//! widths as it writes. A lesson window's values are mostly below 16, so
+//! it spends no byte on them.
+//!
+//! A linear-gap run is read by one of two cell loops that return the same
 //! `Result` for every payload. The scalar loop reads one cell at a time
 //! (`scalar_cell`): it is the exact-error reference, and the only loop on
 //! other architectures. On x86_64 CPUs with SSSE3 every decoder dispatches
 //! to the block kernel (the private `blocks` module, Masked VByte style),
-//! which reads runs of one- and two-byte varints 16 payload bytes per step
-//! and hands every other cell — a longer varint, a jump over many rows,
-//! the payload's last bytes, malformed input — to the scalar loop.
-//! [`decode_window_into_scalar`] runs the scalar loop alone; property tests
-//! hold the two equal and the codec bench times them side by side.
+//! which reads runs of one- to three-byte varints 16 payload bytes per
+//! step and hands every other cell — a longer varint, an escaped value, a
+//! jump over many rows, the payload's last bytes, malformed input — to the
+//! scalar loop. [`decode_window_into_scalar`] runs the scalar loop alone;
+//! property tests hold the two equal and the codec bench times them side
+//! by side.
 //!
 //! The one full-window writer, behind [`encode_window`] and the wire
 //! layer's frames, walks the cells a fixed-size chunk at a time with no
 //! per-row loop: most rows of a 4,096-node lesson window hold 0–3 cells,
 //! so an inner loop per row mispredicts its exit at almost every row.
-//! Row bases come from a per-chunk array of row starts, four one-byte
-//! cells go out as one 8-byte store, and a cell whose gap and value are
-//! both below 2^14 as one branch-free 4-byte store; a longer field goes
+//! Row bases come from a per-chunk array of row starts, four folded cells
+//! of one or two bytes go out as one 8-byte store, and a cell whose
+//! varints are below 2^21 as one branch-free store; a longer field goes
 //! through the plain varint writer, so the bytes are those of a per-row
 //! loop for every window (`tests/proptest_encode.rs` holds it to that).
 //!
@@ -72,18 +86,26 @@ pub const WINDOW_MAGIC: [u8; 4] = *b"TWWR";
 /// block; version-1 windows (recorded before the watermark stage existed)
 /// still decode, with `reordered` reported as `0`. Version 3 is the first
 /// *delta-window* layout, per-row change lists against the previous window.
-/// Version 4 is the full layout [`encode_window`] writes: each cell is
-/// addressed by its linear index, gap-coded against the previous cell, so a
-/// window spends no bytes on per-row headers. Version 5 is the delta layout
-/// [`encode_window_delta`] writes: the same addressing for the changed
-/// cells, each gap tagged as a set or a delete.
-pub const WINDOW_CODEC_VERSION: u8 = 5;
+/// Version 4 addresses each cell of a full window by its linear index,
+/// gap-coded against the previous cell, so a window spends no bytes on
+/// per-row headers. Version 5 is the delta layout [`encode_window_delta`]
+/// writes: the same addressing for the changed cells, each gap tagged as a
+/// set or a delete. Version 6 is the full layout [`encode_window`] writes:
+/// version 4 with each small value folded into its cell's gap varint.
+pub const WINDOW_CODEC_VERSION: u8 = 6;
 /// The version byte of a full (self-contained) window, as written by
 /// [`encode_window`].
-pub const FULL_WINDOW_VERSION: u8 = 4;
+pub const FULL_WINDOW_VERSION: u8 = 6;
 /// The version byte of a delta window, as written by
 /// [`encode_window_delta`].
 pub const DELTA_WINDOW_VERSION: u8 = 5;
+/// The first version with a fixed-width `elapsed` and linear-index cells:
+/// the full layout before values were folded, read as fold width 0.
+const UNFOLDED_FULL_VERSION: u8 = 4;
+/// The widest fold a version-6 window may name. A cell's gap is below
+/// [`MAX_DIMENSION`]² = 2^48, so `gap << k` fits a u64 for every `k` up to
+/// it.
+pub const MAX_FOLD_BITS: u8 = 8;
 /// The largest matrix dimension the codec accepts (16 Mi addresses).
 ///
 /// This bounds the `row_ptr` allocation a decoder performs for a *claimed*
@@ -199,7 +221,8 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
 fn read_varint(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, CodecError> {
     // Fast paths: hypersparse windows make almost every field a one-byte
     // varint (small packet counts, column gaps), and the linear-index gaps
-    // of a 4,096-node window are mostly two bytes.
+    // of a 4,096-node window are two bytes, or three with a value folded
+    // in.
     if let Some(&b) = data.get(*pos) {
         if b < 0x80 {
             *pos += 1;
@@ -208,7 +231,15 @@ fn read_varint(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, 
         if let Some(&b1) = data.get(*pos + 1) {
             if b1 < 0x80 {
                 *pos += 2;
-                return Ok(u64::from(b & 0x7F) | (u64::from(b1) << 7));
+                return Ok(u64::from(b & 0x7F) | u64::from(b1) << 7);
+            }
+            if let Some(&b2) = data.get(*pos + 2) {
+                if b2 < 0x80 {
+                    *pos += 3;
+                    return Ok(u64::from(b & 0x7F)
+                        | u64::from(b1 & 0x7F) << 7
+                        | u64::from(b2) << 14);
+                }
             }
         }
     }
@@ -331,7 +362,7 @@ fn read_header(r: &mut Reader<'_>) -> Result<WindowHeader, CodecError> {
         } else {
             0
         },
-        elapsed: Duration::from_nanos(if version >= FULL_WINDOW_VERSION {
+        elapsed: Duration::from_nanos(if version >= UNFOLDED_FULL_VERSION {
             u64::from_le_bytes(r.fixed("elapsed")?)
         } else {
             r.varint("elapsed")?
@@ -421,77 +452,227 @@ const ENCODE_CHUNK: usize = 256;
 ///
 /// Cells go out in row-major order, each addressed by its linear index
 /// `row · cols + col`: the first index is absolute, each later one stores
-/// (index − previous − 1), and values follow their index inline. Both
-/// dimensions are at most 2^24, so indices fit a u64.
+/// (index − previous − 1) as `gap`, and the cell is the varint
+/// `gap << k | f` with the value folded in as `f` or escaped after it (see
+/// the module docs). Both dimensions are at most 2^24, so indices fit a
+/// u64.
 ///
-/// The walk takes [`ENCODE_CHUNK`] cells at a time and has no per-row loop:
-/// a 4,096-node lesson window holds 0–3 cells in most rows, where an inner
-/// loop over each row's cells mispredicts its exit at almost every row.
-/// Instead each row start inside the chunk adds `cols` to that cell's slot
-/// of a stack array (`row_steps`), and the cell loop adds the slot to a
-/// running row base, so `index = base + col` with no branch on rows. Four
-/// cells whose gaps and values are all one byte go out as one 8-byte store
-/// (the dense ddos lesson is almost all such cells); other cells go out one
-/// at a time through `stage_cells`. Both store into a stack staging buffer
-/// that is appended to `buf` once per chunk.
+/// The fold width `k` is the one that gives the window its fewest bytes,
+/// the smaller on a tie. [`write_cells`] writes the cells at the width
+/// [`sampled_fold`] guesses from a few runs of them and sums every
+/// width's bytes as it goes; the cells are written again only when that
+/// guess is not the window's best, which in a lesson, whose chunks look
+/// alike, is rare. Either way the bytes depend on the window alone.
 pub(crate) fn encode_window_into(report: &WindowReport, mut buf: Vec<u8>) -> Vec<u8> {
     push_header(&mut buf, FULL_WINDOW_VERSION, report, None);
     let matrix = &report.matrix;
-    let cols = matrix.cols() as u64;
-    // Row r >= 1 starts at cell `row_ptr[r]`; rows after the last cell
-    // start at `nnz` and are never reached.
-    let mut row_starts = &matrix.row_ptr()[1..];
-    let (mut base, mut next) = (0u64, 0u64);
-    let mut gap = |step: u64, col: usize| {
-        base += step;
-        let index = base + col as u64;
-        let gap = index - next;
-        next = index + 1;
-        gap
-    };
+    let fold_at = buf.len();
+    buf.push(0);
+    let guess = sampled_fold(matrix);
+    let fold = fewest_bytes(write_cells(matrix, guess, &mut buf));
+    if fold != guess {
+        buf.truncate(fold_at + 1);
+        write_cells(matrix, fold, &mut buf);
+    }
+    buf[fold_at] = fold as u8;
+    buf
+}
+
+/// The runs of cells [`sampled_fold`] reads, and the cells in each.
+const SAMPLES: usize = 8;
+const SAMPLE_CELLS: usize = 64;
+
+/// The fold width that gives [`SAMPLES`] runs of [`SAMPLE_CELLS`] cells,
+/// spread evenly over `matrix`'s cells, their fewest bytes.
+fn sampled_fold(matrix: &CsrMatrix<u64>) -> u32 {
+    let (col_idx, values) = (matrix.col_indices(), matrix.values());
+    let mut totals = [0; FOLD_WIDTHS];
+    for sample in 0..SAMPLES {
+        let first = sample * col_idx.len() / SAMPLES;
+        let end = (first + SAMPLE_CELLS).min(col_idx.len());
+        let mut walk = GapWalk::at(matrix, first);
+        let steps = walk.steps(first, end - first);
+        let cells = col_idx[first..end].iter().zip(&values[first..end]);
+        let bytes: WidthBytes = cells
+            .zip(&steps)
+            .map(|((&col, &value), &step)| cell_bytes(walk.gap(step, col), value))
+            .sum();
+        for (k, total) in totals.iter_mut().enumerate() {
+            *total += width_field(bytes, k);
+        }
+    }
+    fewest_bytes(totals)
+}
+
+/// Append `matrix`'s cells at fold width `fold` and return every width's
+/// bytes for them.
+///
+/// The walk takes [`ENCODE_CHUNK`] cells at a time and has no per-row loop
+/// (see [`GapWalk`]). Four cells that are each one or two folded bytes go
+/// out as one 8-byte store (the dense ddos lesson is mostly such cells),
+/// and four folded cells of up to three bytes as four overlapping ones;
+/// other cells go out one at a time through `stage_cells`. All store into
+/// a stack staging buffer that is appended to `buf` once per chunk.
+fn write_cells(matrix: &CsrMatrix<u64>, fold: u32, buf: &mut Vec<u8>) -> [usize; FOLD_WIDTHS] {
+    let mut totals = [0; FOLD_WIDTHS];
+    let mut walk = GapWalk::new(matrix);
     let chunks = matrix
         .col_indices()
         .chunks(ENCODE_CHUNK)
         .zip(matrix.values().chunks(ENCODE_CHUNK));
     for (chunk, (col_idx, values)) in chunks.enumerate() {
-        let first = chunk * ENCODE_CHUNK;
-        let mut steps = [0u64; ENCODE_CHUNK];
-        row_steps(
-            &mut steps,
-            &mut row_starts,
-            first..first + col_idx.len(),
-            cols,
-        );
-        // At most four bytes per cell are staged before a flush.
-        let mut staged = [0u8; 4 * ENCODE_CHUNK];
+        let steps = walk.steps(chunk * ENCODE_CHUNK, col_idx.len());
+        let mut sum: WidthBytes = 0;
+        let mut staged = [0u8; STAGED];
         let mut len = 0;
         let quads = col_idx
             .chunks_exact(4)
             .zip(values.chunks_exact(4))
             .zip(steps.chunks_exact(4));
+        let fold_max = (1 << fold) - 1;
         for ((col_idx, values), steps) in quads {
-            let gaps: [u64; 4] = std::array::from_fn(|i| gap(steps[i], col_idx[i]));
-            let wide = gaps.iter().chain(values).fold(0, |wide, &v| wide | v);
-            if wide < 0x80 {
-                let mut pairs = 0u64;
-                for (i, (&gap, &value)) in gaps.iter().zip(values).enumerate() {
-                    pairs |= (gap | value << 8) << (16 * i);
+            let gaps: [u64; 4] = std::array::from_fn(|i| walk.gap(steps[i], col_idx[i]));
+            for (&gap, &value) in gaps.iter().zip(values) {
+                sum += cell_bytes(gap, value);
+            }
+            // As if every value folds; whether they do is checked once.
+            let varints: [u64; 4] = std::array::from_fn(|i| gaps[i] << fold | values[i]);
+            let escapes = values.iter().fold(false, |escapes, &value| {
+                escapes | (value.wrapping_sub(1) >= fold_max)
+            });
+            let wide = varints.iter().fold(0, |wide, &varint| wide | varint);
+            if !escapes && wide < 1 << 14 {
+                // Four folded cells of one or two bytes: one 8-byte store.
+                let (mut word, mut bits) = (0, 0);
+                for varint in varints {
+                    word |= short_varint(varint) << bits;
+                    bits += 8 + 8 * u32::from(varint >= 0x80);
                 }
-                staged[len..len + 8].copy_from_slice(&pairs.to_le_bytes());
-                len += 8;
+                staged[len..len + 8].copy_from_slice(&word.to_le_bytes());
+                len += bits as usize / 8;
+            } else if !escapes && wide < 1 << 21 {
+                for varint in varints {
+                    staged[len..len + 8].copy_from_slice(&short_varint(varint).to_le_bytes());
+                    len += short_len(varint);
+                }
             } else {
-                stage_cells(&mut staged, &mut len, &mut buf, &gaps, values);
+                let cells: [Folded; 4] =
+                    std::array::from_fn(|i| fold_cell(gaps[i], values[i], fold));
+                stage_cells(&mut staged, &mut len, buf, &cells);
             }
         }
         let tail = col_idx.len() / 4 * 4;
-        let cells = col_idx[tail..].iter().zip(&values[tail..]);
-        for ((&col, &value), &step) in cells.zip(&steps[tail..]) {
-            let gap = gap(step, col);
-            stage_cells(&mut staged, &mut len, &mut buf, &[gap], &[value]);
+        let cells = col_idx[tail..]
+            .iter()
+            .zip(&values[tail..])
+            .zip(&steps[tail..]);
+        for ((&col, &value), &step) in cells {
+            let gap = walk.gap(step, col);
+            sum += cell_bytes(gap, value);
+            stage_cells(&mut staged, &mut len, buf, &[fold_cell(gap, value, fold)]);
         }
         buf.extend_from_slice(&staged[..len]);
+        for (k, total) in totals.iter_mut().enumerate() {
+            *total += width_field(sum, k);
+        }
     }
-    buf
+    totals
+}
+
+/// One cell as the writer stages it.
+#[derive(Debug, Clone, Copy)]
+struct Folded {
+    /// The gap varint `gap << fold | f`.
+    varint: u64,
+    /// 1 when the value escapes, 0 when it is folded in as `f`.
+    escapes: u64,
+    /// The escaped value, or 0.
+    escape: u64,
+}
+
+/// A cell as [`Folded`]: a value folds when `1 <= value < 2^fold`, so
+/// nothing folds at fold width 0. Branch-free.
+#[inline(always)]
+fn fold_cell(gap: u64, value: u64, fold: u32) -> Folded {
+    let folds = u64::from(value.wrapping_sub(1) < (1 << fold) - 1);
+    Folded {
+        varint: gap << fold | value & folds.wrapping_neg(),
+        escapes: folds ^ 1,
+        escape: value & folds.wrapping_sub(1),
+    }
+}
+
+/// The linear-index gaps of a window's cells, a chunk at a time, with no
+/// per-row loop: a 4,096-node lesson window holds 0–3 cells in most rows,
+/// where an inner loop over each row's cells mispredicts its exit at
+/// almost every row. Instead each row start inside the chunk adds `cols`
+/// to that cell's slot of a stack array (`row_steps`), and the cell loop
+/// adds the slot to a running row base, so `index = base + col` with no
+/// branch on rows.
+struct GapWalk<'a> {
+    /// Row r >= 1 starts at cell `row_ptr[r]`; rows after the last cell
+    /// start at `nnz` and are never reached.
+    row_starts: &'a [usize],
+    cols: u64,
+    /// The linear index of the current row's first column.
+    base: u64,
+    /// One past the last cell's linear index.
+    next: u64,
+}
+
+impl<'a> GapWalk<'a> {
+    fn new(matrix: &'a CsrMatrix<u64>) -> Self {
+        GapWalk::at(matrix, 0)
+    }
+
+    /// The walk as it stands before cell `first` (at most `nnz`).
+    fn at(matrix: &'a CsrMatrix<u64>, first: usize) -> Self {
+        let (row_ptr, cols) = (matrix.row_ptr(), matrix.cols() as u64);
+        let Some(last) = first.checked_sub(1) else {
+            return GapWalk {
+                row_starts: &row_ptr[1..],
+                cols,
+                base: 0,
+                next: 0,
+            };
+        };
+        // The row of the cell before `first`: the last row starting at or
+        // before it.
+        let row = row_ptr.partition_point(|&start| start <= last) - 1;
+        let base = row as u64 * cols;
+        GapWalk {
+            row_starts: &row_ptr[row + 1..],
+            cols,
+            base,
+            next: base + matrix.col_indices()[last] as u64 + 1,
+        }
+    }
+
+    /// The row steps of the `cells` cells from `first` on (see
+    /// [`row_steps`]): a cell's row base is its predecessor's plus its
+    /// step.
+    #[inline(always)]
+    fn steps(&mut self, first: usize, cells: usize) -> [u64; ENCODE_CHUNK] {
+        let mut steps = [0u64; ENCODE_CHUNK];
+        row_steps(
+            &mut steps,
+            &mut self.row_starts,
+            first..first + cells,
+            self.cols,
+        );
+        steps
+    }
+
+    /// The gap of the next cell, whose row step is `step` and column
+    /// `col`.
+    #[inline(always)]
+    fn gap(&mut self, step: u64, col: usize) -> u64 {
+        self.base += step;
+        let index = self.base + col as u64;
+        let gap = index - self.next;
+        self.next = index + 1;
+        gap
+    }
 }
 
 /// Add `cols` to the slot of each cell in `cells` at which a row starts,
@@ -514,40 +695,136 @@ fn row_steps(
     }
 }
 
-/// Stage each `(gap, value)` cell: both fields below 2^14 go out as one
-/// 4-byte little-endian store of their varints, advancing `len` by
-/// 2 + `(gap >= 128)` + `(value >= 128)`; a larger field flushes what is
-/// staged and appends the cell through [`push_varint`].
+/// One cell's bytes at every fold width `k`, in field `k`.
+///
+/// A gap varint's length follows from the gap's bit length plus `k`,
+/// whether or not its value escapes; the one exception is a gap of 0,
+/// whose varint is `f` itself and takes a second byte when a value of
+/// 128–255 folds at `k = 8`. An escaped value's varint follows from its
+/// bit length. So a cell's bytes at every width are a function of the two
+/// bit lengths (and whether the gap is 0): [`GAP_BYTES`] and
+/// [`VALUE_BYTES`] hold them as [`WidthBytes`], and a chunk's sum is taken
+/// in one register.
 #[inline(always)]
-fn stage_cells(
-    staged: &mut [u8; 4 * ENCODE_CHUNK],
-    len: &mut usize,
-    buf: &mut Vec<u8>,
-    gaps: &[u64],
-    values: &[u64],
-) {
-    for (&gap, &value) in gaps.iter().zip(values) {
-        if (gap | value) < 1 << 14 {
-            let gap_len = 1 + usize::from(gap >= 0x80);
-            let word = short_varint(gap) | short_varint(value) << (8 * gap_len);
-            staged[*len..*len + 4].copy_from_slice(&word.to_le_bytes());
-            *len += gap_len + 1 + usize::from(value >= 0x80);
-        } else {
-            buf.extend_from_slice(&staged[..*len]);
-            *len = 0;
-            push_varint(buf, gap);
-            push_varint(buf, value);
+fn cell_bytes(gap: u64, value: u64) -> WidthBytes {
+    GAP_BYTES[bit_len(gap)] + VALUE_BYTES[usize::from(gap == 0)][bit_len(value)]
+}
+
+/// Width `k`'s field of a [`WidthBytes`] sum.
+#[inline(always)]
+fn width_field(bytes: WidthBytes, k: usize) -> usize {
+    (bytes >> (WIDTH_FIELD * k) & FIELD_MASK) as usize
+}
+
+/// The fold width with the fewest `bytes`, the smaller on a tie.
+fn fewest_bytes(bytes: [usize; FOLD_WIDTHS]) -> u32 {
+    (0..FOLD_WIDTHS).min_by_key(|&k| bytes[k]).unwrap_or(0) as u32
+}
+
+/// The bytes [`encode_window_into`] stages per chunk: at most six per cell
+/// (two varints below 2^21), and room for an 8-byte store at the end.
+const STAGED: usize = 6 * ENCODE_CHUNK + 8;
+
+/// The fold widths a window may take: 0 to [`MAX_FOLD_BITS`].
+const FOLD_WIDTHS: usize = MAX_FOLD_BITS as usize + 1;
+
+/// A cell's (or a chunk's) bytes at each fold width `k`, in the
+/// [`WIDTH_FIELD`]-bit field `k`. A cell takes at most 22 bytes (an
+/// 11-byte gap varint, a 10-byte value and the second byte a gap of 0 may
+/// need), so a chunk of [`ENCODE_CHUNK`] cells stays below 2^13.
+type WidthBytes = u128;
+const WIDTH_FIELD: usize = 14;
+const FIELD_MASK: WidthBytes = (1 << WIDTH_FIELD) - 1;
+const _: () = assert!(22 * ENCODE_CHUNK < 1 << WIDTH_FIELD && WIDTH_FIELD * FOLD_WIDTHS <= 128);
+
+/// A gap varint's bytes at each width, by the gap's bit length (0 for a
+/// gap of 0, whose varint is `f`: one byte but for the case
+/// [`VALUE_BYTES`] adds).
+const GAP_BYTES: [WidthBytes; 65] = {
+    let mut table = [0; 65];
+    let mut bits = 0;
+    while bits < 65 {
+        let mut k = 0;
+        while k < FOLD_WIDTHS {
+            let cell_bits = if bits == 0 { 0 } else { bits + k };
+            table[bits] |= (varint_bytes(cell_bits) as WidthBytes) << (WIDTH_FIELD * k);
+            k += 1;
         }
+        bits += 1;
+    }
+    table
+};
+
+/// An escaped value's bytes at each width (0 where it folds), by whether
+/// the gap is 0 and the value's bit length; after a gap of 0, a value of
+/// 8 bits folds at width 8 into a two-byte varint, one byte more.
+const VALUE_BYTES: [[WidthBytes; 65]; 2] = {
+    let mut table = [[0; 65]; 2];
+    let mut zero_gap = 0;
+    while zero_gap < 2 {
+        let mut bits = 0;
+        while bits < 65 {
+            let mut k = 0;
+            while k < FOLD_WIDTHS {
+                let bytes = if bits == 0 || bits > k {
+                    varint_bytes(bits)
+                } else if zero_gap == 1 && bits == 8 {
+                    1
+                } else {
+                    0
+                };
+                table[zero_gap][bits] |= (bytes as WidthBytes) << (WIDTH_FIELD * k);
+                k += 1;
+            }
+            bits += 1;
+        }
+        zero_gap += 1;
+    }
+    table
+};
+
+/// The bits `v` takes: 0 for 0, 64 for `u64::MAX`.
+#[inline(always)]
+fn bit_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()) as usize
+}
+
+/// The LEB128 bytes of a value of `bits` bits.
+const fn varint_bytes(bits: usize) -> usize {
+    if bits == 0 {
+        1
+    } else {
+        bits.div_ceil(7)
     }
 }
 
-/// The LEB128 bytes of `v < 2^14` as a little-endian word, without a
-/// branch: below 2^7 the value itself; otherwise its low seven bits with
-/// the continuation bit, then the high seven bits in the next byte.
+/// Stage each cell: a gap varint and escaped value both below 2^21 go out
+/// as one 8-byte little-endian store of their varints, advancing `len` by
+/// the gap varint's 1 to 3 bytes plus, for an escape, the value's; a
+/// larger field flushes what is staged and appends the cell through
+/// [`push_varint`].
 #[inline(always)]
-fn short_varint(v: u64) -> u32 {
-    let v = v as u32;
-    v + (v & 0x3f80) + (u32::from(v >= 0x80) << 7)
+fn stage_cells(staged: &mut [u8; STAGED], len: &mut usize, buf: &mut Vec<u8>, cells: &[Folded]) {
+    for &Folded {
+        varint,
+        escapes,
+        escape,
+    } in cells
+    {
+        if (varint | escape) < 1 << 21 {
+            let head = short_len(varint);
+            let word = short_varint(varint) | short_varint(escape) << (8 * head);
+            staged[*len..*len + 8].copy_from_slice(&word.to_le_bytes());
+            *len += head + escapes as usize * short_len(escape);
+        } else {
+            buf.extend_from_slice(&staged[..*len]);
+            *len = 0;
+            push_varint(buf, varint);
+            if escapes == 1 {
+                push_varint(buf, escape);
+            }
+        }
+    }
 }
 
 /// The `(rows, cols)` a window payload's header claims, read without
@@ -596,7 +873,8 @@ pub fn decode_window(data: &[u8]) -> Result<WindowReport, CodecError> {
 }
 
 /// Parse the cells after a full window's header into the given (cleared
-/// and refilled) CSR arrays, a version-4 run through the `cells` loop.
+/// and refilled) CSR arrays, a version-4 or version-6 run through the
+/// `cells` loop.
 fn parse_full_body(
     r: &mut Reader<'_>,
     header: &WindowHeader,
@@ -607,6 +885,15 @@ fn parse_full_body(
 ) -> Result<(), CodecError> {
     let shape = (header.rows, header.cols);
     let nnz = r.usize_varint("nnz")?;
+    // A version-4 run is a version-6 run that folds nothing.
+    let fold = if header.version == FULL_WINDOW_VERSION {
+        r.byte("fold width")?
+    } else {
+        0
+    };
+    if fold > MAX_FOLD_BITS {
+        return Err(CodecError::Corrupt("fold width above 8"));
+    }
 
     // The arrays are assembled directly in CSR layout — no intermediate
     // triple buffer, no counting pass — which is what makes replay decode
@@ -624,10 +911,10 @@ fn parse_full_body(
     // The cell loop runs on a local cursor over the payload; `Reader` is
     // only brought up to date once the last cell is read.
     let (data, mut pos) = (r.data, r.pos);
-    if header.version < FULL_WINDOW_VERSION {
+    if header.version < UNFOLDED_FULL_VERSION {
         legacy::parse_row_runs(data, &mut pos, shape, nnz, row_ptr, col_idx, values)?;
     } else {
-        let at = LinearCursor::start(shape, nnz);
+        let at = LinearCursor::start(shape, nnz, fold.into());
         parse_linear_cells(data, &mut pos, at, cells, row_ptr, col_idx, values)?;
     }
     if pos != data.len() {
@@ -675,7 +962,7 @@ fn step(
     Ok((0, col))
 }
 
-/// Which loop reads the cells of a version-4 window.
+/// Which loop reads the cells of a version-4 or version-6 window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CellLoop {
     /// The block kernel where the CPU has it, the scalar loop everywhere
@@ -685,11 +972,17 @@ enum CellLoop {
     Scalar,
 }
 
-/// Where a version-4 cell run stands between cells.
-#[derive(Debug)]
+/// Where a linear-gap cell run stands between cells.
+#[derive(Debug, Clone, Copy)]
 struct LinearCursor {
     /// The window's `(rows, cols)`, `cols` 0 when `rows` is (see [`step`]).
     shape: (usize, usize),
+    /// The run's fold width `k`, at most [`MAX_FOLD_BITS`]: a cell's gap is
+    /// its varint shifted right `k`, its value the low `k` bits or, where
+    /// those are 0, the next varint.
+    fold: u32,
+    /// The low `fold` bits.
+    fold_mask: u64,
     /// The row of the last cell read (0 before the first).
     row: usize,
     /// The lowest column the next cell may take in `row`; up to `cols`.
@@ -699,13 +992,16 @@ struct LinearCursor {
 }
 
 impl LinearCursor {
-    /// The cursor before the first of `nnz` cells of a `shape` window.
-    fn start((rows, cols): (usize, usize), nnz: usize) -> Self {
+    /// The cursor before the first of `nnz` cells of a `shape` window
+    /// whose values are folded `fold` bits deep.
+    fn start((rows, cols): (usize, usize), nnz: usize, fold: u32) -> Self {
         LinearCursor {
             // A window without rows has no cell in bounds: treating it as
             // one without columns sends every cell to the out-of-bounds
             // error.
             shape: (rows, if rows == 0 { 0 } else { cols }),
+            fold,
+            fold_mask: (1 << fold) - 1,
             row: 0,
             next_col: 0,
             left: nnz,
@@ -713,9 +1009,10 @@ impl LinearCursor {
     }
 }
 
-/// Parse the cells of a version 4 window, from the cursor `at` on: each a
-/// linear-index gap and a value, located by [`step`]. Fills `row_ptr` up
-/// to and including the last cell's row.
+/// Parse the cells of a version 4 or 6 window, from the cursor `at` on:
+/// each a linear-index gap with its value folded in or escaped after it,
+/// located by [`step`]. Fills `row_ptr` up to and including the last
+/// cell's row.
 ///
 /// With [`CellLoop::Dispatch`] on an x86_64 CPU with SSSE3, the `blocks`
 /// kernel reads runs of one- and two-byte varints 16 bytes at a time and
@@ -743,8 +1040,9 @@ fn parse_linear_cells(
     Ok(())
 }
 
-/// Read the one cell at `*pos` (a linear-index gap and a value), append it
-/// and step past it: the reference every cell loop falls back on.
+/// Read the one cell at `*pos` (a gap varint, and an escaped value after
+/// it), append it and step past it: the reference every cell loop falls
+/// back on.
 #[inline(always)]
 fn scalar_cell(
     data: &[u8],
@@ -754,7 +1052,9 @@ fn scalar_cell(
     col_idx: &mut Vec<usize>,
     values: &mut Vec<u64>,
 ) -> Result<(), CodecError> {
-    let gap = read_usize(data, pos, "cell gap")?;
+    let cell = read_varint(data, pos, "cell gap")?;
+    let gap =
+        usize::try_from(cell >> at.fold).map_err(|_| CodecError::VarintOverflow("cell gap"))?;
     let (crossed, col) = step(at.row, at.next_col, gap, at.shape)?;
     if crossed > 0 {
         at.row += crossed;
@@ -764,12 +1064,35 @@ fn scalar_cell(
             row_ptr.resize(at.row + 1, col_idx.len());
         }
     }
-    let value = read_varint(data, pos, "value")?;
+    let folded = cell & at.fold_mask;
+    let value = if folded != 0 {
+        folded
+    } else {
+        read_varint(data, pos, "value")?
+    };
     col_idx.push(col);
     values.push(value);
     at.next_col = col + 1;
     at.left -= 1;
     Ok(())
+}
+
+/// The LEB128 bytes of `v < 2^21` as a little-endian word, without a
+/// branch: each seven-bit group moves up one bit per byte before it (bits
+/// 7–13 doubled, bits 14–20 times four), and a byte with a group after it
+/// gets the continuation bit.
+#[inline(always)]
+fn short_varint(v: u64) -> u64 {
+    v + (v & 0x3f80)
+        + 3 * (v & 0x1f_c000)
+        + (u64::from(v >= 0x80) << 7)
+        + (u64::from(v >= 0x4000) << 15)
+}
+
+/// The bytes of [`short_varint`]`(v)`.
+#[inline(always)]
+fn short_len(v: u64) -> usize {
+    1 + usize::from(v >= 0x80) + usize::from(v >= 0x4000)
 }
 
 /// Encode one window as a sparse delta ([`DELTA_WINDOW_VERSION`]) against
@@ -923,7 +1246,7 @@ impl DecodeScratch {
 
 /// Decode a full or delta window through a [`DecodeScratch`].
 ///
-/// Full windows (versions 1, 2 and 4) decode exactly as [`decode_window`];
+/// Full windows (versions 1, 2, 4 and 6) decode exactly as [`decode_window`];
 /// delta windows (versions 3 and 5) are applied to the scratch's base.
 /// Either way the window becomes the base, and it is built in the storage
 /// of a window the scratch kept when no report holds that window any more
@@ -938,7 +1261,7 @@ pub fn decode_window_into(
     decode_body_into(r, header, scratch, CellLoop::Dispatch)
 }
 
-/// [`decode_window_into`] with every version-4 cell read by the scalar
+/// [`decode_window_into`] with every version-4 and version-6 cell read by the scalar
 /// cell loop, whatever the CPU: the same `Result`, and the reference the
 /// block kernel is tested and timed against.
 pub fn decode_window_into_scalar(
@@ -1399,10 +1722,24 @@ mod tests {
             Err(CodecError::Corrupt("column overflow"))
         );
         // rows, cols, nnz; then cell 0, then a cell gap past the end, both
-        // from the first cell and from the last column of a row.
+        // from the first cell and from the last column of a row. Version 6
+        // names fold width 0 first, or folds the value in at width 1: the
+        // largest gap varint is a gap past the end at every width.
         for first in [0, 3] {
             assert_eq!(
-                full(FULL_WINDOW_VERSION, &[4, 4, 2], &[first, 1, u64::MAX, 1]),
+                full(4, &[4, 4, 2], &[first, 1, u64::MAX, 1]),
+                Err(CodecError::Corrupt("cell index out of bounds"))
+            );
+            assert_eq!(
+                full(FULL_WINDOW_VERSION, &[4, 4, 2, 0], &[first, 1, u64::MAX, 1]),
+                Err(CodecError::Corrupt("cell index out of bounds"))
+            );
+            assert_eq!(
+                full(
+                    FULL_WINDOW_VERSION,
+                    &[4, 4, 2, 1],
+                    &[first << 1 | 1, u64::MAX]
+                ),
                 Err(CodecError::Corrupt("cell index out of bounds"))
             );
         }
@@ -1483,17 +1820,70 @@ mod tests {
     }
 
     #[test]
-    fn full_windows_encode_as_version_four() {
-        // One writer: every full window is a version-4 linear-gap run. Two
+    fn full_windows_encode_as_version_six() {
+        // One writer: every full window is a version-6 linear-gap run. Two
         // cells two rows apart: index 1 absolute, then 28 - 1 - 1 = 26.
+        // At width 2 the value 2 folds (1 << 2 | 2 = 6) and 5 escapes
+        // (26 << 2 = 104, then 5): three bytes. Width 3 folds both, but
+        // 26 << 3 | 5 = 213 takes two bytes: a tie, and the smaller width
+        // wins.
         let original = report(8, 8, &[(0, 1, 2), (3, 4, 5)]);
         let bytes = encode_window(&original);
-        assert_eq!(FULL_WINDOW_VERSION, 4);
+        assert_eq!(FULL_WINDOW_VERSION, 6);
         let mut want = WINDOW_MAGIC.to_vec();
-        want.push(4);
+        want.push(6);
         push_stats(&mut want, &original.stats);
-        want.extend_from_slice(&[8, 8, 2, 1, 2, 26, 5]);
+        want.extend_from_slice(&[8, 8, 2, 2, 6, 104, 5]);
         assert_eq!(bytes, want);
+        assert_eq!(decode_window(&bytes).unwrap(), original);
+        // Stored zeros and values past the fold escape: the gap varint's
+        // low bits are 0 and the value follows. Ones fold at width 1.
+        let zeros = report(4, 4, &[(0, 0, 0), (0, 1, 1), (0, 2, 1), (2, 0, u64::MAX)]);
+        let bytes = encode_window(&zeros);
+        let cells = &bytes[bytes.len() - 16..];
+        assert_eq!(
+            &cells[..6],
+            &[1, 0, 0, 1, 1, 10],
+            "fold 1: zero, 1, 1, escape"
+        );
+        assert_eq!(decode_window(&bytes).unwrap(), zeros);
+    }
+
+    #[test]
+    fn version_four_windows_decode_as_fold_width_zero() {
+        // The bytes the version-4 writer wrote for the window above: each
+        // gap followed by its value, no fold byte.
+        let original = report(8, 8, &[(0, 1, 2), (3, 4, 5)]);
+        let mut v4 = WINDOW_MAGIC.to_vec();
+        v4.push(4);
+        push_stats(&mut v4, &original.stats);
+        v4.extend_from_slice(&[8, 8, 2, 1, 2, 26, 5]);
+        assert_eq!(decode_window(&v4).unwrap(), original);
+        let mut scratch = DecodeScratch::new();
+        assert_eq!(
+            decode_window_into_scalar(&v4, &mut scratch).unwrap(),
+            original
+        );
+        // The same run under a version-6 header with fold width 0.
+        let mut v6 = v4.clone();
+        v6[4] = FULL_WINDOW_VERSION;
+        let fold_at = v6.len() - 4;
+        v6.insert(fold_at, 0);
+        assert_eq!(decode_window(&v6).unwrap(), original);
+        // A fold width past 8 is refused, and so is a missing one.
+        v6[fold_at] = MAX_FOLD_BITS + 1;
+        assert_eq!(
+            decode_window(&v6),
+            Err(CodecError::Corrupt("fold width above 8"))
+        );
+        let mut empty = header(FULL_WINDOW_VERSION);
+        empty.extend_from_slice(&[8, 8, 0]);
+        assert_eq!(
+            decode_window(&empty),
+            Err(CodecError::Truncated("fold width"))
+        );
+        empty.push(MAX_FOLD_BITS);
+        assert_eq!(decode_window(&empty).unwrap().matrix.nnz(), 0);
     }
 
     #[test]
@@ -1581,7 +1971,7 @@ mod tests {
         }
         // One more cell past the end is out of bounds, and so is any cell
         // in a window with no rows or no columns.
-        let mut past = header(FULL_WINDOW_VERSION);
+        let mut past = header(4);
         for v in [10u64, 7, 1, 70, 1] {
             super::push_varint(&mut past, v);
         }
@@ -1590,7 +1980,7 @@ mod tests {
             Err(CodecError::Corrupt("cell index out of bounds"))
         );
         for (rows, cols) in [(0u64, 7u64), (7, 0), (0, 0)] {
-            let mut empty = header(FULL_WINDOW_VERSION);
+            let mut empty = header(4);
             for v in [rows, cols, 1, 0, 1] {
                 super::push_varint(&mut empty, v);
             }

@@ -31,7 +31,7 @@
 //! raw bytes to a stateful consumer holding a
 //! [`DecodeScratch`](crate::codec::DecodeScratch). The frame format does
 //! not change with the window codec: a frame carries whichever layout its
-//! window was encoded or recorded in (v4 full and v5 delta for everything
+//! window was encoded or recorded in (v6 full and v5 delta for everything
 //! encoded now), so a client built before a layout reads the frames and
 //! refuses that payload with a typed codec error.
 //!
@@ -833,7 +833,9 @@ mod tests {
             ),
             (
                 full.as_slice(),
-                FrameError::Window(CodecError::UnsupportedVersion(4)),
+                FrameError::Window(CodecError::UnsupportedVersion(
+                    crate::codec::FULL_WINDOW_VERSION,
+                )),
             ),
         ] {
             let bytes = encode_frame(FrameKind::DeltaWindow, payload);

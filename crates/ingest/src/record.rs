@@ -58,10 +58,11 @@ pub const MANIFEST_FORMAT: &str = "tw-replay";
 /// Version 1 recordings hold only version-2 full windows; version 2 adds
 /// version-3 deltas; version 3 stores full windows in the version-4
 /// linear-gap layout; version 4 stores deltas in the version-5 layout,
-/// one run of tagged linear gaps. Readers accept every version from 1 on,
-/// and a reader that predates one rejects the archive up front instead of
-/// failing on its first window.
-pub const MANIFEST_VERSION: i64 = 4;
+/// one run of tagged linear gaps; version 5 stores full windows in the
+/// version-6 layout, small values folded into their gap varints. Readers
+/// accept every version from 1 on, and a reader that predates one rejects
+/// the archive up front instead of failing on its first window.
+pub const MANIFEST_VERSION: i64 = 5;
 
 /// Errors produced while recording or replaying a window archive.
 #[derive(Debug, Clone, PartialEq)]
@@ -679,7 +680,7 @@ mod tests {
 
     #[test]
     fn delta_cadence_places_keyframes_where_the_manifest_says() {
-        // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v4 codec
+        // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v6 codec
         // bytes), everything else is a v5 delta, under the one manifest
         // version new recordings write.
         use crate::codec::{DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION};
@@ -708,10 +709,10 @@ mod tests {
     #[test]
     fn zero_cadence_recordings_write_the_current_manifest() {
         // K=0 recordings write the same manifest version as delta ones, so
-        // a reader that predates v5 deltas rejects the archive up front;
-        // every entry is a full v4 window.
+        // a reader that predates v6 full windows rejects the archive up
+        // front; every entry is a full v6 window.
         use crate::codec::FULL_WINDOW_VERSION;
-        assert_eq!(MANIFEST_VERSION, 4);
+        assert_eq!(MANIFEST_VERSION, 5);
         let (_, bytes) = record_ddos(2);
         let mut reader = reader(&bytes);
         let text = reader.read_text(MANIFEST_ENTRY).unwrap();

@@ -1,7 +1,9 @@
 //! The allocation contract of the window producers: once warmed up, a
 //! pipeline or a decoder whose caller drops each report allocates nothing
 //! per window, because each window is built in the storage of one that no
-//! report holds any more.
+//! report holds any more. The full-window encoder, writing into a kept
+//! buffer, allocates nothing either: a wire frame costs only the `Arc` it
+//! is sent in, and a recorded window only the archive's own bookkeeping.
 //!
 //! A counting global allocator over `System` counts the allocations (and
 //! reallocations) made on the calling thread, so the tests of this binary
@@ -12,10 +14,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tw_archive::ZipWriter;
 use tw_ingest::codec::decode_stream_window_into;
+use tw_ingest::frame::window_frame_into;
 use tw_ingest::{
-    collect_events, encode_window, encode_window_delta, CodecError, DecodeScratch, EventSource,
-    Pipeline, PipelineConfig, Scenario, Skewed, WindowReport,
+    collect_events, encode_window, encode_window_delta, ArchiveRecorder, CodecError, DecodeScratch,
+    EventSource, IngestStats, Pipeline, PipelineConfig, RecordingMeta, Scenario, Skewed,
+    WindowReport,
 };
 use tw_matrix::stream::PacketEvent;
 
@@ -221,6 +226,93 @@ fn delta_chain_decodes_allocate_nothing_once_warm() {
         allocations.iter().all(|&n| n == 0),
         "allocations per window of a delta chain's second pass: {allocations:?}"
     );
+}
+
+/// One pass of a `scenario` lesson on [`NODES`] nodes, and the same
+/// windows again under the indices after it: a second pass.
+fn encoder_lesson(scenario: Scenario) -> (Vec<WindowReport>, Vec<WindowReport>) {
+    let config = PipelineConfig {
+        window_us: WINDOW_US,
+        ..PipelineConfig::default()
+    };
+    let first = Pipeline::new(scenario.source(NODES, 1), config).run(WINDOWS);
+    let second = first
+        .iter()
+        .map(|report| {
+            let mut again = report.clone();
+            again.stats.window_index += WINDOWS as u64;
+            again
+        })
+        .collect();
+    (first, second)
+}
+
+const ENCODED_SCENARIOS: [Scenario; 3] = [Scenario::Mixed, Scenario::Ddos, Scenario::Scan];
+
+#[test]
+fn window_frames_encode_into_a_kept_buffer_without_allocating() {
+    for scenario in ENCODED_SCENARIOS {
+        let (first, second) = encoder_lesson(scenario);
+        let mut buf = Vec::new();
+        for report in &first {
+            drop(window_frame_into(report, None, &mut buf));
+        }
+        // The one allocation per window is the `Arc` the frame is sent in.
+        let allocations: Vec<u64> = second
+            .iter()
+            .map(|report| counted(|| drop(window_frame_into(report, None, &mut buf))).1)
+            .collect();
+        assert!(
+            allocations.iter().all(|&n| n == 1),
+            "{}: allocations per full frame of the second pass: {allocations:?}",
+            scenario.name()
+        );
+    }
+}
+
+#[test]
+fn recorded_full_windows_encode_without_allocating() {
+    // A recorder's own bookkeeping allocates per window: the entry's name,
+    // the archive's name set and central-directory entry, and the growth
+    // of the archive buffer and the stats list. A shadow archive and list
+    // fed the same names and as many bytes make exactly those
+    // allocations, so whatever `record` allocates beyond them is the
+    // encoder's.
+    for scenario in ENCODED_SCENARIOS {
+        let (first, second) = encoder_lesson(scenario);
+        let mut recorder = ArchiveRecorder::new(RecordingMeta {
+            scenario: scenario.name().to_string(),
+            seed: 1,
+            node_count: NODES as usize,
+            window_us: WINDOW_US,
+            keyframe_every: 0,
+        });
+        let mut shadow = ZipWriter::new();
+        let mut shadow_stats: Vec<IngestStats> = Vec::new();
+        let mut shadow_record = |report: &WindowReport, payload: &[u8]| {
+            let name = format!("windows/{:08}.bin", report.stats.window_index);
+            shadow.add_file(&name, payload).unwrap();
+            shadow_stats.push(report.stats.clone());
+        };
+        for report in &first {
+            recorder.record(report).unwrap();
+            shadow_record(report, &encode_window(report));
+        }
+        let extra: Vec<u64> = second
+            .iter()
+            .map(|report| {
+                let payload = vec![0; encode_window(report).len()];
+                let recorded = counted(|| recorder.record(report).unwrap()).1;
+                let bookkeeping = counted(|| shadow_record(report, &payload)).1;
+                recorded - bookkeeping
+            })
+            .collect();
+        assert!(
+            extra.iter().all(|&n| n == 0),
+            "{}: allocations per recorded window of the second pass beyond the archive's: {extra:?}",
+            scenario.name()
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! Differential property tests for the version-4 block kernel.
+//! Differential property tests for the full-window block kernel.
 //!
 //! On an x86_64 CPU with SSSE3 the full-window decoders read runs of one-
-//! and two-byte varints 16 bytes at a time and hand every other cell to
+//! to three-byte varints 16 bytes at a time and hand every other cell to
 //! the scalar cell loop; [`decode_window_into_scalar`] reads every cell
-//! through the scalar loop alone. Here windows are built from what makes a
+//! through the scalar loop alone. Windows are written both as the codec
+//! writes them (version 6, values folded) and as the version-4 writer did
+//! ((gap, value) pairs), and built from what makes a
 //! block path take or refuse a cell — rows of one-byte cells, two-byte
 //! in-row gaps and values, single-row crossings, gaps over empty rows and
 //! three-byte varints — with the first such feature placed at every byte
@@ -24,6 +26,8 @@ use tw_matrix::CsrMatrix;
 
 #[path = "support/reference_codec.rs"]
 mod reference_codec;
+#[path = "support/reference_encoder.rs"]
+mod reference_encoder;
 
 use reference_codec::{reference_decode, Decoded};
 
@@ -209,13 +213,15 @@ proptest! {
         cut in any::<usize>(),
     ) {
         let report = window(cols, offset, feature, &steps, spare_rows);
-        let bytes = encode_window(&report);
-        prop_assert_eq!(reference_decode(&bytes, None), Ok(Decoded::of(&report)));
-        check(&bytes)?;
-        let mut flipped = bytes.clone();
-        flipped[flip_at % bytes.len()] ^= flip;
-        check(&flipped)?;
-        check(&bytes[..cut % bytes.len()])?;
+        // As the codec writes it (folded), and as the v4 writer did (pairs).
+        for bytes in [encode_window(&report), reference_encoder::encode_reference_v4(&report)] {
+            prop_assert_eq!(reference_decode(&bytes, None), Ok(Decoded::of(&report)));
+            check(&bytes)?;
+            let mut flipped = bytes.clone();
+            flipped[flip_at % bytes.len()] ^= flip;
+            check(&flipped)?;
+            check(&bytes[..cut % bytes.len()])?;
+        }
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! `encode_window` walks a window's cells a fixed-size chunk at a time,
 //! with row bases from a per-chunk array of row starts, one-byte cells
 //! four at a time and short fields as branch-free word stores. The plain
-//! per-row writer in `support/reference_encoder.rs` states the version-4
+//! per-row writer in `support/reference_encoder.rs` states the version-6
 //! bytes directly; the encoder must return exactly its bytes for every
 //! window. So must `frame::window_frame`, which appends the same encoding
-//! to a buffer that already holds the frame header.
+//! to a buffer that already holds the frame header. The fold width both
+//! pick must be the one a brute-force search over every width 0–8 picks
+//! (the smallest payload, the smaller width on a tie), and at width 0 the
+//! cells must be byte for byte those of the version-4 writer.
 //!
 //! Windows are laid out by linear-index gap, so a gap can be any exact
 //! figure: 0–3 (runs of one-byte cells), the varint edges 127/128 and
@@ -19,7 +22,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use tw_ingest::codec::{encode_window, MAX_DIMENSION};
+use tw_ingest::codec::{encode_window, MAX_DIMENSION, MAX_FOLD_BITS};
 use tw_ingest::frame::{read_raw_frame, window_frame, FrameKind};
 use tw_ingest::{IngestStats, WindowReport};
 use tw_matrix::CsrMatrix;
@@ -27,7 +30,9 @@ use tw_matrix::CsrMatrix;
 #[path = "support/reference_encoder.rs"]
 mod reference_encoder;
 
-use reference_encoder::encode_reference;
+use reference_encoder::{
+    encode_reference, encode_reference_folded, encode_reference_v4, fold_width_at,
+};
 
 /// The most rows a generated window may take, so a case's `row_ptr` stays
 /// small.
@@ -170,10 +175,25 @@ fn window(
     ))
 }
 
-/// `encode_window` and `window_frame`'s payload both equal the reference.
+/// `encode_window` and `window_frame`'s payload both equal the reference,
+/// at the width a brute-force search picks; and the reference's width-0
+/// cells are the version-4 writer's.
 fn check(report: &WindowReport) -> Result<(), TestCaseError> {
     let expected = encode_reference(report);
     prop_assert_eq!(&encode_window(report), &expected, "encode_window");
+    let at = fold_width_at(report);
+    let smallest = (0..=u32::from(MAX_FOLD_BITS))
+        .min_by_key(|&fold| encode_reference_folded(report, fold).len())
+        .unwrap();
+    prop_assert_eq!(u32::from(expected[at]), smallest, "fold width");
+    let (v4, unfolded) = (
+        encode_reference_v4(report),
+        encode_reference_folded(report, 0),
+    );
+    prop_assert_eq!(&unfolded[..4], &v4[..4]);
+    prop_assert_eq!(&unfolded[5..at], &v4[5..at], "header");
+    prop_assert_eq!(unfolded[at], 0);
+    prop_assert_eq!(&unfolded[at + 1..], &v4[at..], "width-0 cells");
     let frame = window_frame(report, None);
     prop_assert!(!frame.forwarded && !frame.delta);
     let mut payload = Vec::new();
@@ -234,6 +254,22 @@ fn a_window_of_the_largest_dimension_encodes_as_the_reference() {
         &triples,
     )))
     .unwrap();
+}
+
+#[test]
+fn a_window_whose_sampled_chunks_mislead_the_width_encodes_as_the_reference() {
+    // Five chunks of 256 cells, a run of one-value cells in the first four
+    // (the widths from 1 up write them alike, so the four chunks the
+    // encoder guesses its width from pick 1) and of 200s in the last: 200
+    // folds only at width 8, which is then the window's best. The encoder
+    // writes the cells at its guess and again at the best width.
+    let cells = 5 * 256;
+    let triples: Vec<_> = (0..cells)
+        .map(|i| (i / 64, i % 64, if i < 4 * 256 { 1 } else { 200 }))
+        .collect();
+    let report = report(CsrMatrix::from_sorted_triples(cells / 64, 64, &triples));
+    check(&report).unwrap();
+    assert_eq!(encode_window(&report)[fold_width_at(&report)], 8);
 }
 
 proptest! {

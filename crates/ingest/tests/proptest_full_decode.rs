@@ -5,10 +5,11 @@
 //! else. `reference_decode`
 //! (in the test-local `reference_codec`) is a plain cell-at-a-time decoder
 //! of every layout, written independently of the codec module, with the
-//! codec's error for every failure. Here it reads the version-4 run of
-//! linear-index gaps `encode_window` writes, and the version-2 per-row
-//! layout of older recordings (written by the test-local `legacy_codec`
-//! writer). Over windows mixing one-byte and
+//! codec's error for every failure. Here it reads the version-6 run of
+//! folded linear-index gaps `encode_window` writes, the version-4 run of
+//! (gap, value) pairs and the version-2 per-row layout of older
+//! recordings (written by the test-local `reference_encoder` and
+//! `legacy_codec` writers). Over windows mixing one-byte and
 //! multi-byte varints (values and gaps on both sides of 127/128 and
 //! 16,383/16,384, rows of 0–9 cells, runs of empty rows, a last cell at
 //! the matrix's last index), both decode entry points must return exactly
@@ -28,6 +29,8 @@ use tw_matrix::CsrMatrix;
 mod legacy_codec;
 #[path = "support/reference_codec.rs"]
 mod reference_codec;
+#[path = "support/reference_encoder.rs"]
+mod reference_encoder;
 
 use reference_codec::{reference_decode, Decoded};
 
@@ -152,12 +155,16 @@ fn arb_window() -> impl Strategy<Value = WindowReport> {
 }
 
 /// The window in every full layout the decoder reads that the tests
-/// cover: version 4 as the codec writes it, version 2 as older recordings
-/// hold it.
-fn layouts(report: &WindowReport) -> [Vec<u8>; 2] {
-    let v4 = encode_window(report);
-    assert_eq!(v4[4], FULL_WINDOW_VERSION);
-    [v4, legacy_codec::encode_legacy(report, 2)]
+/// cover: version 6 as the codec writes it, versions 4 and 2 as older
+/// recordings hold it.
+fn layouts(report: &WindowReport) -> [Vec<u8>; 3] {
+    let v6 = encode_window(report);
+    assert_eq!(v6[4], FULL_WINDOW_VERSION);
+    [
+        v6,
+        reference_encoder::encode_reference_v4(report),
+        legacy_codec::encode_legacy(report, 2),
+    ]
 }
 
 /// A window with exactly `cells` and arbitrary stats, for the round trip.

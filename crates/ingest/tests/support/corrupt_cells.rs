@@ -3,11 +3,14 @@
 //! archive entry) to a reader.
 //!
 //! Each window is `NODES × NODES`, as every window of a stream is, with
-//! one-byte cells in its last two rows. A 20-cell window's cells are all
-//! loaded by the block kernel where the CPU has one (a four-cell run, then
-//! two 16-byte blocks); a 21-cell window leaves its last cell to the
-//! scalar tail. Each corruption is placed once inside a block and once in
-//! the tail.
+//! its cells in its last two rows: each a value of 1 folded into a
+//! one-byte gap varint (fold width 1), but the first, whose gap over 14
+//! rows takes two bytes, and the last, a stored zero that escapes. In a
+//! 32-cell window the block kernel, where the CPU has one, loads cells
+//! 1–24 in three 16-byte blocks (cell 0 jumps too many rows for it); a
+//! 31-cell window has too few bytes left for the third block, so cells
+//! 17–30 are the scalar tail. Each corruption is placed once inside a
+//! block and once in the tail.
 
 use std::time::Duration;
 use tw_ingest::codec::{encode_window, CodecError};
@@ -17,11 +20,11 @@ use tw_matrix::CsrMatrix;
 /// The node count of every corrupt window.
 pub const NODES: usize = 16;
 
-/// A `NODES × NODES` window of `cells` one-value cells, row 14 full and the
-/// rest at the start of row 15.
+/// A `NODES × NODES` window of `cells` cells of value 1 but for a stored
+/// zero last, row 14 full and the rest at the start of row 15.
 pub fn last_rows_window(cells: usize) -> WindowReport {
     let triples: Vec<_> = (0..cells)
-        .map(|i| (NODES - 2 + i / NODES, i % NODES, 1))
+        .map(|i| (NODES - 2 + i / NODES, i % NODES, u64::from(i + 1 < cells)))
         .collect();
     let matrix = CsrMatrix::from_sorted_triples(NODES, NODES, &triples);
     WindowReport {
@@ -53,12 +56,13 @@ pub struct CorruptCells {
 pub fn corrupt_cell_payloads() -> Vec<CorruptCells> {
     let past_last_row = |cells: usize, cell: usize| {
         let mut payload = encode_window(&last_rows_window(cells));
-        // Cell 0's gap is two bytes (index 224), every later cell's gap
-        // and every value one byte.
-        let gap_at = payload.len() - 2 * (cells - cell);
-        assert_eq!(payload[gap_at], 0, "cell {cell} follows its neighbour");
+        // Cell 0's gap varint is two bytes (index 224), every later one
+        // byte, and the last cell's escaped value one more.
+        let gap_at = payload.len() - (cells - cell) - 1;
+        // Gap 0 with the value 1 folded in.
+        assert_eq!(payload[gap_at], 1, "cell {cell} follows its neighbour");
         // A gap of one row from a cell in the last row.
-        payload[gap_at] = NODES as u8;
+        payload[gap_at] = (NODES as u8) << 1 | 1;
         payload
     };
     let cut_short = |cells: usize| {
@@ -70,22 +74,22 @@ pub fn corrupt_cell_payloads() -> Vec<CorruptCells> {
     vec![
         CorruptCells {
             what: "a gap past the last row inside a block",
-            payload: past_last_row(20, 17),
+            payload: past_last_row(32, 17),
             error: out_of_bounds.clone(),
         },
         CorruptCells {
             what: "a gap past the last row in the tail",
-            payload: past_last_row(21, 20),
+            payload: past_last_row(31, 29),
             error: out_of_bounds,
         },
         CorruptCells {
             what: "a value cut short inside a block",
-            payload: cut_short(20),
+            payload: cut_short(32),
             error: CodecError::Truncated("value"),
         },
         CorruptCells {
             what: "a value cut short in the tail",
-            payload: cut_short(21),
+            payload: cut_short(31),
             error: CodecError::Truncated("value"),
         },
     ]

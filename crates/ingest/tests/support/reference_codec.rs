@@ -1,7 +1,7 @@
 //! A plain cell-at-a-time decoder of every window layout, written
 //! independently of the codec module, with the codec's error for every
-//! failure: the full layouts of versions 1, 2 and 4 and the delta layouts
-//! of versions 3 and 5. A delta is applied to a [`Base`] held as a
+//! failure: the full layouts of versions 1, 2, 4 and 6 and the delta
+//! layouts of versions 3 and 5. A delta is applied to a [`Base`] held as a
 //! `BTreeMap` of cells, one change at a time.
 //!
 //! Differential tests include this file with `#[path]` and compare the
@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 use tw_ingest::codec::{
-    CodecError, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION, WINDOW_CODEC_VERSION,
-    WINDOW_MAGIC,
+    CodecError, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION, MAX_FOLD_BITS,
+    WINDOW_CODEC_VERSION, WINDOW_MAGIC,
 };
 use tw_ingest::{IngestStats, WindowReport};
 
@@ -149,7 +149,7 @@ pub fn reference_decode(data: &[u8], base: Option<&Base>) -> Result<Decoded, Cod
     } else {
         0
     };
-    let elapsed = Duration::from_nanos(if version >= FULL_WINDOW_VERSION {
+    let elapsed = Duration::from_nanos(if version >= 4 {
         u64::from_le_bytes(b.fixed("elapsed")?)
     } else {
         b.varint("elapsed")?
@@ -207,8 +207,14 @@ pub fn reference_decode(data: &[u8], base: Option<&Base>) -> Result<Decoded, Cod
         }
         None => {
             let nnz = b.index("nnz")?;
-            let cells = if version >= FULL_WINDOW_VERSION {
-                full_v4(&mut b, shape, nnz)?
+            let cells = if version == FULL_WINDOW_VERSION {
+                let fold = b.byte("fold width")?;
+                if fold > MAX_FOLD_BITS {
+                    return Err(CodecError::Corrupt("fold width above 8"));
+                }
+                full_linear(&mut b, shape, nnz, fold.into())?
+            } else if version == 4 {
+                full_linear(&mut b, shape, nnz, 0)?
             } else {
                 full_per_row(&mut b, shape, nnz)?
             };
@@ -223,17 +229,27 @@ pub fn reference_decode(data: &[u8], base: Option<&Base>) -> Result<Decoded, Cod
     })
 }
 
-/// The cells of a version 4 window: one run of (linear-index gap, value).
-fn full_v4(
+/// The cells of a version 6 window of fold width `fold`, or a version 4
+/// one (width 0): one run of varints `gap << fold | f`, each followed by
+/// its value's varint where `f` is 0.
+fn full_linear(
     b: &mut Bytes<'_>,
     shape: (usize, usize),
     nnz: usize,
+    fold: u32,
 ) -> Result<Vec<(usize, usize, u64)>, CodecError> {
     let mut cells = Vec::new();
     let mut next = 0u128;
     for _ in 0..nnz {
-        let (r, c) = locate(&mut next, b.index("cell gap")?, shape)?;
-        cells.push((r, c, b.varint("value")?));
+        let cell = b.varint("cell gap")?;
+        let gap =
+            usize::try_from(cell >> fold).map_err(|_| CodecError::VarintOverflow("cell gap"))?;
+        let (r, c) = locate(&mut next, gap, shape)?;
+        let value = match cell % (1 << fold) {
+            0 => b.varint("value")?,
+            folded => folded,
+        };
+        cells.push((r, c, value));
     }
     Ok(cells)
 }
